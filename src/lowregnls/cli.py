@@ -36,6 +36,7 @@ from .integrator import (
     load_trajectory,
     save_trajectory,
     step,
+    step_twisted,
 )
 from .reference import splitting_evolve
 from .spectral import (
@@ -45,9 +46,7 @@ from .spectral import (
     free_propagator,
     l2_error,
     sobolev_norm,
-    twist_propagator,
 )
-from .integrator import step_twisted
 
 __all__ = ["main", "build_parser"]
 

@@ -4,12 +4,14 @@ A :class:`SpectralField` stores the coefficients c_k of a trigonometric
 polynomial f(x) = sum_{|k| <= N} c_k e^{ikx} on (-pi, pi].  N is the cutoff.
 All operators return new fields; coefficient arrays are read-only.
 
-Products of two band-limited fields are formed without aliasing: a product of
-two degree-N polynomials has degree 2N, so evaluating both factors on any
-grid with at least 4N+1 points, multiplying pointwise and transforming back
-recovers the exact product coefficients.  `dealiased_product` truncates that
-exact product to the common cutoff.  Internally the evaluation grid is the
-smallest power of two >= 4N+1, which keeps the FFT cost smooth in N.
+Products of two band-limited fields are formed without aliasing.  A product
+of two degree-N polynomials has degree 2N; on an m-point grid its modes k and
+k +- m share a bin, and for m >= 3N+1 every alias of a mode |k| <= 2N lands
+outside |k| <= N (Orszag's 3/2 rule).  So evaluating both factors on such a
+grid, multiplying pointwise and transforming back gives the exact product
+coefficients on |k| <= N, which is all `dealiased_product` keeps.  The
+evaluation grid is the smallest power of two >= 3N+1, which keeps the FFT
+cost smooth in N.
 """
 
 from __future__ import annotations
@@ -185,17 +187,23 @@ def twist_propagator(
 
 
 def _pow2_grid_size(cutoff: int) -> int:
-    """Smallest power of two with at least 4*cutoff + 1 points, so that a
-    product of two degree-cutoff polynomials is represented exactly."""
+    """Smallest power of two with at least 3*cutoff + 1 points, so that a
+    product of two degree-cutoff polynomials is exact on |k| <= cutoff."""
     p = 1
-    while p < 4 * cutoff + 1:
+    while p < 3 * cutoff + 1:
         p *= 2
     return p
 
 
-def _scatter_modes(coeffs: np.ndarray, cutoff: int, m: int) -> np.ndarray:
-    """Centered coefficients -> standard-order length-m spectrum (rows kept)."""
-    out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
+def _scatter_modes(
+    coeffs: np.ndarray, cutoff: int, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Centered coefficients -> standard-order length-m spectrum (rows kept),
+    written into out when given."""
+    if out is None:
+        out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
+    else:
+        out[..., cutoff + 1: m - cutoff] = 0.0
     out[..., : cutoff + 1] = coeffs[..., cutoff:]
     if cutoff > 0:
         out[..., m - cutoff:] = coeffs[..., :cutoff]
@@ -211,14 +219,21 @@ def _gather_modes(std: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
-def _to_grid(coeffs: np.ndarray, cutoff: int, m: int) -> np.ndarray:
-    """Evaluate (batched) centered coefficients on the m-point standard grid."""
-    return np.fft.ifft(_scatter_modes(coeffs, cutoff, m), axis=-1, norm="forward")
+def _to_grid(
+    coeffs: np.ndarray, cutoff: int, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate (batched) centered coefficients on the m-point standard grid,
+    into out when given."""
+    std = _scatter_modes(coeffs, cutoff, m, out)
+    return np.fft.ifft(std, axis=-1, norm="forward", out=std)
 
 
 def _from_grid(values: np.ndarray, cutoff: int) -> np.ndarray:
-    """Forward transform of (batched) grid values, truncated to |k| <= cutoff."""
-    return _gather_modes(np.fft.fft(values, axis=-1, norm="forward"), cutoff)
+    """Forward transform of (batched) grid values, truncated to |k| <= cutoff.
+
+    Transforms in place: values is overwritten.
+    """
+    return _gather_modes(np.fft.fft(values, axis=-1, norm="forward", out=values), cutoff)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -10,6 +10,7 @@ from lowregnls.integrator import (
     BlowUpError,
     ConservedQuantities,
     SchemeParams,
+    _pow2_grid_size,
     conserved_quantities,
     evolve,
     initialize,
@@ -39,17 +40,24 @@ def random_field(rng, cutoff, scale=0.5):
     return SpectralField(cutoff, scale * c)
 
 
-def psi_straight_line(u, params, cq):
+def convolution_product(f, g):
+    """Pi_N(f*g) by direct convolution of the coefficients: no grid at all."""
+    n = f.cutoff
+    return SpectralField(n, np.convolve(f.coeffs, g.coeffs)[n: 3 * n + 1])
+
+
+def psi_straight_line(u, params, cq, pn=dealiased_product):
     """The one-step map written term by term with the public operators.
 
     Deliberately naive: no batching, no shared transforms.  Serves as the
-    independent route against the optimized `step`.
+    independent route against the optimized `step`.  Every product goes
+    through pn, so passing `convolution_product` gives an oracle that shares
+    no product grid with `step`.
     """
     lam, tau = params.lam, params.tau
     f = u
     fb = conjugate(f)
     fp = free_propagator(f, tau)
-    pn = dealiased_product
     di = inv_derivative
 
     out = twist_propagator(f, tau, lam, cq.mass, cq.momentum)
@@ -202,6 +210,18 @@ class TestStepAgainstStraightLine:
             rel = l2_error(fast, naive) / sobolev_norm(naive, 0.0)
             assert rel <= 1e-12
 
+    # 5, 21 and 85 are cutoffs where the product grid is exactly 3N+1 points
+    @pytest.mark.parametrize("lam", [-1, 1])
+    @pytest.mark.parametrize("n", [5, 21, 85])
+    def test_matches_grid_free_oracle(self, n, lam):
+        rng = np.random.default_rng(n)
+        u = random_field(rng, n)
+        cq = conserved_quantities(u)
+        params = SchemeParams(lam=lam, tau=2.0 ** -4, cutoff=n, steps=1)
+        oracle = psi_straight_line(u, params, cq, pn=convolution_product)
+        rel = l2_error(step(u, params, cq), oracle) / sobolev_norm(oracle, 0.0)
+        assert rel <= 1e-12
+
     def test_stays_band_limited(self):
         rng = np.random.default_rng(4)
         u = random_field(rng, 10)
@@ -215,6 +235,28 @@ class TestStepAgainstStraightLine:
         params = SchemeParams(lam=-1, tau=0.01, cutoff=8, steps=1)
         with pytest.raises(ValueError):
             step(u, params, ConservedQuantities(0.0, 0.0j))
+
+
+class TestFftWork:
+    @pytest.mark.parametrize("n", [16, 21])
+    def test_one_step_makes_twenty_rows_on_the_product_grid(self, n, monkeypatch):
+        # four batched calls of 20 rows in all, on the smallest power of two
+        # >= 3N+1 points (64 for both cutoffs)
+        shapes = []
+
+        def counted(fft):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fft(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        u = random_field(np.random.default_rng(n), n)
+        step(u, SchemeParams(lam=-1, tau=0.01, cutoff=n, steps=1), conserved_quantities(u))
+        assert len(shapes) == 4
+        assert sum(math.prod(sh[:-1]) for sh in shapes) == 20
+        assert {sh[-1] for sh in shapes} == {_pow2_grid_size(n)} == {64}
 
 
 class TestTwistedCrossCheck:

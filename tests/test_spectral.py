@@ -7,6 +7,7 @@ import pytest
 
 from lowregnls.spectral import (
     SpectralField,
+    _pow2_grid_size,
     conjugate,
     dealiased_product,
     derivative,
@@ -203,6 +204,16 @@ class TestDealiasedProduct:
         p = dealiased_product(f, f)
         assert np.allclose(p.coeffs, 0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [5, 21, 85])
+    def test_squared_top_mode_truncates_to_zero_on_a_tight_grid(self, n):
+        # on an m-point grid e^{2iNx} aliases to mode 2N - m, which lies in
+        # |k| <= N for every N <= m <= 3N
+        assert _pow2_grid_size(n) == 3 * n + 1
+        for k in (n, -n):
+            f = SpectralField.from_modes(n, {k: 1.0})
+            p = dealiased_product(f, f)
+            assert np.allclose(p.coeffs, 0, atol=1e-14)
+
     def test_difference_of_squares(self):
         f = SpectralField.from_modes(1, {0: 1.0, 1: 1.0})
         g = SpectralField.from_modes(1, {0: 1.0, 1: -1.0})
@@ -216,7 +227,9 @@ class TestDealiasedProduct:
         p = dealiased_product(f, one)
         assert np.allclose(p.coeffs, f.coeffs, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+    # 5, 21 and 85 are cutoffs where 3N+1 is a power of two: the product grid
+    # has no points to spare
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 5, 21, 85])
     def test_matches_direct_convolution(self, n):
         rng = np.random.default_rng(n)
         for _ in range(25):
