@@ -13,7 +13,6 @@ from .harness import (
     CSV_HEADER,
     ConvergenceReport,
     StudySpec,
-    diagnostics_series,
     fit_rate,
     spatial_study,
     temporal_study,
@@ -70,7 +69,6 @@ __all__ = [
     "conserved_quantities",
     "dealiased_product",
     "derivative",
-    "diagnostics_series",
     "evolve",
     "fit_rate",
     "forward",

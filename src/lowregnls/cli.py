@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .harness import (
     StudySpec,
-    diagnostics_series,
     spatial_study,
     temporal_study,
     write_report_csv,
@@ -52,6 +51,11 @@ __all__ = ["main", "build_parser"]
 
 DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 
+# largest cutoff accepted on the command line: a step at N = 2^16 works on
+# 15 grid rows of 2^18 points (60 MiB); a spatial study also runs 2N.  The
+# sampled initial series may reach 16 times that, its default at N = 2^16.
+MAX_CUTOFF = 2 ** 16
+
 
 class CliError(Exception):
     """User-facing failure; main() renders it as a single error: line."""
@@ -76,16 +80,37 @@ def parse_time(text: str) -> float:
 
 
 def parse_cutoff(text: str) -> int:
-    """A positive integer cutoff, plain or in the shorthand 2^k."""
+    """A positive integer cutoff of at most MAX_CUTOFF, plain or in the
+    shorthand 2^k."""
     text = text.strip()
     m = re.fullmatch(r"2\^(\d+)", text)
     try:
-        value = 2 ** int(m.group(1)) if m else int(text)
+        value = int(m.group(1) if m else text)
     except ValueError as exc:
         raise CliError(f"cannot parse cutoff {text!r}") from exc
+    if m is not None:
+        # bound the exponent first so that 2^huge is never evaluated
+        value = 2 ** min(value, MAX_CUTOFF.bit_length())
     if value < 1:
         raise CliError(f"cutoff must be >= 1, got {text!r}")
+    if value > MAX_CUTOFF:
+        raise CliError(f"cutoff {text!r} exceeds the maximum {MAX_CUTOFF}")
     return value
+
+
+def _bounded_int(flag: str, least: int, most: int | None = None):
+    """argparse type for an integer flag in [least, most]."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise CliError(f"{flag} must be an integer, got {text!r}") from exc
+        if value < least:
+            raise CliError(f"{flag} must be >= {least}, got {text!r}")
+        if most is not None and value > most:
+            raise CliError(f"{flag} {text!r} exceeds the maximum {most}")
+        return value
+    return parse
 
 
 def _parse_list(text: str, parse_one):
@@ -105,7 +130,8 @@ def _add_common(p: _Parser, initial_flags: bool) -> None:
     p.add_argument("--init-mode", choices=["truncated", "sampled"], default="truncated",
                    help="coefficient truncation or 4N+1-point sampling of the "
                         "initial series (default truncated)")
-    p.add_argument("--tail-cutoff", type=int, default=None,
+    p.add_argument("--tail-cutoff", type=_bounded_int("--tail-cutoff", 0, 16 * MAX_CUTOFF),
+                   default=None,
                    help="series tail kept by --init-mode sampled "
                         "(default max(16N, 16384))")
     p.add_argument("--scheme", choices=["lowreg", "lie", "strang"], default="lowreg",
@@ -117,7 +143,7 @@ def _add_common(p: _Parser, initial_flags: bool) -> None:
                    help="tabular output format (default csv)")
     p.add_argument("--config", metavar="FILE", default=None,
                    help="key=value file of defaults; explicit flags override it")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=1,
                    help="max concurrent runs in studies (default 1)")
     if initial_flags:
         p.add_argument("--initial", choices=["sobolev", "plane", "constant"],
@@ -147,7 +173,8 @@ def build_parser() -> _Parser:
                          help="time step; accepts the shorthand 2^-k")
     p_solve.add_argument("--N", type=parse_cutoff, required=True,
                          help="spectral cutoff; accepts the shorthand 2^k")
-    p_solve.add_argument("--diag-stride", type=int, default=0, metavar="K",
+    p_solve.add_argument("--diag-stride", type=_bounded_int("--diag-stride", 0), default=0,
+                         metavar="K",
                          help="record norm diagnostics every K steps in the "
                               "dump (default 0: first and last step only)")
     _add_common(p_solve, initial_flags=True)
@@ -279,7 +306,7 @@ def _cmd_diagnostics(args) -> int:
         _params, traj = _run_trajectory(args, snapshot_times=(args.T,),
                                         diag_stride=1)
     lines = [DIAG_HEADER]
-    for row in diagnostics_series(traj):
+    for row in traj.diagnostics:
         lines.append(f"{row.time!r},{row.l2!r},{row.h1!r},"
                      f"{row.mass_drift!r},{row.momentum_drift!r}")
     text = "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDataSpec
-from .integrator import SchemeParams, Trajectory, evolve, initialize
+from .integrator import SchemeParams, evolve, initialize
 from .reference import splitting_evolve
 from .spectral import SpectralField, l2_error
 
@@ -33,7 +33,6 @@ __all__ = [
     "temporal_study",
     "spatial_study",
     "write_report_csv",
-    "diagnostics_series",
 ]
 
 CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate,wall_ms"
@@ -258,8 +257,3 @@ def write_report_csv(report: ConvergenceReport, path_or_file) -> None:
     else:
         with open(path_or_file, "w") as fh:
             fh.write(text)
-
-
-def diagnostics_series(traj: Trajectory):
-    """The recorded per-step diagnostics of a run, in step order."""
-    return tuple(traj.diagnostics)

@@ -8,9 +8,10 @@ P = Pi_0 (u0 d_x conj(u0)) of the initial state frozen into a unitary
 to a logarithmic factor, without any CFL-type step restriction.
 
 `step` is the production path: all ten terms of the map are evaluated with
-20 FFTs, in four batched calls, on a power-of-two product grid of >= 3N+1
-points.  `step_twisted` advances the twisted variable
-v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
+17 FFTs (5 + 4 + 4 + 4), in four batched calls, on a power-of-two product
+grid of >= 3N+1 points; products that end under the same Fourier multiplier
+are summed on the grid and transformed once.  `step_twisted` advances the
+twisted variable v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
 reproduces `step` to rounding, which the tests exploit as a structural
 cross-check.
 """
@@ -62,15 +63,19 @@ __all__ = [
 
 INIT_MODES = ("truncated", "sampled")
 
+# relative tolerance, against max(|t|, 1), for a time to sit on the step grid
+TIME_RTOL = 1e-12
+
 
 class BlowUpError(RuntimeError):
-    """Raised when a trajectory leaves the range of floating point numbers."""
+    """Raised when a trajectory's H^1 norm leaves the range of floating point
+    numbers."""
 
     def __init__(self, step_index: int, time_value: float):
         self.step_index = step_index
         self.time = time_value
         super().__init__(
-            f"solution blew up to non-finite values at step {step_index} "
+            f"solution blew up to a non-finite H^1 norm at step {step_index} "
             f"(t = {time_value:g})"
         )
 
@@ -106,11 +111,11 @@ class SchemeParams:
     @classmethod
     def from_horizon(cls, lam: int, tau: float, cutoff: int, horizon: float) -> "SchemeParams":
         """Build params for integration up to T = horizon; T must sit on the
-        step grid to within 1e-12 relative."""
+        step grid to within TIME_RTOL."""
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"tau must be a positive finite number, got {tau}")
         steps = int(round(horizon / tau))
-        if steps < 0 or abs(steps * tau - horizon) > 1e-12 * max(abs(horizon), 1.0):
+        if steps < 0 or abs(steps * tau - horizon) > TIME_RTOL * max(abs(horizon), 1.0):
             raise ValueError(
                 f"horizon {horizon!r} is not an integer multiple of tau {tau!r}"
             )
@@ -168,103 +173,110 @@ def initialize(
 
 
 class _StepPlan:
-    """Precomputed multipliers for one (lam, tau, cutoff, mass, momentum).
+    """Multiplier tables for one (lam, tau, cutoff, mass, momentum).
 
     Immutable after construction and safe to share across threads; `apply`
-    allocates its own work arrays.  One application costs 20 FFTs, in four
-    batched calls, of the power-of-two product grid length (>= 3N+1).
+    allocates its own work arrays.  One application costs 17 FFT rows
+    (stages of 5 + 4 + 4 + 4), in four batched calls, of the power-of-two
+    product grid length (>= 3N+1).  The FFT, Pi_N and the diagonal
+    multipliers are linear, so products that end under the same multiplier
+    are summed on the grid and transformed as one row.
     """
 
     def __init__(self, lam: int, tau: float, cutoff: int, mass: float, mom_imag: float):
-        self.lam = lam
-        self.tau = tau
         self.cutoff = cutoff
         self.grid_size = _pow2_grid_size(cutoff)
         k = np.arange(-cutoff, cutoff + 1, dtype=float)
-        self.ik = 1j * k
-        inv = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-        nz = k != 0
-        inv[nz] = 1.0 / (1j * k[nz])
-        self.inv_ik = inv
-        self.inv_ik2 = inv * inv
-        self.ep = np.exp(-1j * tau * k * k)       # e^{i tau d_xx}
-        self.em = np.conj(self.ep)                # e^{-i tau d_xx}
-        q_over_k = np.zeros_like(k)
-        q_over_k[nz] = mom_imag / k[nz]
-        theta = tau * (-2.0 * lam * mass - k * k - 2.0 * lam * q_over_k)
+        inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k != 0)
+        inv_ik = -1j * inv_k                      # d_x^{-1}, zero at k = 0
+        ep = np.exp(-1j * tau * k * k)            # e^{i tau d_xx}
+        # stage 1 scales two grid rows so that stage 3 needs no scalar but
+        # c_0: the d_x row becomes -i tau d_x conj(f) once conjugated, and
+        # the squares of the d_x^{-1} rows come out divided by -2i tau
+        s = np.sqrt(0.5j / tau)                   # s^2 = 1 / (-2i tau)
+        self.t1 = np.stack([ep, -tau * k, s * inv_ik * ep, s * inv_ik])
+        self.t3 = np.stack([-inv_ik, -np.conj(ep)])
+        inv_ik2 = inv_ik * inv_ik
+        self.t4 = np.stack([
+            -lam * inv_ik, lam * ep * inv_ik,
+            -0.5 * lam * inv_ik2, 0.5 * lam * ep * inv_ik2,
+        ])
+        # Pi_0(conj(f) Pi_N f^2) = Pi_0(|f|^2 f), so the k = 0 entry of the
+        # last row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
+        self.t4[3, cutoff] = -1j * lam * tau
+        theta = tau * (-2.0 * lam * mass - k * k - 2.0 * lam * mom_imag * inv_k)
         self.twist = np.exp(1j * theta)
-        self.phase0 = complex(np.exp(-2j * lam * tau * mass))
-        for arr in (self.ik, self.inv_ik, self.inv_ik2, self.ep, self.em, self.twist):
+        # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
+        # phase on the zero mode
+        self.twist[cutoff] = 1.0
+        for arr in (self.t1, self.t3, self.t4, self.twist):
             arr.flags.writeable = False
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        lam, tau = self.lam, self.tau
         n, m = self.cutoff, self.grid_size
-        ik, inv_ik, inv_ik2 = self.ik, self.inv_ik, self.inv_ik2
-        ep, em = self.ep, self.em
         # every grid array of the step lives in one block: stage 1's five
-        # rows and two conjugates, stage 3's four rows, and six rows shared by
-        # stages 2 and 4.  Freed as one, the block stays in the allocator's
-        # heap for the next step instead of going back to the OS and being
-        # faulted in again (glibc keeps freed blocks of up to 32 MiB: 17 rows
-        # of 2^16 points at N = 2^14).
-        work = np.empty((17, m), dtype=np.complex128)
+        # rows and two conjugates, stage 3's four rows, and four rows shared
+        # by stages 2 and 4.  Freed as one, the block stays in the
+        # allocator's heap for the next step instead of going back to the OS
+        # and being faulted in again (glibc keeps freed blocks of up to
+        # 32 MiB: 15 rows of 2^16 points at N = 2^14).
+        work = np.empty((15, m), dtype=np.complex128)
         g1, g3, q = work[:7], work[7:11], work[11:]
 
-        cb = np.conj(c[::-1])
-        cp = ep * c
+        # stage 1: f and its four t1 multiples, written straight into the
+        # standard-order spectrum (k >= 0 first, k < 0 last) and transformed:
+        # f, e^{i tau d_xx} f, i tau d_x f, s d_x^{-1} e^{i tau d_xx} f,
+        # s d_x^{-1} f; then the conjugates e^{-i tau d_xx} conj(f), conj(f)
+        g1[:5, n + 1: m - n] = 0.0
+        g1[0, : n + 1] = c[n:]
+        g1[0, m - n:] = c[:n]
+        np.multiply(self.t1[:, n:], c[n:], out=g1[1:5, : n + 1])
+        np.multiply(self.t1[:, :n], c[:n], out=g1[1:5, m - n:])
+        np.fft.ifft(g1[:5], axis=-1, norm="forward", out=g1[:5])
+        f_g, fp_g, dxfb_g = g1[:3]
+        np.conj(dxfb_g, out=dxfb_g)               # -i tau d_x conj(f)
+        # e^{-i tau d_xx} conj(f) is conj(e^{i tau d_xx} f) pointwise
+        np.conj(g1[1::-1], out=g1[5:])
 
-        # stage 1: five fields to the product grid; e^{-i tau d_xx} conj(f)
-        # is conj(e^{i tau d_xx} f) pointwise and needs no transform of its own
-        _to_grid(np.stack([c, cp, ik * cb, inv_ik * c, inv_ik * cp]), n, m, out=g1[:5])
-        f_g, fp_g, dxfb_g, pinv_g, pinvp_g, fc_g, fbm_g = g1
-        np.conj(f_g, out=fc_g)
-        np.conj(fp_g, out=fbm_g)
+        # stage 2: quadratic products, truncated to S_N; the real |f|^2 and
+        # |e^{i tau d_xx} f|^2 share one row, z = |f|^2 + i |e^{i tau d_xx} f|^2
+        np.multiply(g1[:2], g1[:4:-1], out=q[:2])
+        q[0].imag = q[1].real
+        np.multiply(g1[3:5], g1[3:5], out=q[1:3])
+        np.multiply(f_g, f_g, out=q[3])
+        # z, h1 = Pi_N (d_x^{-1} e^{i tau d_xx} f)^2 and h2 = Pi_N (d_x^{-1} f)^2
+        # (both over -2i tau), g = Pi_N f^2
+        x = _from_grid(q, n)
 
-        # stage 2: first round of quadratic products, truncated to S_N; the
-        # real |f|^2 and |e^{i tau d_xx} f|^2 share one row
-        z_g, ff_g, hp_g, h_g, s9_g = q[:5]
-        np.multiply(fp_g, fbm_g, out=ff_g)
-        np.multiply(f_g, fc_g, out=z_g)
-        z_g.imag = ff_g.real                     # |f|^2 + i |e^{i tau d_xx} f|^2
-        np.multiply(f_g, f_g, out=ff_g)          # f^2
-        np.multiply(pinvp_g, pinvp_g, out=hp_g)  # (d_x^{-1} e^{i tau d_xx} f)^2
-        np.multiply(pinv_g, pinv_g, out=h_g)     # (d_x^{-1} f)^2
-        np.multiply(dxfb_g, f_g, out=s9_g)       # d_x conj(f) * f
-        z, g, h1, h2, s9 = _from_grid(q[:5], n)
-        # z = a + i b with a = Pi_N |f|^2 and b = Pi_N |e^{i tau d_xx} f|^2;
-        # both are real fields, so a_k = (z_k + conj(z_{-k})) / 2
-        a = 0.5 * (z + np.conj(z[::-1]))
-
-        # stage 3: intermediate fields entering the cubic products; the real
-        # d_x^{-1} a and d_x^{-1} b share one row, d_x^{-1} z
-        _to_grid(np.stack([inv_ik * z, g, ep * g, em * h1 - h2]), n, m, out=g3)
-        gab_g, gg_g, gepg_g, gi7_g = g3
-        ga_g, gb_g = gab_g.real, gab_g.imag
-
-        # stage 4: cubic products, truncated to S_N
-        cc_g, d_g, s6a_g, s6b_g, k7_g, s8_g = q
-        np.multiply(fp_g, gb_g, out=cc_g)       # e^{i tau d_xx} f * d_x^{-1} b
-        np.multiply(f_g, ga_g, out=d_g)         # f * d_x^{-1} a
-        np.multiply(fbm_g, gepg_g, out=s6a_g)   # e^{-i tau d_xx} conj(f) * e^{i tau d_xx} Pi_N f^2
-        np.multiply(fc_g, gg_g, out=s6b_g)      # conj(f) * Pi_N f^2
-        np.multiply(dxfb_g, gi7_g, out=k7_g)    # d_x conj(f) * (e^{-i tau d_xx} h1 - h2)
-        np.multiply(dxfb_g, gg_g, out=s8_g)     # d_x conj(f) * Pi_N f^2
-        cc, d, s6a, s6b, k7, s8 = _from_grid(q, n)
-
+        # stage 3: the factors of the cubic products: -d_x^{-1} z; w = W / (-i tau)
+        # with W = -1/2 (e^{-i tau d_xx} h1 - h2) - i tau Pi_N (f - c_0)^2, all
+        # that multiplies d_x conj(f) under d_x^{-1} e^{i tau d_xx}; e^{i tau d_xx} g; g
         c0 = c[n]
+        x[:2] *= self.t3
+        w = x[1]
+        w += x[2]
+        w += x[3]
+        w -= (2.0 * c0) * c
+        w[n] += c0 * c0
+        np.multiply(x[3], self.t1[0], out=x[2])
+        _to_grid(x, n, m, out=g3)
+        # -d_x^{-1} z = -d_x^{-1} a - i d_x^{-1} b with a = Pi_N |f|^2 and
+        # b = Pi_N |e^{i tau d_xx} f|^2, both real fields
+        gz_g, w_g = g3[:2]
+
+        # stage 4: cubic products, truncated to S_N, each under one row of
+        # t4: -e^{i tau d_xx} f d_x^{-1} b; E = -f d_x^{-1} a + d_x conj(f) W,
+        # the -i tau riding on the d_x row; e^{-i tau d_xx} conj(f) e^{i tau d_xx} g;
+        # conj(f) g
+        np.multiply(fp_g, gz_g.imag, out=q[0])
+        np.multiply(f_g, gz_g.real, out=q[1])
+        w_g *= dxfb_g
+        q[1] += w_g
+        np.multiply(g1[5:], g3[2:], out=q[2:])
+        y = _from_grid(q, n)
+        y *= self.t4
         out = self.twist * c
-        out[n] += (1.0 - self.phase0) * c0
-        out[n] += (-1j * lam * tau) * np.sum(a * c[::-1])
-        out += lam * (inv_ik * cc)
-        out -= lam * (ep * (inv_ik * d))
-        out -= (0.5 * lam) * (inv_ik2 * s6a - ep * (inv_ik2 * s6b))
-        out -= (0.5 * lam) * (ep * (inv_ik * k7))
-        out -= (1j * lam * tau) * (ep * (inv_ik * s8))
-        out += (2j * lam * tau * c0) * (ep * (inv_ik * s9))
-        cb_nz = cb.copy()
-        cb_nz[n] = 0.0
-        out += (-1j * lam * tau * c0 * c0) * (ep * cb_nz)
+        out += y.sum(axis=0)
         return out
 
 
@@ -379,7 +391,7 @@ class Trajectory:
 
 def _snapshot_index(t: float, tau: float, steps: int) -> int:
     j = int(round(t / tau))
-    if j < 0 or j > steps or abs(j * tau - t) > 1e-9 * max(1.0, abs(t)):
+    if j < 0 or j > steps or abs(j * tau - t) > TIME_RTOL * max(abs(t), 1.0):
         raise ValueError(
             f"snapshot time {t!r} is not a step multiple within the horizon"
         )
@@ -403,6 +415,19 @@ def _diagnose(
         mass_drift=abs(total - cq.mass),
         momentum_drift=abs(mom - cq.momentum),
     )
+
+
+def _validated_start(
+    initial: SpectralField, params: SchemeParams, cq: ConservedQuantities | None
+) -> ConservedQuantities:
+    """Check a run's initial state against params; cq, computed if None."""
+    if initial.cutoff != params.cutoff:
+        raise ValueError(
+            f"field cutoff {initial.cutoff} != params cutoff {params.cutoff}"
+        )
+    if not np.all(np.isfinite(initial.coeffs)):
+        raise ValueError("initial coefficients must be finite")
+    return conserved_quantities(initial) if cq is None else cq
 
 
 def _evolve_with(
@@ -440,9 +465,12 @@ def _evolve_with(
         diagnostics[0] = _diagnose(c, k, w1, cq, 0, tau)
     for j in range(1, steps + 1):
         c = apply_fn(c, j - 1)
-        if not np.all(np.isfinite(c)):
+        # a non-finite coefficient, or one whose square overflows, makes H^1
+        # non-finite
+        h1 = math.sqrt(2.0 * math.pi * float(np.sum(w1 * np.abs(c) ** 2)))
+        if not math.isfinite(h1):
             raise BlowUpError(j, j * tau)
-        h1_max = max(h1_max, math.sqrt(2.0 * math.pi * float(np.sum(w1 * np.abs(c) ** 2))))
+        h1_max = max(h1_max, h1)
         if j in want:
             snapshots[j] = SpectralField(params.cutoff, c)
         if j in diag_steps:
@@ -476,15 +504,11 @@ def evolve(
     on the step grid; the default is the final time only.  Lightweight norm
     diagnostics are recorded at every snapshot, at steps 0 and L, and at every
     diag_stride-th step when diag_stride > 0.  The running H^1 maximum over
-    every step is always tracked.  Raises BlowUpError, naming the step, if the
-    state leaves floating point range.
+    every step is always tracked.  Raises ValueError if the initial
+    coefficients are not finite, and BlowUpError, naming the step, if the
+    state's H^1 norm leaves floating point range.
     """
-    if initial.cutoff != params.cutoff:
-        raise ValueError(
-            f"field cutoff {initial.cutoff} != params cutoff {params.cutoff}"
-        )
-    if cq is None:
-        cq = conserved_quantities(initial)
+    cq = _validated_start(initial, params, cq)
     plan = _plan_for(params, cq)
     return _evolve_with(
         lambda c, j: plan.apply(c), "lowreg", initial, params, cq,

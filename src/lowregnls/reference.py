@@ -17,7 +17,7 @@ from .integrator import (
     SchemeParams,
     Trajectory,
     _evolve_with,
-    conserved_quantities,
+    _validated_start,
     evolve,
     initialize,
 )
@@ -74,15 +74,11 @@ def splitting_evolve(
     snapshot_times=None,
     diag_stride: int = 0,
 ) -> Trajectory:
-    """Run the splitting scheme with the same recording as `evolve`."""
+    """Run the splitting scheme with the same recording and input checks as
+    `evolve`."""
     if order not in SPLITTING_ORDERS:
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
-    if initial.cutoff != params.cutoff:
-        raise ValueError(
-            f"field cutoff {initial.cutoff} != params cutoff {params.cutoff}"
-        )
-    if cq is None:
-        cq = conserved_quantities(initial)
+    cq = _validated_start(initial, params, cq)
 
     def apply_fn(c: np.ndarray, _j: int) -> np.ndarray:
         out = splitting_step(SpectralField(params.cutoff, c), params, order)

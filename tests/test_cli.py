@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 from lowregnls import __version__
-from lowregnls.cli import CliError, DIAG_HEADER, main, parse_cutoff, parse_time
+from lowregnls.cli import (
+    DIAG_HEADER,
+    MAX_CUTOFF,
+    CliError,
+    main,
+    parse_cutoff,
+    parse_time,
+)
 from lowregnls.harness import CSV_HEADER
 from lowregnls.integrator import load_trajectory
 
@@ -34,6 +41,7 @@ class TestValueParsing:
     def test_cutoff_shorthand(self):
         assert parse_cutoff("2^5") == 32
         assert parse_cutoff("17") == 17
+        assert parse_cutoff("2^16") == MAX_CUTOFF
 
     @pytest.mark.parametrize("bad", ["0", "-3", "x", "2^-3"])
     def test_cutoff_rejects(self, bad):
@@ -247,6 +255,31 @@ class TestErrorContract:
                           "1e8", "--tau", "0.5", "--N", "4", "--T", "2"],
                          1, capsys)
         assert "blew up" in msg
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_initial_data(self, amplitude, capsys):
+        msg = self.check(["solve", "--amplitude", amplitude, "--tau", "2^-3",
+                          "--N", "8"], 1, capsys)
+        assert "finite" in msg
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tau", "2^-3", "--N", "2^40"],
+        ["solve", "--tau", "2^-3", "--N", "2^99999999999"],
+        ["solve", "--tau", "2^-3", "--N", str(MAX_CUTOFF + 1)],
+        ["study-spatial", "--tau-list", "2^-3", "--N-list", "16,2^40"],
+        ["solve", "--tau", "2^-3", "--N", "8", "--init-mode", "sampled",
+         "--tail-cutoff", str(2 ** 40)],
+    ])
+    def test_absurd_size(self, argv, capsys):
+        assert "maximum" in self.check(argv, 2, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tau", "2^-3", "--N", "8", "--diag-stride", "-1"],
+        ["solve", "--tau", "2^-3", "--N", "8", "--jobs", "0"],
+        ["study-temporal", "--tau-list", "2^-3", "--N-list", "8", "--jobs", "-2"],
+    ])
+    def test_count_below_minimum(self, argv, capsys):
+        assert ">=" in self.check(argv, 2, capsys)
 
 
 class TestSelftest:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lowregnls.initial_data import InitialDataSpec, coefficient, resolve_tail_cutoff
 from lowregnls.integrator import (
@@ -239,9 +241,9 @@ class TestStepAgainstStraightLine:
 
 class TestFftWork:
     @pytest.mark.parametrize("n", [16, 21])
-    def test_one_step_makes_twenty_rows_on_the_product_grid(self, n, monkeypatch):
-        # four batched calls of 20 rows in all, on the smallest power of two
-        # >= 3N+1 points (64 for both cutoffs)
+    def test_one_step_makes_seventeen_rows_on_the_product_grid(self, n, monkeypatch):
+        # four batched calls of 17 rows in all (5 + 4 + 4 + 4), on the
+        # smallest power of two >= 3N+1 points (64 for both cutoffs)
         shapes = []
 
         def counted(fft):
@@ -255,8 +257,90 @@ class TestFftWork:
         u = random_field(np.random.default_rng(n), n)
         step(u, SchemeParams(lam=-1, tau=0.01, cutoff=n, steps=1), conserved_quantities(u))
         assert len(shapes) == 4
-        assert sum(math.prod(sh[:-1]) for sh in shapes) == 20
+        assert sum(math.prod(sh[:-1]) for sh in shapes) == 17
         assert {sh[-1] for sh in shapes} == {_pow2_grid_size(n)} == {64}
+
+
+CUTOFFS = st.one_of(st.sampled_from([5, 21, 85]), st.integers(0, 40))
+TAUS = st.floats(1e-3, 0.25)
+LAMS = st.sampled_from([-1, 1])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def tight_grids(*rest):
+    """Pin N = 5, 21 and 85, where the product grid is exactly 3N+1 points,
+    as explicit examples (n, tau, lam, seed, *rest) of a property test."""
+    def pin(test):
+        for n in (5, 21, 85):
+            test = example(n, 2.0 ** -4, -1, n, *rest)(test)
+        return test
+    return pin
+
+
+def unit_field(seed, cutoff):
+    """Random field with unit coefficient norm."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
+    return SpectralField(cutoff, c / np.linalg.norm(c))
+
+
+def one_step(u, lam, tau):
+    return step(u, SchemeParams(lam=lam, tau=tau, cutoff=u.cutoff, steps=1),
+                conserved_quantities(u))
+
+
+def assert_close(a, b):
+    assert l2_error(a, b) <= 1e-12 * sobolev_norm(b, 0.0)
+
+
+class TestStepProperties:
+    """Exact structure of the one-step map, over random N, tau and lambda."""
+
+    @given(CUTOFFS, TAUS, LAMS, SEEDS, st.floats(0.0, 2 * math.pi))
+    @tight_grids(1.0)
+    def test_phase_equivariance(self, n, tau, lam, seed, phi):
+        u = unit_field(seed, n)
+        rot = complex(np.exp(1j * phi))
+        assert_close(one_step(rot * u, lam, tau), rot * one_step(u, lam, tau))
+
+    @given(CUTOFFS, TAUS, LAMS, SEEDS, st.floats(-math.pi, math.pi))
+    @tight_grids(1.0)
+    def test_translation_equivariance(self, n, tau, lam, seed, a):
+        def shift(f):  # f(x) -> f(x - a)
+            return SpectralField(f.cutoff, np.exp(-1j * f.frequencies() * a) * f.coeffs)
+
+        u = unit_field(seed, n)
+        assert_close(one_step(shift(u), lam, tau), shift(one_step(u, lam, tau)))
+
+    @given(CUTOFFS, TAUS, LAMS, SEEDS)
+    @tight_grids()
+    def test_reflection_equivariance(self, n, tau, lam, seed):
+        def reflect(f):  # f(x) -> f(-x)
+            return SpectralField(f.cutoff, f.coeffs[::-1])
+
+        u = unit_field(seed, n)
+        assert_close(one_step(reflect(u), lam, tau), reflect(one_step(u, lam, tau)))
+
+    @given(CUTOFFS, TAUS, LAMS, SEEDS, st.integers(0, 8))
+    @tight_grids(8)
+    def test_matches_twisted_step(self, n, tau, lam, seed, idx):
+        u = unit_field(seed, n)
+        cq = conserved_quantities(u)
+        params = SchemeParams(lam=lam, tau=tau, cutoff=n, steps=1)
+        tn = idx * tau
+        twisted = free_propagator(
+            step_twisted(free_propagator(u, -tn), params, cq, idx), tn + tau
+        )
+        assert_close(twisted, step(u, params, cq))
+
+    @given(CUTOFFS, TAUS, LAMS, SEEDS)
+    @tight_grids()
+    def test_matches_grid_free_oracle(self, n, tau, lam, seed):
+        u = unit_field(seed, n)
+        cq = conserved_quantities(u)
+        params = SchemeParams(lam=lam, tau=tau, cutoff=n, steps=1)
+        oracle = psi_straight_line(u, params, cq, pn=convolution_product)
+        assert_close(step(u, params, cq), oracle)
 
 
 class TestTwistedCrossCheck:
@@ -352,6 +436,7 @@ class TestEvolve:
         assert np.array_equal(traj.snapshots[0].coeffs, u.coeffs)
         steps_seen = [d.step_index for d in traj.diagnostics]
         assert steps_seen == [0, 8, 16, 24, 32]
+        assert all(0 < d.l2 <= d.h1 for d in traj.diagnostics)
         assert traj.final is traj.snapshots[-1]
         assert traj.h1_max >= max(d.h1 for d in traj.diagnostics) - 1e-15
         assert traj.wall_ms > 0
@@ -385,6 +470,24 @@ class TestEvolve:
         params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
         with pytest.raises(ValueError):
             evolve(u, params, snapshot_times=(0.3,))
+
+    def test_snapshot_times_use_the_horizon_tolerance(self):
+        # a time 1e-10 (relative) off the step grid is neither a horizon nor
+        # a snapshot time
+        u = SpectralField.zeros(4)
+        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
+        t = 0.5 * (1.0 + 1e-10)
+        with pytest.raises(ValueError):
+            SchemeParams.from_horizon(-1, 0.25, 4, t)
+        with pytest.raises(ValueError):
+            evolve(u, params, snapshot_times=(t,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_data_rejected(self, bad):
+        u = SpectralField.from_modes(4, {1: 0.5, -2: bad})
+        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(u, params)
 
     def test_blow_up_detection(self):
         # focusing constant state far above the blow-up scale overflows the

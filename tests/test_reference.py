@@ -69,6 +69,16 @@ class TestSplittingStep:
         assert splitting_step(u, params, 2).cutoff == 8
 
 
+class TestSplittingEvolve:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_data_rejected(self, order, bad):
+        u = SpectralField.from_modes(4, {1: 0.5, -2: bad})
+        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
+        with pytest.raises(ValueError, match="finite"):
+            splitting_evolve(u, params, order)
+
+
 class TestSplittingOrders:
     def test_lie_is_first_order(self):
         u0 = initialize(SMOOTH, 64)
