@@ -18,7 +18,7 @@ from .harness import (
     temporal_study,
     write_report_csv,
 )
-from .initial_data import InitialDataSpec, coefficient, coefficients, sample_on_grid
+from .initial_data import InitialDataSpec, coefficients, sample_on_grid
 from .integrator import (
     BlowUpError,
     ConservedQuantities,
@@ -32,7 +32,7 @@ from .integrator import (
     step,
     step_twisted,
 )
-from .reference import ResourceCapError, reference_solution, splitting_evolve, splitting_step
+from .reference import splitting_evolve, splitting_step
 from .spectral import (
     SpectralField,
     conjugate,
@@ -58,12 +58,10 @@ __all__ = [
     "ConservedQuantities",
     "ConvergenceReport",
     "InitialDataSpec",
-    "ResourceCapError",
     "SchemeParams",
     "SpectralField",
     "StudySpec",
     "Trajectory",
-    "coefficient",
     "coefficients",
     "conjugate",
     "conserved_quantities",
@@ -83,7 +81,6 @@ __all__ = [
     "load_trajectory",
     "nonzero_part",
     "project",
-    "reference_solution",
     "sample_on_grid",
     "save_field",
     "save_trajectory",

@@ -40,7 +40,6 @@ from .integrator import (
 from .reference import splitting_evolve
 from .spectral import (
     SpectralField,
-    conjugate,
     dealiased_product,
     free_propagator,
     l2_error,
@@ -120,7 +119,9 @@ def _parse_list(text: str, parse_one):
     return tuple(parse_one(s) for s in items)
 
 
-def _add_common(p: _Parser, initial_flags: bool) -> None:
+def _add_common(p: _Parser, study: bool) -> None:
+    """Flags of the run subcommands: the initial-state flags for a single
+    run, --jobs for a study."""
     p.add_argument("--alpha", type=float, default=1.0,
                    help="regularity parameter of the rough initial data (default 1.0)")
     p.add_argument("--lambda", dest="lam", type=int, choices=[-1, 1], default=-1,
@@ -139,13 +140,12 @@ def _add_common(p: _Parser, initial_flags: bool) -> None:
                         "baseline (default lowreg)")
     p.add_argument("--out", metavar="DIR", default=None,
                    help="output directory (created if missing)")
-    p.add_argument("--format", choices=["csv"], default="csv",
-                   help="tabular output format (default csv)")
     p.add_argument("--config", metavar="FILE", default=None,
                    help="key=value file of defaults; explicit flags override it")
-    p.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=1,
-                   help="max concurrent runs in studies (default 1)")
-    if initial_flags:
+    if study:
+        p.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=1,
+                       help="max concurrent runs in the study (default 1)")
+    else:
         p.add_argument("--initial", choices=["sobolev", "plane", "constant"],
                        default="sobolev",
                        help="initial state family (default sobolev)")
@@ -177,7 +177,7 @@ def build_parser() -> _Parser:
                          metavar="K",
                          help="record norm diagnostics every K steps in the "
                               "dump (default 0: first and last step only)")
-    _add_common(p_solve, initial_flags=True)
+    _add_common(p_solve, study=False)
 
     p_diag = sub.add_parser(
         "diagnostics", help="emit a norm/drift diagnostics table",
@@ -192,7 +192,7 @@ def build_parser() -> _Parser:
                         help="time step; accepts the shorthand 2^-k")
     p_diag.add_argument("--N", type=parse_cutoff, default=None,
                         help="spectral cutoff; accepts the shorthand 2^k")
-    _add_common(p_diag, initial_flags=True)
+    _add_common(p_diag, study=False)
 
     p_temp = sub.add_parser(
         "study-temporal", help="tau-refinement convergence table",
@@ -204,7 +204,7 @@ def build_parser() -> _Parser:
                         help="comma-separated steps, e.g. 2^-6,2^-7,2^-8")
     p_temp.add_argument("--N-list", required=True, metavar="LIST",
                         help="comma-separated cutoffs, e.g. 256,512,1024")
-    _add_common(p_temp, initial_flags=False)
+    _add_common(p_temp, study=True)
 
     p_spat = sub.add_parser(
         "study-spatial", help="cutoff-refinement convergence table",
@@ -216,7 +216,7 @@ def build_parser() -> _Parser:
                         help="comma-separated steps, e.g. 2^-8")
     p_spat.add_argument("--N-list", required=True, metavar="LIST",
                         help="comma-separated cutoffs, e.g. 16,32,64")
-    _add_common(p_spat, initial_flags=False)
+    _add_common(p_spat, study=True)
 
     sub.add_parser(
         "selftest", help="quick built-in verification",

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "InitialDataSpec",
-    "coefficient",
     "coefficients",
     "sample_on_grid",
     "resolve_tail_cutoff",
@@ -61,34 +60,16 @@ class InitialDataSpec:
             raise ValueError("custom initial data needs at least one mode")
 
 
-def coefficient(spec: InitialDataSpec, k: int) -> complex:
-    """Fourier coefficient of u0 at frequency k."""
-    if spec.kind == "sobolev":
-        if k == 0:
-            return 0.0 + 0.0j
-        return complex(spec.amplitude * abs(k) ** (-spec.exponent_offset - spec.alpha))
-    if spec.kind == "plane":
-        return complex(spec.amplitude) if k == spec.mode else 0.0 + 0.0j
-    if spec.kind == "constant":
-        return complex(spec.amplitude) if k == 0 else 0.0 + 0.0j
-    for kk, val in spec.modes:
-        if kk == k:
-            return complex(val)
-    return 0.0 + 0.0j
-
-
 def coefficients(spec: InitialDataSpec, cutoff: int) -> np.ndarray:
     """Coefficients for |k| <= cutoff in ascending order (length 2*cutoff+1)."""
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    k = np.arange(-cutoff, cutoff + 1)
+    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
     if spec.kind == "sobolev":
-        out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
+        k = np.arange(-cutoff, cutoff + 1)
         nz = k != 0
         out[nz] = spec.amplitude * np.abs(k[nz]) ** (-spec.exponent_offset - spec.alpha)
-        return out
-    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    if spec.kind == "plane":
+    elif spec.kind == "plane":
         if abs(spec.mode) <= cutoff:
             out[spec.mode + cutoff] = spec.amplitude
     elif spec.kind == "constant":
@@ -123,7 +104,7 @@ def sample_on_grid(spec: InitialDataSpec, m: int, tail_cutoff: int | None = None
 
     The samples match dft.grid(m) ordering.  When tail_cutoff is omitted it
     defaults via resolve_tail_cutoff with target cutoff (m - 1) // 4, the
-    cutoff an m-point product grid serves.
+    largest cutoff whose 4N+1-point sampling grid fits in m points.
 
     Exploits e^{ikx_n} = e^{i(k mod m)x_n}: the tail coefficients are folded
     onto the m frequency bins and one inverse transform evaluates the sum, so

@@ -30,9 +30,13 @@ from . import dft, initial_data
 from .initial_data import InitialDataSpec
 from .spectral import (
     SpectralField,
+    _free_phase,
     _from_grid,
+    _inv_ik,
+    _momentum_imag,
     _pow2_grid_size,
     _to_grid,
+    _twist_phase,
     conjugate,
     dealiased_product,
     derivative,
@@ -114,6 +118,8 @@ class SchemeParams:
         step grid to within TIME_RTOL."""
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"tau must be a positive finite number, got {tau}")
+        if not math.isfinite(horizon):
+            raise ValueError(f"horizon must be finite, got {horizon!r}")
         steps = int(round(horizon / tau))
         if steps < 0 or abs(steps * tau - horizon) > TIME_RTOL * max(abs(horizon), 1.0):
             raise ValueError(
@@ -187,14 +193,13 @@ class _StepPlan:
         self.cutoff = cutoff
         self.grid_size = _pow2_grid_size(cutoff)
         k = np.arange(-cutoff, cutoff + 1, dtype=float)
-        inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k != 0)
-        inv_ik = -1j * inv_k                      # d_x^{-1}, zero at k = 0
-        ep = np.exp(-1j * tau * k * k)            # e^{i tau d_xx}
+        inv_ik = _inv_ik(k)                       # d_x^{-1}, zero at k = 0
+        ep = _free_phase(k, tau)                  # e^{i tau d_xx}
         # stage 1 scales two grid rows so that stage 3 needs no scalar but
         # c_0: the d_x row becomes -i tau d_x conj(f) once conjugated, and
         # the squares of the d_x^{-1} rows come out divided by -2i tau
         s = np.sqrt(0.5j / tau)                   # s^2 = 1 / (-2i tau)
-        self.t1 = np.stack([ep, -tau * k, s * inv_ik * ep, s * inv_ik])
+        self.t1 = np.stack([np.ones_like(ep), ep, -tau * k, s * inv_ik * ep, s * inv_ik])
         self.t3 = np.stack([-inv_ik, -np.conj(ep)])
         inv_ik2 = inv_ik * inv_ik
         self.t4 = np.stack([
@@ -204,8 +209,7 @@ class _StepPlan:
         # Pi_0(conj(f) Pi_N f^2) = Pi_0(|f|^2 f), so the k = 0 entry of the
         # last row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
         self.t4[3, cutoff] = -1j * lam * tau
-        theta = tau * (-2.0 * lam * mass - k * k - 2.0 * lam * mom_imag * inv_k)
-        self.twist = np.exp(1j * theta)
+        self.twist = _twist_phase(k, tau, lam, mass, mom_imag)
         # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
         # phase on the zero mode
         self.twist[cutoff] = 1.0
@@ -223,16 +227,10 @@ class _StepPlan:
         work = np.empty((15, m), dtype=np.complex128)
         g1, g3, q = work[:7], work[7:11], work[11:]
 
-        # stage 1: f and its four t1 multiples, written straight into the
-        # standard-order spectrum (k >= 0 first, k < 0 last) and transformed:
-        # f, e^{i tau d_xx} f, i tau d_x f, s d_x^{-1} e^{i tau d_xx} f,
+        # stage 1: the five t1 multiples of f on the grid: f,
+        # e^{i tau d_xx} f, i tau d_x f, s d_x^{-1} e^{i tau d_xx} f,
         # s d_x^{-1} f; then the conjugates e^{-i tau d_xx} conj(f), conj(f)
-        g1[:5, n + 1: m - n] = 0.0
-        g1[0, : n + 1] = c[n:]
-        g1[0, m - n:] = c[:n]
-        np.multiply(self.t1[:, n:], c[n:], out=g1[1:5, : n + 1])
-        np.multiply(self.t1[:, :n], c[:n], out=g1[1:5, m - n:])
-        np.fft.ifft(g1[:5], axis=-1, norm="forward", out=g1[:5])
+        _to_grid(self.t1 * c, n, m, out=g1[:5])
         f_g, fp_g, dxfb_g = g1[:3]
         np.conj(dxfb_g, out=dxfb_g)               # -i tau d_x conj(f)
         # e^{-i tau d_xx} conj(f) is conj(e^{i tau d_xx} f) pointwise
@@ -258,7 +256,7 @@ class _StepPlan:
         w += x[3]
         w -= (2.0 * c0) * c
         w[n] += c0 * c0
-        np.multiply(x[3], self.t1[0], out=x[2])
+        np.multiply(x[3], self.t1[1], out=x[2])
         _to_grid(x, n, m, out=g3)
         # -d_x^{-1} z = -d_x^{-1} a - i d_x^{-1} b with a = Pi_N |f|^2 and
         # b = Pi_N |e^{i tau d_xx} f|^2, both real fields
@@ -286,11 +284,7 @@ def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float) -> _S
 
 
 def _plan_for(params: SchemeParams, cq: ConservedQuantities) -> _StepPlan:
-    if abs(cq.momentum.real) > 1e-10 * (1.0 + abs(cq.momentum)):
-        raise ValueError(
-            f"momentum must be purely imaginary, got real part {cq.momentum.real!r}"
-        )
-    return _plan(params.lam, params.tau, params.cutoff, cq.mass, cq.momentum.imag)
+    return _plan(params.lam, params.tau, params.cutoff, cq.mass, _momentum_imag(cq.momentum))
 
 
 def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> SpectralField:
@@ -399,21 +393,16 @@ def _snapshot_index(t: float, tau: float, steps: int) -> int:
 
 
 def _diagnose(
-    c: np.ndarray, k: np.ndarray, w1: np.ndarray, cq: ConservedQuantities,
-    j: int, tau: float,
+    f: SpectralField, h1: float, cq: ConservedQuantities, j: int, tau: float
 ) -> SnapshotDiagnostics:
-    p = np.abs(c) ** 2
-    total = float(np.sum(p))
-    l2 = math.sqrt(2.0 * math.pi * total)
-    h1 = math.sqrt(2.0 * math.pi * float(np.sum(w1 * p)))
-    mom = complex(0.0, -float(np.sum(k * p)))
+    now = conserved_quantities(f)
     return SnapshotDiagnostics(
         step_index=j,
         time=j * tau,
-        l2=l2,
+        l2=math.sqrt(2.0 * math.pi * now.mass),
         h1=h1,
-        mass_drift=abs(total - cq.mass),
-        momentum_drift=abs(mom - cq.momentum),
+        mass_drift=abs(now.mass - cq.mass),
+        momentum_drift=abs(now.momentum - cq.momentum),
     )
 
 
@@ -458,23 +447,21 @@ def _evolve_with(
 
     t0 = time.perf_counter()
     c = initial.coeffs
-    h1_max = math.sqrt(2.0 * math.pi * float(np.sum(w1 * np.abs(c) ** 2)))
-    if 0 in want:
-        snapshots[0] = initial
-    if 0 in diag_steps:
-        diagnostics[0] = _diagnose(c, k, w1, cq, 0, tau)
-    for j in range(1, steps + 1):
-        c = apply_fn(c, j - 1)
-        # a non-finite coefficient, or one whose square overflows, makes H^1
-        # non-finite
+    h1_max = 0.0
+    for j in range(steps + 1):
+        if j:
+            c = apply_fn(c)
         h1 = math.sqrt(2.0 * math.pi * float(np.sum(w1 * np.abs(c) ** 2)))
-        if not math.isfinite(h1):
+        if j and not math.isfinite(h1):
+            # a non-finite coefficient, or one whose square overflows, makes
+            # H^1 non-finite
             raise BlowUpError(j, j * tau)
         h1_max = max(h1_max, h1)
-        if j in want:
-            snapshots[j] = SpectralField(params.cutoff, c)
-        if j in diag_steps:
-            diagnostics[j] = _diagnose(c, k, w1, cq, j, tau)
+        if j in diag_steps:  # every snapshot step is a diagnostic step
+            f = SpectralField(params.cutoff, c) if j else initial
+            if j in want:
+                snapshots[j] = f
+            diagnostics[j] = _diagnose(f, h1, cq, j, tau)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     ordered = sorted(want)
@@ -511,8 +498,7 @@ def evolve(
     cq = _validated_start(initial, params, cq)
     plan = _plan_for(params, cq)
     return _evolve_with(
-        lambda c, j: plan.apply(c), "lowreg", initial, params, cq,
-        snapshot_times, diag_stride,
+        plan.apply, "lowreg", initial, params, cq, snapshot_times, diag_stride
     )
 
 

@@ -1,4 +1,4 @@
-"""Splitting baselines and refined reference runs for cross-validation.
+"""Splitting baselines for cross-validating the low-regularity scheme.
 
 The Lie and Strang splittings alternate the exact flows of i u_t = lam|u|^2 u
 (a pointwise phase rotation, evaluated by collocation on the 4N+1-point grid)
@@ -18,23 +18,12 @@ from .integrator import (
     Trajectory,
     _evolve_with,
     _validated_start,
-    evolve,
-    initialize,
 )
 from .spectral import SpectralField, free_propagator, project
 
-__all__ = [
-    "splitting_step",
-    "splitting_evolve",
-    "reference_solution",
-    "ResourceCapError",
-]
+__all__ = ["splitting_step", "splitting_evolve"]
 
 SPLITTING_ORDERS = (1, 2)
-
-
-class ResourceCapError(RuntimeError):
-    """Raised when a refined reference run would exceed the memory guard."""
 
 
 def _nonlinear_flow(f: SpectralField, lam: int, t: float) -> SpectralField:
@@ -80,39 +69,9 @@ def splitting_evolve(
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
     cq = _validated_start(initial, params, cq)
 
-    def apply_fn(c: np.ndarray, _j: int) -> np.ndarray:
-        out = splitting_step(SpectralField(params.cutoff, c), params, order)
-        return np.array(out.coeffs)
+    def apply_fn(c: np.ndarray) -> np.ndarray:
+        return splitting_step(SpectralField(params.cutoff, c), params, order).coeffs
 
     name = "lie" if order == 1 else "strang"
     return _evolve_with(apply_fn, name, initial, params, cq, snapshot_times, diag_stride)
 
-
-def reference_solution(
-    source,
-    params: SchemeParams,
-    refinement: int = 4,
-    max_cutoff: int = 2 ** 15,
-) -> SpectralField:
-    """Refined run of the low-regularity scheme, projected back to S_N.
-
-    Integrates from the same initial-data source with step tau/refinement and
-    cutoff N*refinement, then truncates the final state to cutoff N.  The
-    refined cutoff is capped by max_cutoff to bound memory and time.
-    """
-    if refinement < 1:
-        raise ValueError(f"refinement must be >= 1, got {refinement}")
-    fine_cutoff = params.cutoff * refinement
-    if fine_cutoff > max_cutoff:
-        raise ResourceCapError(
-            f"resource cap exceeded: refined cutoff {fine_cutoff} > {max_cutoff}"
-        )
-    fine = SchemeParams(
-        lam=params.lam,
-        tau=params.tau / refinement,
-        cutoff=fine_cutoff,
-        steps=params.steps * refinement,
-    )
-    u0 = initialize(source, fine_cutoff)
-    traj = evolve(u0, fine)
-    return project(traj.final, params.cutoff)

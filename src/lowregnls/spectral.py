@@ -145,11 +145,7 @@ def inv_derivative(f: SpectralField) -> SpectralField:
 
     Composes with `derivative` to the identity on mean-free fields.
     """
-    mult = np.zeros(2 * f.cutoff + 1, dtype=np.complex128)
-    k = f.frequencies()
-    nz = k != 0
-    mult[nz] = 1.0 / (1j * k[nz])
-    return SpectralField(f.cutoff, mult * f.coeffs)
+    return SpectralField(f.cutoff, _inv_ik(f.frequencies().astype(float)) * f.coeffs)
 
 
 def conjugate(f: SpectralField) -> SpectralField:
@@ -159,8 +155,7 @@ def conjugate(f: SpectralField) -> SpectralField:
 
 def free_propagator(f: SpectralField, t: float) -> SpectralField:
     """exp(i t d_xx) f: the flow of i u_t + u_xx = 0, mode k picks up e^{-i t k^2}."""
-    k = f.frequencies()
-    return SpectralField(f.cutoff, np.exp(-1j * t * k.astype(float) ** 2) * f.coeffs)
+    return SpectralField(f.cutoff, _free_phase(f.frequencies().astype(float), t) * f.coeffs)
 
 
 def twist_propagator(
@@ -173,17 +168,41 @@ def twist_propagator(
     momentum purely imaginary (it is Pi_0(u d_x conj(u)) of some field), so
     the exponent is purely imaginary and the map is unitary.
     """
+    phase = _twist_phase(
+        f.frequencies().astype(float), tau, lam, mass, _momentum_imag(momentum)
+    )
+    return SpectralField(f.cutoff, phase * f.coeffs)
+
+
+# The multipliers of the scheme, on float frequencies k; the public operators
+# above and integrator._StepPlan both build from these.
+
+def _inv_ik(k: np.ndarray) -> np.ndarray:
+    """Multiplier of d_x^{-1}: 1/(ik) = -i/k for k != 0, zero at k = 0."""
+    return -1j * np.divide(1.0, k, out=np.zeros_like(k), where=k != 0)
+
+
+def _free_phase(k: np.ndarray, t: float) -> np.ndarray:
+    """Multiplier of exp(i t d_xx): e^{-i t k^2}."""
+    return np.exp(-1j * t * k * k)
+
+
+def _twist_phase(
+    k: np.ndarray, tau: float, lam: float, mass: float, mom_imag: float
+) -> np.ndarray:
+    """exp(i tau (-2 lam mass - k^2 - 2 lam momentum/(ik))), momentum = i mom_imag."""
+    # -2 lam momentum/(ik) = -2 lam mom_imag/k, a real phase contribution
+    q_over_k = (1j * mom_imag * _inv_ik(k)).real
+    return np.exp(1j * tau * (-2.0 * lam * mass - k * k - 2.0 * lam * q_over_k))
+
+
+def _momentum_imag(momentum: complex) -> float:
+    """Imaginary part of a mean momentum, which must be purely imaginary."""
     if abs(momentum.real) > 1e-10 * (1.0 + abs(momentum)):
         raise ValueError(
             f"momentum must be purely imaginary, got real part {momentum.real!r}"
         )
-    k = f.frequencies().astype(float)
-    q_over_k = np.zeros_like(k)
-    nz = k != 0
-    # -2 lam momentum/(ik) = -2 lam Im(momentum)/k, a real phase contribution
-    q_over_k[nz] = momentum.imag / k[nz]
-    theta = tau * (-2.0 * lam * mass - k * k - 2.0 * lam * q_over_k)
-    return SpectralField(f.cutoff, np.exp(1j * theta) * f.coeffs)
+    return momentum.imag
 
 
 def _pow2_grid_size(cutoff: int) -> int:
@@ -195,37 +214,21 @@ def _pow2_grid_size(cutoff: int) -> int:
     return p
 
 
-def _scatter_modes(
-    coeffs: np.ndarray, cutoff: int, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Centered coefficients -> standard-order length-m spectrum (rows kept),
-    written into out when given."""
-    if out is None:
-        out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
-    else:
-        out[..., cutoff + 1: m - cutoff] = 0.0
-    out[..., : cutoff + 1] = coeffs[..., cutoff:]
-    if cutoff > 0:
-        out[..., m - cutoff:] = coeffs[..., :cutoff]
-    return out
-
-
-def _gather_modes(std: np.ndarray, cutoff: int) -> np.ndarray:
-    """Standard-order spectrum -> centered coefficients for |k| <= cutoff."""
-    out = np.empty(std.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
-    out[..., cutoff:] = std[..., : cutoff + 1]
-    if cutoff > 0:
-        out[..., :cutoff] = std[..., std.shape[-1] - cutoff:]
-    return out
-
-
 def _to_grid(
     coeffs: np.ndarray, cutoff: int, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate (batched) centered coefficients on the m-point standard grid,
-    into out when given."""
-    std = _scatter_modes(coeffs, cutoff, m, out)
-    return np.fft.ifft(std, axis=-1, norm="forward", out=std)
+    into out when given.
+
+    The spectrum is laid out in standard order, k >= 0 first and k < 0 last,
+    and transformed in place.
+    """
+    if out is None:
+        out = np.empty(coeffs.shape[:-1] + (m,), dtype=np.complex128)
+    out[..., cutoff + 1: m - cutoff] = 0.0
+    out[..., : cutoff + 1] = coeffs[..., cutoff:]
+    out[..., m - cutoff:] = coeffs[..., :cutoff]
+    return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
 def _from_grid(values: np.ndarray, cutoff: int) -> np.ndarray:
@@ -233,7 +236,11 @@ def _from_grid(values: np.ndarray, cutoff: int) -> np.ndarray:
 
     Transforms in place: values is overwritten.
     """
-    return _gather_modes(np.fft.fft(values, axis=-1, norm="forward", out=values), cutoff)
+    std = np.fft.fft(values, axis=-1, norm="forward", out=values)
+    out = np.empty(std.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
+    out[..., cutoff:] = std[..., : cutoff + 1]
+    out[..., :cutoff] = std[..., std.shape[-1] - cutoff:]
+    return out
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:

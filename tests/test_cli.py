@@ -237,9 +237,12 @@ class TestErrorContract:
     def test_bad_time_literal(self, capsys):
         self.check(["solve", "--tau", "abc", "--N", "8"], 2, capsys)
 
-    def test_bad_format_choice(self, capsys):
-        self.check(["solve", "--tau", "2^-3", "--N", "8",
-                    "--format", "json"], 2, capsys)
+    @pytest.mark.parametrize("flag", [["--format", "csv"], ["--jobs", "2"]],
+                             ids=["format", "jobs"])
+    def test_flag_not_on_solve(self, flag, capsys):
+        # no subcommand has --format; --jobs is a study flag
+        msg = self.check(["solve", "--tau", "2^-3", "--N", "8"] + flag, 2, capsys)
+        assert "unrecognized arguments" in msg
 
     def test_empty_tau_list(self, capsys):
         self.check(["study-temporal", "--tau-list", ",", "--N-list", "8"],
@@ -249,6 +252,15 @@ class TestErrorContract:
         msg = self.check(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.3"],
                          1, capsys)
         assert "multiple" in msg
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--tau", "2^-3", "--N", "8"],
+        ["study-temporal", "--tau-list", "2^-3", "--N-list", "8"],
+    ])
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon(self, command, horizon, capsys):
+        msg = self.check(command + ["--T", horizon], 1, capsys)
+        assert "horizon must be finite" in msg
 
     def test_blow_up_reported(self, capsys):
         msg = self.check(["solve", "--initial", "constant", "--amplitude",
@@ -275,7 +287,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--tau", "2^-3", "--N", "8", "--diag-stride", "-1"],
-        ["solve", "--tau", "2^-3", "--N", "8", "--jobs", "0"],
+        ["study-spatial", "--tau-list", "2^-3", "--N-list", "8", "--jobs", "0"],
         ["study-temporal", "--tau-list", "2^-3", "--N-list", "8", "--jobs", "-2"],
     ])
     def test_count_below_minimum(self, argv, capsys):

@@ -6,7 +6,6 @@ import pytest
 from lowregnls import dft
 from lowregnls.initial_data import (
     InitialDataSpec,
-    coefficient,
     coefficients,
     resolve_tail_cutoff,
     sample_on_grid,
@@ -23,37 +22,30 @@ def series_samples_direct(spec, m, tail):
 
 class TestSobolevFamily:
     def test_frozen_coefficient_values(self):
-        spec = InitialDataSpec(kind="sobolev", alpha=2.0)
-        assert coefficient(spec, 0) == 0.0
-        assert np.isclose(coefficient(spec, 1), 0.1, rtol=1e-15)
+        c = coefficients(InitialDataSpec(kind="sobolev", alpha=2.0), 3)
+        assert c[3] == 0.0
+        assert np.isclose(c[4], 0.1, rtol=1e-15)
         # 0.1 * 2^(-2.51)
-        assert np.isclose(coefficient(spec, 2), 0.01755556094672497, rtol=1e-14)
-        spec1 = InitialDataSpec(kind="sobolev", alpha=1.0)
+        assert np.isclose(c[5], 0.01755556094672497, rtol=1e-14)
+        c1 = coefficients(InitialDataSpec(kind="sobolev", alpha=1.0), 3)
         # 0.1 * 3^(-1.51)
-        assert np.isclose(coefficient(spec1, 3), 0.01903473808524213, rtol=1e-14)
+        assert np.isclose(c1[6], 0.01903473808524213, rtol=1e-14)
 
     def test_even_real_symmetry(self):
-        spec = InitialDataSpec(kind="sobolev", alpha=1.3)
+        c = coefficients(InitialDataSpec(kind="sobolev", alpha=1.3), 17)
         for k in (1, 2, 5, 17):
-            assert coefficient(spec, k) == coefficient(spec, -k)
-            assert coefficient(spec, k).imag == 0.0
-            assert coefficient(spec, k).real > 0
+            assert c[17 + k] == c[17 - k]
+            assert c[17 + k].imag == 0.0
+            assert c[17 + k].real > 0
 
     def test_monotone_decay(self):
-        spec = InitialDataSpec(kind="sobolev", alpha=1.0)
-        vals = [abs(coefficient(spec, k)) for k in range(1, 40)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_coefficients_array_matches_scalar(self):
-        spec = InitialDataSpec(kind="sobolev", alpha=1.0)
-        arr = coefficients(spec, 8)
-        for k in range(-8, 9):
-            assert arr[k + 8] == coefficient(spec, k)
+        vals = np.abs(coefficients(InitialDataSpec(kind="sobolev", alpha=1.0), 39)[40:])
+        assert np.all(vals[:-1] > vals[1:])
 
     def test_amplitude_and_offset_configurable(self):
         spec = InitialDataSpec(kind="sobolev", alpha=1.0, amplitude=0.5,
                                exponent_offset=0.75)
-        assert np.isclose(coefficient(spec, 2), 0.5 * 2.0 ** (-1.75), rtol=1e-14)
+        assert np.isclose(coefficients(spec, 2)[4], 0.5 * 2.0 ** (-1.75), rtol=1e-14)
 
     def test_tail_energy_halves_at_rate(self):
         # l2 tail over (K, 2K] shrinks like 2^-(alpha + offset - 1/2) per doubling
@@ -73,7 +65,7 @@ class TestSobolevFamily:
 
         def band(k0, k1):
             ks = np.arange(k0 + 1, k1 + 1)
-            c = np.array([abs(coefficient(spec, int(k))) for k in ks])
+            c = np.abs(coefficients(spec, k1)[k1 + k0 + 1:])
             return 2.0 * float(np.sum((1.0 + ks.astype(float) ** 2) ** alpha
                                       * c ** 2))
 
@@ -94,24 +86,25 @@ class TestSobolevFamily:
 class TestOtherKinds:
     def test_plane_wave(self):
         spec = InitialDataSpec(kind="plane", amplitude=2.0, mode=3)
-        assert coefficient(spec, 3) == 2.0
-        assert coefficient(spec, -3) == 0.0
+        c = coefficients(spec, 3)
+        assert c[6] == 2.0
+        assert c[0] == 0.0
         x = dft.grid(21)
         samples = sample_on_grid(spec, 21)
         assert np.allclose(samples, 2.0 * np.exp(3j * x), atol=1e-14)
 
     def test_constant(self):
         spec = InitialDataSpec(kind="constant", amplitude=0.7)
-        assert coefficient(spec, 0) == 0.7
-        assert coefficient(spec, 1) == 0.0
+        assert np.array_equal(coefficients(spec, 1), [0.0, 0.7, 0.0])
         samples = sample_on_grid(spec, 9)
         assert np.allclose(samples, 0.7, atol=1e-15)
 
     def test_custom(self):
         spec = InitialDataSpec(kind="custom", modes=((1, 1.0 + 2.0j), (-4, 0.5)))
-        assert coefficient(spec, 1) == 1.0 + 2.0j
-        assert coefficient(spec, -4) == 0.5
-        assert coefficient(spec, 2) == 0.0
+        c = coefficients(spec, 4)
+        assert c[5] == 1.0 + 2.0j
+        assert c[0] == 0.5
+        assert c[6] == 0.0
         arr = coefficients(spec, 2)  # mode -4 falls outside
         assert arr[1 + 2] == 1.0 + 2.0j and np.sum(np.abs(arr)) == abs(1 + 2j)
         with pytest.raises(ValueError):

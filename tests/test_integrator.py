@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lowregnls.initial_data import InitialDataSpec, coefficient, resolve_tail_cutoff
+from lowregnls.initial_data import InitialDataSpec, coefficients, resolve_tail_cutoff
 from lowregnls.integrator import (
     BlowUpError,
     ConservedQuantities,
@@ -98,6 +98,9 @@ class TestSchemeParams:
         assert p.steps == 64
         with pytest.raises(ValueError):
             SchemeParams.from_horizon(-1, 0.3, 16, 1.0)
+        for horizon in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SchemeParams.from_horizon(-1, 0.25, 16, horizon)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -175,12 +178,12 @@ class TestInitialize:
         m = 4 * cutoff + 1
         tail = resolve_tail_cutoff(spec, cutoff, None)
         assert tail == 2 ** 14
-        folded = sum(coefficient(spec, j)
-                     for j in range(-tail, tail + 1) if j % m == 1)
+        exact = coefficients(spec, tail)
+        folded = np.sum(exact[np.arange(-tail, tail + 1) % m == 1])
         assert abs(u.coefficient(1) - folded) <= 1e-12
         # the fold differs from the exact coefficient by the tail leakage,
         # which is small but well above round-off even at alpha = 2
-        assert 1e-6 < abs(folded - coefficient(spec, 1)) < 1e-3
+        assert 1e-6 < abs(folded - exact[tail + 1]) < 1e-3
 
     def test_field_source_is_projected(self):
         rng = np.random.default_rng(2)
@@ -237,6 +240,15 @@ class TestStepAgainstStraightLine:
         params = SchemeParams(lam=-1, tau=0.01, cutoff=8, steps=1)
         with pytest.raises(ValueError):
             step(u, params, ConservedQuantities(0.0, 0.0j))
+
+    def test_non_imaginary_momentum_rejected(self):
+        u = SpectralField.from_modes(4, {1: 0.5})
+        params = SchemeParams(lam=-1, tau=0.01, cutoff=4, steps=2)
+        cq = ConservedQuantities(1.0, 0.5 + 1.0j)
+        with pytest.raises(ValueError, match="purely imaginary"):
+            step(u, params, cq)
+        with pytest.raises(ValueError, match="purely imaginary"):
+            evolve(u, params, cq)
 
 
 class TestFftWork:

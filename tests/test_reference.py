@@ -5,19 +5,8 @@ import pytest
 
 from lowregnls.initial_data import InitialDataSpec
 from lowregnls.integrator import SchemeParams, evolve, initialize
-from lowregnls.reference import (
-    ResourceCapError,
-    reference_solution,
-    splitting_evolve,
-    splitting_step,
-)
-from lowregnls.spectral import (
-    SpectralField,
-    free_propagator,
-    l2_error,
-    sobolev_norm,
-    zero_mode,
-)
+from lowregnls.reference import splitting_evolve, splitting_step
+from lowregnls.spectral import SpectralField, free_propagator, l2_error, project, zero_mode
 
 
 SMOOTH = InitialDataSpec(alpha=3.0)
@@ -127,38 +116,11 @@ class TestCrossValidation:
     def test_both_near_refined_reference(self):
         params = SchemeParams.from_horizon(-1, 2.0 ** -6, 64, 0.5)
         u0 = initialize(SMOOTH, 64)
-        ref = reference_solution(SMOOTH, params, refinement=4)
+        # the low-regularity scheme at 4N and tau/4, truncated back to S_N
+        fine = SchemeParams.from_horizon(-1, 2.0 ** -8, 256, 0.5)
+        ref = project(evolve(initialize(SMOOTH, 256), fine).final, 64)
         low = evolve(u0, params).final
         strang = splitting_evolve(u0, params, 2).final
         assert l2_error(low, ref) <= 5e-5
         assert l2_error(strang, ref) <= 5e-5
-        # reference is itself band-limited at the coarse cutoff
-        assert ref.cutoff == 64
 
-
-class TestReferenceSolution:
-    def test_refinement_one_reproduces_plain_run(self):
-        params = SchemeParams.from_horizon(-1, 2.0 ** -5, 16, 0.5)
-        u0 = initialize(InitialDataSpec(alpha=1.0), 16)
-        a = reference_solution(InitialDataSpec(alpha=1.0), params, refinement=1)
-        b = evolve(u0, params).final
-        assert np.array_equal(a.coeffs, b.coeffs)
-
-    def test_resource_cap(self):
-        params = SchemeParams.from_horizon(-1, 0.5, 2 ** 14, 1.0)
-        with pytest.raises(ResourceCapError, match="resource cap exceeded"):
-            reference_solution(SMOOTH, params, refinement=4)
-
-    def test_invalid_refinement(self):
-        params = SchemeParams.from_horizon(-1, 0.5, 8, 1.0)
-        with pytest.raises(ValueError):
-            reference_solution(SMOOTH, params, refinement=0)
-
-    def test_field_source(self):
-        rng = np.random.default_rng(1)
-        c = 0.2 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
-        u0 = SpectralField(4, c)
-        params = SchemeParams.from_horizon(-1, 2.0 ** -5, 4, 0.25)
-        ref = reference_solution(u0, params, refinement=2)
-        assert ref.cutoff == 4
-        assert sobolev_norm(ref, 0.0) > 0

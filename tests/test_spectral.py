@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lowregnls.spectral import (
     SpectralField,
@@ -240,6 +242,20 @@ class TestDealiasedProduct:
             denom = max(sobolev_norm(direct, 0.0), 1e-300)
             assert l2_error(fast, direct) / denom <= 1e-12
 
+    @given(st.one_of(st.sampled_from([5, 21, 85]), st.integers(0, 40)),
+           st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+    @example(5, 5, 0)
+    @example(21, 3, 1)
+    @example(85, 84, 2)
+    def test_matches_direct_convolution_property(self, n, other, seed):
+        # the two cutoffs are drawn independently, so they mostly differ
+        rng = np.random.default_rng(seed)
+        f, g = random_field(rng, n), random_field(rng, other)
+        fast = dealiased_product(f, g)
+        direct = convolution_truncated(f, g)
+        assert fast.cutoff == max(n, other)
+        assert l2_error(fast, direct) <= 1e-12 * max(sobolev_norm(direct, 0.0), 1e-300)
+
     def test_mixed_cutoffs(self):
         rng = np.random.default_rng(8)
         f = random_field(rng, 3)
@@ -291,6 +307,20 @@ class TestSerialization:
         g = load_field(path)
         assert g.cutoff == f.cutoff
         assert np.array_equal(g.coeffs, f.coeffs)
+
+    @given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=41).filter(lambda c: len(c) % 2 == 1))
+    @example([complex(-0.0, -0.0)])
+    @example([complex(5e-324, -1.7976931348623157e308), complex(-0.0, 2.2250738585072014e-308),
+              complex(1e-300, -1e300)])
+    def test_roundtrip_bit_exact_property(self, tmp_path_factory, coeffs):
+        f = SpectralField((len(coeffs) - 1) // 2, np.array(coeffs))
+        path = tmp_path_factory.mktemp("field") / "field.txt"
+        save_field(f, path)
+        g = load_field(path)
+        assert g.cutoff == f.cutoff
+        # bit patterns, so that -0.0 and 0.0 count as different
+        assert g.coeffs.tobytes() == f.coeffs.tobytes()
 
     def test_format_shape(self, tmp_path):
         f = SpectralField.from_modes(1, {1: 0.5})
