@@ -12,6 +12,7 @@ nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    SCHEMES,
     StudySpec,
     spatial_study,
     temporal_study,
@@ -37,7 +39,7 @@ from .integrator import (
     step,
     step_twisted,
 )
-from .reference import splitting_evolve
+from .reference import SPLITTINGS, splitting_evolve
 from .spectral import (
     SpectralField,
     dealiased_product,
@@ -54,6 +56,10 @@ DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 # 15 grid rows of 2^18 points (60 MiB); a spatial study also runs 2N.  The
 # sampled initial series may reach 16 times that, its default at N = 2^16.
 MAX_CUTOFF = 2 ** 16
+
+# largest step count of one run accepted on the command line: it bounds --T
+# against tau, which are otherwise only required to be finite and positive
+MAX_STEPS = 2 ** 24
 
 
 class CliError(Exception):
@@ -135,7 +141,7 @@ def _add_common(p: _Parser, study: bool) -> None:
                    default=None,
                    help="series tail kept by --init-mode sampled "
                         "(default max(16N, 16384))")
-    p.add_argument("--scheme", choices=["lowreg", "lie", "strang"], default="lowreg",
+    p.add_argument("--scheme", choices=SCHEMES, default="lowreg",
                    help="time stepper: low-regularity integrator or a splitting "
                         "baseline (default lowreg)")
     p.add_argument("--out", metavar="DIR", default=None,
@@ -265,7 +271,16 @@ def _initial_spec(args) -> InitialDataSpec:
     return InitialDataSpec(kind="constant", amplitude=amplitude)
 
 
+def _check_steps(tau: float, horizon: float) -> None:
+    """Reject a run of more than MAX_STEPS steps before it starts; a horizon
+    that is not finite is left to SchemeParams.from_horizon."""
+    if math.isfinite(horizon) and horizon / tau > MAX_STEPS:
+        raise CliError(f"--T {horizon!r} at tau {tau!r} takes more than the "
+                       f"maximum {MAX_STEPS} steps")
+
+
 def _run_trajectory(args, snapshot_times, diag_stride):
+    _check_steps(args.tau, args.T)
     params = SchemeParams.from_horizon(args.lam, args.tau, args.N, args.T)
     u0 = initialize(_initial_spec(args), args.N,
                     init_mode=args.init_mode, tail_cutoff=args.tail_cutoff)
@@ -274,8 +289,7 @@ def _run_trajectory(args, snapshot_times, diag_stride):
         if args.scheme == "lowreg":
             return params, evolve(u0, params, snapshot_times=snapshot_times,
                                   diag_stride=diag_stride)
-        order = 1 if args.scheme == "lie" else 2
-        return params, splitting_evolve(u0, params, order,
+        return params, splitting_evolve(u0, params, SPLITTINGS[args.scheme],
                                         snapshot_times=snapshot_times,
                                         diag_stride=diag_stride)
 
@@ -320,8 +334,30 @@ def _cmd_diagnostics(args) -> int:
     return 0
 
 
-def _study_spec(args, axis: str) -> StudySpec:
-    return StudySpec(
+def _emit_report(report, out_dir) -> int:
+    if out_dir is None:
+        write_report_csv(report, sys.stdout)
+        return 0
+    spec = report.spec
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"study_{spec.axis}.csv"
+    write_report_csv(report, path)
+    label, collabel = ("tau", "N") if spec.axis == "temporal" else ("N", "tau")
+    print(f"{spec.axis} study: alpha={spec.alpha} lambda={spec.lam} "
+          f"T={spec.horizon} scheme={spec.scheme}")
+    header = " ".join(f"{collabel}={c}" for c in report.col_params)
+    print(f"{'':>16} {header}")
+    for i, rp in enumerate(report.row_params):
+        cells = " ".join(f"{report.errors[i, j]:.3e}" for j in range(len(report.col_params)))
+        print(f"{label}={rp!r:>14} {cells}")
+    print(f"{'rate':>16} " + " ".join(f"{r:.2f}" for r in report.rates))
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_study(args, axis: str) -> int:
+    spec = StudySpec(
         axis=axis,
         taus=_parse_list(args.tau_list, parse_time),
         cutoffs=_parse_list(args.N_list, parse_cutoff),
@@ -333,37 +369,10 @@ def _study_spec(args, axis: str) -> StudySpec:
         tail_cutoff=args.tail_cutoff,
         jobs=args.jobs,
     )
-
-
-def _emit_report(report, args, filename: str) -> int:
-    if args.out is None:
-        write_report_csv(report, sys.stdout)
-        return 0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_csv(report, out / filename)
-    label = "tau" if report.study == "temporal" else "N"
-    collabel = "N" if report.study == "temporal" else "tau"
-    print(f"{report.study} study: alpha={report.alpha} lambda={report.lam} "
-          f"T={report.horizon} scheme={report.scheme} norm={report.norm_convention}")
-    header = " ".join(f"{collabel}={c}" for c in report.col_params)
-    print(f"{'':>16} {header}")
-    for i, rp in enumerate(report.row_params):
-        cells = " ".join(f"{report.errors[i, j]:.3e}" for j in range(len(report.col_params)))
-        print(f"{label}={rp!r:>14} {cells}")
-    print(f"{'rate':>16} " + " ".join(f"{r:.2f}" for r in report.rates))
-    print(f"wrote {out / filename}")
-    return 0
-
-
-def _cmd_study_temporal(args) -> int:
-    return _emit_report(temporal_study(_study_spec(args, "temporal")), args,
-                        "study_temporal.csv")
-
-
-def _cmd_study_spatial(args) -> int:
-    return _emit_report(spatial_study(_study_spec(args, "spatial")), args,
-                        "study_spatial.csv")
+    # the finest run of a temporal study steps at tau/2
+    _check_steps(min(spec.taus) / (2.0 if axis == "temporal" else 1.0), spec.horizon)
+    study = temporal_study if axis == "temporal" else spatial_study
+    return _emit_report(study(spec), args.out)
 
 
 def _selftest_dealiasing(rng) -> tuple[bool, str]:
@@ -431,8 +440,8 @@ def _cmd_selftest(_args) -> int:
 _COMMANDS = {
     "solve": _cmd_solve,
     "diagnostics": _cmd_diagnostics,
-    "study-temporal": _cmd_study_temporal,
-    "study-spatial": _cmd_study_spatial,
+    "study-temporal": functools.partial(_cmd_study, axis="temporal"),
+    "study-spatial": functools.partial(_cmd_study, axis="spatial"),
     "selftest": _cmd_selftest,
 }
 

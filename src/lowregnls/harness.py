@@ -3,9 +3,7 @@
 A temporal study fixes each cutoff N and compares the final state at step tau
 against the run with step tau/2 from the same initial state; a spatial study
 fixes tau and compares cutoff N against cutoff 2N (zero-extending the coarser
-field).  Errors default to the plain coefficient l2 norm
-sqrt(sum_k |delta_k|^2); the Plancherel-normalized L2 norm (an extra
-sqrt(2 pi)) is selectable via norm_convention="plancherel_2pi".
+field).  Errors are the plain coefficient l2 norm sqrt(sum_k |delta_k|^2).
 
 Runs for distinct (tau, N) pairs are independent and deterministic, so they
 are shared through a cache and may execute concurrently; results do not
@@ -22,7 +20,7 @@ import numpy as np
 
 from .initial_data import InitialDataSpec
 from .integrator import SchemeParams, evolve, initialize
-from .reference import splitting_evolve
+from .reference import SPLITTINGS, splitting_evolve
 from .spectral import SpectralField, l2_error
 
 __all__ = [
@@ -38,8 +36,7 @@ __all__ = [
 CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate,wall_ms"
 
 AXES = ("temporal", "spatial")
-SCHEMES = ("lowreg", "lie", "strang")
-NORM_CONVENTIONS = ("coefficient_l2", "plancherel_2pi")
+SCHEMES = ("lowreg", *SPLITTINGS)
 
 
 @dataclass(frozen=True)
@@ -56,14 +53,12 @@ class StudySpec:
     init_mode: str = "truncated"
     tail_cutoff: int | None = None
     amplitude: float = 0.1
-    exponent_offset: float = 0.51
-    norm_convention: str = "coefficient_l2"
     jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
         object.__setattr__(self, "cutoffs", tuple(int(n) for n in self.cutoffs))
-        for name in ("alpha", "horizon", "amplitude", "exponent_offset"):
+        for name in ("alpha", "horizon", "amplitude"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "lam", int(self.lam))
         object.__setattr__(self, "jobs", int(self.jobs))
@@ -71,11 +66,6 @@ class StudySpec:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.norm_convention not in NORM_CONVENTIONS:
-            raise ValueError(
-                f"norm_convention must be one of {NORM_CONVENTIONS}, "
-                f"got {self.norm_convention!r}"
-            )
         if not self.taus:
             raise ValueError("at least one tau is required")
         if not self.cutoffs:
@@ -88,24 +78,15 @@ class StudySpec:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def initial_data(self) -> InitialDataSpec:
-        return InitialDataSpec(
-            kind="sobolev",
-            alpha=self.alpha,
-            amplitude=self.amplitude,
-            exponent_offset=self.exponent_offset,
-        )
+        return InitialDataSpec(kind="sobolev", alpha=self.alpha, amplitude=self.amplitude)
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Error table with per-column fitted rates and per-cell wall times."""
+    """Error table of the study spec, with per-column fitted rates and
+    per-cell wall times."""
 
-    study: str
-    alpha: float
-    lam: int
-    horizon: float
-    scheme: str
-    norm_convention: str
+    spec: StudySpec
     row_params: tuple
     col_params: tuple
     errors: np.ndarray
@@ -144,15 +125,8 @@ def _run_final(spec: StudySpec, u0: SpectralField, params: SchemeParams):
     if spec.scheme == "lowreg":
         traj = evolve(u0, params)
     else:
-        traj = splitting_evolve(u0, params, 1 if spec.scheme == "lie" else 2)
+        traj = splitting_evolve(u0, params, SPLITTINGS[spec.scheme])
     return traj.final, traj.wall_ms
-
-
-def _error_norm(f: SpectralField, g: SpectralField, convention: str) -> float:
-    err = l2_error(f, g)
-    if convention == "coefficient_l2":
-        err /= math.sqrt(2.0 * math.pi)
-    return err
 
 
 def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
@@ -176,6 +150,33 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
     return dict(zip(keys, results))
 
 
+def _study(spec: StudySpec, axis: str) -> ConvergenceReport:
+    """The error table of temporal_study or spatial_study, by axis: rows are
+    the refined parameter (tau or N), columns the other one."""
+    if spec.axis != axis:
+        raise ValueError(f"expected a {axis} StudySpec, got axis {spec.axis!r}")
+    temporal = axis == "temporal"
+    rows, cols = (spec.taus, spec.cutoffs) if temporal else (spec.cutoffs, spec.taus)
+    # (coarse, fine) run keys (cutoff, tau) of every cell
+    cells = [
+        [((c, r), (c, r / 2.0)) if temporal else ((r, c), (2 * r, c)) for c in cols]
+        for r in rows
+    ]
+    runs = _compute_runs(spec, sorted({key for row in cells for pair in row for key in pair}))
+    errors = np.empty((len(rows), len(cols)))
+    wall = np.empty_like(errors)
+    for i, row in enumerate(cells):
+        for j, (coarse, fine) in enumerate(row):
+            (f, w1), (g, w2) = runs[coarse], runs[fine]
+            errors[i, j] = l2_error(f, g) / math.sqrt(2.0 * math.pi)
+            wall[i, j] = w1 + w2
+    rates = tuple(fit_rate(rows, errors[:, j]) for j in range(len(cols)))
+    return ConvergenceReport(
+        spec=spec, row_params=rows, col_params=cols, errors=errors,
+        rates=rates if temporal else tuple(-r for r in rates), wall_ms=wall,
+    )
+
+
 def temporal_study(spec: StudySpec) -> ConvergenceReport:
     """Error table err(tau, N) = ||u_{tau,N}(T) - u_{tau/2,N}(T)||.
 
@@ -183,28 +184,7 @@ def temporal_study(spec: StudySpec) -> ConvergenceReport:
     fitted across its rows.  Runs shared between cells (the tau/2 refinements)
     are computed once.
     """
-    if spec.axis != "temporal":
-        raise ValueError(f"expected a temporal StudySpec, got axis {spec.axis!r}")
-    needed = sorted(
-        {(n, t) for n in spec.cutoffs for t in spec.taus}
-        | {(n, t / 2.0) for n in spec.cutoffs for t in spec.taus}
-    )
-    runs = _compute_runs(spec, needed)
-    errors = np.empty((len(spec.taus), len(spec.cutoffs)))
-    wall = np.empty_like(errors)
-    for i, tau in enumerate(spec.taus):
-        for j, n in enumerate(spec.cutoffs):
-            coarse, w1 = runs[(n, tau)]
-            fine, w2 = runs[(n, tau / 2.0)]
-            errors[i, j] = _error_norm(coarse, fine, spec.norm_convention)
-            wall[i, j] = w1 + w2
-    rates = tuple(fit_rate(spec.taus, errors[:, j]) for j in range(len(spec.cutoffs)))
-    return ConvergenceReport(
-        study="temporal", alpha=spec.alpha, lam=spec.lam, horizon=spec.horizon,
-        scheme=spec.scheme, norm_convention=spec.norm_convention,
-        row_params=tuple(spec.taus), col_params=tuple(spec.cutoffs),
-        errors=errors, rates=rates, wall_ms=wall,
-    )
+    return _study(spec, "temporal")
 
 
 def spatial_study(spec: StudySpec) -> ConvergenceReport:
@@ -214,40 +194,18 @@ def spatial_study(spec: StudySpec) -> ConvergenceReport:
     zero-extended before differencing.  Each column's rate is reported as +s
     for errors ~ N^-s (the negated log-log slope).
     """
-    if spec.axis != "spatial":
-        raise ValueError(f"expected a spatial StudySpec, got axis {spec.axis!r}")
-    needed = sorted(
-        {(n, t) for n in spec.cutoffs for t in spec.taus}
-        | {(2 * n, t) for n in spec.cutoffs for t in spec.taus}
-    )
-    runs = _compute_runs(spec, needed)
-    errors = np.empty((len(spec.cutoffs), len(spec.taus)))
-    wall = np.empty_like(errors)
-    for i, n in enumerate(spec.cutoffs):
-        for j, tau in enumerate(spec.taus):
-            coarse, w1 = runs[(n, tau)]
-            fine, w2 = runs[(2 * n, tau)]
-            errors[i, j] = _error_norm(coarse, fine, spec.norm_convention)
-            wall[i, j] = w1 + w2
-    rates = tuple(
-        -fit_rate(spec.cutoffs, errors[:, j]) for j in range(len(spec.taus))
-    )
-    return ConvergenceReport(
-        study="spatial", alpha=spec.alpha, lam=spec.lam, horizon=spec.horizon,
-        scheme=spec.scheme, norm_convention=spec.norm_convention,
-        row_params=tuple(spec.cutoffs), col_params=tuple(spec.taus),
-        errors=errors, rates=rates, wall_ms=wall,
-    )
+    return _study(spec, "spatial")
 
 
 def write_report_csv(report: ConvergenceReport, path_or_file) -> None:
     """One row per table cell under the fixed header; the rate column repeats
     each column's fitted rate on every row of that column."""
+    spec = report.spec
     lines = [CSV_HEADER]
     for i, rp in enumerate(report.row_params):
         for j, cp in enumerate(report.col_params):
             lines.append(
-                f"{report.study},{report.alpha!r},{report.lam},{report.horizon!r},"
+                f"{spec.axis},{spec.alpha!r},{spec.lam},{spec.horizon!r},"
                 f"{rp!r},{cp!r},{float(report.errors[i, j])!r},{report.rates[j]!r},"
                 f"{float(report.wall_ms[i, j])!r}"
             )

@@ -120,8 +120,12 @@ class SchemeParams:
             raise ValueError(f"tau must be a positive finite number, got {tau}")
         if not math.isfinite(horizon):
             raise ValueError(f"horizon must be finite, got {horizon!r}")
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon!r}")
+        if not math.isfinite(horizon / tau):
+            raise ValueError(f"horizon {horizon!r} over tau {tau!r} overflows the step count")
         steps = int(round(horizon / tau))
-        if steps < 0 or abs(steps * tau - horizon) > TIME_RTOL * max(abs(horizon), 1.0):
+        if abs(steps * tau - horizon) > TIME_RTOL * max(abs(horizon), 1.0):
             raise ValueError(
                 f"horizon {horizon!r} is not an integer multiple of tau {tau!r}"
             )
@@ -435,10 +439,6 @@ def _evolve_with(
     want = {}
     for t in snapshot_times:
         want.setdefault(_snapshot_index(t, tau, steps), []).append(t)
-    diag_steps = set(want)
-    diag_steps.update((0, steps))
-    if diag_stride > 0:
-        diag_steps.update(range(0, steps + 1, diag_stride))
 
     k = initial.frequencies().astype(float)
     w1 = 1.0 + k * k
@@ -457,7 +457,8 @@ def _evolve_with(
             # H^1 non-finite
             raise BlowUpError(j, j * tau)
         h1_max = max(h1_max, h1)
-        if j in diag_steps:  # every snapshot step is a diagnostic step
+        # every snapshot step is a diagnostic step
+        if j in want or j in (0, steps) or (diag_stride > 0 and j % diag_stride == 0):
             f = SpectralField(params.cutoff, c) if j else initial
             if j in want:
                 snapshots[j] = f

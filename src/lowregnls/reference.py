@@ -23,7 +23,8 @@ from .spectral import SpectralField, free_propagator, project
 
 __all__ = ["splitting_step", "splitting_evolve"]
 
-SPLITTING_ORDERS = (1, 2)
+# scheme name -> splitting order
+SPLITTINGS = {"lie": 1, "strang": 2}
 
 
 def _nonlinear_flow(f: SpectralField, lam: int, t: float) -> SpectralField:
@@ -43,7 +44,7 @@ def _nonlinear_flow(f: SpectralField, lam: int, t: float) -> SpectralField:
 
 def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> SpectralField:
     """One Lie (order 1) or Strang (order 2) splitting step of length tau."""
-    if order not in SPLITTING_ORDERS:
+    if order not in SPLITTINGS.values():
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
@@ -65,13 +66,13 @@ def splitting_evolve(
 ) -> Trajectory:
     """Run the splitting scheme with the same recording and input checks as
     `evolve`."""
-    if order not in SPLITTING_ORDERS:
+    if order not in SPLITTINGS.values():
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
     cq = _validated_start(initial, params, cq)
 
     def apply_fn(c: np.ndarray) -> np.ndarray:
         return splitting_step(SpectralField(params.cutoff, c), params, order).coeffs
 
-    name = "lie" if order == 1 else "strang"
+    name = next(s for s, o in SPLITTINGS.items() if o == order)
     return _evolve_with(apply_fn, name, initial, params, cq, snapshot_times, diag_stride)
 

@@ -15,7 +15,9 @@ from lowregnls import __version__
 from lowregnls.cli import (
     DIAG_HEADER,
     MAX_CUTOFF,
+    MAX_STEPS,
     CliError,
+    _check_steps,
     main,
     parse_cutoff,
     parse_time,
@@ -261,6 +263,31 @@ class TestErrorContract:
     def test_non_finite_horizon(self, command, horizon, capsys):
         msg = self.check(command + ["--T", horizon], 1, capsys)
         assert "horizon must be finite" in msg
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--tau", "2^-3", "--N", "8"],
+        ["study-temporal", "--tau-list", "2^-3", "--N-list", "8"],
+    ])
+    def test_negative_horizon(self, command, capsys):
+        msg = self.check(command + ["--T", "-1"], 1, capsys)
+        assert "horizon must be >= 0" in msg
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tau", "2^-3", "--N", "8", "--T", "1e300"],
+        # T/tau overflows to inf
+        ["solve", "--tau", "1e-300", "--N", "8", "--T", "1e10"],
+        # 2^24 steps at tau, but the tau/2 runs take 2^25
+        ["study-temporal", "--tau-list", "2^-3,2^-20", "--N-list", "8", "--T", "16"],
+        ["study-spatial", "--tau-list", "2^-20,2^-3", "--N-list", "8", "--T", "32"],
+    ])
+    def test_too_many_steps(self, argv, capsys):
+        msg = self.check(argv, 2, capsys)
+        assert f"maximum {MAX_STEPS} steps" in msg
+
+    def test_step_bound_is_inclusive(self):
+        _check_steps(2.0 ** -20, 16.0)  # exactly MAX_STEPS steps
+        with pytest.raises(CliError):
+            _check_steps(2.0 ** -20, 16.0 + 2.0 ** -20)
 
     def test_blow_up_reported(self, capsys):
         msg = self.check(["solve", "--initial", "constant", "--amplitude",

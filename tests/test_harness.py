@@ -17,6 +17,7 @@ from lowregnls.harness import (
 )
 from lowregnls.initial_data import InitialDataSpec
 from lowregnls.integrator import SchemeParams, evolve, initialize
+from lowregnls.spectral import l2_error, project
 
 
 class TestFitRate:
@@ -69,11 +70,6 @@ class TestStudySpecValidation:
         with pytest.raises(ValueError):
             spatial_study(spec2)
 
-    def test_bad_norm_convention(self):
-        with pytest.raises(ValueError):
-            StudySpec(axis="temporal", taus=(0.1,), cutoffs=(8,),
-                      norm_convention="euclidean")
-
 
 def small_temporal_spec(**kw):
     base = dict(axis="temporal", taus=(2.0 ** -5, 2.0 ** -6), cutoffs=(8, 16),
@@ -92,7 +88,7 @@ def small_spatial_spec(**kw):
 class TestTemporalStudy:
     def test_shape_and_rates(self):
         rep = temporal_study(small_temporal_spec())
-        assert rep.study == "temporal"
+        assert rep.spec.axis == "temporal"
         assert rep.row_params == (2.0 ** -5, 2.0 ** -6)
         assert rep.col_params == (8, 16)
         assert rep.errors.shape == (2, 2)
@@ -107,11 +103,6 @@ class TestTemporalStudy:
         b = temporal_study(small_temporal_spec(jobs=3))
         assert np.array_equal(a.errors, b.errors)
         assert a.rates == b.rates
-
-    def test_norm_convention_scaling(self):
-        a = temporal_study(small_temporal_spec())
-        b = temporal_study(small_temporal_spec(norm_convention="plancherel_2pi"))
-        assert np.allclose(b.errors, a.errors * math.sqrt(2 * math.pi), rtol=1e-12)
 
     def test_splitting_schemes_run(self):
         # smooth data so the splitting order is visible at coarse steps
@@ -131,7 +122,7 @@ class TestTemporalStudy:
 class TestSpatialStudy:
     def test_shape_and_rates(self):
         rep = spatial_study(small_spatial_spec())
-        assert rep.study == "spatial"
+        assert rep.spec.axis == "spatial"
         assert rep.row_params == (8, 16, 32)
         assert rep.col_params == (2.0 ** -5,)
         assert rep.errors.shape == (3, 1)
@@ -144,6 +135,50 @@ class TestSpatialStudy:
         rep = spatial_study(small_spatial_spec())
         e = rep.errors[:, 0]
         assert e[0] > e[1] > e[2] > 0
+
+
+def final_state(spec, tau, n):
+    """Final state of the (N, tau) run a study cell names, run by hand."""
+    u0 = initialize(spec.initial_data(), n, init_mode=spec.init_mode,
+                    tail_cutoff=spec.tail_cutoff)
+    return evolve(u0, SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon)).final
+
+
+class TestCells:
+    """Each cell is the coefficient l2 distance of the two runs it names;
+    every table here has distinct row and column counts, so a transposed or
+    mis-keyed table cannot match."""
+
+    def test_temporal_cell(self):
+        spec = small_temporal_spec(taus=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6))
+        rep = temporal_study(spec)
+        i, j = 2, 1
+        tau, n = spec.taus[i], spec.cutoffs[j]
+        want = l2_error(final_state(spec, tau, n),
+                        final_state(spec, tau / 2.0, n)) / math.sqrt(2.0 * math.pi)
+        assert rep.errors[i, j] == want
+        for col in range(len(spec.cutoffs)):
+            assert rep.rates[col] == fit_rate(spec.taus, rep.errors[:, col])
+
+    def test_spatial_cell(self):
+        spec = small_spatial_spec(taus=(2.0 ** -4, 2.0 ** -5))
+        rep = spatial_study(spec)
+        i, j = 1, 0
+        n, tau = spec.cutoffs[i], spec.taus[j]
+        # the N run is zero-extended to 2N before differencing
+        want = l2_error(project(final_state(spec, tau, n), 2 * n),
+                        final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
+        assert rep.errors[i, j] == want
+        for col in range(len(spec.taus)):
+            assert rep.rates[col] == -fit_rate(spec.cutoffs, rep.errors[:, col])
+
+    def test_sampled_init_cell(self):
+        spec = small_spatial_spec(init_mode="sampled", tail_cutoff=256)
+        rep = spatial_study(spec)
+        n, tau = spec.cutoffs[0], spec.taus[0]
+        want = l2_error(final_state(spec, tau, n),
+                        final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
+        assert rep.errors[0, 0] == want
 
 
 class TestCsv:
@@ -203,8 +238,7 @@ class TestReportValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ConvergenceReport(
-                study="temporal", alpha=1.0, lam=-1, horizon=1.0,
-                scheme="lowreg", norm_convention="coefficient_l2",
+                spec=small_temporal_spec(),
                 row_params=(0.1, 0.05), col_params=(8,),
                 errors=np.ones((3, 1)), rates=(1.0,), wall_ms=np.ones((3, 1)),
             )

@@ -101,6 +101,13 @@ class TestSchemeParams:
         for horizon in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 SchemeParams.from_horizon(-1, 0.25, 16, horizon)
+        # a negative horizon is named as such, even one on the step grid
+        for horizon in (-1.0, -0.3, -1e-300):
+            with pytest.raises(ValueError, match="horizon must be >= 0"):
+                SchemeParams.from_horizon(-1, 0.25, 16, horizon)
+        assert SchemeParams.from_horizon(-1, 0.25, 16, -0.0).steps == 0
+        with pytest.raises(ValueError, match="overflows"):
+            SchemeParams.from_horizon(-1, 1e-300, 16, 1e10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
