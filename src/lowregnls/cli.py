@@ -53,7 +53,7 @@ __all__ = ["main", "build_parser"]
 DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 
 # largest cutoff accepted on the command line: a step at N = 2^16 works on
-# 15 grid rows of 2^18 points (60 MiB); a spatial study also runs 2N.  The
+# 15 grid rows of 204800 points (47 MiB); a spatial study also runs 2N.  The
 # sampled initial series may reach 16 times that, its default at N = 2^16.
 MAX_CUTOFF = 2 ** 16
 
@@ -267,6 +267,8 @@ def _initial_spec(args) -> InitialDataSpec:
     if kind == "sobolev":
         return InitialDataSpec(kind="sobolev", alpha=args.alpha, amplitude=amplitude)
     if kind == "plane":
+        if abs(args.mode) > args.N:
+            raise CliError(f"--mode {args.mode} lies outside the cutoff |k| <= {args.N}")
         return InitialDataSpec(kind="plane", amplitude=amplitude, mode=args.mode)
     return InitialDataSpec(kind="constant", amplitude=amplitude)
 
@@ -370,7 +372,10 @@ def _cmd_study(args, axis: str) -> int:
         jobs=args.jobs,
     )
     # the finest run of a temporal study steps at tau/2
-    _check_steps(min(spec.taus) / (2.0 if axis == "temporal" else 1.0), spec.horizon)
+    finest = min(spec.taus) / (2.0 if axis == "temporal" else 1.0)
+    if finest == 0.0:
+        raise CliError(f"tau {min(spec.taus)!r} is too small to halve")
+    _check_steps(finest, spec.horizon)
     study = temporal_study if axis == "temporal" else spatial_study
     return _emit_report(study(spec), args.out)
 

@@ -74,6 +74,10 @@ class StudySpec:
             raise ValueError(f"steps must be positive, got {self.taus}")
         if any(n < 1 for n in self.cutoffs):
             raise ValueError(f"cutoffs must be >= 1, got {self.cutoffs}")
+        for name in ("taus", "cutoffs"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {values}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -108,7 +112,8 @@ def fit_rate(values, errors) -> float:
 
     For errors ~ C tau^p over a tau grid this returns p; for errors ~ C N^-s
     over a cutoff grid it returns -s.  A non-positive error (e.g. identical
-    runs) makes the rate undefined and nan is returned as the flag.
+    runs) or fewer than two distinct values make the rate undefined, and nan
+    is returned as the flag.
     """
     values = np.asarray(values, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -116,7 +121,7 @@ def fit_rate(values, errors) -> float:
         raise ValueError("need at least two (value, error) pairs of equal length")
     if np.any(values <= 0):
         raise ValueError("values must be positive to fit a log-log rate")
-    if np.any(errors <= 0):
+    if np.any(errors <= 0) or np.unique(values).size < 2:
         return math.nan
     return float(np.polyfit(np.log2(values), np.log2(errors), 1)[0])
 

@@ -8,9 +8,9 @@ P = Pi_0 (u0 d_x conj(u0)) of the initial state frozen into a unitary
 to a logarithmic factor, without any CFL-type step restriction.
 
 `step` is the production path: all ten terms of the map are evaluated with
-17 FFTs (5 + 4 + 4 + 4), in four batched calls, on a power-of-two product
-grid of >= 3N+1 points; products that end under the same Fourier multiplier
-are summed on the grid and transformed once.  `step_twisted` advances the
+17 FFTs (5 + 4 + 4 + 4), in four batched calls, on a product grid of
+>= 3N+1 points, the smallest 2^k or 25*2^k; products that end under the
+same Fourier multiplier are summed on the grid and transformed once.  `step_twisted` advances the
 twisted variable v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
 reproduces `step` to rounding, which the tests exploit as a structural
 cross-check.
@@ -187,8 +187,8 @@ class _StepPlan:
 
     Immutable after construction and safe to share across threads; `apply`
     allocates its own work arrays.  One application costs 17 FFT rows
-    (stages of 5 + 4 + 4 + 4), in four batched calls, of the power-of-two
-    product grid length (>= 3N+1).  The FFT, Pi_N and the diagonal
+    (stages of 5 + 4 + 4 + 4), in four batched calls, of the product grid
+    length (>= 3N+1, the smallest 2^k or 25*2^k).  The FFT, Pi_N and the diagonal
     multipliers are linear, so products that end under the same multiplier
     are summed on the grid and transformed as one row.
     """
@@ -227,7 +227,7 @@ class _StepPlan:
         # by stages 2 and 4.  Freed as one, the block stays in the
         # allocator's heap for the next step instead of going back to the OS
         # and being faulted in again (glibc keeps freed blocks of up to
-        # 32 MiB: 15 rows of 2^16 points at N = 2^14).
+        # 32 MiB: 15 rows of 51200 points at N = 2^14).
         work = np.empty((15, m), dtype=np.complex128)
         g1, g3, q = work[:7], work[7:11], work[11:]
 

@@ -10,8 +10,9 @@ k +- m share a bin, and for m >= 3N+1 every alias of a mode |k| <= 2N lands
 outside |k| <= N (Orszag's 3/2 rule).  So evaluating both factors on such a
 grid, multiplying pointwise and transforming back gives the exact product
 coefficients on |k| <= N, which is all `dealiased_product` keeps.  The
-evaluation grid is the smallest power of two >= 3N+1, which keeps the FFT
-cost smooth in N.
+evaluation grid is the smallest 2^k or 25*2^k that is >= 3N+1.  Both are
+fast FFT lengths, and at N = 2^k the grid has 3.125N points where the next
+power of two would have 4N.
 """
 
 from __future__ import annotations
@@ -206,12 +207,15 @@ def _momentum_imag(momentum: complex) -> float:
 
 
 def _pow2_grid_size(cutoff: int) -> int:
-    """Smallest power of two with at least 3*cutoff + 1 points, so that a
-    product of two degree-cutoff polynomials is exact on |k| <= cutoff."""
-    p = 1
-    while p < 3 * cutoff + 1:
-        p *= 2
-    return p
+    """Smallest 2^a or 25*2^b with at least 3*cutoff + 1 points, so that a
+    product of two degree-cutoff polynomials is exact on |k| <= cutoff.
+
+    The name is historical: the grid used to be the smallest power of two.
+    """
+    need = 3 * cutoff + 1
+    # (x - 1).bit_length() is the smallest a with 2^a >= x, and 25*2^b >= need
+    # iff 2^b >= ceil(need/25) = (need - 1)//25 + 1
+    return min(1 << (need - 1).bit_length(), 25 << ((need - 1) // 25).bit_length())
 
 
 def _to_grid(

@@ -7,6 +7,7 @@ python -m entry point and exit codes as seen by a shell.
 import cmath
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,14 @@ class TestValueParsing:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("mode", ["8", "-8"])
+    def test_plane_wave_at_the_cutoff(self, mode, capsys):
+        rc = main(["solve", "--tau", "2^-3", "--N", "8", "--initial", "plane",
+                   "--mode", mode])
+        assert rc == 0
+        # ||e^{ikx}|| = sqrt(2 pi): the state is not the zero field
+        assert "final: l2=2.506628275e+00" in capsys.readouterr().out
+
     def test_prints_summary(self, capsys):
         rc = main(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5"])
         out = capsys.readouterr().out
@@ -221,9 +230,12 @@ class TestConfigFile:
 
 class TestErrorContract:
     def check(self, argv, code, capsys):
-        rc = main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
         captured = capsys.readouterr()
         assert rc == code
+        assert "Traceback" not in captured.err
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
@@ -283,6 +295,27 @@ class TestErrorContract:
     def test_too_many_steps(self, argv, capsys):
         msg = self.check(argv, 2, capsys)
         assert f"maximum {MAX_STEPS} steps" in msg
+
+    def test_halved_tau_underflows(self, capsys):
+        # tau/2 of the finest run is 0.0, so horizon/(tau/2) used to raise
+        # ZeroDivisionError
+        msg = self.check(["study-temporal", "--tau-list", "2^-1074", "--N-list", "8",
+                          "--T", "0"], 2, capsys)
+        assert "too small to halve" in msg
+
+    @pytest.mark.parametrize("argv", [
+        ["study-temporal", "--tau-list", "2^-3,2^-3", "--N-list", "8"],
+        ["study-temporal", "--tau-list", "2^-3,0.125", "--N-list", "8"],
+        ["study-spatial", "--tau-list", "2^-3", "--N-list", "8,16,8"],
+    ])
+    def test_duplicate_study_parameters(self, argv, capsys):
+        assert "must be distinct" in self.check(argv, 1, capsys)
+
+    @pytest.mark.parametrize("mode", ["9", "-9", "99"])
+    def test_plane_mode_outside_cutoff(self, mode, capsys):
+        msg = self.check(["solve", "--tau", "2^-3", "--N", "8", "--initial", "plane",
+                          "--mode", mode], 2, capsys)
+        assert "outside the cutoff" in msg
 
     def test_step_bound_is_inclusive(self):
         _check_steps(2.0 ** -20, 16.0)  # exactly MAX_STEPS steps

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ class TestFitRate:
         assert math.isnan(fit_rate([1.0, 2.0], [1.0, 0.0]))
         assert math.isnan(fit_rate([1.0, 2.0], [1.0, -1.0]))
 
+    def test_repeated_values_flag_nan_without_warning(self):
+        # one distinct abscissa leaves the slope undefined; polyfit would
+        # return a number and a RankWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(fit_rate([0.125, 0.125], [1e-3, 2e-3]))
+            assert math.isnan(fit_rate([8, 8, 8], [1e-3, 2e-3, 3e-3]))
+            assert math.isclose(fit_rate([1.0, 1.0, 2.0], [1.0, 1.0, 2.0]), 1.0)
+
 
 class TestStudySpecValidation:
     def test_bad_axis(self):
@@ -61,6 +71,16 @@ class TestStudySpecValidation:
             StudySpec(axis="temporal", taus=(), cutoffs=(8,))
         with pytest.raises(ValueError):
             StudySpec(axis="temporal", taus=(0.1,), cutoffs=())
+
+    @pytest.mark.parametrize("taus,cutoffs", [
+        ((0.125, 0.125), (8,)),
+        ((0.25, 0.125, 0.25), (8, 16)),
+        ((0.125,), (8, 8)),
+    ])
+    def test_duplicates_rejected(self, taus, cutoffs):
+        for axis in ("temporal", "spatial"):
+            with pytest.raises(ValueError, match="distinct"):
+                StudySpec(axis=axis, taus=taus, cutoffs=cutoffs)
 
     def test_axis_mismatch(self):
         spec = StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8,))

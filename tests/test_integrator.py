@@ -12,7 +12,6 @@ from lowregnls.integrator import (
     BlowUpError,
     ConservedQuantities,
     SchemeParams,
-    _pow2_grid_size,
     conserved_quantities,
     evolve,
     initialize,
@@ -35,6 +34,11 @@ from lowregnls.spectral import (
     twist_propagator,
     zero_mode,
 )
+
+
+# cutoffs where the product grid is exactly 3N+1 points: 3N+1 is 16, 64 and
+# 256 (powers of two) or 25, 100 and 400 (25 times a power of two)
+TIGHT = (5, 8, 21, 33, 85, 133)
 
 
 def random_field(rng, cutoff, scale=0.5):
@@ -222,9 +226,8 @@ class TestStepAgainstStraightLine:
             rel = l2_error(fast, naive) / sobolev_norm(naive, 0.0)
             assert rel <= 1e-12
 
-    # 5, 21 and 85 are cutoffs where the product grid is exactly 3N+1 points
     @pytest.mark.parametrize("lam", [-1, 1])
-    @pytest.mark.parametrize("n", [5, 21, 85])
+    @pytest.mark.parametrize("n", TIGHT)
     def test_matches_grid_free_oracle(self, n, lam):
         rng = np.random.default_rng(n)
         u = random_field(rng, n)
@@ -259,10 +262,11 @@ class TestStepAgainstStraightLine:
 
 
 class TestFftWork:
-    @pytest.mark.parametrize("n", [16, 21])
+    @pytest.mark.parametrize("n", [8, 16, 21])
     def test_one_step_makes_seventeen_rows_on_the_product_grid(self, n, monkeypatch):
         # four batched calls of 17 rows in all (5 + 4 + 4 + 4), on the
-        # smallest power of two >= 3N+1 points (64 for both cutoffs)
+        # smallest 2^k or 25*2^k >= 3N+1 points
+        m = {8: 25, 16: 50, 21: 64}[n]
         shapes = []
 
         def counted(fft):
@@ -277,20 +281,20 @@ class TestFftWork:
         step(u, SchemeParams(lam=-1, tau=0.01, cutoff=n, steps=1), conserved_quantities(u))
         assert len(shapes) == 4
         assert sum(math.prod(sh[:-1]) for sh in shapes) == 17
-        assert {sh[-1] for sh in shapes} == {_pow2_grid_size(n)} == {64}
+        assert {sh[-1] for sh in shapes} == {m}
 
 
-CUTOFFS = st.one_of(st.sampled_from([5, 21, 85]), st.integers(0, 40))
+CUTOFFS = st.one_of(st.sampled_from(TIGHT), st.integers(0, 40))
 TAUS = st.floats(1e-3, 0.25)
 LAMS = st.sampled_from([-1, 1])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 def tight_grids(*rest):
-    """Pin N = 5, 21 and 85, where the product grid is exactly 3N+1 points,
-    as explicit examples (n, tau, lam, seed, *rest) of a property test."""
+    """Pin the TIGHT cutoffs as explicit examples (n, tau, lam, seed, *rest)
+    of a property test."""
     def pin(test):
-        for n in (5, 21, 85):
+        for n in TIGHT:
             test = example(n, 2.0 ** -4, -1, n, *rest)(test)
         return test
     return pin

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lowregnls.cli import MAX_CUTOFF
 from lowregnls.spectral import (
     SpectralField,
     _pow2_grid_size,
@@ -199,6 +200,24 @@ class TestTwistPropagator:
             twist_propagator(f, 0.1, -1, 1.0, 0.5 + 1.0j)
 
 
+# cutoffs where the product grid is exactly 3N+1 points: 3N+1 is 16, 64 and
+# 256 (powers of two) or 25, 100 and 400 (25 times a power of two)
+TIGHT = (5, 8, 21, 33, 85, 133)
+
+
+class TestProductGridRule:
+    def test_smallest_power_of_two_or_25_times_one(self):
+        family = sorted({2 ** a for a in range(24)} | {25 * 2 ** b for b in range(20)})
+        cutoffs = [*range(4097), *(2 ** k for k in range(MAX_CUTOFF.bit_length()))]
+        for n in cutoffs:
+            m = _pow2_grid_size(n)
+            assert m >= 3 * n + 1, n
+            assert m in family, n
+            # the next smaller member of the family is too short
+            i = family.index(m)
+            assert i == 0 or family[i - 1] < 3 * n + 1, n
+
+
 class TestDealiasedProduct:
     def test_squared_top_mode_truncates_to_zero(self):
         # (e^{ix})^2 = e^{2ix} lies entirely above cutoff 1
@@ -206,7 +225,7 @@ class TestDealiasedProduct:
         p = dealiased_product(f, f)
         assert np.allclose(p.coeffs, 0, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [5, 21, 85])
+    @pytest.mark.parametrize("n", TIGHT)
     def test_squared_top_mode_truncates_to_zero_on_a_tight_grid(self, n):
         # on an m-point grid e^{2iNx} aliases to mode 2N - m, which lies in
         # |k| <= N for every N <= m <= 3N
@@ -229,9 +248,8 @@ class TestDealiasedProduct:
         p = dealiased_product(f, one)
         assert np.allclose(p.coeffs, f.coeffs, atol=1e-14)
 
-    # 5, 21 and 85 are cutoffs where 3N+1 is a power of two: the product grid
-    # has no points to spare
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 5, 21, 85])
+    # the TIGHT cutoffs leave the product grid no points to spare
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32, *TIGHT])
     def test_matches_direct_convolution(self, n):
         rng = np.random.default_rng(n)
         for _ in range(25):
@@ -242,11 +260,14 @@ class TestDealiasedProduct:
             denom = max(sobolev_norm(direct, 0.0), 1e-300)
             assert l2_error(fast, direct) / denom <= 1e-12
 
-    @given(st.one_of(st.sampled_from([5, 21, 85]), st.integers(0, 40)),
+    @given(st.one_of(st.sampled_from(TIGHT), st.integers(0, 40)),
            st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
     @example(5, 5, 0)
+    @example(8, 7, 3)
     @example(21, 3, 1)
+    @example(33, 33, 4)
     @example(85, 84, 2)
+    @example(133, 1, 5)
     def test_matches_direct_convolution_property(self, n, other, seed):
         # the two cutoffs are drawn independently, so they mostly differ
         rng = np.random.default_rng(seed)
