@@ -78,6 +78,12 @@ class StudySpec:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {values}")
+        refined = "taus" if self.axis == "temporal" else "cutoffs"
+        if len(getattr(self, refined)) < 2:
+            raise ValueError(
+                f"a {self.axis} study fits its rate over at least two {refined}, "
+                f"got {getattr(self, refined)}"
+            )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 

@@ -7,12 +7,13 @@ The workhorse is the rough-data family
 whose coefficients are real, even in k, and summable for alpha > 0 with
 exponent offset > 1/2: u0 lies in H^s exactly for s < alpha + offset - 1/2,
 so `alpha` dials the regularity.  Plane-wave and constant states are kept
-for closed-form checks; `custom` carries explicit coefficients.
+for closed-form checks; explicit coefficients go through
+`initialize(SpectralField.from_modes(...), N)` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ __all__ = [
     "resolve_tail_cutoff",
 ]
 
-KINDS = ("sobolev", "plane", "constant", "custom")
+KINDS = ("sobolev", "plane", "constant")
 
 # series tail kept when sampling rough data on an m-point grid
 DEFAULT_TAIL_FLOOR = 2 ** 14
@@ -34,8 +35,7 @@ class InitialDataSpec:
     """Parameters of one initial state.
 
     kind 'sobolev' uses (alpha, amplitude, exponent_offset); 'plane' is
-    amplitude * e^{i mode x}; 'constant' is the constant amplitude; 'custom'
-    takes explicit {frequency: coefficient} pairs.
+    amplitude * e^{i mode x}; 'constant' is the constant amplitude.
     """
 
     kind: str = "sobolev"
@@ -43,7 +43,6 @@ class InitialDataSpec:
     amplitude: float = 0.1
     exponent_offset: float = 0.51
     mode: int = 1
-    modes: tuple[tuple[int, complex], ...] = field(default=())
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -56,8 +55,6 @@ class InitialDataSpec:
                     f"exponent offset must exceed 1/2 for a square-summable "
                     f"series, got {self.exponent_offset}"
                 )
-        if self.kind == "custom" and not self.modes:
-            raise ValueError("custom initial data needs at least one mode")
 
 
 def coefficients(spec: InitialDataSpec, cutoff: int) -> np.ndarray:
@@ -72,12 +69,8 @@ def coefficients(spec: InitialDataSpec, cutoff: int) -> np.ndarray:
     elif spec.kind == "plane":
         if abs(spec.mode) <= cutoff:
             out[spec.mode + cutoff] = spec.amplitude
-    elif spec.kind == "constant":
-        out[cutoff] = spec.amplitude
     else:
-        for kk, val in spec.modes:
-            if abs(kk) <= cutoff:
-                out[kk + cutoff] = val
+        out[cutoff] = spec.amplitude
     return out
 
 
@@ -94,8 +87,6 @@ def resolve_tail_cutoff(spec: InitialDataSpec, cutoff: int, tail_cutoff: int | N
         return max(16 * cutoff, DEFAULT_TAIL_FLOOR)
     if spec.kind == "plane":
         return max(cutoff, abs(spec.mode))
-    if spec.kind == "custom":
-        return max([cutoff] + [abs(kk) for kk, _ in spec.modes])
     return cutoff
 
 

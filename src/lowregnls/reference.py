@@ -5,13 +5,19 @@ The Lie and Strang splittings alternate the exact flows of i u_t = lam|u|^2 u
 and of i u_t + u_xx = 0 (a Fourier multiplier).  The phase rotation is not
 band-limited, so its collocation commits the usual aliasing of classical
 splitting codes; these schemes are baselines, not the production path.
+
+The collocation grid stays at M = 4N+1 points, since any other length would
+change the baseline's aliasing.  But M is odd and in general not a fast FFT
+length, so both of its DFTs are computed as chirp-z (Bluestein) convolutions
+on the product grid of cutoff 2N (see `_nonlinear_flow`).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from . import dft
 from .integrator import (
     ConservedQuantities,
     SchemeParams,
@@ -19,7 +25,13 @@ from .integrator import (
     _evolve_with,
     _validated_start,
 )
-from .spectral import SpectralField, free_propagator, project
+from .spectral import (
+    SpectralField,
+    _from_grid,
+    _pow2_grid_size,
+    _to_grid,
+    free_propagator,
+)
 
 __all__ = ["splitting_step", "splitting_evolve"]
 
@@ -27,19 +39,53 @@ __all__ = ["splitting_step", "splitting_evolve"]
 SPLITTINGS = {"lie": 1, "strang": 2}
 
 
+@lru_cache(maxsize=8)
+def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(m, alpha, K1, K2, conj(alpha)/M) of the cutoff-n flow; read-only, so
+    threads can share them.
+
+    alpha_k = e^{i pi k^2/M} on |k| <= n and beta_j = e^{-i pi j^2/M} on
+    |j| <= 3n, with M = 4n+1; K1 and K2 are beta and conj(beta) on the m-point
+    grid.  Exponents are reduced mod 2M in integers before scaling by pi/M.
+    """
+    big_m = 4 * n + 1
+    m = _pow2_grid_size(2 * n)
+    k = np.arange(-n, n + 1)
+    j = np.arange(-3 * n, 3 * n + 1)
+    alpha = np.exp(1j * np.pi / big_m * ((k * k) % (2 * big_m)))
+    beta = np.exp(-1j * np.pi / big_m * ((j * j) % (2 * big_m)))
+    kernels = _to_grid(np.stack([beta, beta.conj()]), 3 * n, m)
+    unchirp = alpha.conj() / big_m
+    for arr in (alpha, kernels, unchirp):
+        arr.flags.writeable = False
+    return m, alpha, kernels[0], kernels[1], unchirp
+
+
 def _nonlinear_flow(f: SpectralField, lam: int, t: float) -> SpectralField:
     """Exact flow of i u_t = lam |u|^2 u for time t, by collocation.
 
-    u(x, t) = u(x, 0) exp(-i lam t |u(x, 0)|^2) pointwise on the 4N+1 grid,
-    transformed back and truncated to S_N.
+    u(x, t) = u(x, 0) exp(-i lam t |u(x, 0)|^2) pointwise on the M = 4N+1
+    grid, transformed back and truncated to S_N.
+
+    Both DFTs of length M run as chirp-z convolutions.  With
+    kn = (k^2 + n^2 - (n-k)^2)/2, the samples are alpha_n w_n where
+    w_n = sum_k (c_k alpha_k) beta_{n-k}, and the forward transform's chirp
+    cancels alpha_n again, so the flow rotates w_n, which has the same
+    modulus, and never forms the samples themselves.  The first convolution
+    maps |k| <= N to |n| <= 2N and the second maps back, both through a
+    kernel on |j| <= 3N, so each is an exact cyclic convolution on any grid
+    of >= 6N+1 points.  The product grid of cutoff 2N, the smallest 2^a or
+    25*2^b >= 6N+1, is such a grid, and a fast FFT length.
     """
     n = f.cutoff
-    pad = project(f, 2 * n)
-    vals = dft.inverse(pad.coeffs)
-    vals = vals * np.exp(-1j * lam * t * np.abs(vals) ** 2)
-    coeffs = dft.forward(vals)
-    mid = coeffs.shape[0] // 2
-    return SpectralField(n, coeffs[mid - n: mid + n + 1])
+    m, alpha, k1, k2, unchirp = _chirp_tables(n)
+    g = _to_grid(f.coeffs * alpha, n, m)
+    g *= k1
+    w = _from_grid(g, 2 * n)
+    w *= np.exp(-1j * lam * t * np.abs(w) ** 2)
+    g = _to_grid(w, 2 * n, m, out=g)
+    g *= k2
+    return SpectralField(n, _from_grid(g, n) * unchirp)
 
 
 def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> SpectralField:

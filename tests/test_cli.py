@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lowregnls import __version__
+from lowregnls import __version__, harness
 from lowregnls.cli import (
     DIAG_HEADER,
     MAX_CUTOFF,
@@ -269,7 +269,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("command", [
         ["solve", "--tau", "2^-3", "--N", "8"],
-        ["study-temporal", "--tau-list", "2^-3", "--N-list", "8"],
+        ["study-temporal", "--tau-list", "2^-3,2^-4", "--N-list", "8"],
     ])
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon(self, command, horizon, capsys):
@@ -278,7 +278,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("command", [
         ["solve", "--tau", "2^-3", "--N", "8"],
-        ["study-temporal", "--tau-list", "2^-3", "--N-list", "8"],
+        ["study-temporal", "--tau-list", "2^-3,2^-4", "--N-list", "8"],
     ])
     def test_negative_horizon(self, command, capsys):
         msg = self.check(command + ["--T", "-1"], 1, capsys)
@@ -290,7 +290,7 @@ class TestErrorContract:
         ["solve", "--tau", "1e-300", "--N", "8", "--T", "1e10"],
         # 2^24 steps at tau, but the tau/2 runs take 2^25
         ["study-temporal", "--tau-list", "2^-3,2^-20", "--N-list", "8", "--T", "16"],
-        ["study-spatial", "--tau-list", "2^-20,2^-3", "--N-list", "8", "--T", "32"],
+        ["study-spatial", "--tau-list", "2^-20,2^-3", "--N-list", "8,16", "--T", "32"],
     ])
     def test_too_many_steps(self, argv, capsys):
         msg = self.check(argv, 2, capsys)
@@ -299,7 +299,7 @@ class TestErrorContract:
     def test_halved_tau_underflows(self, capsys):
         # tau/2 of the finest run is 0.0, so horizon/(tau/2) used to raise
         # ZeroDivisionError
-        msg = self.check(["study-temporal", "--tau-list", "2^-1074", "--N-list", "8",
+        msg = self.check(["study-temporal", "--tau-list", "2^-1074,2^-3", "--N-list", "8",
                           "--T", "0"], 2, capsys)
         assert "too small to halve" in msg
 
@@ -310,6 +310,19 @@ class TestErrorContract:
     ])
     def test_duplicate_study_parameters(self, argv, capsys):
         assert "must be distinct" in self.check(argv, 1, capsys)
+
+    @pytest.mark.parametrize("argv,axis", [
+        (["study-temporal", "--tau-list", "2^-3", "--N-list", "8,16"], "temporal"),
+        (["study-spatial", "--tau-list", "2^-3,2^-4", "--N-list", "8"], "spatial"),
+    ])
+    def test_single_refined_parameter(self, argv, axis, capsys, monkeypatch):
+        # rejected before any run: a run here would end in "error: ran"
+        def ran(*args, **kwargs):
+            raise RuntimeError("ran")
+
+        monkeypatch.setattr(harness, "_compute_runs", ran)
+        msg = self.check(argv, 1, capsys)
+        assert f"a {axis} study fits its rate over at least two" in msg
 
     @pytest.mark.parametrize("mode", ["9", "-9", "99"])
     def test_plane_mode_outside_cutoff(self, mode, capsys):

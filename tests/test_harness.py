@@ -82,11 +82,21 @@ class TestStudySpecValidation:
             with pytest.raises(ValueError, match="distinct"):
                 StudySpec(axis=axis, taus=taus, cutoffs=cutoffs)
 
+    @pytest.mark.parametrize("axis,refined", [("temporal", "taus"), ("spatial", "cutoffs")])
+    def test_single_refined_parameter_rejected(self, axis, refined):
+        # one row gives no rate, so the spec fails before any run; the other
+        # axis may hold a single value
+        one = {"taus": (0.1,), "cutoffs": (8,)}
+        two = {"taus": (0.1, 0.05), "cutoffs": (8, 16)}
+        StudySpec(axis=axis, **{**one, refined: two[refined]})
+        with pytest.raises(ValueError, match=f"a {axis} study .* two {refined}"):
+            StudySpec(axis=axis, **one)
+
     def test_axis_mismatch(self):
-        spec = StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8,))
+        spec = StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16))
         with pytest.raises(ValueError):
             temporal_study(spec)
-        spec2 = StudySpec(axis="temporal", taus=(0.1,), cutoffs=(8,))
+        spec2 = StudySpec(axis="temporal", taus=(0.1, 0.05), cutoffs=(8,))
         with pytest.raises(ValueError):
             spatial_study(spec2)
 

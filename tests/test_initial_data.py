@@ -99,17 +99,6 @@ class TestOtherKinds:
         samples = sample_on_grid(spec, 9)
         assert np.allclose(samples, 0.7, atol=1e-15)
 
-    def test_custom(self):
-        spec = InitialDataSpec(kind="custom", modes=((1, 1.0 + 2.0j), (-4, 0.5)))
-        c = coefficients(spec, 4)
-        assert c[5] == 1.0 + 2.0j
-        assert c[0] == 0.5
-        assert c[6] == 0.0
-        arr = coefficients(spec, 2)  # mode -4 falls outside
-        assert arr[1 + 2] == 1.0 + 2.0j and np.sum(np.abs(arr)) == abs(1 + 2j)
-        with pytest.raises(ValueError):
-            InitialDataSpec(kind="custom")
-
 
 class TestSampling:
     @pytest.mark.parametrize("m,tail", [(5, 7), (9, 30), (21, 85), (13, 4)])
@@ -130,8 +119,6 @@ class TestSampling:
     def test_band_limited_tail_defaults(self):
         assert resolve_tail_cutoff(InitialDataSpec(kind="plane", mode=9), 4, None) == 9
         assert resolve_tail_cutoff(InitialDataSpec(kind="constant"), 4, None) == 4
-        spec = InitialDataSpec(kind="custom", modes=((7, 1.0),))
-        assert resolve_tail_cutoff(spec, 2, None) == 7
 
     def test_tail_doubling_within_integral_bound(self):
         # doubling the tail past the default moves the samples by at most the
