@@ -26,6 +26,7 @@ from .integrator import (
     Trajectory,
     conserved_quantities,
     evolve,
+    evolve_lockstep,
     initialize,
     load_trajectory,
     save_trajectory,
@@ -68,6 +69,7 @@ __all__ = [
     "dealiased_product",
     "derivative",
     "evolve",
+    "evolve_lockstep",
     "fit_rate",
     "forward",
     "free_propagator",

@@ -53,8 +53,9 @@ __all__ = ["main", "build_parser"]
 DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 
 # largest cutoff accepted on the command line: a step at N = 2^16 works on
-# 15 grid rows of 204800 points (47 MiB); a spatial study also runs 2N.  The
-# sampled initial series may reach 16 times that, its default at N = 2^16.
+# 15 grid rows of 204800 points (47 MiB); a spatial study also runs 2N, and
+# stacks its runs only at grids of <= 2048 points (harness.STACK_POINTS).
+# The sampled initial series may reach 16 times that, its default at N = 2^16.
 MAX_CUTOFF = 2 ** 16
 
 # largest step count of one run accepted on the command line: it bounds --T

@@ -7,7 +7,12 @@ field).  Errors are the plain coefficient l2 norm sqrt(sum_k |delta_k|^2).
 
 Runs for distinct (tau, N) pairs are independent and deterministic, so they
 are shared through a cache and may execute concurrently; results do not
-depend on the schedule.
+depend on the schedule.  The low-regularity runs of one cutoff start from
+one state, so they advance in lockstep, in stacks that pay each step's
+numpy calls once for all their runs (`evolve_lockstep`), with at most
+STACK_POINTS grid points in a row of a stack.  A run's wall time is the
+time its stack ran until the run's last step, so the wall times of runs
+that share a stack overlap.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDataSpec
-from .integrator import SchemeParams, evolve, initialize
+# evolve is no longer called here, but perfbench/tracing.py patches it by
+# this name
+from .integrator import SchemeParams, evolve, evolve_lockstep, initialize  # noqa: F401
 from .reference import SPLITTINGS, splitting_evolve
-from .spectral import SpectralField, l2_error
+from .spectral import _pow2_grid_size, l2_error
 
 __all__ = [
     "CSV_HEADER",
@@ -37,6 +44,11 @@ CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate,wall_ms"
 
 AXES = ("temporal", "spatial")
 SCHEMES = ("lowreg", *SPLITTINGS)
+
+# most grid points R * m in a row of a stack of R runs on the m-point
+# product grid: a stack's 15-row work block stays under 1 MiB, and stacks
+# of two or more runs form only at m <= 2048 (N <= 682)
+STACK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -132,33 +144,49 @@ def fit_rate(values, errors) -> float:
     return float(np.polyfit(np.log2(values), np.log2(errors), 1)[0])
 
 
-def _run_final(spec: StudySpec, u0: SpectralField, params: SchemeParams):
-    if spec.scheme == "lowreg":
-        traj = evolve(u0, params)
-    else:
-        traj = splitting_evolve(u0, params, SPLITTINGS[spec.scheme])
-    return traj.final, traj.wall_ms
-
-
 def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
-    """Evaluate the final state for every (cutoff, tau) key, possibly in a
-    thread pool; results are independent of the schedule."""
+    """(final state, wall_ms) of every (cutoff, tau) key.
+
+    The low-regularity runs of one cutoff, sorted by step count, are cut
+    into consecutive stacks of at most max(1, min(STACK_POINTS // m,
+    ceil(runs / jobs))) runs, m the product grid size, and each stack
+    advances in lockstep; a splitting run is a task of its own.  Tasks run
+    costliest first (steps x m), in a thread pool when jobs > 1; results
+    are independent of the schedule.
+    """
     data = spec.initial_data()
     states = {
         n: initialize(data, n, init_mode=spec.init_mode, tail_cutoff=spec.tail_cutoff)
         for n in sorted({n for n, _ in keys})
     }
+    params = {
+        (n, tau): SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon)
+        for n, tau in keys
+    }
+    tasks = []
+    for n in states:
+        runs = sorted((key for key in keys if key[0] == n), key=lambda key: -params[key].steps)
+        size = 1
+        if spec.scheme == "lowreg":
+            size = max(1, min(STACK_POINTS // _pow2_grid_size(n), -(-len(runs) // spec.jobs)))
+        tasks += [runs[i: i + size] for i in range(0, len(runs), size)]
+    tasks.sort(key=lambda task: -sum(params[key].steps for key in task)
+               * _pow2_grid_size(task[0][0]))
 
-    def worker(key):
-        n, tau = key
-        params = SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon)
-        return _run_final(spec, states[n], params)
+    def worker(task):
+        state = states[task[0][0]]
+        if spec.scheme == "lowreg":
+            trajs = evolve_lockstep(state, [params[key] for key in task])
+        else:
+            trajs = [splitting_evolve(state, params[task[0]], SPLITTINGS[spec.scheme])]
+        return [(traj.final, traj.wall_ms) for traj in trajs]
 
-    if spec.jobs <= 1 or len(keys) <= 1:
-        return {k: worker(k) for k in keys}
-    with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-        results = list(pool.map(worker, keys))
-    return dict(zip(keys, results))
+    if spec.jobs <= 1 or len(tasks) <= 1:
+        results = [worker(task) for task in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
+            results = list(pool.map(worker, tasks))
+    return {key: run for task, runs in zip(tasks, results) for key, run in zip(task, runs)}
 
 
 def _study(spec: StudySpec, axis: str) -> ConvergenceReport:

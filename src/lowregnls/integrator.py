@@ -10,7 +10,9 @@ to a logarithmic factor, without any CFL-type step restriction.
 `step` is the production path: all ten terms of the map are evaluated with
 17 FFTs (5 + 4 + 4 + 4), in four batched calls, on a product grid of
 >= 3N+1 points, the smallest 2^k or 25*2^k; products that end under the
-same Fourier multiplier are summed on the grid and transformed once.  `step_twisted` advances the
+same Fourier multiplier are summed on the grid and transformed once.
+`evolve_lockstep` advances runs of several taus from one state together,
+as one stack of states through the same calls.  `step_twisted` advances the
 twisted variable v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
 reproduces `step` to rounding, which the tests exploit as a structural
 cross-check.
@@ -58,6 +60,7 @@ __all__ = [
     "step",
     "step_twisted",
     "evolve",
+    "evolve_lockstep",
     "Trajectory",
     "SnapshotDiagnostics",
     "BlowUpError",
@@ -73,14 +76,17 @@ TIME_RTOL = 1e-12
 
 class BlowUpError(RuntimeError):
     """Raised when a trajectory's H^1 norm leaves the range of floating point
-    numbers."""
+    numbers.  Names the run by its tau, and carries the step, the time and
+    the last finite H^1 norm of the run (nan if it had none)."""
 
-    def __init__(self, step_index: int, time_value: float):
+    def __init__(self, step_index: int, time_value: float, tau: float, last_h1: float):
         self.step_index = step_index
         self.time = time_value
+        self.tau = tau
+        self.last_h1 = last_h1
         super().__init__(
             f"solution blew up to a non-finite H^1 norm at step {step_index} "
-            f"(t = {time_value:g})"
+            f"(t = {time_value:g}, tau = {tau!r}); last finite H^1 was {last_h1:g}"
         )
 
 
@@ -183,42 +189,53 @@ def initialize(
 
 
 class _StepPlan:
-    """Multiplier tables for one (lam, tau, cutoff, mass, momentum).
+    """Multiplier tables of the step for one (lam, tau, cutoff, mass,
+    momentum), built by `_plan`, or for a stack of R taus at one (lam,
+    cutoff, mass, momentum), built by `stacked`.
 
     Immutable after construction and safe to share across threads; `apply`
-    allocates its own work arrays.  One application costs 17 FFT rows
-    (stages of 5 + 4 + 4 + 4), in four batched calls, of the product grid
+    allocates its own work arrays.  One application costs 17 FFT rows per
+    run (stages of 5 + 4 + 4 + 4), in four batched calls, of the product grid
     length (>= 3N+1, the smallest 2^k or 25*2^k).  The FFT, Pi_N and the diagonal
     multipliers are linear, so products that end under the same multiplier
     are summed on the grid and transformed as one row.
+
+    Every table has a run axis: t1, t3 and t4 have shape (rows, R, 2N+1)
+    and twist has shape (R, 2N+1), with R = 1 for one tau.  `apply` advances
+    an (R, 2N+1) stack of states, run r on row r, by broadcasting, so a
+    stack pays its numpy calls once per step for all R runs; each row comes
+    out bitwise equal to a one-run application.  A study advances its runs
+    of one cutoff in lockstep this way, with at most harness.STACK_POINTS
+    grid points in a row of R runs, so a stack's work block is never larger
+    than that of one run at m > 2048.
     """
 
-    def __init__(self, lam: int, tau: float, cutoff: int, mass: float, mom_imag: float):
+    def __init__(self, cutoff: int, t1, t3, t4, twist):
         self.cutoff = cutoff
         self.grid_size = _pow2_grid_size(cutoff)
-        k = np.arange(-cutoff, cutoff + 1, dtype=float)
-        inv_ik = _inv_ik(k)                       # d_x^{-1}, zero at k = 0
-        ep = _free_phase(k, tau)                  # e^{i tau d_xx}
-        # stage 1 scales two grid rows so that stage 3 needs no scalar but
-        # c_0: the d_x row becomes -i tau d_x conj(f) once conjugated, and
-        # the squares of the d_x^{-1} rows come out divided by -2i tau
-        s = np.sqrt(0.5j / tau)                   # s^2 = 1 / (-2i tau)
-        self.t1 = np.stack([np.ones_like(ep), ep, -tau * k, s * inv_ik * ep, s * inv_ik])
-        self.t3 = np.stack([-inv_ik, -np.conj(ep)])
-        inv_ik2 = inv_ik * inv_ik
-        self.t4 = np.stack([
-            -lam * inv_ik, lam * ep * inv_ik,
-            -0.5 * lam * inv_ik2, 0.5 * lam * ep * inv_ik2,
-        ])
-        # Pi_0(conj(f) Pi_N f^2) = Pi_0(|f|^2 f), so the k = 0 entry of the
-        # last row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
-        self.t4[3, cutoff] = -1j * lam * tau
-        self.twist = _twist_phase(k, tau, lam, mass, mom_imag)
-        # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
-        # phase on the zero mode
-        self.twist[cutoff] = 1.0
-        for arr in (self.t1, self.t3, self.t4, self.twist):
+        self.t1, self.t3, self.t4, self.twist = t1, t3, t4, twist
+        for arr in (t1, t3, t4, twist):
             arr.flags.writeable = False
+
+    @classmethod
+    def stacked(cls, plans) -> "_StepPlan":
+        """The stack of one-tau plans of one (lam, cutoff, mass, momentum);
+        one plan is its own stack."""
+        if len(plans) == 1:
+            return plans[0]
+        return cls(
+            plans[0].cutoff,
+            *(np.concatenate([getattr(p, name) for p in plans], axis=1)
+              for name in ("t1", "t3", "t4")),
+            np.concatenate([p.twist for p in plans]),
+        )
+
+    def head(self, runs: int) -> "_StepPlan":
+        """The stack of this stack's first `runs` runs, as views."""
+        return _StepPlan(
+            self.cutoff, self.t1[:, :runs], self.t3[:, :runs], self.t4[:, :runs],
+            self.twist[:runs],
+        )
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         n, m = self.cutoff, self.grid_size
@@ -228,7 +245,7 @@ class _StepPlan:
         # allocator's heap for the next step instead of going back to the OS
         # and being faulted in again (glibc keeps freed blocks of up to
         # 32 MiB: 15 rows of 51200 points at N = 2^14).
-        work = np.empty((15, m), dtype=np.complex128)
+        work = np.empty((15, *c.shape[:-1], m), dtype=np.complex128)
         g1, g3, q = work[:7], work[7:11], work[11:]
 
         # stage 1: the five t1 multiples of f on the grid: f,
@@ -253,13 +270,16 @@ class _StepPlan:
         # stage 3: the factors of the cubic products: -d_x^{-1} z; w = W / (-i tau)
         # with W = -1/2 (e^{-i tau d_xx} h1 - h2) - i tau Pi_N (f - c_0)^2, all
         # that multiplies d_x conj(f) under d_x^{-1} e^{i tau d_xx}; e^{i tau d_xx} g; g
-        c0 = c[n]
+        c0 = c[..., n]
         x[:2] *= self.t3
         w = x[1]
         w += x[2]
         w += x[3]
-        w -= (2.0 * c0) * c
-        w[n] += c0 * c0
+        w -= (2.0 * c0)[..., None] * c
+        # + c_0^2, rounded like a product of complex scalars: numpy's complex
+        # array loop may fuse multiply-adds and round differently
+        w[..., n].real += c0.real * c0.real - c0.imag * c0.imag
+        w[..., n].imag += c0.real * c0.imag * 2.0
         np.multiply(x[3], self.t1[1], out=x[2])
         _to_grid(x, n, m, out=g3)
         # -d_x^{-1} z = -d_x^{-1} a - i d_x^{-1} b with a = Pi_N |f|^2 and
@@ -284,7 +304,28 @@ class _StepPlan:
 
 @lru_cache(maxsize=32)
 def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float) -> _StepPlan:
-    return _StepPlan(lam, tau, cutoff, mass, mom_imag)
+    k = np.arange(-cutoff, cutoff + 1, dtype=float)
+    inv_ik = _inv_ik(k)                       # d_x^{-1}, zero at k = 0
+    ep = _free_phase(k, tau)                  # e^{i tau d_xx}
+    # stage 1 scales two grid rows so that stage 3 needs no scalar but
+    # c_0: the d_x row becomes -i tau d_x conj(f) once conjugated, and
+    # the squares of the d_x^{-1} rows come out divided by -2i tau
+    s = np.sqrt(0.5j / tau)                   # s^2 = 1 / (-2i tau)
+    t1 = np.stack([np.ones_like(ep), ep, -tau * k, s * inv_ik * ep, s * inv_ik])
+    t3 = np.stack([-inv_ik, -np.conj(ep)])
+    inv_ik2 = inv_ik * inv_ik
+    t4 = np.stack([
+        -lam * inv_ik, lam * ep * inv_ik,
+        -0.5 * lam * inv_ik2, 0.5 * lam * ep * inv_ik2,
+    ])
+    # Pi_0(conj(f) Pi_N f^2) = Pi_0(|f|^2 f), so the k = 0 entry of the
+    # last row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
+    t4[3, cutoff] = -1j * lam * tau
+    twist = _twist_phase(k, tau, lam, mass, mom_imag)
+    # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
+    # phase on the zero mode
+    twist[cutoff] = 1.0
+    return _StepPlan(cutoff, t1[:, None], t3[:, None], t4[:, None], twist[None])
 
 
 def _plan_for(params: SchemeParams, cq: ConservedQuantities) -> _StepPlan:
@@ -295,7 +336,7 @@ def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> Spe
     """One application u^{n+1} = Psi(u^n) of the low-regularity map."""
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
-    return SpectralField(f.cutoff, _plan_for(params, cq).apply(f.coeffs))
+    return SpectralField(f.cutoff, _plan_for(params, cq).apply(f.coeffs[None])[0])
 
 
 def step_twisted(
@@ -424,59 +465,87 @@ def _validated_start(
 
 
 def _evolve_with(
-    apply_fn,
+    stepper,
     scheme: str,
     initial: SpectralField,
-    params: SchemeParams,
+    runs,
     cq: ConservedQuantities,
     snapshot_times,
     diag_stride: int,
-) -> Trajectory:
-    tau, steps = params.tau, params.steps
-    if snapshot_times is None:
-        snapshot_times = (params.horizon,)
-    snapshot_times = tuple(float(t) for t in snapshot_times)
-    want = {}
-    for t in snapshot_times:
-        want.setdefault(_snapshot_index(t, tau, steps), []).append(t)
+) -> list[Trajectory]:
+    """Advance runs that share an initial state and a cutoff in lockstep.
+
+    Row r of the (R, 2N+1) state stack is run r.  The runs come in
+    descending order of step count, and stepper(r) is the one-step map of
+    the first r rows.  When a run reaches its step count, its row is
+    dropped by a prefix slice of the stack and a new stepper(r).  Each run
+    keeps its own snapshots, diagnostics, running H^1 maximum and
+    BlowUpError, as if it ran alone; its wall_ms is the time the stack ran
+    until the run's last step, so runs that share a stack overlap.
+    """
+    wants = []
+    for params in runs:
+        times = (params.horizon,) if snapshot_times is None else snapshot_times
+        want = {}
+        for t in times:
+            t = float(t)
+            want.setdefault(_snapshot_index(t, params.tau, params.steps), []).append(t)
+        wants.append(want)
 
     k = initial.frequencies().astype(float)
     w1 = 1.0 + k * k
-    snapshots: dict[int, SpectralField] = {}
-    diagnostics: dict[int, SnapshotDiagnostics] = {}
+    snapshots: list[dict[int, SpectralField]] = [{} for _ in runs]
+    diagnostics: list[dict[int, SnapshotDiagnostics]] = [{} for _ in runs]
+    h1_max = [0.0] * len(runs)
+    last_h1 = [math.nan] * len(runs)
+    wall_ms = [0.0] * len(runs)
 
     t0 = time.perf_counter()
-    c = initial.coeffs
-    h1_max = 0.0
-    for j in range(steps + 1):
+    live = len(runs)
+    c = np.tile(initial.coeffs, (live, 1))
+    advance = stepper(live)
+    for j in range(runs[0].steps + 1):
         if j:
-            c = apply_fn(c)
-        h1 = math.sqrt(2.0 * math.pi * float(np.sum(w1 * np.abs(c) ** 2)))
-        if j and not math.isfinite(h1):
-            # a non-finite coefficient, or one whose square overflows, makes
-            # H^1 non-finite
-            raise BlowUpError(j, j * tau)
-        h1_max = max(h1_max, h1)
-        # every snapshot step is a diagnostic step
-        if j in want or j in (0, steps) or (diag_stride > 0 and j % diag_stride == 0):
-            f = SpectralField(params.cutoff, c) if j else initial
-            if j in want:
-                snapshots[j] = f
-            diagnostics[j] = _diagnose(f, h1, cq, j, tau)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+            c = advance(c)
+        norms = np.sum(w1 * np.abs(c) ** 2, axis=-1)
+        for r, (params, want) in enumerate(zip(runs[:live], wants)):
+            h1 = math.sqrt(2.0 * math.pi * float(norms[r]))
+            if j and not math.isfinite(h1):
+                # a non-finite coefficient, or one whose square overflows,
+                # makes H^1 non-finite
+                raise BlowUpError(j, j * params.tau, params.tau, last_h1[r])
+            if math.isfinite(h1):
+                last_h1[r] = h1
+            h1_max[r] = max(h1_max[r], h1)
+            # every snapshot step is a diagnostic step
+            if j in want or j == params.steps or j == 0 or (
+                diag_stride > 0 and j % diag_stride == 0
+            ):
+                f = SpectralField(params.cutoff, c[r]) if j else initial
+                if j in want:
+                    snapshots[r][j] = f
+                diagnostics[r][j] = _diagnose(f, h1, cq, j, params.tau)
+        while live and runs[live - 1].steps == j:
+            live -= 1
+            wall_ms[live] = (time.perf_counter() - t0) * 1e3
+        if 0 < live < len(c):
+            c = c[:live]
+            advance = stepper(live)
 
-    ordered = sorted(want)
-    snap_times = tuple(min(want[j]) for j in ordered)
-    return Trajectory(
-        params=params,
-        cq=cq,
-        scheme=scheme,
-        snapshot_times=snap_times,
-        snapshots=tuple(snapshots[j] for j in ordered),
-        diagnostics=tuple(diagnostics[j] for j in sorted(diagnostics)),
-        h1_max=h1_max,
-        wall_ms=wall_ms,
-    )
+    trajectories = []
+    for r, params in enumerate(runs):
+        ordered = sorted(wants[r])
+        trajectories.append(Trajectory(
+            params=params,
+            cq=cq,
+            scheme=scheme,
+            snapshot_times=tuple(min(wants[r][j]) for j in ordered),
+            snapshots=tuple(snapshots[r][j] for j in ordered),
+            diagnostics=tuple(diagnostics[r][j] for j in sorted(diagnostics[r])),
+            h1_max=h1_max[r],
+            wall_ms=wall_ms[r],
+        ))
+    return trajectories
 
 
 def evolve(
@@ -493,14 +562,39 @@ def evolve(
     diagnostics are recorded at every snapshot, at steps 0 and L, and at every
     diag_stride-th step when diag_stride > 0.  The running H^1 maximum over
     every step is always tracked.  Raises ValueError if the initial
-    coefficients are not finite, and BlowUpError, naming the step, if the
-    state's H^1 norm leaves floating point range.
+    coefficients are not finite, and BlowUpError, naming the step, the tau
+    and the last finite H^1, if the state's H^1 norm leaves floating point
+    range.
     """
-    cq = _validated_start(initial, params, cq)
-    plan = _plan_for(params, cq)
-    return _evolve_with(
-        plan.apply, "lowreg", initial, params, cq, snapshot_times, diag_stride
+    [traj] = evolve_lockstep(initial, [params], cq, snapshot_times, diag_stride)
+    return traj
+
+
+def evolve_lockstep(
+    initial: SpectralField,
+    runs,
+    cq: ConservedQuantities | None = None,
+    snapshot_times=None,
+    diag_stride: int = 0,
+) -> list[Trajectory]:
+    """`evolve` for one or more runs of one lam and cutoff from one initial
+    state, stepped together; trajectories come back in the order of runs.
+
+    Each trajectory is bitwise equal to that of the run's own `evolve`,
+    except for wall_ms (see `_evolve_with`).  A BlowUpError names the run
+    by its tau.
+    """
+    runs = list(runs)
+    if len({(p.lam, p.cutoff) for p in runs}) != 1:
+        raise ValueError("runs stepped together must be one or more and share lam and cutoff")
+    cq = _validated_start(initial, runs[0], cq)
+    order = sorted(range(len(runs)), key=lambda r: -runs[r].steps)
+    stack = _StepPlan.stacked([_plan_for(runs[r], cq) for r in order])
+    trajs = _evolve_with(
+        lambda rows: stack.head(rows).apply, "lowreg", initial, [runs[r] for r in order],
+        cq, snapshot_times, diag_stride,
     )
+    return [traj for _, traj in sorted(zip(order, trajs), key=lambda pair: pair[0])]
 
 
 def save_trajectory(traj: Trajectory, dirpath) -> None:

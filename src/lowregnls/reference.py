@@ -27,10 +27,10 @@ from .integrator import (
 )
 from .spectral import (
     SpectralField,
+    _free_phase,
     _from_grid,
     _pow2_grid_size,
     _to_grid,
-    free_propagator,
 )
 
 __all__ = ["splitting_step", "splitting_evolve"]
@@ -59,6 +59,15 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     for arr in (alpha, kernels, unchirp):
         arr.flags.writeable = False
     return m, alpha, kernels[0], kernels[1], unchirp
+
+
+@lru_cache(maxsize=8)
+def _drift_phase(tau: float, n: int) -> np.ndarray:
+    """e^{-i tau k^2} on |k| <= n, the multiplier of the free flow over one
+    step; read-only, so threads can share it."""
+    phase = _free_phase(np.arange(-n, n + 1, dtype=float), tau)
+    phase.flags.writeable = False
+    return phase
 
 
 def _nonlinear_flow(f: SpectralField, lam: int, t: float) -> SpectralField:
@@ -94,12 +103,12 @@ def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> Spectr
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
-    lam, tau = params.lam, params.tau
+    lam, tau, n = params.lam, params.tau, params.cutoff
+    phase = _drift_phase(tau, n)
     if order == 1:
-        return free_propagator(_nonlinear_flow(f, lam, tau), tau)
+        return SpectralField(n, phase * _nonlinear_flow(f, lam, tau).coeffs)
     half = _nonlinear_flow(f, lam, 0.5 * tau)
-    drift = free_propagator(half, tau)
-    return _nonlinear_flow(drift, lam, 0.5 * tau)
+    return _nonlinear_flow(SpectralField(n, phase * half.coeffs), lam, 0.5 * tau)
 
 
 def splitting_evolve(
@@ -117,8 +126,11 @@ def splitting_evolve(
     cq = _validated_start(initial, params, cq)
 
     def apply_fn(c: np.ndarray) -> np.ndarray:
-        return splitting_step(SpectralField(params.cutoff, c), params, order).coeffs
+        return splitting_step(SpectralField(params.cutoff, c[0]), params, order).coeffs[None]
 
     name = next(s for s, o in SPLITTINGS.items() if o == order)
-    return _evolve_with(apply_fn, name, initial, params, cq, snapshot_times, diag_stride)
+    [traj] = _evolve_with(
+        lambda _rows: apply_fn, name, initial, [params], cq, snapshot_times, diag_stride
+    )
+    return traj
 

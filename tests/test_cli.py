@@ -5,12 +5,16 @@ python -m entry point and exit codes as seen by a shell.
 """
 
 import cmath
+import contextlib
+import io
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lowregnls import __version__, harness
 from lowregnls.cli import (
@@ -365,6 +369,99 @@ class TestErrorContract:
     ])
     def test_count_below_minimum(self, argv, capsys):
         assert ">=" in self.check(argv, 2, capsys)
+
+
+def tokens(valid, extreme):
+    """A flag value: most often a valid one, else an extreme or invalid one.
+    (Hypothesis favours small integers, so the extreme branch is the
+    largest.)"""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(extreme if i == 3 else valid))
+
+
+def token_lists(valid, extreme):
+    """A comma-separated list of values, duplicates included; one time in
+    eight an empty one."""
+    lists = st.lists(tokens(valid, extreme), min_size=1, max_size=3).map(",".join)
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(["", ","]) if i == 7 else lists)
+
+
+# Valid cutoffs are at most 2^5 and valid runs take at most 32 steps, so
+# that one example takes milliseconds.
+TIMES = (["2^-3", "2^-4", "0.25", "0.1"],
+         ["2^-1074", "5e-324", "1e308", "-0", "0", "-1", "nan", "inf", "-inf",
+          "2^99999", "x", ""])
+CUTOFFS = (["1", "2", "5", "8", "2^5"],
+           ["0", "-0", "-1", "2^17", "2^99999", "99999999999999999999", "1.5",
+            "nan", "x", ""])
+RUN_FLAGS = {
+    "--alpha": tokens(["1", "0.5", "3", "0"],
+                      ["-0", "-1", "5e-324", "1e308", "nan", "inf", "x"]),
+    "--lambda": tokens(["-1", "1"], ["0", "x"]),
+    "--T": tokens(["0", "0.25", "0.5", "0.3"],
+                  ["-0", "5e-324", "1e308", "-1", "nan", "inf", "x"]),
+    "--init-mode": tokens(["truncated", "sampled"], ["bogus"]),
+    "--tail-cutoff": tokens(["0", "16", "64"], ["-1", "2^4", "99999999999999999999"]),
+    "--scheme": tokens(["lowreg", "lie", "strang"], ["bogus"]),
+}
+ONE_RUN_FLAGS = {
+    "--tau": tokens(*TIMES),
+    "--N": tokens(*CUTOFFS),
+    "--initial": tokens(["sobolev", "plane", "constant"], ["bogus"]),
+    "--amplitude": tokens(["0.1", "1", "0"],
+                          ["-0", "-1", "1e8", "1e308", "5e-324", "nan", "inf", "x"]),
+    "--mode": tokens(["1", "-1", "0", "5"], ["32", "33", "99999999999999999999", "x"]),
+}
+STUDY_FLAGS = {
+    **RUN_FLAGS,
+    "--tau-list": token_lists(*TIMES),
+    "--N-list": token_lists(*CUTOFFS),
+    "--jobs": tokens(["1", "2", "4"], ["0", "-1", "x"]),
+}
+FLAGS = {
+    "solve": {**RUN_FLAGS, **ONE_RUN_FLAGS,
+              "--diag-stride": tokens(["0", "1", "3"], ["-1", "x"])},
+    "diagnostics": {**RUN_FLAGS, **ONE_RUN_FLAGS, "--in": st.just("no-such-dump")},
+    "study-temporal": STUDY_FLAGS,
+    "study-spatial": STUDY_FLAGS,
+}
+# drawn for every argv of the subcommand, so that many examples run
+REQUIRED = {
+    "solve": ["--tau", "--N"],
+    "diagnostics": ["--tau", "--N"],
+    "study-temporal": ["--tau-list", "--N-list"],
+    "study-spatial": ["--tau-list", "--N-list"],
+}
+
+
+@st.composite
+def argvs(draw, command):
+    flags = FLAGS[command]
+    argv = [command]
+    for flag in REQUIRED[command] + draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        value = draw(flags[flag])
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    if draw(st.integers(0, 7)) == 7:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--nope", "stray"])))
+    return argv
+
+
+class TestErrorContractProperty:
+    """Every argv ends in exit status 0, 1 or 2, with no traceback and at
+    most one line on stderr, an error: line."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @given(data=st.data())
+    def test_any_argv(self, command, data):
+        argv = data.draw(argvs(command), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        lines = err.getvalue().splitlines()
+        assert lines == [] if rc == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
 
 
 class TestSelftest:

@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from lowregnls import harness
 from lowregnls.harness import (
     CSV_HEADER,
+    STACK_POINTS,
     ConvergenceReport,
     StudySpec,
     fit_rate,
@@ -17,8 +19,8 @@ from lowregnls.harness import (
     write_report_csv,
 )
 from lowregnls.initial_data import InitialDataSpec
-from lowregnls.integrator import SchemeParams, evolve, initialize
-from lowregnls.spectral import l2_error, project
+from lowregnls.integrator import BlowUpError, SchemeParams, evolve, initialize
+from lowregnls.spectral import _pow2_grid_size, l2_error, project
 
 
 class TestFitRate:
@@ -209,6 +211,59 @@ class TestCells:
         want = l2_error(final_state(spec, tau, n),
                         final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
         assert rep.errors[0, 0] == want
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The (cutoff, taus) of every stack a study hands to evolve_lockstep,
+    in the order the stacks start."""
+    seen = []
+    run = harness.evolve_lockstep
+
+    def record(initial, runs):
+        seen.append((initial.cutoff, tuple(p.tau for p in runs)))
+        return run(initial, runs)
+
+    monkeypatch.setattr(harness, "evolve_lockstep", record)
+    return seen
+
+
+class TestStacks:
+    def test_one_cutoff_with_two_jobs_forms_two_stacks(self, stacks):
+        # runs at tau 2^-5 .. 2^-8: ceil(4 runs / 2 jobs) = 2 per stack,
+        # consecutive in step count
+        spec = small_temporal_spec(taus=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7),
+                                   cutoffs=(8,), jobs=2)
+        temporal_study(spec)
+        assert sorted(stacks) == [(8, (2.0 ** -8, 2.0 ** -7)), (8, (2.0 ** -6, 2.0 ** -5))]
+
+    def test_serial_study_stacks_each_cutoff_whole_costliest_first(self, stacks):
+        rep = spatial_study(small_spatial_spec(taus=(2.0 ** -5, 2.0 ** -6), jobs=1))
+        assert stacks == [(n, (2.0 ** -6, 2.0 ** -5)) for n in (64, 32, 16, 8)]
+        assert np.all(rep.wall_ms > 0)
+
+    def test_stacks_are_capped_by_grid_points(self, stacks):
+        # at N = 1024 the product grid has 3200 > STACK_POINTS / 2 points
+        assert STACK_POINTS // _pow2_grid_size(1024) == 1
+        spec = small_temporal_spec(taus=(2.0 ** -5, 2.0 ** -6), cutoffs=(1024,),
+                                   horizon=2.0 ** -5)
+        temporal_study(spec)
+        assert sorted(stacks) == [(1024, (tau,)) for tau in (2.0 ** -7, 2.0 ** -6, 2.0 ** -5)]
+
+    def test_splitting_runs_are_not_stacked(self, stacks):
+        temporal_study(small_temporal_spec(scheme="lie", cutoffs=(8,)))
+        assert stacks == []
+
+    def test_blow_up_names_the_run(self):
+        spec = small_temporal_spec(taus=(0.5, 0.25), cutoffs=(8,), amplitude=1e6,
+                                   horizon=2.0)
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+            temporal_study(spec)
+        u0 = initialize(spec.initial_data(), 8)
+        params = SchemeParams.from_horizon(spec.lam, info.value.tau, 8, spec.horizon)
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as solo:
+            evolve(u0, params)
+        assert str(info.value) == str(solo.value)
 
 
 class TestCsv:

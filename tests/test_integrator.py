@@ -13,7 +13,10 @@ from lowregnls.integrator import (
     ConservedQuantities,
     SchemeParams,
     conserved_quantities,
+    _plan_for,
+    _StepPlan,
     evolve,
+    evolve_lockstep,
     initialize,
     load_trajectory,
     save_trajectory,
@@ -512,6 +515,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match="finite"):
             evolve(u, params)
 
+    def test_blow_up_names_the_run(self):
+        c = 1e200
+        u = SpectralField.from_modes(2, {0: c})
+        params = SchemeParams(lam=-1, tau=0.5, cutoff=2, steps=10)
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+            evolve(u, params)
+        err = info.value
+        assert err.tau == 0.5 and err.time == err.step_index * 0.5
+        # the initial H^1 norm, 2 pi 1e400, already overflows
+        assert err.step_index == 1 and math.isnan(err.last_h1)
+        assert "tau = 0.5" in str(err) and "last finite H^1 was nan" in str(err)
+
     def test_blow_up_detection(self):
         # focusing constant state far above the blow-up scale overflows the
         # cubic zero-mode recursion within a few steps
@@ -564,3 +579,87 @@ class TestTrajectoryDump:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValueError):
             load_trajectory(tmp_path)
+
+
+TAU_SETS = st.lists(TAUS, min_size=1, max_size=4, unique=True)
+
+
+class TestLockstep:
+    """A stack of runs advances each run exactly as it would advance alone."""
+
+    @given(CUTOFFS, TAU_SETS, LAMS, SEEDS)
+    @example(0, [0.25], -1, 0)
+    @example(21, [0.1, 2.0 ** -4, 2.0 ** -7, 0.2], 1, 3)
+    def test_stacked_apply_matches_rows(self, n, taus, lam, seed):
+        u = unit_field(seed, n)
+        cq = conserved_quantities(u)
+        plans = [_plan_for(SchemeParams(lam, tau, n, 1), cq) for tau in taus]
+        stack = _StepPlan.stacked(plans)
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((len(taus), 2 * n + 1)) + 1j * rng.standard_normal(
+            (len(taus), 2 * n + 1))
+        for rows in range(1, len(taus) + 1):
+            out = stack.head(rows).apply(c[:rows])
+            assert out.shape == (rows, 2 * n + 1)
+            for r in range(rows):
+                assert out[r].tobytes() == plans[r].apply(c[r: r + 1])[0].tobytes()
+
+    @given(CUTOFFS, st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
+           LAMS, SEEDS, st.integers(0, 3))
+    @example(33, [12, 7, 3, 0], -1, 1, 2)
+    def test_lockstep_runs_match_solo_runs(self, n, counts, lam, seed, stride):
+        u = unit_field(seed, n)
+        cq = conserved_quantities(u)
+        horizon = 0.375
+        runs = [SchemeParams(lam, horizon / max(s, 1), n, s) for s in counts]
+        times = (0.0, horizon) if min(counts) else (0.0,)
+        stacked = evolve_lockstep(u, runs, cq, times, stride)
+        for params, traj in zip(runs, stacked):
+            solo = evolve(u, params, snapshot_times=times, diag_stride=stride)
+            assert traj.params == params and traj.snapshot_times == solo.snapshot_times
+            for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert traj.diagnostics == solo.diagnostics
+            assert traj.h1_max == solo.h1_max
+
+    def test_entry_keeps_the_order_of_its_runs(self):
+        u = initialize(InitialDataSpec(alpha=1.0), 16)
+        runs = [SchemeParams.from_horizon(-1, tau, 16, 0.5)
+                for tau in (2.0 ** -3, 2.0 ** -5, 2.0 ** -4)]
+        trajs = evolve_lockstep(u, runs)
+        assert [t.params for t in trajs] == runs
+        for params, traj in zip(runs, trajs):
+            assert traj.final.coeffs.tobytes() == evolve(u, params).final.coeffs.tobytes()
+            assert traj.wall_ms > 0
+        # the longest run ends last, and its stack ran all along
+        assert trajs[1].wall_ms >= max(trajs[0].wall_ms, trajs[2].wall_ms)
+
+    def test_entry_rejects_mixed_runs(self):
+        u = initialize(InitialDataSpec(alpha=1.0), 8)
+        with pytest.raises(ValueError, match="share"):
+            evolve_lockstep(u, [SchemeParams(-1, 0.1, 8, 2), SchemeParams(1, 0.2, 8, 2)])
+        with pytest.raises(ValueError, match="cutoff"):
+            evolve_lockstep(u, [SchemeParams(-1, 0.1, 16, 2)])
+
+    @pytest.mark.parametrize("amplitude", [1e2, 1e6])
+    def test_blow_up_in_a_stack_names_the_run(self, amplitude):
+        # focusing, large data: the runs blow up after 3 to 5 steps, the
+        # coarsest first; the stack raises for the first run to blow up in
+        # lockstep, exactly as that run alone
+        u = SpectralField.from_modes(2, {0: amplitude, 1: amplitude / 3})
+        runs = [SchemeParams.from_horizon(-1, tau, 2, 4.0)
+                for tau in (1.0, 0.25, 2.0 ** -4, 2.0 ** -6)]
+        solo = {}
+        with np.errstate(all="ignore"):
+            for params in runs:
+                with pytest.raises(BlowUpError) as info:
+                    evolve(u, params)
+                solo[params.tau] = info.value
+            with pytest.raises(BlowUpError) as info:
+                evolve_lockstep(u, runs)
+        err = info.value
+        want = solo[err.tau]
+        assert (err.step_index, err.time, err.tau, err.last_h1) == (
+            want.step_index, want.time, want.tau, want.last_h1)
+        assert err.step_index == min(e.step_index for e in solo.values())
+        assert str(err) == str(want)

@@ -1,5 +1,6 @@
 """The splitting's nonlinear flow: the chirp-z route against the direct
-collocation on 4N+1 points, and the FFT work of a splitting step."""
+collocation on 4N+1 points, the cached free-flow phase against
+`free_propagator`, and the FFT work of a splitting step."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import example, given, strategies as st
 
 from lowregnls import dft
 from lowregnls.integrator import SchemeParams
-from lowregnls.reference import _chirp_tables, _nonlinear_flow, splitting_step
+from lowregnls.reference import (
+    _chirp_tables,
+    _drift_phase,
+    _nonlinear_flow,
+    splitting_evolve,
+    splitting_step,
+)
 from lowregnls.spectral import (
     SpectralField,
     free_propagator,
@@ -73,6 +80,37 @@ class TestChirpTables:
     def test_read_only(self):
         _, *tables = _chirp_tables(8)
         assert not any(t.flags.writeable for t in tables)
+
+
+def propagated_step(u, params, order):
+    """A splitting step with the free flow applied by `free_propagator`."""
+    lam, tau = params.lam, params.tau
+    if order == 1:
+        return free_propagator(_nonlinear_flow(u, lam, tau), tau)
+    half = _nonlinear_flow(u, lam, 0.5 * tau)
+    return _nonlinear_flow(free_propagator(half, tau), lam, 0.5 * tau)
+
+
+class TestDriftPhase:
+    def test_read_only(self):
+        assert not _drift_phase(0.125, 8).flags.writeable
+
+    @given(*ARGS, st.sampled_from([1, 2]))
+    @example(2048, 2.0 ** -8, -1, 0, 2)
+    @example(0, 0.25, 1, 0, 1)
+    def test_trajectory_matches_free_propagator_route(self, n, tau, lam, seed, order):
+        # bitwise, with the diagnostics of every step
+        u = unit_field(seed, n)
+        params = SchemeParams(lam=lam, tau=tau, cutoff=n, steps=4)
+        traj = splitting_evolve(u, params, order, snapshot_times=(0.0, 2 * tau, 4 * tau),
+                                diag_stride=1)
+        states = [u]
+        for _ in range(params.steps):
+            states.append(propagated_step(states[-1], params, order))
+        for got, want in zip(traj.snapshots, states[::2], strict=True):
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        h1 = [sobolev_norm(f, 1.0) for f in states]
+        assert [d.h1 for d in traj.diagnostics] == h1
 
 
 class TestFftWork:
