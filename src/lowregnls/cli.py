@@ -54,7 +54,8 @@ DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 
 # largest cutoff accepted on the command line: a step at N = 2^16 works on
 # 15 grid rows of 204800 points (47 MiB); a spatial study also runs 2N, and
-# stacks its runs only at grids of <= 2048 points (harness.STACK_POINTS).
+# stacks its runs, those of a cutoff's half zero-padded among them where
+# that removes stacks, only at grids of <= 2048 points (harness.STACK_POINTS).
 # The sampled initial series may reach 16 times that, its default at N = 2^16.
 MAX_CUTOFF = 2 ** 16
 
@@ -151,7 +152,8 @@ def _add_common(p: _Parser, study: bool) -> None:
                    help="key=value file of defaults; explicit flags override it")
     if study:
         p.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=1,
-                       help="max concurrent runs in the study (default 1)")
+                       help="worker threads; each advances one stack of runs in lockstep "
+                            "(default 1)")
     else:
         p.add_argument("--initial", choices=["sobolev", "plane", "constant"],
                        default="sobolev",

@@ -7,10 +7,11 @@ field).  Errors are the plain coefficient l2 norm sqrt(sum_k |delta_k|^2).
 
 Runs for distinct (tau, N) pairs are independent and deterministic, so they
 are shared through a cache and may execute concurrently; results do not
-depend on the schedule.  The low-regularity runs of one cutoff start from
-one state, so they advance in lockstep, in stacks that pay each step's
-numpy calls once for all their runs (`evolve_lockstep`), with at most
-STACK_POINTS grid points in a row of a stack.  A run's wall time is the
+depend on the order in which threads run them.  The low-regularity runs of one cutoff advance in
+lockstep, in stacks that pay each step's numpy calls once for all their
+runs (`evolve_lockstep`), with at most STACK_POINTS grid points in a row
+of a stack.  Where that removes stacks, the runs of a cutoff's half join
+them, zero-padded on the larger cutoff's grid.  A run's wall time is the
 time its stack ran until the run's last step, so the wall times of runs
 that share a stack overlap.
 """
@@ -46,8 +47,9 @@ AXES = ("temporal", "spatial")
 SCHEMES = ("lowreg", *SPLITTINGS)
 
 # most grid points R * m in a row of a stack of R runs on the m-point
-# product grid: a stack's 15-row work block stays under 1 MiB, and stacks
-# of two or more runs form only at m <= 2048 (N <= 682)
+# product grid of its largest cutoff, runs of a cutoff's half (zero-padded)
+# counted at that m: a stack's 15-row work block stays under 1 MiB, and
+# stacks of two or more runs form only at m <= 2048 (N <= 682)
 STACK_POINTS = 4096
 
 
@@ -147,10 +149,13 @@ def fit_rate(values, errors) -> float:
 def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
     """(final state, wall_ms) of every (cutoff, tau) key.
 
-    The low-regularity runs of one cutoff, sorted by step count, are cut
-    into consecutive stacks of at most max(1, min(STACK_POINTS // m,
-    ceil(runs / jobs))) runs, m the product grid size, and each stack
-    advances in lockstep; a splitting run is a task of its own.  Tasks run
+    The low-regularity runs are laid out by cutoff, from the largest down.
+    A layout of cutoff L takes in the runs of a smaller cutoff N when
+    2N >= L and that adds no stack; otherwise N opens a layout of its own.
+    A layout of n runs is cut into consecutive stacks, by step count, of
+    max(1, min(STACK_POINTS // m, ceil(n / jobs))) runs, m the product grid
+    size of L, and each stack advances in lockstep on that grid, the runs
+    of N zero-padded; a splitting run is a task of its own.  Tasks run
     costliest first (steps x m), in a thread pool when jobs > 1; results
     are independent of the schedule.
     """
@@ -163,22 +168,40 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
         (n, tau): SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon)
         for n, tau in keys
     }
-    tasks = []
-    for n in states:
-        runs = sorted((key for key in keys if key[0] == n), key=lambda key: -params[key].steps)
-        size = 1
-        if spec.scheme == "lowreg":
-            size = max(1, min(STACK_POINTS // _pow2_grid_size(n), -(-len(runs) // spec.jobs)))
-        tasks += [runs[i: i + size] for i in range(0, len(runs), size)]
+
+    def stack_size(top: int, runs: int) -> int:
+        return max(1, min(STACK_POINTS // _pow2_grid_size(top), -(-runs // spec.jobs)))
+
+    def stack_count(top: int, runs: int) -> int:
+        return -(-runs // stack_size(top, runs))
+
+    if spec.scheme == "lowreg":
+        layouts: list[tuple[int, list]] = []
+        for n in sorted(states, reverse=True):
+            runs = [key for key in keys if key[0] == n]
+            top, joined = layouts[-1] if layouts else (n, [])
+            if joined and 2 * n >= top and (
+                stack_count(top, len(joined) + len(runs)) <= stack_count(top, len(joined))
+            ):
+                joined += runs
+            else:
+                layouts.append((n, runs))
+        tasks = []
+        for top, runs in layouts:
+            runs.sort(key=lambda key: -params[key].steps)
+            size = stack_size(top, len(runs))
+            tasks += [runs[i: i + size] for i in range(0, len(runs), size)]
+    else:
+        tasks = [[key] for key in keys]
     tasks.sort(key=lambda task: -sum(params[key].steps for key in task)
-               * _pow2_grid_size(task[0][0]))
+               * _pow2_grid_size(max(n for n, _ in task)))
 
     def worker(task):
-        state = states[task[0][0]]
         if spec.scheme == "lowreg":
-            trajs = evolve_lockstep(state, [params[key] for key in task])
+            trajs = evolve_lockstep([states[n] for n, _ in task], [params[key] for key in task])
         else:
-            trajs = [splitting_evolve(state, params[task[0]], SPLITTINGS[spec.scheme])]
+            [key] = task
+            trajs = [splitting_evolve(states[key[0]], params[key], SPLITTINGS[spec.scheme])]
         return [(traj.final, traj.wall_ms) for traj in trajs]
 
     if spec.jobs <= 1 or len(tasks) <= 1:

@@ -11,8 +11,9 @@ to a logarithmic factor, without any CFL-type step restriction.
 17 FFTs (5 + 4 + 4 + 4), in four batched calls, on a product grid of
 >= 3N+1 points, the smallest 2^k or 25*2^k; products that end under the
 same Fourier multiplier are summed on the grid and transformed once.
-`evolve_lockstep` advances runs of several taus from one state together,
-as one stack of states through the same calls.  `step_twisted` advances the
+`evolve_lockstep` advances runs of several taus, and of several cutoffs
+zero-padded to the largest, together as one stack of states through the
+same calls.  `step_twisted` advances the
 twisted variable v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
 reproduces `step` to rounding, which the tests exploit as a structural
 cross-check.
@@ -190,8 +191,8 @@ def initialize(
 
 class _StepPlan:
     """Multiplier tables of the step for one (lam, tau, cutoff, mass,
-    momentum), built by `_plan`, or for a stack of R taus at one (lam,
-    cutoff, mass, momentum), built by `stacked`.
+    momentum), built by `_plan`, or for a stack of R runs of one lam,
+    built by `stacked`.
 
     Immutable after construction and safe to share across threads; `apply`
     allocates its own work arrays.  One application costs 17 FFT rows per
@@ -201,11 +202,16 @@ class _StepPlan:
     are summed on the grid and transformed as one row.
 
     Every table has a run axis: t1, t3 and t4 have shape (rows, R, 2N+1)
-    and twist has shape (R, 2N+1), with R = 1 for one tau.  `apply` advances
-    an (R, 2N+1) stack of states, run r on row r, by broadcasting, so a
-    stack pays its numpy calls once per step for all R runs; each row comes
-    out bitwise equal to a one-run application.  A study advances its runs
-    of one cutoff in lockstep this way, with at most harness.STACK_POINTS
+    and twist has shape (R, 2N+1), with R = 1 for one tau.  `apply`
+    advances an (R, 2N+1) stack of states, run r on row r, by broadcasting,
+    so a stack pays its numpy calls once per step for all R runs.  A run of
+    a smaller cutoff N_r rides zero-padded in the stack's window of cutoff
+    N, on N's grid, which is exact for it too (3N+1 >= 3N_r+1).  Its
+    zero-padded tables truncate the state, the quadratic products z and h1
+    and the output to its own Pi_{N_r}; two more rows of t3, ones on
+    |k| <= N_r, truncate h2 and g.  A stack of one cutoff has no such rows,
+    and each of its rows comes out bitwise equal to a one-run application.
+    A study advances its runs this way, with at most harness.STACK_POINTS
     grid points in a row of R runs, so a stack's work block is never larger
     than that of one run at m > 2048.
     """
@@ -219,15 +225,28 @@ class _StepPlan:
 
     @classmethod
     def stacked(cls, plans) -> "_StepPlan":
-        """The stack of one-tau plans of one (lam, cutoff, mass, momentum);
-        one plan is its own stack."""
+        """The stack of one-tau plans of one lam, on the grid of the largest
+        cutoff: each plan's tables are zero-padded, centered, to that
+        cutoff's window, and when the cutoffs differ each run's t3 gains
+        two mask rows, ones on |k| <= its cutoff.  One plan is its own
+        stack."""
         if len(plans) == 1:
             return plans[0]
+        top = max(p.cutoff for p in plans)
+
+        def padded(name):
+            tables = [getattr(p, name) for p in plans]
+            return [np.pad(t, [(0, 0)] * (t.ndim - 1) + [(top - p.cutoff,) * 2])
+                    for p, t in zip(plans, tables)]
+
+        t3 = padded("t3")
+        if any(p.cutoff != top for p in plans):
+            k = np.arange(-top, top + 1)
+            t3 = [np.concatenate([t, np.broadcast_to(np.abs(k) <= p.cutoff, (2, 1, k.size))])
+                  for p, t in zip(plans, t3)]
         return cls(
-            plans[0].cutoff,
-            *(np.concatenate([getattr(p, name) for p in plans], axis=1)
-              for name in ("t1", "t3", "t4")),
-            np.concatenate([p.twist for p in plans]),
+            top, np.concatenate(padded("t1"), axis=1), np.concatenate(t3, axis=1),
+            np.concatenate(padded("t4"), axis=1), np.concatenate(padded("twist")),
         )
 
     def head(self, runs: int) -> "_StepPlan":
@@ -267,11 +286,13 @@ class _StepPlan:
         # (both over -2i tau), g = Pi_N f^2
         x = _from_grid(q, n)
 
-        # stage 3: the factors of the cubic products: -d_x^{-1} z; w = W / (-i tau)
+        # stage 3: z and h1 go under their multipliers, and in a stack of
+        # several cutoffs h2 and g under their runs' masks.  The factors of
+        # the cubic products: -d_x^{-1} z; w = W / (-i tau)
         # with W = -1/2 (e^{-i tau d_xx} h1 - h2) - i tau Pi_N (f - c_0)^2, all
         # that multiplies d_x conj(f) under d_x^{-1} e^{i tau d_xx}; e^{i tau d_xx} g; g
         c0 = c[..., n]
-        x[:2] *= self.t3
+        x[: len(self.t3)] *= self.t3
         w = x[1]
         w += x[2]
         w += x[3]
@@ -467,21 +488,24 @@ def _validated_start(
 def _evolve_with(
     stepper,
     scheme: str,
-    initial: SpectralField,
+    initials,
     runs,
-    cq: ConservedQuantities,
+    cqs,
     snapshot_times,
     diag_stride: int,
 ) -> list[Trajectory]:
-    """Advance runs that share an initial state and a cutoff in lockstep.
+    """Advance runs of one lam in lockstep, run r from initials[r] with
+    conserved quantities cqs[r].
 
-    Row r of the (R, 2N+1) state stack is run r.  The runs come in
-    descending order of step count, and stepper(r) is the one-step map of
-    the first r rows.  When a run reaches its step count, its row is
-    dropped by a prefix slice of the stack and a new stepper(r).  Each run
-    keeps its own snapshots, diagnostics, running H^1 maximum and
-    BlowUpError, as if it ran alone; its wall_ms is the time the stack ran
-    until the run's last step, so runs that share a stack overlap.
+    Row r of the (R, 2N+1) state stack is run r, N the largest cutoff of
+    the runs; a run of a smaller cutoff rides zero-padded in that window.
+    The runs come in descending order of step count, and stepper(r) is the
+    one-step map of the first r rows.  When a run reaches its step count,
+    its row is dropped by a prefix slice of the stack and a new stepper(r).
+    Each run keeps its own snapshots and diagnostics (at its own cutoff),
+    running H^1 maximum and BlowUpError, as if it ran alone; its wall_ms is
+    the time the stack ran until the run's last step, so runs that share a
+    stack overlap.
     """
     wants = []
     for params in runs:
@@ -492,7 +516,9 @@ def _evolve_with(
             want.setdefault(_snapshot_index(t, params.tau, params.steps), []).append(t)
         wants.append(want)
 
-    k = initial.frequencies().astype(float)
+    top = max(params.cutoff for params in runs)
+    windows = [slice(top - params.cutoff, top + params.cutoff + 1) for params in runs]
+    k = np.arange(-top, top + 1, dtype=float)
     w1 = 1.0 + k * k
     snapshots: list[dict[int, SpectralField]] = [{} for _ in runs]
     diagnostics: list[dict[int, SnapshotDiagnostics]] = [{} for _ in runs]
@@ -502,7 +528,7 @@ def _evolve_with(
 
     t0 = time.perf_counter()
     live = len(runs)
-    c = np.tile(initial.coeffs, (live, 1))
+    c = np.stack([project(initial, top).coeffs for initial in initials])
     advance = stepper(live)
     for j in range(runs[0].steps + 1):
         if j:
@@ -521,10 +547,10 @@ def _evolve_with(
             if j in want or j == params.steps or j == 0 or (
                 diag_stride > 0 and j % diag_stride == 0
             ):
-                f = SpectralField(params.cutoff, c[r]) if j else initial
+                f = SpectralField(params.cutoff, c[r, windows[r]]) if j else initials[r]
                 if j in want:
                     snapshots[r][j] = f
-                diagnostics[r][j] = _diagnose(f, h1, cq, j, params.tau)
+                diagnostics[r][j] = _diagnose(f, h1, cqs[r], j, params.tau)
         while live and runs[live - 1].steps == j:
             live -= 1
             wall_ms[live] = (time.perf_counter() - t0) * 1e3
@@ -537,7 +563,7 @@ def _evolve_with(
         ordered = sorted(wants[r])
         trajectories.append(Trajectory(
             params=params,
-            cq=cq,
+            cq=cqs[r],
             scheme=scheme,
             snapshot_times=tuple(min(wants[r][j]) for j in ordered),
             snapshots=tuple(snapshots[r][j] for j in ordered),
@@ -571,28 +597,48 @@ def evolve(
 
 
 def evolve_lockstep(
-    initial: SpectralField,
+    initial,
     runs,
     cq: ConservedQuantities | None = None,
     snapshot_times=None,
     diag_stride: int = 0,
 ) -> list[Trajectory]:
-    """`evolve` for one or more runs of one lam and cutoff from one initial
-    state, stepped together; trajectories come back in the order of runs.
+    """`evolve` for one or more runs of one lam, stepped together;
+    trajectories come back in the order of runs.
 
-    Each trajectory is bitwise equal to that of the run's own `evolve`,
-    except for wall_ms (see `_evolve_with`).  A BlowUpError names the run
-    by its tau.
+    initial is one field, the start of every run, or a sequence of one
+    field per run, each at its run's cutoff.  Runs of several cutoffs step
+    on the product grid of the largest, the smaller ones zero-padded (see
+    `_StepPlan`).  cq, when given, is every run's; by default each run's is
+    that of its own initial field.  Except for wall_ms (see `_evolve_with`),
+    each trajectory is equal to that of the run's own `evolve`: bitwise
+    when the runs share one cutoff, to round-off otherwise.  A ValueError
+    for bad input and a BlowUpError name the run.
     """
     runs = list(runs)
-    if len({(p.lam, p.cutoff) for p in runs}) != 1:
-        raise ValueError("runs stepped together must be one or more and share lam and cutoff")
-    cq = _validated_start(initial, runs[0], cq)
+    if not runs:
+        raise ValueError("runs stepped together must be one or more")
+    initials = [initial] * len(runs) if isinstance(initial, SpectralField) else list(initial)
+    if len(initials) != len(runs):
+        unmatched = (f"run {len(initials)} has no initial field" if len(initials) < len(runs)
+                     else f"initial field {len(runs)} has no run")
+        raise ValueError(f"{len(initials)} initial fields for {len(runs)} runs: {unmatched}")
+    cqs = []
+    for r, (field, params) in enumerate(zip(initials, runs)):
+        if params.lam != runs[0].lam:
+            raise ValueError(
+                f"run {r} has lam {params.lam}, but runs stepped together must "
+                f"share lam {runs[0].lam}"
+            )
+        try:
+            cqs.append(_validated_start(field, params, cq))
+        except ValueError as exc:
+            raise ValueError(f"run {r} (tau = {params.tau!r}): {exc}") from None
     order = sorted(range(len(runs)), key=lambda r: -runs[r].steps)
-    stack = _StepPlan.stacked([_plan_for(runs[r], cq) for r in order])
+    stack = _StepPlan.stacked([_plan_for(runs[r], cqs[r]) for r in order])
     trajs = _evolve_with(
-        lambda rows: stack.head(rows).apply, "lowreg", initial, [runs[r] for r in order],
-        cq, snapshot_times, diag_stride,
+        lambda rows: stack.head(rows).apply, "lowreg", [initials[r] for r in order],
+        [runs[r] for r in order], [cqs[r] for r in order], snapshot_times, diag_stride,
     )
     return [traj for _, traj in sorted(zip(order, trajs), key=lambda pair: pair[0])]
 

@@ -130,7 +130,7 @@ def splitting_evolve(
 
     name = next(s for s, o in SPLITTINGS.items() if o == order)
     [traj] = _evolve_with(
-        lambda _rows: apply_fn, name, initial, [params], cq, snapshot_times, diag_stride
+        lambda _rows: apply_fn, name, [initial], [params], [cq], snapshot_times, diag_stride
     )
     return traj
 

@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lowregnls.harness import (
     write_report_csv,
 )
 from lowregnls.initial_data import InitialDataSpec
-from lowregnls.integrator import BlowUpError, SchemeParams, evolve, initialize
+from lowregnls.integrator import BlowUpError, SchemeParams, evolve, evolve_lockstep, initialize
 from lowregnls.spectral import _pow2_grid_size, l2_error, project
 
 
@@ -210,7 +211,23 @@ class TestCells:
         n, tau = spec.cutoffs[0], spec.taus[0]
         want = l2_error(final_state(spec, tau, n),
                         final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
-        assert rep.errors[0, 0] == want
+        # the N run rides zero-padded in the stack of 2N, on 2N's product
+        # grid: equal to its solo run to round-off, and bitwise to the same
+        # stack run by hand
+        assert abs(rep.errors[0, 0] - want) <= 1e-13 * want
+        u = [initialize(spec.initial_data(), c, init_mode=spec.init_mode,
+                        tail_cutoff=spec.tail_cutoff) for c in (2 * n, n)]
+        runs = [SchemeParams.from_horizon(spec.lam, tau, f.cutoff, spec.horizon) for f in u]
+        fine, coarse = (traj.final for traj in evolve_lockstep(u, runs))
+        assert rep.errors[0, 0] == l2_error(coarse, fine) / math.sqrt(2.0 * math.pi)
+
+
+def stack_record(initial, runs):
+    """(cutoff, taus) of a stack of runs, from one initial field per run;
+    the cutoff of each run when the stack spans several."""
+    cutoffs = tuple(f.cutoff for f in initial)
+    assert cutoffs == tuple(p.cutoff for p in runs)
+    return cutoffs[0] if len(set(cutoffs)) == 1 else cutoffs, tuple(p.tau for p in runs)
 
 
 @pytest.fixture
@@ -221,11 +238,28 @@ def stacks(monkeypatch):
     run = harness.evolve_lockstep
 
     def record(initial, runs):
-        seen.append((initial.cutoff, tuple(p.tau for p in runs)))
+        seen.append(stack_record(initial, runs))
         return run(initial, runs)
 
     monkeypatch.setattr(harness, "evolve_lockstep", record)
     return seen
+
+
+@pytest.fixture
+def planned_stacks(monkeypatch):
+    """The stacks a study forms, sorted, recorded without running them:
+    each run's initial field stands in for its final state."""
+    def study(spec):
+        seen = []
+
+        def record(initial, runs):
+            seen.append(stack_record(initial, runs))
+            return [SimpleNamespace(final=f, wall_ms=0.0) for f in initial]
+
+        monkeypatch.setattr(harness, "evolve_lockstep", record)
+        (temporal_study if spec.axis == "temporal" else spatial_study)(spec)
+        return sorted(seen, key=repr)
+    return study
 
 
 class TestStacks:
@@ -238,9 +272,30 @@ class TestStacks:
         assert sorted(stacks) == [(8, (2.0 ** -8, 2.0 ** -7)), (8, (2.0 ** -6, 2.0 ** -5))]
 
     def test_serial_study_stacks_each_cutoff_whole_costliest_first(self, stacks):
+        # cutoffs 8 .. 64: each cutoff's runs join those of its double, in
+        # one stack by step count, and the layouts of 64 and 16 stay apart
         rep = spatial_study(small_spatial_spec(taus=(2.0 ** -5, 2.0 ** -6), jobs=1))
-        assert stacks == [(n, (2.0 ** -6, 2.0 ** -5)) for n in (64, 32, 16, 8)]
+        assert stacks == [((n, n // 2) * 2, (2.0 ** -6,) * 2 + (2.0 ** -5,) * 2)
+                          for n in (64, 16)]
         assert np.all(rep.wall_ms > 0)
+
+    def test_parallel_spatial_study_still_pairs_cutoffs(self, planned_stacks):
+        # ceil(6 runs / 3 jobs) = 2 per stack: three stacks for the three
+        # runs of 64 alone, and as many with those of 32 joined
+        taus = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
+        assert planned_stacks(small_spatial_spec(taus=taus, jobs=3)) == sorted(
+            (((n, n // 2), (tau, tau)) for n in (64, 16) for tau in taus), key=repr)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_temporal_table_stacks_are_unpaired(self, planned_stacks, jobs):
+        # the benchmark's (jobs 2) and the acceptance (jobs 3) temporal
+        # tables: pairing 512 with 1024 or 256 with 512 would add stacks
+        spec = StudySpec(axis="temporal", taus=(2.0 ** -6, 2.0 ** -7, 2.0 ** -8),
+                         cutoffs=(256, 512, 1024), jobs=jobs)
+        taus = [2.0 ** -k for k in (9, 8, 7, 6)]
+        want = [(1024, (tau,)) for tau in taus]
+        want += [(n, pair) for n in (256, 512) for pair in (tuple(taus[:2]), tuple(taus[2:]))]
+        assert planned_stacks(spec) == sorted(want, key=repr)
 
     def test_stacks_are_capped_by_grid_points(self, stacks):
         # at N = 1024 the product grid has 3200 > STACK_POINTS / 2 points

@@ -663,3 +663,117 @@ class TestLockstep:
             want.step_index, want.time, want.tau, want.last_h1)
         assert err.step_index == min(e.step_index for e in solo.values())
         assert str(err) == str(want)
+
+
+@st.composite
+def cutoff_pairs(draw):
+    """(N, L) with N <= L <= 2N (L <= 1 at N = 0): a cutoff and the larger
+    one whose stack its runs ride in."""
+    n = draw(CUTOFFS)
+    return n, draw(st.integers(n, max(2 * n, 1)))
+
+
+def tight_pairs(*rest):
+    """Pin pairs whose L is a TIGHT cutoff, and pairs (TIGHT, 2 TIGHT)."""
+    def pin(test):
+        for t in TIGHT:
+            test = example(((t + 1) // 2, t), *rest)(test)
+            test = example((t, 2 * t), *rest)(test)
+        return test
+    return pin
+
+
+def assert_diagnostics_close(got, want, cq, cutoff):
+    """Diagnostics equal to round-off: norms relative, each drift against
+    the size of the terms it sums, the masses then and at the start (times
+    the cutoff for the momentum)."""
+    assert [(d.step_index, d.time) for d in got] == [(d.step_index, d.time) for d in want]
+    for a, b in zip(got, want):
+        assert abs(a.l2 - b.l2) <= 1e-13 * b.l2
+        assert abs(a.h1 - b.h1) <= 1e-13 * b.h1
+        mass = b.l2 ** 2 / (2.0 * math.pi) + cq.mass
+        assert abs(a.mass_drift - b.mass_drift) <= 1e-13 * mass
+        assert abs(a.momentum_drift - b.momentum_drift) <= 1e-13 * mass * max(cutoff, 1)
+
+
+class TestPaddedLockstep:
+    """Runs of a cutoff N ride zero-padded in the stack of a cutoff L >= N,
+    on L's product grid, and advance as they would alone, to round-off."""
+
+    @given(cutoff_pairs(), st.lists(TAUS, min_size=1, max_size=4, unique=True), LAMS,
+           SEEDS)
+    @tight_pairs([2.0 ** -4, 0.2], -1, 7)
+    @example((0, 0), [0.25], 1, 0)
+    @example((0, 1), [0.25, 0.1], -1, 0)
+    def test_padded_rows_stay_zero_beyond_their_cutoff(self, pair, taus, lam, seed):
+        n, top = pair
+        fields = [unit_field(seed + r, cutoff) for r, cutoff in enumerate((n, top) * len(taus))]
+        plans = [_plan_for(SchemeParams(lam, tau, f.cutoff, 1), conserved_quantities(f))
+                 for tau, f in zip(np.repeat(taus, 2), fields)]
+        stack = _StepPlan.stacked(plans)
+        assert stack.cutoff == top and stack.t3.shape[0] == (4 if n < top else 2)
+        c = np.stack([project(f, top).coeffs for f in fields])
+        own = [f.coeffs for f in fields]
+        for _ in range(3):
+            c = stack.apply(c)
+            own = [p.apply(x[None])[0] for p, x in zip(plans, own)]
+            for row, want in zip(c, own):
+                pad = top - (len(want) - 1) // 2
+                assert np.all(row[:pad] == 0) and np.all(row[len(row) - pad:] == 0)
+                got = row[pad: len(row) - pad]
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @given(cutoff_pairs(), st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
+           LAMS, SEEDS, st.integers(0, 3))
+    @tight_pairs([12, 7, 3, 0], -1, 1, 2)
+    @example((0, 0), [3, 1], 1, 0, 1)
+    @example((0, 1), [4, 0], -1, 0, 1)
+    def test_padded_runs_match_solo_runs(self, pair, counts, lam, seed, stride):
+        n, top = pair
+        horizon = 0.375
+        runs = [SchemeParams(lam, horizon / max(s, 1), cutoff, s)
+                for s in counts for cutoff in (n, top)]
+        fields = {n: unit_field(seed, n), top: unit_field(seed + 1, top)}
+        times = (0.0, horizon) if min(counts) else (0.0,)
+        stacked = evolve_lockstep([fields[p.cutoff] for p in runs], runs, None, times, stride)
+        for params, traj in zip(runs, stacked, strict=True):
+            u = fields[params.cutoff]
+            solo = evolve(u, params, snapshot_times=times, diag_stride=stride)
+            assert traj.params == params and traj.cq == solo.cq
+            assert traj.snapshot_times == solo.snapshot_times
+            for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
+                assert a.cutoff == params.cutoff
+                assert l2_error(a, b) <= 1e-13 * sobolev_norm(b, 0.0)
+            assert_diagnostics_close(traj.diagnostics, solo.diagnostics, solo.cq,
+                                     params.cutoff)
+            assert abs(traj.h1_max - solo.h1_max) <= 1e-13 * solo.h1_max
+
+
+class TestLockstepBoundary:
+    """The per-run form of evolve_lockstep names the run it rejects."""
+
+    def setup_method(self):
+        self.u8 = initialize(InitialDataSpec(alpha=1.0), 8)
+        self.u16 = initialize(InitialDataSpec(alpha=1.0), 16)
+        self.p8 = SchemeParams(-1, 0.1, 8, 2)
+        self.p16 = SchemeParams(-1, 0.2, 16, 2)
+
+    def test_initial_count_must_match_the_runs(self):
+        with pytest.raises(ValueError, match="run 1 has no initial field"):
+            evolve_lockstep([self.u8], [self.p8, self.p8])
+        with pytest.raises(ValueError, match="initial field 2 has no run"):
+            evolve_lockstep([self.u16, self.u8, self.u8], [self.p16, self.p8])
+
+    def test_initial_cutoff_must_be_its_runs(self):
+        with pytest.raises(ValueError, match=r"run 1 \(tau = 0.2\): field cutoff 8 != params cutoff 16"):
+            evolve_lockstep([self.u8, self.u8], [self.p8, self.p16])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_initial_must_be_finite(self, bad):
+        u = SpectralField.from_modes(16, {1: 0.5, -2: bad})
+        with pytest.raises(ValueError, match=r"run 1 \(tau = 0.2\): initial coefficients must be finite"):
+            evolve_lockstep([self.u8, u], [self.p8, self.p16])
+
+    def test_runs_must_share_lam(self):
+        with pytest.raises(ValueError, match="run 1 has lam 1, but .* share lam -1"):
+            evolve_lockstep([self.u16, self.u8], [self.p16, SchemeParams(1, 0.1, 8, 2)])
