@@ -7,13 +7,13 @@ field).  Errors are the plain coefficient l2 norm sqrt(sum_k |delta_k|^2).
 
 Runs for distinct (tau, N) pairs are independent and deterministic, so they
 are shared through a cache and may execute concurrently; results do not
-depend on the order in which threads run them.  The low-regularity runs of one cutoff advance in
+depend on the schedule.  The low-regularity runs of one cutoff advance in
 lockstep, in stacks that pay each step's numpy calls once for all their
 runs (`evolve_lockstep`), with at most STACK_POINTS grid points in a row
-of a stack.  Where that removes stacks, the runs of a cutoff's half join
-them, zero-padded on the larger cutoff's grid.  A run's wall time is the
-time its stack ran until the run's last step, so the wall times of runs
-that share a stack overlap.
+of a stack.  Where that removes stacks of a serial study, the runs of a
+cutoff's half join them, zero-padded on the larger cutoff's grid, whatever
+the number of jobs.  A run's wall time is the time its stack ran until the
+run's last step, so the wall times of runs that share a stack overlap.
 """
 
 from __future__ import annotations
@@ -151,11 +151,13 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
 
     The low-regularity runs are laid out by cutoff, from the largest down.
     A layout of cutoff L takes in the runs of a smaller cutoff N when
-    2N >= L and that adds no stack; otherwise N opens a layout of its own.
-    A layout of n runs is cut into consecutive stacks, by step count, of
-    max(1, min(STACK_POINTS // m, ceil(n / jobs))) runs, m the product grid
-    size of L, and each stack advances in lockstep on that grid, the runs
-    of N zero-padded; a splitting run is a task of its own.  Tasks run
+    2N >= L and that adds no stack to a serial study, whose stacks hold
+    max(1, STACK_POINTS // m) runs, m the product grid size of L; otherwise
+    N opens a layout of its own.  So jobs never decides a pairing.  A
+    layout of n runs is cut into consecutive stacks, by step count, of
+    max(1, min(STACK_POINTS // m, ceil(n / jobs))) runs, and each stack
+    advances in lockstep in L's window, on L's grid, the runs of N
+    zero-padded; a splitting run is a task of its own.  Tasks run
     costliest first (steps x m), in a thread pool when jobs > 1; results
     are independent of the schedule.
     """
@@ -169,19 +171,17 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
         for n, tau in keys
     }
 
-    def stack_size(top: int, runs: int) -> int:
-        return max(1, min(STACK_POINTS // _pow2_grid_size(top), -(-runs // spec.jobs)))
-
-    def stack_count(top: int, runs: int) -> int:
-        return -(-runs // stack_size(top, runs))
+    def per_stack(top: int) -> int:
+        return max(1, STACK_POINTS // _pow2_grid_size(top))
 
     if spec.scheme == "lowreg":
         layouts: list[tuple[int, list]] = []
         for n in sorted(states, reverse=True):
             runs = [key for key in keys if key[0] == n]
             top, joined = layouts[-1] if layouts else (n, [])
+            serial = per_stack(top)
             if joined and 2 * n >= top and (
-                stack_count(top, len(joined) + len(runs)) <= stack_count(top, len(joined))
+                -(-(len(joined) + len(runs)) // serial) <= -(-len(joined) // serial)
             ):
                 joined += runs
             else:
@@ -189,18 +189,20 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
         tasks = []
         for top, runs in layouts:
             runs.sort(key=lambda key: -params[key].steps)
-            size = stack_size(top, len(runs))
-            tasks += [runs[i: i + size] for i in range(0, len(runs), size)]
+            size = min(per_stack(top), -(-len(runs) // spec.jobs))
+            tasks += [(top, runs[i: i + size]) for i in range(0, len(runs), size)]
     else:
-        tasks = [[key] for key in keys]
-    tasks.sort(key=lambda task: -sum(params[key].steps for key in task)
-               * _pow2_grid_size(max(n for n, _ in task)))
+        tasks = [(key[0], [key]) for key in keys]
+    tasks.sort(key=lambda task: -sum(params[key].steps for key in task[1])
+               * _pow2_grid_size(task[0]))
 
     def worker(task):
+        top, stack = task
         if spec.scheme == "lowreg":
-            trajs = evolve_lockstep([states[n] for n, _ in task], [params[key] for key in task])
+            trajs = evolve_lockstep([states[n] for n, _ in stack], [params[key] for key in stack],
+                                    cutoff=top)
         else:
-            [key] = task
+            [key] = stack
             trajs = [splitting_evolve(states[key[0]], params[key], SPLITTINGS[spec.scheme])]
         return [(traj.final, traj.wall_ms) for traj in trajs]
 
@@ -209,7 +211,7 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
     else:
         with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
             results = list(pool.map(worker, tasks))
-    return {key: run for task, runs in zip(tasks, results) for key, run in zip(task, runs)}
+    return {key: run for (_, stack), runs in zip(tasks, results) for key, run in zip(stack, runs)}
 
 
 def _study(spec: StudySpec, axis: str) -> ConvergenceReport:

@@ -209,8 +209,9 @@ class _StepPlan:
     N, on N's grid, which is exact for it too (3N+1 >= 3N_r+1).  Its
     zero-padded tables truncate the state, the quadratic products z and h1
     and the output to its own Pi_{N_r}; two more rows of t3, ones on
-    |k| <= N_r, truncate h2 and g.  A stack of one cutoff has no such rows,
-    and each of its rows comes out bitwise equal to a one-run application.
+    |k| <= N_r, truncate h2 and g.  A stack whose runs all have the
+    window's cutoff has no such rows, and each of its rows comes out bitwise
+    equal to a one-run application.
     A study advances its runs this way, with at most harness.STACK_POINTS
     grid points in a row of R runs, so a stack's work block is never larger
     than that of one run at m > 2048.
@@ -224,28 +225,27 @@ class _StepPlan:
             arr.flags.writeable = False
 
     @classmethod
-    def stacked(cls, plans) -> "_StepPlan":
-        """The stack of one-tau plans of one lam, on the grid of the largest
-        cutoff: each plan's tables are zero-padded, centered, to that
-        cutoff's window, and when the cutoffs differ each run's t3 gains
-        two mask rows, ones on |k| <= its cutoff.  One plan is its own
-        stack."""
-        if len(plans) == 1:
+    def stacked(cls, plans, cutoff: int | None = None) -> "_StepPlan":
+        """The stack of one-tau plans of one lam in the window of `cutoff`
+        (by default the largest of theirs), on that cutoff's grid: each
+        plan's tables are zero-padded, centered, to the window, and when a
+        plan's cutoff is not the window's, each run's t3 gains two mask
+        rows, its padded t1[0]: ones on |k| <= its cutoff.  One plan in its
+        own window is its own stack."""
+        top = max(p.cutoff for p in plans) if cutoff is None else cutoff
+        if len(plans) == 1 and plans[0].cutoff == top:
             return plans[0]
-        top = max(p.cutoff for p in plans)
 
         def padded(name):
             tables = [getattr(p, name) for p in plans]
             return [np.pad(t, [(0, 0)] * (t.ndim - 1) + [(top - p.cutoff,) * 2])
                     for p, t in zip(plans, tables)]
 
-        t3 = padded("t3")
+        t1, t3 = padded("t1"), padded("t3")
         if any(p.cutoff != top for p in plans):
-            k = np.arange(-top, top + 1)
-            t3 = [np.concatenate([t, np.broadcast_to(np.abs(k) <= p.cutoff, (2, 1, k.size))])
-                  for p, t in zip(plans, t3)]
+            t3 = [np.concatenate([t, ones[:1], ones[:1]]) for t, ones in zip(t3, t1)]
         return cls(
-            top, np.concatenate(padded("t1"), axis=1), np.concatenate(t3, axis=1),
+            top, np.concatenate(t1, axis=1), np.concatenate(t3, axis=1),
             np.concatenate(padded("t4"), axis=1), np.concatenate(padded("twist")),
         )
 
@@ -493,12 +493,14 @@ def _evolve_with(
     cqs,
     snapshot_times,
     diag_stride: int,
+    cutoff: int | None = None,
 ) -> list[Trajectory]:
     """Advance runs of one lam in lockstep, run r from initials[r] with
     conserved quantities cqs[r].
 
-    Row r of the (R, 2N+1) state stack is run r, N the largest cutoff of
-    the runs; a run of a smaller cutoff rides zero-padded in that window.
+    Row r of the (R, 2N+1) state stack is run r, N the cutoff of the
+    stack's window (by default the largest of the runs'); a run of a
+    smaller cutoff rides zero-padded in that window.
     The runs come in descending order of step count, and stepper(r) is the
     one-step map of the first r rows.  When a run reaches its step count,
     its row is dropped by a prefix slice of the stack and a new stepper(r).
@@ -516,7 +518,7 @@ def _evolve_with(
             want.setdefault(_snapshot_index(t, params.tau, params.steps), []).append(t)
         wants.append(want)
 
-    top = max(params.cutoff for params in runs)
+    top = max(params.cutoff for params in runs) if cutoff is None else cutoff
     windows = [slice(top - params.cutoff, top + params.cutoff + 1) for params in runs]
     k = np.arange(-top, top + 1, dtype=float)
     w1 = 1.0 + k * k
@@ -602,22 +604,25 @@ def evolve_lockstep(
     cq: ConservedQuantities | None = None,
     snapshot_times=None,
     diag_stride: int = 0,
+    cutoff: int | None = None,
 ) -> list[Trajectory]:
     """`evolve` for one or more runs of one lam, stepped together;
     trajectories come back in the order of runs.
 
     initial is one field, the start of every run, or a sequence of one
-    field per run, each at its run's cutoff.  Runs of several cutoffs step
-    on the product grid of the largest, the smaller ones zero-padded (see
-    `_StepPlan`).  cq, when given, is every run's; by default each run's is
-    that of its own initial field.  Except for wall_ms (see `_evolve_with`),
-    each trajectory is equal to that of the run's own `evolve`: bitwise
-    when the runs share one cutoff, to round-off otherwise.  A ValueError
-    for bad input and a BlowUpError name the run.
+    field per run, each at its run's cutoff.  The runs step in the window
+    of `cutoff`, by default the largest of their cutoffs, on its product
+    grid; a run of a smaller cutoff rides zero-padded (see `_StepPlan`).
+    cq, when given, is every run's; by default each run's is that of its
+    own initial field.  Except for wall_ms (see `_evolve_with`), each
+    trajectory is equal to that of the run's own `evolve`: bitwise when
+    every run's cutoff is the window's, to round-off otherwise.  A
+    ValueError for bad input and a BlowUpError name the run.
     """
     runs = list(runs)
     if not runs:
         raise ValueError("runs stepped together must be one or more")
+    top = max(p.cutoff for p in runs) if cutoff is None else cutoff
     initials = [initial] * len(runs) if isinstance(initial, SpectralField) else list(initial)
     if len(initials) != len(runs):
         unmatched = (f"run {len(initials)} has no initial field" if len(initials) < len(runs)
@@ -630,15 +635,17 @@ def evolve_lockstep(
                 f"run {r} has lam {params.lam}, but runs stepped together must "
                 f"share lam {runs[0].lam}"
             )
+        if params.cutoff > top:
+            raise ValueError(f"run {r} has cutoff {params.cutoff}, above the window's {top}")
         try:
             cqs.append(_validated_start(field, params, cq))
         except ValueError as exc:
             raise ValueError(f"run {r} (tau = {params.tau!r}): {exc}") from None
     order = sorted(range(len(runs)), key=lambda r: -runs[r].steps)
-    stack = _StepPlan.stacked([_plan_for(runs[r], cqs[r]) for r in order])
+    stack = _StepPlan.stacked([_plan_for(runs[r], cqs[r]) for r in order], top)
     trajs = _evolve_with(
         lambda rows: stack.head(rows).apply, "lowreg", [initials[r] for r in order],
-        [runs[r] for r in order], [cqs[r] for r in order], snapshot_times, diag_stride,
+        [runs[r] for r in order], [cqs[r] for r in order], snapshot_times, diag_stride, top,
     )
     return [traj for _, traj in sorted(zip(order, trajs), key=lambda pair: pair[0])]
 

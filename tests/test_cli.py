@@ -190,6 +190,16 @@ class TestStudies:
         strip = lambda txt: [ln.rsplit(",", 1)[0] for ln in txt.splitlines()]
         assert strip(pooled) == strip(serial)
 
+    def test_jobs_flag_is_deterministic_for_a_spatial_study(self, capsys):
+        # 64 rides zero-padded with 128 at any jobs; 256 stacks alone
+        args = ["study-spatial", "--tau-list", "2^-5,2^-6,2^-7",
+                "--N-list", "64,128", "--T", "0.5"]
+        outs = []
+        for jobs in ("1", "2", "6"):
+            assert main(args + ["--jobs", jobs]) == 0
+            outs.append([ln.rsplit(",", 1)[0] for ln in capsys.readouterr().out.splitlines()])
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):

@@ -169,6 +169,16 @@ class TestSpatialStudy:
         e = rep.errors[:, 0]
         assert e[0] > e[1] > e[2] > 0
 
+    def test_deterministic_across_jobs(self):
+        # jobs only split the stacks of a serial study, so every run steps
+        # in the same window at any jobs: 64 rides with 128 in one stack of
+        # 6 runs, in 2 stacks of 3 or in 6 stacks of 1
+        taus = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
+        a, b, c = (spatial_study(small_spatial_spec(taus=taus, cutoffs=(64, 128), jobs=jobs))
+                   for jobs in (1, 2, 6))
+        assert np.array_equal(a.errors, b.errors) and np.array_equal(a.errors, c.errors)
+        assert a.rates == b.rates == c.rates
+
 
 def final_state(spec, tau, n):
     """Final state of the (N, tau) run a study cell names, run by hand."""
@@ -206,28 +216,28 @@ class TestCells:
             assert rep.rates[col] == -fit_rate(spec.cutoffs, rep.errors[:, col])
 
     def test_sampled_init_cell(self):
-        spec = small_spatial_spec(init_mode="sampled", tail_cutoff=256)
+        # 1024 stacks alone (its 3200-point grid fills a stack), so 512 runs
+        # apart from it and the cell of 512 is that of two solo runs,
+        # bitwise; 256 rides zero-padded on the grid of 512, so its cell is
+        # that of its solo runs to round-off
+        spec = small_spatial_spec(init_mode="sampled", tail_cutoff=2048, cutoffs=(256, 512))
         rep = spatial_study(spec)
-        n, tau = spec.cutoffs[0], spec.taus[0]
-        want = l2_error(final_state(spec, tau, n),
-                        final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
-        # the N run rides zero-padded in the stack of 2N, on 2N's product
-        # grid: equal to its solo run to round-off, and bitwise to the same
-        # stack run by hand
-        assert abs(rep.errors[0, 0] - want) <= 1e-13 * want
-        u = [initialize(spec.initial_data(), c, init_mode=spec.init_mode,
-                        tail_cutoff=spec.tail_cutoff) for c in (2 * n, n)]
-        runs = [SchemeParams.from_horizon(spec.lam, tau, f.cutoff, spec.horizon) for f in u]
-        fine, coarse = (traj.final for traj in evolve_lockstep(u, runs))
-        assert rep.errors[0, 0] == l2_error(coarse, fine) / math.sqrt(2.0 * math.pi)
+        tau = spec.taus[0]
+        want = [l2_error(final_state(spec, tau, n),
+                         final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
+                for n in spec.cutoffs]
+        assert rep.errors[1, 0] == want[1]
+        assert abs(rep.errors[0, 0] - want[0]) <= 1e-13 * want[0]
 
 
-def stack_record(initial, runs):
-    """(cutoff, taus) of a stack of runs, from one initial field per run;
-    the cutoff of each run when the stack spans several."""
+def stack_record(initial, runs, cutoff=None):
+    """(cutoff, taus) of a stack of runs in their cutoff's window, from one
+    initial field per run; (window, cutoff of each run) in place of the
+    cutoff when some run rides zero-padded in a larger window."""
     cutoffs = tuple(f.cutoff for f in initial)
     assert cutoffs == tuple(p.cutoff for p in runs)
-    return cutoffs[0] if len(set(cutoffs)) == 1 else cutoffs, tuple(p.tau for p in runs)
+    window = max(cutoffs) if cutoff is None else cutoff
+    return window if set(cutoffs) == {window} else (window, cutoffs), tuple(p.tau for p in runs)
 
 
 @pytest.fixture
@@ -237,9 +247,9 @@ def stacks(monkeypatch):
     seen = []
     run = harness.evolve_lockstep
 
-    def record(initial, runs):
-        seen.append(stack_record(initial, runs))
-        return run(initial, runs)
+    def record(initial, runs, **kw):
+        seen.append(stack_record(initial, runs, **kw))
+        return run(initial, runs, **kw)
 
     monkeypatch.setattr(harness, "evolve_lockstep", record)
     return seen
@@ -252,8 +262,8 @@ def planned_stacks(monkeypatch):
     def study(spec):
         seen = []
 
-        def record(initial, runs):
-            seen.append(stack_record(initial, runs))
+        def record(initial, runs, **kw):
+            seen.append(stack_record(initial, runs, **kw))
             return [SimpleNamespace(final=f, wall_ms=0.0) for f in initial]
 
         monkeypatch.setattr(harness, "evolve_lockstep", record)
@@ -275,16 +285,35 @@ class TestStacks:
         # cutoffs 8 .. 64: each cutoff's runs join those of its double, in
         # one stack by step count, and the layouts of 64 and 16 stay apart
         rep = spatial_study(small_spatial_spec(taus=(2.0 ** -5, 2.0 ** -6), jobs=1))
-        assert stacks == [((n, n // 2) * 2, (2.0 ** -6,) * 2 + (2.0 ** -5,) * 2)
+        assert stacks == [((n, (n, n // 2) * 2), (2.0 ** -6,) * 2 + (2.0 ** -5,) * 2)
                           for n in (64, 16)]
         assert np.all(rep.wall_ms > 0)
 
     def test_parallel_spatial_study_still_pairs_cutoffs(self, planned_stacks):
-        # ceil(6 runs / 3 jobs) = 2 per stack: three stacks for the three
-        # runs of 64 alone, and as many with those of 32 joined
+        # ceil(6 runs / 3 jobs) = 2 per stack, consecutive by step count:
+        # each stack holds one tau at both cutoffs of a pair
         taus = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
         assert planned_stacks(small_spatial_spec(taus=taus, jobs=3)) == sorted(
-            (((n, n // 2), (tau, tau)) for n in (64, 16) for tau in taus), key=repr)
+            (((n, (n, n // 2)), (tau, tau)) for n in (64, 16) for tau in taus), key=repr)
+
+    def test_jobs_split_a_joined_layout_in_its_window(self, planned_stacks):
+        # ceil(4 runs / 4 jobs) = 1 per stack: a run of 32 or 8 still steps
+        # in the window of 64 or 16, as it does in a serial study
+        taus = (2.0 ** -5, 2.0 ** -6)
+        want = [(n, (tau,)) for n in (64, 16) for tau in taus]
+        want += [((2 * n, (n,)), (tau,)) for n in (32, 8) for tau in taus]
+        assert planned_stacks(small_spatial_spec(taus=taus, jobs=4)) == sorted(want, key=repr)
+
+    def test_jobs_do_not_decide_a_pairing(self, planned_stacks):
+        # the grid of 256 (800 points) stacks at most 5 runs: its 3 runs
+        # and the 3 of 128 would take 2 stacks where its own take 1, so 128
+        # stays out of the window of 256 also at 2 jobs, where 256's own
+        # runs already take 2 stacks
+        taus = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
+        for jobs in (1, 2):
+            spec = small_spatial_spec(taus=taus, cutoffs=(64, 128), jobs=jobs)
+            keys = {key for key, _ in planned_stacks(spec)}
+            assert 256 in keys and all(key == 256 or key[0] == 128 for key in keys)
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_temporal_table_stacks_are_unpaired(self, planned_stacks, jobs):

@@ -712,6 +712,8 @@ class TestPaddedLockstep:
                  for tau, f in zip(np.repeat(taus, 2), fields)]
         stack = _StepPlan.stacked(plans)
         assert stack.cutoff == top and stack.t3.shape[0] == (4 if n < top else 2)
+        alone = _StepPlan.stacked(plans[:1], top)
+        assert alone.cutoff == top and alone.t3.shape[0] == (4 if n < top else 2)
         c = np.stack([project(f, top).coeffs for f in fields])
         own = [f.coeffs for f in fields]
         for _ in range(3):
@@ -747,6 +749,14 @@ class TestPaddedLockstep:
             assert_diagnostics_close(traj.diagnostics, solo.diagnostics, solo.cq,
                                      params.cutoff)
             assert abs(traj.h1_max - solo.h1_max) <= 1e-13 * solo.h1_max
+            # alone in the same window, a run steps as in the stack: a study's
+            # tables do not depend on how jobs cut its stacks (equal up to
+            # the sign of zeros, as a run of the window's cutoff meets mask
+            # rows of ones only in a stack with smaller cutoffs)
+            [alone] = evolve_lockstep(u, [params], None, times, stride, cutoff=top)
+            for a, b in zip(alone.snapshots, traj.snapshots, strict=True):
+                assert np.array_equal(a.coeffs, b.coeffs)
+            assert alone.diagnostics == traj.diagnostics and alone.h1_max == traj.h1_max
 
 
 class TestLockstepBoundary:
@@ -773,6 +783,10 @@ class TestLockstepBoundary:
         u = SpectralField.from_modes(16, {1: 0.5, -2: bad})
         with pytest.raises(ValueError, match=r"run 1 \(tau = 0.2\): initial coefficients must be finite"):
             evolve_lockstep([self.u8, u], [self.p8, self.p16])
+
+    def test_window_must_hold_every_run(self):
+        with pytest.raises(ValueError, match="run 1 has cutoff 16, above the window's 8"):
+            evolve_lockstep([self.u8, self.u16], [self.p8, self.p16], cutoff=8)
 
     def test_runs_must_share_lam(self):
         with pytest.raises(ValueError, match="run 1 has lam 1, but .* share lam -1"):
