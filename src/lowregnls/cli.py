@@ -54,8 +54,8 @@ DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 
 # largest cutoff accepted on the command line: a step at N = 2^16 works on
 # 15 grid rows of 204800 points (47 MiB); a spatial study also runs 2N, and
-# stacks its runs, those of a cutoff's half zero-padded among them where
-# that removes stacks, only at grids of <= 2048 points (harness.STACK_POINTS).
+# stacks its runs (a cutoff's half zero-padded among them where that removes
+# stacks) only at grids of <= 2048 points (harness.STACK_POINTS), at any --jobs.
 # The sampled initial series may reach 16 times that, its default at N = 2^16.
 MAX_CUTOFF = 2 ** 16
 

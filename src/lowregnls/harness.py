@@ -5,15 +5,15 @@ against the run with step tau/2 from the same initial state; a spatial study
 fixes tau and compares cutoff N against cutoff 2N (zero-extending the coarser
 field).  Errors are the plain coefficient l2 norm sqrt(sum_k |delta_k|^2).
 
-Runs for distinct (tau, N) pairs are independent and deterministic, so they
-are shared through a cache and may execute concurrently; results do not
-depend on the schedule.  The low-regularity runs of one cutoff advance in
-lockstep, in stacks that pay each step's numpy calls once for all their
-runs (`evolve_lockstep`), with at most STACK_POINTS grid points in a row
-of a stack.  Where that removes stacks of a serial study, the runs of a
-cutoff's half join them, zero-padded on the larger cutoff's grid, whatever
-the number of jobs.  A run's wall time is the time its stack ran until the
-run's last step, so the wall times of runs that share a stack overlap.
+Cells name their runs by (N, tau) key, so a run that two cells share is
+computed once.  The low-regularity runs advance in lockstep, in stacks
+that pay each step's numpy calls once for all their runs
+(`evolve_lockstep`), with at most STACK_POINTS grid points in a row of a
+stack.  Where that removes a stack, the runs of a cutoff's half join those
+of the cutoff, zero-padded on its grid.  The stacks follow from the keys
+alone, never from the number of jobs, which only sets how many run at
+once.  A run's wall time is the time its stack ran until the run's last
+step, so the wall times of runs that share a stack overlap.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate,wall_ms"
 AXES = ("temporal", "spatial")
 SCHEMES = ("lowreg", *SPLITTINGS)
 
-# most grid points R * m in a row of a stack of R runs on the m-point
-# product grid of its largest cutoff, runs of a cutoff's half (zero-padded)
-# counted at that m: a stack's 15-row work block stays under 1 MiB, and
-# stacks of two or more runs form only at m <= 2048 (N <= 682)
+# most grid points R * m in a row of a stack of R runs on the m-point grid
+# of its largest cutoff (a cutoff's half counted at that m): the 15-row work
+# block stays under 1 MiB, stacks of two or more runs form only at m <= 2048
+# (N <= 682), and it alone, never the number of jobs, sizes a study's stacks
 STACK_POINTS = 4096
 
 
@@ -100,6 +100,8 @@ class StudySpec:
             )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.tail_cutoff is not None and self.init_mode != "sampled":
+            raise ValueError(f"a tail cutoff needs init mode 'sampled', not {self.init_mode!r}")
 
     def initial_data(self) -> InitialDataSpec:
         return InitialDataSpec(kind="sobolev", alpha=self.alpha, amplitude=self.amplitude)
@@ -151,15 +153,14 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
 
     The low-regularity runs are laid out by cutoff, from the largest down.
     A layout of cutoff L takes in the runs of a smaller cutoff N when
-    2N >= L and that adds no stack to a serial study, whose stacks hold
+    2N >= L and that adds no stack, a stack holding at most
     max(1, STACK_POINTS // m) runs, m the product grid size of L; otherwise
-    N opens a layout of its own.  So jobs never decides a pairing.  A
-    layout of n runs is cut into consecutive stacks, by step count, of
-    max(1, min(STACK_POINTS // m, ceil(n / jobs))) runs, and each stack
-    advances in lockstep in L's window, on L's grid, the runs of N
-    zero-padded; a splitting run is a task of its own.  Tasks run
-    costliest first (steps x m), in a thread pool when jobs > 1; results
-    are independent of the schedule.
+    N opens a layout of its own.  Each layout is cut, by step count, into
+    consecutive stacks of that many runs, and each stack advances in
+    lockstep in the window of its largest cutoff, the smaller cutoffs
+    zero-padded; a splitting run is a stack of its own.  So the stacks, and
+    every result, depend on the keys alone; jobs only sets how many stacks
+    run at once, costliest first (steps x m), in a thread pool.
     """
     data = spec.initial_data()
     states = {
@@ -179,39 +180,36 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
         for n in sorted(states, reverse=True):
             runs = [key for key in keys if key[0] == n]
             top, joined = layouts[-1] if layouts else (n, [])
-            serial = per_stack(top)
-            if joined and 2 * n >= top and (
-                -(-(len(joined) + len(runs)) // serial) <= -(-len(joined) // serial)
-            ):
+            # N's runs join when they fit in the room the layout's last stack leaves
+            if joined and 2 * n >= top and len(runs) <= -len(joined) % per_stack(top):
                 joined += runs
             else:
                 layouts.append((n, runs))
-        tasks = []
+        stacks = []
         for top, runs in layouts:
             runs.sort(key=lambda key: -params[key].steps)
-            size = min(per_stack(top), -(-len(runs) // spec.jobs))
-            tasks += [(top, runs[i: i + size]) for i in range(0, len(runs), size)]
+            size = per_stack(top)
+            stacks += [runs[i: i + size] for i in range(0, len(runs), size)]
     else:
-        tasks = [(key[0], [key]) for key in keys]
-    tasks.sort(key=lambda task: -sum(params[key].steps for key in task[1])
-               * _pow2_grid_size(task[0]))
+        stacks = [[key] for key in keys]
+    stacks.sort(key=lambda stack: -sum(params[key].steps for key in stack)
+                * _pow2_grid_size(max(n for n, _ in stack)))
 
-    def worker(task):
-        top, stack = task
+    def worker(stack):
         if spec.scheme == "lowreg":
-            trajs = evolve_lockstep([states[n] for n, _ in stack], [params[key] for key in stack],
-                                    cutoff=top)
+            trajs = evolve_lockstep([states[n] for n, _ in stack], [params[key] for key in stack])
         else:
             [key] = stack
             trajs = [splitting_evolve(states[key[0]], params[key], SPLITTINGS[spec.scheme])]
         return [(traj.final, traj.wall_ms) for traj in trajs]
 
-    if spec.jobs <= 1 or len(tasks) <= 1:
-        results = [worker(task) for task in tasks]
+    workers = min(spec.jobs, len(stacks))
+    if workers <= 1:
+        results = [worker(stack) for stack in stacks]
     else:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(worker, tasks))
-    return {key: run for (_, stack), runs in zip(tasks, results) for key, run in zip(stack, runs)}
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, stacks))
+    return {key: run for stack, runs in zip(stacks, results) for key, run in zip(stack, runs)}
 
 
 def _study(spec: StudySpec, axis: str) -> ConvergenceReport:

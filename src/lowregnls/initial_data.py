@@ -21,6 +21,7 @@ __all__ = [
     "InitialDataSpec",
     "coefficients",
     "sample_on_grid",
+    "alias_fold",
     "resolve_tail_cutoff",
 ]
 
@@ -90,6 +91,15 @@ def resolve_tail_cutoff(spec: InitialDataSpec, cutoff: int, tail_cutoff: int | N
     return cutoff
 
 
+def alias_fold(spec: InitialDataSpec, m: int, tail: int) -> np.ndarray:
+    """The series truncated at |k| <= tail folded onto the m bins of the
+    m-point grid, bin k mod m (numpy's FFT order): e^{ikx_n} = e^{i(k mod m)x_n},
+    so this is the exact DFT of the truncated series' samples."""
+    folded = np.zeros(m, dtype=np.complex128)
+    np.add.at(folded, np.mod(np.arange(-tail, tail + 1), m), coefficients(spec, tail))
+    return folded
+
+
 def sample_on_grid(spec: InitialDataSpec, m: int, tail_cutoff: int | None = None) -> np.ndarray:
     """Values of the series truncated at |k| <= tail on the m-point grid.
 
@@ -97,9 +107,7 @@ def sample_on_grid(spec: InitialDataSpec, m: int, tail_cutoff: int | None = None
     defaults via resolve_tail_cutoff with target cutoff (m - 1) // 4, the
     largest cutoff whose 4N+1-point sampling grid fits in m points.
 
-    Exploits e^{ikx_n} = e^{i(k mod m)x_n}: the tail coefficients are folded
-    onto the m frequency bins and one inverse transform evaluates the sum, so
-    the cost is O(tail + m log m) rather than O(tail * m).
+    One inverse FFT of the `alias_fold` costs O(tail + m log m), not O(tail * m).
     """
     if m < 1:
         raise ValueError(f"grid size must be >= 1, got {m}")
@@ -109,8 +117,4 @@ def sample_on_grid(spec: InitialDataSpec, m: int, tail_cutoff: int | None = None
         raise ValueError(f"tail cutoff must be >= 0, got {tail_cutoff}")
     else:
         tail = tail_cutoff
-    k = np.arange(-tail, tail + 1)
-    c = coefficients(spec, tail)
-    folded = np.zeros(m, dtype=np.complex128)
-    np.add.at(folded, np.mod(k, m), c)
-    return np.fft.fftshift(np.fft.ifft(folded, norm="forward"))
+    return np.fft.fftshift(np.fft.ifft(alias_fold(spec, m, tail), norm="forward"))

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dft, initial_data
+from . import initial_data
 from .initial_data import InitialDataSpec
 from .spectral import (
     SpectralField,
@@ -166,13 +166,15 @@ def initialize(
     """Initial state in S_N from an InitialDataSpec or an explicit field.
 
     'truncated' takes the exact coefficients for |k| <= cutoff.  'sampled'
-    evaluates the series (truncated at tail_cutoff, default max(16N, 2^14))
-    on the 4N+1-point grid, transforms, and truncates; the two modes differ
-    by the aliasing of the neglected tail and coincide for band-limited
-    sources.
+    folds the series, truncated at tail_cutoff (default max(16N, 2^14)),
+    mod 4N+1 (its DFT on 4N+1 points, `initial_data.alias_fold`) and
+    truncates; only it takes a tail_cutoff.  The two modes differ by the
+    aliasing of the neglected tail and coincide for band-limited sources.
     """
     if init_mode not in INIT_MODES:
         raise ValueError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
+    if tail_cutoff is not None and init_mode != "sampled":
+        raise ValueError(f"a tail cutoff needs init mode 'sampled', not {init_mode!r}")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if isinstance(source, SpectralField):
@@ -181,12 +183,9 @@ def initialize(
         raise TypeError(f"cannot initialize from {type(source).__name__}")
     if init_mode == "truncated":
         return SpectralField(cutoff, initial_data.coefficients(source, cutoff))
-    m = 4 * cutoff + 1
     tail = initial_data.resolve_tail_cutoff(source, cutoff, tail_cutoff)
-    samples = initial_data.sample_on_grid(source, m, tail)
-    full = dft.forward(samples)
-    mid = m // 2
-    return SpectralField(cutoff, full[mid - cutoff: mid + cutoff + 1])
+    folded = initial_data.alias_fold(source, 4 * cutoff + 1, tail)
+    return SpectralField(cutoff, folded[np.arange(-cutoff, cutoff + 1)])
 
 
 class _StepPlan:
@@ -212,9 +211,9 @@ class _StepPlan:
     |k| <= N_r, truncate h2 and g.  A stack whose runs all have the
     window's cutoff has no such rows, and each of its rows comes out bitwise
     equal to a one-run application.
-    A study advances its runs this way, with at most harness.STACK_POINTS
-    grid points in a row of R runs, so a stack's work block is never larger
-    than that of one run at m > 2048.
+    A study advances its runs this way, in stacks that its runs alone
+    decide, never its jobs, with at most harness.STACK_POINTS grid points in
+    a row: a stack's work block is never larger than one run's at m > 2048.
     """
 
     def __init__(self, cutoff: int, t1, t3, t4, twist):
@@ -225,16 +224,16 @@ class _StepPlan:
             arr.flags.writeable = False
 
     @classmethod
-    def stacked(cls, plans, cutoff: int | None = None) -> "_StepPlan":
-        """The stack of one-tau plans of one lam in the window of `cutoff`
-        (by default the largest of theirs), on that cutoff's grid: each
+    def stacked(cls, plans) -> "_StepPlan":
+        """The stack of one-tau plans of one lam in the window of their
+        largest cutoff, on its grid, never one set by a study's --jobs: each
         plan's tables are zero-padded, centered, to the window, and when a
         plan's cutoff is not the window's, each run's t3 gains two mask
-        rows, its padded t1[0]: ones on |k| <= its cutoff.  One plan in its
-        own window is its own stack."""
-        top = max(p.cutoff for p in plans) if cutoff is None else cutoff
-        if len(plans) == 1 and plans[0].cutoff == top:
+        rows, its padded t1[0]: ones on |k| <= its cutoff.  One plan is its
+        own stack."""
+        if len(plans) == 1:
             return plans[0]
+        top = max(p.cutoff for p in plans)
 
         def padded(name):
             tables = [getattr(p, name) for p in plans]
@@ -493,14 +492,12 @@ def _evolve_with(
     cqs,
     snapshot_times,
     diag_stride: int,
-    cutoff: int | None = None,
 ) -> list[Trajectory]:
     """Advance runs of one lam in lockstep, run r from initials[r] with
     conserved quantities cqs[r].
 
-    Row r of the (R, 2N+1) state stack is run r, N the cutoff of the
-    stack's window (by default the largest of the runs'); a run of a
-    smaller cutoff rides zero-padded in that window.
+    Row r of the (R, 2N+1) state stack is run r, N the largest run cutoff
+    whatever a study's --jobs; a smaller cutoff rides zero-padded in it.
     The runs come in descending order of step count, and stepper(r) is the
     one-step map of the first r rows.  When a run reaches its step count,
     its row is dropped by a prefix slice of the stack and a new stepper(r).
@@ -518,7 +515,7 @@ def _evolve_with(
             want.setdefault(_snapshot_index(t, params.tau, params.steps), []).append(t)
         wants.append(want)
 
-    top = max(params.cutoff for params in runs) if cutoff is None else cutoff
+    top = max(params.cutoff for params in runs)
     windows = [slice(top - params.cutoff, top + params.cutoff + 1) for params in runs]
     k = np.arange(-top, top + 1, dtype=float)
     w1 = 1.0 + k * k
@@ -604,25 +601,24 @@ def evolve_lockstep(
     cq: ConservedQuantities | None = None,
     snapshot_times=None,
     diag_stride: int = 0,
-    cutoff: int | None = None,
 ) -> list[Trajectory]:
     """`evolve` for one or more runs of one lam, stepped together;
     trajectories come back in the order of runs.
 
     initial is one field, the start of every run, or a sequence of one
     field per run, each at its run's cutoff.  The runs step in the window
-    of `cutoff`, by default the largest of their cutoffs, on its product
-    grid; a run of a smaller cutoff rides zero-padded (see `_StepPlan`).
+    of the largest of their cutoffs, on its product grid; a run of a
+    smaller cutoff rides zero-padded (see `_StepPlan`).
     cq, when given, is every run's; by default each run's is that of its
     own initial field.  Except for wall_ms (see `_evolve_with`), each
     trajectory is equal to that of the run's own `evolve`: bitwise when
-    every run's cutoff is the window's, to round-off otherwise.  A
+    every run has the largest cutoff, to round-off otherwise; a study's
+    stacks never depend on its --jobs (`harness._compute_runs`).  A
     ValueError for bad input and a BlowUpError name the run.
     """
     runs = list(runs)
     if not runs:
         raise ValueError("runs stepped together must be one or more")
-    top = max(p.cutoff for p in runs) if cutoff is None else cutoff
     initials = [initial] * len(runs) if isinstance(initial, SpectralField) else list(initial)
     if len(initials) != len(runs):
         unmatched = (f"run {len(initials)} has no initial field" if len(initials) < len(runs)
@@ -635,17 +631,15 @@ def evolve_lockstep(
                 f"run {r} has lam {params.lam}, but runs stepped together must "
                 f"share lam {runs[0].lam}"
             )
-        if params.cutoff > top:
-            raise ValueError(f"run {r} has cutoff {params.cutoff}, above the window's {top}")
         try:
             cqs.append(_validated_start(field, params, cq))
         except ValueError as exc:
             raise ValueError(f"run {r} (tau = {params.tau!r}): {exc}") from None
     order = sorted(range(len(runs)), key=lambda r: -runs[r].steps)
-    stack = _StepPlan.stacked([_plan_for(runs[r], cqs[r]) for r in order], top)
+    stack = _StepPlan.stacked([_plan_for(runs[r], cqs[r]) for r in order])
     trajs = _evolve_with(
         lambda rows: stack.head(rows).apply, "lowreg", [initials[r] for r in order],
-        [runs[r] for r in order], [cqs[r] for r in order], snapshot_times, diag_stride, top,
+        [runs[r] for r in order], [cqs[r] for r in order], snapshot_times, diag_stride,
     )
     return [traj for _, traj in sorted(zip(order, trajs), key=lambda pair: pair[0])]
 

@@ -338,6 +338,21 @@ class TestErrorContract:
         msg = self.check(argv, 1, capsys)
         assert f"a {axis} study fits its rate over at least two" in msg
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5", "--tail-cutoff", "4"],
+        ["study-spatial", "--tau-list", "2^-3", "--N-list", "8,16", "--T", "0.5",
+         "--tail-cutoff", "0"],
+    ])
+    def test_tail_cutoff_needs_sampled_init(self, argv, capsys, monkeypatch):
+        # a tail cutoff in the default truncated mode is an error, before
+        # any run: a run here would end in "error: ran"
+        def ran(*args, **kwargs):
+            raise RuntimeError("ran")
+
+        monkeypatch.setattr(harness, "_compute_runs", ran)
+        msg = self.check(argv, 1, capsys)
+        assert "a tail cutoff needs init mode 'sampled', not 'truncated'" in msg
+
     @pytest.mark.parametrize("mode", ["9", "-9", "99"])
     def test_plane_mode_outside_cutoff(self, mode, capsys):
         msg = self.check(["solve", "--tau", "2^-3", "--N", "8", "--initial", "plane",

@@ -1,5 +1,6 @@
 """Study harness: rate fitting, table structure, CSV contract, determinism."""
 
+import dataclasses
 import io
 import math
 import warnings
@@ -7,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lowregnls import harness
 from lowregnls.harness import (
@@ -95,6 +98,13 @@ class TestStudySpecValidation:
         with pytest.raises(ValueError, match=f"a {axis} study .* two {refined}"):
             StudySpec(axis=axis, **one)
 
+    def test_tail_cutoff_needs_sampled_init(self):
+        StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16), init_mode="sampled",
+                  tail_cutoff=64)
+        with pytest.raises(ValueError, match="tail cutoff needs init mode 'sampled', "
+                                             "not 'truncated'"):
+            StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16), tail_cutoff=64)
+
     def test_axis_mismatch(self):
         spec = StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16))
         with pytest.raises(ValueError):
@@ -170,9 +180,8 @@ class TestSpatialStudy:
         assert e[0] > e[1] > e[2] > 0
 
     def test_deterministic_across_jobs(self):
-        # jobs only split the stacks of a serial study, so every run steps
-        # in the same window at any jobs: 64 rides with 128 in one stack of
-        # 6 runs, in 2 stacks of 3 or in 6 stacks of 1
+        # the stacks follow from the runs alone: 64 rides with 128 in one
+        # stack of 6 runs at any jobs
         taus = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
         a, b, c = (spatial_study(small_spatial_spec(taus=taus, cutoffs=(64, 128), jobs=jobs))
                    for jobs in (1, 2, 6))
@@ -204,14 +213,21 @@ class TestCells:
             assert rep.rates[col] == fit_rate(spec.taus, rep.errors[:, col])
 
     def test_spatial_cell(self):
-        spec = small_spatial_spec(taus=(2.0 ** -4, 2.0 ** -5))
+        # 512's two runs fill a stack (1600-point grid), so 256 runs apart
+        # from it and the cells of 256 are those of solo runs, bitwise; 128
+        # rides zero-padded on the grid of 256, so the cells of 64 and 128
+        # are those of their solo runs to round-off
+        spec = small_spatial_spec(taus=(2.0 ** -4, 2.0 ** -5), cutoffs=(64, 128, 256))
         rep = spatial_study(spec)
-        i, j = 1, 0
-        n, tau = spec.cutoffs[i], spec.taus[j]
-        # the N run is zero-extended to 2N before differencing
-        want = l2_error(project(final_state(spec, tau, n), 2 * n),
-                        final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
-        assert rep.errors[i, j] == want
+        for i, n in enumerate(spec.cutoffs):
+            for j, tau in enumerate(spec.taus):
+                # the N run is zero-extended to 2N before differencing
+                want = l2_error(project(final_state(spec, tau, n), 2 * n),
+                                final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
+                if n == 256:
+                    assert rep.errors[i, j] == want
+                else:
+                    assert abs(rep.errors[i, j] - want) <= 1e-13 * want
         for col in range(len(spec.taus)):
             assert rep.rates[col] == -fit_rate(spec.cutoffs, rep.errors[:, col])
 
@@ -230,14 +246,14 @@ class TestCells:
         assert abs(rep.errors[0, 0] - want[0]) <= 1e-13 * want[0]
 
 
-def stack_record(initial, runs, cutoff=None):
-    """(cutoff, taus) of a stack of runs in their cutoff's window, from one
-    initial field per run; (window, cutoff of each run) in place of the
-    cutoff when some run rides zero-padded in a larger window."""
+def stack_record(initial, runs):
+    """(cutoff, taus) of a stack of runs of one cutoff, from one initial
+    field per run; (largest cutoff, cutoff of each run) in place of the
+    cutoff when some run rides zero-padded in a larger cutoff's window."""
     cutoffs = tuple(f.cutoff for f in initial)
     assert cutoffs == tuple(p.cutoff for p in runs)
-    window = max(cutoffs) if cutoff is None else cutoff
-    return window if set(cutoffs) == {window} else (window, cutoffs), tuple(p.tau for p in runs)
+    top = max(cutoffs)
+    return top if set(cutoffs) == {top} else (top, cutoffs), tuple(p.tau for p in runs)
 
 
 @pytest.fixture
@@ -247,9 +263,9 @@ def stacks(monkeypatch):
     seen = []
     run = harness.evolve_lockstep
 
-    def record(initial, runs, **kw):
-        seen.append(stack_record(initial, runs, **kw))
-        return run(initial, runs, **kw)
+    def record(initial, runs):
+        seen.append(stack_record(initial, runs))
+        return run(initial, runs)
 
     monkeypatch.setattr(harness, "evolve_lockstep", record)
     return seen
@@ -262,8 +278,8 @@ def planned_stacks(monkeypatch):
     def study(spec):
         seen = []
 
-        def record(initial, runs, **kw):
-            seen.append(stack_record(initial, runs, **kw))
+        def record(initial, runs):
+            seen.append(stack_record(initial, runs))
             return [SimpleNamespace(final=f, wall_ms=0.0) for f in initial]
 
         monkeypatch.setattr(harness, "evolve_lockstep", record)
@@ -273,13 +289,13 @@ def planned_stacks(monkeypatch):
 
 
 class TestStacks:
-    def test_one_cutoff_with_two_jobs_forms_two_stacks(self, stacks):
-        # runs at tau 2^-5 .. 2^-8: ceil(4 runs / 2 jobs) = 2 per stack,
-        # consecutive in step count
-        spec = small_temporal_spec(taus=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7),
-                                   cutoffs=(8,), jobs=2)
-        temporal_study(spec)
-        assert sorted(stacks) == [(8, (2.0 ** -8, 2.0 ** -7)), (8, (2.0 ** -6, 2.0 ** -5))]
+    def test_one_cutoff_forms_one_stack_at_any_jobs(self, planned_stacks):
+        # the 4 runs at tau 2^-5 .. 2^-8 fit one stack on the 50-point grid
+        # of 8, by step count, and jobs never cut it
+        for jobs in (1, 2):
+            spec = small_temporal_spec(taus=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7),
+                                       cutoffs=(8,), jobs=jobs)
+            assert planned_stacks(spec) == [(8, tuple(2.0 ** -k for k in (8, 7, 6, 5)))]
 
     def test_serial_study_stacks_each_cutoff_whole_costliest_first(self, stacks):
         # cutoffs 8 .. 64: each cutoff's runs join those of its double, in
@@ -290,25 +306,16 @@ class TestStacks:
         assert np.all(rep.wall_ms > 0)
 
     def test_parallel_spatial_study_still_pairs_cutoffs(self, planned_stacks):
-        # ceil(6 runs / 3 jobs) = 2 per stack, consecutive by step count:
-        # each stack holds one tau at both cutoffs of a pair
-        taus = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
+        # at 3 jobs as in a serial study: the 6 runs of each pair of
+        # cutoffs form one stack, by step count
+        taus = (2.0 ** -7, 2.0 ** -6, 2.0 ** -5)
         assert planned_stacks(small_spatial_spec(taus=taus, jobs=3)) == sorted(
-            (((n, (n, n // 2)), (tau, tau)) for n in (64, 16) for tau in taus), key=repr)
-
-    def test_jobs_split_a_joined_layout_in_its_window(self, planned_stacks):
-        # ceil(4 runs / 4 jobs) = 1 per stack: a run of 32 or 8 still steps
-        # in the window of 64 or 16, as it does in a serial study
-        taus = (2.0 ** -5, 2.0 ** -6)
-        want = [(n, (tau,)) for n in (64, 16) for tau in taus]
-        want += [((2 * n, (n,)), (tau,)) for n in (32, 8) for tau in taus]
-        assert planned_stacks(small_spatial_spec(taus=taus, jobs=4)) == sorted(want, key=repr)
+            (((n, (n, n // 2) * 3), tuple(sorted(taus * 2))) for n in (64, 16)), key=repr)
 
     def test_jobs_do_not_decide_a_pairing(self, planned_stacks):
         # the grid of 256 (800 points) stacks at most 5 runs: its 3 runs
         # and the 3 of 128 would take 2 stacks where its own take 1, so 128
-        # stays out of the window of 256 also at 2 jobs, where 256's own
-        # runs already take 2 stacks
+        # stays out of the window of 256 at any jobs
         taus = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
         for jobs in (1, 2):
             spec = small_spatial_spec(taus=taus, cutoffs=(64, 128), jobs=jobs)
@@ -318,13 +325,43 @@ class TestStacks:
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_temporal_table_stacks_are_unpaired(self, planned_stacks, jobs):
         # the benchmark's (jobs 2) and the acceptance (jobs 3) temporal
-        # tables: pairing 512 with 1024 or 256 with 512 would add stacks
+        # tables: pairing 512 with 1024 or 256 with 512 would add stacks;
+        # 1024 steps its runs one at a time, 512 two, 256 all four
         spec = StudySpec(axis="temporal", taus=(2.0 ** -6, 2.0 ** -7, 2.0 ** -8),
                          cutoffs=(256, 512, 1024), jobs=jobs)
-        taus = [2.0 ** -k for k in (9, 8, 7, 6)]
-        want = [(1024, (tau,)) for tau in taus]
-        want += [(n, pair) for n in (256, 512) for pair in (tuple(taus[:2]), tuple(taus[2:]))]
+        taus = tuple(2.0 ** -k for k in (9, 8, 7, 6))
+        want = [(1024, (tau,)) for tau in taus] + [(512, taus[:2]), (512, taus[2:]), (256, taus)]
         assert planned_stacks(spec) == sorted(want, key=repr)
+
+    @given(st.sampled_from(harness.AXES),
+           st.lists(st.integers(4, 300), min_size=2, max_size=4, unique=True),
+           st.lists(st.sampled_from([2.0 ** -k for k in range(2, 7)]), min_size=1, max_size=3,
+                    unique=True))
+    def test_stacks_follow_from_the_runs_alone(self, axis, cutoffs, taus):
+        # a temporal table fits its rate over two taus or more
+        assume(axis == "spatial" or len(taus) > 1)
+        spec = small_spatial_spec(axis=axis, taus=taus, cutoffs=cutoffs)
+        keys = {(n, tau / 2.0) for n in cutoffs for tau in taus} if axis == "temporal" else {
+            (2 * n, tau) for n in cutoffs for tau in taus}
+        keys |= {(n, tau) for n in cutoffs for tau in taus}
+        seen, plans = [], []
+
+        def record(initial, runs):
+            seen.append(tuple((p.cutoff, p.tau) for p in runs))
+            return [SimpleNamespace(final=f, wall_ms=0.0) for f in initial]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "evolve_lockstep", record)
+            for jobs in (1, 2, 3, 5):
+                seen.clear()
+                harness._study(dataclasses.replace(spec, jobs=jobs), axis)
+                plans.append(sorted(seen))
+        assert all(plan == plans[0] for plan in plans)
+        assert sorted(key for stack in plans[0] for key in stack) == sorted(keys)
+        for stack in plans[0]:
+            top = max(n for n, _ in stack)
+            assert len(stack) <= max(1, STACK_POINTS // _pow2_grid_size(top))
+            assert all(2 * n >= top for n, _ in stack)
 
     def test_stacks_are_capped_by_grid_points(self, stacks):
         # at N = 1024 the product grid has 3200 > STACK_POINTS / 2 points

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lowregnls.initial_data import InitialDataSpec, coefficients, resolve_tail_cutoff
+from lowregnls import dft
+from lowregnls.initial_data import (
+    InitialDataSpec,
+    coefficients,
+    resolve_tail_cutoff,
+    sample_on_grid,
+)
 from lowregnls.integrator import (
     BlowUpError,
     ConservedQuantities,
@@ -183,9 +189,9 @@ class TestInitialize:
         assert gap > 1e-3  # the alpha=1 tail is far from negligible
 
     def test_sampled_window_is_exact_alias_sum(self):
-        # dual route for the sampled mode: the DFT of the gridded series must
-        # equal the mod-(4N+1) fold of the exact coefficients over the same
-        # tail window
+        # dual route for the sampled mode: the mod-(4N+1) fold of the exact
+        # coefficients over the tail window must equal the DFT of the
+        # gridded series
         spec = InitialDataSpec(alpha=2.0)
         cutoff = 8
         u = initialize(spec, cutoff, init_mode="sampled")
@@ -198,6 +204,9 @@ class TestInitialize:
         # the fold differs from the exact coefficient by the tail leakage,
         # which is small but well above round-off even at alpha = 2
         assert 1e-6 < abs(folded - exact[tail + 1]) < 1e-3
+        # the whole window against the dft oracle
+        grid = dft.forward(sample_on_grid(spec, m, tail))[m // 2 - cutoff: m // 2 + cutoff + 1]
+        assert np.linalg.norm(u.coeffs - grid) <= 1e-14 * np.linalg.norm(grid)
 
     def test_field_source_is_projected(self):
         rng = np.random.default_rng(2)
@@ -210,6 +219,9 @@ class TestInitialize:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             initialize(InitialDataSpec(), 8, init_mode="nope")
+        with pytest.raises(ValueError, match="tail cutoff needs init mode 'sampled', "
+                                             "not 'truncated'"):
+            initialize(InitialDataSpec(), 8, tail_cutoff=64)
         with pytest.raises(TypeError):
             initialize(3.14, 8)
 
@@ -712,8 +724,6 @@ class TestPaddedLockstep:
                  for tau, f in zip(np.repeat(taus, 2), fields)]
         stack = _StepPlan.stacked(plans)
         assert stack.cutoff == top and stack.t3.shape[0] == (4 if n < top else 2)
-        alone = _StepPlan.stacked(plans[:1], top)
-        assert alone.cutoff == top and alone.t3.shape[0] == (4 if n < top else 2)
         c = np.stack([project(f, top).coeffs for f in fields])
         own = [f.coeffs for f in fields]
         for _ in range(3):
@@ -749,14 +759,6 @@ class TestPaddedLockstep:
             assert_diagnostics_close(traj.diagnostics, solo.diagnostics, solo.cq,
                                      params.cutoff)
             assert abs(traj.h1_max - solo.h1_max) <= 1e-13 * solo.h1_max
-            # alone in the same window, a run steps as in the stack: a study's
-            # tables do not depend on how jobs cut its stacks (equal up to
-            # the sign of zeros, as a run of the window's cutoff meets mask
-            # rows of ones only in a stack with smaller cutoffs)
-            [alone] = evolve_lockstep(u, [params], None, times, stride, cutoff=top)
-            for a, b in zip(alone.snapshots, traj.snapshots, strict=True):
-                assert np.array_equal(a.coeffs, b.coeffs)
-            assert alone.diagnostics == traj.diagnostics and alone.h1_max == traj.h1_max
 
 
 class TestLockstepBoundary:
@@ -783,10 +785,6 @@ class TestLockstepBoundary:
         u = SpectralField.from_modes(16, {1: 0.5, -2: bad})
         with pytest.raises(ValueError, match=r"run 1 \(tau = 0.2\): initial coefficients must be finite"):
             evolve_lockstep([self.u8, u], [self.p8, self.p16])
-
-    def test_window_must_hold_every_run(self):
-        with pytest.raises(ValueError, match="run 1 has cutoff 16, above the window's 8"):
-            evolve_lockstep([self.u8, self.u16], [self.p8, self.p16], cutoff=8)
 
     def test_runs_must_share_lam(self):
         with pytest.raises(ValueError, match="run 1 has lam 1, but .* share lam -1"):
