@@ -55,7 +55,8 @@ DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 # largest cutoff accepted on the command line: a step at N = 2^16 works on
 # 15 grid rows of 204800 points (47 MiB); a spatial study also runs 2N, and
 # stacks its runs (a cutoff's half zero-padded among them where that removes
-# stacks) only at grids of <= 2048 points (harness.STACK_POINTS), at any --jobs.
+# stacks) only at grids of <= 2048 points (harness.STACK_POINTS), at any --jobs;
+# each of the up to --jobs worker processes holds one stack at a time.
 # The sampled initial series may reach 16 times that, its default at N = 2^16.
 MAX_CUTOFF = 2 ** 16
 
@@ -152,7 +153,7 @@ def _add_common(p: _Parser, study: bool) -> None:
                    help="key=value file of defaults; explicit flags override it")
     if study:
         p.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=1,
-                       help="worker threads; each advances one stack of runs in lockstep "
+                       help="worker processes; each advances one stack of runs in lockstep "
                             "(default 1)")
     else:
         p.add_argument("--initial", choices=["sobolev", "plane", "constant"],
@@ -380,7 +381,10 @@ def _cmd_study(args, axis: str) -> int:
         raise CliError(f"tau {min(spec.taus)!r} is too small to halve")
     _check_steps(finest, spec.horizon)
     study = temporal_study if axis == "temporal" else spatial_study
-    return _emit_report(study(spec), args.out)
+    # as in _run_trajectory; the worker processes fork inside this state
+    with np.errstate(all="ignore"):
+        report = study(spec)
+    return _emit_report(report, args.out)
 
 
 def _selftest_dealiasing(rng) -> tuple[bool, str]:

@@ -12,14 +12,15 @@ that pay each step's numpy calls once for all their runs
 stack.  Where that removes a stack, the runs of a cutoff's half join those
 of the cutoff, zero-padded on its grid.  The stacks follow from the keys
 alone, never from the number of jobs, which only sets how many run at
-once.  A run's wall time is the time its stack ran until the run's last
-step, so the wall times of runs that share a stack overlap.
+once, in worker processes.  A run's wall time is the time its stack ran
+until the run's last step, so the wall times of runs that share a stack
+overlap.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .initial_data import InitialDataSpec
 # this name
 from .integrator import SchemeParams, evolve, evolve_lockstep, initialize  # noqa: F401
 from .reference import SPLITTINGS, splitting_evolve
-from .spectral import _pow2_grid_size, l2_error
+from .spectral import SpectralField, _pow2_grid_size, l2_error
 
 __all__ = [
     "CSV_HEADER",
@@ -48,8 +49,8 @@ SCHEMES = ("lowreg", *SPLITTINGS)
 
 # most grid points R * m in a row of a stack of R runs on the m-point grid
 # of its largest cutoff (a cutoff's half counted at that m): the 15-row work
-# block stays under 1 MiB, stacks of two or more runs form only at m <= 2048
-# (N <= 682), and it alone, never the number of jobs, sizes a study's stacks
+# block of a worker stays under 1 MiB, stacks of two or more runs form only
+# at m <= 2048 (N <= 682), and it alone, never the number of jobs, sizes them
 STACK_POINTS = 4096
 
 
@@ -148,20 +149,59 @@ def fit_rate(values, errors) -> float:
     return float(np.polyfit(np.log2(values), np.log2(errors), 1)[0])
 
 
-def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
-    """(final state, wall_ms) of every (cutoff, tau) key.
+def _stacks(scheme: str, params: dict) -> list[list[tuple[int, float]]]:
+    """The stacks of the runs params maps to their SchemeParams, by key.
 
     The low-regularity runs are laid out by cutoff, from the largest down.
     A layout of cutoff L takes in the runs of a smaller cutoff N when
     2N >= L and that adds no stack, a stack holding at most
     max(1, STACK_POINTS // m) runs, m the product grid size of L; otherwise
     N opens a layout of its own.  Each layout is cut, by step count, into
-    consecutive stacks of that many runs, and each stack advances in
-    lockstep in the window of its largest cutoff, the smaller cutoffs
-    zero-padded; a splitting run is a stack of its own.  So the stacks, and
-    every result, depend on the keys alone; jobs only sets how many stacks
-    run at once, costliest first (steps x m), in a thread pool.
+    consecutive stacks of that many runs.  A splitting run is a stack of its
+    own, so its cutoffs never join.  The stacks depend on the keys alone,
+    and come costliest first (steps x m), the order in which they start.
     """
+    def per_stack(top: int) -> int:
+        return max(1, STACK_POINTS // _pow2_grid_size(top)) if scheme == "lowreg" else 1
+
+    layouts: list[tuple[int, list]] = []
+    for n in sorted({n for n, _ in params}, reverse=True):
+        runs = [key for key in params if key[0] == n]
+        top, joined = layouts[-1] if layouts else (n, [])
+        # N's runs join when they fit in the room the layout's last stack leaves
+        if joined and 2 * n >= top and len(runs) <= -len(joined) % per_stack(top):
+            joined += runs
+        else:
+            layouts.append((n, runs))
+    stacks = []
+    for top, runs in layouts:
+        runs.sort(key=lambda key: -params[key].steps)
+        size = per_stack(top)
+        stacks += [runs[i: i + size] for i in range(0, len(runs), size)]
+    stacks.sort(key=lambda stack: -sum(params[key].steps for key in stack)
+                * _pow2_grid_size(max(n for n, _ in stack)))
+    return stacks
+
+
+def _run_stack(task):
+    """(final coefficients, wall_ms) of each run of a task (scheme, initial
+    coefficients of each run, SchemeParams of each run): plain data, which a
+    worker process can take.  A stack steps in lockstep in the window of its
+    largest cutoff, the smaller cutoffs zero-padded."""
+    scheme, coeffs, runs = task
+    initials = [SpectralField(params.cutoff, c) for c, params in zip(coeffs, runs)]
+    if scheme == "lowreg":
+        trajs = evolve_lockstep(initials, runs)
+    else:
+        [initial], [params] = initials, runs
+        trajs = [splitting_evolve(initial, params, SPLITTINGS[scheme])]
+    return [(traj.final.coeffs, traj.wall_ms) for traj in trajs]
+
+
+def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
+    """(final state, wall_ms) of every (cutoff, tau) key: each of the
+    `_stacks` is a `_run_stack` task, and jobs only sets how many run at
+    once, in a pool of at most one worker process per CPU."""
     data = spec.initial_data()
     states = {
         n: initialize(data, n, init_mode=spec.init_mode, tail_cutoff=spec.tail_cutoff)
@@ -171,45 +211,21 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
         (n, tau): SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon)
         for n, tau in keys
     }
+    stacks = _stacks(spec.scheme, params)
+    tasks = [(spec.scheme, [states[n].coeffs for n, _ in stack], [params[key] for key in stack])
+             for stack in stacks]
 
-    def per_stack(top: int) -> int:
-        return max(1, STACK_POINTS // _pow2_grid_size(top))
-
-    if spec.scheme == "lowreg":
-        layouts: list[tuple[int, list]] = []
-        for n in sorted(states, reverse=True):
-            runs = [key for key in keys if key[0] == n]
-            top, joined = layouts[-1] if layouts else (n, [])
-            # N's runs join when they fit in the room the layout's last stack leaves
-            if joined and 2 * n >= top and len(runs) <= -len(joined) % per_stack(top):
-                joined += runs
-            else:
-                layouts.append((n, runs))
-        stacks = []
-        for top, runs in layouts:
-            runs.sort(key=lambda key: -params[key].steps)
-            size = per_stack(top)
-            stacks += [runs[i: i + size] for i in range(0, len(runs), size)]
-    else:
-        stacks = [[key] for key in keys]
-    stacks.sort(key=lambda stack: -sum(params[key].steps for key in stack)
-                * _pow2_grid_size(max(n for n, _ in stack)))
-
-    def worker(stack):
-        if spec.scheme == "lowreg":
-            trajs = evolve_lockstep([states[n] for n, _ in stack], [params[key] for key in stack])
-        else:
-            [key] = stack
-            trajs = [splitting_evolve(states[key[0]], params[key], SPLITTINGS[spec.scheme])]
-        return [(traj.final, traj.wall_ms) for traj in trajs]
-
-    workers = min(spec.jobs, len(stacks))
+    workers = min(spec.jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        results = [worker(stack) for stack in stacks]
+        results = list(map(_run_stack, tasks))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, stacks))
-    return {key: run for stack, runs in zip(stacks, results) for key, run in zip(stack, runs)}
+        # imported here, so that a serial study does not pay for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_stack, tasks))
+    return {key: (SpectralField(key[0], coeffs), wall_ms) for stack, runs in zip(stacks, results)
+            for key, (coeffs, wall_ms) in zip(stack, runs)}
 
 
 def _study(spec: StudySpec, axis: str) -> ConvergenceReport:

@@ -90,6 +90,10 @@ class BlowUpError(RuntimeError):
             f"(t = {time_value:g}, tau = {tau!r}); last finite H^1 was {last_h1:g}"
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields, so that it crosses a process boundary
+        return type(self), (self.step_index, self.time, self.tau, self.last_h1)
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -613,7 +617,7 @@ def evolve_lockstep(
     own initial field.  Except for wall_ms (see `_evolve_with`), each
     trajectory is equal to that of the run's own `evolve`: bitwise when
     every run has the largest cutoff, to round-off otherwise; a study's
-    stacks never depend on its --jobs (`harness._compute_runs`).  A
+    stacks never depend on its --jobs (`harness._stacks`).  A
     ValueError for bad input and a BlowUpError name the run.
     """
     runs = list(runs)

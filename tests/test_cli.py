@@ -370,6 +370,15 @@ class TestErrorContract:
                          1, capsys)
         assert "blew up" in msg
 
+    def test_blow_up_in_a_worker_process(self, capfd):
+        # the runs of cutoffs 8 and 64 form two stacks, so --jobs 2 runs
+        # them in two worker processes; capfd also sees what they print
+        argv = ["study-temporal", "--tau-list", "2^20,2^19", "--T", "1048576",
+                "--N-list", "8,64"]
+        serial = self.check(argv + ["--jobs", "1"], 1, capfd)
+        assert "blew up" in serial
+        assert self.check(argv + ["--jobs", "2"], 1, capfd) == serial
+
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
     def test_non_finite_initial_data(self, amplitude, capsys):
         msg = self.check(["solve", "--amplitude", amplitude, "--tau", "2^-3",

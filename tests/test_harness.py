@@ -1,10 +1,12 @@
 """Study harness: rate fitting, table structure, CSV contract, determinism."""
 
+import concurrent.futures
 import dataclasses
 import io
 import math
+import multiprocessing
+import os
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from lowregnls.harness import (
 )
 from lowregnls.initial_data import InitialDataSpec
 from lowregnls.integrator import BlowUpError, SchemeParams, evolve, evolve_lockstep, initialize
-from lowregnls.spectral import _pow2_grid_size, l2_error, project
+from lowregnls.spectral import SpectralField, _pow2_grid_size, l2_error, project
 
 
 class TestFitRate:
@@ -246,14 +248,20 @@ class TestCells:
         assert abs(rep.errors[0, 0] - want[0]) <= 1e-13 * want[0]
 
 
-def stack_record(initial, runs):
-    """(cutoff, taus) of a stack of runs of one cutoff, from one initial
-    field per run; (largest cutoff, cutoff of each run) in place of the
-    cutoff when some run rides zero-padded in a larger cutoff's window."""
-    cutoffs = tuple(f.cutoff for f in initial)
-    assert cutoffs == tuple(p.cutoff for p in runs)
+def key_record(stack):
+    """(cutoff, taus) of a stack of (cutoff, tau) run keys of one cutoff;
+    (largest cutoff, cutoff of each run) in place of the cutoff when some
+    run rides zero-padded in a larger cutoff's window."""
+    cutoffs = tuple(n for n, _ in stack)
     top = max(cutoffs)
-    return top if set(cutoffs) == {top} else (top, cutoffs), tuple(p.tau for p in runs)
+    return top if set(cutoffs) == {top} else (top, cutoffs), tuple(tau for _, tau in stack)
+
+
+def stack_record(initial, runs):
+    """key_record of a stack handed to evolve_lockstep, from one initial
+    field per run."""
+    assert tuple(f.cutoff for f in initial) == tuple(p.cutoff for p in runs)
+    return key_record([(p.cutoff, p.tau) for p in runs])
 
 
 @pytest.fixture
@@ -271,21 +279,26 @@ def stacks(monkeypatch):
     return seen
 
 
+def study_plan(spec):
+    """The stacks `harness._stacks` forms from the run keys a study's cells
+    name, in the order they start; no run is computed."""
+    keys = []
+
+    def record(spec, study_keys):
+        keys.extend(study_keys)
+        return {(n, tau): (SpectralField.zeros(n), 0.0) for n, tau in study_keys}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_compute_runs", record)
+        harness._study(spec, spec.axis)
+    return harness._stacks(spec.scheme, {
+        (n, tau): SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon) for n, tau in keys})
+
+
 @pytest.fixture
-def planned_stacks(monkeypatch):
-    """The stacks a study forms, sorted, recorded without running them:
-    each run's initial field stands in for its final state."""
-    def study(spec):
-        seen = []
-
-        def record(initial, runs):
-            seen.append(stack_record(initial, runs))
-            return [SimpleNamespace(final=f, wall_ms=0.0) for f in initial]
-
-        monkeypatch.setattr(harness, "evolve_lockstep", record)
-        (temporal_study if spec.axis == "temporal" else spatial_study)(spec)
-        return sorted(seen, key=repr)
-    return study
+def planned_stacks():
+    """The stacks a study forms, sorted, from its plan alone."""
+    return lambda spec: sorted(map(key_record, study_plan(spec)), key=repr)
 
 
 class TestStacks:
@@ -344,21 +357,11 @@ class TestStacks:
         keys = {(n, tau / 2.0) for n in cutoffs for tau in taus} if axis == "temporal" else {
             (2 * n, tau) for n in cutoffs for tau in taus}
         keys |= {(n, tau) for n in cutoffs for tau in taus}
-        seen, plans = [], []
-
-        def record(initial, runs):
-            seen.append(tuple((p.cutoff, p.tau) for p in runs))
-            return [SimpleNamespace(final=f, wall_ms=0.0) for f in initial]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "evolve_lockstep", record)
-            for jobs in (1, 2, 3, 5):
-                seen.clear()
-                harness._study(dataclasses.replace(spec, jobs=jobs), axis)
-                plans.append(sorted(seen))
-        assert all(plan == plans[0] for plan in plans)
-        assert sorted(key for stack in plans[0] for key in stack) == sorted(keys)
-        for stack in plans[0]:
+        # _stacks takes no jobs; that the tables agree at any jobs is
+        # checked end to end by test_tables_do_not_depend_on_jobs
+        plan = study_plan(spec)
+        assert sorted(key for stack in plan for key in stack) == sorted(keys)
+        for stack in plan:
             top = max(n for n, _ in stack)
             assert len(stack) <= max(1, STACK_POINTS // _pow2_grid_size(top))
             assert all(2 * n >= top for n, _ in stack)
@@ -385,6 +388,69 @@ class TestStacks:
         with np.errstate(all="ignore"), pytest.raises(BlowUpError) as solo:
             evolve(u0, params)
         assert str(info.value) == str(solo.value)
+
+
+# studies of two stacks or more, so that jobs > 1 starts a pool
+POOLED_SPECS = {
+    "lowreg-temporal": small_temporal_spec(cutoffs=(8, 64)),
+    "lowreg-spatial": small_spatial_spec(),
+    "strang-temporal": small_temporal_spec(scheme="strang", cutoffs=(8,), alpha=3.0),
+    "sampled-spatial": small_spatial_spec(init_mode="sampled", tail_cutoff=512),
+}
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("spec", POOLED_SPECS.values(), ids=POOLED_SPECS.keys())
+    def test_tables_do_not_depend_on_jobs(self, spec):
+        assert len(study_plan(spec)) >= 2
+        study = temporal_study if spec.axis == "temporal" else spatial_study
+        serial, *pooled = (study(dataclasses.replace(spec, jobs=jobs)) for jobs in (1, 2, 3, 5))
+        for rep in pooled:
+            assert np.array_equal(rep.errors, serial.errors)
+            assert rep.rates == serial.rates
+        assert multiprocessing.active_children() == []
+
+    def test_blow_up_crosses_the_pool(self):
+        # both stacks blow up; the costlier one, of cutoff 64, is reported
+        spec = small_temporal_spec(taus=(0.5, 0.25), cutoffs=(8, 64), amplitude=1e6,
+                                   horizon=2.0)
+        assert len(study_plan(spec)) == 2
+        messages = []
+        for kw in ({"jobs": 1}, {"jobs": 2}, {"cutoffs": (64,)}):
+            with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+                temporal_study(dataclasses.replace(spec, **kw))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == messages[2]
+        assert multiprocessing.active_children() == []
+
+    def test_pool_is_bounded_by_the_machine(self, monkeypatch):
+        # an in-process stand-in for the pool records its size; no real pool
+        # is started for a huge jobs value
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # at N = 1024 each of the 4 runs is a stack of its own
+        spec = small_temporal_spec(taus=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6), cutoffs=(1024,),
+                                   horizon=2.0 ** -4, jobs=10 ** 6)
+        assert len(study_plan(spec)) == 4
+        rep = temporal_study(spec)
+        assert sizes == [3]
+        assert np.array_equal(rep.errors, temporal_study(dataclasses.replace(spec, jobs=1)).errors)
+        assert sizes == [3]
 
 
 class TestCsv:

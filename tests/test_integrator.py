@@ -1,6 +1,7 @@
 """One-step map checks: closed forms, structural cross-checks, trajectories."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -538,6 +539,14 @@ class TestEvolve:
         # the initial H^1 norm, 2 pi 1e400, already overflows
         assert err.step_index == 1 and math.isnan(err.last_h1)
         assert "tau = 0.5" in str(err) and "last finite H^1 was nan" in str(err)
+
+    def test_blow_up_error_pickles(self):
+        # a study's worker process sends it to the parent
+        err = BlowUpError(3, 0.5, 0.25, 1.0)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is BlowUpError
+        assert (back.step_index, back.time, back.tau, back.last_h1) == (3, 0.5, 0.25, 1.0)
+        assert str(back) == str(err)
 
     def test_blow_up_detection(self):
         # focusing constant state far above the blow-up scale overflows the
