@@ -8,7 +8,6 @@ baselines, exactly dealiased spectral arithmetic, and a convergence-study
 harness with a command line front end.
 """
 
-from .dft import forward, grid, index_window, inverse
 from .harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -18,7 +17,7 @@ from .harness import (
     temporal_study,
     write_report_csv,
 )
-from .initial_data import InitialDataSpec, coefficients, sample_on_grid
+from .initial_data import InitialDataSpec, coefficients
 from .integrator import (
     BlowUpError,
     ConservedQuantities,
@@ -71,19 +70,14 @@ __all__ = [
     "evolve",
     "evolve_lockstep",
     "fit_rate",
-    "forward",
     "free_propagator",
-    "grid",
-    "index_window",
     "initialize",
     "inv_derivative",
-    "inverse",
     "l2_error",
     "load_field",
     "load_trajectory",
     "nonzero_part",
     "project",
-    "sample_on_grid",
     "save_field",
     "save_trajectory",
     "sobolev_norm",

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .harness import (
-    SCHEMES,
     StudySpec,
     spatial_study,
     temporal_study,
@@ -30,6 +29,7 @@ from .harness import (
 )
 from .initial_data import InitialDataSpec
 from .integrator import (
+    SCHEMES,
     SchemeParams,
     conserved_quantities,
     evolve,

@@ -6,15 +6,16 @@ fixes tau and compares cutoff N against cutoff 2N (zero-extending the coarser
 field).  Errors are the plain coefficient l2 norm sqrt(sum_k |delta_k|^2).
 
 Cells name their runs by (N, tau) key, so a run that two cells share is
-computed once.  The low-regularity runs advance in lockstep, in stacks
+computed once.  The runs of every scheme advance in lockstep, in stacks
 that pay each step's numpy calls once for all their runs
 (`evolve_lockstep`), with at most STACK_POINTS grid points in a row of a
-stack.  Where that removes a stack, the runs of a cutoff's half join those
-of the cutoff, zero-padded on its grid.  The stacks follow from the keys
-alone, never from the number of jobs, which only sets how many run at
-once, in worker processes.  A run's wall time is the time its stack ran
-until the run's last step, so the wall times of runs that share a stack
-overlap.
+stack.  Where that removes a stack, the low-regularity runs of a cutoff's
+half join those of the cutoff, zero-padded on its grid; splitting layouts
+never join, so a splitting stack holds one cutoff.  The stacks follow from
+the keys alone, never from the number of jobs, which only sets how many
+run at once, in worker processes.  A run's wall time is the time its stack
+ran until the run's last step, so the wall times of runs that share a
+stack overlap.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDataSpec
-# evolve is no longer called here, but perfbench/tracing.py patches it by
-# this name
-from .integrator import SchemeParams, evolve, evolve_lockstep, initialize  # noqa: F401
-from .reference import SPLITTINGS, splitting_evolve
+# evolve and splitting_evolve are not called here, but perfbench/tracing.py
+# patches both by these names
+from .integrator import SCHEMES, SchemeParams, evolve, evolve_lockstep, initialize  # noqa: F401
+from .reference import splitting_evolve  # noqa: F401
 from .spectral import SpectralField, _pow2_grid_size, l2_error
 
 __all__ = [
@@ -45,12 +46,13 @@ __all__ = [
 CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate,wall_ms"
 
 AXES = ("temporal", "spatial")
-SCHEMES = ("lowreg", *SPLITTINGS)
 
 # most grid points R * m in a row of a stack of R runs on the m-point grid
 # of its largest cutoff (a cutoff's half counted at that m): the 15-row work
 # block of a worker stays under 1 MiB, stacks of two or more runs form only
-# at m <= 2048 (N <= 682), and it alone, never the number of jobs, sizes them
+# at m <= 2048 (N <= 682), and it alone, never the number of jobs, sizes them;
+# a splitting stack takes the same count, though its flow runs on the grid
+# of cutoff 2N
 STACK_POINTS = 4096
 
 
@@ -152,24 +154,26 @@ def fit_rate(values, errors) -> float:
 def _stacks(scheme: str, params: dict) -> list[list[tuple[int, float]]]:
     """The stacks of the runs params maps to their SchemeParams, by key.
 
-    The low-regularity runs are laid out by cutoff, from the largest down.
-    A layout of cutoff L takes in the runs of a smaller cutoff N when
-    2N >= L and that adds no stack, a stack holding at most
-    max(1, STACK_POINTS // m) runs, m the product grid size of L; otherwise
-    N opens a layout of its own.  Each layout is cut, by step count, into
-    consecutive stacks of that many runs.  A splitting run is a stack of its
-    own, so its cutoffs never join.  The stacks depend on the keys alone,
-    and come costliest first (steps x m), the order in which they start.
+    The runs are laid out by cutoff, from the largest down.  A stack holds
+    at most max(1, STACK_POINTS // m) runs, m the product grid size of its
+    layout's cutoff L.  A low-regularity layout takes in the runs of a
+    smaller cutoff N when 2N >= L and that adds no stack; otherwise N opens
+    a layout of its own.  A splitting layout never takes in a smaller
+    cutoff, since the 4N+1 collocation aliases differently at each N.  Each
+    layout is cut, by step count, into consecutive stacks of that many
+    runs.  The stacks depend on the keys alone, and come costliest first
+    (steps x m), the order in which they start.
     """
     def per_stack(top: int) -> int:
-        return max(1, STACK_POINTS // _pow2_grid_size(top)) if scheme == "lowreg" else 1
+        return max(1, STACK_POINTS // _pow2_grid_size(top))
 
     layouts: list[tuple[int, list]] = []
     for n in sorted({n for n, _ in params}, reverse=True):
         runs = [key for key in params if key[0] == n]
         top, joined = layouts[-1] if layouts else (n, [])
         # N's runs join when they fit in the room the layout's last stack leaves
-        if joined and 2 * n >= top and len(runs) <= -len(joined) % per_stack(top):
+        if (scheme == "lowreg" and joined and 2 * n >= top
+                and len(runs) <= -len(joined) % per_stack(top)):
             joined += runs
         else:
             layouts.append((n, runs))
@@ -190,12 +194,8 @@ def _run_stack(task):
     largest cutoff, the smaller cutoffs zero-padded."""
     scheme, coeffs, runs = task
     initials = [SpectralField(params.cutoff, c) for c, params in zip(coeffs, runs)]
-    if scheme == "lowreg":
-        trajs = evolve_lockstep(initials, runs)
-    else:
-        [initial], [params] = initials, runs
-        trajs = [splitting_evolve(initial, params, SPLITTINGS[scheme])]
-    return [(traj.final.coeffs, traj.wall_ms) for traj in trajs]
+    return [(traj.final.coeffs, traj.wall_ms)
+            for traj in evolve_lockstep(initials, runs, scheme=scheme)]
 
 
 def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):

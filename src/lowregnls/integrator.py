@@ -11,9 +11,11 @@ to a logarithmic factor, without any CFL-type step restriction.
 17 FFTs (5 + 4 + 4 + 4), in four batched calls, on a product grid of
 >= 3N+1 points, the smallest 2^k or 25*2^k; products that end under the
 same Fourier multiplier are summed on the grid and transformed once.
-`evolve_lockstep` advances runs of several taus, and of several cutoffs
-zero-padded to the largest, together as one stack of states through the
-same calls.  `step_twisted` advances the
+`evolve_lockstep` is the one driver of every scheme: it advances runs of
+several taus together as one stack of states through the same calls, by
+the low-regularity step (runs of several cutoffs zero-padded to the
+largest) or by a Lie or Strang splitting step of `reference` (runs of one
+cutoff).  `step_twisted` advances the
 twisted variable v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
 reproduces `step` to rounding, which the tests exploit as a structural
 cross-check.
@@ -31,6 +33,7 @@ import numpy as np
 
 from . import initial_data
 from .initial_data import InitialDataSpec
+from .reference import SPLITTINGS, _splitting_stepper
 from .spectral import (
     SpectralField,
     _free_phase,
@@ -70,6 +73,7 @@ __all__ = [
 ]
 
 INIT_MODES = ("truncated", "sampled")
+SCHEMES = ("lowreg", *SPLITTINGS)
 
 # relative tolerance, against max(|t|, 1), for a time to sit on the step grid
 TIME_RTOL = 1e-12
@@ -197,8 +201,8 @@ class _StepPlan:
     momentum), built by `_plan`, or for a stack of R runs of one lam,
     built by `stacked`.
 
-    Immutable after construction and safe to share across threads; `apply`
-    allocates its own work arrays.  One application costs 17 FFT rows per
+    Immutable after construction, so a stack's runs and steps share it;
+    `apply` allocates its own work arrays.  One application costs 17 FFT rows per
     run (stages of 5 + 4 + 4 + 4), in four batched calls, of the product grid
     length (>= 3N+1, the smallest 2^k or 25*2^k).  The FFT, Pi_N and the diagonal
     multipliers are linear, so products that end under the same multiplier
@@ -475,41 +479,88 @@ def _diagnose(
     )
 
 
-def _validated_start(
-    initial: SpectralField, params: SchemeParams, cq: ConservedQuantities | None
-) -> ConservedQuantities:
-    """Check a run's initial state against params; cq, computed if None."""
-    if initial.cutoff != params.cutoff:
-        raise ValueError(
-            f"field cutoff {initial.cutoff} != params cutoff {params.cutoff}"
-        )
-    if not np.all(np.isfinite(initial.coeffs)):
-        raise ValueError("initial coefficients must be finite")
-    return conserved_quantities(initial) if cq is None else cq
+def evolve(
+    initial: SpectralField,
+    params: SchemeParams,
+    cq: ConservedQuantities | None = None,
+    snapshot_times=None,
+    diag_stride: int = 0,
+) -> Trajectory:
+    """Run the low-regularity scheme for params.steps steps.
 
-
-def _evolve_with(
-    stepper,
-    scheme: str,
-    initials,
-    runs,
-    cqs,
-    snapshot_times,
-    diag_stride: int,
-) -> list[Trajectory]:
-    """Advance runs of one lam in lockstep, run r from initials[r] with
-    conserved quantities cqs[r].
-
-    Row r of the (R, 2N+1) state stack is run r, N the largest run cutoff
-    whatever a study's --jobs; a smaller cutoff rides zero-padded in it.
-    The runs come in descending order of step count, and stepper(r) is the
-    one-step map of the first r rows.  When a run reaches its step count,
-    its row is dropped by a prefix slice of the stack and a new stepper(r).
-    Each run keeps its own snapshots and diagnostics (at its own cutoff),
-    running H^1 maximum and BlowUpError, as if it ran alone; its wall_ms is
-    the time the stack ran until the run's last step, so runs that share a
-    stack overlap.
+    Snapshots (full fields) are stored at the requested times, which must lie
+    on the step grid; the default is the final time only.  Lightweight norm
+    diagnostics are recorded at every snapshot, at steps 0 and L, and at every
+    diag_stride-th step when diag_stride > 0.  The running H^1 maximum over
+    every step is always tracked.  Raises ValueError if the initial
+    coefficients are not finite, and BlowUpError, naming the step, the tau
+    and the last finite H^1, if the state's H^1 norm leaves floating point
+    range.
     """
+    [traj] = evolve_lockstep(initial, [params], cq, snapshot_times, diag_stride)
+    return traj
+
+
+def evolve_lockstep(
+    initial,
+    runs,
+    cq: ConservedQuantities | None = None,
+    snapshot_times=None,
+    diag_stride: int = 0,
+    scheme: str = "lowreg",
+) -> list[Trajectory]:
+    """`evolve` for one or more runs of one lam, stepped together by one
+    scheme of SCHEMES; trajectories come back in the order of runs.
+
+    initial is one field, the start of every run, or a sequence of one
+    field per run, each at its run's cutoff; cq, when given, is every run's,
+    by default each run's is that of its own initial field.  Row r of the
+    (R, 2N+1) state stack is run r, N the largest run cutoff: low-regularity
+    runs of a smaller cutoff ride zero-padded on N's product grid (see
+    `_StepPlan`), and splitting runs share one cutoff (see `reference`).
+    The runs step in descending order of step count, and a run that reaches
+    its step count leaves the stack by a prefix slice.  Each trajectory is
+    that of the run's own `evolve` or `splitting_evolve`, bitwise when every
+    run has the largest cutoff, to round-off otherwise, except for wall_ms:
+    the time the stack ran until the run's last step.  A ValueError for bad
+    input and a BlowUpError name the run.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    runs = list(runs)
+    if not runs:
+        raise ValueError("runs stepped together must be one or more")
+    initials = [initial] * len(runs) if isinstance(initial, SpectralField) else list(initial)
+    if len(initials) != len(runs):
+        unmatched = (f"run {len(initials)} has no initial field" if len(initials) < len(runs)
+                     else f"initial field {len(runs)} has no run")
+        raise ValueError(f"{len(initials)} initial fields for {len(runs)} runs: {unmatched}")
+    for r, (field, params) in enumerate(zip(initials, runs)):
+        if params.lam != runs[0].lam:
+            raise ValueError(f"run {r} has lam {params.lam}, but runs stepped together "
+                             f"must share lam {runs[0].lam}")
+        if scheme != "lowreg" and params.cutoff != runs[0].cutoff:
+            raise ValueError(f"run {r} has cutoff {params.cutoff}, but splitting runs "
+                             f"stepped together must share cutoff {runs[0].cutoff}")
+        if field.cutoff != params.cutoff:
+            raise ValueError(f"run {r} (tau = {params.tau!r}): field cutoff "
+                             f"{field.cutoff} != params cutoff {params.cutoff}")
+        if not np.all(np.isfinite(field.coeffs)):
+            raise ValueError(f"run {r} (tau = {params.tau!r}): initial coefficients "
+                             "must be finite")
+    order = sorted(range(len(runs)), key=lambda r: -runs[r].steps)
+    initials = [initials[r] for r in order]
+    runs = [runs[r] for r in order]
+    cqs = [conserved_quantities(f) if cq is None else cq for f in initials]
+    # stepper(rows): the one-step map of the stack's first rows
+    if scheme == "lowreg":
+        stack = _StepPlan.stacked([_plan_for(params, q) for params, q in zip(runs, cqs)])
+
+        def stepper(rows):
+            return stack.head(rows).apply
+    else:
+        stepper = _splitting_stepper(SPLITTINGS[scheme], runs)
+
     wants = []
     for params in runs:
         times = (params.horizon,) if snapshot_times is None else snapshot_times
@@ -561,10 +612,10 @@ def _evolve_with(
             c = c[:live]
             advance = stepper(live)
 
-    trajectories = []
+    trajectories = [None] * len(runs)
     for r, params in enumerate(runs):
         ordered = sorted(wants[r])
-        trajectories.append(Trajectory(
+        trajectories[order[r]] = Trajectory(
             params=params,
             cq=cqs[r],
             scheme=scheme,
@@ -573,79 +624,8 @@ def _evolve_with(
             diagnostics=tuple(diagnostics[r][j] for j in sorted(diagnostics[r])),
             h1_max=h1_max[r],
             wall_ms=wall_ms[r],
-        ))
+        )
     return trajectories
-
-
-def evolve(
-    initial: SpectralField,
-    params: SchemeParams,
-    cq: ConservedQuantities | None = None,
-    snapshot_times=None,
-    diag_stride: int = 0,
-) -> Trajectory:
-    """Run the low-regularity scheme for params.steps steps.
-
-    Snapshots (full fields) are stored at the requested times, which must lie
-    on the step grid; the default is the final time only.  Lightweight norm
-    diagnostics are recorded at every snapshot, at steps 0 and L, and at every
-    diag_stride-th step when diag_stride > 0.  The running H^1 maximum over
-    every step is always tracked.  Raises ValueError if the initial
-    coefficients are not finite, and BlowUpError, naming the step, the tau
-    and the last finite H^1, if the state's H^1 norm leaves floating point
-    range.
-    """
-    [traj] = evolve_lockstep(initial, [params], cq, snapshot_times, diag_stride)
-    return traj
-
-
-def evolve_lockstep(
-    initial,
-    runs,
-    cq: ConservedQuantities | None = None,
-    snapshot_times=None,
-    diag_stride: int = 0,
-) -> list[Trajectory]:
-    """`evolve` for one or more runs of one lam, stepped together;
-    trajectories come back in the order of runs.
-
-    initial is one field, the start of every run, or a sequence of one
-    field per run, each at its run's cutoff.  The runs step in the window
-    of the largest of their cutoffs, on its product grid; a run of a
-    smaller cutoff rides zero-padded (see `_StepPlan`).
-    cq, when given, is every run's; by default each run's is that of its
-    own initial field.  Except for wall_ms (see `_evolve_with`), each
-    trajectory is equal to that of the run's own `evolve`: bitwise when
-    every run has the largest cutoff, to round-off otherwise; a study's
-    stacks never depend on its --jobs (`harness._stacks`).  A
-    ValueError for bad input and a BlowUpError name the run.
-    """
-    runs = list(runs)
-    if not runs:
-        raise ValueError("runs stepped together must be one or more")
-    initials = [initial] * len(runs) if isinstance(initial, SpectralField) else list(initial)
-    if len(initials) != len(runs):
-        unmatched = (f"run {len(initials)} has no initial field" if len(initials) < len(runs)
-                     else f"initial field {len(runs)} has no run")
-        raise ValueError(f"{len(initials)} initial fields for {len(runs)} runs: {unmatched}")
-    cqs = []
-    for r, (field, params) in enumerate(zip(initials, runs)):
-        if params.lam != runs[0].lam:
-            raise ValueError(
-                f"run {r} has lam {params.lam}, but runs stepped together must "
-                f"share lam {runs[0].lam}"
-            )
-        try:
-            cqs.append(_validated_start(field, params, cq))
-        except ValueError as exc:
-            raise ValueError(f"run {r} (tau = {params.tau!r}): {exc}") from None
-    order = sorted(range(len(runs)), key=lambda r: -runs[r].steps)
-    stack = _StepPlan.stacked([_plan_for(runs[r], cqs[r]) for r in order])
-    trajs = _evolve_with(
-        lambda rows: stack.head(rows).apply, "lowreg", [initials[r] for r in order],
-        [runs[r] for r in order], [cqs[r] for r in order], snapshot_times, diag_stride,
-    )
-    return [traj for _, traj in sorted(zip(order, trajs), key=lambda pair: pair[0])]
 
 
 def save_trajectory(traj: Trajectory, dirpath) -> None:

@@ -10,21 +10,19 @@ The collocation grid stays at M = 4N+1 points, since any other length would
 change the baseline's aliasing.  But M is odd and in general not a fast FFT
 length, so both of its DFTs are computed as chirp-z (Bluestein) convolutions
 on the product grid of cutoff 2N (see `_nonlinear_flow`).
+
+`integrator.evolve_lockstep` steps a stack of splitting runs in lockstep,
+as it does low-regularity runs, but only runs of one cutoff, since the 4N+1
+collocation aliases differently at each N.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .integrator import (
-    ConservedQuantities,
-    SchemeParams,
-    Trajectory,
-    _evolve_with,
-    _validated_start,
-)
 from .spectral import (
     SpectralField,
     _free_phase,
@@ -32,6 +30,9 @@ from .spectral import (
     _pow2_grid_size,
     _to_grid,
 )
+
+if TYPE_CHECKING:
+    from .integrator import ConservedQuantities, SchemeParams, Trajectory
 
 __all__ = ["splitting_step", "splitting_evolve"]
 
@@ -42,7 +43,7 @@ SPLITTINGS = {"lie": 1, "strang": 2}
 @lru_cache(maxsize=8)
 def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(m, alpha, K1, K2, conj(alpha)/M) of the cutoff-n flow; read-only, so
-    threads can share them.
+    every stack of cutoff n shares them.
 
     alpha_k = e^{i pi k^2/M} on |k| <= n and beta_j = e^{-i pi j^2/M} on
     |j| <= 3n, with M = 4n+1; K1 and K2 are beta and conj(beta) on the m-point
@@ -61,17 +62,9 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     return m, alpha, kernels[0], kernels[1], unchirp
 
 
-@lru_cache(maxsize=8)
-def _drift_phase(tau: float, n: int) -> np.ndarray:
-    """e^{-i tau k^2} on |k| <= n, the multiplier of the free flow over one
-    step; read-only, so threads can share it."""
-    phase = _free_phase(np.arange(-n, n + 1, dtype=float), tau)
-    phase.flags.writeable = False
-    return phase
-
-
-def _nonlinear_flow(f: SpectralField, lam: int, t: float) -> SpectralField:
-    """Exact flow of i u_t = lam |u|^2 u for time t, by collocation.
+def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray) -> np.ndarray:
+    """Exact flow of i u_t = lam |u|^2 u, by collocation, of an (R, 2N+1)
+    stack of coefficients, row r for time t[r].
 
     u(x, t) = u(x, 0) exp(-i lam t |u(x, 0)|^2) pointwise on the M = 4N+1
     grid, transformed back and truncated to S_N.
@@ -86,15 +79,35 @@ def _nonlinear_flow(f: SpectralField, lam: int, t: float) -> SpectralField:
     of >= 6N+1 points.  The product grid of cutoff 2N, the smallest 2^a or
     25*2^b >= 6N+1, is such a grid, and a fast FFT length.
     """
-    n = f.cutoff
+    n = (c.shape[-1] - 1) // 2
     m, alpha, k1, k2, unchirp = _chirp_tables(n)
-    g = _to_grid(f.coeffs * alpha, n, m)
+    g = _to_grid(c * alpha, n, m)
     g *= k1
     w = _from_grid(g, 2 * n)
-    w *= np.exp(-1j * lam * t * np.abs(w) ** 2)
+    # not in place: numpy multiplies a one-element array (N = 0) in place by
+    # its scalar path, which rounds unlike the array loop of a larger stack
+    w = w * np.exp(-1j * lam * t[:, None] * np.abs(w) ** 2)
     g = _to_grid(w, 2 * n, m, out=g)
     g *= k2
-    return SpectralField(n, _from_grid(g, n) * unchirp)
+    return _from_grid(g, n) * unchirp
+
+
+def _splitting_stepper(order: int, runs):
+    """stepper(rows): the Lie (order 1) or Strang (order 2) step of the first
+    rows of a stack of runs of one lam and one cutoff, run r on row r.  The
+    free flow's multipliers e^{-i tau k^2}, one row per run, are built once."""
+    lam, n = runs[0].lam, runs[0].cutoff
+    taus = np.array([params.tau for params in runs])
+    phase = _free_phase(np.arange(-n, n + 1, dtype=float), taus[:, None])
+    times = taus if order == 1 else 0.5 * taus
+
+    def stepper(rows: int):
+        drift, t = phase[:rows], times[:rows]
+        if order == 1:
+            return lambda c: drift * _nonlinear_flow(c, lam, t)
+        return lambda c: _nonlinear_flow(drift * _nonlinear_flow(c, lam, t), lam, t)
+
+    return stepper
 
 
 def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> SpectralField:
@@ -103,12 +116,7 @@ def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> Spectr
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
-    lam, tau, n = params.lam, params.tau, params.cutoff
-    phase = _drift_phase(tau, n)
-    if order == 1:
-        return SpectralField(n, phase * _nonlinear_flow(f, lam, tau).coeffs)
-    half = _nonlinear_flow(f, lam, 0.5 * tau)
-    return _nonlinear_flow(SpectralField(n, phase * half.coeffs), lam, 0.5 * tau)
+    return SpectralField(f.cutoff, _splitting_stepper(order, [params])(1)(f.coeffs[None])[0])
 
 
 def splitting_evolve(
@@ -120,17 +128,11 @@ def splitting_evolve(
     diag_stride: int = 0,
 ) -> Trajectory:
     """Run the splitting scheme with the same recording and input checks as
-    `evolve`."""
+    `evolve`: the one-run case of `evolve_lockstep`."""
+    from .integrator import evolve_lockstep  # integrator imports this module
+
     if order not in SPLITTINGS.values():
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
-    cq = _validated_start(initial, params, cq)
-
-    def apply_fn(c: np.ndarray) -> np.ndarray:
-        return splitting_step(SpectralField(params.cutoff, c[0]), params, order).coeffs[None]
-
-    name = next(s for s, o in SPLITTINGS.items() if o == order)
-    [traj] = _evolve_with(
-        lambda _rows: apply_fn, name, [initial], [params], [cq], snapshot_times, diag_stride
-    )
+    scheme = next(s for s, o in SPLITTINGS.items() if o == order)
+    [traj] = evolve_lockstep(initial, [params], cq, snapshot_times, diag_stride, scheme=scheme)
     return traj
-

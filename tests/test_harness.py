@@ -1,12 +1,15 @@
 """Study harness: rate fitting, table structure, CSV contract, determinism."""
 
+import ast
 import concurrent.futures
 import dataclasses
+import importlib
 import io
 import math
 import multiprocessing
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,9 +274,9 @@ def stacks(monkeypatch):
     seen = []
     run = harness.evolve_lockstep
 
-    def record(initial, runs):
+    def record(initial, runs, scheme="lowreg"):
         seen.append(stack_record(initial, runs))
-        return run(initial, runs)
+        return run(initial, runs, scheme=scheme)
 
     monkeypatch.setattr(harness, "evolve_lockstep", record)
     return seen
@@ -374,9 +377,16 @@ class TestStacks:
         temporal_study(spec)
         assert sorted(stacks) == [(1024, (tau,)) for tau in (2.0 ** -7, 2.0 ** -6, 2.0 ** -5)]
 
-    def test_splitting_runs_are_not_stacked(self, stacks):
-        temporal_study(small_temporal_spec(scheme="lie", cutoffs=(8,)))
-        assert stacks == []
+    def test_splitting_cutoffs_never_join(self, planned_stacks):
+        # each cutoff's runs form one stack, all its taus by step count;
+        # 8 stays out of the window of 16 although 2 * 8 >= 16, because the
+        # 4N+1 collocation aliases differently at each N.  The same
+        # low-regularity table joins them
+        taus = tuple(2.0 ** -k for k in (7, 6, 5))
+        spec = small_temporal_spec(scheme="lie", cutoffs=(8, 16))
+        assert planned_stacks(spec) == sorted([(8, taus), (16, taus)], key=repr)
+        assert planned_stacks(dataclasses.replace(spec, scheme="lowreg")) == [
+            ((16, (16, 8) * 3), tuple(sorted(taus * 2)))]
 
     def test_blow_up_names_the_run(self):
         spec = small_temporal_spec(taus=(0.5, 0.25), cutoffs=(8,), amplitude=1e6,
@@ -394,7 +404,7 @@ class TestStacks:
 POOLED_SPECS = {
     "lowreg-temporal": small_temporal_spec(cutoffs=(8, 64)),
     "lowreg-spatial": small_spatial_spec(),
-    "strang-temporal": small_temporal_spec(scheme="strang", cutoffs=(8,), alpha=3.0),
+    "strang-temporal": small_temporal_spec(scheme="strang", alpha=3.0),
     "sampled-spatial": small_spatial_spec(init_mode="sampled", tail_cutoff=512),
 }
 
@@ -514,3 +524,18 @@ class TestReportValidation:
                 row_params=(0.1, 0.05), col_params=(8,),
                 errors=np.ones((3, 1)), rates=(1.0,), wall_ms=np.ones((3, 1)),
             )
+
+
+def test_benchmark_patch_points_resolve():
+    # perfbench/tracing.py patches each (module, attribute) of its
+    # PATCH_POINTS by getattr, so harness keeps names it no longer calls
+    # (evolve, splitting_evolve); a missing one would end a traced run with
+    # AttributeError.  The points are read from that file, not copied
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    [points] = [ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["PATCH_POINTS"]]
+    assert len(points) > 10
+    missing = [(module, attr) for module, attr, *_ in points
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []

@@ -16,6 +16,7 @@ from lowregnls.initial_data import (
     sample_on_grid,
 )
 from lowregnls.integrator import (
+    SCHEMES,
     BlowUpError,
     ConservedQuantities,
     SchemeParams,
@@ -30,6 +31,7 @@ from lowregnls.integrator import (
     step,
     step_twisted,
 )
+from lowregnls.reference import SPLITTINGS, splitting_evolve
 from lowregnls.spectral import (
     SpectralField,
     conjugate,
@@ -605,6 +607,13 @@ class TestTrajectoryDump:
 TAU_SETS = st.lists(TAUS, min_size=1, max_size=4, unique=True)
 
 
+def solo_run(scheme, u, params, **kw):
+    """The run alone: `evolve`, or `splitting_evolve` of the scheme's order."""
+    if scheme == "lowreg":
+        return evolve(u, params, **kw)
+    return splitting_evolve(u, params, SPLITTINGS[scheme], **kw)
+
+
 class TestLockstep:
     """A stack of runs advances each run exactly as it would advance alone."""
 
@@ -626,17 +635,20 @@ class TestLockstep:
                 assert out[r].tobytes() == plans[r].apply(c[r: r + 1])[0].tobytes()
 
     @given(CUTOFFS, st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
-           LAMS, SEEDS, st.integers(0, 3))
-    @example(33, [12, 7, 3, 0], -1, 1, 2)
-    def test_lockstep_runs_match_solo_runs(self, n, counts, lam, seed, stride):
+           LAMS, SEEDS, st.integers(0, 3), st.sampled_from(SCHEMES))
+    @example(33, [12, 7, 3, 0], -1, 1, 2, "lowreg")
+    @example(33, [12, 7, 3, 0], -1, 1, 2, "lie")
+    @example(33, [12, 7, 3, 0], 1, 1, 2, "strang")
+    def test_lockstep_runs_match_solo_runs(self, n, counts, lam, seed, stride, scheme):
         u = unit_field(seed, n)
         cq = conserved_quantities(u)
         horizon = 0.375
         runs = [SchemeParams(lam, horizon / max(s, 1), n, s) for s in counts]
         times = (0.0, horizon) if min(counts) else (0.0,)
-        stacked = evolve_lockstep(u, runs, cq, times, stride)
+        stacked = evolve_lockstep(u, runs, cq, times, stride, scheme=scheme)
         for params, traj in zip(runs, stacked):
-            solo = evolve(u, params, snapshot_times=times, diag_stride=stride)
+            solo = solo_run(scheme, u, params, snapshot_times=times, diag_stride=stride)
+            assert traj.scheme == solo.scheme == scheme
             assert traj.params == params and traj.snapshot_times == solo.snapshot_times
             for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
                 assert a.coeffs.tobytes() == b.coeffs.tobytes()
@@ -657,16 +669,30 @@ class TestLockstep:
 
     def test_entry_rejects_mixed_runs(self):
         u = initialize(InitialDataSpec(alpha=1.0), 8)
+        u16 = initialize(InitialDataSpec(alpha=1.0), 16)
         with pytest.raises(ValueError, match="share"):
             evolve_lockstep(u, [SchemeParams(-1, 0.1, 8, 2), SchemeParams(1, 0.2, 8, 2)])
         with pytest.raises(ValueError, match="cutoff"):
             evolve_lockstep(u, [SchemeParams(-1, 0.1, 16, 2)])
+        # the 4N+1 collocation aliases differently at each N, so splitting
+        # runs never ride zero-padded in a larger cutoff's stack
+        for scheme in SPLITTINGS:
+            with pytest.raises(ValueError, match="run 1 has cutoff 16, but splitting runs "
+                               "stepped together must share cutoff 8"):
+                evolve_lockstep([u, u16], [SchemeParams(-1, 0.1, 8, 2),
+                                           SchemeParams(-1, 0.1, 16, 2)], scheme=scheme)
+        with pytest.raises(ValueError, match=r"scheme must be one of \('lowreg', 'lie', "
+                           r"'strang'\), got 'rk4'"):
+            evolve_lockstep(u, [SchemeParams(-1, 0.1, 8, 2)], scheme="rk4")
 
-    @pytest.mark.parametrize("amplitude", [1e2, 1e6])
-    def test_blow_up_in_a_stack_names_the_run(self, amplitude):
-        # focusing, large data: the runs blow up after 3 to 5 steps, the
-        # coarsest first; the stack raises for the first run to blow up in
-        # lockstep, exactly as that run alone
+    @pytest.mark.parametrize("scheme,amplitude", [
+        ("lowreg", 1e2), ("lowreg", 1e6), ("lie", 1e200), ("strang", 1e200)])
+    def test_blow_up_in_a_stack_names_the_run(self, scheme, amplitude):
+        # focusing, large data: the low-regularity runs blow up after 3 to 5
+        # steps, the coarsest first.  A splitting step never raises the l2
+        # norm, so its runs blow up only from a state whose square
+        # overflows, all at step 1 with no finite H^1.  The stack raises for
+        # the first run to blow up in lockstep, exactly as that run alone
         u = SpectralField.from_modes(2, {0: amplitude, 1: amplitude / 3})
         runs = [SchemeParams.from_horizon(-1, tau, 2, 4.0)
                 for tau in (1.0, 0.25, 2.0 ** -4, 2.0 ** -6)]
@@ -674,14 +700,14 @@ class TestLockstep:
         with np.errstate(all="ignore"):
             for params in runs:
                 with pytest.raises(BlowUpError) as info:
-                    evolve(u, params)
+                    solo_run(scheme, u, params)
                 solo[params.tau] = info.value
             with pytest.raises(BlowUpError) as info:
-                evolve_lockstep(u, runs)
+                evolve_lockstep(u, runs, scheme=scheme)
         err = info.value
         want = solo[err.tau]
-        assert (err.step_index, err.time, err.tau, err.last_h1) == (
-            want.step_index, want.time, want.tau, want.last_h1)
+        assert (err.step_index, err.time, err.tau) == (want.step_index, want.time, want.tau)
+        assert repr(err.last_h1) == repr(want.last_h1)
         assert err.step_index == min(e.step_index for e in solo.values())
         assert str(err) == str(want)
 
