@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "InitialDataSpec",
     "coefficients",
-    "sample_on_grid",
     "alias_fold",
     "resolve_tail_cutoff",
 ]
@@ -98,23 +97,3 @@ def alias_fold(spec: InitialDataSpec, m: int, tail: int) -> np.ndarray:
     folded = np.zeros(m, dtype=np.complex128)
     np.add.at(folded, np.mod(np.arange(-tail, tail + 1), m), coefficients(spec, tail))
     return folded
-
-
-def sample_on_grid(spec: InitialDataSpec, m: int, tail_cutoff: int | None = None) -> np.ndarray:
-    """Values of the series truncated at |k| <= tail on the m-point grid.
-
-    The samples match dft.grid(m) ordering.  When tail_cutoff is omitted it
-    defaults via resolve_tail_cutoff with target cutoff (m - 1) // 4, the
-    largest cutoff whose 4N+1-point sampling grid fits in m points.
-
-    One inverse FFT of the `alias_fold` costs O(tail + m log m), not O(tail * m).
-    """
-    if m < 1:
-        raise ValueError(f"grid size must be >= 1, got {m}")
-    if tail_cutoff is None:
-        tail = resolve_tail_cutoff(spec, max((m - 1) // 4, 0), None)
-    elif tail_cutoff < 0:
-        raise ValueError(f"tail cutoff must be >= 0, got {tail_cutoff}")
-    else:
-        tail = tail_cutoff
-    return np.fft.fftshift(np.fft.ifft(alias_fold(spec, m, tail), norm="forward"))

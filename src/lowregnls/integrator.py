@@ -13,9 +13,9 @@ to a logarithmic factor, without any CFL-type step restriction.
 same Fourier multiplier are summed on the grid and transformed once.
 `evolve_lockstep` is the one driver of every scheme: it advances runs of
 several taus together as one stack of states through the same calls, by
-the low-regularity step (runs of several cutoffs zero-padded to the
-largest) or by a Lie or Strang splitting step of `reference` (runs of one
-cutoff).  `step_twisted` advances the
+the low-regularity step (runs of several cutoffs on the product grid of
+the largest) or by a Lie or Strang splitting step of `reference` (runs of
+one cutoff), in numpy's standard FFT order.  `step_twisted` advances the
 twisted variable v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
 reproduces `step` to rounding, which the tests exploit as a structural
 cross-check.
@@ -36,12 +36,12 @@ from .initial_data import InitialDataSpec
 from .reference import SPLITTINGS, _splitting_stepper
 from .spectral import (
     SpectralField,
+    _centered,
     _free_phase,
-    _from_grid,
     _inv_ik,
     _momentum_imag,
     _pow2_grid_size,
-    _to_grid,
+    _standard,
     _twist_phase,
     conjugate,
     dealiased_product,
@@ -186,6 +186,9 @@ def initialize(
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if isinstance(source, SpectralField):
+        if init_mode == "sampled":
+            raise ValueError("init mode 'sampled' samples a series and needs an "
+                             "InitialDataSpec, not an explicit field")
         return project(source, cutoff)
     if not isinstance(source, InitialDataSpec):
         raise TypeError(f"cannot initialize from {type(source).__name__}")
@@ -198,123 +201,100 @@ def initialize(
 
 class _StepPlan:
     """Multiplier tables of the step for one (lam, tau, cutoff, mass,
-    momentum), built by `_plan`, or for a stack of R runs of one lam,
-    built by `stacked`.
+    momentum) on an m-point product grid, built by `_plan`, or for a stack
+    of R runs of one lam on one grid, built by `stacked`.
 
     Immutable after construction, so a stack's runs and steps share it;
     `apply` allocates its own work arrays.  One application costs 17 FFT rows per
-    run (stages of 5 + 4 + 4 + 4), in four batched calls, of the product grid
-    length (>= 3N+1, the smallest 2^k or 25*2^k).  The FFT, Pi_N and the diagonal
-    multipliers are linear, so products that end under the same multiplier
-    are summed on the grid and transformed as one row.
+    run (stages of 5 + 4 + 4 + 4), in four batched calls, of length m.  The
+    FFT, Pi_N and the diagonal multipliers are linear, so products that end
+    under the same multiplier are summed on the grid and transformed as one row.
 
-    Every table has a run axis: t1, t3 and t4 have shape (rows, R, 2N+1)
-    and twist has shape (R, 2N+1), with R = 1 for one tau.  `apply`
-    advances an (R, 2N+1) stack of states, run r on row r, by broadcasting,
-    so a stack pays its numpy calls once per step for all R runs.  A run of
-    a smaller cutoff N_r rides zero-padded in the stack's window of cutoff
-    N, on N's grid, which is exact for it too (3N+1 >= 3N_r+1).  Its
-    zero-padded tables truncate the state, the quadratic products z and h1
-    and the output to its own Pi_{N_r}; two more rows of t3, ones on
-    |k| <= N_r, truncate h2 and g.  A stack whose runs all have the
-    window's cutoff has no such rows, and each of its rows comes out bitwise
-    equal to a one-run application.
+    Tables and states are in standard order on m points, with a run axis:
+    t1, t3 and t4 have shape (rows, R, m), twist (R, m), and `apply` advances
+    an (R, m) stack of states, run r on row r, by broadcasting, so a stack
+    pays its numpy calls once per step for all R runs.  Run r's tables are
+    zero beyond its cutoff N_r, so each multiplication truncates to Pi_{N_r}
+    (t1[0] is its mask), and runs of several cutoffs share the grid of the
+    largest, exact for each (3N+1 >= 3N_r+1), each row bitwise equal to its
+    plan applied alone on that grid.
     A study advances its runs this way, in stacks that its runs alone
     decide, never its jobs, with at most harness.STACK_POINTS grid points in
     a row: a stack's work block is never larger than one run's at m > 2048.
     """
 
-    def __init__(self, cutoff: int, t1, t3, t4, twist):
-        self.cutoff = cutoff
-        self.grid_size = _pow2_grid_size(cutoff)
+    def __init__(self, t1, t3, t4, twist):
         self.t1, self.t3, self.t4, self.twist = t1, t3, t4, twist
         for arr in (t1, t3, t4, twist):
             arr.flags.writeable = False
 
     @classmethod
     def stacked(cls, plans) -> "_StepPlan":
-        """The stack of one-tau plans of one lam in the window of their
-        largest cutoff, on its grid, never one set by a study's --jobs: each
-        plan's tables are zero-padded, centered, to the window, and when a
-        plan's cutoff is not the window's, each run's t3 gains two mask
-        rows, its padded t1[0]: ones on |k| <= its cutoff.  One plan is its
+        """The stack of one-tau plans of one lam on one grid; one plan is its
         own stack."""
         if len(plans) == 1:
             return plans[0]
-        top = max(p.cutoff for p in plans)
-
-        def padded(name):
-            tables = [getattr(p, name) for p in plans]
-            return [np.pad(t, [(0, 0)] * (t.ndim - 1) + [(top - p.cutoff,) * 2])
-                    for p, t in zip(plans, tables)]
-
-        t1, t3 = padded("t1"), padded("t3")
-        if any(p.cutoff != top for p in plans):
-            t3 = [np.concatenate([t, ones[:1], ones[:1]]) for t, ones in zip(t3, t1)]
-        return cls(
-            top, np.concatenate(t1, axis=1), np.concatenate(t3, axis=1),
-            np.concatenate(padded("t4"), axis=1), np.concatenate(padded("twist")),
-        )
+        return cls(*(np.concatenate([getattr(p, name) for p in plans], axis=axis)
+                     for name, axis in (("t1", 1), ("t3", 1), ("t4", 1), ("twist", 0))))
 
     def head(self, runs: int) -> "_StepPlan":
         """The stack of this stack's first `runs` runs, as views."""
-        return _StepPlan(
-            self.cutoff, self.t1[:, :runs], self.t3[:, :runs], self.t4[:, :runs],
-            self.twist[:runs],
-        )
+        return _StepPlan(self.t1[:, :runs], self.t3[:, :runs], self.t4[:, :runs],
+                         self.twist[:runs])
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        n, m = self.cutoff, self.grid_size
         # every grid array of the step lives in one block: stage 1's five
         # rows and two conjugates, stage 3's four rows, and four rows shared
         # by stages 2 and 4.  Freed as one, the block stays in the
         # allocator's heap for the next step instead of going back to the OS
         # and being faulted in again (glibc keeps freed blocks of up to
         # 32 MiB: 15 rows of 51200 points at N = 2^14).
-        work = np.empty((15, *c.shape[:-1], m), dtype=np.complex128)
+        work = np.empty((15, *c.shape), dtype=np.complex128)
         g1, g3, q = work[:7], work[7:11], work[11:]
 
         # stage 1: the five t1 multiples of f on the grid: f,
         # e^{i tau d_xx} f, i tau d_x f, s d_x^{-1} e^{i tau d_xx} f,
         # s d_x^{-1} f; then the conjugates e^{-i tau d_xx} conj(f), conj(f)
-        _to_grid(self.t1 * c, n, m, out=g1[:5])
+        np.multiply(self.t1, c, out=g1[:5])
+        np.fft.ifft(g1[:5], axis=-1, norm="forward", out=g1[:5])
         f_g, fp_g, dxfb_g = g1[:3]
         np.conj(dxfb_g, out=dxfb_g)               # -i tau d_x conj(f)
         # e^{-i tau d_xx} conj(f) is conj(e^{i tau d_xx} f) pointwise
         np.conj(g1[1::-1], out=g1[5:])
 
-        # stage 2: quadratic products, truncated to S_N; the real |f|^2 and
+        # stage 2: quadratic products; the real |f|^2 and
         # |e^{i tau d_xx} f|^2 share one row, z = |f|^2 + i |e^{i tau d_xx} f|^2
         np.multiply(g1[:2], g1[:4:-1], out=q[:2])
         q[0].imag = q[1].real
         np.multiply(g1[3:5], g1[3:5], out=q[1:3])
         np.multiply(f_g, f_g, out=q[3])
-        # z, h1 = Pi_N (d_x^{-1} e^{i tau d_xx} f)^2 and h2 = Pi_N (d_x^{-1} f)^2
-        # (both over -2i tau), g = Pi_N f^2
-        x = _from_grid(q, n)
+        # z, h1 = (d_x^{-1} e^{i tau d_xx} f)^2 and h2 = (d_x^{-1} f)^2 (both
+        # over -2i tau), g = f^2
+        x = np.fft.fft(q, axis=-1, norm="forward", out=q)
 
-        # stage 3: z and h1 go under their multipliers, and in a stack of
-        # several cutoffs h2 and g under their runs' masks.  The factors of
-        # the cubic products: -d_x^{-1} z; w = W / (-i tau)
+        # stage 3: truncation to S_N, z and h1 under their multipliers, h2
+        # and g under the mask.  The factors of the cubic products:
+        # -d_x^{-1} z; w = W / (-i tau)
         # with W = -1/2 (e^{-i tau d_xx} h1 - h2) - i tau Pi_N (f - c_0)^2, all
         # that multiplies d_x conj(f) under d_x^{-1} e^{i tau d_xx}; e^{i tau d_xx} g; g
-        c0 = c[..., n]
-        x[: len(self.t3)] *= self.t3
+        c0 = c[..., 0]
+        x[:2] *= self.t3
+        x[2:] *= self.t1[0]
         w = x[1]
         w += x[2]
         w += x[3]
         w -= (2.0 * c0)[..., None] * c
         # + c_0^2, rounded like a product of complex scalars: numpy's complex
         # array loop may fuse multiply-adds and round differently
-        w[..., n].real += c0.real * c0.real - c0.imag * c0.imag
-        w[..., n].imag += c0.real * c0.imag * 2.0
+        w[..., 0].real += c0.real * c0.real - c0.imag * c0.imag
+        w[..., 0].imag += c0.real * c0.imag * 2.0
         np.multiply(x[3], self.t1[1], out=x[2])
-        _to_grid(x, n, m, out=g3)
+        np.fft.ifft(x, axis=-1, norm="forward", out=g3)
         # -d_x^{-1} z = -d_x^{-1} a - i d_x^{-1} b with a = Pi_N |f|^2 and
         # b = Pi_N |e^{i tau d_xx} f|^2, both real fields
         gz_g, w_g = g3[:2]
 
-        # stage 4: cubic products, truncated to S_N, each under one row of
+        # stage 4: cubic products, each truncated to S_N under one row of
         # t4: -e^{i tau d_xx} f d_x^{-1} b; E = -f d_x^{-1} a + d_x conj(f) W,
         # the -i tau riding on the d_x row; e^{-i tau d_xx} conj(f) e^{i tau d_xx} g;
         # conj(f) g
@@ -323,7 +303,7 @@ class _StepPlan:
         w_g *= dxfb_g
         q[1] += w_g
         np.multiply(g1[5:], g3[2:], out=q[2:])
-        y = _from_grid(q, n)
+        y = np.fft.fft(q, axis=-1, norm="forward", out=q)
         y *= self.t4
         out = self.twist * c
         out += y.sum(axis=0)
@@ -331,8 +311,8 @@ class _StepPlan:
 
 
 @lru_cache(maxsize=32)
-def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float) -> _StepPlan:
-    k = np.arange(-cutoff, cutoff + 1, dtype=float)
+def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, m: int) -> _StepPlan:
+    k = np.fft.ifftshift(np.arange(-cutoff, cutoff + 1.0))
     inv_ik = _inv_ik(k)                       # d_x^{-1}, zero at k = 0
     ep = _free_phase(k, tau)                  # e^{i tau d_xx}
     # stage 1 scales two grid rows so that stage 3 needs no scalar but
@@ -348,23 +328,26 @@ def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float) -> _S
     ])
     # Pi_0(conj(f) Pi_N f^2) = Pi_0(|f|^2 f), so the k = 0 entry of the
     # last row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
-    t4[3, cutoff] = -1j * lam * tau
+    t4[3, 0] = -1j * lam * tau
     twist = _twist_phase(k, tau, lam, mass, mom_imag)
     # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
     # phase on the zero mode
-    twist[cutoff] = 1.0
-    return _StepPlan(cutoff, t1[:, None], t3[:, None], t4[:, None], twist[None])
+    twist[0] = 1.0
+    t1, t3, t4 = (_standard(t, cutoff, m)[:, None] for t in (t1, t3, t4))
+    return _StepPlan(t1, t3, t4, _standard(twist, cutoff, m)[None])
 
 
-def _plan_for(params: SchemeParams, cq: ConservedQuantities) -> _StepPlan:
-    return _plan(params.lam, params.tau, params.cutoff, cq.mass, _momentum_imag(cq.momentum))
+def _plan_for(params: SchemeParams, cq: ConservedQuantities, m: int) -> _StepPlan:
+    return _plan(params.lam, params.tau, params.cutoff, cq.mass, _momentum_imag(cq.momentum), m)
 
 
 def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> SpectralField:
     """One application u^{n+1} = Psi(u^n) of the low-regularity map."""
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
-    return SpectralField(f.cutoff, _plan_for(params, cq).apply(f.coeffs[None])[0])
+    m = _pow2_grid_size(f.cutoff)
+    c = _standard(np.fft.ifftshift(f.coeffs), f.cutoff, m)
+    return SpectralField(f.cutoff, _centered(_plan_for(params, cq, m).apply(c[None])[0], f.cutoff))
 
 
 def step_twisted(
@@ -515,9 +498,10 @@ def evolve_lockstep(
     initial is one field, the start of every run, or a sequence of one
     field per run, each at its run's cutoff; cq, when given, is every run's,
     by default each run's is that of its own initial field.  Row r of the
-    (R, 2N+1) state stack is run r, N the largest run cutoff: low-regularity
-    runs of a smaller cutoff ride zero-padded on N's product grid (see
-    `_StepPlan`), and splitting runs share one cutoff (see `reference`).
+    (R, m) state stack is run r in standard order, for every scheme: on the
+    product grid of the largest cutoff N for the low-regularity step (see
+    `_StepPlan`), on 2N+1 points for splitting runs, which share one cutoff
+    (see `reference`).  Only H^1 norms, snapshots and diagnostics are centered.
     The runs step in descending order of step count, and a run that reaches
     its step count leaves the stack by a prefix slice.  Each trajectory is
     that of the run's own `evolve` or `splitting_evolve`, bitwise when every
@@ -552,13 +536,16 @@ def evolve_lockstep(
     initials = [initials[r] for r in order]
     runs = [runs[r] for r in order]
     cqs = [conserved_quantities(f) if cq is None else cq for f in initials]
-    # stepper(rows): the one-step map of the stack's first rows
+    # stepper(rows): the one-step map of the stack's first rows, of `size` points
+    top = max(params.cutoff for params in runs)
     if scheme == "lowreg":
-        stack = _StepPlan.stacked([_plan_for(params, q) for params, q in zip(runs, cqs)])
+        size = _pow2_grid_size(top)
+        stack = _StepPlan.stacked([_plan_for(p, q, size) for p, q in zip(runs, cqs)])
 
         def stepper(rows):
             return stack.head(rows).apply
     else:
+        size = 2 * top + 1
         stepper = _splitting_stepper(SPLITTINGS[scheme], runs)
 
     wants = []
@@ -570,8 +557,6 @@ def evolve_lockstep(
             want.setdefault(_snapshot_index(t, params.tau, params.steps), []).append(t)
         wants.append(want)
 
-    top = max(params.cutoff for params in runs)
-    windows = [slice(top - params.cutoff, top + params.cutoff + 1) for params in runs]
     k = np.arange(-top, top + 1, dtype=float)
     w1 = 1.0 + k * k
     snapshots: list[dict[int, SpectralField]] = [{} for _ in runs]
@@ -582,12 +567,13 @@ def evolve_lockstep(
 
     t0 = time.perf_counter()
     live = len(runs)
-    c = np.stack([project(initial, top).coeffs for initial in initials])
+    c = np.stack([_standard(np.fft.ifftshift(f.coeffs), f.cutoff, size) for f in initials])
     advance = stepper(live)
     for j in range(runs[0].steps + 1):
         if j:
             c = advance(c)
-        norms = np.sum(w1 * np.abs(c) ** 2, axis=-1)
+        # summed in centered order, as `sobolev_norm` sums
+        norms = np.sum(w1 * np.abs(_centered(c, top)) ** 2, axis=-1)
         for r, (params, want) in enumerate(zip(runs[:live], wants)):
             h1 = math.sqrt(2.0 * math.pi * float(norms[r]))
             if j and not math.isfinite(h1):
@@ -601,7 +587,7 @@ def evolve_lockstep(
             if j in want or j == params.steps or j == 0 or (
                 diag_stride > 0 and j % diag_stride == 0
             ):
-                f = SpectralField(params.cutoff, c[r, windows[r]]) if j else initials[r]
+                f = SpectralField(params.cutoff, _centered(c[r], params.cutoff))
                 if j in want:
                     snapshots[r][j] = f
                 diagnostics[r][j] = _diagnose(f, h1, cqs[r], j, params.tau)

@@ -9,7 +9,7 @@ splitting codes; these schemes are baselines, not the production path.
 The collocation grid stays at M = 4N+1 points, since any other length would
 change the baseline's aliasing.  But M is odd and in general not a fast FFT
 length, so both of its DFTs are computed as chirp-z (Bluestein) convolutions
-on the product grid of cutoff 2N (see `_nonlinear_flow`).
+on the product grid of cutoff 2N (see `_nonlinear_flow`), in standard order.
 
 `integrator.evolve_lockstep` steps a stack of splitting runs in lockstep,
 as it does low-regularity runs, but only runs of one cutoff, since the 4N+1
@@ -25,6 +25,7 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
+    _centered,
     _free_phase,
     _from_grid,
     _pow2_grid_size,
@@ -42,8 +43,8 @@ SPLITTINGS = {"lie": 1, "strang": 2}
 
 @lru_cache(maxsize=8)
 def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(m, alpha, K1, K2, conj(alpha)/M) of the cutoff-n flow; read-only, so
-    every stack of cutoff n shares them.
+    """(m, alpha, K1, K2, conj(alpha)/M) of the cutoff-n flow, all in standard
+    order; read-only, so every stack of cutoff n shares them.
 
     alpha_k = e^{i pi k^2/M} on |k| <= n and beta_j = e^{-i pi j^2/M} on
     |j| <= 3n, with M = 4n+1; K1 and K2 are beta and conj(beta) on the m-point
@@ -51,8 +52,8 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     """
     big_m = 4 * n + 1
     m = _pow2_grid_size(2 * n)
-    k = np.arange(-n, n + 1)
-    j = np.arange(-3 * n, 3 * n + 1)
+    k = np.fft.ifftshift(np.arange(-n, n + 1))
+    j = np.fft.ifftshift(np.arange(-3 * n, 3 * n + 1))
     alpha = np.exp(1j * np.pi / big_m * ((k * k) % (2 * big_m)))
     beta = np.exp(-1j * np.pi / big_m * ((j * j) % (2 * big_m)))
     kernels = _to_grid(np.stack([beta, beta.conj()]), 3 * n, m)
@@ -64,7 +65,7 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
 
 def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray) -> np.ndarray:
     """Exact flow of i u_t = lam |u|^2 u, by collocation, of an (R, 2N+1)
-    stack of coefficients, row r for time t[r].
+    stack of coefficients in standard order, row r for time t[r].
 
     u(x, t) = u(x, 0) exp(-i lam t |u(x, 0)|^2) pointwise on the M = 4N+1
     grid, transformed back and truncated to S_N.
@@ -98,7 +99,7 @@ def _splitting_stepper(order: int, runs):
     free flow's multipliers e^{-i tau k^2}, one row per run, are built once."""
     lam, n = runs[0].lam, runs[0].cutoff
     taus = np.array([params.tau for params in runs])
-    phase = _free_phase(np.arange(-n, n + 1, dtype=float), taus[:, None])
+    phase = _free_phase(np.fft.ifftshift(np.arange(-n, n + 1.0)), taus[:, None])
     times = taus if order == 1 else 0.5 * taus
 
     def stepper(rows: int):
@@ -116,7 +117,8 @@ def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> Spectr
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
-    return SpectralField(f.cutoff, _splitting_stepper(order, [params])(1)(f.coeffs[None])[0])
+    out = _splitting_stepper(order, [params])(1)(np.fft.ifftshift(f.coeffs)[None])
+    return SpectralField(f.cutoff, _centered(out[0], f.cutoff))
 
 
 def splitting_evolve(

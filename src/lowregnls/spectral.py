@@ -13,6 +13,10 @@ coefficients on |k| <= N, which is all `dealiased_product` keeps.  The
 evaluation grid is the smallest 2^k or 25*2^k that is >= 3N+1.  Both are
 fast FFT lengths, and at N = 2^k the grid has 3.125N points where the next
 power of two would have 4N.
+
+A field's coefficients are in centered order, k = -N..N; every array below
+it is in numpy's standard FFT order, k >= 0 then k < 0.  `_standard` lays a
+window out on any length; np.fft.ifftshift and `_centered` convert at fields.
 """
 
 from __future__ import annotations
@@ -218,33 +222,39 @@ def _pow2_grid_size(cutoff: int) -> int:
     return min(1 << (need - 1).bit_length(), 25 << ((need - 1) // 25).bit_length())
 
 
+def _standard(
+    x: np.ndarray, cutoff: int, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The |k| <= cutoff window of (batched) standard-order x of any length,
+    laid out in standard order on m points with zeros between; into out
+    when given."""
+    if out is None:
+        out = np.empty(x.shape[:-1] + (m,), dtype=np.complex128)
+    out[..., : cutoff + 1] = x[..., : cutoff + 1]
+    out[..., cutoff + 1: m - cutoff] = 0.0
+    out[..., m - cutoff:] = x[..., x.shape[-1] - cutoff:]
+    return out
+
+
+def _centered(x: np.ndarray, cutoff: int) -> np.ndarray:
+    """The |k| <= cutoff window of (batched) standard-order x, centered."""
+    return np.concatenate((x[..., x.shape[-1] - cutoff:], x[..., : cutoff + 1]), axis=-1)
+
+
 def _to_grid(
     coeffs: np.ndarray, cutoff: int, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Evaluate (batched) centered coefficients on the m-point standard grid,
-    into out when given.
-
-    The spectrum is laid out in standard order, k >= 0 first and k < 0 last,
-    and transformed in place.
-    """
-    if out is None:
-        out = np.empty(coeffs.shape[:-1] + (m,), dtype=np.complex128)
-    out[..., cutoff + 1: m - cutoff] = 0.0
-    out[..., : cutoff + 1] = coeffs[..., cutoff:]
-    out[..., m - cutoff:] = coeffs[..., :cutoff]
+    """Evaluate (batched) standard-order coefficients of |k| <= cutoff on the
+    m-point standard grid, into out when given."""
+    out = _standard(coeffs, cutoff, m, out)
     return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
 def _from_grid(values: np.ndarray, cutoff: int) -> np.ndarray:
-    """Forward transform of (batched) grid values, truncated to |k| <= cutoff.
-
-    Transforms in place: values is overwritten.
-    """
-    std = np.fft.fft(values, axis=-1, norm="forward", out=values)
-    out = np.empty(std.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
-    out[..., cutoff:] = std[..., : cutoff + 1]
-    out[..., :cutoff] = std[..., std.shape[-1] - cutoff:]
-    return out
+    """Forward transform of (batched) grid values, in place, truncated to
+    |k| <= cutoff on 2*cutoff + 1 points."""
+    return _standard(np.fft.fft(values, axis=-1, norm="forward", out=values),
+                     cutoff, 2 * cutoff + 1)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -255,8 +265,8 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     f, g = _align(f, g)
     m = _pow2_grid_size(f.cutoff)
-    vals = _to_grid(np.stack([f.coeffs, g.coeffs]), f.cutoff, m)
-    return SpectralField(f.cutoff, _from_grid(vals[0] * vals[1], f.cutoff))
+    vals = _to_grid(np.fft.ifftshift([f.coeffs, g.coeffs], axes=-1), f.cutoff, m)
+    return SpectralField(f.cutoff, _centered(_from_grid(vals[0] * vals[1], f.cutoff), f.cutoff))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lowregnls import dft
+from lowregnls import dft, integrator
 from lowregnls.initial_data import (
     InitialDataSpec,
+    alias_fold,
     coefficients,
     resolve_tail_cutoff,
-    sample_on_grid,
 )
 from lowregnls.integrator import (
     SCHEMES,
@@ -34,6 +34,9 @@ from lowregnls.integrator import (
 from lowregnls.reference import SPLITTINGS, splitting_evolve
 from lowregnls.spectral import (
     SpectralField,
+    _centered,
+    _pow2_grid_size,
+    _standard,
     conjugate,
     dealiased_product,
     derivative,
@@ -208,7 +211,8 @@ class TestInitialize:
         # which is small but well above round-off even at alpha = 2
         assert 1e-6 < abs(folded - exact[tail + 1]) < 1e-3
         # the whole window against the dft oracle
-        grid = dft.forward(sample_on_grid(spec, m, tail))[m // 2 - cutoff: m // 2 + cutoff + 1]
+        samples = np.fft.fftshift(np.fft.ifft(alias_fold(spec, m, tail), norm="forward"))
+        grid = dft.forward(samples)[m // 2 - cutoff: m // 2 + cutoff + 1]
         assert np.linalg.norm(u.coeffs - grid) <= 1e-14 * np.linalg.norm(grid)
 
     def test_field_source_is_projected(self):
@@ -227,6 +231,15 @@ class TestInitialize:
             initialize(InitialDataSpec(), 8, tail_cutoff=64)
         with pytest.raises(TypeError):
             initialize(3.14, 8)
+
+    @pytest.mark.parametrize("tail", [None, 64])
+    def test_sampling_needs_a_spec(self, tail):
+        # sampling a field would fold its modes above 2N into the window
+        # (mode 15 to -2 at N = 4), so it is refused, not truncated
+        f = SpectralField.from_modes(20, {15: 1.0})
+        with pytest.raises(ValueError, match="'sampled' samples a series and needs an "
+                                             "InitialDataSpec, not an explicit field"):
+            initialize(f, 4, init_mode="sampled", tail_cutoff=tail)
 
 
 class TestStepAgainstStraightLine:
@@ -316,6 +329,11 @@ def tight_grids(*rest):
             test = example(n, 2.0 ** -4, -1, n, *rest)(test)
         return test
     return pin
+
+
+def standard(f, m):
+    """The field's coefficients in standard order on m points."""
+    return _standard(np.fft.ifftshift(f.coeffs), f.cutoff, m)
 
 
 def unit_field(seed, cutoff):
@@ -617,20 +635,21 @@ def solo_run(scheme, u, params, **kw):
 class TestLockstep:
     """A stack of runs advances each run exactly as it would advance alone."""
 
-    @given(CUTOFFS, TAU_SETS, LAMS, SEEDS)
-    @example(0, [0.25], -1, 0)
-    @example(21, [0.1, 2.0 ** -4, 2.0 ** -7, 0.2], 1, 3)
-    def test_stacked_apply_matches_rows(self, n, taus, lam, seed):
-        u = unit_field(seed, n)
-        cq = conserved_quantities(u)
-        plans = [_plan_for(SchemeParams(lam, tau, n, 1), cq) for tau in taus]
+    @given(st.lists(st.tuples(CUTOFFS, TAUS), min_size=1, max_size=4), LAMS, SEEDS)
+    @example([(0, 0.25)], -1, 0)
+    @example([(21, 0.1), (21, 2.0 ** -4), (21, 2.0 ** -7), (21, 0.2)], 1, 3)
+    @example([(33, 0.1), (12, 2.0 ** -4), (0, 0.2), (33, 2.0 ** -7)], -1, 5)
+    def test_stacked_apply_matches_rows(self, runs, lam, seed):
+        # runs of any cutoffs, on the grid of the largest
+        m = _pow2_grid_size(max(n for n, _ in runs))
+        fields = [unit_field(seed + r, n) for r, (n, _) in enumerate(runs)]
+        plans = [_plan_for(SchemeParams(lam, tau, f.cutoff, 1), conserved_quantities(f), m)
+                 for f, (_, tau) in zip(fields, runs)]
         stack = _StepPlan.stacked(plans)
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal((len(taus), 2 * n + 1)) + 1j * rng.standard_normal(
-            (len(taus), 2 * n + 1))
-        for rows in range(1, len(taus) + 1):
+        c = np.stack([standard(f, m) for f in fields])
+        for rows in range(1, len(runs) + 1):
             out = stack.head(rows).apply(c[:rows])
-            assert out.shape == (rows, 2 * n + 1)
+            assert out.shape == (rows, m)
             for r in range(rows):
                 assert out[r].tobytes() == plans[r].apply(c[r: r + 1])[0].tobytes()
 
@@ -754,21 +773,21 @@ class TestPaddedLockstep:
     @example((0, 1), [0.25, 0.1], -1, 0)
     def test_padded_rows_stay_zero_beyond_their_cutoff(self, pair, taus, lam, seed):
         n, top = pair
+        m = _pow2_grid_size(top)
         fields = [unit_field(seed + r, cutoff) for r, cutoff in enumerate((n, top) * len(taus))]
-        plans = [_plan_for(SchemeParams(lam, tau, f.cutoff, 1), conserved_quantities(f))
-                 for tau, f in zip(np.repeat(taus, 2), fields)]
-        stack = _StepPlan.stacked(plans)
-        assert stack.cutoff == top and stack.t3.shape[0] == (4 if n < top else 2)
-        c = np.stack([project(f, top).coeffs for f in fields])
-        own = [f.coeffs for f in fields]
+        runs = [SchemeParams(lam, tau, f.cutoff, 1) for tau, f in zip(np.repeat(taus, 2), fields)]
+        cqs = [conserved_quantities(f) for f in fields]
+        stack = _StepPlan.stacked([_plan_for(p, q, m) for p, q in zip(runs, cqs)])
+        c = np.stack([standard(f, m) for f in fields])
+        own = fields
         for _ in range(3):
             c = stack.apply(c)
-            own = [p.apply(x[None])[0] for p, x in zip(plans, own)]
+            own = [step(f, p, q) for f, p, q in zip(own, runs, cqs)]
             for row, want in zip(c, own):
-                pad = top - (len(want) - 1) // 2
-                assert np.all(row[:pad] == 0) and np.all(row[len(row) - pad:] == 0)
-                got = row[pad: len(row) - pad]
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                # standard order: |k| <= N_r at both ends, zeros between
+                assert np.all(row[want.cutoff + 1: m - want.cutoff] == 0)
+                got = _centered(row, want.cutoff)
+                assert np.linalg.norm(got - want.coeffs) <= 1e-13 * np.linalg.norm(want.coeffs)
 
     @given(cutoff_pairs(), st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
            LAMS, SEEDS, st.integers(0, 3))
@@ -824,3 +843,27 @@ class TestLockstepBoundary:
     def test_runs_must_share_lam(self):
         with pytest.raises(ValueError, match="run 1 has lam 1, but .* share lam -1"):
             evolve_lockstep([self.u16, self.u8], [self.p16, SchemeParams(1, 0.1, 8, 2)])
+
+
+class TestAliasedGridPatchPoint:
+    """The benchmark's correctness gate patches `integrator._pow2_grid_size`
+    to an aliased 2N+1 points and expects every low-regularity path to use
+    it: the grid size is looked up at call time, and it keys `_plan`."""
+
+    def outputs(self):
+        u, v = unit_field(1, 8), unit_field(2, 6)
+        cq = conserved_quantities(u)
+        params = SchemeParams(-1, 0.25, 8, 2)
+        stack = evolve_lockstep([u, v], [params, SchemeParams(-1, 0.25, 6, 2)])
+        return [step(u, params, cq), evolve(u, params).final, *(t.final for t in stack)]
+
+    def test_an_aliased_grid_reaches_every_lowreg_path(self, monkeypatch):
+        exact = self.outputs()
+        monkeypatch.setattr(integrator, "_pow2_grid_size", lambda n: 2 * n + 1)
+        aliased = self.outputs()
+        monkeypatch.undo()
+        for a, b in zip(aliased, exact, strict=True):
+            assert l2_error(a, b) > 1e-6 * sobolev_norm(b, 0.0)
+        # the aliased plans stay cached under their own grid size
+        assert all(a.coeffs.tobytes() == b.coeffs.tobytes()
+                   for a, b in zip(self.outputs(), exact, strict=True))

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from lowregnls.cli import MAX_CUTOFF
 from lowregnls.spectral import (
     SpectralField,
+    _centered,
     _pow2_grid_size,
+    _standard,
+    _to_grid,
     conjugate,
     dealiased_product,
     derivative,
@@ -216,6 +219,61 @@ class TestProductGridRule:
             # the next smaller member of the family is too short
             i = family.index(m)
             assert i == 0 or family[i - 1] < 3 * n + 1, n
+
+
+@st.composite
+def windows(draw):
+    """(N, m, seed): a cutoff and a length m >= 2N+1 that holds its window."""
+    n = draw(st.integers(0, 40))
+    return n, draw(st.integers(2 * n + 1, 2 * n + 60)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestStandardLayout:
+    """`_standard` is the one layout rule below SpectralField: the |k| <= N
+    window of a standard-order array, laid out on m points; `_centered`
+    reads the window back in a field's centered order."""
+
+    @given(windows())
+    @example((0, 1, 0))
+    @example((0, 7, 1))
+    @example((5, 11, 2))
+    def test_round_trip_keeps_the_window_and_zero_fills(self, case):
+        n, m, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+        narrow = _standard(x, n, 2 * n + 1)
+        assert narrow.shape == (2, 2 * n + 1)
+        assert np.array_equal(narrow[:, : n + 1], x[:, : n + 1])
+        assert np.array_equal(narrow[:, n + 1:], x[:, m - n:])
+        assert np.array_equal(_centered(x, n), np.fft.fftshift(narrow, axes=-1))
+        back = _standard(narrow, n, m)
+        window = np.zeros(m, dtype=bool)
+        window[: n + 1] = True
+        window[m - n:] = True
+        assert np.array_equal(back[:, window], x[:, window])
+        assert np.all(back[:, ~window] == 0)
+
+    @given(windows())
+    @example((0, 1, 0))
+    def test_into_out(self, case):
+        n, m, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+        out = np.full(m, np.nan, dtype=np.complex128)
+        assert _standard(x, n, m, out=out) is out
+        assert np.array_equal(out, _standard(x, n, m))
+
+    @given(windows())
+    @example((0, 1, 0))
+    @example((8, 25, 3))
+    def test_to_grid_is_direct_evaluation(self, case):
+        # sum_k c_k e^{ikx_j} at x_j = 2 pi j / m
+        n, m, seed = case
+        f = random_field(np.random.default_rng(seed), n)
+        x = 2.0 * np.pi * np.arange(m) / m
+        direct = np.exp(1j * x[:, None] * f.frequencies()[None, :]) @ f.coeffs
+        values = _to_grid(np.fft.ifftshift(f.coeffs), n, m)
+        assert np.allclose(values, direct, rtol=0, atol=1e-12 * max(n, 1))
 
 
 class TestDealiasedProduct:

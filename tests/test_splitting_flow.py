@@ -42,8 +42,9 @@ def unit_field(seed, cutoff):
 
 
 def flow(f, lam, t):
-    """`_nonlinear_flow` of one field, as a one-row stack."""
-    return SpectralField(f.cutoff, _nonlinear_flow(f.coeffs[None], lam, np.array([t]))[0])
+    """`_nonlinear_flow` of one field, as a one-row stack in standard order."""
+    c = np.fft.ifftshift(f.coeffs)[None]
+    return SpectralField(f.cutoff, np.fft.fftshift(_nonlinear_flow(c, lam, np.array([t]))[0]))
 
 
 def assert_close(a, b):
