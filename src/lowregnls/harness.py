@@ -48,8 +48,8 @@ CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate,wall_ms"
 AXES = ("temporal", "spatial")
 
 # most grid points R * m in a row of a stack of R runs on the m-point grid
-# of its largest cutoff (a cutoff's half counted at that m): the 15-row work
-# block of a worker stays under 1 MiB, stacks of two or more runs form only
+# of its largest cutoff (a cutoff's half counted at that m): the 8-row work
+# block of a worker stays within 0.5 MiB, stacks of two or more runs form only
 # at m <= 2048 (N <= 682), and it alone, never the number of jobs, sizes them;
 # a splitting stack takes the same count, though its flow runs on the grid
 # of cutoff 2N

@@ -43,6 +43,7 @@ from .spectral import (
     _pow2_grid_size,
     _standard,
     _twist_phase,
+    _uncentered,
     conjugate,
     dealiased_product,
     derivative,
@@ -205,10 +206,13 @@ class _StepPlan:
     of R runs of one lam on one grid, built by `stacked`.
 
     Immutable after construction, so a stack's runs and steps share it;
-    `apply` allocates its own work arrays.  One application costs 17 FFT rows per
-    run (stages of 5 + 4 + 4 + 4), in four batched calls, of length m.  The
-    FFT, Pi_N and the diagonal multipliers are linear, so products that end
-    under the same multiplier are summed on the grid and transformed as one row.
+    `apply` allocates its own work block of eight (R, m) rows and its result,
+    nothing else of that size.  One application costs 17 FFT rows per run
+    (stages of 5 + 4 + 4 + 4), in four batched calls, of length m, each in
+    place in the block.  The FFT, Pi_N and the diagonal multipliers are
+    linear, so products that end under the same multiplier are summed on the
+    grid and transformed as one row.  A step at N = 2^14 thus holds 12 table
+    rows, 8 work rows and its result on 51200 points: about 16 MiB.
 
     Tables and states are in standard order on m points, with a run axis:
     t1, t3 and t4 have shape (rows, R, m), twist (R, m), and `apply` advances
@@ -243,76 +247,76 @@ class _StepPlan:
                          self.twist[:runs])
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        # every grid array of the step lives in one block: stage 1's five
-        # rows and two conjugates, stage 3's four rows, and four rows shared
-        # by stages 2 and 4.  Freed as one, the block stays in the
-        # allocator's heap for the next step instead of going back to the OS
-        # and being faulted in again (glibc keeps freed blocks of up to
-        # 32 MiB: 15 rows of 51200 points at N = 2^14).
-        work = np.empty((15, *c.shape), dtype=np.complex128)
-        g1, g3, q = work[:7], work[7:11], work[11:]
+        # eight grid rows, each reused once its value is dead, and the result,
+        # taken after the last FFT so it never sits beside pocketfft's scratch,
+        # are all the step allocates of R * m points (a row holds any operand
+        # numpy would copy into a buffer).  Freed as one, the block stays in
+        # glibc's heap for the next step (it keeps freed blocks up to 32 MiB)
+        work = np.empty((8, *c.shape), dtype=np.complex128)
 
-        # stage 1: the five t1 multiples of f on the grid: f,
-        # e^{i tau d_xx} f, i tau d_x f, s d_x^{-1} e^{i tau d_xx} f,
-        # s d_x^{-1} f; then the conjugates e^{-i tau d_xx} conj(f), conj(f)
-        np.multiply(self.t1, c, out=g1[:5])
-        np.fft.ifft(g1[:5], axis=-1, norm="forward", out=g1[:5])
-        f_g, fp_g, dxfb_g = g1[:3]
+        # stage 1, row by row: the t1 multiples f, e^{i tau d_xx} f,
+        # i tau d_x f, s d_x^{-1} e^{i tau d_xx} f, s d_x^{-1} f on the grid
+        for t, row in zip(self.t1, work):
+            np.multiply(t, c, out=row)
+        np.fft.ifft(work[:5], axis=-1, norm="forward", out=work[:5])
+        f_g, fp_g, dxfb_g = work[:3]
         np.conj(dxfb_g, out=dxfb_g)               # -i tau d_x conj(f)
-        # e^{-i tau d_xx} conj(f) is conj(e^{i tau d_xx} f) pointwise
-        np.conj(g1[1::-1], out=g1[5:])
 
-        # stage 2: quadratic products; the real |f|^2 and
-        # |e^{i tau d_xx} f|^2 share one row, z = |f|^2 + i |e^{i tau d_xx} f|^2
-        np.multiply(g1[:2], g1[:4:-1], out=q[:2])
-        q[0].imag = q[1].real
-        np.multiply(g1[3:5], g1[3:5], out=q[1:3])
-        np.multiply(f_g, f_g, out=q[3])
-        # z, h1 = (d_x^{-1} e^{i tau d_xx} f)^2 and h2 = (d_x^{-1} f)^2 (both
-        # over -2i tau), g = f^2
-        x = np.fft.fft(q, axis=-1, norm="forward", out=q)
+        # stage 2, rows 3-6: h1 = (d_x^{-1} e^{i tau d_xx} f)^2 and
+        # h2 = (d_x^{-1} f)^2 (both over -2i tau), in place; the real |f|^2
+        # and |e^{i tau d_xx} f|^2 share z = |f|^2 + i |e^{i tau d_xx} f|^2; g = f^2
+        np.conj(work[:2], out=work[5:7])
+        np.multiply(work[:2], work[5:7], out=work[5:7])
+        work[5].imag = work[6].real
+        np.multiply(work[3:5], work[3:5], out=work[3:5])
+        np.multiply(f_g, f_g, out=work[6])
+        x = np.fft.fft(work[3:7], axis=-1, norm="forward", out=work[3:7])
+        w, gp, gz, g = x                          # named for what stage 3 leaves
 
-        # stage 3: truncation to S_N, z and h1 under their multipliers, h2
-        # and g under the mask.  The factors of the cubic products:
-        # -d_x^{-1} z; w = W / (-i tau)
-        # with W = -1/2 (e^{-i tau d_xx} h1 - h2) - i tau Pi_N (f - c_0)^2, all
-        # that multiplies d_x conj(f) under d_x^{-1} e^{i tau d_xx}; e^{i tau d_xx} g; g
+        # stage 3, in place: truncation to S_N, h1 and z under their
+        # multipliers, h2 and g under the mask.  The factors of the cubic
+        # products: w = W / (-i tau) with W = -1/2 (e^{-i tau d_xx} h1 - h2)
+        # - i tau Pi_N (f - c_0)^2, all that multiplies d_x conj(f) under
+        # d_x^{-1} e^{i tau d_xx}; e^{i tau d_xx} g in the h2 row; -d_x^{-1} z; g
         c0 = c[..., 0]
-        x[:2] *= self.t3
-        x[2:] *= self.t1[0]
-        w = x[1]
-        w += x[2]
-        w += x[3]
-        w -= (2.0 * c0)[..., None] * c
+        x[0::2] *= self.t3
+        x[1::2] *= self.t1[0]
+        w += x[1]
+        w += g
+        work[7] = (2.0 * c0)[..., None]
+        w -= np.multiply(work[7], c, out=work[7])
         # + c_0^2, rounded like a product of complex scalars: numpy's complex
         # array loop may fuse multiply-adds and round differently
         w[..., 0].real += c0.real * c0.real - c0.imag * c0.imag
         w[..., 0].imag += c0.real * c0.imag * 2.0
-        np.multiply(x[3], self.t1[1], out=x[2])
-        np.fft.ifft(x, axis=-1, norm="forward", out=g3)
+        np.multiply(g, self.t1[1], out=gp)
         # -d_x^{-1} z = -d_x^{-1} a - i d_x^{-1} b with a = Pi_N |f|^2 and
         # b = Pi_N |e^{i tau d_xx} f|^2, both real fields
-        gz_g, w_g = g3[:2]
+        np.fft.ifft(x, axis=-1, norm="forward", out=x)
 
-        # stage 4: cubic products, each truncated to S_N under one row of
-        # t4: -e^{i tau d_xx} f d_x^{-1} b; E = -f d_x^{-1} a + d_x conj(f) W,
-        # the -i tau riding on the d_x row; e^{-i tau d_xx} conj(f) e^{i tau d_xx} g;
-        # conj(f) g
-        np.multiply(fp_g, gz_g.imag, out=q[0])
-        np.multiply(f_g, gz_g.real, out=q[1])
-        w_g *= dxfb_g
-        q[1] += w_g
-        np.multiply(g1[5:], g3[2:], out=q[2:])
-        y = np.fft.fft(q, axis=-1, norm="forward", out=q)
+        # stage 4: cubic products into rows 2-5, each truncated to S_N
+        # under one row of t4: -e^{i tau d_xx} f d_x^{-1} b;
+        # E = -f d_x^{-1} a + d_x conj(f) W, the -i tau riding on the d_x row;
+        # e^{-i tau d_xx} conj(f) e^{i tau d_xx} g; conj(f) g
+        w *= dxfb_g
+        dxfb_g[...] = gz.real
+        np.multiply(f_g, dxfb_g, out=dxfb_g)
+        w += dxfb_g
+        dxfb_g[...] = gz.imag
+        np.multiply(fp_g, dxfb_g, out=dxfb_g)
+        np.conj(work[:2], out=work[:2])           # conj(f), e^{-i tau d_xx} conj(f)
+        np.multiply(fp_g, gp, out=gp)
+        np.multiply(f_g, g, out=gz)
+        y = np.fft.fft(work[2:6], axis=-1, norm="forward", out=work[2:6])
         y *= self.t4
-        out = self.twist * c
-        out += y.sum(axis=0)
+        out = np.multiply(self.twist, c)
+        out += y.sum(axis=0, out=f_g)
         return out
 
 
 @lru_cache(maxsize=32)
 def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, m: int) -> _StepPlan:
-    k = np.fft.ifftshift(np.arange(-cutoff, cutoff + 1.0))
+    k = _uncentered(np.arange(-cutoff, cutoff + 1.0))
     inv_ik = _inv_ik(k)                       # d_x^{-1}, zero at k = 0
     ep = _free_phase(k, tau)                  # e^{i tau d_xx}
     # stage 1 scales two grid rows so that stage 3 needs no scalar but
@@ -320,7 +324,7 @@ def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, m: in
     # the squares of the d_x^{-1} rows come out divided by -2i tau
     s = np.sqrt(0.5j / tau)                   # s^2 = 1 / (-2i tau)
     t1 = np.stack([np.ones_like(ep), ep, -tau * k, s * inv_ik * ep, s * inv_ik])
-    t3 = np.stack([-inv_ik, -np.conj(ep)])
+    t3 = np.stack([-np.conj(ep), -inv_ik])
     inv_ik2 = inv_ik * inv_ik
     t4 = np.stack([
         -lam * inv_ik, lam * ep * inv_ik,
@@ -346,7 +350,7 @@ def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> Spe
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
     m = _pow2_grid_size(f.cutoff)
-    c = _standard(np.fft.ifftshift(f.coeffs), f.cutoff, m)
+    c = _standard(_uncentered(f.coeffs), f.cutoff, m)
     return SpectralField(f.cutoff, _centered(_plan_for(params, cq, m).apply(c[None])[0], f.cutoff))
 
 
@@ -567,7 +571,7 @@ def evolve_lockstep(
 
     t0 = time.perf_counter()
     live = len(runs)
-    c = np.stack([_standard(np.fft.ifftshift(f.coeffs), f.cutoff, size) for f in initials])
+    c = np.stack([_standard(_uncentered(f.coeffs), f.cutoff, size) for f in initials])
     advance = stepper(live)
     for j in range(runs[0].steps + 1):
         if j:

@@ -30,6 +30,7 @@ from .spectral import (
     _from_grid,
     _pow2_grid_size,
     _to_grid,
+    _uncentered,
 )
 
 if TYPE_CHECKING:
@@ -52,8 +53,8 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     """
     big_m = 4 * n + 1
     m = _pow2_grid_size(2 * n)
-    k = np.fft.ifftshift(np.arange(-n, n + 1))
-    j = np.fft.ifftshift(np.arange(-3 * n, 3 * n + 1))
+    k = _uncentered(np.arange(-n, n + 1))
+    j = _uncentered(np.arange(-3 * n, 3 * n + 1))
     alpha = np.exp(1j * np.pi / big_m * ((k * k) % (2 * big_m)))
     beta = np.exp(-1j * np.pi / big_m * ((j * j) % (2 * big_m)))
     kernels = _to_grid(np.stack([beta, beta.conj()]), 3 * n, m)
@@ -99,7 +100,7 @@ def _splitting_stepper(order: int, runs):
     free flow's multipliers e^{-i tau k^2}, one row per run, are built once."""
     lam, n = runs[0].lam, runs[0].cutoff
     taus = np.array([params.tau for params in runs])
-    phase = _free_phase(np.fft.ifftshift(np.arange(-n, n + 1.0)), taus[:, None])
+    phase = _free_phase(_uncentered(np.arange(-n, n + 1.0)), taus[:, None])
     times = taus if order == 1 else 0.5 * taus
 
     def stepper(rows: int):
@@ -117,7 +118,7 @@ def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> Spectr
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
-    out = _splitting_stepper(order, [params])(1)(np.fft.ifftshift(f.coeffs)[None])
+    out = _splitting_stepper(order, [params])(1)(_uncentered(f.coeffs)[None])
     return SpectralField(f.cutoff, _centered(out[0], f.cutoff))
 
 

@@ -16,7 +16,7 @@ power of two would have 4N.
 
 A field's coefficients are in centered order, k = -N..N; every array below
 it is in numpy's standard FFT order, k >= 0 then k < 0.  `_standard` lays a
-window out on any length; np.fft.ifftshift and `_centered` convert at fields.
+window out on any length; `_uncentered` and `_centered` convert at fields.
 """
 
 from __future__ import annotations
@@ -241,6 +241,13 @@ def _centered(x: np.ndarray, cutoff: int) -> np.ndarray:
     return np.concatenate((x[..., x.shape[-1] - cutoff:], x[..., : cutoff + 1]), axis=-1)
 
 
+def _uncentered(x: np.ndarray) -> np.ndarray:
+    """(Batched) centered x of odd length 2N+1 in standard order: the
+    inverse of `_centered(., N)`."""
+    n = x.shape[-1] // 2
+    return np.concatenate((x[..., n:], x[..., :n]), axis=-1)
+
+
 def _to_grid(
     coeffs: np.ndarray, cutoff: int, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -265,7 +272,7 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     f, g = _align(f, g)
     m = _pow2_grid_size(f.cutoff)
-    vals = _to_grid(np.fft.ifftshift([f.coeffs, g.coeffs], axes=-1), f.cutoff, m)
+    vals = _to_grid(_uncentered(np.stack([f.coeffs, g.coeffs])), f.cutoff, m)
     return SpectralField(f.cutoff, _centered(_from_grid(vals[0] * vals[1], f.cutoff), f.cutoff))
 
 

@@ -7,6 +7,7 @@ python -m entry point and exit codes as seen by a shell.
 import cmath
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lowregnls
 from lowregnls import __version__, harness
 from lowregnls.cli import (
     DIAG_HEADER,
@@ -536,9 +538,12 @@ class TestHelpGolden:
 
 class TestModuleEntryPoint:
     def test_selftest_and_error_exit_codes(self):
+        # the child imports the package the tests import, installed or not
+        path = [str(Path(lowregnls.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         ok = subprocess.run(
             [sys.executable, "-m", "lowregnls", "selftest"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert ok.returncode == 0
         assert ok.stdout.count(": pass (") == 3
@@ -546,7 +551,7 @@ class TestModuleEntryPoint:
         bad = subprocess.run(
             [sys.executable, "-m", "lowregnls", "solve", "--tau", "abc",
              "--N", "8"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert bad.returncode == 2
         assert bad.stderr.startswith("error: ")

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,43 @@ def one_step(u, lam, tau):
 
 def assert_close(a, b):
     assert l2_error(a, b) <= 1e-12 * sobolev_norm(b, 0.0)
+
+
+def random_stack(cutoff, runs):
+    """A stack of `runs` low-regularity plans of one cutoff on its product
+    grid, and an (runs, m) state stack for it."""
+    m = _pow2_grid_size(cutoff)
+    fields = [unit_field(r, cutoff) for r in range(runs)]
+    plans = [_plan_for(SchemeParams(-1, 2.0 ** -(4 + r), cutoff, 1), conserved_quantities(f), m)
+             for r, f in enumerate(fields)]
+    return _StepPlan.stacked(plans), np.stack([standard(f, m) for f in fields])
+
+
+class TestStepMemory:
+    """One step allocates its eight-row work block and its result, no more,
+    and writes into nothing it was given."""
+
+    @pytest.mark.parametrize("n, runs", [(1024, 1), (128, 6)])
+    def test_one_apply_peaks_at_nine_rows(self, n, runs):
+        stack, c = random_stack(n, runs)
+        stack.apply(c)                    # FFT plans are cached by the first call
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stack.apply(c)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * 9 * c.nbytes
+
+    @pytest.mark.parametrize("n, runs", [(1024, 1), (128, 6), (0, 2)])
+    def test_apply_writes_only_its_result(self, n, runs):
+        stack, c = random_stack(n, runs)
+        tables = [stack.t1, stack.t3, stack.t4, stack.twist]
+        before = [a.tobytes() for a in (c, *tables)]
+        out = stack.apply(c)
+        assert [a.tobytes() for a in (c, *tables)] == before
+        assert not any(np.shares_memory(out, a) for a in (c, *tables))
 
 
 class TestStepProperties:

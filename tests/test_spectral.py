@@ -14,6 +14,7 @@ from lowregnls.spectral import (
     _pow2_grid_size,
     _standard,
     _to_grid,
+    _uncentered,
     conjugate,
     dealiased_product,
     derivative,
@@ -231,7 +232,8 @@ def windows(draw):
 class TestStandardLayout:
     """`_standard` is the one layout rule below SpectralField: the |k| <= N
     window of a standard-order array, laid out on m points; `_centered`
-    reads the window back in a field's centered order."""
+    reads the window back in a field's centered order and `_uncentered`
+    undoes it."""
 
     @given(windows())
     @example((0, 1, 0))
@@ -252,6 +254,15 @@ class TestStandardLayout:
         window[m - n:] = True
         assert np.array_equal(back[:, window], x[:, window])
         assert np.all(back[:, ~window] == 0)
+
+    @given(windows())
+    @example((0, 1, 0))
+    def test_uncentered_is_ifftshift(self, case):
+        n, _, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, 2 * n + 1)) + 1j * rng.standard_normal((3, 2 * n + 1))
+        assert np.array_equal(_uncentered(x), np.fft.ifftshift(x, axes=-1))
+        assert np.array_equal(_uncentered(_centered(x, n)), x)
 
     @given(windows())
     @example((0, 1, 0))
