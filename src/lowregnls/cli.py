@@ -27,8 +27,9 @@ from .harness import (
     temporal_study,
     write_report_csv,
 )
-from .initial_data import InitialDataSpec
+from .initial_data import KINDS, InitialDataSpec
 from .integrator import (
+    INIT_MODES,
     SCHEMES,
     SchemeParams,
     conserved_quantities,
@@ -53,10 +54,11 @@ __all__ = ["main", "build_parser"]
 DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 
 # largest cutoff accepted on the command line: a step at N = 2^16 works on
-# 15 grid rows of 204800 points (47 MiB); a spatial study also runs 2N, and
-# stacks its runs (a cutoff's half zero-padded among them where that removes
-# stacks) only at grids of <= 2048 points (harness.STACK_POINTS), at any --jobs;
-# each of the up to --jobs worker processes holds one stack at a time.
+# 8 grid rows, its result and 12 table rows of 204800 points (66 MiB); a
+# spatial study also runs 2N, and stacks its runs (a cutoff's half
+# zero-padded among them where that removes stacks) only at grids of <= 2048
+# points (harness.STACK_POINTS), at any --jobs; each of the up to --jobs
+# worker processes holds one stack at a time.
 # The sampled initial series may reach 16 times that, its default at N = 2^16.
 MAX_CUTOFF = 2 ** 16
 
@@ -137,7 +139,7 @@ def _add_common(p: _Parser, study: bool) -> None:
                    help="nonlinearity sign: -1 focusing, +1 defocusing (default -1)")
     p.add_argument("--T", type=float, default=1.0,
                    help="final time; must be an integer multiple of tau (default 1.0)")
-    p.add_argument("--init-mode", choices=["truncated", "sampled"], default="truncated",
+    p.add_argument("--init-mode", choices=INIT_MODES, default="truncated",
                    help="coefficient truncation or 4N+1-point sampling of the "
                         "initial series (default truncated)")
     p.add_argument("--tail-cutoff", type=_bounded_int("--tail-cutoff", 0, 16 * MAX_CUTOFF),
@@ -156,8 +158,7 @@ def _add_common(p: _Parser, study: bool) -> None:
                        help="worker processes; each advances one stack of runs in lockstep "
                             "(default 1)")
     else:
-        p.add_argument("--initial", choices=["sobolev", "plane", "constant"],
-                       default="sobolev",
+        p.add_argument("--initial", choices=KINDS, default="sobolev",
                        help="initial state family (default sobolev)")
         p.add_argument("--amplitude", type=float, default=None,
                        help="initial amplitude (default 0.1 for sobolev, 1.0 otherwise)")

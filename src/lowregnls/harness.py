@@ -190,8 +190,9 @@ def _stacks(scheme: str, params: dict) -> list[list[tuple[int, float]]]:
 def _run_stack(task):
     """(final coefficients, wall_ms) of each run of a task (scheme, initial
     coefficients of each run, SchemeParams of each run): plain data, which a
-    worker process can take.  A stack steps in lockstep in the window of its
-    largest cutoff, the smaller cutoffs zero-padded."""
+    worker process can take.  A stack steps in lockstep in standard order, a
+    low-regularity one on the product grid of its largest cutoff (see
+    `integrator.evolve_lockstep`)."""
     scheme, coeffs, runs = task
     initials = [SpectralField(params.cutoff, c) for c, params in zip(coeffs, runs)]
     return [(traj.final.coeffs, traj.wall_ms)

@@ -443,27 +443,59 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _snapshot_index(t: float, tau: float, steps: int) -> int:
-    j = int(round(t / tau))
-    if j < 0 or j > steps or abs(j * tau - t) > TIME_RTOL * max(abs(t), 1.0):
-        raise ValueError(
-            f"snapshot time {t!r} is not a step multiple within the horizon"
+class _Record:
+    """What one run of `evolve_lockstep` records: its start, the steps of its
+    snapshots (each with the least time requested on it), its diagnostics,
+    running H^1 maximum and blow-up check, and the wall time the driver sets."""
+
+    def __init__(self, r, initial, params, cq, snapshot_times, diag_stride):
+        self.initial, self.params, self.stride = initial, params, diag_stride
+        self.cq = conserved_quantities(initial) if cq is None else cq
+        tau, steps = params.tau, params.steps
+        self.wants: dict[int, float] = {}
+        for t in (params.horizon,) if snapshot_times is None else snapshot_times:
+            t = float(t)
+            j = round(t / tau) if math.isfinite(t / tau) else -1
+            if not 0 <= j <= steps or abs(j * tau - t) > TIME_RTOL * max(abs(t), 1.0):
+                raise ValueError(f"run {r} (tau = {tau!r}): snapshot time {t!r} is not "
+                                 "a step multiple within the horizon")
+            self.wants[j] = min(self.wants.get(j, t), t)
+        self.snapshots: list[SpectralField] = []
+        self.diagnostics: list[SnapshotDiagnostics] = []
+        self.h1_max, self.last_h1, self.wall_ms = 0.0, math.nan, 0.0
+
+    def take(self, j: int, row: np.ndarray, h1: float) -> None:
+        """Record step j of the run, its state `row` in standard order and
+        its H^1 norm h1."""
+        params = self.params
+        if j and not math.isfinite(h1):
+            # a non-finite coefficient, or one whose square overflows, makes
+            # H^1 non-finite
+            raise BlowUpError(j, j * params.tau, params.tau, self.last_h1)
+        if math.isfinite(h1):
+            self.last_h1 = h1
+        self.h1_max = max(self.h1_max, h1)
+        # every snapshot step is a diagnostic step
+        if j in self.wants or j == params.steps or j == 0 or (
+            self.stride > 0 and j % self.stride == 0
+        ):
+            f = SpectralField(params.cutoff, _centered(row, params.cutoff))
+            if j in self.wants:
+                self.snapshots.append(f)
+            now = conserved_quantities(f)
+            self.diagnostics.append(SnapshotDiagnostics(
+                step_index=j, time=j * params.tau, l2=math.sqrt(2.0 * math.pi * now.mass),
+                h1=h1, mass_drift=abs(now.mass - self.cq.mass),
+                momentum_drift=abs(now.momentum - self.cq.momentum),
+            ))
+
+    def trajectory(self, scheme: str) -> Trajectory:
+        return Trajectory(
+            params=self.params, cq=self.cq, scheme=scheme,
+            snapshot_times=tuple(self.wants[j] for j in sorted(self.wants)),
+            snapshots=tuple(self.snapshots), diagnostics=tuple(self.diagnostics),
+            h1_max=self.h1_max, wall_ms=self.wall_ms,
         )
-    return j
-
-
-def _diagnose(
-    f: SpectralField, h1: float, cq: ConservedQuantities, j: int, tau: float
-) -> SnapshotDiagnostics:
-    now = conserved_quantities(f)
-    return SnapshotDiagnostics(
-        step_index=j,
-        time=j * tau,
-        l2=math.sqrt(2.0 * math.pi * now.mass),
-        h1=h1,
-        mass_drift=abs(now.mass - cq.mass),
-        momentum_drift=abs(now.momentum - cq.momentum),
-    )
 
 
 def evolve(
@@ -507,7 +539,9 @@ def evolve_lockstep(
     `_StepPlan`), on 2N+1 points for splitting runs, which share one cutoff
     (see `reference`).  Only H^1 norms, snapshots and diagnostics are centered.
     The runs step in descending order of step count, and a run that reaches
-    its step count leaves the stack by a prefix slice.  Each trajectory is
+    its step count leaves the stack by a prefix slice; the driver only steps
+    and hands each live row and its H^1 norm to the run's `_Record`, which
+    keeps its snapshots, diagnostics and blow-up check.  Each trajectory is
     that of the run's own `evolve` or `splitting_evolve`, bitwise when every
     run has the largest cutoff, to round-off otherwise, except for wall_ms:
     the time the stack ran until the run's last step.  A ValueError for bad
@@ -515,6 +549,8 @@ def evolve_lockstep(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if diag_stride < 0:
+        raise ValueError(f"diag_stride must be >= 0, got {diag_stride}")
     runs = list(runs)
     if not runs:
         raise ValueError("runs stepped together must be one or more")
@@ -536,86 +572,45 @@ def evolve_lockstep(
         if not np.all(np.isfinite(field.coeffs)):
             raise ValueError(f"run {r} (tau = {params.tau!r}): initial coefficients "
                              "must be finite")
-    order = sorted(range(len(runs)), key=lambda r: -runs[r].steps)
-    initials = [initials[r] for r in order]
-    runs = [runs[r] for r in order]
-    cqs = [conserved_quantities(f) if cq is None else cq for f in initials]
+    if snapshot_times is not None:
+        snapshot_times = tuple(snapshot_times)  # read once: it may be one-pass
+    records = [_Record(r, field, params, cq, snapshot_times, diag_stride)
+               for r, (field, params) in enumerate(zip(initials, runs))]
+    # longest run first, so that runs leave the stack by a prefix slice
+    ranked = sorted(records, key=lambda rec: -rec.params.steps)
     # stepper(rows): the one-step map of the stack's first rows, of `size` points
     top = max(params.cutoff for params in runs)
     if scheme == "lowreg":
         size = _pow2_grid_size(top)
-        stack = _StepPlan.stacked([_plan_for(p, q, size) for p, q in zip(runs, cqs)])
+        stack = _StepPlan.stacked([_plan_for(rec.params, rec.cq, size) for rec in ranked])
 
         def stepper(rows):
             return stack.head(rows).apply
     else:
         size = 2 * top + 1
-        stepper = _splitting_stepper(SPLITTINGS[scheme], runs)
-
-    wants = []
-    for params in runs:
-        times = (params.horizon,) if snapshot_times is None else snapshot_times
-        want = {}
-        for t in times:
-            t = float(t)
-            want.setdefault(_snapshot_index(t, params.tau, params.steps), []).append(t)
-        wants.append(want)
+        stepper = _splitting_stepper(SPLITTINGS[scheme], [rec.params for rec in ranked])
 
     k = np.arange(-top, top + 1, dtype=float)
     w1 = 1.0 + k * k
-    snapshots: list[dict[int, SpectralField]] = [{} for _ in runs]
-    diagnostics: list[dict[int, SnapshotDiagnostics]] = [{} for _ in runs]
-    h1_max = [0.0] * len(runs)
-    last_h1 = [math.nan] * len(runs)
-    wall_ms = [0.0] * len(runs)
-
     t0 = time.perf_counter()
-    live = len(runs)
-    c = np.stack([_standard(_uncentered(f.coeffs), f.cutoff, size) for f in initials])
+    live = len(ranked)
+    c = np.stack([_standard(_uncentered(rec.initial.coeffs), rec.initial.cutoff, size)
+                  for rec in ranked])
     advance = stepper(live)
-    for j in range(runs[0].steps + 1):
+    for j in range(ranked[0].params.steps + 1):
         if j:
             c = advance(c)
         # summed in centered order, as `sobolev_norm` sums
         norms = np.sum(w1 * np.abs(_centered(c, top)) ** 2, axis=-1)
-        for r, (params, want) in enumerate(zip(runs[:live], wants)):
-            h1 = math.sqrt(2.0 * math.pi * float(norms[r]))
-            if j and not math.isfinite(h1):
-                # a non-finite coefficient, or one whose square overflows,
-                # makes H^1 non-finite
-                raise BlowUpError(j, j * params.tau, params.tau, last_h1[r])
-            if math.isfinite(h1):
-                last_h1[r] = h1
-            h1_max[r] = max(h1_max[r], h1)
-            # every snapshot step is a diagnostic step
-            if j in want or j == params.steps or j == 0 or (
-                diag_stride > 0 and j % diag_stride == 0
-            ):
-                f = SpectralField(params.cutoff, _centered(c[r], params.cutoff))
-                if j in want:
-                    snapshots[r][j] = f
-                diagnostics[r][j] = _diagnose(f, h1, cqs[r], j, params.tau)
-        while live and runs[live - 1].steps == j:
+        for rec, row, norm in zip(ranked, c, norms):
+            rec.take(j, row, math.sqrt(2.0 * math.pi * float(norm)))
+        while live and ranked[live - 1].params.steps == j:
             live -= 1
-            wall_ms[live] = (time.perf_counter() - t0) * 1e3
+            ranked[live].wall_ms = (time.perf_counter() - t0) * 1e3
         if 0 < live < len(c):
             c = c[:live]
             advance = stepper(live)
-
-    trajectories = [None] * len(runs)
-    for r, params in enumerate(runs):
-        ordered = sorted(wants[r])
-        trajectories[order[r]] = Trajectory(
-            params=params,
-            cq=cqs[r],
-            scheme=scheme,
-            snapshot_times=tuple(min(wants[r][j]) for j in ordered),
-            snapshots=tuple(snapshots[r][j] for j in ordered),
-            diagnostics=tuple(diagnostics[r][j] for j in sorted(diagnostics[r])),
-            h1_max=h1_max[r],
-            wall_ms=wall_ms[r],
-        )
-    return trajectories
+    return [rec.trajectory(scheme) for rec in records]
 
 
 def save_trajectory(traj: Trajectory, dirpath) -> None:

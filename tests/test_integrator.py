@@ -579,6 +579,21 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(u, params, snapshot_times=(t,))
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_snapshot_time_rejected(self, t):
+        u = SpectralField.zeros(4)
+        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
+        with pytest.raises(ValueError, match=r"run 0 \(tau = 0.25\): snapshot time "
+                           f"{t!r} is not a step multiple within the horizon"):
+            evolve(u, params, snapshot_times=(0.5, t))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_negative_diag_stride_rejected(self, scheme):
+        u = SpectralField.zeros(4)
+        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
+        with pytest.raises(ValueError, match="diag_stride must be >= 0, got -2"):
+            solo_run(scheme, u, params, diag_stride=-2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_initial_data_rejected(self, bad):
         u = SpectralField.from_modes(4, {1: 0.5, -2: bad})
@@ -711,6 +726,33 @@ class TestLockstep:
                 assert a.coeffs.tobytes() == b.coeffs.tobytes()
             assert traj.diagnostics == solo.diagnostics
             assert traj.h1_max == solo.h1_max
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_snapshot_times_merge_by_step(self, scheme):
+        # unordered, repeated and near-equal times (within TIME_RTOL): one
+        # snapshot per step, in step order, each at the least time asked of it
+        u = unit_field(4, 8)
+        near = 1.0 * (1 - 1e-13)
+        times = (1.0, 0.0, near, 0.0, 1.0 * (1 + 1e-13))
+        runs = [SchemeParams(-1, 0.25, 8, 4), SchemeParams(-1, 0.125, 8, 8)]
+        stacked = evolve_lockstep(u, runs, None, times, scheme=scheme)
+        for params, traj in zip(runs, stacked):
+            assert traj.snapshot_times == (0.0, near)
+            assert len(traj.snapshots) == 2
+            assert traj.snapshots[0].coeffs.tobytes() == u.coeffs.tobytes()
+            assert [d.step_index for d in traj.diagnostics] == [0, params.steps]
+            solo = solo_run(scheme, u, params, snapshot_times=times)
+            assert traj.snapshot_times == solo.snapshot_times
+            for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert traj.diagnostics == solo.diagnostics
+            assert traj.h1_max == solo.h1_max
+
+    def test_snapshot_times_may_be_an_iterator(self):
+        u = unit_field(4, 8)
+        runs = [SchemeParams(-1, 0.25, 8, 4), SchemeParams(-1, 0.125, 8, 8)]
+        trajs = evolve_lockstep(u, runs, snapshot_times=iter((0.0, 1.0)))
+        assert [traj.snapshot_times for traj in trajs] == [(0.0, 1.0), (0.0, 1.0)]
 
     def test_entry_keeps_the_order_of_its_runs(self):
         u = initialize(InitialDataSpec(alpha=1.0), 16)
@@ -877,6 +919,13 @@ class TestLockstepBoundary:
         u = SpectralField.from_modes(16, {1: 0.5, -2: bad})
         with pytest.raises(ValueError, match=r"run 1 \(tau = 0.2\): initial coefficients must be finite"):
             evolve_lockstep([self.u8, u], [self.p8, self.p16])
+
+    def test_snapshot_time_names_the_run(self):
+        u = SpectralField.zeros(4)
+        runs = [SchemeParams(-1, 0.25, 4, 4), SchemeParams(-1, 0.1, 4, 10)]
+        with pytest.raises(ValueError, match=r"run 1 \(tau = 0.1\): snapshot time 0.25 "
+                           "is not a step multiple within the horizon"):
+            evolve_lockstep(u, runs, snapshot_times=(0.25,))
 
     def test_runs_must_share_lam(self):
         with pytest.raises(ValueError, match="run 1 has lam 1, but .* share lam -1"):
