@@ -29,9 +29,9 @@ import numpy as np
 from .initial_data import InitialDataSpec
 # evolve and splitting_evolve are not called here, but perfbench/tracing.py
 # patches both by these names
-from .integrator import SCHEMES, SchemeParams, evolve, evolve_lockstep, initialize  # noqa: F401
+from .integrator import SCHEMES, SchemeParams, _sign, evolve, evolve_lockstep, initialize  # noqa: F401
 from .reference import splitting_evolve  # noqa: F401
-from .spectral import SpectralField, _pow2_grid_size, l2_error
+from .spectral import SpectralField, _integer, _pow2_grid_size, l2_error
 
 __all__ = [
     "CSV_HEADER",
@@ -74,11 +74,11 @@ class StudySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
-        object.__setattr__(self, "cutoffs", tuple(int(n) for n in self.cutoffs))
+        object.__setattr__(self, "cutoffs", tuple(_integer(n, "cutoffs", 1) for n in self.cutoffs))
         for name in ("alpha", "horizon", "amplitude"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "lam", int(self.lam))
-        object.__setattr__(self, "jobs", int(self.jobs))
+        object.__setattr__(self, "lam", _sign(self.lam))
+        object.__setattr__(self, "jobs", _integer(self.jobs, "jobs", 1))
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.scheme not in SCHEMES:
@@ -89,8 +89,6 @@ class StudySpec:
             raise ValueError("at least one cutoff is required")
         if any(t <= 0 for t in self.taus):
             raise ValueError(f"steps must be positive, got {self.taus}")
-        if any(n < 1 for n in self.cutoffs):
-            raise ValueError(f"cutoffs must be >= 1, got {self.cutoffs}")
         for name in ("taus", "cutoffs"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -101,8 +99,6 @@ class StudySpec:
                 f"a {self.axis} study fits its rate over at least two {refined}, "
                 f"got {getattr(self, refined)}"
             )
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.tail_cutoff is not None and self.init_mode != "sampled":
             raise ValueError(f"a tail cutoff needs init mode 'sampled', not {self.init_mode!r}")
 

@@ -38,6 +38,7 @@ from .spectral import (
     SpectralField,
     _centered,
     _free_phase,
+    _integer,
     _inv_ik,
     _momentum_imag,
     _pow2_grid_size,
@@ -100,6 +101,14 @@ class BlowUpError(RuntimeError):
         return type(self), (self.step_index, self.time, self.tau, self.last_h1)
 
 
+def _sign(lam) -> int:
+    """lam as the int -1 or +1, tested before it is converted, so that no
+    other value is truncated onto a sign."""
+    if lam not in (-1, 1):
+        raise ValueError(f"lam must be -1 or +1, got {lam}")
+    return int(lam)
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Run parameters: nonlinearity sign lam, step tau, cutoff N, step count."""
@@ -110,18 +119,12 @@ class SchemeParams:
     steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", int(self.lam))
+        object.__setattr__(self, "lam", _sign(self.lam))
         object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "cutoff", int(self.cutoff))
-        object.__setattr__(self, "steps", int(self.steps))
-        if self.lam not in (-1, 1):
-            raise ValueError(f"lam must be -1 or +1, got {self.lam}")
+        object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff", 0))
+        object.__setattr__(self, "steps", _integer(self.steps, "steps", 0))
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be a positive finite number, got {self.tau}")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
 
     @property
     def horizon(self) -> float:
@@ -184,8 +187,7 @@ def initialize(
         raise ValueError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
     if tail_cutoff is not None and init_mode != "sampled":
         raise ValueError(f"a tail cutoff needs init mode 'sampled', not {init_mode!r}")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = _integer(cutoff, "cutoff", 0)
     if isinstance(source, SpectralField):
         if init_mode == "sampled":
             raise ValueError("init mode 'sampled' samples a series and needs an "
@@ -365,8 +367,7 @@ def step_twisted(
     """
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
-    if step_index < 0:
-        raise ValueError(f"step index must be >= 0, got {step_index}")
+    step_index = _integer(step_index, "step index", 0)
     lam, tau = params.lam, params.tau
     tn = step_index * tau
     tnp = tn + tau
@@ -549,8 +550,7 @@ def evolve_lockstep(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if diag_stride < 0:
-        raise ValueError(f"diag_stride must be >= 0, got {diag_stride}")
+    diag_stride = _integer(diag_stride, "diag_stride", 0)
     runs = list(runs)
     if not runs:
         raise ValueError("runs stepped together must be one or more")
@@ -660,42 +660,43 @@ def _manifest_dict(path: Path) -> dict[str, str]:
 
 
 def load_trajectory(dirpath) -> Trajectory:
-    """Read back a dump written by save_trajectory."""
+    """Read back a dump written by save_trajectory.  A missing key, and an
+    entry with the wrong number of fields, a bad number or an unknown
+    scheme, raise one ValueError naming the manifest and the key."""
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
         raise ValueError(f"{d}: no manifest.txt found")
     kv = _manifest_dict(manifest)
-    try:
-        params = SchemeParams(
-            lam=int(kv["lambda"]), tau=float(kv["tau"]),
-            cutoff=int(kv["N"]), steps=int(kv["steps"]),
-        )
-        cq = ConservedQuantities(
-            mass=float(kv["mass"]), momentum=complex(0.0, float(kv["momentum_imag"])),
-        )
-        scheme = kv.get("scheme", "lowreg")
-        n_snap = int(kv["snapshot_count"])
-        times, fields = [], []
-        for i in range(n_snap):
-            times.append(float(kv[f"snapshot_{i}_time"]))
-            fields.append(load_field(d / kv[f"snapshot_{i}_file"]))
-        n_diag = int(kv["diagnostic_count"])
-        rows = []
-        for i in range(n_diag):
-            parts = kv[f"diagnostic_{i}"].split()
-            rows.append(
-                SnapshotDiagnostics(
-                    step_index=int(parts[0]), time=float(parts[1]),
-                    l2=float(parts[2]), h1=float(parts[3]),
-                    mass_drift=float(parts[4]), momentum_drift=float(parts[5]),
-                )
-            )
-        return Trajectory(
-            params=params, cq=cq, scheme=scheme,
-            snapshot_times=tuple(times), snapshots=tuple(fields),
-            diagnostics=tuple(rows),
-            h1_max=float(kv["h1_max"]), wall_ms=float(kv["wall_ms"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{manifest}: missing manifest key {exc}") from exc
+
+    def entry(key, parse=float):
+        if key not in kv:
+            raise ValueError(f"{manifest}: missing manifest key {key!r}")
+        try:
+            return parse(kv[key])
+        except ValueError as exc:
+            raise ValueError(f"{manifest}: bad manifest entry {key}={kv[key]!r}: {exc}") from None
+
+    def scheme(text):
+        if text not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
+        return text
+
+    def diagnostic(text):
+        fields = text.split()
+        if len(fields) != 6:
+            raise ValueError(f"expected 6 fields, got {len(fields)}")
+        return SnapshotDiagnostics(int(fields[0]), *map(float, fields[1:]))
+
+    snapshots = range(entry("snapshot_count", int))
+    return Trajectory(
+        params=SchemeParams(lam=entry("lambda", int), tau=entry("tau"),
+                            cutoff=entry("N", int), steps=entry("steps", int)),
+        cq=ConservedQuantities(mass=entry("mass"), momentum=complex(0.0, entry("momentum_imag"))),
+        scheme=entry("scheme", scheme),
+        snapshot_times=tuple(entry(f"snapshot_{i}_time") for i in snapshots),
+        snapshots=tuple(load_field(d / entry(f"snapshot_{i}_file", str)) for i in snapshots),
+        diagnostics=tuple(entry(f"diagnostic_{i}", diagnostic)
+                          for i in range(entry("diagnostic_count", int))),
+        h1_max=entry("h1_max"), wall_ms=entry("wall_ms"),
+    )

@@ -21,6 +21,7 @@ window out on any length; `_uncentered` and `_centered` convert at fields.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,7 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
+        object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff", 0))
         arr = np.array(self.coeffs, dtype=np.complex128)
         if arr.shape != (2 * self.cutoff + 1,):
             raise ValueError(
@@ -68,11 +68,12 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, cutoff: int) -> "SpectralField":
-        return cls(cutoff, np.zeros(2 * cutoff + 1, dtype=np.complex128))
+        return cls.from_modes(cutoff, {})
 
     @classmethod
     def from_modes(cls, cutoff: int, modes: dict[int, complex]) -> "SpectralField":
         """Field with the given {frequency: coefficient} entries, zeros elsewhere."""
+        cutoff = _integer(cutoff, "cutoff", 0)
         arr = np.zeros(2 * cutoff + 1, dtype=np.complex128)
         for k, v in modes.items():
             if abs(k) > cutoff:
@@ -98,15 +99,26 @@ class SpectralField:
         a, b = _align(self, other)
         return SpectralField(a.cutoff, a.coeffs - b.coeffs)
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.cutoff, -self.coeffs)
-
     def __mul__(self, scalar) -> "SpectralField":
         if isinstance(scalar, SpectralField):
             raise TypeError("use dealiased_product for field*field products")
         return SpectralField(self.cutoff, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as an int, the one rule for every integer a caller passes in
+    (cutoffs, step counts, strides, jobs): integers of any type pass, numpy's
+    included, and anything else, an integral float too, raises a ValueError
+    naming the parameter, as does a value below least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _align(f: SpectralField, g: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -118,8 +130,7 @@ def project(f: SpectralField, cutoff: int) -> SpectralField:
     """Change of cutoff: modes with |k| <= min(cutoff, f.cutoff) are copied,
     everything else in the target window is zero.  Truncation for smaller
     cutoffs, zero extension for larger ones."""
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = _integer(cutoff, "cutoff", 0)
     if cutoff == f.cutoff:
         return f
     out = np.zeros(2 * cutoff + 1, dtype=np.complex128)

@@ -228,6 +228,13 @@ class TestConfigFile:
         assert main(["solve", "--config", str(cfg)]) == 0
         capsys.readouterr()
 
+    def test_equals_form(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau=2^-3\nN=8\nT=0.5\nscheme=lie\n")
+        assert main(["solve", f"--config={cfg}"]) == 0
+        out = capsys.readouterr().out
+        assert "scheme=lie" in out and "T=0.5" in out
+
     def test_malformed_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tau=2^-3\nnonsense\n")
@@ -380,6 +387,24 @@ class TestErrorContract:
         serial = self.check(argv + ["--jobs", "1"], 1, capfd)
         assert "blew up" in serial
         assert self.check(argv + ["--jobs", "2"], 1, capfd) == serial
+
+    @pytest.mark.parametrize("edit, key", [
+        ("diagnostic_0=0 0.0", "diagnostic_0"),
+        ("snapshot_count=x", "snapshot_count"),
+        ("scheme=rk4", "scheme"),
+        ("", "wall_ms"),
+    ], ids=["short-row", "count", "scheme", "missing"])
+    def test_malformed_dump(self, edit, key, tmp_path, capsys):
+        dump = tmp_path / "D"
+        assert main(["solve", "--tau", "2^-3", "--N", "4", "--T", "1", "--out", str(dump)]) == 0
+        capsys.readouterr()
+        manifest = dump / "manifest.txt"
+        lines = [edit if ln.startswith(key + "=") else ln
+                 for ln in manifest.read_text().splitlines()]
+        manifest.write_text("\n".join(lines) + "\n")
+        msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
+        assert msg.startswith(f"error: {manifest}: ")
+        assert repr(key) in msg or f"{key}=" in msg
 
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
     def test_non_finite_initial_data(self, amplitude, capsys):

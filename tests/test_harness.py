@@ -103,6 +103,21 @@ class TestStudySpecValidation:
         with pytest.raises(ValueError, match=f"a {axis} study .* two {refined}"):
             StudySpec(axis=axis, **one)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("scheme", "rk4", "scheme must be one of"),
+        ("taus", (0.1, 0.0), "steps must be positive"),
+        ("taus", (-0.1, 0.1), "steps must be positive"),
+        ("cutoffs", (0, 8), "cutoffs must be >= 1, got 0"),
+        ("cutoffs", (2.5, 4), "cutoffs must be an integer, got 2.5"),
+        ("jobs", 0, "jobs must be >= 1, got 0"),
+        ("jobs", 1.9, "jobs must be an integer, got 1.9"),
+        ("lam", 0, r"lam must be -1 or \+1, got 0"),
+    ])
+    def test_bad_value_rejected(self, field, value, match):
+        base = {"axis": "spatial", "taus": (0.1,), "cutoffs": (8, 16)}
+        with pytest.raises(ValueError, match=match):
+            StudySpec(**{**base, field: value})
+
     def test_tail_cutoff_needs_sampled_init(self):
         StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16), init_mode="sampled",
                   tail_cutoff=64)

@@ -48,10 +48,9 @@ class TestSobolevFamily:
         vals = np.abs(coefficients(InitialDataSpec(kind="sobolev", alpha=1.0), 39)[40:])
         assert np.all(vals[:-1] > vals[1:])
 
-    def test_amplitude_and_offset_configurable(self):
-        spec = InitialDataSpec(kind="sobolev", alpha=1.0, amplitude=0.5,
-                               exponent_offset=0.75)
-        assert np.isclose(coefficients(spec, 2)[4], 0.5 * 2.0 ** (-1.75), rtol=1e-14)
+    def test_amplitude_configurable_and_offset_fixed(self):
+        spec = InitialDataSpec(kind="sobolev", alpha=1.0, amplitude=0.5)
+        assert np.isclose(coefficients(spec, 2)[4], 0.5 * 2.0 ** (-1.51), rtol=1e-14)
 
     def test_tail_energy_halves_at_rate(self):
         # l2 tail over (K, 2K] shrinks like 2^-(alpha + offset - 1/2) per doubling
@@ -83,8 +82,6 @@ class TestSobolevFamily:
     def test_validation(self):
         with pytest.raises(ValueError):
             InitialDataSpec(kind="sobolev", alpha=0.0)
-        with pytest.raises(ValueError):
-            InitialDataSpec(kind="sobolev", exponent_offset=0.5)
         with pytest.raises(ValueError):
             InitialDataSpec(kind="nope")
 

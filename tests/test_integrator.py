@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lowregnls import dft, integrator
+from lowregnls.harness import StudySpec
 from lowregnls.initial_data import (
     InitialDataSpec,
     alias_fold,
@@ -673,6 +675,125 @@ class TestTrajectoryDump:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValueError):
             load_trajectory(tmp_path)
+
+    def dump(self, tmp_path):
+        u = SpectralField.from_modes(2, {0: 1.0, 1: 0.5j})
+        traj = evolve(u, SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2), diag_stride=1)
+        save_trajectory(traj, tmp_path / "d")
+        return traj, tmp_path / "d" / "manifest.txt"
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        traj, manifest = self.dump(tmp_path)
+        manifest.write_text("# a note\n\n" + manifest.read_text().replace("\n", "\n\n"))
+        assert load_trajectory(manifest.parent).diagnostics == traj.diagnostics
+
+    @pytest.mark.parametrize("line, key, match", [
+        (None, "wall_ms", "missing manifest key 'wall_ms'"),
+        (None, "scheme", "missing manifest key 'scheme'"),
+        ("diagnostic_1=1 0.5", "diagnostic_1", "bad manifest entry diagnostic_1='1 0.5': "
+         "expected 6 fields, got 2"),
+        ("diagnostic_0=0 0.0 1 2 3 4 5", "diagnostic_0", "expected 6 fields, got 7"),
+        ("diagnostic_0=0.5 0.0 1 2 3 4", "diagnostic_0", "invalid literal for int"),
+        ("snapshot_count=x", "snapshot_count", "bad manifest entry snapshot_count='x'"),
+        ("tau=fast", "tau", "bad manifest entry tau='fast'"),
+        ("h1_max=1 2", "h1_max", "bad manifest entry h1_max='1 2'"),
+        ("scheme=rk4", "scheme", "bad manifest entry scheme='rk4': scheme must be one of"),
+        ("just words", None, "malformed manifest line 'just words'"),
+    ], ids=["missing", "no-scheme", "short-row", "long-row", "float-step", "count",
+            "tau", "two-fields", "scheme", "no-equals"])
+    def test_bad_manifest_named(self, tmp_path, line, key, match):
+        # one ValueError that names the manifest (and the key): the CLI
+        # prints it as its one error: line
+        _, manifest = self.dump(tmp_path)
+        lines = [ln for ln in manifest.read_text().splitlines()
+                 if key is None or not ln.startswith(key + "=")]
+        manifest.write_text("\n".join(lines + ([line] if line else [])) + "\n")
+        with pytest.raises(ValueError, match=match) as info:
+            load_trajectory(manifest.parent)
+        assert str(info.value).startswith(f"{manifest}: ")
+
+
+def _params(**kw):
+    return SchemeParams(**{"lam": -1, "tau": 0.25, "cutoff": 2, "steps": 4, **kw})
+
+
+ZERO = SpectralField.zeros(2)
+CQ = ConservedQuantities(0.0, 0.0j)
+
+
+class TestBoundaryChecks:
+    """Each integer passed in goes through one rule: integers of any type
+    pass, anything else raises a ValueError naming the parameter."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: SchemeParams(-1.5, 0.1, 2.9, 3.7), "lam must be -1 or +1, got -1.5"),
+        (lambda: SchemeParams(0, 0.1, 2, 3), "lam must be -1 or +1, got 0"),
+        (lambda: _params(cutoff=2.9), "cutoff must be an integer, got 2.9"),
+        (lambda: _params(cutoff=2.0), "cutoff must be an integer, got 2.0"),
+        (lambda: _params(steps=3.7), "steps must be an integer, got 3.7"),
+        (lambda: _params(steps="4"), "steps must be an integer, got '4'"),
+        (lambda: SpectralField(2.5, np.ones(6)), "cutoff must be an integer, got 2.5"),
+        (lambda: SpectralField.zeros(2.5), "cutoff must be an integer, got 2.5"),
+        (lambda: SpectralField.from_modes(-1, {}), "cutoff must be >= 0, got -1"),
+        (lambda: project(ZERO, 1.0), "cutoff must be an integer, got 1.0"),
+        (lambda: project(ZERO, -1), "cutoff must be >= 0, got -1"),
+        (lambda: coefficients(InitialDataSpec(), 2.5), "cutoff must be an integer, got 2.5"),
+        (lambda: coefficients(InitialDataSpec(), -1), "cutoff must be >= 0, got -1"),
+        (lambda: initialize(InitialDataSpec(), 3.0), "cutoff must be an integer, got 3.0"),
+        (lambda: initialize(InitialDataSpec(), -1), "cutoff must be >= 0, got -1"),
+        (lambda: initialize(InitialDataSpec(), 4, init_mode="sampled", tail_cutoff=20.5),
+         "tail_cutoff must be an integer, got 20.5"),
+        (lambda: InitialDataSpec(kind="plane", mode=1.5), "mode must be an integer, got 1.5"),
+        (lambda: evolve(ZERO, _params(), diag_stride=1.5),
+         "diag_stride must be an integer, got 1.5"),
+        (lambda: step_twisted(ZERO, _params(), CQ, 0.5), "step index must be an integer, got 0.5"),
+        (lambda: step_twisted(ZERO, _params(), CQ, -1), "step index must be >= 0, got -1"),
+        (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2.5, 4)),
+         "cutoffs must be an integer, got 2.5"),
+        (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2, 4), jobs=1.9),
+         "jobs must be an integer, got 1.9"),
+        (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2, 4), lam=-1.5),
+         "lam must be -1 or +1, got -1.5"),
+    ])
+    def test_rejected_naming_the_parameter(self, call, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            call()
+
+    def test_numpy_integers_pass(self):
+        u = initialize(InitialDataSpec(), np.int64(4))
+        assert np.array_equal(u.coeffs, coefficients(InitialDataSpec(), np.int32(4)))
+        params = SchemeParams(np.int64(-1), 0.25, np.int64(4), np.int64(4))
+        assert params == SchemeParams(-1, 0.25, 4, 4)
+        assert all(type(v) is int for v in (params.lam, params.cutoff, params.steps))
+        f = SpectralField(np.int64(4), u.coeffs)
+        assert type(f.cutoff) is int and project(f, np.int16(6)).cutoff == 6
+        a = evolve(u, params, diag_stride=np.int64(2))
+        assert a.diagnostics == evolve(u, params, diag_stride=2).diagnostics
+        twisted = step_twisted(u, params, conserved_quantities(u), np.int64(1))
+        assert np.array_equal(twisted.coeffs,
+                              step_twisted(u, params, conserved_quantities(u), 1).coeffs)
+        spec = StudySpec(axis="spatial", taus=(0.1,), cutoffs=(np.int64(8), 16),
+                         jobs=np.int64(2), lam=np.int64(1))
+        assert spec.cutoffs == (8, 16) and spec.jobs == 2 and spec.lam == 1
+
+    @pytest.mark.parametrize("tau", [0.0, -0.25, math.inf, math.nan])
+    def test_from_horizon_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be a positive finite number"):
+            SchemeParams.from_horizon(-1, tau, 2, 1.0)
+
+    def test_twisted_cutoff_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="field cutoff 2 != params cutoff 3"):
+            step_twisted(ZERO, _params(cutoff=3), CQ, 0)
+
+    def test_final_of_no_snapshots_rejected(self):
+        traj = evolve(ZERO, _params(), snapshot_times=())
+        assert traj.snapshots == ()
+        with pytest.raises(ValueError, match="recorded no snapshots"):
+            traj.final
+
+    def test_lockstep_of_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="one or more"):
+            evolve_lockstep(ZERO, [])
 
 
 TAU_SETS = st.lists(TAUS, min_size=1, max_size=4, unique=True)

@@ -50,6 +50,11 @@ class TestSplittingStep:
         with pytest.raises(ValueError):
             splitting_step(u, params, 3)
 
+    def test_cutoff_mismatch_rejected(self):
+        params = SchemeParams(lam=-1, tau=0.1, cutoff=8, steps=1)
+        with pytest.raises(ValueError, match="field cutoff 4 != params cutoff 8"):
+            splitting_step(SpectralField.zeros(4), params, 2)
+
     def test_stays_band_limited(self):
         rng = np.random.default_rng(0)
         c = rng.standard_normal(17) + 1j * rng.standard_normal(17)
@@ -66,6 +71,12 @@ class TestSplittingEvolve:
         params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
         with pytest.raises(ValueError, match="finite"):
             splitting_evolve(u, params, order)
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_invalid_order(self, order):
+        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
+        with pytest.raises(ValueError, match=f"splitting order must be 1 or 2, got {order}"):
+            splitting_evolve(SpectralField.zeros(4), params, order)
 
 
 class TestSplittingOrders:
