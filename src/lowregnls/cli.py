@@ -6,7 +6,7 @@ series from a fresh run or re-read from a dump), selftest (quick built-in
 verification).  Step sizes accept the power-of-two shorthand 2^-k.  A
 --config file of key=value lines supplies defaults; explicit flags override
 it.  Every error path prints a single "error: <message>" line and exits
-nonzero.
+nonzero.  Only this module reads a clock: solve and study --out print wall_ms.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import functools
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -291,25 +292,24 @@ def _run_trajectory(args, snapshot_times, diag_stride):
     params = SchemeParams.from_horizon(args.lam, args.tau, args.N, args.T)
     u0 = initialize(_initial_spec(args), args.N,
                     init_mode=args.init_mode, tail_cutoff=args.tail_cutoff)
+    run = (evolve if args.scheme == "lowreg"
+           else functools.partial(splitting_evolve, order=SPLITTINGS[args.scheme]))
     # keep stderr to the single error: line even when a run blows up
     with np.errstate(all="ignore"):
-        if args.scheme == "lowreg":
-            return params, evolve(u0, params, snapshot_times=snapshot_times,
-                                  diag_stride=diag_stride)
-        return params, splitting_evolve(u0, params, SPLITTINGS[args.scheme],
-                                        snapshot_times=snapshot_times,
-                                        diag_stride=diag_stride)
+        start = time.perf_counter()
+        traj = run(u0, params, snapshot_times=snapshot_times, diag_stride=diag_stride)
+        return params, traj, (time.perf_counter() - start) * 1e3
 
 
 def _cmd_solve(args) -> int:
-    params, traj = _run_trajectory(args, snapshot_times=(0.0, args.T),
-                                   diag_stride=args.diag_stride)
+    params, traj, wall_ms = _run_trajectory(args, snapshot_times=(0.0, args.T),
+                                            diag_stride=args.diag_stride)
     last = traj.diagnostics[-1]
     print(f"scheme={traj.scheme} lambda={params.lam} N={params.cutoff} "
           f"tau={params.tau!r} T={params.horizon!r} steps={params.steps}")
     print(f"final: l2={last.l2:.9e} h1={last.h1:.9e} "
           f"mass_drift={last.mass_drift:.3e} momentum_drift={last.momentum_drift:.3e}")
-    print(f"h1_max={traj.h1_max:.9e} wall_ms={traj.wall_ms:.3f}")
+    print(f"h1_max={traj.h1_max:.9e} wall_ms={wall_ms:.3f}")
     if args.out is not None:
         save_trajectory(traj, args.out)
         print(f"wrote trajectory dump to {args.out}")
@@ -324,8 +324,7 @@ def _cmd_diagnostics(args) -> int:
     else:
         if args.tau is None or args.N is None:
             raise CliError("diagnostics needs --tau and --N (or --in DIR)")
-        _params, traj = _run_trajectory(args, snapshot_times=(args.T,),
-                                        diag_stride=1)
+        traj = _run_trajectory(args, snapshot_times=(args.T,), diag_stride=1)[1]
     lines = [DIAG_HEADER]
     for row in traj.diagnostics:
         lines.append(f"{row.time!r},{row.l2!r},{row.h1!r},"
@@ -341,7 +340,7 @@ def _cmd_diagnostics(args) -> int:
     return 0
 
 
-def _emit_report(report, out_dir) -> int:
+def _emit_report(report, out_dir, wall_ms: float) -> int:
     if out_dir is None:
         write_report_csv(report, sys.stdout)
         return 0
@@ -359,14 +358,21 @@ def _emit_report(report, out_dir) -> int:
         cells = " ".join(f"{report.errors[i, j]:.3e}" for j in range(len(report.col_params)))
         print(f"{label}={rp!r:>14} {cells}")
     print(f"{'rate':>16} " + " ".join(f"{r:.2f}" for r in report.rates))
+    print(f"wall_ms={wall_ms:.3f}")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_study(args, axis: str) -> int:
+    taus = _parse_list(args.tau_list, parse_time)
+    # the finest run of a temporal study steps at tau/2
+    finest = min(taus) / (2.0 if axis == "temporal" else 1.0)
+    if finest == 0.0:
+        raise CliError(f"tau {min(taus)!r} is too small to halve")
+    _check_steps(finest, args.T)
     spec = StudySpec(
         axis=axis,
-        taus=_parse_list(args.tau_list, parse_time),
+        taus=taus,
         cutoffs=_parse_list(args.N_list, parse_cutoff),
         alpha=args.alpha,
         lam=args.lam,
@@ -376,16 +382,12 @@ def _cmd_study(args, axis: str) -> int:
         tail_cutoff=args.tail_cutoff,
         jobs=args.jobs,
     )
-    # the finest run of a temporal study steps at tau/2
-    finest = min(spec.taus) / (2.0 if axis == "temporal" else 1.0)
-    if finest == 0.0:
-        raise CliError(f"tau {min(spec.taus)!r} is too small to halve")
-    _check_steps(finest, spec.horizon)
     study = temporal_study if axis == "temporal" else spatial_study
     # as in _run_trajectory; the worker processes fork inside this state
     with np.errstate(all="ignore"):
+        start = time.perf_counter()
         report = study(spec)
-    return _emit_report(report, args.out)
+    return _emit_report(report, args.out, (time.perf_counter() - start) * 1e3)
 
 
 def _selftest_dealiasing(rng) -> tuple[bool, str]:

@@ -13,9 +13,8 @@ stack.  Where that removes a stack, the low-regularity runs of a cutoff's
 half join those of the cutoff, zero-padded on its grid; splitting layouts
 never join, so a splitting stack holds one cutoff.  The stacks follow from
 the keys alone, never from the number of jobs, which only sets how many
-run at once, in worker processes.  A run's wall time is the time its stack
-ran until the run's last step, so the wall times of runs that share a
-stack overlap.
+run at once, in worker processes.  A study's numbers follow from its spec
+alone; timing it is left to the caller.
 """
 
 from __future__ import annotations
@@ -27,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDataSpec
+from .integrator import SCHEMES, SchemeParams, _sampled_tail, _sign, evolve_lockstep, initialize
 # evolve and splitting_evolve are not called here, but perfbench/tracing.py
 # patches both by these names
-from .integrator import SCHEMES, SchemeParams, _sign, evolve, evolve_lockstep, initialize  # noqa: F401
+from .integrator import evolve  # noqa: F401
 from .reference import splitting_evolve  # noqa: F401
 from .spectral import SpectralField, _integer, _pow2_grid_size, l2_error
 
@@ -43,7 +43,7 @@ __all__ = [
     "write_report_csv",
 ]
 
-CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate,wall_ms"
+CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate"
 
 AXES = ("temporal", "spatial")
 
@@ -83,12 +83,8 @@ class StudySpec:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not self.taus:
-            raise ValueError("at least one tau is required")
-        if not self.cutoffs:
-            raise ValueError("at least one cutoff is required")
-        if any(t <= 0 for t in self.taus):
-            raise ValueError(f"steps must be positive, got {self.taus}")
+        if not (self.taus and self.cutoffs):
+            raise ValueError("a study needs at least one tau and one cutoff")
         for name in ("taus", "cutoffs"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -99,8 +95,13 @@ class StudySpec:
                 f"a {self.axis} study fits its rate over at least two {refined}, "
                 f"got {getattr(self, refined)}"
             )
-        if self.tail_cutoff is not None and self.init_mode != "sampled":
-            raise ValueError(f"a tail cutoff needs init mode 'sampled', not {self.init_mode!r}")
+        # by the rules its runs apply: a temporal study also runs tau/2, a spatial one 2N
+        temporal = self.axis == "temporal"
+        top = max(self.cutoffs) * (1 if temporal else 2)
+        for tau in self.taus:
+            for run_tau in (tau, tau / 2.0) if temporal else (tau,):
+                SchemeParams.from_horizon(self.lam, run_tau, top, self.horizon)
+        _sampled_tail(self.initial_data(), top, self.init_mode, self.tail_cutoff)
 
     def initial_data(self) -> InitialDataSpec:
         return InitialDataSpec(kind="sobolev", alpha=self.alpha, amplitude=self.amplitude)
@@ -108,24 +109,21 @@ class StudySpec:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Error table of the study spec, with per-column fitted rates and
-    per-cell wall times."""
+    """Error table of the study spec, with per-column fitted rates."""
 
     spec: StudySpec
     row_params: tuple
     col_params: tuple
     errors: np.ndarray
     rates: tuple[float, ...]
-    wall_ms: np.ndarray
 
     def __post_init__(self):
-        for name in ("errors", "wall_ms"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (len(self.row_params), len(self.col_params)):
-                raise ValueError(f"{name} has shape {arr.shape}, expected "
-                                 f"{(len(self.row_params), len(self.col_params))}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        arr = np.array(self.errors, dtype=float)
+        shape = (len(self.row_params), len(self.col_params))
+        if arr.shape != shape:
+            raise ValueError(f"errors has shape {arr.shape}, expected {shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "errors", arr)
 
 
 def fit_rate(values, errors) -> float:
@@ -184,19 +182,18 @@ def _stacks(scheme: str, params: dict) -> list[list[tuple[int, float]]]:
 
 
 def _run_stack(task):
-    """(final coefficients, wall_ms) of each run of a task (scheme, initial
+    """The final coefficients of each run of a task (scheme, initial
     coefficients of each run, SchemeParams of each run): plain data, which a
     worker process can take.  A stack steps in lockstep in standard order, a
     low-regularity one on the product grid of its largest cutoff (see
     `integrator.evolve_lockstep`)."""
     scheme, coeffs, runs = task
     initials = [SpectralField(params.cutoff, c) for c, params in zip(coeffs, runs)]
-    return [(traj.final.coeffs, traj.wall_ms)
-            for traj in evolve_lockstep(initials, runs, scheme=scheme)]
+    return [traj.final.coeffs for traj in evolve_lockstep(initials, runs, scheme=scheme)]
 
 
 def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
-    """(final state, wall_ms) of every (cutoff, tau) key: each of the
+    """The final state of every (cutoff, tau) key: each of the
     `_stacks` is a `_run_stack` task, and jobs only sets how many run at
     once, in a pool of at most one worker process per CPU."""
     data = spec.initial_data()
@@ -221,8 +218,8 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_stack, tasks))
-    return {key: (SpectralField(key[0], coeffs), wall_ms) for stack, runs in zip(stacks, results)
-            for key, (coeffs, wall_ms) in zip(stack, runs)}
+    return {key: SpectralField(key[0], coeffs) for stack, finals in zip(stacks, results)
+            for key, coeffs in zip(stack, finals)}
 
 
 def _study(spec: StudySpec, axis: str) -> ConvergenceReport:
@@ -238,18 +235,11 @@ def _study(spec: StudySpec, axis: str) -> ConvergenceReport:
         for r in rows
     ]
     runs = _compute_runs(spec, sorted({key for row in cells for pair in row for key in pair}))
-    errors = np.empty((len(rows), len(cols)))
-    wall = np.empty_like(errors)
-    for i, row in enumerate(cells):
-        for j, (coarse, fine) in enumerate(row):
-            (f, w1), (g, w2) = runs[coarse], runs[fine]
-            errors[i, j] = l2_error(f, g) / math.sqrt(2.0 * math.pi)
-            wall[i, j] = w1 + w2
-    rates = tuple(fit_rate(rows, errors[:, j]) for j in range(len(cols)))
-    return ConvergenceReport(
-        spec=spec, row_params=rows, col_params=cols, errors=errors,
-        rates=rates if temporal else tuple(-r for r in rates), wall_ms=wall,
-    )
+    errors = np.array([[l2_error(runs[coarse], runs[fine]) for coarse, fine in row]
+                       for row in cells]) / math.sqrt(2.0 * math.pi)
+    sign = 1.0 if temporal else -1.0
+    rates = tuple(sign * fit_rate(rows, errors[:, j]) for j in range(len(cols)))
+    return ConvergenceReport(spec, rows, cols, errors, rates)
 
 
 def temporal_study(spec: StudySpec) -> ConvergenceReport:
@@ -276,15 +266,10 @@ def write_report_csv(report: ConvergenceReport, path_or_file) -> None:
     """One row per table cell under the fixed header; the rate column repeats
     each column's fitted rate on every row of that column."""
     spec = report.spec
-    lines = [CSV_HEADER]
-    for i, rp in enumerate(report.row_params):
-        for j, cp in enumerate(report.col_params):
-            lines.append(
-                f"{spec.axis},{spec.alpha!r},{spec.lam},{spec.horizon!r},"
-                f"{rp!r},{cp!r},{float(report.errors[i, j])!r},{report.rates[j]!r},"
-                f"{float(report.wall_ms[i, j])!r}"
-            )
-    text = "\n".join(lines) + "\n"
+    study = f"{spec.axis},{spec.alpha!r},{spec.lam},{spec.horizon!r}"
+    text = "".join([CSV_HEADER + "\n"] + [
+        f"{study},{rp!r},{cp!r},{float(report.errors[i, j])!r},{report.rates[j]!r}\n"
+        for i, rp in enumerate(report.row_params) for j, cp in enumerate(report.col_params)])
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

@@ -24,8 +24,7 @@ cross-check.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -101,6 +100,14 @@ class BlowUpError(RuntimeError):
         return type(self), (self.step_index, self.time, self.tau, self.last_h1)
 
 
+def _grid_step(t: float, tau: float, most: float, error: str) -> int:
+    """The step j in [0, most] of the tau grid that t sits on, else ValueError(error)."""
+    j = round(t / tau) if math.isfinite(t / tau) else -1
+    if not 0 <= j <= most or abs(j * tau - t) > TIME_RTOL * max(abs(t), 1.0):
+        raise ValueError(error)
+    return j
+
+
 def _sign(lam) -> int:
     """lam as the int -1 or +1, tested before it is converted, so that no
     other value is truncated onto a sign."""
@@ -135,20 +142,16 @@ class SchemeParams:
     def from_horizon(cls, lam: int, tau: float, cutoff: int, horizon: float) -> "SchemeParams":
         """Build params for integration up to T = horizon; T must sit on the
         step grid to within TIME_RTOL."""
-        if not (math.isfinite(tau) and tau > 0):
-            raise ValueError(f"tau must be a positive finite number, got {tau}")
+        params = cls(lam, tau, cutoff, 0)
         if not math.isfinite(horizon):
             raise ValueError(f"horizon must be finite, got {horizon!r}")
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon!r}")
-        if not math.isfinite(horizon / tau):
+        if not math.isfinite(horizon / params.tau):
             raise ValueError(f"horizon {horizon!r} over tau {tau!r} overflows the step count")
-        steps = int(round(horizon / tau))
-        if abs(steps * tau - horizon) > TIME_RTOL * max(abs(horizon), 1.0):
-            raise ValueError(
-                f"horizon {horizon!r} is not an integer multiple of tau {tau!r}"
-            )
-        return cls(lam, tau, cutoff, steps)
+        steps = _grid_step(horizon, params.tau, math.inf,
+                           f"horizon {horizon!r} is not an integer multiple of tau {tau!r}")
+        return replace(params, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -183,23 +186,30 @@ def initialize(
     truncates; only it takes a tail_cutoff.  The two modes differ by the
     aliasing of the neglected tail and coincide for band-limited sources.
     """
-    if init_mode not in INIT_MODES:
-        raise ValueError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
-    if tail_cutoff is not None and init_mode != "sampled":
-        raise ValueError(f"a tail cutoff needs init mode 'sampled', not {init_mode!r}")
     cutoff = _integer(cutoff, "cutoff", 0)
-    if isinstance(source, SpectralField):
-        if init_mode == "sampled":
-            raise ValueError("init mode 'sampled' samples a series and needs an "
-                             "InitialDataSpec, not an explicit field")
-        return project(source, cutoff)
-    if not isinstance(source, InitialDataSpec):
+    if not isinstance(source, (SpectralField, InitialDataSpec)):
         raise TypeError(f"cannot initialize from {type(source).__name__}")
-    if init_mode == "truncated":
+    tail = _sampled_tail(source, cutoff, init_mode, tail_cutoff)
+    if isinstance(source, SpectralField):
+        return project(source, cutoff)
+    if tail is None:
         return SpectralField(cutoff, initial_data.coefficients(source, cutoff))
-    tail = initial_data.resolve_tail_cutoff(source, cutoff, tail_cutoff)
     folded = initial_data.alias_fold(source, 4 * cutoff + 1, tail)
     return SpectralField(cutoff, folded[np.arange(-cutoff, cutoff + 1)])
+
+
+def _sampled_tail(source, cutoff: int, init_mode: str, tail_cutoff) -> int | None:
+    """Check init_mode and tail_cutoff; the series tail to sample, None if truncated."""
+    if init_mode not in INIT_MODES:
+        raise ValueError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
+    if init_mode == "truncated":
+        if tail_cutoff is not None:
+            raise ValueError(f"a tail cutoff needs init mode 'sampled', not {init_mode!r}")
+        return None
+    if isinstance(source, SpectralField):
+        raise ValueError("init mode 'sampled' samples a series and needs an "
+                         "InitialDataSpec, not an explicit field")
+    return initial_data.resolve_tail_cutoff(source, cutoff, tail_cutoff)
 
 
 class _StepPlan:
@@ -435,7 +445,6 @@ class Trajectory:
     snapshots: tuple[SpectralField, ...]
     diagnostics: tuple[SnapshotDiagnostics, ...]
     h1_max: float
-    wall_ms: float
 
     @property
     def final(self) -> SpectralField:
@@ -445,25 +454,22 @@ class Trajectory:
 
 
 class _Record:
-    """What one run of `evolve_lockstep` records: its start, the steps of its
-    snapshots (each with the least time requested on it), its diagnostics,
-    running H^1 maximum and blow-up check, and the wall time the driver sets."""
+    """What one run of `evolve_lockstep` records: its start and its conserved
+    quantities, the steps of its snapshots (each with the least time requested
+    on it), its diagnostics, running H^1 maximum and blow-up check."""
 
-    def __init__(self, r, initial, params, cq, snapshot_times, diag_stride):
+    def __init__(self, r, initial, params, snapshot_times, diag_stride):
         self.initial, self.params, self.stride = initial, params, diag_stride
-        self.cq = conserved_quantities(initial) if cq is None else cq
-        tau, steps = params.tau, params.steps
+        self.cq = conserved_quantities(initial)
         self.wants: dict[int, float] = {}
         for t in (params.horizon,) if snapshot_times is None else snapshot_times:
             t = float(t)
-            j = round(t / tau) if math.isfinite(t / tau) else -1
-            if not 0 <= j <= steps or abs(j * tau - t) > TIME_RTOL * max(abs(t), 1.0):
-                raise ValueError(f"run {r} (tau = {tau!r}): snapshot time {t!r} is not "
-                                 "a step multiple within the horizon")
+            j = _grid_step(t, params.tau, params.steps, f"run {r} (tau = {params.tau!r}): "
+                           f"snapshot time {t!r} is not a step multiple within the horizon")
             self.wants[j] = min(self.wants.get(j, t), t)
         self.snapshots: list[SpectralField] = []
         self.diagnostics: list[SnapshotDiagnostics] = []
-        self.h1_max, self.last_h1, self.wall_ms = 0.0, math.nan, 0.0
+        self.h1_max, self.last_h1 = 0.0, math.nan
 
     def take(self, j: int, row: np.ndarray, h1: float) -> None:
         """Record step j of the run, its state `row` in standard order and
@@ -495,14 +501,13 @@ class _Record:
             params=self.params, cq=self.cq, scheme=scheme,
             snapshot_times=tuple(self.wants[j] for j in sorted(self.wants)),
             snapshots=tuple(self.snapshots), diagnostics=tuple(self.diagnostics),
-            h1_max=self.h1_max, wall_ms=self.wall_ms,
+            h1_max=self.h1_max,
         )
 
 
 def evolve(
     initial: SpectralField,
     params: SchemeParams,
-    cq: ConservedQuantities | None = None,
     snapshot_times=None,
     diag_stride: int = 0,
 ) -> Trajectory:
@@ -512,19 +517,18 @@ def evolve(
     on the step grid; the default is the final time only.  Lightweight norm
     diagnostics are recorded at every snapshot, at steps 0 and L, and at every
     diag_stride-th step when diag_stride > 0.  The running H^1 maximum over
-    every step is always tracked.  Raises ValueError if the initial
-    coefficients are not finite, and BlowUpError, naming the step, the tau
-    and the last finite H^1, if the state's H^1 norm leaves floating point
-    range.
+    every step is always tracked; drifts are from the initial field's
+    conserved quantities.  Raises ValueError if the initial coefficients are
+    not finite, and BlowUpError, naming the step, the tau and the last finite
+    H^1, if the state's H^1 norm leaves floating point range.
     """
-    [traj] = evolve_lockstep(initial, [params], cq, snapshot_times, diag_stride)
+    [traj] = evolve_lockstep(initial, [params], snapshot_times, diag_stride)
     return traj
 
 
 def evolve_lockstep(
     initial,
     runs,
-    cq: ConservedQuantities | None = None,
     snapshot_times=None,
     diag_stride: int = 0,
     scheme: str = "lowreg",
@@ -533,20 +537,19 @@ def evolve_lockstep(
     scheme of SCHEMES; trajectories come back in the order of runs.
 
     initial is one field, the start of every run, or a sequence of one
-    field per run, each at its run's cutoff; cq, when given, is every run's,
-    by default each run's is that of its own initial field.  Row r of the
-    (R, m) state stack is run r in standard order, for every scheme: on the
-    product grid of the largest cutoff N for the low-regularity step (see
-    `_StepPlan`), on 2N+1 points for splitting runs, which share one cutoff
-    (see `reference`).  Only H^1 norms, snapshots and diagnostics are centered.
-    The runs step in descending order of step count, and a run that reaches
-    its step count leaves the stack by a prefix slice; the driver only steps
-    and hands each live row and its H^1 norm to the run's `_Record`, which
-    keeps its snapshots, diagnostics and blow-up check.  Each trajectory is
-    that of the run's own `evolve` or `splitting_evolve`, bitwise when every
-    run has the largest cutoff, to round-off otherwise, except for wall_ms:
-    the time the stack ran until the run's last step.  A ValueError for bad
-    input and a BlowUpError name the run.
+    field per run, each at its run's cutoff, whose conserved quantities are
+    the run's.  Row r of the (R, m) state stack is run r in standard order,
+    for every scheme: on the product grid of the largest cutoff N for the
+    low-regularity step (see `_StepPlan`), on 2N+1 points for splitting
+    runs, which share one cutoff (see `reference`).  Only H^1 norms,
+    snapshots and diagnostics are centered.  The runs step in descending
+    order of step count, and a run that reaches its step count leaves the
+    stack by a prefix slice; the driver only steps and hands each live row
+    and its H^1 norm to the run's `_Record`, which keeps its snapshots,
+    diagnostics and blow-up check.  Each trajectory is that of the run's own
+    `evolve` or `splitting_evolve`, bitwise when every run has the largest
+    cutoff, to round-off otherwise, and a function of its inputs alone.  A
+    ValueError for bad input and a BlowUpError name the run.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -574,7 +577,7 @@ def evolve_lockstep(
                              "must be finite")
     if snapshot_times is not None:
         snapshot_times = tuple(snapshot_times)  # read once: it may be one-pass
-    records = [_Record(r, field, params, cq, snapshot_times, diag_stride)
+    records = [_Record(r, field, params, snapshot_times, diag_stride)
                for r, (field, params) in enumerate(zip(initials, runs))]
     # longest run first, so that runs leave the stack by a prefix slice
     ranked = sorted(records, key=lambda rec: -rec.params.steps)
@@ -592,7 +595,6 @@ def evolve_lockstep(
 
     k = np.arange(-top, top + 1, dtype=float)
     w1 = 1.0 + k * k
-    t0 = time.perf_counter()
     live = len(ranked)
     c = np.stack([_standard(_uncentered(rec.initial.coeffs), rec.initial.cutoff, size)
                   for rec in ranked])
@@ -606,7 +608,6 @@ def evolve_lockstep(
             rec.take(j, row, math.sqrt(2.0 * math.pi * float(norm)))
         while live and ranked[live - 1].params.steps == j:
             live -= 1
-            ranked[live].wall_ms = (time.perf_counter() - t0) * 1e3
         if 0 < live < len(c):
             c = c[:live]
             advance = stepper(live)
@@ -629,7 +630,6 @@ def save_trajectory(traj: Trajectory, dirpath) -> None:
         f"mass={traj.cq.mass!r}",
         f"momentum_imag={traj.cq.momentum.imag!r}",
         f"h1_max={traj.h1_max!r}",
-        f"wall_ms={traj.wall_ms!r}",
         f"snapshot_count={len(traj.snapshots)}",
     ]
     for i, (t, f) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
@@ -660,9 +660,9 @@ def _manifest_dict(path: Path) -> dict[str, str]:
 
 
 def load_trajectory(dirpath) -> Trajectory:
-    """Read back a dump written by save_trajectory.  A missing key, and an
-    entry with the wrong number of fields, a bad number or an unknown
-    scheme, raise one ValueError naming the manifest and the key."""
+    """Read back a dump written by save_trajectory, ignoring unknown keys.  A
+    missing key, or an entry with the wrong number of fields, a bad value or
+    an unknown scheme, raises one ValueError naming the manifest and the key."""
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
@@ -682,6 +682,11 @@ def load_trajectory(dirpath) -> Trajectory:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         return text
 
+    def param(key, name, parse):
+        # checked alone, by the rule of SchemeParams, so that an error names the key
+        unit = SchemeParams(1, 1.0, 0, 0)
+        return entry(key, lambda text: getattr(replace(unit, **{name: parse(text)}), name))
+
     def diagnostic(text):
         fields = text.split()
         if len(fields) != 6:
@@ -690,13 +695,13 @@ def load_trajectory(dirpath) -> Trajectory:
 
     snapshots = range(entry("snapshot_count", int))
     return Trajectory(
-        params=SchemeParams(lam=entry("lambda", int), tau=entry("tau"),
-                            cutoff=entry("N", int), steps=entry("steps", int)),
+        params=SchemeParams(param("lambda", "lam", int), param("tau", "tau", float),
+                            param("N", "cutoff", int), param("steps", "steps", int)),
         cq=ConservedQuantities(mass=entry("mass"), momentum=complex(0.0, entry("momentum_imag"))),
         scheme=entry("scheme", scheme),
         snapshot_times=tuple(entry(f"snapshot_{i}_time") for i in snapshots),
         snapshots=tuple(load_field(d / entry(f"snapshot_{i}_file", str)) for i in snapshots),
         diagnostics=tuple(entry(f"diagnostic_{i}", diagnostic)
                           for i in range(entry("diagnostic_count", int))),
-        h1_max=entry("h1_max"), wall_ms=entry("wall_ms"),
+        h1_max=entry("h1_max"),
     )

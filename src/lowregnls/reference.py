@@ -34,7 +34,7 @@ from .spectral import (
 )
 
 if TYPE_CHECKING:
-    from .integrator import ConservedQuantities, SchemeParams, Trajectory
+    from .integrator import SchemeParams, Trajectory
 
 __all__ = ["splitting_step", "splitting_evolve"]
 
@@ -126,7 +126,6 @@ def splitting_evolve(
     initial: SpectralField,
     params: SchemeParams,
     order: int,
-    cq: ConservedQuantities | None = None,
     snapshot_times=None,
     diag_stride: int = 0,
 ) -> Trajectory:
@@ -137,5 +136,5 @@ def splitting_evolve(
     if order not in SPLITTINGS.values():
         raise ValueError(f"splitting order must be 1 or 2, got {order}")
     scheme = next(s for s, o in SPLITTINGS.items() if o == order)
-    [traj] = evolve_lockstep(initial, [params], cq, snapshot_times, diag_stride, scheme=scheme)
+    [traj] = evolve_lockstep(initial, [params], snapshot_times, diag_stride, scheme=scheme)
     return traj

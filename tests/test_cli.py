@@ -97,6 +97,25 @@ class TestSolve:
         final = load_trajectory(dump).final
         assert abs(final.coefficient(0) - cmath.exp(1j)) <= 2e-3
 
+    def test_prints_its_wall_time(self, capsys):
+        assert main(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5"]) == 0
+        [line] = [ln for ln in capsys.readouterr().out.splitlines() if "wall_ms=" in ln]
+        assert line.startswith("h1_max=")
+        assert float(line.rsplit("wall_ms=", 1)[1]) >= 0.0
+
+    @pytest.mark.parametrize("scheme", ["lowreg", "strang"])
+    def test_dump_is_reproducible(self, scheme, tmp_path, capsys):
+        # a run is a function of its inputs, so two dumps are byte-identical
+        dumps = [tmp_path / "a", tmp_path / "b"]
+        for dump in dumps:
+            assert main(["solve", "--tau", "2^-4", "--N", "8", "--T", "0.5", "--scheme", scheme,
+                         "--diag-stride", "2", "--out", str(dump)]) == 0
+        capsys.readouterr()
+        files = [sorted(p.name for p in dump.iterdir()) for dump in dumps]
+        assert files[0] == files[1] and "manifest.txt" in files[0]
+        for name in files[0]:
+            assert (dumps[0] / name).read_bytes() == (dumps[1] / name).read_bytes()
+
     def test_splitting_scheme_selected(self, capsys):
         rc = main(["solve", "--tau", "2^-4", "--N", "8", "--T", "0.5",
                    "--scheme", "lie"])
@@ -181,6 +200,14 @@ class TestStudies:
         assert text.startswith(CSV_HEADER + "\n")
         assert len(text.strip().splitlines()) == 1 + 3
 
+    def test_report_to_dir_prints_the_study_wall_time(self, tmp_path, capsys):
+        assert main(["study-temporal", "--tau-list", "2^-4,2^-5", "--N-list", "8",
+                     "--T", "0.5", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        [line] = [ln for ln in out.splitlines() if "wall_ms" in ln]
+        assert float(line.removeprefix("wall_ms=")) >= 0.0
+        assert "wall_ms" not in (tmp_path / "study_temporal.csv").read_text()
+
     def test_jobs_flag_is_deterministic(self, capsys):
         args = ["study-temporal", "--tau-list", "2^-4,2^-5",
                 "--N-list", "8", "--T", "0.25"]
@@ -188,9 +215,7 @@ class TestStudies:
         serial = capsys.readouterr().out
         assert main(args + ["--jobs", "3"]) == 0
         pooled = capsys.readouterr().out
-        # wall_ms differs run to run; everything before it must not
-        strip = lambda txt: [ln.rsplit(",", 1)[0] for ln in txt.splitlines()]
-        assert strip(pooled) == strip(serial)
+        assert pooled == serial
 
     def test_jobs_flag_is_deterministic_for_a_spatial_study(self, capsys):
         # 64 rides zero-padded with 128 at any jobs; 256 stacks alone
@@ -392,8 +417,12 @@ class TestErrorContract:
         ("diagnostic_0=0 0.0", "diagnostic_0"),
         ("snapshot_count=x", "snapshot_count"),
         ("scheme=rk4", "scheme"),
-        ("", "wall_ms"),
-    ], ids=["short-row", "count", "scheme", "missing"])
+        ("", "h1_max"),
+        ("lambda=0", "lambda"),
+        ("N=-1", "N"),
+        ("steps=-1", "steps"),
+    ], ids=["short-row", "count", "scheme", "missing", "lambda-range", "N-range",
+            "steps-range"])
     def test_malformed_dump(self, edit, key, tmp_path, capsys):
         dump = tmp_path / "D"
         assert main(["solve", "--tau", "2^-3", "--N", "4", "--T", "1", "--out", str(dump)]) == 0

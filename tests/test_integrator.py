@@ -291,8 +291,6 @@ class TestStepAgainstStraightLine:
         cq = ConservedQuantities(1.0, 0.5 + 1.0j)
         with pytest.raises(ValueError, match="purely imaginary"):
             step(u, params, cq)
-        with pytest.raises(ValueError, match="purely imaginary"):
-            evolve(u, params, cq)
 
 
 class TestFftWork:
@@ -538,7 +536,6 @@ class TestEvolve:
         assert all(0 < d.l2 <= d.h1 for d in traj.diagnostics)
         assert traj.final is traj.snapshots[-1]
         assert traj.h1_max >= max(d.h1 for d in traj.diagnostics) - 1e-15
-        assert traj.wall_ms > 0
 
     def test_norm_drift_small(self):
         # the twist multiplier and all ten terms keep the mass drift at the
@@ -669,8 +666,9 @@ class TestTrajectoryDump:
         text = (tmp_path / "d" / "manifest.txt").read_text()
         for key in ("scheme=", "lambda=", "tau=", "N=", "steps=", "T=",
                     "mass=", "momentum_imag=", "snapshot_count=",
-                    "diagnostic_count=", "h1_max=", "wall_ms="):
+                    "diagnostic_count=", "h1_max="):
             assert key in text
+        assert "wall_ms" not in text
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValueError):
@@ -682,13 +680,24 @@ class TestTrajectoryDump:
         save_trajectory(traj, tmp_path / "d")
         return traj, tmp_path / "d" / "manifest.txt"
 
+    def test_old_dump_with_wall_time_loads(self, tmp_path):
+        # dumps once carried a wall_ms= line; an unknown key is ignored
+        traj, manifest = self.dump(tmp_path)
+        manifest.write_text(manifest.read_text() + "wall_ms=12.5\n")
+        back = load_trajectory(manifest.parent)
+        assert (back.params, back.cq, back.h1_max) == (traj.params, traj.cq, traj.h1_max)
+        assert back.snapshot_times == traj.snapshot_times
+        for f, g in zip(back.snapshots, traj.snapshots, strict=True):
+            assert f.coeffs.tobytes() == g.coeffs.tobytes()
+        assert back.diagnostics == traj.diagnostics
+
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         traj, manifest = self.dump(tmp_path)
         manifest.write_text("# a note\n\n" + manifest.read_text().replace("\n", "\n\n"))
         assert load_trajectory(manifest.parent).diagnostics == traj.diagnostics
 
     @pytest.mark.parametrize("line, key, match", [
-        (None, "wall_ms", "missing manifest key 'wall_ms'"),
+        (None, "h1_max", "missing manifest key 'h1_max'"),
         (None, "scheme", "missing manifest key 'scheme'"),
         ("diagnostic_1=1 0.5", "diagnostic_1", "bad manifest entry diagnostic_1='1 0.5': "
          "expected 6 fields, got 2"),
@@ -696,11 +705,16 @@ class TestTrajectoryDump:
         ("diagnostic_0=0.5 0.0 1 2 3 4", "diagnostic_0", "invalid literal for int"),
         ("snapshot_count=x", "snapshot_count", "bad manifest entry snapshot_count='x'"),
         ("tau=fast", "tau", "bad manifest entry tau='fast'"),
+        ("tau=0", "tau", "bad manifest entry tau='0': tau must be a positive finite number"),
+        ("lambda=0", "lambda", r"bad manifest entry lambda='0': lam must be -1 or \+1, got 0"),
+        ("N=-1", "N", "bad manifest entry N='-1': cutoff must be >= 0, got -1"),
+        ("steps=-1", "steps", "bad manifest entry steps='-1': steps must be >= 0, got -1"),
         ("h1_max=1 2", "h1_max", "bad manifest entry h1_max='1 2'"),
         ("scheme=rk4", "scheme", "bad manifest entry scheme='rk4': scheme must be one of"),
         ("just words", None, "malformed manifest line 'just words'"),
     ], ids=["missing", "no-scheme", "short-row", "long-row", "float-step", "count",
-            "tau", "two-fields", "scheme", "no-equals"])
+            "tau", "tau-range", "lambda-range", "N-range", "steps-range", "two-fields",
+            "scheme", "no-equals"])
     def test_bad_manifest_named(self, tmp_path, line, key, match):
         # one ValueError that names the manifest (and the key): the CLI
         # prints it as its one error: line
@@ -834,11 +848,10 @@ class TestLockstep:
     @example(33, [12, 7, 3, 0], 1, 1, 2, "strang")
     def test_lockstep_runs_match_solo_runs(self, n, counts, lam, seed, stride, scheme):
         u = unit_field(seed, n)
-        cq = conserved_quantities(u)
         horizon = 0.375
         runs = [SchemeParams(lam, horizon / max(s, 1), n, s) for s in counts]
         times = (0.0, horizon) if min(counts) else (0.0,)
-        stacked = evolve_lockstep(u, runs, cq, times, stride, scheme=scheme)
+        stacked = evolve_lockstep(u, runs, times, stride, scheme=scheme)
         for params, traj in zip(runs, stacked):
             solo = solo_run(scheme, u, params, snapshot_times=times, diag_stride=stride)
             assert traj.scheme == solo.scheme == scheme
@@ -856,7 +869,7 @@ class TestLockstep:
         near = 1.0 * (1 - 1e-13)
         times = (1.0, 0.0, near, 0.0, 1.0 * (1 + 1e-13))
         runs = [SchemeParams(-1, 0.25, 8, 4), SchemeParams(-1, 0.125, 8, 8)]
-        stacked = evolve_lockstep(u, runs, None, times, scheme=scheme)
+        stacked = evolve_lockstep(u, runs, times, scheme=scheme)
         for params, traj in zip(runs, stacked):
             assert traj.snapshot_times == (0.0, near)
             assert len(traj.snapshots) == 2
@@ -883,9 +896,6 @@ class TestLockstep:
         assert [t.params for t in trajs] == runs
         for params, traj in zip(runs, trajs):
             assert traj.final.coeffs.tobytes() == evolve(u, params).final.coeffs.tobytes()
-            assert traj.wall_ms > 0
-        # the longest run ends last, and its stack ran all along
-        assert trajs[1].wall_ms >= max(trajs[0].wall_ms, trajs[2].wall_ms)
 
     def test_entry_rejects_mixed_runs(self):
         u = initialize(InitialDataSpec(alpha=1.0), 8)
@@ -1002,7 +1012,7 @@ class TestPaddedLockstep:
                 for s in counts for cutoff in (n, top)]
         fields = {n: unit_field(seed, n), top: unit_field(seed + 1, top)}
         times = (0.0, horizon) if min(counts) else (0.0,)
-        stacked = evolve_lockstep([fields[p.cutoff] for p in runs], runs, None, times, stride)
+        stacked = evolve_lockstep([fields[p.cutoff] for p in runs], runs, times, stride)
         for params, traj in zip(runs, stacked, strict=True):
             u = fields[params.cutoff]
             solo = evolve(u, params, snapshot_times=times, diag_stride=stride)

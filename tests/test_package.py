@@ -33,5 +33,5 @@ def test_readme_quick_start_runs(capsys):
     section = text[text.index("## Library quick start"):]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
-    h1, h1_max, wall_ms = (float(v) for v in capsys.readouterr().out.split())
-    assert 0.0 < h1 <= h1_max and wall_ms >= 0.0
+    h1, h1_max = (float(v) for v in capsys.readouterr().out.split())
+    assert 0.0 < h1 <= h1_max
