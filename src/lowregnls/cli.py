@@ -298,13 +298,13 @@ def _run_trajectory(args, snapshot_times, diag_stride):
     with np.errstate(all="ignore"):
         start = time.perf_counter()
         traj = run(u0, params, snapshot_times=snapshot_times, diag_stride=diag_stride)
-        return params, traj, (time.perf_counter() - start) * 1e3
+        return traj, (time.perf_counter() - start) * 1e3
 
 
 def _cmd_solve(args) -> int:
-    params, traj, wall_ms = _run_trajectory(args, snapshot_times=(0.0, args.T),
-                                            diag_stride=args.diag_stride)
-    last = traj.diagnostics[-1]
+    traj, wall_ms = _run_trajectory(args, snapshot_times=(0.0, args.T),
+                                    diag_stride=args.diag_stride)
+    params, last = traj.params, traj.diagnostics[-1]
     print(f"scheme={traj.scheme} lambda={params.lam} N={params.cutoff} "
           f"tau={params.tau!r} T={params.horizon!r} steps={params.steps}")
     print(f"final: l2={last.l2:.9e} h1={last.h1:.9e} "
@@ -324,7 +324,7 @@ def _cmd_diagnostics(args) -> int:
     else:
         if args.tau is None or args.N is None:
             raise CliError("diagnostics needs --tau and --N (or --in DIR)")
-        traj = _run_trajectory(args, snapshot_times=(args.T,), diag_stride=1)[1]
+        traj = _run_trajectory(args, snapshot_times=(args.T,), diag_stride=1)[0]
     lines = [DIAG_HEADER]
     for row in traj.diagnostics:
         lines.append(f"{row.time!r},{row.l2!r},{row.h1!r},"
@@ -352,10 +352,10 @@ def _emit_report(report, out_dir, wall_ms: float) -> int:
     label, collabel = ("tau", "N") if spec.axis == "temporal" else ("N", "tau")
     print(f"{spec.axis} study: alpha={spec.alpha} lambda={spec.lam} "
           f"T={spec.horizon} scheme={spec.scheme}")
-    header = " ".join(f"{collabel}={c}" for c in report.col_params)
+    header = " ".join(f"{collabel}={c}" for c in spec.cols)
     print(f"{'':>16} {header}")
-    for i, rp in enumerate(report.row_params):
-        cells = " ".join(f"{report.errors[i, j]:.3e}" for j in range(len(report.col_params)))
+    for i, rp in enumerate(spec.rows):
+        cells = " ".join(f"{report.errors[i, j]:.3e}" for j in range(len(spec.cols)))
         print(f"{label}={rp!r:>14} {cells}")
     print(f"{'rate':>16} " + " ".join(f"{r:.2f}" for r in report.rates))
     print(f"wall_ms={wall_ms:.3f}")
@@ -364,15 +364,9 @@ def _emit_report(report, out_dir, wall_ms: float) -> int:
 
 
 def _cmd_study(args, axis: str) -> int:
-    taus = _parse_list(args.tau_list, parse_time)
-    # the finest run of a temporal study steps at tau/2
-    finest = min(taus) / (2.0 if axis == "temporal" else 1.0)
-    if finest == 0.0:
-        raise CliError(f"tau {min(taus)!r} is too small to halve")
-    _check_steps(finest, args.T)
     spec = StudySpec(
         axis=axis,
-        taus=taus,
+        taus=_parse_list(args.tau_list, parse_time),
         cutoffs=_parse_list(args.N_list, parse_cutoff),
         alpha=args.alpha,
         lam=args.lam,
@@ -382,6 +376,7 @@ def _cmd_study(args, axis: str) -> int:
         tail_cutoff=args.tail_cutoff,
         jobs=args.jobs,
     )
+    _check_steps(min(tau for _, tau in spec.runs()), spec.horizon)
     study = temporal_study if axis == "temporal" else spatial_study
     # as in _run_trajectory; the worker processes fork inside this state
     with np.errstate(all="ignore"):

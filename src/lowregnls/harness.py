@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDataSpec
-from .integrator import SCHEMES, SchemeParams, _sampled_tail, _sign, evolve_lockstep, initialize
+from .integrator import SchemeParams, _sampled_tail, _scheme, _sign, evolve_lockstep, initialize
 # evolve and splitting_evolve are not called here, but perfbench/tracing.py
 # patches both by these names
 from .integrator import evolve  # noqa: F401
@@ -58,7 +58,7 @@ STACK_POINTS = 4096
 
 @dataclass(frozen=True)
 class StudySpec:
-    """One convergence table: study axis, physics, and the run grid."""
+    """One convergence table: study axis, physics, and the runs its cells name."""
 
     axis: str
     taus: tuple[float, ...]
@@ -81,27 +81,45 @@ class StudySpec:
         object.__setattr__(self, "jobs", _integer(self.jobs, "jobs", 1))
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        _scheme(self.scheme)
         if not (self.taus and self.cutoffs):
             raise ValueError("a study needs at least one tau and one cutoff")
         for name in ("taus", "cutoffs"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {values}")
-        refined = "taus" if self.axis == "temporal" else "cutoffs"
-        if len(getattr(self, refined)) < 2:
-            raise ValueError(
-                f"a {self.axis} study fits its rate over at least two {refined}, "
-                f"got {getattr(self, refined)}"
-            )
-        # by the rules its runs apply: a temporal study also runs tau/2, a spatial one 2N
-        temporal = self.axis == "temporal"
-        top = max(self.cutoffs) * (1 if temporal else 2)
+        if len(self.rows) < 2:
+            refined = "taus" if self.axis == "temporal" else "cutoffs"
+            raise ValueError(f"a {self.axis} study fits its rate over at least two {refined}, "
+                             f"got {self.rows}")
+        # by the rules its runs apply, the tail at the largest cutoff of a run
+        _sampled_tail(self.initial_data(), max(self.runs())[0], self.init_mode, self.tail_cutoff)
+
+    @property
+    def rows(self) -> tuple:
+        """The refined parameter, taus of a temporal study and cutoffs of a
+        spatial one; cols is the other, with one fitted rate each."""
+        return self.taus if self.axis == "temporal" else self.cutoffs
+
+    @property
+    def cols(self) -> tuple:
+        return self.cutoffs if self.axis == "temporal" else self.taus
+
+    def cells(self) -> list[list[tuple[tuple[int, float], tuple[int, float]]]]:
+        """The (coarse, fine) run keys (cutoff, tau) of each cell, by row and column:
+        a temporal study refines (N, tau) to (N, tau/2), a spatial one to (2N, tau)."""
+        if self.axis == "spatial":
+            return [[((n, tau), (2 * n, tau)) for tau in self.taus] for n in self.cutoffs]
         for tau in self.taus:
-            for run_tau in (tau, tau / 2.0) if temporal else (tau,):
-                SchemeParams.from_horizon(self.lam, run_tau, top, self.horizon)
-        _sampled_tail(self.initial_data(), top, self.init_mode, self.tail_cutoff)
+            if tau > 0.0 and tau / 2.0 == 0.0:
+                raise ValueError(f"tau {tau!r} is too small to halve")
+        return [[((n, tau), (n, tau / 2.0)) for n in self.cutoffs] for tau in self.taus]
+
+    def runs(self) -> dict[tuple[int, float], SchemeParams]:
+        """Each key of the cells once, in sorted order, mapped to its SchemeParams."""
+        keys = sorted({key for row in self.cells() for pair in row for key in pair})
+        return {(n, tau): SchemeParams.from_horizon(self.lam, tau, n, self.horizon)
+                for n, tau in keys}
 
     def initial_data(self) -> InitialDataSpec:
         return InitialDataSpec(kind="sobolev", alpha=self.alpha, amplitude=self.amplitude)
@@ -112,14 +130,12 @@ class ConvergenceReport:
     """Error table of the study spec, with per-column fitted rates."""
 
     spec: StudySpec
-    row_params: tuple
-    col_params: tuple
     errors: np.ndarray
     rates: tuple[float, ...]
 
     def __post_init__(self):
         arr = np.array(self.errors, dtype=float)
-        shape = (len(self.row_params), len(self.col_params))
+        shape = (len(self.spec.rows), len(self.spec.cols))
         if arr.shape != shape:
             raise ValueError(f"errors has shape {arr.shape}, expected {shape}")
         arr.flags.writeable = False
@@ -192,19 +208,13 @@ def _run_stack(task):
     return [traj.final.coeffs for traj in evolve_lockstep(initials, runs, scheme=scheme)]
 
 
-def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
-    """The final state of every (cutoff, tau) key: each of the
+def _compute_runs(spec: StudySpec):
+    """The final state of every run of the spec, by key: each of the
     `_stacks` is a `_run_stack` task, and jobs only sets how many run at
     once, in a pool of at most one worker process per CPU."""
-    data = spec.initial_data()
-    states = {
-        n: initialize(data, n, init_mode=spec.init_mode, tail_cutoff=spec.tail_cutoff)
-        for n in sorted({n for n, _ in keys})
-    }
-    params = {
-        (n, tau): SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon)
-        for n, tau in keys
-    }
+    params, data = spec.runs(), spec.initial_data()
+    states = {n: initialize(data, n, init_mode=spec.init_mode, tail_cutoff=spec.tail_cutoff)
+              for n in sorted({n for n, _ in params})}
     stacks = _stacks(spec.scheme, params)
     tasks = [(spec.scheme, [states[n].coeffs for n, _ in stack], [params[key] for key in stack])
              for stack in stacks]
@@ -223,23 +233,15 @@ def _compute_runs(spec: StudySpec, keys: list[tuple[int, float]]):
 
 
 def _study(spec: StudySpec, axis: str) -> ConvergenceReport:
-    """The error table of temporal_study or spatial_study, by axis: rows are
-    the refined parameter (tau or N), columns the other one."""
+    """The error table of temporal_study or spatial_study, by axis, over the spec's cells."""
     if spec.axis != axis:
         raise ValueError(f"expected a {axis} StudySpec, got axis {spec.axis!r}")
-    temporal = axis == "temporal"
-    rows, cols = (spec.taus, spec.cutoffs) if temporal else (spec.cutoffs, spec.taus)
-    # (coarse, fine) run keys (cutoff, tau) of every cell
-    cells = [
-        [((c, r), (c, r / 2.0)) if temporal else ((r, c), (2 * r, c)) for c in cols]
-        for r in rows
-    ]
-    runs = _compute_runs(spec, sorted({key for row in cells for pair in row for key in pair}))
+    runs = _compute_runs(spec)
     errors = np.array([[l2_error(runs[coarse], runs[fine]) for coarse, fine in row]
-                       for row in cells]) / math.sqrt(2.0 * math.pi)
-    sign = 1.0 if temporal else -1.0
-    rates = tuple(sign * fit_rate(rows, errors[:, j]) for j in range(len(cols)))
-    return ConvergenceReport(spec, rows, cols, errors, rates)
+                       for row in spec.cells()]) / math.sqrt(2.0 * math.pi)
+    sign = 1.0 if axis == "temporal" else -1.0
+    rates = tuple(sign * fit_rate(spec.rows, errors[:, j]) for j in range(len(spec.cols)))
+    return ConvergenceReport(spec, errors, rates)
 
 
 def temporal_study(spec: StudySpec) -> ConvergenceReport:
@@ -269,7 +271,7 @@ def write_report_csv(report: ConvergenceReport, path_or_file) -> None:
     study = f"{spec.axis},{spec.alpha!r},{spec.lam},{spec.horizon!r}"
     text = "".join([CSV_HEADER + "\n"] + [
         f"{study},{rp!r},{cp!r},{float(report.errors[i, j])!r},{report.rates[j]!r}\n"
-        for i, rp in enumerate(report.row_params) for j, cp in enumerate(report.col_params)])
+        for i, rp in enumerate(spec.rows) for j, cp in enumerate(spec.cols)])
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

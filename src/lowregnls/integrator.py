@@ -108,6 +108,13 @@ def _grid_step(t: float, tau: float, most: float, error: str) -> int:
     return j
 
 
+def _scheme(name) -> str:
+    """name, checked to be one of SCHEMES."""
+    if name not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {name!r}")
+    return name
+
+
 def _sign(lam) -> int:
     """lam as the int -1 or +1, tested before it is converted, so that no
     other value is truncated onto a sign."""
@@ -551,8 +558,7 @@ def evolve_lockstep(
     cutoff, to round-off otherwise, and a function of its inputs alone.  A
     ValueError for bad input and a BlowUpError name the run.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    _scheme(scheme)
     diag_stride = _integer(diag_stride, "diag_stride", 0)
     runs = list(runs)
     if not runs:
@@ -677,11 +683,6 @@ def load_trajectory(dirpath) -> Trajectory:
         except ValueError as exc:
             raise ValueError(f"{manifest}: bad manifest entry {key}={kv[key]!r}: {exc}") from None
 
-    def scheme(text):
-        if text not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        return text
-
     def param(key, name, parse):
         # checked alone, by the rule of SchemeParams, so that an error names the key
         unit = SchemeParams(1, 1.0, 0, 0)
@@ -698,7 +699,7 @@ def load_trajectory(dirpath) -> Trajectory:
         params=SchemeParams(param("lambda", "lam", int), param("tau", "tau", float),
                             param("N", "cutoff", int), param("steps", "steps", int)),
         cq=ConservedQuantities(mass=entry("mass"), momentum=complex(0.0, entry("momentum_imag"))),
-        scheme=entry("scheme", scheme),
+        scheme=entry("scheme", _scheme),
         snapshot_times=tuple(entry(f"snapshot_{i}_time") for i in snapshots),
         snapshots=tuple(load_field(d / entry(f"snapshot_{i}_file", str)) for i in snapshots),
         diagnostics=tuple(entry(f"diagnostic_{i}", diagnostic)

@@ -345,10 +345,10 @@ class TestErrorContract:
         assert f"maximum {MAX_STEPS} steps" in msg
 
     def test_halved_tau_underflows(self, capsys):
-        # tau/2 of the finest run is 0.0, so horizon/(tau/2) used to raise
-        # ZeroDivisionError
+        # tau/2 of the finest run is 0.0; StudySpec rejects it, like every
+        # other value it rejects, as a runtime failure
         msg = self.check(["study-temporal", "--tau-list", "2^-1074,2^-3", "--N-list", "8",
-                          "--T", "0"], 2, capsys)
+                          "--T", "0"], 1, capsys)
         assert "too small to halve" in msg
 
     @pytest.mark.parametrize("argv", [

@@ -29,7 +29,7 @@ from lowregnls.harness import (
 )
 from lowregnls.initial_data import InitialDataSpec
 from lowregnls.integrator import BlowUpError, SchemeParams, evolve, evolve_lockstep, initialize
-from lowregnls.spectral import SpectralField, _pow2_grid_size, l2_error, project
+from lowregnls.spectral import _pow2_grid_size, l2_error, project
 
 
 class TestFitRate:
@@ -112,7 +112,7 @@ class TestStudySpecValidation:
         ({"taus": (math.inf, 0.1)}, "tau must be a positive finite number, got inf"),
         # the tau/2 run of a temporal study underflows
         ({"axis": "temporal", "taus": (5e-324, 0.1), "horizon": 0.0},
-         "tau must be a positive finite number, got 0.0"),
+         "tau 5e-324 is too small to halve"),
         ({"horizon": math.nan}, "horizon must be finite, got nan"),
         ({"taus": (0.125,), "horizon": 0.3},
          "horizon 0.3 is not an integer multiple of tau 0.125"),
@@ -166,8 +166,8 @@ class TestTemporalStudy:
     def test_shape_and_rates(self):
         rep = temporal_study(small_temporal_spec())
         assert rep.spec.axis == "temporal"
-        assert rep.row_params == (2.0 ** -5, 2.0 ** -6)
-        assert rep.col_params == (8, 16)
+        assert rep.spec.rows == (2.0 ** -5, 2.0 ** -6)
+        assert rep.spec.cols == (8, 16)
         assert rep.errors.shape == (2, 2)
         assert np.all(rep.errors > 0)
         assert len(rep.rates) == 2
@@ -199,8 +199,8 @@ class TestSpatialStudy:
     def test_shape_and_rates(self):
         rep = spatial_study(small_spatial_spec())
         assert rep.spec.axis == "spatial"
-        assert rep.row_params == (8, 16, 32)
-        assert rep.col_params == (2.0 ** -5,)
+        assert rep.spec.rows == (8, 16, 32)
+        assert rep.spec.cols == (2.0 ** -5,)
         assert rep.errors.shape == (3, 1)
         # alpha=1 data loses mass like N^-1.01 beyond the cutoff
         assert 0.8 <= rep.rates[0] <= 1.2
@@ -279,6 +279,52 @@ class TestCells:
         assert abs(rep.errors[0, 0] - want[0]) <= 1e-13 * want[0]
 
 
+class TestRunGrid:
+    """A spec names the (coarse, fine) run keys (cutoff, tau) of each cell,
+    and each run once; a study computes those runs and no other."""
+
+    def test_temporal_refines_tau(self):
+        t3, t4, t5 = 2.0 ** -3, 2.0 ** -4, 2.0 ** -5
+        spec = small_temporal_spec(taus=(t3, t4), cutoffs=(8, 16), horizon=1.0)
+        assert (spec.rows, spec.cols) == ((t3, t4), (8, 16))
+        assert spec.cells() == [[((8, t3), (8, t4)), ((16, t3), (16, t4))],
+                                [((8, t4), (8, t5)), ((16, t4), (16, t5))]]
+        # (N, 2^-4) is the fine run of row 2^-3 and the coarse run of row 2^-4
+        assert list(spec.runs()) == [(n, tau) for n in (8, 16) for tau in (t5, t4, t3)]
+        assert spec.runs()[8, t4] == SchemeParams(-1, t4, 8, 16)
+
+    def test_spatial_refines_the_cutoff(self):
+        tau = 2.0 ** -3
+        spec = small_spatial_spec(taus=(tau,), cutoffs=(8, 16), horizon=1.0)
+        assert (spec.rows, spec.cols) == ((8, 16), (tau,))
+        assert spec.cells() == [[((8, tau), (16, tau))], [((16, tau), (32, tau))]]
+        assert spec.runs() == {(n, tau): SchemeParams(-1, tau, n, 8) for n in (8, 16, 32)}
+
+    def test_halved_tau_underflows(self):
+        # only a temporal study halves tau; the message names the tau
+        spec = dict(taus=(5e-324, 0.5), cutoffs=(8, 16), horizon=0.0)
+        StudySpec(axis="spatial", **spec)
+        with pytest.raises(ValueError, match="^tau 5e-324 is too small to halve$"):
+            StudySpec(axis="temporal", **spec)
+
+    @pytest.mark.parametrize("spec", [
+        small_temporal_spec(taus=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6)),
+        small_spatial_spec(taus=(2.0 ** -4, 2.0 ** -5), cutoffs=(8, 16, 64)),
+        small_temporal_spec(scheme="strang"),
+    ], ids=["temporal", "spatial", "strang"])
+    def test_study_runs_each_run_of_the_spec_once(self, spec, monkeypatch):
+        keys = []
+        run = harness._run_stack
+
+        def record(task):
+            keys.extend((params.cutoff, params.tau) for params in task[2])
+            return run(task)
+
+        monkeypatch.setattr(harness, "_run_stack", record)
+        harness._study(spec, spec.axis)
+        assert sorted(keys) == list(spec.runs())
+
+
 def key_record(stack):
     """(cutoff, taus) of a stack of (cutoff, tau) run keys of one cutoff;
     (largest cutoff, cutoff of each run) in place of the cutoff when some
@@ -311,19 +357,9 @@ def stacks(monkeypatch):
 
 
 def study_plan(spec):
-    """The stacks `harness._stacks` forms from the run keys a study's cells
-    name, in the order they start; no run is computed."""
-    keys = []
-
-    def record(spec, study_keys):
-        keys.extend(study_keys)
-        return {(n, tau): SpectralField.zeros(n) for n, tau in study_keys}
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_compute_runs", record)
-        harness._study(spec, spec.axis)
-    return harness._stacks(spec.scheme, {
-        (n, tau): SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon) for n, tau in keys})
+    """The stacks `harness._stacks` forms from the runs of a study's spec,
+    in the order they start; no run is computed."""
+    return harness._stacks(spec.scheme, spec.runs())
 
 
 @pytest.fixture
@@ -548,7 +584,6 @@ class TestReportValidation:
         with pytest.raises(ValueError):
             ConvergenceReport(
                 spec=small_temporal_spec(),
-                row_params=(0.1, 0.05), col_params=(8,),
                 errors=np.ones((3, 1)), rates=(1.0,),
             )
 

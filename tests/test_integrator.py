@@ -810,6 +810,28 @@ class TestBoundaryChecks:
             evolve_lockstep(ZERO, [])
 
 
+def dump_of_scheme(tmp_path, name):
+    """A dump whose manifest names the scheme name."""
+    save_trajectory(evolve(ZERO, _params()), tmp_path / "d")
+    manifest = tmp_path / "d" / "manifest.txt"
+    manifest.write_text(re.sub(r"(?m)^scheme=.*$", f"scheme={name}", manifest.read_text()))
+    return manifest.parent
+
+
+@pytest.mark.parametrize("entry", [
+    lambda tmp_path: StudySpec(axis="spatial", taus=(0.25,), cutoffs=(2, 4), scheme="rk4"),
+    lambda tmp_path: evolve_lockstep(ZERO, [_params()], scheme="rk4"),
+    lambda tmp_path: load_trajectory(dump_of_scheme(tmp_path, "rk4")),
+], ids=["StudySpec", "evolve_lockstep", "load_trajectory"])
+def test_one_scheme_rule(entry, tmp_path):
+    # every entry point checks a scheme name by one rule, with one message;
+    # load_trajectory puts the manifest and key in front of it
+    with pytest.raises(ValueError) as info:
+        entry(tmp_path)
+    assert str(info.value).endswith(
+        "scheme must be one of ('lowreg', 'lie', 'strang'), got 'rk4'")
+
+
 TAU_SETS = st.lists(TAUS, min_size=1, max_size=4, unique=True)
 
 
