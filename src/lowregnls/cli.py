@@ -1,12 +1,13 @@
 """Command line front end.
 
 Subcommands: solve (one trajectory, optional dump), study-temporal and
-study-spatial (convergence tables, CSV output), diagnostics (norm and drift
-series from a fresh run or re-read from a dump), selftest (quick built-in
-verification).  Step sizes accept the power-of-two shorthand 2^-k.  A
---config file of key=value lines supplies defaults; explicit flags override
-it.  Every error path prints a single "error: <message>" line and exits
-nonzero.  Only this module reads a clock: solve and study --out print wall_ms.
+study-spatial (convergence tables, CSV output), diagnostics (the norm and
+drift series re-read from a dump, which `solve --diag-stride 1 --out DIR`
+records at every step), selftest (quick built-in verification).  Step sizes
+accept the power-of-two shorthand 2^-k.  A --config file of key=value lines
+supplies defaults; explicit flags override it.  Every error path prints a
+single "error: <message>" line and exits nonzero.  Only this module reads a
+clock: solve and study --out print wall_ms.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    AXIS_NAMES,
     StudySpec,
     spatial_study,
     temporal_study,
@@ -131,6 +133,14 @@ def _parse_list(text: str, parse_one):
     return tuple(parse_one(s) for s in items)
 
 
+def _add_output(p: _Parser) -> None:
+    """--out and --config, which every subcommand but selftest takes."""
+    p.add_argument("--out", metavar="DIR", default=None,
+                   help="output directory (created if missing)")
+    p.add_argument("--config", metavar="FILE", default=None,
+                   help="key=value file of defaults; explicit flags override it")
+
+
 def _add_common(p: _Parser, study: bool) -> None:
     """Flags of the run subcommands: the initial-state flags for a single
     run, --jobs for a study."""
@@ -150,10 +160,7 @@ def _add_common(p: _Parser, study: bool) -> None:
     p.add_argument("--scheme", choices=SCHEMES, default="lowreg",
                    help="time stepper: low-regularity integrator or a splitting "
                         "baseline (default lowreg)")
-    p.add_argument("--out", metavar="DIR", default=None,
-                   help="output directory (created if missing)")
-    p.add_argument("--config", metavar="FILE", default=None,
-                   help="key=value file of defaults; explicit flags override it")
+    _add_output(p)
     if study:
         p.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=1,
                        help="worker processes; each advances one stack of runs in lockstep "
@@ -193,18 +200,14 @@ def build_parser() -> _Parser:
 
     p_diag = sub.add_parser(
         "diagnostics", help="emit a norm/drift diagnostics table",
-        description="Emit the diagnostic series "
-                    f"({DIAG_HEADER}) as CSV to stdout or to "
-                    "--out/diagnostics.csv, either per step from a fresh run "
-                    "(--tau and --N) or re-read from a trajectory dump (--in).",
+        description="Re-read the diagnostic series "
+                    f"({DIAG_HEADER}) from a trajectory dump and emit it as CSV to "
+                    "stdout or to --out/diagnostics.csv; solve --diag-stride 1 "
+                    "--out DIR records it at every step.",
     )
-    p_diag.add_argument("--in", dest="dump_in", metavar="DIR", default=None,
-                        help="trajectory dump to re-read instead of running")
-    p_diag.add_argument("--tau", type=parse_time, default=None,
-                        help="time step; accepts the shorthand 2^-k")
-    p_diag.add_argument("--N", type=parse_cutoff, default=None,
-                        help="spectral cutoff; accepts the shorthand 2^k")
-    _add_common(p_diag, study=False)
+    p_diag.add_argument("--in", dest="dump_in", metavar="DIR", required=True,
+                        help="trajectory dump to re-read")
+    _add_output(p_diag)
 
     p_temp = sub.add_parser(
         "study-temporal", help="tau-refinement convergence table",
@@ -266,8 +269,7 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 
 def _initial_spec(args) -> InitialDataSpec:
-    kind = getattr(args, "initial", "sobolev")
-    amplitude = getattr(args, "amplitude", None)
+    kind, amplitude = args.initial, args.amplitude
     if amplitude is None:
         amplitude = 0.1 if kind == "sobolev" else 1.0
     if kind == "sobolev":
@@ -279,17 +281,20 @@ def _initial_spec(args) -> InitialDataSpec:
     return InitialDataSpec(kind="constant", amplitude=amplitude)
 
 
-def _check_steps(tau: float, horizon: float) -> None:
-    """Reject a run of more than MAX_STEPS steps before it starts; a horizon
-    that is not finite is left to SchemeParams.from_horizon."""
-    if math.isfinite(horizon) and horizon / tau > MAX_STEPS:
-        raise CliError(f"--T {horizon!r} at tau {tau!r} takes more than the "
+def _check_steps(runs) -> None:
+    """Reject runs (their SchemeParams) whose longest takes more than
+    MAX_STEPS steps, before any of them starts."""
+    longest = max(runs, key=lambda params: params.steps)
+    if longest.steps > MAX_STEPS:
+        raise CliError(f"--T {longest.horizon!r} at tau {longest.tau!r} takes more than the "
                        f"maximum {MAX_STEPS} steps")
 
 
-def _run_trajectory(args, snapshot_times, diag_stride):
-    _check_steps(args.tau, args.T)
+def _cmd_solve(args) -> int:
+    if args.diag_stride > 0 and args.out is None:
+        raise CliError("--diag-stride records diagnostics in the dump; it needs --out")
     params = SchemeParams.from_horizon(args.lam, args.tau, args.N, args.T)
+    _check_steps([params])
     u0 = initialize(_initial_spec(args), args.N,
                     init_mode=args.init_mode, tail_cutoff=args.tail_cutoff)
     run = (evolve if args.scheme == "lowreg"
@@ -297,14 +302,9 @@ def _run_trajectory(args, snapshot_times, diag_stride):
     # keep stderr to the single error: line even when a run blows up
     with np.errstate(all="ignore"):
         start = time.perf_counter()
-        traj = run(u0, params, snapshot_times=snapshot_times, diag_stride=diag_stride)
-        return traj, (time.perf_counter() - start) * 1e3
-
-
-def _cmd_solve(args) -> int:
-    traj, wall_ms = _run_trajectory(args, snapshot_times=(0.0, args.T),
-                                    diag_stride=args.diag_stride)
-    params, last = traj.params, traj.diagnostics[-1]
+        traj = run(u0, params, snapshot_times=(0.0, args.T), diag_stride=args.diag_stride)
+        wall_ms = (time.perf_counter() - start) * 1e3
+    last = traj.diagnostics[-1]
     print(f"scheme={traj.scheme} lambda={params.lam} N={params.cutoff} "
           f"tau={params.tau!r} T={params.horizon!r} steps={params.steps}")
     print(f"final: l2={last.l2:.9e} h1={last.h1:.9e} "
@@ -317,16 +317,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
-    if args.dump_in is not None:
-        if args.tau is not None or args.N is not None:
-            raise CliError("--in re-reads a dump; it excludes --tau/--N")
-        traj = load_trajectory(args.dump_in)
-    else:
-        if args.tau is None or args.N is None:
-            raise CliError("diagnostics needs --tau and --N (or --in DIR)")
-        traj = _run_trajectory(args, snapshot_times=(args.T,), diag_stride=1)[0]
     lines = [DIAG_HEADER]
-    for row in traj.diagnostics:
+    for row in load_trajectory(args.dump_in).diagnostics:
         lines.append(f"{row.time!r},{row.l2!r},{row.h1!r},"
                      f"{row.mass_drift!r},{row.momentum_drift!r}")
     text = "\n".join(lines) + "\n"
@@ -349,7 +341,7 @@ def _emit_report(report, out_dir, wall_ms: float) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"study_{spec.axis}.csv"
     write_report_csv(report, path)
-    label, collabel = ("tau", "N") if spec.axis == "temporal" else ("N", "tau")
+    (_, label), (_, collabel) = AXIS_NAMES[spec.axis]
     print(f"{spec.axis} study: alpha={spec.alpha} lambda={spec.lam} "
           f"T={spec.horizon} scheme={spec.scheme}")
     header = " ".join(f"{collabel}={c}" for c in spec.cols)
@@ -376,9 +368,9 @@ def _cmd_study(args, axis: str) -> int:
         tail_cutoff=args.tail_cutoff,
         jobs=args.jobs,
     )
-    _check_steps(min(tau for _, tau in spec.runs()), spec.horizon)
+    _check_steps(spec.runs().values())
     study = temporal_study if axis == "temporal" else spatial_study
-    # as in _run_trajectory; the worker processes fork inside this state
+    # as in _cmd_solve; the worker processes fork inside this state
     with np.errstate(all="ignore"):
         start = time.perf_counter()
         report = study(spec)

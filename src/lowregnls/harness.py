@@ -45,7 +45,13 @@ __all__ = [
 
 CSV_HEADER = "study,alpha,lambda,T,row_param,col_param,error,rate"
 
-AXES = ("temporal", "spatial")
+# the parameter each axis refines (the rows of its table), then the other
+# (its columns), each as (StudySpec field, name in a report)
+AXIS_NAMES = {
+    "temporal": (("taus", "tau"), ("cutoffs", "N")),
+    "spatial": (("cutoffs", "N"), ("taus", "tau")),
+}
+AXES = tuple(AXIS_NAMES)
 
 # most grid points R * m in a row of a stack of R runs on the m-point grid
 # of its largest cutoff (a cutoff's half counted at that m): the 8-row work
@@ -89,21 +95,20 @@ class StudySpec:
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {values}")
         if len(self.rows) < 2:
-            refined = "taus" if self.axis == "temporal" else "cutoffs"
-            raise ValueError(f"a {self.axis} study fits its rate over at least two {refined}, "
-                             f"got {self.rows}")
+            raise ValueError(f"a {self.axis} study fits its rate over at least two "
+                             f"{AXIS_NAMES[self.axis][0][0]}, got {self.rows}")
         # by the rules its runs apply, the tail at the largest cutoff of a run
         _sampled_tail(self.initial_data(), max(self.runs())[0], self.init_mode, self.tail_cutoff)
 
     @property
     def rows(self) -> tuple:
         """The refined parameter, taus of a temporal study and cutoffs of a
-        spatial one; cols is the other, with one fitted rate each."""
-        return self.taus if self.axis == "temporal" else self.cutoffs
+        spatial one (AXIS_NAMES); cols is the other, with one fitted rate each."""
+        return getattr(self, AXIS_NAMES[self.axis][0][0])
 
     @property
     def cols(self) -> tuple:
-        return self.cutoffs if self.axis == "temporal" else self.taus
+        return getattr(self, AXIS_NAMES[self.axis][1][0])
 
     def cells(self) -> list[list[tuple[tuple[int, float], tuple[int, float]]]]:
         """The (coarse, fine) run keys (cutoff, tau) of each cell, by row and column:

@@ -30,7 +30,8 @@ from lowregnls.cli import (
     parse_time,
 )
 from lowregnls.harness import CSV_HEADER
-from lowregnls.integrator import load_trajectory
+from lowregnls.initial_data import InitialDataSpec
+from lowregnls.integrator import SchemeParams, evolve, initialize, load_trajectory
 
 DATA = Path(__file__).parent / "data"
 
@@ -125,8 +126,18 @@ class TestSolve:
 
 
 class TestDiagnostics:
-    def test_stdout_series(self, capsys):
-        rc = main(["diagnostics", "--tau", "2^-3", "--N", "8", "--T", "0.5"])
+    RUN = ["--tau", "2^-3", "--N", "8", "--T", "0.5"]
+
+    @pytest.fixture
+    def dump(self, tmp_path, capsys):
+        """A dump of a run that records diagnostics at every step."""
+        dump = tmp_path / "run"
+        assert main(["solve", *self.RUN, "--diag-stride", "1", "--out", str(dump)]) == 0
+        capsys.readouterr()
+        return dump
+
+    def test_stdout_series(self, dump, capsys):
+        rc = main(["diagnostics", "--in", str(dump)])
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
         assert rc == 0
@@ -136,39 +147,42 @@ class TestDiagnostics:
         assert float(first[0]) == 0.0
         assert float(first[3]) == 0.0 and float(first[4]) == 0.0
 
-    def test_out_file(self, tmp_path, capsys):
-        rc = main(["diagnostics", "--tau", "2^-3", "--N", "8", "--T", "0.5",
-                   "--out", str(tmp_path)])
+    def test_out_file(self, dump, tmp_path, capsys):
+        rc = main(["diagnostics", "--in", str(dump), "--out", str(tmp_path / "diag")])
         out = capsys.readouterr().out
         assert rc == 0
         assert "wrote" in out
-        text = (tmp_path / "diagnostics.csv").read_text()
+        text = (tmp_path / "diag" / "diagnostics.csv").read_text()
         assert text.startswith(DIAG_HEADER + "\n")
 
-    def test_reread_matches_fresh_run(self, tmp_path, capsys):
-        args = ["--tau", "2^-3", "--N", "8", "--T", "0.5"]
-        assert main(["diagnostics"] + args) == 0
-        fresh = capsys.readouterr().out
-        dump = tmp_path / "run"
-        assert main(["solve", *args, "--diag-stride", "1",
-                     "--out", str(dump)]) == 0
-        capsys.readouterr()
+    def test_reread_matches_the_run(self, dump, capsys):
         assert main(["diagnostics", "--in", str(dump)]) == 0
         reread = capsys.readouterr().out
+        params = SchemeParams.from_horizon(-1, 2.0 ** -3, 8, 0.5)
+        u0 = initialize(InitialDataSpec(kind="sobolev", alpha=1.0, amplitude=0.1), 8)
+        rows = evolve(u0, params, diag_stride=1).diagnostics
         # repr round trip through the manifest is exact
-        assert reread == fresh
+        assert reread == "".join(
+            f"{line}\n" for line in [DIAG_HEADER] + [
+                f"{r.time!r},{r.l2!r},{r.h1!r},{r.mass_drift!r},{r.momentum_drift!r}"
+                for r in rows])
 
-    def test_in_excludes_fresh_run_flags(self, capsys):
-        rc = main(["diagnostics", "--in", "somewhere", "--tau", "2^-3"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error:")
+    def test_run_flags_are_unrecognized(self, dump, tmp_path, capsys):
+        # diagnostics only re-reads a dump, so a run flag is a usage error,
+        # also where a config file sets it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=3\n")
+        for extra in (["--alpha", "3"], ["--config", str(cfg)]):
+            rc = main(["diagnostics", "--in", str(dump)] + extra)
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: unrecognized arguments")
 
-    def test_requires_tau_and_cutoff(self, capsys):
+    def test_requires_in(self, capsys):
         rc = main(["diagnostics"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "error:" in err
+        assert "--in" in err and "required" in err
 
 
 class TestStudies:
@@ -334,8 +348,6 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--tau", "2^-3", "--N", "8", "--T", "1e300"],
-        # T/tau overflows to inf
-        ["solve", "--tau", "1e-300", "--N", "8", "--T", "1e10"],
         # 2^24 steps at tau, but the tau/2 runs take 2^25
         ["study-temporal", "--tau-list", "2^-3,2^-20", "--N-list", "8", "--T", "16"],
         ["study-spatial", "--tau-list", "2^-20,2^-3", "--N-list", "8,16", "--T", "32"],
@@ -343,6 +355,19 @@ class TestErrorContract:
     def test_too_many_steps(self, argv, capsys):
         msg = self.check(argv, 2, capsys)
         assert f"maximum {MAX_STEPS} steps" in msg
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tau", "1e-300", "--N", "8", "--T", "1e10"],
+        ["study-temporal", "--tau-list", "1e-300,2e-300", "--N-list", "8", "--T", "1e10"],
+    ])
+    def test_step_count_overflows(self, argv, capsys):
+        # T/tau overflows to inf: SchemeParams rejects it, on every subcommand
+        assert "overflows the step count" in self.check(argv, 1, capsys)
+
+    def test_diag_stride_needs_a_dump(self, capsys):
+        # the stride only sets the rows of the dump's diagnostics
+        msg = self.check(["solve", "--tau", "2^-3", "--N", "8", "--diag-stride", "1"], 2, capsys)
+        assert "needs --out" in msg
 
     def test_halved_tau_underflows(self, capsys):
         # tau/2 of the finest run is 0.0; StudySpec rejects it, like every
@@ -394,9 +419,12 @@ class TestErrorContract:
         assert "outside the cutoff" in msg
 
     def test_step_bound_is_inclusive(self):
-        _check_steps(2.0 ** -20, 16.0)  # exactly MAX_STEPS steps
+        def run(steps):
+            return SchemeParams(lam=-1, tau=2.0 ** -20, cutoff=8, steps=steps)
+
+        _check_steps([run(1), run(MAX_STEPS)])
         with pytest.raises(CliError):
-            _check_steps(2.0 ** -20, 16.0 + 2.0 ** -20)
+            _check_steps([run(MAX_STEPS + 1), run(1)])
 
     def test_blow_up_reported(self, capsys):
         msg = self.check(["solve", "--initial", "constant", "--amplitude",
@@ -510,14 +538,14 @@ STUDY_FLAGS = {
 FLAGS = {
     "solve": {**RUN_FLAGS, **ONE_RUN_FLAGS,
               "--diag-stride": tokens(["0", "1", "3"], ["-1", "x"])},
-    "diagnostics": {**RUN_FLAGS, **ONE_RUN_FLAGS, "--in": st.just("no-such-dump")},
+    "diagnostics": {"--in": st.just("no-such-dump"), "--out": st.just("no-such-dir")},
     "study-temporal": STUDY_FLAGS,
     "study-spatial": STUDY_FLAGS,
 }
 # drawn for every argv of the subcommand, so that many examples run
 REQUIRED = {
     "solve": ["--tau", "--N"],
-    "diagnostics": ["--tau", "--N"],
+    "diagnostics": ["--in"],
     "study-temporal": ["--tau-list", "--N-list"],
     "study-spatial": ["--tau-list", "--N-list"],
 }
