@@ -3,11 +3,11 @@
 Subcommands: solve (one trajectory, optional dump), study-temporal and
 study-spatial (convergence tables, CSV output), diagnostics (the norm and
 drift series re-read from a dump, which `solve --diag-stride 1 --out DIR`
-records at every step), selftest (quick built-in verification).  Step sizes
-accept the power-of-two shorthand 2^-k.  A --config file of key=value lines
-supplies defaults; explicit flags override it.  Every error path prints a
-single "error: <message>" line and exits nonzero.  Only this module reads a
-clock: solve and study --out print wall_ms.
+records at every step).  Step sizes accept the power-of-two shorthand
+2^-k.  A --config file of key=value lines supplies defaults; explicit flags
+override it.  Every error path prints a single "error: <message>" line and
+exits nonzero.  Only this module reads a clock: solve and study --out print
+wall_ms.
 """
 
 from __future__ import annotations
@@ -35,22 +35,12 @@ from .integrator import (
     INIT_MODES,
     SCHEMES,
     SchemeParams,
-    conserved_quantities,
     evolve,
     initialize,
     load_trajectory,
     save_trajectory,
-    step,
-    step_twisted,
 )
 from .reference import SPLITTINGS, splitting_evolve
-from .spectral import (
-    SpectralField,
-    dealiased_product,
-    free_propagator,
-    l2_error,
-    sobolev_norm,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -68,6 +58,11 @@ MAX_CUTOFF = 2 ** 16
 # largest step count of one run accepted on the command line: it bounds --T
 # against tau, which are otherwise only required to be finite and positive
 MAX_STEPS = 2 ** 24
+
+# most diagnostic rows one solve may record (steps // --diag-stride + 1): a
+# row costs ~280 bytes held in the trajectory and ~320 bytes of manifest text
+# while the dump is written, so 2^20 rows take ~0.6 GB
+MAX_DIAG_ROWS = 2 ** 20
 
 
 class CliError(Exception):
@@ -134,7 +129,7 @@ def _parse_list(text: str, parse_one):
 
 
 def _add_output(p: _Parser) -> None:
-    """--out and --config, which every subcommand but selftest takes."""
+    """--out and --config, which every subcommand takes."""
     p.add_argument("--out", metavar="DIR", default=None,
                    help="output directory (created if missing)")
     p.add_argument("--config", metavar="FILE", default=None,
@@ -232,13 +227,6 @@ def build_parser() -> _Parser:
     p_spat.add_argument("--N-list", required=True, metavar="LIST",
                         help="comma-separated cutoffs, e.g. 16,32,64")
     _add_common(p_spat, study=True)
-
-    sub.add_parser(
-        "selftest", help="quick built-in verification",
-        description="Run quick built-in checks (dealiased products against "
-                    "direct convolution, twisted-variable cross-check, "
-                    "constant-state closed form) and report pass/fail.",
-    )
     return parser
 
 
@@ -295,6 +283,9 @@ def _cmd_solve(args) -> int:
         raise CliError("--diag-stride records diagnostics in the dump; it needs --out")
     params = SchemeParams.from_horizon(args.lam, args.tau, args.N, args.T)
     _check_steps([params])
+    if args.diag_stride > 0 and params.steps // args.diag_stride + 1 > MAX_DIAG_ROWS:
+        raise CliError(f"--diag-stride {args.diag_stride} over {params.steps} steps records "
+                       f"more than the maximum {MAX_DIAG_ROWS} diagnostic rows")
     u0 = initialize(_initial_spec(args), args.N,
                     init_mode=args.init_mode, tail_cutoff=args.tail_cutoff)
     run = (evolve if args.scheme == "lowreg"
@@ -377,74 +368,11 @@ def _cmd_study(args, axis: str) -> int:
     return _emit_report(report, args.out, (time.perf_counter() - start) * 1e3)
 
 
-def _selftest_dealiasing(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(20):
-        n = 8
-        f = SpectralField(n, rng.standard_normal(2 * n + 1)
-                          + 1j * rng.standard_normal(2 * n + 1))
-        g = SpectralField(n, rng.standard_normal(2 * n + 1)
-                          + 1j * rng.standard_normal(2 * n + 1))
-        full = np.convolve(f.coeffs, g.coeffs)
-        direct = SpectralField(n, full[n: 3 * n + 1])
-        err = l2_error(dealiased_product(f, g), direct) / max(l2_error(direct, SpectralField.zeros(n)), 1e-300)
-        worst = max(worst, err)
-    return worst <= 1e-12, f"max relative deviation {worst:.2e} (tol 1e-12)"
-
-
-def _selftest_twisted(rng) -> tuple[bool, str]:
-    n, tau = 8, 0.01
-    worst = 0.0
-    for lam in (-1, 1):
-        params = SchemeParams(lam=lam, tau=tau, cutoff=n, steps=1)
-        for idx in (0, 3):
-            u = SpectralField(n, 0.3 * (rng.standard_normal(2 * n + 1)
-                                        + 1j * rng.standard_normal(2 * n + 1)))
-            cq = conserved_quantities(u)
-            direct = step(u, params, cq)
-            tn = idx * tau
-            twisted = free_propagator(
-                step_twisted(free_propagator(u, -tn), params, cq, idx), tn + tau
-            )
-            err = l2_error(direct, twisted) / sobolev_norm(direct, 0.0)
-            worst = max(worst, err)
-    return worst <= 1e-10, f"max relative deviation {worst:.2e} (tol 1e-10)"
-
-
-def _selftest_constant(_rng) -> tuple[bool, str]:
-    worst = 0.0
-    for lam in (-1, 1):
-        for c in (0.5 + 0.0j, 1.0 - 0.5j):
-            tau = 0.02
-            params = SchemeParams(lam=lam, tau=tau, cutoff=4, steps=1)
-            u = SpectralField.from_modes(4, {0: c})
-            out = step(u, params, conserved_quantities(u))
-            expected = SpectralField.from_modes(4, {0: c * (1 - 1j * lam * tau * abs(c) ** 2)})
-            worst = max(worst, l2_error(out, expected))
-    return worst <= 1e-13, f"max absolute deviation {worst:.2e} (tol 1e-13)"
-
-
-def _cmd_selftest(_args) -> int:
-    rng = np.random.default_rng(20240811)
-    checks = [
-        ("dealiased product vs direct convolution", _selftest_dealiasing),
-        ("twisted-variable cross-check", _selftest_twisted),
-        ("constant-state closed form", _selftest_constant),
-    ]
-    failures = 0
-    for name, fn in checks:
-        ok, detail = fn(rng)
-        print(f"{name}: {'pass' if ok else 'FAIL'} ({detail})")
-        failures += 0 if ok else 1
-    return 1 if failures else 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "diagnostics": _cmd_diagnostics,
     "study-temporal": functools.partial(_cmd_study, axis="temporal"),
     "study-spatial": functools.partial(_cmd_study, axis="spatial"),
-    "selftest": _cmd_selftest,
 }
 
 

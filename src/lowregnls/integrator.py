@@ -620,10 +620,17 @@ def evolve_lockstep(
     return [rec.trajectory(scheme) for rec in records]
 
 
+def _snapshot_name(i: int) -> str:
+    """The file of snapshot i in a dump; the one naming rule of both sides."""
+    return f"snapshot_{i:04d}.txt"
+
+
 def save_trajectory(traj: Trajectory, dirpath) -> None:
     """Write a trajectory dump: one field file per snapshot plus manifest.txt
-    with key=value lines for the run parameters, conserved quantities and the
-    recorded diagnostics."""
+    with key=value lines for the run parameters, conserved quantities, the
+    snapshot times and the recorded diagnostics.  Each fact is written once:
+    the horizon, the snapshot file names and the diagnostic times follow from
+    the rest."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -632,23 +639,18 @@ def save_trajectory(traj: Trajectory, dirpath) -> None:
         f"tau={traj.params.tau!r}",
         f"N={traj.params.cutoff}",
         f"steps={traj.params.steps}",
-        f"T={traj.params.horizon!r}",
         f"mass={traj.cq.mass!r}",
         f"momentum_imag={traj.cq.momentum.imag!r}",
         f"h1_max={traj.h1_max!r}",
         f"snapshot_count={len(traj.snapshots)}",
     ]
     for i, (t, f) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
-        name = f"snapshot_{i:04d}.txt"
-        save_field(f, d / name)
+        save_field(f, d / _snapshot_name(i))
         lines.append(f"snapshot_{i}_time={t!r}")
-        lines.append(f"snapshot_{i}_file={name}")
     lines.append(f"diagnostic_count={len(traj.diagnostics)}")
     for i, row in enumerate(traj.diagnostics):
-        lines.append(
-            f"diagnostic_{i}={row.step_index} {row.time!r} {row.l2!r} {row.h1!r} "
-            f"{row.mass_drift!r} {row.momentum_drift!r}"
-        )
+        lines.append(f"diagnostic_{i}={row.step_index} {row.l2!r} {row.h1!r} "
+                     f"{row.mass_drift!r} {row.momentum_drift!r}")
     (d / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -666,43 +668,82 @@ def _manifest_dict(path: Path) -> dict[str, str]:
 
 
 def load_trajectory(dirpath) -> Trajectory:
-    """Read back a dump written by save_trajectory, ignoring unknown keys.  A
-    missing key, or an entry with the wrong number of fields, a bad value or
-    an unknown scheme, raises one ValueError naming the manifest and the key."""
+    """Read back a dump written by save_trajectory, ignoring unknown keys.
+
+    Snapshot i is read from the dump's own `snapshot_<i:04d>.txt`, and a
+    diagnostic row of step j has the time j * tau.  The dump must name one
+    run: every snapshot holds N, the snapshot times sit on the step grid
+    within the horizon at increasing steps, and the diagnostic steps increase
+    from 0 to steps.  A missing key, an entry with the wrong number of
+    fields, a bad value or an unknown scheme, and a fact that contradicts the
+    run, raise one ValueError naming the manifest and the key."""
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
         raise ValueError(f"{d}: no manifest.txt found")
     kv = _manifest_dict(manifest)
 
+    def bad(key, why) -> ValueError:
+        return ValueError(f"{manifest}: bad manifest entry {key}={kv[key]!r}: {why}")
+
     def entry(key, parse=float):
         if key not in kv:
             raise ValueError(f"{manifest}: missing manifest key {key!r}")
         try:
             return parse(kv[key])
-        except ValueError as exc:
-            raise ValueError(f"{manifest}: bad manifest entry {key}={kv[key]!r}: {exc}") from None
+        except (ValueError, OverflowError) as exc:
+            raise bad(key, exc) from None
 
     def param(key, name, parse):
         # checked alone, by the rule of SchemeParams, so that an error names the key
         unit = SchemeParams(1, 1.0, 0, 0)
         return entry(key, lambda text: getattr(replace(unit, **{name: parse(text)}), name))
 
+    params = SchemeParams(param("lambda", "lam", int), param("tau", "tau", float),
+                          param("N", "cutoff", int), param("steps", "steps", int))
+
+    def increasing(count_key, key_form, parse):
+        """The entries key_form.format(i) for i below the count_key entry,
+        each parsed to (step, value) and of a later step than the one before."""
+        values, after = [], -1
+        for i in range(entry(count_key, lambda text: _integer(int(text), "count", 0))):
+            key = key_form.format(i)
+            j, value = entry(key, parse)
+            if j <= after:
+                raise bad(key, f"step {j} does not come after step {after}")
+            values.append(value)
+            after = j
+        return tuple(values)
+
+    def snapshot_time(text):
+        t = float(text)
+        return _grid_step(t, params.tau, params.steps, f"not on the grid of tau "
+                          f"{params.tau!r} within {params.steps} steps"), t
+
     def diagnostic(text):
         fields = text.split()
-        if len(fields) != 6:
-            raise ValueError(f"expected 6 fields, got {len(fields)}")
-        return SnapshotDiagnostics(int(fields[0]), *map(float, fields[1:]))
+        if len(fields) != 5:
+            raise ValueError(f"expected 5 fields, got {len(fields)}")
+        j = _integer(int(fields[0]), "step", 0)
+        return j, SnapshotDiagnostics(j, j * params.tau, *map(float, fields[1:]))
 
-    snapshots = range(entry("snapshot_count", int))
+    times = increasing("snapshot_count", "snapshot_{}_time", snapshot_time)
+    snapshots = tuple(load_field(d / _snapshot_name(i)) for i in range(len(times)))
+    for i, f in enumerate(snapshots):
+        if f.cutoff != params.cutoff:
+            raise bad("N", f"{_snapshot_name(i)} holds N = {f.cutoff}")
+    diagnostics = increasing("diagnostic_count", "diagnostic_{}", diagnostic)
+    if not diagnostics or diagnostics[0].step_index != 0:
+        raise bad("diagnostic_0" if diagnostics else "diagnostic_count",
+                  "the diagnostics do not start at step 0")
+    if diagnostics[-1].step_index != params.steps:
+        raise bad("steps", f"the diagnostics end at step {diagnostics[-1].step_index}")
     return Trajectory(
-        params=SchemeParams(param("lambda", "lam", int), param("tau", "tau", float),
-                            param("N", "cutoff", int), param("steps", "steps", int)),
+        params=params,
         cq=ConservedQuantities(mass=entry("mass"), momentum=complex(0.0, entry("momentum_imag"))),
         scheme=entry("scheme", _scheme),
-        snapshot_times=tuple(entry(f"snapshot_{i}_time") for i in snapshots),
-        snapshots=tuple(load_field(d / entry(f"snapshot_{i}_file", str)) for i in snapshots),
-        diagnostics=tuple(entry(f"diagnostic_{i}", diagnostic)
-                          for i in range(entry("diagnostic_count", int))),
+        snapshot_times=times,
+        snapshots=snapshots,
+        diagnostics=diagnostics,
         h1_max=entry("h1_max"),
     )

@@ -3,7 +3,9 @@
 import math
 import pickle
 import re
+import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ from lowregnls.spectral import (
     l2_error,
     nonzero_part,
     project,
+    save_field,
     sobolev_norm,
     twist_propagator,
     zero_mode,
@@ -648,27 +651,23 @@ class TestTrajectoryDump:
         save_trajectory(traj, out)
         assert (out / "manifest.txt").is_file()
         assert (out / "snapshot_0000.txt").is_file()
-        back = load_trajectory(out)
-        assert back.params == traj.params
-        assert back.cq == traj.cq
-        assert back.scheme == "lowreg"
-        assert back.snapshot_times == traj.snapshot_times
-        for f, g in zip(back.snapshots, traj.snapshots):
-            assert np.array_equal(f.coeffs, g.coeffs)
-        assert back.diagnostics == traj.diagnostics
-        assert back.h1_max == traj.h1_max
+        assert_same_trajectory(load_trajectory(out), traj)
 
     def test_manifest_keys(self, tmp_path):
+        # each fact once: no horizon, snapshot file name or wall time
         u = SpectralField.from_modes(2, {0: 1.0})
         params = SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2)
         traj = evolve(u, params)
         save_trajectory(traj, tmp_path / "d")
         text = (tmp_path / "d" / "manifest.txt").read_text()
-        for key in ("scheme=", "lambda=", "tau=", "N=", "steps=", "T=",
-                    "mass=", "momentum_imag=", "snapshot_count=",
-                    "diagnostic_count=", "h1_max="):
-            assert key in text
-        assert "wall_ms" not in text
+        assert [ln.split("=", 1)[0] for ln in text.splitlines()] == [
+            "scheme", "lambda", "tau", "N", "steps", "mass", "momentum_imag", "h1_max",
+            "snapshot_count", "snapshot_0_time", "diagnostic_count", "diagnostic_0",
+            "diagnostic_1"]
+        # a row is "j l2 h1 mass_drift momentum_drift"; its time is j * tau
+        row = traj.diagnostics[-1]
+        assert text.splitlines()[-1] == (f"diagnostic_1=2 {row.l2!r} {row.h1!r} "
+                                         f"{row.mass_drift!r} {row.momentum_drift!r}")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValueError):
@@ -676,20 +675,21 @@ class TestTrajectoryDump:
 
     def dump(self, tmp_path):
         u = SpectralField.from_modes(2, {0: 1.0, 1: 0.5j})
-        traj = evolve(u, SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2), diag_stride=1)
+        traj = evolve(u, SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2),
+                      snapshot_times=(0.0, 0.5, 1.0), diag_stride=1)
         save_trajectory(traj, tmp_path / "d")
         return traj, tmp_path / "d" / "manifest.txt"
 
-    def test_old_dump_with_wall_time_loads(self, tmp_path):
-        # dumps once carried a wall_ms= line; an unknown key is ignored
+    def test_unknown_keys_ignored(self, tmp_path):
+        # a horizon, a snapshot file name and a wall time are not in the
+        # format: the loader ignores them and opens no path they name
         traj, manifest = self.dump(tmp_path)
-        manifest.write_text(manifest.read_text() + "wall_ms=12.5\n")
-        back = load_trajectory(manifest.parent)
-        assert (back.params, back.cq, back.h1_max) == (traj.params, traj.cq, traj.h1_max)
-        assert back.snapshot_times == traj.snapshot_times
-        for f, g in zip(back.snapshots, traj.snapshots, strict=True):
-            assert f.coeffs.tobytes() == g.coeffs.tobytes()
-        assert back.diagnostics == traj.diagnostics
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        save_field(SpectralField.zeros(2), elsewhere / "snapshot_0000.txt")
+        manifest.write_text(manifest.read_text() + "T=9\nwall_ms=12.5\n"
+                            "snapshot_1_file=../elsewhere/snapshot_0000.txt\n")
+        assert_same_trajectory(load_trajectory(manifest.parent), traj)
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         traj, manifest = self.dump(tmp_path)
@@ -700,10 +700,24 @@ class TestTrajectoryDump:
         (None, "h1_max", "missing manifest key 'h1_max'"),
         (None, "scheme", "missing manifest key 'scheme'"),
         ("diagnostic_1=1 0.5", "diagnostic_1", "bad manifest entry diagnostic_1='1 0.5': "
-         "expected 6 fields, got 2"),
-        ("diagnostic_0=0 0.0 1 2 3 4 5", "diagnostic_0", "expected 6 fields, got 7"),
-        ("diagnostic_0=0.5 0.0 1 2 3 4", "diagnostic_0", "invalid literal for int"),
+         "expected 5 fields, got 2"),
+        # a row of the older format, which also held the row's time
+        ("diagnostic_0=0 0.0 1 2 3 4", "diagnostic_0", "expected 5 fields, got 6"),
+        ("diagnostic_2=2 7.0 1 2 3 4", "diagnostic_2", "expected 5 fields, got 6"),
+        ("diagnostic_0=0.5 1 2 3 4", "diagnostic_0", "invalid literal for int"),
+        ("diagnostic_0=-1 1 2 3 4", "diagnostic_0", "step must be >= 0, got -1"),
+        (f"diagnostic_1={10 ** 400} 1 2 3 4", "diagnostic_1", "int too large to convert"),
+        ("diagnostic_1=0 1 2 3 4", "diagnostic_1", "step 0 does not come after step 0"),
+        ("diagnostic_count=0", "diagnostic_count",
+         "diagnostic_count='0': the diagnostics do not start at step 0"),
+        ("steps=7", "steps", "bad manifest entry steps='7': the diagnostics end at step 2"),
+        ("N=5", "N", "bad manifest entry N='5': snapshot_0000.txt holds N = 2"),
+        ("snapshot_1_time=0.3", "snapshot_1_time",
+         "bad manifest entry snapshot_1_time='0.3': not on the grid of tau 0.5 within 2 steps"),
+        ("snapshot_2_time=1.5", "snapshot_2_time", "not on the grid of tau 0.5 within 2 steps"),
+        ("snapshot_1_time=0.0", "snapshot_1_time", "step 0 does not come after step 0"),
         ("snapshot_count=x", "snapshot_count", "bad manifest entry snapshot_count='x'"),
+        ("snapshot_count=-1", "snapshot_count", "count must be >= 0, got -1"),
         ("tau=fast", "tau", "bad manifest entry tau='fast'"),
         ("tau=0", "tau", "bad manifest entry tau='0': tau must be a positive finite number"),
         ("lambda=0", "lambda", r"bad manifest entry lambda='0': lam must be -1 or \+1, got 0"),
@@ -712,9 +726,11 @@ class TestTrajectoryDump:
         ("h1_max=1 2", "h1_max", "bad manifest entry h1_max='1 2'"),
         ("scheme=rk4", "scheme", "bad manifest entry scheme='rk4': scheme must be one of"),
         ("just words", None, "malformed manifest line 'just words'"),
-    ], ids=["missing", "no-scheme", "short-row", "long-row", "float-step", "count",
-            "tau", "tau-range", "lambda-range", "N-range", "steps-range", "two-fields",
-            "scheme", "no-equals"])
+    ], ids=["missing", "no-scheme", "short-row", "long-row", "row-with-time",
+            "float-step", "negative-step", "huge-step", "row-order", "no-rows", "steps-of-rows",
+            "N-of-snapshots", "off-grid-time", "time-past-horizon", "time-order", "count",
+            "negative-count", "tau", "tau-range", "lambda-range", "N-range", "steps-range",
+            "two-fields", "scheme", "no-equals"])
     def test_bad_manifest_named(self, tmp_path, line, key, match):
         # one ValueError that names the manifest (and the key): the CLI
         # prints it as its one error: line
@@ -725,6 +741,50 @@ class TestTrajectoryDump:
         with pytest.raises(ValueError, match=match) as info:
             load_trajectory(manifest.parent)
         assert str(info.value).startswith(f"{manifest}: ")
+
+    @pytest.mark.parametrize("rows, match", [
+        (slice(1, None), "diagnostic_0='1 .*': the diagnostics do not start at step 0"),
+        (slice(None, -1), "steps='2': the diagnostics end at step 1"),
+    ], ids=["first-row", "last-row"])
+    def test_rows_of_one_run(self, tmp_path, rows, match):
+        # every run records its steps 0 and steps, so a dump without either
+        # names no run
+        traj, manifest = self.dump(tmp_path)
+        save_trajectory(replace(traj, diagnostics=traj.diagnostics[rows]), manifest.parent)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: .*{match}"):
+            load_trajectory(manifest.parent)
+
+
+def assert_same_trajectory(a, b):
+    """a and b hold the same run and the same numbers, bit for bit."""
+    assert (a.params, a.scheme) == (b.params, b.scheme)
+    assert repr((a.cq, a.snapshot_times, a.diagnostics, a.h1_max)) == \
+        repr((b.cq, b.snapshot_times, b.diagnostics, b.h1_max))
+    assert [f.cutoff for f in a.snapshots] == [f.cutoff for f in b.snapshots]
+    assert [f.coeffs.tobytes() for f in a.snapshots] == [f.coeffs.tobytes() for f in b.snapshots]
+
+
+@st.composite
+def short_runs(draw):
+    """(scheme, initial field, params, snapshot times, diag_stride) of a short
+    run; a snapshot time may sit off its step by less than TIME_RTOL."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    params = SchemeParams(draw(LAMS), draw(st.sampled_from([0.5, 0.25, 0.1, 2.0 ** -3])),
+                          draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    u = random_field(np.random.default_rng(draw(SEEDS)), params.cutoff, 0.3)
+    steps = draw(st.lists(st.integers(0, params.steps), max_size=4))
+    nudge = draw(st.sampled_from([1.0, 1 + 1e-13, 1 - 1e-13]))
+    times = draw(st.none() | st.just([j * params.tau * nudge for j in steps]))
+    return scheme, u, params, times, draw(st.integers(0, 4))
+
+
+@given(run=short_runs())
+def test_dump_round_trip(run):
+    scheme, u, params, times, stride = run
+    traj = solo_run(scheme, u, params, snapshot_times=times, diag_stride=stride)
+    with tempfile.TemporaryDirectory() as d:
+        save_trajectory(traj, d)
+        assert_same_trajectory(load_trajectory(d), traj)
 
 
 def _params(**kw):
