@@ -139,7 +139,7 @@ def _add_output(p: _Parser) -> None:
 def _add_common(p: _Parser, study: bool) -> None:
     """Flags of the run subcommands: the initial-state flags for a single
     run, --jobs for a study."""
-    p.add_argument("--alpha", type=float, default=1.0,
+    p.add_argument("--alpha", type=float, default=1.0 if study else None,
                    help="regularity parameter of the rough initial data (default 1.0)")
     p.add_argument("--lambda", dest="lam", type=int, choices=[-1, 1], default=-1,
                    help="nonlinearity sign: -1 focusing, +1 defocusing (default -1)")
@@ -165,7 +165,7 @@ def _add_common(p: _Parser, study: bool) -> None:
                        help="initial state family (default sobolev)")
         p.add_argument("--amplitude", type=float, default=None,
                        help="initial amplitude (default 0.1 for sobolev, 1.0 otherwise)")
-        p.add_argument("--mode", type=int, default=1,
+        p.add_argument("--mode", type=int, default=None,
                        help="frequency of the plane-wave initial state (default 1)")
 
 
@@ -257,16 +257,21 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 
 def _initial_spec(args) -> InitialDataSpec:
+    """The initial state of solve's flags; --alpha (sobolev) and --mode (plane),
+    None when not given, would do nothing for another --initial: usage errors."""
     kind, amplitude = args.initial, args.amplitude
+    owners = {"alpha": "sobolev", "mode": "plane"}
+    given = {name: getattr(args, name) for name in owners if getattr(args, name) is not None}
+    for name in given:
+        if owners[name] != kind:
+            raise CliError(f"--{name} sets the {owners[name]} initial state, "
+                           f"not --initial {kind}")
     if amplitude is None:
         amplitude = 0.1 if kind == "sobolev" else 1.0
-    if kind == "sobolev":
-        return InitialDataSpec(kind="sobolev", alpha=args.alpha, amplitude=amplitude)
-    if kind == "plane":
-        if abs(args.mode) > args.N:
-            raise CliError(f"--mode {args.mode} lies outside the cutoff |k| <= {args.N}")
-        return InitialDataSpec(kind="plane", amplitude=amplitude, mode=args.mode)
-    return InitialDataSpec(kind="constant", amplitude=amplitude)
+    spec = InitialDataSpec(kind=kind, amplitude=amplitude, **given)
+    if kind == "plane" and abs(spec.mode) > args.N:
+        raise CliError(f"--mode {spec.mode} lies outside the cutoff |k| <= {args.N}")
+    return spec
 
 
 def _check_steps(runs) -> None:

@@ -49,10 +49,8 @@ from .spectral import (
     derivative,
     free_propagator,
     inv_derivative,
-    load_field,
     nonzero_part,
     project,
-    save_field,
     twist_propagator,
     zero_mode,
 )
@@ -597,7 +595,7 @@ def evolve_lockstep(
             return stack.head(rows).apply
     else:
         size = 2 * top + 1
-        stepper = _splitting_stepper(SPLITTINGS[scheme], [rec.params for rec in ranked])
+        stepper = _splitting_stepper(scheme, [rec.params for rec in ranked])
 
     k = np.arange(-top, top + 1, dtype=float)
     w1 = 1.0 + k * k
@@ -626,11 +624,11 @@ def _snapshot_name(i: int) -> str:
 
 
 def save_trajectory(traj: Trajectory, dirpath) -> None:
-    """Write a trajectory dump: one field file per snapshot plus manifest.txt
-    with key=value lines for the run parameters, conserved quantities, the
-    snapshot times and the recorded diagnostics.  Each fact is written once:
-    the horizon, the snapshot file names and the diagnostic times follow from
-    the rest."""
+    """Write a trajectory dump: manifest.txt with key=value lines for the run
+    parameters, conserved quantities, the snapshot times and the recorded
+    diagnostics, plus per snapshot its 2N+1 lines "re im" in ascending k.
+    Each fact is written once: the horizon, the file names, the row times, N
+    and k follow from the rest."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -645,13 +643,43 @@ def save_trajectory(traj: Trajectory, dirpath) -> None:
         f"snapshot_count={len(traj.snapshots)}",
     ]
     for i, (t, f) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
-        save_field(f, d / _snapshot_name(i))
+        pairs = zip(f.coeffs.real.tolist(), f.coeffs.imag.tolist())  # repr round-trips
+        (d / _snapshot_name(i)).write_text("".join(f"{x!r} {y!r}\n" for x, y in pairs))
         lines.append(f"snapshot_{i}_time={t!r}")
     lines.append(f"diagnostic_count={len(traj.diagnostics)}")
     for i, row in enumerate(traj.diagnostics):
         lines.append(f"diagnostic_{i}={row.step_index} {row.l2!r} {row.h1!r} "
                      f"{row.mass_drift!r} {row.momentum_drift!r}")
     (d / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def _fields(text: str, count: int) -> list[str]:
+    fields = text.split()
+    if len(fields) != count:
+        raise ValueError(f"expected {count} fields, got {len(fields)}")
+    return fields
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _load_snapshot(path: Path, cutoff: int) -> SpectralField:
+    """A snapshot file of cutoff N: 2N+1 lines "re im" of finite floats."""
+    lines = path.read_text().splitlines()
+    if len(lines) != 2 * cutoff + 1:
+        raise ValueError(f"{path}: expected {2 * cutoff + 1} lines for the manifest's "
+                         f"N={cutoff}, got {len(lines)}")
+    coeffs = []
+    for n, line in enumerate(lines, start=1):
+        try:
+            coeffs.append(complex(*map(_finite, _fields(line, 2))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
+    return SpectralField(cutoff, np.array(coeffs, dtype=np.complex128))
 
 
 def _manifest_dict(path: Path) -> dict[str, str]:
@@ -670,13 +698,13 @@ def _manifest_dict(path: Path) -> dict[str, str]:
 def load_trajectory(dirpath) -> Trajectory:
     """Read back a dump written by save_trajectory, ignoring unknown keys.
 
-    Snapshot i is read from the dump's own `snapshot_<i:04d>.txt`, and a
-    diagnostic row of step j has the time j * tau.  The dump must name one
-    run: every snapshot holds N, the snapshot times sit on the step grid
-    within the horizon at increasing steps, and the diagnostic steps increase
-    from 0 to steps.  A missing key, an entry with the wrong number of
-    fields, a bad value or an unknown scheme, and a fact that contradicts the
-    run, raise one ValueError naming the manifest and the key."""
+    Snapshot i is read from `snapshot_<i:04d>.txt` at the manifest's N, and a
+    row of step j has the time j * tau.  The dump must name one run: the
+    snapshot times sit on the step grid within the horizon at increasing
+    steps, and the row steps increase from 0 to steps.  A missing key, an
+    entry of the wrong field count, a bad or non-finite value, and a fact that
+    contradicts the run raise one ValueError naming the manifest and the key;
+    a bad snapshot file, one naming the file (and the line)."""
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
@@ -686,7 +714,7 @@ def load_trajectory(dirpath) -> Trajectory:
     def bad(key, why) -> ValueError:
         return ValueError(f"{manifest}: bad manifest entry {key}={kv[key]!r}: {why}")
 
-    def entry(key, parse=float):
+    def entry(key, parse=_finite):
         if key not in kv:
             raise ValueError(f"{manifest}: missing manifest key {key!r}")
         try:
@@ -721,17 +749,13 @@ def load_trajectory(dirpath) -> Trajectory:
                           f"{params.tau!r} within {params.steps} steps"), t
 
     def diagnostic(text):
-        fields = text.split()
-        if len(fields) != 5:
-            raise ValueError(f"expected 5 fields, got {len(fields)}")
-        j = _integer(int(fields[0]), "step", 0)
-        return j, SnapshotDiagnostics(j, j * params.tau, *map(float, fields[1:]))
+        step, *values = _fields(text, 5)
+        j = _integer(int(step), "step", 0)
+        return j, SnapshotDiagnostics(j, j * params.tau, *map(_finite, values))
 
     times = increasing("snapshot_count", "snapshot_{}_time", snapshot_time)
-    snapshots = tuple(load_field(d / _snapshot_name(i)) for i in range(len(times)))
-    for i, f in enumerate(snapshots):
-        if f.cutoff != params.cutoff:
-            raise bad("N", f"{_snapshot_name(i)} holds N = {f.cutoff}")
+    snapshots = tuple(_load_snapshot(d / _snapshot_name(i), params.cutoff)
+                      for i in range(len(times)))
     diagnostics = increasing("diagnostic_count", "diagnostic_{}", diagnostic)
     if not diagnostics or diagnostics[0].step_index != 0:
         raise bad("diagnostic_0" if diagnostics else "diagnostic_count",

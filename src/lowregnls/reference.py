@@ -94,18 +94,26 @@ def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray) -> np.ndarray:
     return _from_grid(g, n) * unchirp
 
 
-def _splitting_stepper(order: int, runs):
-    """stepper(rows): the Lie (order 1) or Strang (order 2) step of the first
-    rows of a stack of runs of one lam and one cutoff, run r on row r.  The
-    free flow's multipliers e^{-i tau k^2}, one row per run, are built once."""
+def _splitting_scheme(order) -> str:
+    """The scheme of SPLITTINGS of a splitting order, which must be 1 or 2."""
+    for scheme, o in SPLITTINGS.items():
+        if o == order:
+            return scheme
+    raise ValueError(f"splitting order must be 1 or 2, got {order}")
+
+
+def _splitting_stepper(scheme: str, runs):
+    """stepper(rows): the Lie or Strang step (scheme of SPLITTINGS) of the
+    first rows of a stack of runs of one lam and one cutoff, run r on row r.
+    The free flow's multipliers e^{-i tau k^2}, one row per run, are built once."""
     lam, n = runs[0].lam, runs[0].cutoff
     taus = np.array([params.tau for params in runs])
     phase = _free_phase(_uncentered(np.arange(-n, n + 1.0)), taus[:, None])
-    times = taus if order == 1 else 0.5 * taus
+    times = taus if scheme == "lie" else 0.5 * taus
 
     def stepper(rows: int):
         drift, t = phase[:rows], times[:rows]
-        if order == 1:
+        if scheme == "lie":
             return lambda c: drift * _nonlinear_flow(c, lam, t)
         return lambda c: _nonlinear_flow(drift * _nonlinear_flow(c, lam, t), lam, t)
 
@@ -114,11 +122,10 @@ def _splitting_stepper(order: int, runs):
 
 def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> SpectralField:
     """One Lie (order 1) or Strang (order 2) splitting step of length tau."""
-    if order not in SPLITTINGS.values():
-        raise ValueError(f"splitting order must be 1 or 2, got {order}")
+    scheme = _splitting_scheme(order)
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
-    out = _splitting_stepper(order, [params])(1)(_uncentered(f.coeffs)[None])
+    out = _splitting_stepper(scheme, [params])(1)(_uncentered(f.coeffs)[None])
     return SpectralField(f.cutoff, _centered(out[0], f.cutoff))
 
 
@@ -133,8 +140,6 @@ def splitting_evolve(
     `evolve`: the one-run case of `evolve_lockstep`."""
     from .integrator import evolve_lockstep  # integrator imports this module
 
-    if order not in SPLITTINGS.values():
-        raise ValueError(f"splitting order must be 1 or 2, got {order}")
-    scheme = next(s for s, o in SPLITTINGS.items() if o == order)
-    [traj] = evolve_lockstep(initial, [params], snapshot_times, diag_stride, scheme=scheme)
+    [traj] = evolve_lockstep(initial, [params], snapshot_times, diag_stride,
+                             scheme=_splitting_scheme(order))
     return traj

@@ -39,8 +39,6 @@ __all__ = [
     "dealiased_product",
     "sobolev_norm",
     "l2_error",
-    "save_field",
-    "load_field",
 ]
 
 
@@ -298,39 +296,3 @@ def l2_error(f: SpectralField, g: SpectralField) -> float:
     """L^2 distance ||f - g||; mismatched cutoffs are aligned by zero extension."""
     return sobolev_norm(f - g, 0.0)
 
-
-def save_field(f: SpectralField, path) -> None:
-    """Write the text form: header line "N <cutoff>", then one line "k re im"
-    per coefficient in ascending k, floats in shortest round-trip form."""
-    lines = [f"N {f.cutoff}"]
-    for k, c in zip(f.frequencies(), f.coeffs):
-        lines.append(f"{int(k)} {float(c.real)!r} {float(c.imag)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_field(path) -> SpectralField:
-    """Read the text form written by save_field."""
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or not raw[0].startswith("N "):
-        raise ValueError(f"{path}: missing 'N <cutoff>' header")
-    try:
-        cutoff = int(raw[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed header {raw[0]!r}") from exc
-    body = raw[1:]
-    if len(body) != 2 * cutoff + 1:
-        raise ValueError(
-            f"{path}: expected {2 * cutoff + 1} coefficient lines, got {len(body)}"
-        )
-    arr = np.empty(2 * cutoff + 1, dtype=np.complex128)
-    for i, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed coefficient line {line!r}")
-        k = int(parts[0])
-        if k != i - cutoff:
-            raise ValueError(f"{path}: expected frequency {i - cutoff}, got {k}")
-        arr[i] = complex(float(parts[1]), float(parts[2]))
-    return SpectralField(cutoff, arr)

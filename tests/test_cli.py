@@ -435,6 +435,25 @@ class TestErrorContract:
                           "--mode", mode], 2, capsys)
         assert "outside the cutoff" in msg
 
+    @pytest.mark.parametrize("extra, config, msg", [
+        (["--mode", "3"], None, "--mode sets the plane initial state, not --initial sobolev"),
+        (["--initial", "constant", "--mode", "0"], None, "not --initial constant"),
+        (["--initial", "constant", "--alpha", "7"], None,
+         "--alpha sets the sobolev initial state, not --initial constant"),
+        (["--initial", "plane", "--alpha", "7"], None, "not --initial plane"),
+        (["--initial", "plane"], "alpha=7\n", "--alpha sets the sobolev initial state"),
+        ([], "mode=3\n", "--mode sets the plane initial state"),
+    ])
+    def test_flag_of_another_initial_state(self, extra, config, msg, tmp_path, capsys):
+        # --alpha shapes only sobolev data and --mode only a plane wave: for
+        # another --initial either would do nothing, so it is a usage error,
+        # also where a config file sets it
+        argv = ["solve", "--tau", "2^-3", "--N", "8", *extra]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert msg in self.check(argv, 2, capsys)
+
     def test_step_bound_is_inclusive(self):
         def run(steps):
             return SchemeParams(lam=-1, tau=2.0 ** -20, cutoff=8, steps=steps)
@@ -482,7 +501,10 @@ class TestErrorContract:
                  for ln in manifest.read_text().splitlines()]
         manifest.write_text("\n".join(lines) + "\n")
         msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
-        assert msg.startswith(f"error: {manifest}: ")
+        # the file at fault: the manifest, or the first snapshot, which holds
+        # too few lines for N=5
+        at_fault = dump / "snapshot_0000.txt" if edit == "N=5" else manifest
+        assert msg.startswith(f"error: {at_fault}: ")
         assert repr(key) in msg or f"{key}=" in msg
 
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
@@ -617,22 +639,24 @@ def real_dump(tmp_path_factory):
 
 # a number token: not inside a key such as snapshot_0_time or h1_max
 NUMBER = re.compile(r"(?<![\w.+-])-?\d[\w.+-]*")
-# the lines that carry an N, a step count, a time or a row's step
-EDITABLE = re.compile(r"N[ =]|steps=|snapshot_\d+_time=|diagnostic_\d+=")
+# the manifest lines that carry an N, a step count, a time or a row's step
+EDITABLE = re.compile(r"N=|steps=|snapshot_\d+_time=|diagnostic_\d+=")
 
 
 @st.composite
 def corrupted(draw, files):
-    """files with one line of one file deleted, duplicated, truncated, one of
-    its numbers made non-finite or overflowing, or its N, step count, time or
-    row step changed; or one file emptied or removed (text None)."""
-    name = draw(st.sampled_from(sorted(files)))
-    lines = files[name].splitlines()
+    """(kind, files): files with one line of one file deleted, duplicated,
+    truncated, one of its numbers made non-finite or overflowing, or the
+    manifest's N, step count, time or row step changed; or one file emptied
+    or removed (text None)."""
     kind = draw(st.sampled_from(["delete", "duplicate", "truncate", "number", "edit",
                                  "empty", "remove"]))
-    if kind in ("empty", "remove"):
-        return {**files, name: "" if kind == "empty" else None}
     fits = {"number": NUMBER.search, "edit": EDITABLE.match}.get(kind, bool)
+    name = draw(st.sampled_from(sorted(name for name, text in files.items()
+                                       if any(map(fits, text.splitlines())))))
+    if kind in ("empty", "remove"):
+        return kind, {**files, name: "" if kind == "empty" else None}
+    lines = files[name].splitlines()
     i = draw(st.sampled_from([k for k, ln in enumerate(lines) if fits(ln)]))
     line = lines[i]
     if kind == "delete":
@@ -647,7 +671,7 @@ def corrupted(draw, files):
         values = (["nan", "inf", "-inf", "1e400"] if kind == "number"
                   else ["0", "1", "3", "5", "7", "-1", "0.3", "0.25", "0.375", "2"])
         lines[i] = line[:a] + draw(st.sampled_from(values)) + line[b:]
-    return {**files, name: "\n".join(lines) + "\n"}
+    return kind, {**files, name: "\n".join(lines) + "\n"}
 
 
 def rows_csv(manifest: str) -> str:
@@ -677,7 +701,7 @@ class TestDiagnosticsOnCorruptDumps:
 
     @given(data=st.data())
     def test_any_one_line_corruption(self, real_dump, data):
-        files = data.draw(corrupted(real_dump), label="files")
+        kind, files = data.draw(corrupted(real_dump), label="files")
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as d:
             for name, text in files.items():
@@ -688,6 +712,8 @@ class TestDiagnosticsOnCorruptDumps:
                 warnings.simplefilter("error")
                 rc = main(["diagnostics", "--in", d])
         if rc == 0:
+            # every number of a dump is finite, so a non-finite one is an error
+            assert kind != "number"
             assert err.getvalue() == ""
             assert out.getvalue() == rows_csv(files["manifest.txt"])
         else:
@@ -695,6 +721,27 @@ class TestDiagnosticsOnCorruptDumps:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "Traceback" not in err.getvalue()
+
+
+    @pytest.mark.parametrize("name, edit", [
+        ("snapshot_0001.txt", lambda text: "nan" + text[text.index(" "):]),
+        ("manifest.txt", lambda text: re.sub(r"(?m)^h1_max=.*$", "h1_max=nan", text)),
+        ("manifest.txt", lambda text: re.sub(r"(?m)^mass=.*$", "mass=inf", text)),
+        ("manifest.txt", lambda text: re.sub(r"(?m)^(diagnostic_2=\S+) \S+", r"\1 nan", text)),
+        ("snapshot_0001.txt", lambda text: text.split("\n", 1)[1]),
+        ("snapshot_0001.txt", lambda text: text + text.split("\n", 1)[0] + "\n"),
+        ("snapshot_0001.txt", lambda text: text.replace("\n", " 0.0\n", 1)),
+    ], ids=["nan-coefficient", "h1_max-nan", "mass-inf", "row-nan", "missing-line",
+            "extra-line", "three-fields"])
+    def test_bad_number_or_line_exits_1(self, real_dump, tmp_path, name, edit, capsys):
+        for n, text in real_dump.items():
+            (tmp_path / n).write_text(edit(text) if n == name else text)
+        assert (tmp_path / name).read_text() != real_dump[name]
+        assert main(["diagnostics", "--in", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
 
 
 HELP_CASES = [

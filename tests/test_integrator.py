@@ -50,7 +50,6 @@ from lowregnls.spectral import (
     l2_error,
     nonzero_part,
     project,
-    save_field,
     sobolev_norm,
     twist_propagator,
     zero_mode,
@@ -686,7 +685,7 @@ class TestTrajectoryDump:
         traj, manifest = self.dump(tmp_path)
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
-        save_field(SpectralField.zeros(2), elsewhere / "snapshot_0000.txt")
+        (elsewhere / "snapshot_0000.txt").write_text("0.0 0.0\n" * 5)
         manifest.write_text(manifest.read_text() + "T=9\nwall_ms=12.5\n"
                             "snapshot_1_file=../elsewhere/snapshot_0000.txt\n")
         assert_same_trajectory(load_trajectory(manifest.parent), traj)
@@ -711,7 +710,7 @@ class TestTrajectoryDump:
         ("diagnostic_count=0", "diagnostic_count",
          "diagnostic_count='0': the diagnostics do not start at step 0"),
         ("steps=7", "steps", "bad manifest entry steps='7': the diagnostics end at step 2"),
-        ("N=5", "N", "bad manifest entry N='5': snapshot_0000.txt holds N = 2"),
+        ("N=5", "N", "snapshot_0000.txt: expected 11 lines for the manifest's N=5, got 5$"),
         ("snapshot_1_time=0.3", "snapshot_1_time",
          "bad manifest entry snapshot_1_time='0.3': not on the grid of tau 0.5 within 2 steps"),
         ("snapshot_2_time=1.5", "snapshot_2_time", "not on the grid of tau 0.5 within 2 steps"),
@@ -724,23 +723,33 @@ class TestTrajectoryDump:
         ("N=-1", "N", "bad manifest entry N='-1': cutoff must be >= 0, got -1"),
         ("steps=-1", "steps", "bad manifest entry steps='-1': steps must be >= 0, got -1"),
         ("h1_max=1 2", "h1_max", "bad manifest entry h1_max='1 2'"),
+        ("h1_max=nan", "h1_max", "bad manifest entry h1_max='nan': 'nan' is not a finite number"),
+        ("mass=inf", "mass", "bad manifest entry mass='inf': 'inf' is not a finite number"),
+        ("momentum_imag=-inf", "momentum_imag", "momentum_imag='-inf': '-inf' is not a finite"),
+        ("diagnostic_2=2 nan 1 2 3", "diagnostic_2", "diagnostic_2='2 nan 1 2 3': 'nan' is not"),
+        ("diagnostic_1=1 1 inf 2 3", "diagnostic_1", "diagnostic_1='1 1 inf 2 3': 'inf' is not"),
+        ("diagnostic_0=0 1 2 1e400 3", "diagnostic_0", "'1e400' is not a finite number"),
+        ("diagnostic_2=2 1 2 3 -inf", "diagnostic_2", "'-inf' is not a finite number"),
         ("scheme=rk4", "scheme", "bad manifest entry scheme='rk4': scheme must be one of"),
         ("just words", None, "malformed manifest line 'just words'"),
     ], ids=["missing", "no-scheme", "short-row", "long-row", "row-with-time",
             "float-step", "negative-step", "huge-step", "row-order", "no-rows", "steps-of-rows",
             "N-of-snapshots", "off-grid-time", "time-past-horizon", "time-order", "count",
             "negative-count", "tau", "tau-range", "lambda-range", "N-range", "steps-range",
-            "two-fields", "scheme", "no-equals"])
+            "two-fields", "h1_max-nan", "mass-inf", "momentum-inf", "row-l2-nan", "row-h1-inf",
+            "row-mass-drift-huge", "row-momentum-drift-inf", "scheme", "no-equals"])
     def test_bad_manifest_named(self, tmp_path, line, key, match):
-        # one ValueError that names the manifest (and the key): the CLI
-        # prints it as its one error: line
+        # one ValueError that names the manifest (and the key), or, where the
+        # manifest's N does not fit the snapshots, the first snapshot file:
+        # the CLI prints it as its one error: line
         _, manifest = self.dump(tmp_path)
         lines = [ln for ln in manifest.read_text().splitlines()
                  if key is None or not ln.startswith(key + "=")]
         manifest.write_text("\n".join(lines + ([line] if line else [])) + "\n")
         with pytest.raises(ValueError, match=match) as info:
             load_trajectory(manifest.parent)
-        assert str(info.value).startswith(f"{manifest}: ")
+        at_fault = manifest.with_name("snapshot_0000.txt") if line == "N=5" else manifest
+        assert str(info.value).startswith(f"{at_fault}: ")
 
     @pytest.mark.parametrize("rows, match", [
         (slice(1, None), "diagnostic_0='1 .*': the diagnostics do not start at step 0"),
@@ -752,6 +761,57 @@ class TestTrajectoryDump:
         traj, manifest = self.dump(tmp_path)
         save_trajectory(replace(traj, diagnostics=traj.diagnostics[rows]), manifest.parent)
         with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: .*{match}"):
+            load_trajectory(manifest.parent)
+
+    def with_snapshots(self, traj, coeffs):
+        """traj with every snapshot holding coeffs, at their cutoff."""
+        f = SpectralField((len(coeffs) - 1) // 2, np.array(coeffs, dtype=np.complex128))
+        return replace(traj, params=replace(traj.params, cutoff=f.cutoff),
+                       snapshots=(f,) * len(traj.snapshots))
+
+    @given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=41).filter(lambda c: len(c) % 2 == 1))
+    @example([complex(-0.0, -0.0)])
+    @example([complex(5e-324, -1.7976931348623157e308), complex(-0.0, 2.2250738585072014e-308),
+              complex(1.7976931348623157e308, -5e-324)])
+    def test_snapshot_round_trip_bit_exact(self, tmp_path_factory, coeffs):
+        traj, manifest = self.dump(tmp_path_factory.mktemp("dump"))
+        traj = self.with_snapshots(traj, coeffs)
+        save_trajectory(traj, manifest.parent)
+        # bit patterns, so that -0.0 and 0.0 count as different
+        assert_same_trajectory(load_trajectory(manifest.parent), traj)
+
+    def test_snapshot_text(self, tmp_path):
+        # 2N+1 lines "re im" in ascending k, each value the repr of a float;
+        # N is the manifest's, and k follows from the line
+        traj, manifest = self.dump(tmp_path)
+        coeffs = [complex(-0.0, 0.0), complex(1e-300, -2.5), complex(0.5, 5e-324)]
+        save_trajectory(self.with_snapshots(traj, coeffs), manifest.parent)
+        assert (manifest.parent / "snapshot_0001.txt").read_text() == \
+            "-0.0 0.0\n1e-300 -2.5\n0.5 5e-324\n"
+        assert "N=1\n" in manifest.read_text()
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "expected 5 lines for the manifest's N=2, got 0$"),
+        ("0.0 0.0\n" * 4, "expected 5 lines for the manifest's N=2, got 4$"),
+        ("0.0 0.0\n" * 6, "expected 5 lines for the manifest's N=2, got 6$"),
+        # the older format: a header "N 2", then lines "k re im"
+        ("N 2\n" + "".join(f"{k} 0.0 0.0\n" for k in range(-2, 3)),
+         "expected 5 lines for the manifest's N=2, got 6$"),
+        ("0.0 0.0\n0.0\n0.0 0.0\n0.0 0.0\n0.0 0.0\n", "line 2: expected 2 fields, got 1$"),
+        ("0.0 0.0\n" * 2 + "0 0.0 0.0\n" + "0.0 0.0\n" * 2, "line 3: expected 2 fields, got 3$"),
+        ("0.0 0.0\n" * 4 + "0.0 x\n", "line 5: could not convert string to float: 'x'$"),
+        ("nan 0.0\n" + "0.0 0.0\n" * 4, "line 1: 'nan' is not a finite number$"),
+        ("0.0 0.0\n0.0 inf\n" + "0.0 0.0\n" * 3, "line 2: 'inf' is not a finite number$"),
+        ("0.0 0.0\n" * 4 + "-1e400 0.0\n", "line 5: '-1e400' is not a finite number$"),
+    ], ids=["empty", "short", "long", "old-format", "one-field", "three-fields", "non-float",
+            "nan", "inf", "overflow"])
+    def test_bad_snapshot_named(self, tmp_path, text, match):
+        # one ValueError that names the snapshot file, and the line if one is bad
+        _, manifest = self.dump(tmp_path)
+        path = manifest.with_name("snapshot_0001.txt")
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}"):
             load_trajectory(manifest.parent)
 
 

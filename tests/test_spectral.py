@@ -1,4 +1,4 @@
-"""Field operator checks: algebra, unitarity, dealiasing, serialization."""
+"""Field operator checks: algebra, unitarity, dealiasing."""
 
 import math
 
@@ -21,10 +21,8 @@ from lowregnls.spectral import (
     free_propagator,
     inv_derivative,
     l2_error,
-    load_field,
     nonzero_part,
     project,
-    save_field,
     sobolev_norm,
     twist_propagator,
     zero_mode,
@@ -387,53 +385,3 @@ class TestNorms:
         g = SpectralField.from_modes(3, {2: 1.0})
         assert math.isclose(sobolev_norm(f, 1.5), sobolev_norm(g, 1.5), rel_tol=1e-15)
 
-
-class TestSerialization:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(10)
-        f = random_field(rng, 9, scale=1e-5)
-        path = tmp_path / "field.txt"
-        save_field(f, path)
-        g = load_field(path)
-        assert g.cutoff == f.cutoff
-        assert np.array_equal(g.coeffs, f.coeffs)
-
-    @given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=41).filter(lambda c: len(c) % 2 == 1))
-    @example([complex(-0.0, -0.0)])
-    @example([complex(5e-324, -1.7976931348623157e308), complex(-0.0, 2.2250738585072014e-308),
-              complex(1e-300, -1e300)])
-    def test_roundtrip_bit_exact_property(self, tmp_path_factory, coeffs):
-        f = SpectralField((len(coeffs) - 1) // 2, np.array(coeffs))
-        path = tmp_path_factory.mktemp("field") / "field.txt"
-        save_field(f, path)
-        g = load_field(path)
-        assert g.cutoff == f.cutoff
-        # bit patterns, so that -0.0 and 0.0 count as different
-        assert g.coeffs.tobytes() == f.coeffs.tobytes()
-
-    def test_format_shape(self, tmp_path):
-        f = SpectralField.from_modes(1, {1: 0.5})
-        path = tmp_path / "f.txt"
-        save_field(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "N 1"
-        assert lines[1].split() == ["-1", "0.0", "0.0"]
-        assert lines[3].split() == ["1", "0.5", "0.0"]
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "M 3\n",
-            "N notanint\n",
-            "N 1\n-1 0.0 0.0\n0 0.0 0.0\n",           # wrong line count
-            "N 1\n-1 0.0 0.0\n0 0.0 0.0\n2 0.0 0.0\n",  # wrong frequency
-            "N 1\n-1 0.0 0.0\n0 0.0\n1 0.0 0.0\n",      # malformed line
-        ],
-    )
-    def test_malformed_rejected(self, tmp_path, text):
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            load_field(path)
