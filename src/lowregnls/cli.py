@@ -181,7 +181,7 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser(
         "solve", help="run one trajectory and optionally write a dump",
         description="Run one trajectory and print final norms; with --out, "
-                    "write a trajectory dump (snapshots plus manifest).",
+                    "write a trajectory dump (initial and final states plus manifest).",
     )
     p_solve.add_argument("--tau", type=parse_time, required=True,
                          help="time step; accepts the shorthand 2^-k")
@@ -298,7 +298,7 @@ def _cmd_solve(args) -> int:
     # keep stderr to the single error: line even when a run blows up
     with np.errstate(all="ignore"):
         start = time.perf_counter()
-        traj = run(u0, params, snapshot_times=(0.0, args.T), diag_stride=args.diag_stride)
+        traj = run(u0, params, diag_stride=args.diag_stride)
         wall_ms = (time.perf_counter() - start) * 1e3
     last = traj.diagnostics[-1]
     print(f"scheme={traj.scheme} lambda={params.lam} N={params.cutoff} "

@@ -39,7 +39,6 @@ from .spectral import (
     _free_phase,
     _integer,
     _inv_ik,
-    _momentum_imag,
     _pow2_grid_size,
     _standard,
     _twist_phase,
@@ -52,7 +51,6 @@ from .spectral import (
     nonzero_part,
     project,
     twist_propagator,
-    zero_mode,
 )
 
 __all__ = [
@@ -74,7 +72,7 @@ __all__ = [
 INIT_MODES = ("truncated", "sampled")
 SCHEMES = ("lowreg", *SPLITTINGS)
 
-# relative tolerance, against max(|t|, 1), for a time to sit on the step grid
+# relative tolerance, against max(T, 1), for a horizon T to sit on the step grid
 TIME_RTOL = 1e-12
 
 
@@ -96,14 +94,6 @@ class BlowUpError(RuntimeError):
     def __reduce__(self):
         # rebuilt from its fields, so that it crosses a process boundary
         return type(self), (self.step_index, self.time, self.tau, self.last_h1)
-
-
-def _grid_step(t: float, tau: float, most: float, error: str) -> int:
-    """The step j in [0, most] of the tau grid that t sits on, else ValueError(error)."""
-    j = round(t / tau) if math.isfinite(t / tau) else -1
-    if not 0 <= j <= most or abs(j * tau - t) > TIME_RTOL * max(abs(t), 1.0):
-        raise ValueError(error)
-    return j
 
 
 def _scheme(name) -> str:
@@ -154,19 +144,20 @@ class SchemeParams:
             raise ValueError(f"horizon must be >= 0, got {horizon!r}")
         if not math.isfinite(horizon / params.tau):
             raise ValueError(f"horizon {horizon!r} over tau {tau!r} overflows the step count")
-        steps = _grid_step(horizon, params.tau, math.inf,
-                           f"horizon {horizon!r} is not an integer multiple of tau {tau!r}")
+        steps = round(horizon / params.tau)
+        if abs(steps * params.tau - horizon) > TIME_RTOL * max(horizon, 1.0):
+            raise ValueError(f"horizon {horizon!r} is not an integer multiple of tau {tau!r}")
         return replace(params, steps=steps)
 
 
 @dataclass(frozen=True)
 class ConservedQuantities:
-    """Mean mass Pi_0 |u|^2 (real) and mean momentum Pi_0 (u d_x conj(u))
-    (purely imaginary) of the initial state; both are conserved by NLS and
-    frozen into the scheme's phase multiplier."""
+    """Mean mass Pi_0 |u|^2 and the imaginary part of the mean momentum
+    Pi_0 (u d_x conj(u)), which is purely imaginary, of the initial state;
+    both are conserved by NLS and frozen into the scheme's phase multiplier."""
 
     mass: float
-    momentum: complex
+    momentum_imag: float
 
 
 def conserved_quantities(f: SpectralField) -> ConservedQuantities:
@@ -174,7 +165,7 @@ def conserved_quantities(f: SpectralField) -> ConservedQuantities:
     p = np.abs(f.coeffs) ** 2
     mass = float(np.sum(p))
     mom = -float(np.sum(f.frequencies() * p))
-    return ConservedQuantities(mass=mass, momentum=complex(0.0, mom))
+    return ConservedQuantities(mass=mass, momentum_imag=mom)
 
 
 def initialize(
@@ -359,7 +350,7 @@ def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, m: in
 
 
 def _plan_for(params: SchemeParams, cq: ConservedQuantities, m: int) -> _StepPlan:
-    return _plan(params.lam, params.tau, params.cutoff, cq.mass, _momentum_imag(cq.momentum), m)
+    return _plan(params.lam, params.tau, params.cutoff, cq.mass, cq.momentum_imag, m)
 
 
 def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> SpectralField:
@@ -386,7 +377,7 @@ def step_twisted(
     lam, tau = params.lam, params.tau
     tn = step_index * tau
     tnp = tn + tau
-    mass, momentum = cq.mass, cq.momentum
+    mass, momentum_imag = cq.mass, cq.momentum_imag
 
     v = f
     vb = conjugate(v)
@@ -395,13 +386,13 @@ def step_twisted(
     unb = free_propagator(vb, -tn)
     unpb = free_propagator(vb, -tnp)
     dvb_n = free_propagator(derivative(vb), -tn)
-    c0 = zero_mode(v)
+    c0 = v.coefficient(0)
     pn = dealiased_product
     di = inv_derivative
 
     # phase multiplier carrying mass, momentum (no k^2 part), plus its
     # zero-mode completion
-    out = free_propagator(twist_propagator(v, tau, lam, mass, momentum), -tau)
+    out = free_propagator(twist_propagator(v, tau, lam, mass, momentum_imag), -tau)
     mean2 = (1.0 - np.exp(-2j * lam * tau * mass)) * c0
     abs2 = pn(un, unb)
     mean3 = (-1j * lam * tau) * np.dot(abs2.coeffs, un.coeffs[::-1])
@@ -441,38 +432,27 @@ class SnapshotDiagnostics:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Result of one run: snapshots at requested times plus diagnostics."""
+    """Result of one run: its initial state, its state at step params.steps,
+    and diagnostics."""
 
     params: SchemeParams
     cq: ConservedQuantities
     scheme: str
-    snapshot_times: tuple[float, ...]
-    snapshots: tuple[SpectralField, ...]
+    initial: SpectralField
+    final: SpectralField
     diagnostics: tuple[SnapshotDiagnostics, ...]
     h1_max: float
-
-    @property
-    def final(self) -> SpectralField:
-        if not self.snapshots:
-            raise ValueError("trajectory recorded no snapshots")
-        return self.snapshots[-1]
 
 
 class _Record:
     """What one run of `evolve_lockstep` records: its start and its conserved
-    quantities, the steps of its snapshots (each with the least time requested
-    on it), its diagnostics, running H^1 maximum and blow-up check."""
+    quantities, its final state, its diagnostics, running H^1 maximum and
+    blow-up check."""
 
-    def __init__(self, r, initial, params, snapshot_times, diag_stride):
+    def __init__(self, initial, params, diag_stride):
         self.initial, self.params, self.stride = initial, params, diag_stride
         self.cq = conserved_quantities(initial)
-        self.wants: dict[int, float] = {}
-        for t in (params.horizon,) if snapshot_times is None else snapshot_times:
-            t = float(t)
-            j = _grid_step(t, params.tau, params.steps, f"run {r} (tau = {params.tau!r}): "
-                           f"snapshot time {t!r} is not a step multiple within the horizon")
-            self.wants[j] = min(self.wants.get(j, t), t)
-        self.snapshots: list[SpectralField] = []
+        self.final: SpectralField | None = None
         self.diagnostics: list[SnapshotDiagnostics] = []
         self.h1_max, self.last_h1 = 0.0, math.nan
 
@@ -487,54 +467,42 @@ class _Record:
         if math.isfinite(h1):
             self.last_h1 = h1
         self.h1_max = max(self.h1_max, h1)
-        # every snapshot step is a diagnostic step
-        if j in self.wants or j == params.steps or j == 0 or (
-            self.stride > 0 and j % self.stride == 0
-        ):
+        if j == params.steps or j == 0 or (self.stride > 0 and j % self.stride == 0):
             f = SpectralField(params.cutoff, _centered(row, params.cutoff))
-            if j in self.wants:
-                self.snapshots.append(f)
+            if j == params.steps:
+                self.final = f
             now = conserved_quantities(f)
             self.diagnostics.append(SnapshotDiagnostics(
                 step_index=j, time=j * params.tau, l2=math.sqrt(2.0 * math.pi * now.mass),
                 h1=h1, mass_drift=abs(now.mass - self.cq.mass),
-                momentum_drift=abs(now.momentum - self.cq.momentum),
+                momentum_drift=abs(now.momentum_imag - self.cq.momentum_imag),
             ))
 
     def trajectory(self, scheme: str) -> Trajectory:
         return Trajectory(
-            params=self.params, cq=self.cq, scheme=scheme,
-            snapshot_times=tuple(self.wants[j] for j in sorted(self.wants)),
-            snapshots=tuple(self.snapshots), diagnostics=tuple(self.diagnostics),
-            h1_max=self.h1_max,
+            params=self.params, cq=self.cq, scheme=scheme, initial=self.initial,
+            final=self.final, diagnostics=tuple(self.diagnostics), h1_max=self.h1_max,
         )
 
 
-def evolve(
-    initial: SpectralField,
-    params: SchemeParams,
-    snapshot_times=None,
-    diag_stride: int = 0,
-) -> Trajectory:
+def evolve(initial: SpectralField, params: SchemeParams, diag_stride: int = 0) -> Trajectory:
     """Run the low-regularity scheme for params.steps steps.
 
-    Snapshots (full fields) are stored at the requested times, which must lie
-    on the step grid; the default is the final time only.  Lightweight norm
-    diagnostics are recorded at every snapshot, at steps 0 and L, and at every
-    diag_stride-th step when diag_stride > 0.  The running H^1 maximum over
-    every step is always tracked; drifts are from the initial field's
-    conserved quantities.  Raises ValueError if the initial coefficients are
+    The trajectory holds `initial` itself, uncopied, and the state at step
+    L = params.steps.  Lightweight norm diagnostics are recorded at steps 0
+    and L, and at every diag_stride-th step when diag_stride > 0.  The
+    running H^1 maximum over every step is always tracked; drifts are from
+    the initial field's conserved quantities.  Raises ValueError if the initial coefficients are
     not finite, and BlowUpError, naming the step, the tau and the last finite
     H^1, if the state's H^1 norm leaves floating point range.
     """
-    [traj] = evolve_lockstep(initial, [params], snapshot_times, diag_stride)
+    [traj] = evolve_lockstep(initial, [params], diag_stride)
     return traj
 
 
 def evolve_lockstep(
     initial,
     runs,
-    snapshot_times=None,
     diag_stride: int = 0,
     scheme: str = "lowreg",
 ) -> list[Trajectory]:
@@ -547,10 +515,10 @@ def evolve_lockstep(
     for every scheme: on the product grid of the largest cutoff N for the
     low-regularity step (see `_StepPlan`), on 2N+1 points for splitting
     runs, which share one cutoff (see `reference`).  Only H^1 norms,
-    snapshots and diagnostics are centered.  The runs step in descending
+    final states and diagnostics are centered.  The runs step in descending
     order of step count, and a run that reaches its step count leaves the
     stack by a prefix slice; the driver only steps and hands each live row
-    and its H^1 norm to the run's `_Record`, which keeps its snapshots,
+    and its H^1 norm to the run's `_Record`, which keeps its final state,
     diagnostics and blow-up check.  Each trajectory is that of the run's own
     `evolve` or `splitting_evolve`, bitwise when every run has the largest
     cutoff, to round-off otherwise, and a function of its inputs alone.  A
@@ -579,10 +547,7 @@ def evolve_lockstep(
         if not np.all(np.isfinite(field.coeffs)):
             raise ValueError(f"run {r} (tau = {params.tau!r}): initial coefficients "
                              "must be finite")
-    if snapshot_times is not None:
-        snapshot_times = tuple(snapshot_times)  # read once: it may be one-pass
-    records = [_Record(r, field, params, snapshot_times, diag_stride)
-               for r, (field, params) in enumerate(zip(initials, runs))]
+    records = [_Record(field, params, diag_stride) for field, params in zip(initials, runs)]
     # longest run first, so that runs leave the stack by a prefix slice
     ranked = sorted(records, key=lambda rec: -rec.params.steps)
     # stepper(rows): the one-step map of the stack's first rows, of `size` points
@@ -618,19 +583,17 @@ def evolve_lockstep(
     return [rec.trajectory(scheme) for rec in records]
 
 
-def _snapshot_name(i: int) -> str:
-    """The file of snapshot i in a dump; the one naming rule of both sides."""
-    return f"snapshot_{i:04d}.txt"
-
-
 def save_trajectory(traj: Trajectory, dirpath) -> None:
     """Write a trajectory dump: manifest.txt with key=value lines for the run
-    parameters, conserved quantities, the snapshot times and the recorded
-    diagnostics, plus per snapshot its 2N+1 lines "re im" in ascending k.
-    Each fact is written once: the horizon, the file names, the row times, N
+    parameters, conserved quantities and the recorded diagnostics, plus
+    initial.txt and final.txt, each the state's 2N+1 lines "re im" in
+    ascending k.  Each fact is written once: the horizon, the row times, N
     and k follow from the rest."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    for name, f in (("initial", traj.initial), ("final", traj.final)):
+        pairs = zip(f.coeffs.real.tolist(), f.coeffs.imag.tolist())  # repr round-trips
+        (d / f"{name}.txt").write_text("".join(f"{x!r} {y!r}\n" for x, y in pairs))
     lines = [
         f"scheme={traj.scheme}",
         f"lambda={traj.params.lam}",
@@ -638,15 +601,10 @@ def save_trajectory(traj: Trajectory, dirpath) -> None:
         f"N={traj.params.cutoff}",
         f"steps={traj.params.steps}",
         f"mass={traj.cq.mass!r}",
-        f"momentum_imag={traj.cq.momentum.imag!r}",
+        f"momentum_imag={traj.cq.momentum_imag!r}",
         f"h1_max={traj.h1_max!r}",
-        f"snapshot_count={len(traj.snapshots)}",
+        f"diagnostic_count={len(traj.diagnostics)}",
     ]
-    for i, (t, f) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
-        pairs = zip(f.coeffs.real.tolist(), f.coeffs.imag.tolist())  # repr round-trips
-        (d / _snapshot_name(i)).write_text("".join(f"{x!r} {y!r}\n" for x, y in pairs))
-        lines.append(f"snapshot_{i}_time={t!r}")
-    lines.append(f"diagnostic_count={len(traj.diagnostics)}")
     for i, row in enumerate(traj.diagnostics):
         lines.append(f"diagnostic_{i}={row.step_index} {row.l2!r} {row.h1!r} "
                      f"{row.mass_drift!r} {row.momentum_drift!r}")
@@ -667,8 +625,8 @@ def _finite(text: str) -> float:
     return value
 
 
-def _load_snapshot(path: Path, cutoff: int) -> SpectralField:
-    """A snapshot file of cutoff N: 2N+1 lines "re im" of finite floats."""
+def _load_state(path: Path, cutoff: int) -> SpectralField:
+    """A state file of cutoff N: 2N+1 lines "re im" of finite floats."""
     lines = path.read_text().splitlines()
     if len(lines) != 2 * cutoff + 1:
         raise ValueError(f"{path}: expected {2 * cutoff + 1} lines for the manifest's "
@@ -698,13 +656,13 @@ def _manifest_dict(path: Path) -> dict[str, str]:
 def load_trajectory(dirpath) -> Trajectory:
     """Read back a dump written by save_trajectory, ignoring unknown keys.
 
-    Snapshot i is read from `snapshot_<i:04d>.txt` at the manifest's N, and a
-    row of step j has the time j * tau.  The dump must name one run: the
-    snapshot times sit on the step grid within the horizon at increasing
-    steps, and the row steps increase from 0 to steps.  A missing key, an
-    entry of the wrong field count, a bad or non-finite value, and a fact that
-    contradicts the run raise one ValueError naming the manifest and the key;
-    a bad snapshot file, one naming the file (and the line)."""
+    The initial and final states are read from `initial.txt` and `final.txt`
+    at the manifest's N, and a row of step j has the time j * tau.  The dump
+    must name one run: the row steps increase from 0 to steps.  A missing
+    key, an entry of the wrong field count, a bad or non-finite value, and a
+    fact that contradicts the run raise one ValueError naming the manifest
+    and the key; a bad state file, one naming the file (and the line); a
+    missing one, OSError."""
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
@@ -730,33 +688,21 @@ def load_trajectory(dirpath) -> Trajectory:
     params = SchemeParams(param("lambda", "lam", int), param("tau", "tau", float),
                           param("N", "cutoff", int), param("steps", "steps", int))
 
-    def increasing(count_key, key_form, parse):
-        """The entries key_form.format(i) for i below the count_key entry,
-        each parsed to (step, value) and of a later step than the one before."""
-        values, after = [], -1
-        for i in range(entry(count_key, lambda text: _integer(int(text), "count", 0))):
-            key = key_form.format(i)
-            j, value = entry(key, parse)
-            if j <= after:
-                raise bad(key, f"step {j} does not come after step {after}")
-            values.append(value)
-            after = j
-        return tuple(values)
-
-    def snapshot_time(text):
-        t = float(text)
-        return _grid_step(t, params.tau, params.steps, f"not on the grid of tau "
-                          f"{params.tau!r} within {params.steps} steps"), t
-
     def diagnostic(text):
         step, *values = _fields(text, 5)
         j = _integer(int(step), "step", 0)
-        return j, SnapshotDiagnostics(j, j * params.tau, *map(_finite, values))
+        return SnapshotDiagnostics(j, j * params.tau, *map(_finite, values))
 
-    times = increasing("snapshot_count", "snapshot_{}_time", snapshot_time)
-    snapshots = tuple(_load_snapshot(d / _snapshot_name(i), params.cutoff)
-                      for i in range(len(times)))
-    diagnostics = increasing("diagnostic_count", "diagnostic_{}", diagnostic)
+    initial, final = (_load_state(d / f"{name}.txt", params.cutoff)
+                      for name in ("initial", "final"))
+    diagnostics = []
+    for i in range(entry("diagnostic_count", lambda text: _integer(int(text), "count", 0))):
+        key = f"diagnostic_{i}"
+        row = entry(key, diagnostic)
+        if diagnostics and row.step_index <= diagnostics[-1].step_index:
+            raise bad(key, f"step {row.step_index} does not come after "
+                           f"step {diagnostics[-1].step_index}")
+        diagnostics.append(row)
     if not diagnostics or diagnostics[0].step_index != 0:
         raise bad("diagnostic_0" if diagnostics else "diagnostic_count",
                   "the diagnostics do not start at step 0")
@@ -764,10 +710,10 @@ def load_trajectory(dirpath) -> Trajectory:
         raise bad("steps", f"the diagnostics end at step {diagnostics[-1].step_index}")
     return Trajectory(
         params=params,
-        cq=ConservedQuantities(mass=entry("mass"), momentum=complex(0.0, entry("momentum_imag"))),
+        cq=ConservedQuantities(mass=entry("mass"), momentum_imag=entry("momentum_imag")),
         scheme=entry("scheme", _scheme),
-        snapshot_times=times,
-        snapshots=snapshots,
-        diagnostics=diagnostics,
+        initial=initial,
+        final=final,
+        diagnostics=tuple(diagnostics),
         h1_max=entry("h1_max"),
     )

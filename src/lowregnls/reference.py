@@ -133,13 +133,11 @@ def splitting_evolve(
     initial: SpectralField,
     params: SchemeParams,
     order: int,
-    snapshot_times=None,
     diag_stride: int = 0,
 ) -> Trajectory:
     """Run the splitting scheme with the same recording and input checks as
     `evolve`: the one-run case of `evolve_lockstep`."""
     from .integrator import evolve_lockstep  # integrator imports this module
 
-    [traj] = evolve_lockstep(initial, [params], snapshot_times, diag_stride,
-                             scheme=_splitting_scheme(order))
+    [traj] = evolve_lockstep(initial, [params], diag_stride, scheme=_splitting_scheme(order))
     return traj

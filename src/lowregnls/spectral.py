@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "SpectralField",
     "project",
-    "zero_mode",
     "nonzero_part",
     "derivative",
     "inv_derivative",
@@ -63,10 +62,6 @@ class SpectralField:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def zeros(cls, cutoff: int) -> "SpectralField":
-        return cls.from_modes(cutoff, {})
 
     @classmethod
     def from_modes(cls, cutoff: int, modes: dict[int, complex]) -> "SpectralField":
@@ -137,11 +132,6 @@ def project(f: SpectralField, cutoff: int) -> SpectralField:
     return SpectralField(cutoff, out)
 
 
-def zero_mode(f: SpectralField) -> complex:
-    """The mean value c_0."""
-    return complex(f.coeffs[f.cutoff])
-
-
 def nonzero_part(f: SpectralField) -> SpectralField:
     """f minus its mean: the k=0 coefficient is zeroed."""
     out = f.coeffs.copy()
@@ -173,18 +163,17 @@ def free_propagator(f: SpectralField, t: float) -> SpectralField:
 
 
 def twist_propagator(
-    f: SpectralField, tau: float, lam: float, mass: float, momentum: complex
+    f: SpectralField, tau: float, lam: float, mass: float, momentum_imag: float
 ) -> SpectralField:
     """One step of the constant-coefficient part of the scheme.
 
     Multiplies mode k by exp(i tau (-2 lam mass - k^2 - 2 lam momentum/(ik)))
-    for k != 0 and by exp(-2i lam tau mass) for k = 0.  mass is real and
-    momentum purely imaginary (it is Pi_0(u d_x conj(u)) of some field), so
-    the exponent is purely imaginary and the map is unitary.
+    for k != 0 and by exp(-2i lam tau mass) for k = 0, where momentum =
+    i momentum_imag is purely imaginary (it is Pi_0(u d_x conj(u)) of some
+    field).  mass and momentum_imag are real, so the exponent is purely
+    imaginary and the map is unitary.
     """
-    phase = _twist_phase(
-        f.frequencies().astype(float), tau, lam, mass, _momentum_imag(momentum)
-    )
+    phase = _twist_phase(f.frequencies().astype(float), tau, lam, mass, momentum_imag)
     return SpectralField(f.cutoff, phase * f.coeffs)
 
 
@@ -208,15 +197,6 @@ def _twist_phase(
     # -2 lam momentum/(ik) = -2 lam mom_imag/k, a real phase contribution
     q_over_k = (1j * mom_imag * _inv_ik(k)).real
     return np.exp(1j * tau * (-2.0 * lam * mass - k * k - 2.0 * lam * q_over_k))
-
-
-def _momentum_imag(momentum: complex) -> float:
-    """Imaginary part of a mean momentum, which must be purely imaginary."""
-    if abs(momentum.real) > 1e-10 * (1.0 + abs(momentum)):
-        raise ValueError(
-            f"momentum must be purely imaginary, got real part {momentum.real!r}"
-        )
-    return momentum.imag
 
 
 def _pow2_grid_size(cutoff: int) -> int:

@@ -34,7 +34,8 @@ from lowregnls.cli import (
 )
 from lowregnls.harness import CSV_HEADER
 from lowregnls.initial_data import InitialDataSpec
-from lowregnls.integrator import SchemeParams, evolve, initialize, load_trajectory
+from lowregnls.integrator import SCHEMES, SchemeParams, evolve, initialize, load_trajectory
+from lowregnls.reference import SPLITTINGS, splitting_evolve
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,9 +87,34 @@ class TestSolve:
         out = capsys.readouterr().out
         assert rc == 0
         assert "wrote trajectory dump" in out
+        assert sorted(p.name for p in dump.iterdir()) == ["final.txt", "initial.txt",
+                                                          "manifest.txt"]
         traj = load_trajectory(dump)
-        assert traj.snapshot_times == (0.0, 0.5)
+        assert traj.params.horizon == 0.5
         assert traj.final.cutoff == 8
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_dump_names_no_state_by_time(self, scheme, tmp_path, capsys):
+        # --T 0.3 at tau 0.1 is 3 steps; the dump holds the step count, and
+        # the final row's time is 3 * 0.1 as the diagnostics re-read it
+        dump = tmp_path / "D"
+        assert main(["solve", "--tau", "0.1", "--N", "8", "--T", "0.3", "--scheme", scheme,
+                     "--out", str(dump)]) == 0
+        manifest = (dump / "manifest.txt").read_text()
+        assert "steps=3\n" in manifest
+        assert not re.search(r"(?m)^(T|\w*time\w*)=", manifest)
+        capsys.readouterr()
+        assert main(["diagnostics", "--in", str(dump)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("0.30000000000000004,")  # repr(3 * 0.1)
+        # the two states, bitwise: the initial field and the run's final state
+        u0 = initialize(InitialDataSpec(kind="sobolev", alpha=1.0, amplitude=0.1), 8)
+        params = SchemeParams.from_horizon(-1, 0.1, 8, 0.3)
+        want = (evolve(u0, params) if scheme == "lowreg"
+                else splitting_evolve(u0, params, SPLITTINGS[scheme])).final
+        traj = load_trajectory(dump)
+        assert traj.initial.coeffs.tobytes() == u0.coeffs.tobytes()
+        assert traj.final.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_constant_state_closed_form(self, tmp_path, capsys):
         # 1000 first-order steps of u' : u(1) = e^{-i lambda} with lambda=-1
@@ -479,7 +505,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("edit, key", [
         ("diagnostic_0=0 0.0", "diagnostic_0"),
-        ("snapshot_count=x", "snapshot_count"),
+        ("diagnostic_count=x", "diagnostic_count"),
         ("scheme=rk4", "scheme"),
         ("", "h1_max"),
         ("lambda=0", "lambda"),
@@ -487,11 +513,9 @@ class TestErrorContract:
         ("steps=-1", "steps"),
         ("N=5", "N"),
         ("steps=9", "steps"),
-        ("snapshot_1_time=0.3", "snapshot_1_time"),
         ("diagnostic_1=8 7.0 1 2 3 4", "diagnostic_1"),
     ], ids=["short-row", "count", "scheme", "missing", "lambda-range", "N-range",
-            "steps-range", "N-of-snapshots", "steps-of-rows", "off-grid-time",
-            "row-with-time"])
+            "steps-range", "N-of-states", "steps-of-rows", "row-with-time"])
     def test_malformed_dump(self, edit, key, tmp_path, capsys):
         dump = tmp_path / "D"
         assert main(["solve", "--tau", "2^-3", "--N", "4", "--T", "1", "--out", str(dump)]) == 0
@@ -501,9 +525,9 @@ class TestErrorContract:
                  for ln in manifest.read_text().splitlines()]
         manifest.write_text("\n".join(lines) + "\n")
         msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
-        # the file at fault: the manifest, or the first snapshot, which holds
+        # the file at fault: the manifest, or the initial state, which holds
         # too few lines for N=5
-        at_fault = dump / "snapshot_0000.txt" if edit == "N=5" else manifest
+        at_fault = dump / "initial.txt" if edit == "N=5" else manifest
         assert msg.startswith(f"error: {at_fault}: ")
         assert repr(key) in msg or f"{key}=" in msg
 
@@ -637,17 +661,17 @@ def real_dump(tmp_path_factory):
     return {p.name: p.read_text() for p in dump.iterdir()}
 
 
-# a number token: not inside a key such as snapshot_0_time or h1_max
+# a number token: not inside a key such as diagnostic_0 or h1_max
 NUMBER = re.compile(r"(?<![\w.+-])-?\d[\w.+-]*")
-# the manifest lines that carry an N, a step count, a time or a row's step
-EDITABLE = re.compile(r"N=|steps=|snapshot_\d+_time=|diagnostic_\d+=")
+# the manifest lines that carry an N, a step count or a row's step
+EDITABLE = re.compile(r"N=|steps=|diagnostic_\d+=")
 
 
 @st.composite
 def corrupted(draw, files):
     """(kind, files): files with one line of one file deleted, duplicated,
     truncated, one of its numbers made non-finite or overflowing, or the
-    manifest's N, step count, time or row step changed; or one file emptied
+    manifest's N, step count or row step changed; or one file emptied
     or removed (text None)."""
     kind = draw(st.sampled_from(["delete", "duplicate", "truncate", "number", "edit",
                                  "empty", "remove"]))
@@ -722,15 +746,31 @@ class TestDiagnosticsOnCorruptDumps:
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "Traceback" not in err.getvalue()
 
+    def test_numbered_snapshot_dump_exits_1(self, real_dump, tmp_path, capsys):
+        # a dump of states in numbered snapshot files, each named with its
+        # time in the manifest, lacks initial.txt
+        files = {"snapshot_0000.txt": real_dump["initial.txt"],
+                 "snapshot_0001.txt": real_dump["final.txt"],
+                 "manifest.txt": real_dump["manifest.txt"].replace(
+                     "\ndiagnostic_count=",
+                     "\nsnapshot_count=2\nsnapshot_0_time=0.0\nsnapshot_1_time=0.5"
+                     "\ndiagnostic_count=")}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(["diagnostics", "--in", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "initial.txt" in line
 
     @pytest.mark.parametrize("name, edit", [
-        ("snapshot_0001.txt", lambda text: "nan" + text[text.index(" "):]),
+        ("final.txt", lambda text: "nan" + text[text.index(" "):]),
         ("manifest.txt", lambda text: re.sub(r"(?m)^h1_max=.*$", "h1_max=nan", text)),
         ("manifest.txt", lambda text: re.sub(r"(?m)^mass=.*$", "mass=inf", text)),
         ("manifest.txt", lambda text: re.sub(r"(?m)^(diagnostic_2=\S+) \S+", r"\1 nan", text)),
-        ("snapshot_0001.txt", lambda text: text.split("\n", 1)[1]),
-        ("snapshot_0001.txt", lambda text: text + text.split("\n", 1)[0] + "\n"),
-        ("snapshot_0001.txt", lambda text: text.replace("\n", " 0.0\n", 1)),
+        ("final.txt", lambda text: text.split("\n", 1)[1]),
+        ("final.txt", lambda text: text + text.split("\n", 1)[0] + "\n"),
+        ("final.txt", lambda text: text.replace("\n", " 0.0\n", 1)),
     ], ids=["nan-coefficient", "h1_max-nan", "mass-inf", "row-nan", "missing-line",
             "extra-line", "three-fields"])
     def test_bad_number_or_line_exits_1(self, real_dump, tmp_path, name, edit, capsys):

@@ -36,7 +36,7 @@ from lowregnls.integrator import (
     step,
     step_twisted,
 )
-from lowregnls.reference import SPLITTINGS, splitting_evolve
+from lowregnls.reference import SPLITTINGS, splitting_evolve, splitting_step
 from lowregnls.spectral import (
     SpectralField,
     _centered,
@@ -52,7 +52,6 @@ from lowregnls.spectral import (
     project,
     sobolev_norm,
     twist_propagator,
-    zero_mode,
 )
 
 
@@ -86,8 +85,8 @@ def psi_straight_line(u, params, cq, pn=dealiased_product):
     fp = free_propagator(f, tau)
     di = inv_derivative
 
-    out = twist_propagator(f, tau, lam, cq.mass, cq.momentum)
-    c0 = zero_mode(f)
+    out = twist_propagator(f, tau, lam, cq.mass, cq.momentum_imag)
+    c0 = f.coefficient(0)
     mean2 = (1 - np.exp(-2j * lam * tau * cq.mass)) * c0
     absf2 = pn(f, fb)
     mean3 = (-1j * lam * tau) * np.dot(absf2.coeffs, f.coeffs[::-1])
@@ -122,9 +121,6 @@ class TestSchemeParams:
         assert p.steps == 64
         with pytest.raises(ValueError):
             SchemeParams.from_horizon(-1, 0.3, 16, 1.0)
-        for horizon in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                SchemeParams.from_horizon(-1, 0.25, 16, horizon)
         # a negative horizon is named as such, even one on the step grid
         for horizon in (-1.0, -0.3, -1e-300):
             with pytest.raises(ValueError, match="horizon must be >= 0"):
@@ -132,6 +128,21 @@ class TestSchemeParams:
         assert SchemeParams.from_horizon(-1, 0.25, 16, -0.0).steps == 0
         with pytest.raises(ValueError, match="overflows"):
             SchemeParams.from_horizon(-1, 1e-300, 16, 1e10)
+
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match=f"^horizon must be finite, got {horizon!r}$"):
+            SchemeParams.from_horizon(-1, 0.25, 16, horizon)
+
+    @pytest.mark.parametrize("nudge", [1 + 1e-13, 1 - 1e-13])
+    def test_horizon_within_time_rtol_names_its_step(self, nudge):
+        # the step grid holds to TIME_RTOL, relative, on either side of a step
+        assert SchemeParams.from_horizon(-1, 0.25, 16, 0.5 * nudge).steps == 2
+
+    @pytest.mark.parametrize("nudge", [1 + 1e-10, 1 - 1e-10])
+    def test_horizon_past_time_rtol_rejected(self, nudge):
+        with pytest.raises(ValueError, match="is not an integer multiple of tau 0.25"):
+            SchemeParams.from_horizon(-1, 0.25, 16, 0.5 * nudge)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -150,23 +161,27 @@ class TestConservedQuantities:
         for _ in range(10):
             u = random_field(rng, 12)
             cq = conserved_quantities(u)
-            mass_op = zero_mode(dealiased_product(u, conjugate(u)))
-            mom_op = zero_mode(dealiased_product(u, derivative(conjugate(u))))
+            mass_op = dealiased_product(u, conjugate(u)).coefficient(0)
+            mom_op = dealiased_product(u, derivative(conjugate(u))).coefficient(0)
             assert abs(mass_op - cq.mass) <= 1e-12 * max(1.0, cq.mass)
-            assert abs(mom_op - cq.momentum) <= 1e-12 * max(1.0, abs(cq.momentum))
+            assert abs(mom_op - 1j * cq.momentum_imag) <= \
+                1e-12 * max(1.0, abs(cq.momentum_imag))
 
     def test_momentum_purely_imaginary(self):
+        # Pi_0(u d_x conj(u)) = -i sum_k k |c_k|^2 has no real part, so only
+        # its imaginary part is kept, as a float
         rng = np.random.default_rng(1)
         u = random_field(rng, 9)
-        cq = conserved_quantities(u)
-        assert cq.momentum.real == 0.0
+        mom_op = dealiased_product(u, derivative(conjugate(u))).coefficient(0)
+        assert abs(mom_op.real) <= 1e-12 * abs(mom_op)
+        assert type(conserved_quantities(u).momentum_imag) is float
 
     def test_frozen_value_alpha1_n16(self):
         u = initialize(InitialDataSpec(alpha=1.0), 16)
         cq = conserved_quantities(u)
         assert np.isclose(cq.mass, 0.023928484342794334, rtol=1e-14)
         # even coefficients: momentum cancels to summation round-off
-        assert abs(cq.momentum) <= 1e-16
+        assert abs(cq.momentum_imag) <= 1e-16
 
     def test_frozen_value_alpha2_n16(self):
         u = initialize(InitialDataSpec(alpha=2.0), 16)
@@ -282,17 +297,10 @@ class TestStepAgainstStraightLine:
         assert out.coeffs.shape == (21,)
 
     def test_cutoff_mismatch_rejected(self):
-        u = SpectralField.zeros(4)
+        u = SpectralField.from_modes(4, {})
         params = SchemeParams(lam=-1, tau=0.01, cutoff=8, steps=1)
         with pytest.raises(ValueError):
-            step(u, params, ConservedQuantities(0.0, 0.0j))
-
-    def test_non_imaginary_momentum_rejected(self):
-        u = SpectralField.from_modes(4, {1: 0.5})
-        params = SchemeParams(lam=-1, tau=0.01, cutoff=4, steps=2)
-        cq = ConservedQuantities(1.0, 0.5 + 1.0j)
-        with pytest.raises(ValueError, match="purely imaginary"):
-            step(u, params, cq)
+            step(u, params, ConservedQuantities(0.0, 0.0))
 
 
 class TestFftWork:
@@ -474,10 +482,10 @@ class TestTwistedCrossCheck:
         assert l2_error(a, b) / sobolev_norm(b, 0.0) <= 1e-12
 
     def test_negative_index_rejected(self):
-        u = SpectralField.zeros(4)
+        u = SpectralField.from_modes(4, {})
         params = SchemeParams(lam=-1, tau=0.1, cutoff=4, steps=1)
         with pytest.raises(ValueError):
-            step_twisted(u, params, ConservedQuantities(0.0, 0.0j), -1)
+            step_twisted(u, params, ConservedQuantities(0.0, 0.0), -1)
 
 
 class TestClosedForms:
@@ -490,7 +498,7 @@ class TestClosedForms:
         u = SpectralField.from_modes(6, {0: c})
         out = step(u, params, conserved_quantities(u))
         expected = c * (1 - 1j * lam * tau * abs(c) ** 2)
-        assert abs(zero_mode(out) - expected) <= 1e-13
+        assert abs(out.coefficient(0) - expected) <= 1e-13
         assert sobolev_norm(nonzero_part(out), 0.0) <= 1e-13
 
     @pytest.mark.parametrize("lam", [-1, 1])
@@ -504,7 +512,7 @@ class TestClosedForms:
             u = SpectralField.from_modes(4, {0: c})
             traj = evolve(u, params)
             exact = c * np.exp(-1j * lam * abs(c) ** 2 * horizon)
-            errs.append(abs(zero_mode(traj.final) - exact))
+            errs.append(abs(traj.final.coefficient(0) - exact))
         ratio = errs[0] / errs[1]
         assert 1.9 <= ratio <= 2.1
 
@@ -526,17 +534,13 @@ class TestClosedForms:
 
 
 class TestEvolve:
-    def test_snapshots_and_diagnostics(self):
+    def test_diagnostics(self):
         u = initialize(InitialDataSpec(alpha=1.0), 16)
         params = SchemeParams(lam=-1, tau=2.0 ** -5, cutoff=16, steps=32)
-        traj = evolve(u, params, snapshot_times=(0.0, 0.5, 1.0), diag_stride=8)
-        assert traj.snapshot_times == (0.0, 0.5, 1.0)
-        assert len(traj.snapshots) == 3
-        assert np.array_equal(traj.snapshots[0].coeffs, u.coeffs)
+        traj = evolve(u, params, diag_stride=8)
         steps_seen = [d.step_index for d in traj.diagnostics]
         assert steps_seen == [0, 8, 16, 24, 32]
         assert all(0 < d.l2 <= d.h1 for d in traj.diagnostics)
-        assert traj.final is traj.snapshots[-1]
         assert traj.h1_max >= max(d.h1 for d in traj.diagnostics) - 1e-15
 
     def test_norm_drift_small(self):
@@ -563,34 +567,31 @@ class TestEvolve:
         ratio = (errs[0] / errs[-1]) ** (1 / 3)
         assert 1.9 <= ratio <= 2.1
 
-    def test_off_grid_snapshot_rejected(self):
-        u = SpectralField.zeros(4)
-        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
-        with pytest.raises(ValueError):
-            evolve(u, params, snapshot_times=(0.3,))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_initial_and_final_states(self, scheme):
+        # the field passed in, uncopied, and the state after params.steps
+        # single steps, bitwise
+        u = unit_field(3, 8)
+        params = SchemeParams.from_horizon(-1, 0.1, 8, 0.3)
+        traj = solo_run(scheme, u, params)
+        want, cq = u, conserved_quantities(u)
+        for _ in range(params.steps):
+            want = (step(want, params, cq) if scheme == "lowreg"
+                    else splitting_step(want, params, SPLITTINGS[scheme]))
+        assert traj.initial is u
+        assert traj.final.coeffs.tobytes() == want.coeffs.tobytes()
 
-    def test_snapshot_times_use_the_horizon_tolerance(self):
-        # a time 1e-10 (relative) off the step grid is neither a horizon nor
-        # a snapshot time
-        u = SpectralField.zeros(4)
-        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
-        t = 0.5 * (1.0 + 1e-10)
-        with pytest.raises(ValueError):
-            SchemeParams.from_horizon(-1, 0.25, 4, t)
-        with pytest.raises(ValueError):
-            evolve(u, params, snapshot_times=(t,))
-
-    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
-    def test_non_finite_snapshot_time_rejected(self, t):
-        u = SpectralField.zeros(4)
-        params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
-        with pytest.raises(ValueError, match=r"run 0 \(tau = 0.25\): snapshot time "
-                           f"{t!r} is not a step multiple within the horizon"):
-            evolve(u, params, snapshot_times=(0.5, t))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_run_of_no_steps_ends_where_it_starts(self, scheme):
+        u = unit_field(3, 8)
+        traj = solo_run(scheme, u, SchemeParams(lam=-1, tau=0.1, cutoff=8, steps=0))
+        assert traj.initial is u
+        assert traj.final.coeffs.tobytes() == u.coeffs.tobytes()
+        assert [d.step_index for d in traj.diagnostics] == [0]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_negative_diag_stride_rejected(self, scheme):
-        u = SpectralField.zeros(4)
+        u = SpectralField.from_modes(4, {})
         params = SchemeParams(lam=-1, tau=0.25, cutoff=4, steps=4)
         with pytest.raises(ValueError, match="diag_stride must be >= 0, got -2"):
             solo_run(scheme, u, params, diag_stride=-2)
@@ -645,15 +646,15 @@ class TestTrajectoryDump:
     def test_roundtrip(self, tmp_path):
         u = initialize(InitialDataSpec(alpha=1.0), 8)
         params = SchemeParams(lam=-1, tau=0.125, cutoff=8, steps=8)
-        traj = evolve(u, params, snapshot_times=(0.0, 0.5, 1.0), diag_stride=2)
+        traj = evolve(u, params, diag_stride=2)
         out = tmp_path / "run"
         save_trajectory(traj, out)
-        assert (out / "manifest.txt").is_file()
-        assert (out / "snapshot_0000.txt").is_file()
+        assert sorted(p.name for p in out.iterdir()) == ["final.txt", "initial.txt",
+                                                         "manifest.txt"]
         assert_same_trajectory(load_trajectory(out), traj)
 
     def test_manifest_keys(self, tmp_path):
-        # each fact once: no horizon, snapshot file name or wall time
+        # each fact once: no horizon, state time, file name or wall time
         u = SpectralField.from_modes(2, {0: 1.0})
         params = SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2)
         traj = evolve(u, params)
@@ -661,8 +662,7 @@ class TestTrajectoryDump:
         text = (tmp_path / "d" / "manifest.txt").read_text()
         assert [ln.split("=", 1)[0] for ln in text.splitlines()] == [
             "scheme", "lambda", "tau", "N", "steps", "mass", "momentum_imag", "h1_max",
-            "snapshot_count", "snapshot_0_time", "diagnostic_count", "diagnostic_0",
-            "diagnostic_1"]
+            "diagnostic_count", "diagnostic_0", "diagnostic_1"]
         # a row is "j l2 h1 mass_drift momentum_drift"; its time is j * tau
         row = traj.diagnostics[-1]
         assert text.splitlines()[-1] == (f"diagnostic_1=2 {row.l2!r} {row.h1!r} "
@@ -674,20 +674,19 @@ class TestTrajectoryDump:
 
     def dump(self, tmp_path):
         u = SpectralField.from_modes(2, {0: 1.0, 1: 0.5j})
-        traj = evolve(u, SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2),
-                      snapshot_times=(0.0, 0.5, 1.0), diag_stride=1)
+        traj = evolve(u, SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2), diag_stride=1)
         save_trajectory(traj, tmp_path / "d")
         return traj, tmp_path / "d" / "manifest.txt"
 
     def test_unknown_keys_ignored(self, tmp_path):
-        # a horizon, a snapshot file name and a wall time are not in the
-        # format: the loader ignores them and opens no path they name
+        # a horizon, a state's time, a file name and a wall time are not in
+        # the format: the loader ignores them and opens no path they name
         traj, manifest = self.dump(tmp_path)
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
-        (elsewhere / "snapshot_0000.txt").write_text("0.0 0.0\n" * 5)
-        manifest.write_text(manifest.read_text() + "T=9\nwall_ms=12.5\n"
-                            "snapshot_1_file=../elsewhere/snapshot_0000.txt\n")
+        (elsewhere / "final.txt").write_text("0.0 0.0\n" * 5)
+        manifest.write_text(manifest.read_text() + "T=9\nwall_ms=12.5\nsnapshot_count=2\n"
+                            "snapshot_1_time=1.0\nfinal_file=../elsewhere/final.txt\n")
         assert_same_trajectory(load_trajectory(manifest.parent), traj)
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
@@ -710,13 +709,9 @@ class TestTrajectoryDump:
         ("diagnostic_count=0", "diagnostic_count",
          "diagnostic_count='0': the diagnostics do not start at step 0"),
         ("steps=7", "steps", "bad manifest entry steps='7': the diagnostics end at step 2"),
-        ("N=5", "N", "snapshot_0000.txt: expected 11 lines for the manifest's N=5, got 5$"),
-        ("snapshot_1_time=0.3", "snapshot_1_time",
-         "bad manifest entry snapshot_1_time='0.3': not on the grid of tau 0.5 within 2 steps"),
-        ("snapshot_2_time=1.5", "snapshot_2_time", "not on the grid of tau 0.5 within 2 steps"),
-        ("snapshot_1_time=0.0", "snapshot_1_time", "step 0 does not come after step 0"),
-        ("snapshot_count=x", "snapshot_count", "bad manifest entry snapshot_count='x'"),
-        ("snapshot_count=-1", "snapshot_count", "count must be >= 0, got -1"),
+        ("N=5", "N", "initial.txt: expected 11 lines for the manifest's N=5, got 5$"),
+        ("diagnostic_count=x", "diagnostic_count", "bad manifest entry diagnostic_count='x'"),
+        ("diagnostic_count=-1", "diagnostic_count", "count must be >= 0, got -1"),
         ("tau=fast", "tau", "bad manifest entry tau='fast'"),
         ("tau=0", "tau", "bad manifest entry tau='0': tau must be a positive finite number"),
         ("lambda=0", "lambda", r"bad manifest entry lambda='0': lam must be -1 or \+1, got 0"),
@@ -734,13 +729,12 @@ class TestTrajectoryDump:
         ("just words", None, "malformed manifest line 'just words'"),
     ], ids=["missing", "no-scheme", "short-row", "long-row", "row-with-time",
             "float-step", "negative-step", "huge-step", "row-order", "no-rows", "steps-of-rows",
-            "N-of-snapshots", "off-grid-time", "time-past-horizon", "time-order", "count",
-            "negative-count", "tau", "tau-range", "lambda-range", "N-range", "steps-range",
-            "two-fields", "h1_max-nan", "mass-inf", "momentum-inf", "row-l2-nan", "row-h1-inf",
+            "N-of-states", "count", "negative-count", "tau", "tau-range", "lambda-range",
+            "N-range", "steps-range", "two-fields", "h1_max-nan", "mass-inf", "momentum-inf", "row-l2-nan", "row-h1-inf",
             "row-mass-drift-huge", "row-momentum-drift-inf", "scheme", "no-equals"])
     def test_bad_manifest_named(self, tmp_path, line, key, match):
         # one ValueError that names the manifest (and the key), or, where the
-        # manifest's N does not fit the snapshots, the first snapshot file:
+        # manifest's N does not fit the states, the first state file:
         # the CLI prints it as its one error: line
         _, manifest = self.dump(tmp_path)
         lines = [ln for ln in manifest.read_text().splitlines()
@@ -748,7 +742,7 @@ class TestTrajectoryDump:
         manifest.write_text("\n".join(lines + ([line] if line else [])) + "\n")
         with pytest.raises(ValueError, match=match) as info:
             load_trajectory(manifest.parent)
-        at_fault = manifest.with_name("snapshot_0000.txt") if line == "N=5" else manifest
+        at_fault = manifest.with_name("initial.txt") if line == "N=5" else manifest
         assert str(info.value).startswith(f"{at_fault}: ")
 
     @pytest.mark.parametrize("rows, match", [
@@ -763,32 +757,31 @@ class TestTrajectoryDump:
         with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: .*{match}"):
             load_trajectory(manifest.parent)
 
-    def with_snapshots(self, traj, coeffs):
-        """traj with every snapshot holding coeffs, at their cutoff."""
+    def with_states(self, traj, coeffs):
+        """traj with both states holding coeffs, at their cutoff."""
         f = SpectralField((len(coeffs) - 1) // 2, np.array(coeffs, dtype=np.complex128))
-        return replace(traj, params=replace(traj.params, cutoff=f.cutoff),
-                       snapshots=(f,) * len(traj.snapshots))
+        return replace(traj, params=replace(traj.params, cutoff=f.cutoff), initial=f, final=f)
 
     @given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=41).filter(lambda c: len(c) % 2 == 1))
     @example([complex(-0.0, -0.0)])
     @example([complex(5e-324, -1.7976931348623157e308), complex(-0.0, 2.2250738585072014e-308),
               complex(1.7976931348623157e308, -5e-324)])
-    def test_snapshot_round_trip_bit_exact(self, tmp_path_factory, coeffs):
+    def test_state_round_trip_bit_exact(self, tmp_path_factory, coeffs):
         traj, manifest = self.dump(tmp_path_factory.mktemp("dump"))
-        traj = self.with_snapshots(traj, coeffs)
+        traj = self.with_states(traj, coeffs)
         save_trajectory(traj, manifest.parent)
         # bit patterns, so that -0.0 and 0.0 count as different
         assert_same_trajectory(load_trajectory(manifest.parent), traj)
 
-    def test_snapshot_text(self, tmp_path):
+    def test_state_text(self, tmp_path):
         # 2N+1 lines "re im" in ascending k, each value the repr of a float;
         # N is the manifest's, and k follows from the line
         traj, manifest = self.dump(tmp_path)
         coeffs = [complex(-0.0, 0.0), complex(1e-300, -2.5), complex(0.5, 5e-324)]
-        save_trajectory(self.with_snapshots(traj, coeffs), manifest.parent)
-        assert (manifest.parent / "snapshot_0001.txt").read_text() == \
-            "-0.0 0.0\n1e-300 -2.5\n0.5 5e-324\n"
+        save_trajectory(self.with_states(traj, coeffs), manifest.parent)
+        for name in ("initial.txt", "final.txt"):
+            assert manifest.with_name(name).read_text() == "-0.0 0.0\n1e-300 -2.5\n0.5 5e-324\n"
         assert "N=1\n" in manifest.read_text()
 
     @pytest.mark.parametrize("text, match", [
@@ -806,10 +799,10 @@ class TestTrajectoryDump:
         ("0.0 0.0\n" * 4 + "-1e400 0.0\n", "line 5: '-1e400' is not a finite number$"),
     ], ids=["empty", "short", "long", "old-format", "one-field", "three-fields", "non-float",
             "nan", "inf", "overflow"])
-    def test_bad_snapshot_named(self, tmp_path, text, match):
-        # one ValueError that names the snapshot file, and the line if one is bad
+    def test_bad_state_named(self, tmp_path, text, match):
+        # one ValueError that names the state file, and the line if one is bad
         _, manifest = self.dump(tmp_path)
-        path = manifest.with_name("snapshot_0001.txt")
+        path = manifest.with_name("final.txt")
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}"):
             load_trajectory(manifest.parent)
@@ -818,30 +811,25 @@ class TestTrajectoryDump:
 def assert_same_trajectory(a, b):
     """a and b hold the same run and the same numbers, bit for bit."""
     assert (a.params, a.scheme) == (b.params, b.scheme)
-    assert repr((a.cq, a.snapshot_times, a.diagnostics, a.h1_max)) == \
-        repr((b.cq, b.snapshot_times, b.diagnostics, b.h1_max))
-    assert [f.cutoff for f in a.snapshots] == [f.cutoff for f in b.snapshots]
-    assert [f.coeffs.tobytes() for f in a.snapshots] == [f.coeffs.tobytes() for f in b.snapshots]
+    assert repr((a.cq, a.diagnostics, a.h1_max)) == repr((b.cq, b.diagnostics, b.h1_max))
+    for f, g in ((a.initial, b.initial), (a.final, b.final)):
+        assert (f.cutoff, f.coeffs.tobytes()) == (g.cutoff, g.coeffs.tobytes())
 
 
 @st.composite
 def short_runs(draw):
-    """(scheme, initial field, params, snapshot times, diag_stride) of a short
-    run; a snapshot time may sit off its step by less than TIME_RTOL."""
+    """(scheme, initial field, params, diag_stride) of a short run."""
     scheme = draw(st.sampled_from(SCHEMES))
     params = SchemeParams(draw(LAMS), draw(st.sampled_from([0.5, 0.25, 0.1, 2.0 ** -3])),
                           draw(st.integers(0, 6)), draw(st.integers(0, 6)))
     u = random_field(np.random.default_rng(draw(SEEDS)), params.cutoff, 0.3)
-    steps = draw(st.lists(st.integers(0, params.steps), max_size=4))
-    nudge = draw(st.sampled_from([1.0, 1 + 1e-13, 1 - 1e-13]))
-    times = draw(st.none() | st.just([j * params.tau * nudge for j in steps]))
-    return scheme, u, params, times, draw(st.integers(0, 4))
+    return scheme, u, params, draw(st.integers(0, 4))
 
 
 @given(run=short_runs())
 def test_dump_round_trip(run):
-    scheme, u, params, times, stride = run
-    traj = solo_run(scheme, u, params, snapshot_times=times, diag_stride=stride)
+    scheme, u, params, stride = run
+    traj = solo_run(scheme, u, params, diag_stride=stride)
     with tempfile.TemporaryDirectory() as d:
         save_trajectory(traj, d)
         assert_same_trajectory(load_trajectory(d), traj)
@@ -851,8 +839,8 @@ def _params(**kw):
     return SchemeParams(**{"lam": -1, "tau": 0.25, "cutoff": 2, "steps": 4, **kw})
 
 
-ZERO = SpectralField.zeros(2)
-CQ = ConservedQuantities(0.0, 0.0j)
+ZERO = SpectralField.from_modes(2, {})
+CQ = ConservedQuantities(0.0, 0.0)
 
 
 class TestBoundaryChecks:
@@ -867,7 +855,7 @@ class TestBoundaryChecks:
         (lambda: _params(steps=3.7), "steps must be an integer, got 3.7"),
         (lambda: _params(steps="4"), "steps must be an integer, got '4'"),
         (lambda: SpectralField(2.5, np.ones(6)), "cutoff must be an integer, got 2.5"),
-        (lambda: SpectralField.zeros(2.5), "cutoff must be an integer, got 2.5"),
+        (lambda: SpectralField.from_modes(2.5, {}), "cutoff must be an integer, got 2.5"),
         (lambda: SpectralField.from_modes(-1, {}), "cutoff must be >= 0, got -1"),
         (lambda: project(ZERO, 1.0), "cutoff must be an integer, got 1.0"),
         (lambda: project(ZERO, -1), "cutoff must be >= 0, got -1"),
@@ -918,12 +906,6 @@ class TestBoundaryChecks:
     def test_twisted_cutoff_mismatch_rejected(self):
         with pytest.raises(ValueError, match="field cutoff 2 != params cutoff 3"):
             step_twisted(ZERO, _params(cutoff=3), CQ, 0)
-
-    def test_final_of_no_snapshots_rejected(self):
-        traj = evolve(ZERO, _params(), snapshot_times=())
-        assert traj.snapshots == ()
-        with pytest.raises(ValueError, match="recorded no snapshots"):
-            traj.final
 
     def test_lockstep_of_no_runs_rejected(self):
         with pytest.raises(ValueError, match="one or more"):
@@ -985,50 +967,37 @@ class TestLockstep:
 
     @given(CUTOFFS, st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
            LAMS, SEEDS, st.integers(0, 3), st.sampled_from(SCHEMES))
-    @example(33, [12, 7, 3, 0], -1, 1, 2, "lowreg")
-    @example(33, [12, 7, 3, 0], -1, 1, 2, "lie")
-    @example(33, [12, 7, 3, 0], 1, 1, 2, "strang")
+    @example(33, [12, 7, 3, 0], -1, 1, 1, "lowreg")
+    @example(33, [12, 7, 3, 0], -1, 1, 1, "lie")
+    @example(33, [12, 7, 3, 0], 1, 1, 1, "strang")
     def test_lockstep_runs_match_solo_runs(self, n, counts, lam, seed, stride, scheme):
+        # the final states bitwise, and the states between through their
+        # diagnostics, every step's at stride 1
         u = unit_field(seed, n)
         horizon = 0.375
         runs = [SchemeParams(lam, horizon / max(s, 1), n, s) for s in counts]
-        times = (0.0, horizon) if min(counts) else (0.0,)
-        stacked = evolve_lockstep(u, runs, times, stride, scheme=scheme)
+        stacked = evolve_lockstep(u, runs, stride, scheme=scheme)
         for params, traj in zip(runs, stacked):
-            solo = solo_run(scheme, u, params, snapshot_times=times, diag_stride=stride)
+            solo = solo_run(scheme, u, params, diag_stride=stride)
             assert traj.scheme == solo.scheme == scheme
-            assert traj.params == params and traj.snapshot_times == solo.snapshot_times
-            for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
-                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert traj.params == params and traj.initial is u
+            assert traj.final.coeffs.tobytes() == solo.final.coeffs.tobytes()
             assert traj.diagnostics == solo.diagnostics
             assert traj.h1_max == solo.h1_max
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_snapshot_times_merge_by_step(self, scheme):
-        # unordered, repeated and near-equal times (within TIME_RTOL): one
-        # snapshot per step, in step order, each at the least time asked of it
+    def test_shorter_run_final_is_a_state_of_the_longer(self, scheme):
+        # two runs at one tau: the shorter's final state, stepped on to the
+        # longer's step count, is the longer's final state, bitwise
         u = unit_field(4, 8)
-        near = 1.0 * (1 - 1e-13)
-        times = (1.0, 0.0, near, 0.0, 1.0 * (1 + 1e-13))
-        runs = [SchemeParams(-1, 0.25, 8, 4), SchemeParams(-1, 0.125, 8, 8)]
-        stacked = evolve_lockstep(u, runs, times, scheme=scheme)
-        for params, traj in zip(runs, stacked):
-            assert traj.snapshot_times == (0.0, near)
-            assert len(traj.snapshots) == 2
-            assert traj.snapshots[0].coeffs.tobytes() == u.coeffs.tobytes()
-            assert [d.step_index for d in traj.diagnostics] == [0, params.steps]
-            solo = solo_run(scheme, u, params, snapshot_times=times)
-            assert traj.snapshot_times == solo.snapshot_times
-            for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
-                assert a.coeffs.tobytes() == b.coeffs.tobytes()
-            assert traj.diagnostics == solo.diagnostics
-            assert traj.h1_max == solo.h1_max
-
-    def test_snapshot_times_may_be_an_iterator(self):
-        u = unit_field(4, 8)
-        runs = [SchemeParams(-1, 0.25, 8, 4), SchemeParams(-1, 0.125, 8, 8)]
-        trajs = evolve_lockstep(u, runs, snapshot_times=iter((0.0, 1.0)))
-        assert [traj.snapshot_times for traj in trajs] == [(0.0, 1.0), (0.0, 1.0)]
+        short, long = SchemeParams(-1, 0.25, 8, 2), SchemeParams(-1, 0.25, 8, 5)
+        a, b = evolve_lockstep(u, [short, long], 1, scheme=scheme)
+        state, cq = a.final, conserved_quantities(u)
+        for _ in range(long.steps - short.steps):
+            state = (step(state, long, cq) if scheme == "lowreg"
+                     else splitting_step(state, long, SPLITTINGS[scheme]))
+        assert state.coeffs.tobytes() == b.final.coeffs.tobytes()
+        assert a.diagnostics == b.diagnostics[:short.steps + 1]
 
     def test_entry_keeps_the_order_of_its_runs(self):
         u = initialize(InitialDataSpec(alpha=1.0), 16)
@@ -1144,7 +1113,7 @@ class TestPaddedLockstep:
 
     @given(cutoff_pairs(), st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
            LAMS, SEEDS, st.integers(0, 3))
-    @tight_pairs([12, 7, 3, 0], -1, 1, 2)
+    @tight_pairs([12, 7, 3, 0], -1, 1, 1)
     @example((0, 0), [3, 1], 1, 0, 1)
     @example((0, 1), [4, 0], -1, 0, 1)
     def test_padded_runs_match_solo_runs(self, pair, counts, lam, seed, stride):
@@ -1153,16 +1122,13 @@ class TestPaddedLockstep:
         runs = [SchemeParams(lam, horizon / max(s, 1), cutoff, s)
                 for s in counts for cutoff in (n, top)]
         fields = {n: unit_field(seed, n), top: unit_field(seed + 1, top)}
-        times = (0.0, horizon) if min(counts) else (0.0,)
-        stacked = evolve_lockstep([fields[p.cutoff] for p in runs], runs, times, stride)
+        stacked = evolve_lockstep([fields[p.cutoff] for p in runs], runs, stride)
         for params, traj in zip(runs, stacked, strict=True):
             u = fields[params.cutoff]
-            solo = evolve(u, params, snapshot_times=times, diag_stride=stride)
-            assert traj.params == params and traj.cq == solo.cq
-            assert traj.snapshot_times == solo.snapshot_times
-            for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
-                assert a.cutoff == params.cutoff
-                assert l2_error(a, b) <= 1e-13 * sobolev_norm(b, 0.0)
+            solo = evolve(u, params, diag_stride=stride)
+            assert traj.params == params and traj.cq == solo.cq and traj.initial is u
+            assert traj.final.cutoff == params.cutoff
+            assert l2_error(traj.final, solo.final) <= 1e-13 * sobolev_norm(solo.final, 0.0)
             assert_diagnostics_close(traj.diagnostics, solo.diagnostics, solo.cq,
                                      params.cutoff)
             assert abs(traj.h1_max - solo.h1_max) <= 1e-13 * solo.h1_max
@@ -1192,13 +1158,6 @@ class TestLockstepBoundary:
         u = SpectralField.from_modes(16, {1: 0.5, -2: bad})
         with pytest.raises(ValueError, match=r"run 1 \(tau = 0.2\): initial coefficients must be finite"):
             evolve_lockstep([self.u8, u], [self.p8, self.p16])
-
-    def test_snapshot_time_names_the_run(self):
-        u = SpectralField.zeros(4)
-        runs = [SchemeParams(-1, 0.25, 4, 4), SchemeParams(-1, 0.1, 4, 10)]
-        with pytest.raises(ValueError, match=r"run 1 \(tau = 0.1\): snapshot time 0.25 "
-                           "is not a step multiple within the horizon"):
-            evolve_lockstep(u, runs, snapshot_times=(0.25,))
 
     def test_runs_must_share_lam(self):
         with pytest.raises(ValueError, match="run 1 has lam 1, but .* share lam -1"):
