@@ -32,7 +32,6 @@ from .harness import (
 )
 from .initial_data import KINDS, InitialDataSpec
 from .integrator import (
-    INIT_MODES,
     SCHEMES,
     SchemeParams,
     evolve,
@@ -52,7 +51,6 @@ DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 # zero-padded among them where that removes stacks) only at grids of <= 2048
 # points (harness.STACK_POINTS), at any --jobs; each of the up to --jobs
 # worker processes holds one stack at a time.
-# The sampled initial series may reach 16 times that, its default at N = 2^16.
 MAX_CUTOFF = 2 ** 16
 
 # largest step count of one run accepted on the command line: it bounds --T
@@ -106,8 +104,8 @@ def parse_cutoff(text: str) -> int:
     return value
 
 
-def _bounded_int(flag: str, least: int, most: int | None = None):
-    """argparse type for an integer flag in [least, most]."""
+def _bounded_int(flag: str, least: int):
+    """argparse type for an integer flag >= least."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -115,8 +113,6 @@ def _bounded_int(flag: str, least: int, most: int | None = None):
             raise CliError(f"{flag} must be an integer, got {text!r}") from exc
         if value < least:
             raise CliError(f"{flag} must be >= {least}, got {text!r}")
-        if most is not None and value > most:
-            raise CliError(f"{flag} {text!r} exceeds the maximum {most}")
         return value
     return parse
 
@@ -145,13 +141,6 @@ def _add_common(p: _Parser, study: bool) -> None:
                    help="nonlinearity sign: -1 focusing, +1 defocusing (default -1)")
     p.add_argument("--T", type=float, default=1.0,
                    help="final time; must be an integer multiple of tau (default 1.0)")
-    p.add_argument("--init-mode", choices=INIT_MODES, default="truncated",
-                   help="coefficient truncation or 4N+1-point sampling of the "
-                        "initial series (default truncated)")
-    p.add_argument("--tail-cutoff", type=_bounded_int("--tail-cutoff", 0, 16 * MAX_CUTOFF),
-                   default=None,
-                   help="series tail kept by --init-mode sampled "
-                        "(default max(16N, 16384))")
     p.add_argument("--scheme", choices=SCHEMES, default="lowreg",
                    help="time stepper: low-regularity integrator or a splitting "
                         "baseline (default lowreg)")
@@ -291,8 +280,7 @@ def _cmd_solve(args) -> int:
     if args.diag_stride > 0 and params.steps // args.diag_stride + 1 > MAX_DIAG_ROWS:
         raise CliError(f"--diag-stride {args.diag_stride} over {params.steps} steps records "
                        f"more than the maximum {MAX_DIAG_ROWS} diagnostic rows")
-    u0 = initialize(_initial_spec(args), args.N,
-                    init_mode=args.init_mode, tail_cutoff=args.tail_cutoff)
+    u0 = initialize(_initial_spec(args), args.N)
     run = (evolve if args.scheme == "lowreg"
            else functools.partial(splitting_evolve, order=SPLITTINGS[args.scheme]))
     # keep stderr to the single error: line even when a run blows up
@@ -360,8 +348,6 @@ def _cmd_study(args, axis: str) -> int:
         lam=args.lam,
         horizon=args.T,
         scheme=args.scheme,
-        init_mode=args.init_mode,
-        tail_cutoff=args.tail_cutoff,
         jobs=args.jobs,
     )
     _check_steps(spec.runs().values())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialDataSpec
-from .integrator import SchemeParams, _sampled_tail, _scheme, _sign, evolve_lockstep, initialize
+from .integrator import SchemeParams, _scheme, _sign, evolve_lockstep, initialize
 # evolve and splitting_evolve are not called here, but perfbench/tracing.py
 # patches both by these names
 from .integrator import evolve  # noqa: F401
@@ -73,8 +73,6 @@ class StudySpec:
     lam: int = -1
     horizon: float = 1.0
     scheme: str = "lowreg"
-    init_mode: str = "truncated"
-    tail_cutoff: int | None = None
     amplitude: float = 0.1
     jobs: int = 1
 
@@ -97,8 +95,10 @@ class StudySpec:
         if len(self.rows) < 2:
             raise ValueError(f"a {self.axis} study fits its rate over at least two "
                              f"{AXIS_NAMES[self.axis][0][0]}, got {self.rows}")
-        # by the rules its runs apply, the tail at the largest cutoff of a run
-        _sampled_tail(self.initial_data(), max(self.runs())[0], self.init_mode, self.tail_cutoff)
+        # its initial data and each run's step grid, so that a bad alpha or a
+        # horizon off a step grid is rejected here
+        self.initial_data()
+        self.runs()
 
     @property
     def rows(self) -> tuple:
@@ -218,8 +218,7 @@ def _compute_runs(spec: StudySpec):
     `_stacks` is a `_run_stack` task, and jobs only sets how many run at
     once, in a pool of at most one worker process per CPU."""
     params, data = spec.runs(), spec.initial_data()
-    states = {n: initialize(data, n, init_mode=spec.init_mode, tail_cutoff=spec.tail_cutoff)
-              for n in sorted({n for n, _ in params})}
+    states = {n: initialize(data, n) for n in sorted({n for n, _ in params})}
     stacks = _stacks(spec.scheme, params)
     tasks = [(spec.scheme, [states[n].coeffs for n, _ in stack], [params[key] for key in stack])
              for stack in stacks]

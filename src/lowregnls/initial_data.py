@@ -19,17 +19,9 @@ import numpy as np
 
 from .spectral import _integer
 
-__all__ = [
-    "InitialDataSpec",
-    "coefficients",
-    "alias_fold",
-    "resolve_tail_cutoff",
-]
+__all__ = ["InitialDataSpec", "coefficients"]
 
 KINDS = ("sobolev", "plane", "constant")
-
-# series tail kept when sampling rough data on an m-point grid
-DEFAULT_TAIL_FLOOR = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -69,28 +61,3 @@ def coefficients(spec: InitialDataSpec, cutoff: int) -> np.ndarray:
         out[cutoff] = spec.amplitude
     return out
 
-
-def resolve_tail_cutoff(spec: InitialDataSpec, cutoff: int, tail_cutoff: int | None) -> int:
-    """Series length used when sampling: max(16 N, 2^14) by default for the
-    rough family, the natural support for the band-limited kinds."""
-    if tail_cutoff is not None:
-        tail_cutoff = _integer(tail_cutoff, "tail_cutoff")
-        if tail_cutoff < cutoff:
-            raise ValueError(
-                f"tail cutoff {tail_cutoff} is below the target cutoff {cutoff}"
-            )
-        return tail_cutoff
-    if spec.kind == "sobolev":
-        return max(16 * cutoff, DEFAULT_TAIL_FLOOR)
-    if spec.kind == "plane":
-        return max(cutoff, abs(spec.mode))
-    return cutoff
-
-
-def alias_fold(spec: InitialDataSpec, m: int, tail: int) -> np.ndarray:
-    """The series truncated at |k| <= tail folded onto the m bins of the
-    m-point grid, bin k mod m (numpy's FFT order): e^{ikx_n} = e^{i(k mod m)x_n},
-    so this is the exact DFT of the truncated series' samples."""
-    folded = np.zeros(m, dtype=np.complex128)
-    np.add.at(folded, np.mod(np.arange(-tail, tail + 1), m), coefficients(spec, tail))
-    return folded

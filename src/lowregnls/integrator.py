@@ -69,7 +69,6 @@ __all__ = [
     "load_trajectory",
 ]
 
-INIT_MODES = ("truncated", "sampled")
 SCHEMES = ("lowreg", *SPLITTINGS)
 
 # relative tolerance, against max(T, 1), for a horizon T to sit on the step grid
@@ -168,44 +167,15 @@ def conserved_quantities(f: SpectralField) -> ConservedQuantities:
     return ConservedQuantities(mass=mass, momentum_imag=mom)
 
 
-def initialize(
-    source,
-    cutoff: int,
-    init_mode: str = "truncated",
-    tail_cutoff: int | None = None,
-) -> SpectralField:
-    """Initial state in S_N from an InitialDataSpec or an explicit field.
-
-    'truncated' takes the exact coefficients for |k| <= cutoff.  'sampled'
-    folds the series, truncated at tail_cutoff (default max(16N, 2^14)),
-    mod 4N+1 (its DFT on 4N+1 points, `initial_data.alias_fold`) and
-    truncates; only it takes a tail_cutoff.  The two modes differ by the
-    aliasing of the neglected tail and coincide for band-limited sources.
-    """
+def initialize(source, cutoff: int) -> SpectralField:
+    """Initial state u^0 = Pi_N u0 in S_N: the exact coefficients of an
+    InitialDataSpec for |k| <= cutoff, or the projection of an explicit field."""
     cutoff = _integer(cutoff, "cutoff", 0)
-    if not isinstance(source, (SpectralField, InitialDataSpec)):
-        raise TypeError(f"cannot initialize from {type(source).__name__}")
-    tail = _sampled_tail(source, cutoff, init_mode, tail_cutoff)
     if isinstance(source, SpectralField):
         return project(source, cutoff)
-    if tail is None:
+    if isinstance(source, InitialDataSpec):
         return SpectralField(cutoff, initial_data.coefficients(source, cutoff))
-    folded = initial_data.alias_fold(source, 4 * cutoff + 1, tail)
-    return SpectralField(cutoff, folded[np.arange(-cutoff, cutoff + 1)])
-
-
-def _sampled_tail(source, cutoff: int, init_mode: str, tail_cutoff) -> int | None:
-    """Check init_mode and tail_cutoff; the series tail to sample, None if truncated."""
-    if init_mode not in INIT_MODES:
-        raise ValueError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
-    if init_mode == "truncated":
-        if tail_cutoff is not None:
-            raise ValueError(f"a tail cutoff needs init mode 'sampled', not {init_mode!r}")
-        return None
-    if isinstance(source, SpectralField):
-        raise ValueError("init mode 'sampled' samples a series and needs an "
-                         "InitialDataSpec, not an explicit field")
-    return initial_data.resolve_tail_cutoff(source, cutoff, tail_cutoff)
+    raise TypeError(f"cannot initialize from {type(source).__name__}")
 
 
 class _StepPlan:
@@ -585,10 +555,10 @@ def evolve_lockstep(
 
 def save_trajectory(traj: Trajectory, dirpath) -> None:
     """Write a trajectory dump: manifest.txt with key=value lines for the run
-    parameters, conserved quantities and the recorded diagnostics, plus
-    initial.txt and final.txt, each the state's 2N+1 lines "re im" in
-    ascending k.  Each fact is written once: the horizon, the row times, N
-    and k follow from the rest."""
+    parameters and the recorded diagnostics, plus initial.txt and final.txt,
+    each the state's 2N+1 lines "re im" in ascending k.  Each fact is written
+    once: the horizon, the row times, N, k and the conserved quantities
+    follow from the rest."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     for name, f in (("initial", traj.initial), ("final", traj.final)):
@@ -600,8 +570,6 @@ def save_trajectory(traj: Trajectory, dirpath) -> None:
         f"tau={traj.params.tau!r}",
         f"N={traj.params.cutoff}",
         f"steps={traj.params.steps}",
-        f"mass={traj.cq.mass!r}",
-        f"momentum_imag={traj.cq.momentum_imag!r}",
         f"h1_max={traj.h1_max!r}",
         f"diagnostic_count={len(traj.diagnostics)}",
     ]
@@ -648,8 +616,10 @@ def _manifest_dict(path: Path) -> dict[str, str]:
             continue
         if "=" not in ln:
             raise ValueError(f"{path}: malformed manifest line {ln!r}")
-        key, val = ln.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (s.strip() for s in ln.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}: manifest key {key!r} is given twice")
+        out[key] = val
     return out
 
 
@@ -657,12 +627,13 @@ def load_trajectory(dirpath) -> Trajectory:
     """Read back a dump written by save_trajectory, ignoring unknown keys.
 
     The initial and final states are read from `initial.txt` and `final.txt`
-    at the manifest's N, and a row of step j has the time j * tau.  The dump
-    must name one run: the row steps increase from 0 to steps.  A missing
-    key, an entry of the wrong field count, a bad or non-finite value, and a
-    fact that contradicts the run raise one ValueError naming the manifest
-    and the key; a bad state file, one naming the file (and the line); a
-    missing one, OSError."""
+    at the manifest's N, the conserved quantities are those of the initial
+    state, and a row of step j has the time j * tau.  The dump must name one
+    run: each key is given once, and the row steps increase from 0 to steps.
+    A missing or repeated key, an entry of the wrong field count, a bad or
+    non-finite value, and a fact that contradicts the run raise one
+    ValueError naming the manifest and the key; a bad state file, one naming
+    the file (and the line); a missing one, OSError."""
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
@@ -695,6 +666,9 @@ def load_trajectory(dirpath) -> Trajectory:
 
     initial, final = (_load_state(d / f"{name}.txt", params.cutoff)
                       for name in ("initial", "final"))
+    # silent where a state no run wrote (|c_k| ~ 1e200) overflows them
+    with np.errstate(all="ignore"):
+        cq = conserved_quantities(initial)
     diagnostics = []
     for i in range(entry("diagnostic_count", lambda text: _integer(int(text), "count", 0))):
         key = f"diagnostic_{i}"
@@ -710,7 +684,7 @@ def load_trajectory(dirpath) -> Trajectory:
         raise bad("steps", f"the diagnostics end at step {diagnostics[-1].step_index}")
     return Trajectory(
         params=params,
-        cq=ConservedQuantities(mass=entry("mass"), momentum_imag=entry("momentum_imag")),
+        cq=cq,
         scheme=entry("scheme", _scheme),
         initial=initial,
         final=final,

@@ -292,9 +292,11 @@ class TestConfigFile:
 
     def test_underscore_keys_map_to_dashes(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau=2^-3\nN=8\nT=0.5\ninit_mode=sampled\n")
-        assert main(["solve", "--config", str(cfg)]) == 0
-        capsys.readouterr()
+        cfg.write_text("tau_list=2^-3\nN_list=8,16\nT=0.5\n")
+        assert main(["study-spatial", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == CSV_HEADER
+        assert [ln.split(",")[4:6] for ln in out[1:]] == [["8", "0.125"], ["16", "0.125"]]
 
     def test_equals_form(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -440,20 +442,21 @@ class TestErrorContract:
         msg = self.check(argv, 1, capsys)
         assert f"a {axis} study fits its rate over at least two" in msg
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5", "--tail-cutoff", "4"],
-        ["study-spatial", "--tau-list", "2^-3", "--N-list", "8,16", "--T", "0.5",
-         "--tail-cutoff", "0"],
-    ])
-    def test_tail_cutoff_needs_sampled_init(self, argv, capsys, monkeypatch):
-        # a tail cutoff in the default truncated mode is an error, before
-        # any run: a run here would end in "error: ran"
-        def ran(*args, **kwargs):
-            raise RuntimeError("ran")
-
-        monkeypatch.setattr(harness, "_compute_runs", ran)
-        msg = self.check(argv, 1, capsys)
-        assert "a tail cutoff needs init mode 'sampled', not 'truncated'" in msg
+    @pytest.mark.parametrize("flag", [["--init-mode", "sampled"], ["--init-mode", "truncated"],
+                                      ["--tail-cutoff", "64"], ["--config", "init_mode=sampled"]],
+                             ids=["init-mode-sampled", "init-mode-truncated", "tail-cutoff",
+                                  "config-init-mode"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--tau", "2^-3", "--N", "8"],
+        ["study-temporal", "--tau-list", "2^-3,2^-4", "--N-list", "8"],
+        ["study-spatial", "--tau-list", "2^-3", "--N-list", "8,16"],
+    ], ids=["solve", "study-temporal", "study-spatial"])
+    def test_one_start_rule(self, command, flag, tmp_path, capsys):
+        # every run starts from Pi_N u0, so no flag or config key chooses another
+        if flag[0] == "--config":
+            (tmp_path / "run.cfg").write_text(flag[1] + "\n")
+            flag = ["--config", str(tmp_path / "run.cfg")]
+        assert "unrecognized arguments: --" in self.check(command + flag, 2, capsys)
 
     @pytest.mark.parametrize("mode", ["9", "-9", "99"])
     def test_plane_mode_outside_cutoff(self, mode, capsys):
@@ -514,8 +517,10 @@ class TestErrorContract:
         ("N=5", "N"),
         ("steps=9", "steps"),
         ("diagnostic_1=8 7.0 1 2 3 4", "diagnostic_1"),
+        # a key given twice names no one run: 0.0625 would time the rows of another
+        ("tau=0.125\ntau=0.0625", "tau"),
     ], ids=["short-row", "count", "scheme", "missing", "lambda-range", "N-range",
-            "steps-range", "N-of-states", "steps-of-rows", "row-with-time"])
+            "steps-range", "N-of-states", "steps-of-rows", "row-with-time", "key-twice"])
     def test_malformed_dump(self, edit, key, tmp_path, capsys):
         dump = tmp_path / "D"
         assert main(["solve", "--tau", "2^-3", "--N", "4", "--T", "1", "--out", str(dump)]) == 0
@@ -542,8 +547,6 @@ class TestErrorContract:
         ["solve", "--tau", "2^-3", "--N", "2^99999999999"],
         ["solve", "--tau", "2^-3", "--N", str(MAX_CUTOFF + 1)],
         ["study-spatial", "--tau-list", "2^-3", "--N-list", "16,2^40"],
-        ["solve", "--tau", "2^-3", "--N", "8", "--init-mode", "sampled",
-         "--tail-cutoff", str(2 ** 40)],
     ])
     def test_absurd_size(self, argv, capsys):
         assert "maximum" in self.check(argv, 2, capsys)
@@ -585,8 +588,6 @@ RUN_FLAGS = {
     "--lambda": tokens(["-1", "1"], ["0", "x"]),
     "--T": tokens(["0", "0.25", "0.5", "0.3"],
                   ["-0", "5e-324", "1e308", "-1", "nan", "inf", "x"]),
-    "--init-mode": tokens(["truncated", "sampled"], ["bogus"]),
-    "--tail-cutoff": tokens(["0", "16", "64"], ["-1", "2^4", "99999999999999999999"]),
     "--scheme": tokens(["lowreg", "lie", "strang"], ["bogus"]),
 }
 ONE_RUN_FLAGS = {
@@ -736,8 +737,9 @@ class TestDiagnosticsOnCorruptDumps:
                 warnings.simplefilter("error")
                 rc = main(["diagnostics", "--in", d])
         if rc == 0:
-            # every number of a dump is finite, so a non-finite one is an error
-            assert kind != "number"
+            # every number of a dump is finite, so a non-finite one is an
+            # error; and every line is there once, so a repeated one is too
+            assert kind not in ("number", "duplicate")
             assert err.getvalue() == ""
             assert out.getvalue() == rows_csv(files["manifest.txt"])
         else:
@@ -745,6 +747,21 @@ class TestDiagnosticsOnCorruptDumps:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "Traceback" not in err.getvalue()
+
+    def test_state_no_run_wrote_loads_silently(self, real_dump, tmp_path, capsys):
+        # the conserved quantities of the initial state overflow here, which
+        # no run's can; the rows still come from the manifest, and nothing
+        # reaches stderr
+        for name, text in real_dump.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "initial.txt").write_text(
+            "1e200 0.0\n" + real_dump["initial.txt"].split("\n", 1)[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["diagnostics", "--in", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == rows_csv(real_dump["manifest.txt"])
 
     def test_numbered_snapshot_dump_exits_1(self, real_dump, tmp_path, capsys):
         # a dump of states in numbered snapshot files, each named with its
@@ -766,12 +783,12 @@ class TestDiagnosticsOnCorruptDumps:
     @pytest.mark.parametrize("name, edit", [
         ("final.txt", lambda text: "nan" + text[text.index(" "):]),
         ("manifest.txt", lambda text: re.sub(r"(?m)^h1_max=.*$", "h1_max=nan", text)),
-        ("manifest.txt", lambda text: re.sub(r"(?m)^mass=.*$", "mass=inf", text)),
+        ("manifest.txt", lambda text: re.sub(r"(?m)^tau=.*$", "tau=inf", text)),
         ("manifest.txt", lambda text: re.sub(r"(?m)^(diagnostic_2=\S+) \S+", r"\1 nan", text)),
         ("final.txt", lambda text: text.split("\n", 1)[1]),
         ("final.txt", lambda text: text + text.split("\n", 1)[0] + "\n"),
         ("final.txt", lambda text: text.replace("\n", " 0.0\n", 1)),
-    ], ids=["nan-coefficient", "h1_max-nan", "mass-inf", "row-nan", "missing-line",
+    ], ids=["nan-coefficient", "h1_max-nan", "tau-inf", "row-nan", "missing-line",
             "extra-line", "three-fields"])
     def test_bad_number_or_line_exits_1(self, real_dump, tmp_path, name, edit, capsys):
         for n, text in real_dump.items():

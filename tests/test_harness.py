@@ -116,28 +116,23 @@ class TestStudySpecValidation:
         ({"horizon": math.nan}, "horizon must be finite, got nan"),
         ({"taus": (0.125,), "horizon": 0.3},
          "horizon 0.3 is not an integer multiple of tau 0.125"),
-        ({"init_mode": "bogus"}, "init_mode must be one of"),
-        ({"init_mode": "sampled", "tail_cutoff": 2.5}, "tail_cutoff must be an integer, got 2.5"),
-        # the spatial study's finest run has cutoff 2 * 16
-        ({"init_mode": "sampled", "tail_cutoff": 20},
-         "tail cutoff 20 is below the target cutoff 32"),
         ({"cutoffs": (0, 8)}, "cutoffs must be >= 1, got 0"),
         ({"cutoffs": (2.5, 4)}, "cutoffs must be an integer, got 2.5"),
         ({"jobs": 0}, "jobs must be >= 1, got 0"),
         ({"jobs": 1.9}, "jobs must be an integer, got 1.9"),
         ({"lam": 0}, r"lam must be -1 or \+1, got 0"),
+        ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
     ])
     def test_bad_value_rejected(self, fields, match):
         base = {"axis": "spatial", "taus": (0.1,), "cutoffs": (8, 16)}
         with pytest.raises(ValueError, match=match):
             StudySpec(**{**base, **fields})
 
-    def test_tail_cutoff_needs_sampled_init(self):
-        StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16), init_mode="sampled",
-                  tail_cutoff=64)
-        with pytest.raises(ValueError, match="tail cutoff needs init mode 'sampled', "
-                                             "not 'truncated'"):
-            StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16), tail_cutoff=64)
+    @pytest.mark.parametrize("option", [{"init_mode": "sampled"}, {"tail_cutoff": 64}])
+    def test_one_start_rule(self, option):
+        # every run starts from Pi_N u0, so a spec names no other start rule
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16), **option)
 
     def test_axis_mismatch(self):
         spec = StudySpec(axis="spatial", taus=(0.1,), cutoffs=(8, 16))
@@ -224,8 +219,7 @@ class TestSpatialStudy:
 
 def final_state(spec, tau, n):
     """Final state of the (N, tau) run a study cell names, run by hand."""
-    u0 = initialize(spec.initial_data(), n, init_mode=spec.init_mode,
-                    tail_cutoff=spec.tail_cutoff)
+    u0 = initialize(spec.initial_data(), n)
     return evolve(u0, SchemeParams.from_horizon(spec.lam, tau, n, spec.horizon)).final
 
 
@@ -263,20 +257,6 @@ class TestCells:
                     assert abs(rep.errors[i, j] - want) <= 1e-13 * want
         for col in range(len(spec.taus)):
             assert rep.rates[col] == -fit_rate(spec.cutoffs, rep.errors[:, col])
-
-    def test_sampled_init_cell(self):
-        # 1024 stacks alone (its 3200-point grid fills a stack), so 512 runs
-        # apart from it and the cell of 512 is that of two solo runs,
-        # bitwise; 256 rides zero-padded on the grid of 512, so its cell is
-        # that of its solo runs to round-off
-        spec = small_spatial_spec(init_mode="sampled", tail_cutoff=2048, cutoffs=(256, 512))
-        rep = spatial_study(spec)
-        tau = spec.taus[0]
-        want = [l2_error(final_state(spec, tau, n),
-                         final_state(spec, tau, 2 * n)) / math.sqrt(2.0 * math.pi)
-                for n in spec.cutoffs]
-        assert rep.errors[1, 0] == want[1]
-        assert abs(rep.errors[0, 0] - want[0]) <= 1e-13 * want[0]
 
 
 class TestRunGrid:
@@ -468,7 +448,7 @@ POOLED_SPECS = {
     "lowreg-temporal": small_temporal_spec(cutoffs=(8, 64)),
     "lowreg-spatial": small_spatial_spec(),
     "strang-temporal": small_temporal_spec(scheme="strang", alpha=3.0),
-    "sampled-spatial": small_spatial_spec(init_mode="sampled", tail_cutoff=512),
+    "strang-spatial": small_spatial_spec(scheme="strang", alpha=3.0),
 }
 
 

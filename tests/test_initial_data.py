@@ -1,29 +1,10 @@
-"""Initial-state families: coefficient values, symmetry, sampling identities."""
+"""Initial-state families: coefficient values, symmetry, grid values."""
 
 import numpy as np
 import pytest
 
 from lowregnls import dft
-from lowregnls.initial_data import (
-    InitialDataSpec,
-    alias_fold,
-    coefficients,
-    resolve_tail_cutoff,
-)
-
-
-def sample_on_grid(spec, m, tail):
-    """Samples on dft.grid(m) of the series truncated at |k| <= tail: one
-    inverse FFT of its `alias_fold`."""
-    return np.fft.fftshift(np.fft.ifft(alias_fold(spec, m, tail), norm="forward"))
-
-
-def series_samples_direct(spec, m, tail):
-    """O(tail*m) direct summation oracle."""
-    x = dft.grid(m)
-    k = np.arange(-tail, tail + 1)
-    c = coefficients(spec, tail)
-    return np.exp(1j * x[:, None] * k[None, :]) @ c
+from lowregnls.initial_data import InitialDataSpec, coefficients
 
 
 class TestSobolevFamily:
@@ -93,48 +74,12 @@ class TestOtherKinds:
         assert c[6] == 2.0
         assert c[0] == 0.0
         x = dft.grid(21)
-        samples = sample_on_grid(spec, 21, 3)
+        samples = dft.inverse(coefficients(spec, 10))
         assert np.allclose(samples, 2.0 * np.exp(3j * x), atol=1e-14)
 
     def test_constant(self):
         spec = InitialDataSpec(kind="constant", amplitude=0.7)
         assert np.array_equal(coefficients(spec, 1), [0.0, 0.7, 0.0])
-        samples = sample_on_grid(spec, 9, 1)
+        samples = dft.inverse(coefficients(spec, 4))
         assert np.allclose(samples, 0.7, atol=1e-15)
 
-
-class TestSampling:
-    @pytest.mark.parametrize("m,tail", [(5, 7), (9, 30), (21, 85), (13, 4)])
-    def test_folding_matches_direct_summation(self, m, tail):
-        spec = InitialDataSpec(kind="sobolev", alpha=1.0)
-        fast = sample_on_grid(spec, m, tail)
-        direct = series_samples_direct(spec, m, tail)
-        assert np.allclose(fast, direct, rtol=0, atol=1e-12)
-
-    def test_default_tail(self):
-        spec = InitialDataSpec(kind="sobolev", alpha=1.0)
-        assert resolve_tail_cutoff(spec, 16, None) == 2 ** 14
-        assert resolve_tail_cutoff(spec, 2 ** 12, None) == 16 * 2 ** 12
-        assert resolve_tail_cutoff(spec, 16, 100) == 100
-        with pytest.raises(ValueError):
-            resolve_tail_cutoff(spec, 16, 8)  # tail below the target cutoff
-
-    def test_band_limited_tail_defaults(self):
-        assert resolve_tail_cutoff(InitialDataSpec(kind="plane", mode=9), 4, None) == 9
-        assert resolve_tail_cutoff(InitialDataSpec(kind="constant"), 4, None) == 4
-
-    def test_tail_doubling_within_integral_bound(self):
-        # doubling the tail past the default moves the samples by at most the
-        # l1 mass of the dropped band; for alpha = 2 the integral bound is
-        # 2 * 0.1 * K^-1.51 / 1.51 at K = 2^14, about 5.7e-8
-        spec = InitialDataSpec(kind="sobolev", alpha=2.0)
-        a = sample_on_grid(spec, 65, 2 ** 14)
-        b = sample_on_grid(spec, 65, 2 ** 15)
-        bound = 2.0 * 0.1 * (2.0 ** 14) ** -1.51 / 1.51
-        assert np.max(np.abs(a - b)) <= bound
-
-    def test_samples_are_real_for_even_real_series(self):
-        # real, even coefficients give a real-valued sum
-        spec = InitialDataSpec(kind="sobolev", alpha=1.0)
-        samples = sample_on_grid(spec, 17, 50)
-        assert np.max(np.abs(samples.imag)) <= 1e-14

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 from lowregnls import dft, integrator
 from lowregnls.harness import StudySpec
-from lowregnls.initial_data import (
-    InitialDataSpec,
-    alias_fold,
-    coefficients,
-    resolve_tail_cutoff,
-)
+from lowregnls.initial_data import InitialDataSpec, coefficients
 from lowregnls.integrator import (
     SCHEMES,
     BlowUpError,
@@ -197,44 +192,6 @@ class TestInitialize:
         assert np.isclose(u.coefficient(-8), 0.1 * 8.0 ** -1.51, rtol=1e-14)
         assert u.coefficient(0) == 0.0
 
-    def test_sampled_equals_truncated_for_band_limited(self):
-        spec = InitialDataSpec(kind="plane", amplitude=1.5, mode=3)
-        a = initialize(spec, 8, init_mode="truncated")
-        b = initialize(spec, 8, init_mode="sampled")
-        assert np.allclose(a.coeffs, b.coeffs, atol=1e-14)
-
-    def test_sampled_folds_the_tail(self):
-        # with tail <= 2N the interpolation is exact truncation; larger tails
-        # alias the neglected modes back into the window
-        spec = InitialDataSpec(alpha=1.0)
-        exact = initialize(spec, 16, init_mode="truncated")
-        same = initialize(spec, 16, init_mode="sampled", tail_cutoff=32)
-        assert np.allclose(same.coeffs, exact.coeffs, atol=1e-14)
-        aliased = initialize(spec, 16, init_mode="sampled", tail_cutoff=2 ** 12)
-        gap = l2_error(aliased, exact)
-        assert gap > 1e-3  # the alpha=1 tail is far from negligible
-
-    def test_sampled_window_is_exact_alias_sum(self):
-        # dual route for the sampled mode: the mod-(4N+1) fold of the exact
-        # coefficients over the tail window must equal the DFT of the
-        # gridded series
-        spec = InitialDataSpec(alpha=2.0)
-        cutoff = 8
-        u = initialize(spec, cutoff, init_mode="sampled")
-        m = 4 * cutoff + 1
-        tail = resolve_tail_cutoff(spec, cutoff, None)
-        assert tail == 2 ** 14
-        exact = coefficients(spec, tail)
-        folded = np.sum(exact[np.arange(-tail, tail + 1) % m == 1])
-        assert abs(u.coefficient(1) - folded) <= 1e-12
-        # the fold differs from the exact coefficient by the tail leakage,
-        # which is small but well above round-off even at alpha = 2
-        assert 1e-6 < abs(folded - exact[tail + 1]) < 1e-3
-        # the whole window against the dft oracle
-        samples = np.fft.fftshift(np.fft.ifft(alias_fold(spec, m, tail), norm="forward"))
-        grid = dft.forward(samples)[m // 2 - cutoff: m // 2 + cutoff + 1]
-        assert np.linalg.norm(u.coeffs - grid) <= 1e-14 * np.linalg.norm(grid)
-
     def test_field_source_is_projected(self):
         rng = np.random.default_rng(2)
         f = random_field(rng, 12)
@@ -243,23 +200,26 @@ class TestInitialize:
         v = initialize(f, 20)
         assert v.cutoff == 20 and np.array_equal(project(v, 12).coeffs, f.coeffs)
 
+    @pytest.mark.parametrize("spec", [InitialDataSpec(alpha=0.5), InitialDataSpec(kind="plane", mode=-5),
+                                      InitialDataSpec(kind="constant", amplitude=0.3)],
+                             ids=["sobolev", "plane", "constant"])
+    def test_start_is_nested_projection(self, spec):
+        # u^0 = Pi_N u0 exactly, so a finer start projects onto a coarser one
+        for n in (3, 8, 21):
+            u = initialize(spec, n)
+            assert np.array_equal(u.coeffs, coefficients(spec, n))
+            assert np.array_equal(project(initialize(spec, 4 * n), n).coeffs, u.coeffs)
+
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            initialize(InitialDataSpec(), 8, init_mode="nope")
-        with pytest.raises(ValueError, match="tail cutoff needs init mode 'sampled', "
-                                             "not 'truncated'"):
-            initialize(InitialDataSpec(), 8, tail_cutoff=64)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="cannot initialize from float"):
             initialize(3.14, 8)
 
-    @pytest.mark.parametrize("tail", [None, 64])
-    def test_sampling_needs_a_spec(self, tail):
-        # sampling a field would fold its modes above 2N into the window
-        # (mode 15 to -2 at N = 4), so it is refused, not truncated
-        f = SpectralField.from_modes(20, {15: 1.0})
-        with pytest.raises(ValueError, match="'sampled' samples a series and needs an "
-                                             "InitialDataSpec, not an explicit field"):
-            initialize(f, 4, init_mode="sampled", tail_cutoff=tail)
+    @pytest.mark.parametrize("option", [{"init_mode": "sampled"}, {"init_mode": "truncated"},
+                                        {"tail_cutoff": 64}])
+    def test_one_start_rule(self, option):
+        # every run starts from Pi_N u0; there is no other rule to choose
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            initialize(InitialDataSpec(), 8, **option)
 
 
 class TestStepAgainstStraightLine:
@@ -654,14 +614,15 @@ class TestTrajectoryDump:
         assert_same_trajectory(load_trajectory(out), traj)
 
     def test_manifest_keys(self, tmp_path):
-        # each fact once: no horizon, state time, file name or wall time
+        # each fact once: no horizon, state time, file name, wall time or
+        # conserved quantity (those of the initial state)
         u = SpectralField.from_modes(2, {0: 1.0})
         params = SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2)
         traj = evolve(u, params)
         save_trajectory(traj, tmp_path / "d")
         text = (tmp_path / "d" / "manifest.txt").read_text()
         assert [ln.split("=", 1)[0] for ln in text.splitlines()] == [
-            "scheme", "lambda", "tau", "N", "steps", "mass", "momentum_imag", "h1_max",
+            "scheme", "lambda", "tau", "N", "steps", "h1_max",
             "diagnostic_count", "diagnostic_0", "diagnostic_1"]
         # a row is "j l2 h1 mass_drift momentum_drift"; its time is j * tau
         row = traj.diagnostics[-1]
@@ -679,15 +640,20 @@ class TestTrajectoryDump:
         return traj, tmp_path / "d" / "manifest.txt"
 
     def test_unknown_keys_ignored(self, tmp_path):
-        # a horizon, a state's time, a file name and a wall time are not in
-        # the format: the loader ignores them and opens no path they name
+        # a horizon, a state's time, a file name, a wall time and the
+        # conserved quantities are not in the format: the loader ignores
+        # them, opens no path they name, and takes the conserved quantities
+        # of the initial state
         traj, manifest = self.dump(tmp_path)
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         (elsewhere / "final.txt").write_text("0.0 0.0\n" * 5)
         manifest.write_text(manifest.read_text() + "T=9\nwall_ms=12.5\nsnapshot_count=2\n"
-                            "snapshot_1_time=1.0\nfinal_file=../elsewhere/final.txt\n")
-        assert_same_trajectory(load_trajectory(manifest.parent), traj)
+                            "snapshot_1_time=1.0\nfinal_file=../elsewhere/final.txt\n"
+                            "mass=5.0\nmomentum_imag=-7.0\n")
+        back = load_trajectory(manifest.parent)
+        assert_same_trajectory(back, traj)
+        assert back.cq == conserved_quantities(back.initial)
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         traj, manifest = self.dump(tmp_path)
@@ -719,8 +685,8 @@ class TestTrajectoryDump:
         ("steps=-1", "steps", "bad manifest entry steps='-1': steps must be >= 0, got -1"),
         ("h1_max=1 2", "h1_max", "bad manifest entry h1_max='1 2'"),
         ("h1_max=nan", "h1_max", "bad manifest entry h1_max='nan': 'nan' is not a finite number"),
-        ("mass=inf", "mass", "bad manifest entry mass='inf': 'inf' is not a finite number"),
-        ("momentum_imag=-inf", "momentum_imag", "momentum_imag='-inf': '-inf' is not a finite"),
+        ("tau=0.0625", None, "manifest key 'tau' is given twice$"),
+        ("diagnostic_1=1 1 2 3 4", None, "manifest key 'diagnostic_1' is given twice$"),
         ("diagnostic_2=2 nan 1 2 3", "diagnostic_2", "diagnostic_2='2 nan 1 2 3': 'nan' is not"),
         ("diagnostic_1=1 1 inf 2 3", "diagnostic_1", "diagnostic_1='1 1 inf 2 3': 'inf' is not"),
         ("diagnostic_0=0 1 2 1e400 3", "diagnostic_0", "'1e400' is not a finite number"),
@@ -730,7 +696,7 @@ class TestTrajectoryDump:
     ], ids=["missing", "no-scheme", "short-row", "long-row", "row-with-time",
             "float-step", "negative-step", "huge-step", "row-order", "no-rows", "steps-of-rows",
             "N-of-states", "count", "negative-count", "tau", "tau-range", "lambda-range",
-            "N-range", "steps-range", "two-fields", "h1_max-nan", "mass-inf", "momentum-inf", "row-l2-nan", "row-h1-inf",
+            "N-range", "steps-range", "two-fields", "h1_max-nan", "tau-twice", "row-twice", "row-l2-nan", "row-h1-inf",
             "row-mass-drift-huge", "row-momentum-drift-inf", "scheme", "no-equals"])
     def test_bad_manifest_named(self, tmp_path, line, key, match):
         # one ValueError that names the manifest (and the key), or, where the
@@ -758,9 +724,13 @@ class TestTrajectoryDump:
             load_trajectory(manifest.parent)
 
     def with_states(self, traj, coeffs):
-        """traj with both states holding coeffs, at their cutoff."""
+        """traj with both states holding coeffs, at their cutoff, and the
+        conserved quantities of that initial state."""
         f = SpectralField((len(coeffs) - 1) // 2, np.array(coeffs, dtype=np.complex128))
-        return replace(traj, params=replace(traj.params, cutoff=f.cutoff), initial=f, final=f)
+        with np.errstate(all="ignore"):  # they overflow at the extremes
+            cq = conserved_quantities(f)
+        return replace(traj, params=replace(traj.params, cutoff=f.cutoff), initial=f, final=f,
+                       cq=cq)
 
     @given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=41).filter(lambda c: len(c) % 2 == 1))
@@ -863,8 +833,6 @@ class TestBoundaryChecks:
         (lambda: coefficients(InitialDataSpec(), -1), "cutoff must be >= 0, got -1"),
         (lambda: initialize(InitialDataSpec(), 3.0), "cutoff must be an integer, got 3.0"),
         (lambda: initialize(InitialDataSpec(), -1), "cutoff must be >= 0, got -1"),
-        (lambda: initialize(InitialDataSpec(), 4, init_mode="sampled", tail_cutoff=20.5),
-         "tail_cutoff must be an integer, got 20.5"),
         (lambda: InitialDataSpec(kind="plane", mode=1.5), "mode must be an integer, got 1.5"),
         (lambda: evolve(ZERO, _params(), diag_stride=1.5),
          "diag_stride must be an integer, got 1.5"),
