@@ -38,8 +38,9 @@ from .integrator import (
     initialize,
     load_trajectory,
     save_trajectory,
+    splitting_evolve,
 )
-from .reference import SPLITTINGS, splitting_evolve
+from .reference import SPLITTINGS
 
 __all__ = ["main", "build_parser"]
 
@@ -301,9 +302,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
+    traj = load_trajectory(args.dump_in)
     lines = [DIAG_HEADER]
-    for row in load_trajectory(args.dump_in).diagnostics:
-        lines.append(f"{row.time!r},{row.l2!r},{row.h1!r},"
+    for row in traj.diagnostics:
+        lines.append(f"{row.step_index * traj.params.tau!r},{row.l2!r},{row.h1!r},"
                      f"{row.mass_drift!r},{row.momentum_drift!r}")
     text = "\n".join(lines) + "\n"
     if args.out is None:
@@ -324,7 +326,8 @@ def _emit_report(report, out_dir, wall_ms: float) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"study_{spec.axis}.csv"
-    write_report_csv(report, path)
+    with open(path, "w") as fh:
+        write_report_csv(report, fh)
     (_, label), (_, collabel) = AXIS_NAMES[spec.axis]
     print(f"{spec.axis} study: alpha={spec.alpha} lambda={spec.lam} "
           f"T={spec.horizon} scheme={spec.scheme}")

@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .initial_data import InitialDataSpec
 from .integrator import SchemeParams, _scheme, _sign, evolve_lockstep, initialize
-# evolve and splitting_evolve are not called here, but perfbench/tracing.py
-# patches both by these names
-from .integrator import evolve  # noqa: F401
-from .reference import splitting_evolve  # noqa: F401
+# not called here, but perfbench/tracing.py patches both by these names
+from .integrator import evolve, splitting_evolve  # noqa: F401
 from .spectral import SpectralField, _integer, _pow2_grid_size, l2_error
 
 __all__ = [
@@ -132,11 +130,12 @@ class StudySpec:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Error table of the study spec, with per-column fitted rates."""
+    """Error table of the study spec, and each column's rate fitted from it:
+    p for errors ~ tau^p in a temporal study, s for errors ~ N^-s in a spatial one."""
 
     spec: StudySpec
     errors: np.ndarray
-    rates: tuple[float, ...]
+    rates: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         arr = np.array(self.errors, dtype=float)
@@ -145,6 +144,9 @@ class ConvergenceReport:
             raise ValueError(f"errors has shape {arr.shape}, expected {shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "errors", arr)
+        sign = 1.0 if self.spec.axis == "temporal" else -1.0
+        object.__setattr__(self, "rates", tuple(sign * fit_rate(self.spec.rows, column)
+                                                for column in arr.T))
 
 
 def fit_rate(values, errors) -> float:
@@ -243,9 +245,7 @@ def _study(spec: StudySpec, axis: str) -> ConvergenceReport:
     runs = _compute_runs(spec)
     errors = np.array([[l2_error(runs[coarse], runs[fine]) for coarse, fine in row]
                        for row in spec.cells()]) / math.sqrt(2.0 * math.pi)
-    sign = 1.0 if axis == "temporal" else -1.0
-    rates = tuple(sign * fit_rate(spec.rows, errors[:, j]) for j in range(len(spec.cols)))
-    return ConvergenceReport(spec, errors, rates)
+    return ConvergenceReport(spec, errors)
 
 
 def temporal_study(spec: StudySpec) -> ConvergenceReport:
@@ -268,16 +268,12 @@ def spatial_study(spec: StudySpec) -> ConvergenceReport:
     return _study(spec, "spatial")
 
 
-def write_report_csv(report: ConvergenceReport, path_or_file) -> None:
-    """One row per table cell under the fixed header; the rate column repeats
-    each column's fitted rate on every row of that column."""
+def write_report_csv(report: ConvergenceReport, file) -> None:
+    """Write to an open text file one row per table cell under the fixed
+    header; the rate column repeats each column's fitted rate on every row
+    of that column."""
     spec = report.spec
     study = f"{spec.axis},{spec.alpha!r},{spec.lam},{spec.horizon!r}"
-    text = "".join([CSV_HEADER + "\n"] + [
+    file.write("".join([CSV_HEADER + "\n"] + [
         f"{study},{rp!r},{cp!r},{float(report.errors[i, j])!r},{report.rates[j]!r}\n"
-        for i, rp in enumerate(spec.rows) for j, cp in enumerate(spec.cols)])
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
+        for i, rp in enumerate(spec.rows) for j, cp in enumerate(spec.cols)]))

@@ -15,8 +15,9 @@ same Fourier multiplier are summed on the grid and transformed once.
 several taus together as one stack of states through the same calls, by
 the low-regularity step (runs of several cutoffs on the product grid of
 the largest) or by a Lie or Strang splitting step of `reference` (runs of
-one cutoff), in numpy's standard FFT order.  `step_twisted` advances the
-twisted variable v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
+one cutoff), in numpy's standard FFT order; `evolve` and `splitting_evolve`
+are its one-run cases.  `step_twisted` advances the twisted variable
+v^n = e^{-i t_n d_xx} u^n instead; conjugating it with free propagators
 reproduces `step` to rounding, which the tests exploit as a structural
 cross-check.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import initial_data
 from .initial_data import InitialDataSpec
-from .reference import SPLITTINGS, _splitting_stepper
+from .reference import SPLITTINGS, _splitting_scheme, _splitting_stepper
 from .spectral import (
     SpectralField,
     _centered,
@@ -62,6 +63,7 @@ __all__ = [
     "step_twisted",
     "evolve",
     "evolve_lockstep",
+    "splitting_evolve",
     "Trajectory",
     "SnapshotDiagnostics",
     "BlowUpError",
@@ -77,22 +79,25 @@ TIME_RTOL = 1e-12
 
 class BlowUpError(RuntimeError):
     """Raised when a trajectory's H^1 norm leaves the range of floating point
-    numbers.  Names the run by its tau, and carries the step, the time and
-    the last finite H^1 norm of the run (nan if it had none)."""
+    numbers.  Names the run by its tau, and carries the step and the last
+    finite H^1 norm of the run (nan if it had none)."""
 
-    def __init__(self, step_index: int, time_value: float, tau: float, last_h1: float):
+    def __init__(self, step_index: int, tau: float, last_h1: float):
         self.step_index = step_index
-        self.time = time_value
         self.tau = tau
         self.last_h1 = last_h1
         super().__init__(
             f"solution blew up to a non-finite H^1 norm at step {step_index} "
-            f"(t = {time_value:g}, tau = {tau!r}); last finite H^1 was {last_h1:g}"
+            f"(t = {self.time:g}, tau = {tau!r}); last finite H^1 was {last_h1:g}"
         )
+
+    @property
+    def time(self) -> float:
+        return self.step_index * self.tau
 
     def __reduce__(self):
         # rebuilt from its fields, so that it crosses a process boundary
-        return type(self), (self.step_index, self.time, self.tau, self.last_h1)
+        return type(self), (self.step_index, self.tau, self.last_h1)
 
 
 def _scheme(name) -> str:
@@ -390,10 +395,9 @@ def step_twisted(
 
 @dataclass(frozen=True)
 class SnapshotDiagnostics:
-    """Norms and conservation drifts of the state at one recorded step."""
+    """Norms and conservation drifts of the state at step step_index."""
 
     step_index: int
-    time: float
     l2: float
     h1: float
     mass_drift: float
@@ -402,11 +406,10 @@ class SnapshotDiagnostics:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Result of one run: its initial state, its state at step params.steps,
-    and diagnostics."""
+    """Result of one run: its initial state (whose conserved quantities the
+    run froze), its state at step params.steps, diagnostics and H^1 maximum."""
 
     params: SchemeParams
-    cq: ConservedQuantities
     scheme: str
     initial: SpectralField
     final: SpectralField
@@ -430,12 +433,11 @@ class _Record:
         """Record step j of the run, its state `row` in standard order and
         its H^1 norm h1."""
         params = self.params
-        if j and not math.isfinite(h1):
+        if not math.isfinite(h1):
             # a non-finite coefficient, or one whose square overflows, makes
-            # H^1 non-finite
-            raise BlowUpError(j, j * params.tau, params.tau, self.last_h1)
-        if math.isfinite(h1):
-            self.last_h1 = h1
+            # H^1 non-finite; at step 0 the initial state is such a state
+            raise BlowUpError(j, params.tau, self.last_h1)
+        self.last_h1 = h1
         self.h1_max = max(self.h1_max, h1)
         if j == params.steps or j == 0 or (self.stride > 0 and j % self.stride == 0):
             f = SpectralField(params.cutoff, _centered(row, params.cutoff))
@@ -443,14 +445,14 @@ class _Record:
                 self.final = f
             now = conserved_quantities(f)
             self.diagnostics.append(SnapshotDiagnostics(
-                step_index=j, time=j * params.tau, l2=math.sqrt(2.0 * math.pi * now.mass),
+                step_index=j, l2=math.sqrt(2.0 * math.pi * now.mass),
                 h1=h1, mass_drift=abs(now.mass - self.cq.mass),
                 momentum_drift=abs(now.momentum_imag - self.cq.momentum_imag),
             ))
 
     def trajectory(self, scheme: str) -> Trajectory:
         return Trajectory(
-            params=self.params, cq=self.cq, scheme=scheme, initial=self.initial,
+            params=self.params, scheme=scheme, initial=self.initial,
             final=self.final, diagnostics=tuple(self.diagnostics), h1_max=self.h1_max,
         )
 
@@ -462,44 +464,48 @@ def evolve(initial: SpectralField, params: SchemeParams, diag_stride: int = 0) -
     L = params.steps.  Lightweight norm diagnostics are recorded at steps 0
     and L, and at every diag_stride-th step when diag_stride > 0.  The
     running H^1 maximum over every step is always tracked; drifts are from
-    the initial field's conserved quantities.  Raises ValueError if the initial coefficients are
-    not finite, and BlowUpError, naming the step, the tau and the last finite
-    H^1, if the state's H^1 norm leaves floating point range.
+    the initial field's conserved quantities.  Raises ValueError if the
+    initial coefficients are not finite, and BlowUpError, naming the step,
+    the tau and the last finite H^1, if the state's H^1 norm leaves floating
+    point range at any step, step 0 (the initial state) included.
     """
-    [traj] = evolve_lockstep(initial, [params], diag_stride)
+    [traj] = evolve_lockstep([initial], [params], diag_stride)
     return traj
 
 
-def evolve_lockstep(
-    initial,
-    runs,
-    diag_stride: int = 0,
-    scheme: str = "lowreg",
-) -> list[Trajectory]:
+def splitting_evolve(initial: SpectralField, params: SchemeParams, order: int,
+                     diag_stride: int = 0) -> Trajectory:
+    """Run the Lie (order 1) or Strang (order 2) splitting of `reference`
+    with the same recording and input checks as `evolve`."""
+    [traj] = evolve_lockstep([initial], [params], diag_stride, scheme=_splitting_scheme(order))
+    return traj
+
+
+def evolve_lockstep(initials, runs, diag_stride: int = 0,
+                    scheme: str = "lowreg") -> list[Trajectory]:
     """`evolve` for one or more runs of one lam, stepped together by one
     scheme of SCHEMES; trajectories come back in the order of runs.
 
-    initial is one field, the start of every run, or a sequence of one
-    field per run, each at its run's cutoff, whose conserved quantities are
-    the run's.  Row r of the (R, m) state stack is run r in standard order,
-    for every scheme: on the product grid of the largest cutoff N for the
-    low-regularity step (see `_StepPlan`), on 2N+1 points for splitting
-    runs, which share one cutoff (see `reference`).  Only H^1 norms,
-    final states and diagnostics are centered.  The runs step in descending
-    order of step count, and a run that reaches its step count leaves the
-    stack by a prefix slice; the driver only steps and hands each live row
-    and its H^1 norm to the run's `_Record`, which keeps its final state,
-    diagnostics and blow-up check.  Each trajectory is that of the run's own
-    `evolve` or `splitting_evolve`, bitwise when every run has the largest
-    cutoff, to round-off otherwise, and a function of its inputs alone.  A
-    ValueError for bad input and a BlowUpError name the run.
+    initials holds one field per run, each at its run's cutoff, whose
+    conserved quantities are the run's.  Row r of the (R, m) state stack is
+    run r in standard order, for every scheme: on the product grid of the
+    largest cutoff N for the low-regularity step (see `_StepPlan`), on 2N+1
+    points for splitting runs, which share one cutoff (see `reference`).
+    Only H^1 norms, final states and diagnostics are centered.  The runs
+    step in descending order of step count, and a run that reaches its step
+    count leaves the stack by a prefix slice; the driver only steps and
+    hands each live row and its H^1 norm to the run's `_Record`, which keeps
+    its final state, diagnostics and blow-up check.  Each trajectory is that
+    of the run's own `evolve` or `splitting_evolve`, bitwise when every run
+    has the largest cutoff, to round-off otherwise, and a function of its
+    inputs alone.  A ValueError for bad input and a BlowUpError name the run.
     """
     _scheme(scheme)
     diag_stride = _integer(diag_stride, "diag_stride", 0)
     runs = list(runs)
     if not runs:
         raise ValueError("runs stepped together must be one or more")
-    initials = [initial] * len(runs) if isinstance(initial, SpectralField) else list(initial)
+    initials = list(initials)
     if len(initials) != len(runs):
         unmatched = (f"run {len(initials)} has no initial field" if len(initials) < len(runs)
                      else f"initial field {len(runs)} has no run")
@@ -627,11 +633,10 @@ def load_trajectory(dirpath) -> Trajectory:
     """Read back a dump written by save_trajectory, ignoring unknown keys.
 
     The initial and final states are read from `initial.txt` and `final.txt`
-    at the manifest's N, the conserved quantities are those of the initial
-    state, and a row of step j has the time j * tau.  The dump must name one
-    run: each key is given once, and the row steps increase from 0 to steps.
-    A missing or repeated key, an entry of the wrong field count, a bad or
-    non-finite value, and a fact that contradicts the run raise one
+    at the manifest's N.  The dump must name one run: each key is given
+    once, steps * tau is a finite time, and the row steps increase from 0 to
+    steps, so each row's time j * tau is finite too.  A missing or repeated
+    key, an entry of the wrong field count, a bad or non-finite value, and a fact that contradicts the run raise one
     ValueError naming the manifest and the key; a bad state file, one naming
     the file (and the line); a missing one, OSError."""
     d = Path(dirpath)
@@ -658,17 +663,19 @@ def load_trajectory(dirpath) -> Trajectory:
 
     params = SchemeParams(param("lambda", "lam", int), param("tau", "tau", float),
                           param("N", "cutoff", int), param("steps", "steps", int))
+    try:
+        finite = math.isfinite(params.horizon)
+    except OverflowError:                     # steps past the range of floats
+        finite = False
+    if not finite:
+        raise bad("steps", f"steps * tau {params.tau!r} is not a finite time")
 
     def diagnostic(text):
         step, *values = _fields(text, 5)
-        j = _integer(int(step), "step", 0)
-        return SnapshotDiagnostics(j, j * params.tau, *map(_finite, values))
+        return SnapshotDiagnostics(_integer(int(step), "step", 0), *map(_finite, values))
 
     initial, final = (_load_state(d / f"{name}.txt", params.cutoff)
                       for name in ("initial", "final"))
-    # silent where a state no run wrote (|c_k| ~ 1e200) overflows them
-    with np.errstate(all="ignore"):
-        cq = conserved_quantities(initial)
     diagnostics = []
     for i in range(entry("diagnostic_count", lambda text: _integer(int(text), "count", 0))):
         key = f"diagnostic_{i}"
@@ -684,7 +691,6 @@ def load_trajectory(dirpath) -> Trajectory:
         raise bad("steps", f"the diagnostics end at step {diagnostics[-1].step_index}")
     return Trajectory(
         params=params,
-        cq=cq,
         scheme=entry("scheme", _scheme),
         initial=initial,
         final=final,

@@ -11,15 +11,15 @@ change the baseline's aliasing.  But M is odd and in general not a fast FFT
 length, so both of its DFTs are computed as chirp-z (Bluestein) convolutions
 on the product grid of cutoff 2N (see `_nonlinear_flow`), in standard order.
 
-`integrator.evolve_lockstep` steps a stack of splitting runs in lockstep,
-as it does low-regularity runs, but only runs of one cutoff, since the 4N+1
-collocation aliases differently at each N.
+`integrator.evolve_lockstep` (and `splitting_evolve`, its one-run case)
+steps a stack of splitting runs in lockstep, as it does low-regularity runs,
+but only runs of one cutoff, since the 4N+1 collocation aliases differently
+at each N.  This module holds only the splitting mathematics.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,10 +33,7 @@ from .spectral import (
     _uncentered,
 )
 
-if TYPE_CHECKING:
-    from .integrator import SchemeParams, Trajectory
-
-__all__ = ["splitting_step", "splitting_evolve"]
+__all__ = ["splitting_step"]
 
 # scheme name -> splitting order
 SPLITTINGS = {"lie": 1, "strang": 2}
@@ -104,7 +101,8 @@ def _splitting_scheme(order) -> str:
 
 def _splitting_stepper(scheme: str, runs):
     """stepper(rows): the Lie or Strang step (scheme of SPLITTINGS) of the
-    first rows of a stack of runs of one lam and one cutoff, run r on row r.
+    first rows of a stack of runs (SchemeParams) of one lam and one cutoff,
+    run r on row r.
     The free flow's multipliers e^{-i tau k^2}, one row per run, are built once."""
     lam, n = runs[0].lam, runs[0].cutoff
     taus = np.array([params.tau for params in runs])
@@ -120,7 +118,7 @@ def _splitting_stepper(scheme: str, runs):
     return stepper
 
 
-def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> SpectralField:
+def splitting_step(f: SpectralField, params, order: int) -> SpectralField:
     """One Lie (order 1) or Strang (order 2) splitting step of length tau."""
     scheme = _splitting_scheme(order)
     if f.cutoff != params.cutoff:
@@ -128,16 +126,3 @@ def splitting_step(f: SpectralField, params: SchemeParams, order: int) -> Spectr
     out = _splitting_stepper(scheme, [params])(1)(_uncentered(f.coeffs)[None])
     return SpectralField(f.cutoff, _centered(out[0], f.cutoff))
 
-
-def splitting_evolve(
-    initial: SpectralField,
-    params: SchemeParams,
-    order: int,
-    diag_stride: int = 0,
-) -> Trajectory:
-    """Run the splitting scheme with the same recording and input checks as
-    `evolve`: the one-run case of `evolve_lockstep`."""
-    from .integrator import evolve_lockstep  # integrator imports this module
-
-    [traj] = evolve_lockstep(initial, [params], diag_stride, scheme=_splitting_scheme(order))
-    return traj

@@ -34,8 +34,15 @@ from lowregnls.cli import (
 )
 from lowregnls.harness import CSV_HEADER
 from lowregnls.initial_data import InitialDataSpec
-from lowregnls.integrator import SCHEMES, SchemeParams, evolve, initialize, load_trajectory
-from lowregnls.reference import SPLITTINGS, splitting_evolve
+from lowregnls.integrator import (
+    SCHEMES,
+    SchemeParams,
+    evolve,
+    initialize,
+    load_trajectory,
+    splitting_evolve,
+)
+from lowregnls.reference import SPLITTINGS
 
 DATA = Path(__file__).parent / "data"
 
@@ -193,7 +200,8 @@ class TestDiagnostics:
         # repr round trip through the manifest is exact
         assert reread == "".join(
             f"{line}\n" for line in [DIAG_HEADER] + [
-                f"{r.time!r},{r.l2!r},{r.h1!r},{r.mass_drift!r},{r.momentum_drift!r}"
+                f"{r.step_index * params.tau!r},{r.l2!r},{r.h1!r},{r.mass_drift!r},"
+                f"{r.momentum_drift!r}"
                 for r in rows])
 
     def test_run_flags_are_unrecognized(self, dump, tmp_path, capsys):
@@ -363,7 +371,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("command", [
         ["solve", "--tau", "2^-3", "--N", "8"],
         ["study-temporal", "--tau-list", "2^-3,2^-4", "--N-list", "8"],
-    ])
+    ], ids=["solve", "study-temporal"])
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon(self, command, horizon, capsys):
         msg = self.check(command + ["--T", horizon], 1, capsys)
@@ -372,7 +380,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("command", [
         ["solve", "--tau", "2^-3", "--N", "8"],
         ["study-temporal", "--tau-list", "2^-3,2^-4", "--N-list", "8"],
-    ])
+    ], ids=["solve", "study-temporal"])
     def test_negative_horizon(self, command, capsys):
         msg = self.check(command + ["--T", "-1"], 1, capsys)
         assert "horizon must be >= 0" in msg
@@ -382,7 +390,7 @@ class TestErrorContract:
         # 2^24 steps at tau, but the tau/2 runs take 2^25
         ["study-temporal", "--tau-list", "2^-3,2^-20", "--N-list", "8", "--T", "16"],
         ["study-spatial", "--tau-list", "2^-20,2^-3", "--N-list", "8,16", "--T", "32"],
-    ])
+    ], ids=["solve", "study-temporal-halved", "study-spatial"])
     def test_too_many_steps(self, argv, capsys):
         msg = self.check(argv, 2, capsys)
         assert f"maximum {MAX_STEPS} steps" in msg
@@ -390,7 +398,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("argv", [
         ["solve", "--tau", "1e-300", "--N", "8", "--T", "1e10"],
         ["study-temporal", "--tau-list", "1e-300,2e-300", "--N-list", "8", "--T", "1e10"],
-    ])
+    ], ids=["solve", "study-temporal"])
     def test_step_count_overflows(self, argv, capsys):
         # T/tau overflows to inf: SchemeParams rejects it, on every subcommand
         assert "overflows the step count" in self.check(argv, 1, capsys)
@@ -425,14 +433,14 @@ class TestErrorContract:
         ["study-temporal", "--tau-list", "2^-3,2^-3", "--N-list", "8"],
         ["study-temporal", "--tau-list", "2^-3,0.125", "--N-list", "8"],
         ["study-spatial", "--tau-list", "2^-3", "--N-list", "8,16,8"],
-    ])
+    ], ids=["same-tau", "same-tau-spelled-twice", "same-cutoff"])
     def test_duplicate_study_parameters(self, argv, capsys):
         assert "must be distinct" in self.check(argv, 1, capsys)
 
     @pytest.mark.parametrize("argv,axis", [
         (["study-temporal", "--tau-list", "2^-3", "--N-list", "8,16"], "temporal"),
         (["study-spatial", "--tau-list", "2^-3,2^-4", "--N-list", "8"], "spatial"),
-    ])
+    ], ids=["temporal", "spatial"])
     def test_single_refined_parameter(self, argv, axis, capsys, monkeypatch):
         # rejected before any run: a run here would end in "error: ran"
         def ran(*args, **kwargs):
@@ -472,7 +480,8 @@ class TestErrorContract:
         (["--initial", "plane", "--alpha", "7"], None, "not --initial plane"),
         (["--initial", "plane"], "alpha=7\n", "--alpha sets the sobolev initial state"),
         ([], "mode=3\n", "--mode sets the plane initial state"),
-    ])
+    ], ids=["mode-on-sobolev", "mode-on-constant", "alpha-on-constant", "alpha-on-plane",
+            "config-alpha-on-plane", "config-mode-on-sobolev"])
     def test_flag_of_another_initial_state(self, extra, config, msg, tmp_path, capsys):
         # --alpha shapes only sobolev data and --mode only a plane wave: for
         # another --initial either would do nothing, so it is a usage error,
@@ -496,6 +505,29 @@ class TestErrorContract:
                           "1e8", "--tau", "0.5", "--N", "4", "--T", "2"],
                          1, capsys)
         assert "blew up" in msg
+
+    def test_blow_up_of_the_initial_state(self, tmp_path, capsys):
+        # the initial H^1 norm already overflows: the run blows up at step 0,
+        # so no dump holds a non-finite H^1
+        dump = tmp_path / "D"
+        msg = self.check(["solve", "--tau", "0.1", "--N", "4", "--T", "0", "--initial",
+                          "constant", "--amplitude", "1e200", "--out", str(dump)], 1, capsys)
+        assert "blew up to a non-finite H^1 norm at step 0 " in msg
+        assert not dump.exists()
+
+    def test_dump_whose_horizon_overflows(self, tmp_path, capsys):
+        # a dump edited to a step count past float range, its last row at that
+        # step: the time of the row is no float, and the loader says so
+        dump = tmp_path / "D"
+        assert main(["solve", "--tau", "0.5", "--N", "2", "--T", "1", "--diag-stride", "1",
+                     "--out", str(dump)]) == 0
+        capsys.readouterr()
+        manifest = dump / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("steps=2\n", f"steps={10 ** 400}\n")
+                            .replace("diagnostic_2=2 ", f"diagnostic_2={10 ** 400} "))
+        msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
+        assert msg.startswith(f"error: {manifest}: bad manifest entry steps=")
+        assert msg.endswith("steps * tau 0.5 is not a finite time")
 
     def test_blow_up_in_a_worker_process(self, capfd):
         # the runs of cutoffs 8 and 64 form two stacks, so --jobs 2 runs
@@ -547,7 +579,7 @@ class TestErrorContract:
         ["solve", "--tau", "2^-3", "--N", "2^99999999999"],
         ["solve", "--tau", "2^-3", "--N", str(MAX_CUTOFF + 1)],
         ["study-spatial", "--tau-list", "2^-3", "--N-list", "16,2^40"],
-    ])
+    ], ids=["shorthand", "shorthand-huge-exponent", "one-past", "study-list"])
     def test_absurd_size(self, argv, capsys):
         assert "maximum" in self.check(argv, 2, capsys)
 
@@ -555,7 +587,7 @@ class TestErrorContract:
         ["solve", "--tau", "2^-3", "--N", "8", "--diag-stride", "-1"],
         ["study-spatial", "--tau-list", "2^-3", "--N-list", "8", "--jobs", "0"],
         ["study-temporal", "--tau-list", "2^-3", "--N-list", "8", "--jobs", "-2"],
-    ])
+    ], ids=["diag-stride", "jobs-zero", "jobs-negative"])
     def test_count_below_minimum(self, argv, capsys):
         assert ">=" in self.check(argv, 2, capsys)
 
@@ -749,8 +781,9 @@ class TestDiagnosticsOnCorruptDumps:
             assert "Traceback" not in err.getvalue()
 
     def test_state_no_run_wrote_loads_silently(self, real_dump, tmp_path, capsys):
-        # the conserved quantities of the initial state overflow here, which
-        # no run's can; the rows still come from the manifest, and nothing
+        # the squares of the initial state overflow here, which no run's can
+        # (its H^1 norm would blow up at step 0); the loader computes nothing
+        # of the states, the rows come from the manifest, and nothing
         # reaches stderr
         for name, text in real_dump.items():
             (tmp_path / name).write_text(text)
@@ -811,7 +844,7 @@ HELP_CASES = [
 
 
 class TestHelpGolden:
-    @pytest.mark.parametrize("fname,argv", HELP_CASES)
+    @pytest.mark.parametrize("fname,argv", HELP_CASES, ids=[f for f, _ in HELP_CASES])
     def test_help_matches_golden(self, fname, argv, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")  # argparse wraps to the terminal
         with pytest.raises(SystemExit) as exc:

@@ -87,7 +87,7 @@ class TestStudySpecValidation:
         ((0.125, 0.125), (8,)),
         ((0.25, 0.125, 0.25), (8, 16)),
         ((0.125,), (8, 8)),
-    ])
+    ], ids=["tau-twice", "tau-twice-apart", "cutoff-twice"])
     def test_duplicates_rejected(self, taus, cutoffs):
         for axis in ("temporal", "spatial"):
             with pytest.raises(ValueError, match="distinct"):
@@ -122,13 +122,16 @@ class TestStudySpecValidation:
         ({"jobs": 1.9}, "jobs must be an integer, got 1.9"),
         ({"lam": 0}, r"lam must be -1 or \+1, got 0"),
         ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
-    ])
+    ], ids=["scheme", "tau-zero", "tau-negative", "tau-nan", "tau-inf", "tau-unhalvable",
+            "horizon-nan", "horizon-off-grid", "cutoff-zero", "cutoff-float", "jobs-zero",
+            "jobs-float", "lam", "alpha"])
     def test_bad_value_rejected(self, fields, match):
         base = {"axis": "spatial", "taus": (0.1,), "cutoffs": (8, 16)}
         with pytest.raises(ValueError, match=match):
             StudySpec(**{**base, **fields})
 
-    @pytest.mark.parametrize("option", [{"init_mode": "sampled"}, {"tail_cutoff": 64}])
+    @pytest.mark.parametrize("option", [{"init_mode": "sampled"}, {"tail_cutoff": 64}],
+                             ids=["init_mode", "tail_cutoff"])
     def test_one_start_rule(self, option):
         # every run starts from Pi_N u0, so a spec names no other start rule
         with pytest.raises(TypeError, match="unexpected keyword argument"):
@@ -530,7 +533,8 @@ class TestCsv:
     def test_file_output(self, tmp_path):
         rep = spatial_study(small_spatial_spec(cutoffs=(8, 16)))
         path = tmp_path / "study.csv"
-        write_report_csv(rep, path)
+        with open(path, "w") as fh:
+            write_report_csv(rep, fh)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         row = lines[1].split(",")
@@ -562,10 +566,21 @@ class TestDiagnosticsSeries:
 class TestReportValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ConvergenceReport(
-                spec=small_temporal_spec(),
-                errors=np.ones((3, 1)), rates=(1.0,),
-            )
+            ConvergenceReport(spec=small_temporal_spec(), errors=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("spec, sign", [
+        (small_temporal_spec(taus=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6)), 1.0),
+        (small_spatial_spec(taus=(2.0 ** -5, 2.0 ** -6)), -1.0),
+    ], ids=["temporal", "spatial"])
+    def test_rates_are_fitted_from_the_table(self, spec, sign):
+        # a report fits its own rates, so none can contradict its table:
+        # p of errors ~ tau^p, and s of errors ~ N^-s
+        errors = np.random.default_rng(5).uniform(0.1, 1.0, (len(spec.rows), len(spec.cols)))
+        rep = ConvergenceReport(spec, errors)
+        assert rep.rates == tuple(sign * fit_rate(spec.rows, errors[:, j])
+                                  for j in range(len(spec.cols)))
+        with pytest.raises(TypeError):
+            ConvergenceReport(spec, errors, rep.rates)
 
 
 def test_benchmark_patch_points_resolve():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lowregnls.initial_data import InitialDataSpec
-from lowregnls.integrator import SchemeParams, evolve, initialize
-from lowregnls.reference import splitting_evolve, splitting_step
+from lowregnls.integrator import SchemeParams, evolve, initialize, splitting_evolve
+from lowregnls.reference import splitting_step
 from lowregnls.spectral import SpectralField, free_propagator, l2_error, project
 
 

@@ -9,13 +9,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lowregnls import dft
-from lowregnls.integrator import SchemeParams
-from lowregnls.reference import (
-    _chirp_tables,
-    _nonlinear_flow,
-    splitting_evolve,
-    splitting_step,
-)
+from lowregnls.integrator import SchemeParams, splitting_evolve
+from lowregnls.reference import _chirp_tables, _nonlinear_flow, splitting_step
 from lowregnls.spectral import (
     SpectralField,
     free_propagator,
