@@ -3,11 +3,10 @@
 Subcommands: solve (one trajectory, optional dump), study-temporal and
 study-spatial (convergence tables, CSV output), diagnostics (the norm and
 drift series re-read from a dump, which `solve --diag-stride 1 --out DIR`
-records at every step).  Step sizes accept the power-of-two shorthand
-2^-k.  A --config file of key=value lines supplies defaults; explicit flags
-override it.  Every error path prints a single "error: <message>" line and
-exits nonzero.  Only this module reads a clock: solve and study --out print
-wall_ms.
+records at every step, as CSV on stdout).  Step sizes accept the
+power-of-two shorthand 2^-k.  Flags come only from argv.  Every error path
+prints a single "error: <message>" line and exits nonzero.  Only this
+module reads a clock: solve and study --out print wall_ms.
 """
 
 from __future__ import annotations
@@ -125,14 +124,6 @@ def _parse_list(text: str, parse_one):
     return tuple(parse_one(s) for s in items)
 
 
-def _add_output(p: _Parser) -> None:
-    """--out and --config, which every subcommand takes."""
-    p.add_argument("--out", metavar="DIR", default=None,
-                   help="output directory (created if missing)")
-    p.add_argument("--config", metavar="FILE", default=None,
-                   help="key=value file of defaults; explicit flags override it")
-
-
 def _add_common(p: _Parser, study: bool) -> None:
     """Flags of the run subcommands: the initial-state flags for a single
     run, --jobs for a study."""
@@ -145,7 +136,8 @@ def _add_common(p: _Parser, study: bool) -> None:
     p.add_argument("--scheme", choices=SCHEMES, default="lowreg",
                    help="time stepper: low-regularity integrator or a splitting "
                         "baseline (default lowreg)")
-    _add_output(p)
+    p.add_argument("--out", metavar="DIR", default=None,
+                   help="output directory (created if missing)")
     if study:
         p.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=1,
                        help="worker processes; each advances one stack of runs in lockstep "
@@ -186,13 +178,11 @@ def build_parser() -> _Parser:
     p_diag = sub.add_parser(
         "diagnostics", help="emit a norm/drift diagnostics table",
         description="Re-read the diagnostic series "
-                    f"({DIAG_HEADER}) from a trajectory dump and emit it as CSV to "
-                    "stdout or to --out/diagnostics.csv; solve --diag-stride 1 "
-                    "--out DIR records it at every step.",
+                    f"({DIAG_HEADER}) from a trajectory dump and print it as CSV to "
+                    "stdout; solve --diag-stride 1 --out DIR records it at every step.",
     )
     p_diag.add_argument("--in", dest="dump_in", metavar="DIR", required=True,
                         help="trajectory dump to re-read")
-    _add_output(p_diag)
 
     p_temp = sub.add_parser(
         "study-temporal", help="tau-refinement convergence table",
@@ -218,32 +208,6 @@ def build_parser() -> _Parser:
                         help="comma-separated cutoffs, e.g. 16,32,64")
     _add_common(p_spat, study=True)
     return parser
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    """Rewrite argv so config-file entries precede (and thus lose to) flags."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None or not argv:
-        return argv
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path!r}: {exc}") from exc
-    tokens: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        tokens += [f"--{key.replace('_', '-')}", value]
-    return [argv[0]] + tokens + argv[1:]
 
 
 def _initial_spec(args) -> InitialDataSpec:
@@ -307,14 +271,7 @@ def _cmd_diagnostics(args) -> int:
     for row in traj.diagnostics:
         lines.append(f"{row.step_index * traj.params.tau!r},{row.l2!r},{row.h1!r},"
                      f"{row.mass_drift!r},{row.momentum_drift!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "diagnostics.csv").write_text(text)
-        print(f"wrote {out / 'diagnostics.csv'}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -371,11 +328,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     try:
-        argv = _inject_config(list(argv))
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("a subcommand is required (see --help)")

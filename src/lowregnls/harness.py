@@ -29,7 +29,7 @@ from .initial_data import InitialDataSpec
 from .integrator import SchemeParams, _scheme, _sign, evolve_lockstep, initialize
 # not called here, but perfbench/tracing.py patches both by these names
 from .integrator import evolve, splitting_evolve  # noqa: F401
-from .spectral import SpectralField, _integer, _pow2_grid_size, l2_error
+from .spectral import SpectralField, _integer, _pow2_grid_size, _real, l2_error
 
 __all__ = [
     "CSV_HEADER",
@@ -75,10 +75,11 @@ class StudySpec:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        taus = tuple(_real(t, "tau", positive=True) for t in self.taus)
+        object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "cutoffs", tuple(_integer(n, "cutoffs", 1) for n in self.cutoffs))
         for name in ("alpha", "horizon", "amplitude"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(self, "lam", _sign(self.lam))
         object.__setattr__(self, "jobs", _integer(self.jobs, "jobs", 1))
         if self.axis not in AXES:

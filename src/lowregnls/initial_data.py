@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _integer
+from .spectral import _integer, _real
 
 __all__ = ["InitialDataSpec", "coefficients"]
 
@@ -41,7 +41,9 @@ class InitialDataSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown initial-data kind {self.kind!r}")
-        if self.kind == "sobolev" and self.alpha <= 0:
+        for name in ("alpha", "amplitude"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         object.__setattr__(self, "mode", _integer(self.mode, "mode"))
 

@@ -41,6 +41,7 @@ from .spectral import (
     _integer,
     _inv_ik,
     _pow2_grid_size,
+    _real,
     _standard,
     _twist_phase,
     _uncentered,
@@ -109,8 +110,8 @@ def _scheme(name) -> str:
 
 def _sign(lam) -> int:
     """lam as the int -1 or +1, tested before it is converted, so that no
-    other value is truncated onto a sign."""
-    if lam not in (-1, 1):
+    other value, a bool included, is truncated onto a sign."""
+    if isinstance(lam, (bool, np.bool_)) or lam not in (-1, 1):
         raise ValueError(f"lam must be -1 or +1, got {lam}")
     return int(lam)
 
@@ -126,11 +127,9 @@ class SchemeParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _sign(self.lam))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", _real(self.tau, "tau", positive=True))
         object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff", 0))
         object.__setattr__(self, "steps", _integer(self.steps, "steps", 0))
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be a positive finite number, got {self.tau}")
 
     @property
     def horizon(self) -> float:
@@ -142,8 +141,7 @@ class SchemeParams:
         """Build params for integration up to T = horizon; T must sit on the
         step grid to within TIME_RTOL."""
         params = cls(lam, tau, cutoff, 0)
-        if not math.isfinite(horizon):
-            raise ValueError(f"horizon must be finite, got {horizon!r}")
+        horizon = _real(horizon, "horizon")
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon!r}")
         if not math.isfinite(horizon / params.tau):
@@ -526,24 +524,13 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
     records = [_Record(field, params, diag_stride) for field, params in zip(initials, runs)]
     # longest run first, so that runs leave the stack by a prefix slice
     ranked = sorted(records, key=lambda rec: -rec.params.steps)
-    # stepper(rows): the one-step map of the stack's first rows, of `size` points
     top = max(params.cutoff for params in runs)
-    if scheme == "lowreg":
-        size = _pow2_grid_size(top)
-        stack = _StepPlan.stacked([_plan_for(rec.params, rec.cq, size) for rec in ranked])
-
-        def stepper(rows):
-            return stack.head(rows).apply
-    else:
-        size = 2 * top + 1
-        stepper = _splitting_stepper(scheme, [rec.params for rec in ranked])
-
+    size = _pow2_grid_size(top) if scheme == "lowreg" else 2 * top + 1
     k = np.arange(-top, top + 1, dtype=float)
     w1 = 1.0 + k * k
     live = len(ranked)
     c = np.stack([_standard(_uncentered(rec.initial.coeffs), rec.initial.cutoff, size)
                   for rec in ranked])
-    advance = stepper(live)
     for j in range(ranked[0].params.steps + 1):
         if j:
             c = advance(c)
@@ -553,10 +540,22 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
             rec.take(j, row, math.sqrt(2.0 * math.pi * float(norm)))
         while live and ranked[live - 1].params.steps == j:
             live -= 1
-        if 0 < live < len(c):
+        if j == 0:
+            # built once step 0 has passed, so a run that cannot start builds no plan
+            stepper = _stepper(scheme, ranked, size)
+        if j == 0 or 0 < live < len(c):
             c = c[:live]
             advance = stepper(live)
     return [rec.trajectory(scheme) for rec in records]
+
+
+def _stepper(scheme: str, ranked, size: int):
+    """stepper(rows) of `evolve_lockstep`: the `scheme` step of the first
+    rows of the stack of the records `ranked`, on `size` points."""
+    if scheme != "lowreg":
+        return _splitting_stepper(scheme, [rec.params for rec in ranked])
+    stack = _StepPlan.stacked([_plan_for(rec.params, rec.cq, size) for rec in ranked])
+    return lambda rows: stack.head(rows).apply
 
 
 def save_trajectory(traj: Trajectory, dirpath) -> None:

@@ -28,6 +28,7 @@ from .spectral import (
     _centered,
     _free_phase,
     _from_grid,
+    _integer,
     _pow2_grid_size,
     _to_grid,
     _uncentered,
@@ -93,6 +94,7 @@ def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray) -> np.ndarray:
 
 def _splitting_scheme(order) -> str:
     """The scheme of SPLITTINGS of a splitting order, which must be 1 or 2."""
+    order = _integer(order, "splitting order")
     for scheme, o in SPLITTINGS.items():
         if o == order:
             return scheme

@@ -21,6 +21,8 @@ window out on any length; `_uncentered` and `_centered` convert at fields.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -111,6 +113,23 @@ def _integer(value, name: str, least: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """value as a float, the one rule for every real a caller passes in
+    (taus, horizons, alpha, amplitudes): reals of any type pass, numpy's
+    included, and anything else, a bool or a string too, raises a ValueError
+    naming the parameter, as does a value that is not finite or, where
+    positive, not > 0."""
+    # numpy's bool is no numbers.Real; Python's is an int
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if positive and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

@@ -183,14 +183,6 @@ class TestDiagnostics:
         assert float(first[0]) == 0.0
         assert float(first[3]) == 0.0 and float(first[4]) == 0.0
 
-    def test_out_file(self, dump, tmp_path, capsys):
-        rc = main(["diagnostics", "--in", str(dump), "--out", str(tmp_path / "diag")])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "wrote" in out
-        text = (tmp_path / "diag" / "diagnostics.csv").read_text()
-        assert text.startswith(DIAG_HEADER + "\n")
-
     def test_reread_matches_the_run(self, dump, capsys):
         assert main(["diagnostics", "--in", str(dump)]) == 0
         reread = capsys.readouterr().out
@@ -204,16 +196,12 @@ class TestDiagnostics:
                 f"{r.momentum_drift!r}"
                 for r in rows])
 
-    def test_run_flags_are_unrecognized(self, dump, tmp_path, capsys):
-        # diagnostics only re-reads a dump, so a run flag is a usage error,
-        # also where a config file sets it
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha=3\n")
-        for extra in (["--alpha", "3"], ["--config", str(cfg)]):
-            rc = main(["diagnostics", "--in", str(dump)] + extra)
-            err = capsys.readouterr().err
-            assert rc == 2
-            assert err.startswith("error: unrecognized arguments")
+    def test_run_flags_are_unrecognized(self, dump, capsys):
+        # diagnostics only re-reads a dump, so a run flag is a usage error
+        rc = main(["diagnostics", "--in", str(dump), "--alpha", "3"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: unrecognized arguments")
 
     def test_requires_in(self, capsys):
         rc = main(["diagnostics"])
@@ -277,56 +265,6 @@ class TestStudies:
             assert main(args + ["--jobs", jobs]) == 0
             outs.append([ln.rsplit(",", 1)[0] for ln in capsys.readouterr().out.splitlines()])
         assert outs[1] == outs[0] and outs[2] == outs[0]
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# defaults\n\ntau=2^-3\nN=8\nT=0.5\nscheme=lie\n")
-        rc = main(["solve", "--config", str(cfg)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "scheme=lie" in out
-        assert "T=0.5" in out
-
-    def test_explicit_flag_wins(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau=2^-3\nN=8\nT=0.5\nscheme=lie\n")
-        rc = main(["solve", "--config", str(cfg), "--scheme", "lowreg"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "scheme=lowreg" in out
-        assert "T=0.5" in out  # untouched keys still apply
-
-    def test_underscore_keys_map_to_dashes(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau_list=2^-3\nN_list=8,16\nT=0.5\n")
-        assert main(["study-spatial", "--config", str(cfg)]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == CSV_HEADER
-        assert [ln.split(",")[4:6] for ln in out[1:]] == [["8", "0.125"], ["16", "0.125"]]
-
-    def test_equals_form(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau=2^-3\nN=8\nT=0.5\nscheme=lie\n")
-        assert main(["solve", f"--config={cfg}"]) == 0
-        out = capsys.readouterr().out
-        assert "scheme=lie" in out and "T=0.5" in out
-
-    def test_malformed_line(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau=2^-3\nnonsense\n")
-        rc = main(["solve", "--config", str(cfg), "--N", "8"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "expected key=value" in err
-
-    def test_missing_file(self, capsys):
-        rc = main(["solve", "--tau", "2^-3", "--N", "8",
-                   "--config", "no/such/file.cfg"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "cannot read config file" in err
 
 
 class TestErrorContract:
@@ -451,19 +389,15 @@ class TestErrorContract:
         assert f"a {axis} study fits its rate over at least two" in msg
 
     @pytest.mark.parametrize("flag", [["--init-mode", "sampled"], ["--init-mode", "truncated"],
-                                      ["--tail-cutoff", "64"], ["--config", "init_mode=sampled"]],
-                             ids=["init-mode-sampled", "init-mode-truncated", "tail-cutoff",
-                                  "config-init-mode"])
+                                      ["--tail-cutoff", "64"]],
+                             ids=["init-mode-sampled", "init-mode-truncated", "tail-cutoff"])
     @pytest.mark.parametrize("command", [
         ["solve", "--tau", "2^-3", "--N", "8"],
         ["study-temporal", "--tau-list", "2^-3,2^-4", "--N-list", "8"],
         ["study-spatial", "--tau-list", "2^-3", "--N-list", "8,16"],
     ], ids=["solve", "study-temporal", "study-spatial"])
-    def test_one_start_rule(self, command, flag, tmp_path, capsys):
-        # every run starts from Pi_N u0, so no flag or config key chooses another
-        if flag[0] == "--config":
-            (tmp_path / "run.cfg").write_text(flag[1] + "\n")
-            flag = ["--config", str(tmp_path / "run.cfg")]
+    def test_one_start_rule(self, command, flag, capsys):
+        # every run starts from Pi_N u0, so no flag chooses another
         assert "unrecognized arguments: --" in self.check(command + flag, 2, capsys)
 
     @pytest.mark.parametrize("mode", ["9", "-9", "99"])
@@ -472,25 +406,35 @@ class TestErrorContract:
                           "--mode", mode], 2, capsys)
         assert "outside the cutoff" in msg
 
-    @pytest.mark.parametrize("extra, config, msg", [
-        (["--mode", "3"], None, "--mode sets the plane initial state, not --initial sobolev"),
-        (["--initial", "constant", "--mode", "0"], None, "not --initial constant"),
-        (["--initial", "constant", "--alpha", "7"], None,
+    @pytest.mark.parametrize("extra, msg", [
+        (["--mode", "3"], "--mode sets the plane initial state, not --initial sobolev"),
+        (["--initial", "constant", "--mode", "0"], "not --initial constant"),
+        (["--initial", "constant", "--alpha", "7"],
          "--alpha sets the sobolev initial state, not --initial constant"),
-        (["--initial", "plane", "--alpha", "7"], None, "not --initial plane"),
-        (["--initial", "plane"], "alpha=7\n", "--alpha sets the sobolev initial state"),
-        ([], "mode=3\n", "--mode sets the plane initial state"),
-    ], ids=["mode-on-sobolev", "mode-on-constant", "alpha-on-constant", "alpha-on-plane",
-            "config-alpha-on-plane", "config-mode-on-sobolev"])
-    def test_flag_of_another_initial_state(self, extra, config, msg, tmp_path, capsys):
+        (["--initial", "plane", "--alpha", "7"], "not --initial plane"),
+    ], ids=["mode-on-sobolev", "mode-on-constant", "alpha-on-constant", "alpha-on-plane"])
+    def test_flag_of_another_initial_state(self, extra, msg, capsys):
         # --alpha shapes only sobolev data and --mode only a plane wave: for
-        # another --initial either would do nothing, so it is a usage error,
-        # also where a config file sets it
+        # another --initial either would do nothing, so it is a usage error
         argv = ["solve", "--tau", "2^-3", "--N", "8", *extra]
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
-            argv += ["--config", str(tmp_path / "run.cfg")]
         assert msg in self.check(argv, 2, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tau", "2^-3", "--N", "4", "--config", "f"],
+        ["diagnostics", "--in", "D", "--out", "X"],
+    ], ids=["solve-config", "diagnostics-out"])
+    def test_flags_come_from_argv_and_diagnostics_go_to_stdout(self, argv, capsys):
+        # no file supplies flags and diagnostics has no second sink: both
+        # are flags the subcommand does not take, rejected before any file
+        # is read or written
+        msg = self.check(argv, 2, capsys)
+        assert msg == f"error: unrecognized arguments: {' '.join(argv[-2:])}"
+
+    def test_last_occurrence_of_a_flag_wins(self, capsys):
+        # what a file of flags spliced in before an explicit flag relies on
+        assert main(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5",
+                     "--scheme", "lie", "--scheme", "lowreg"]) == 0
+        assert "scheme=lowreg" in capsys.readouterr().out
 
     def test_step_bound_is_inclusive(self):
         def run(steps):
@@ -639,7 +583,7 @@ STUDY_FLAGS = {
 FLAGS = {
     "solve": {**RUN_FLAGS, **ONE_RUN_FLAGS,
               "--diag-stride": tokens(["0", "1", "3"], ["-1", "x"])},
-    "diagnostics": {"--in": st.just("no-such-dump"), "--out": st.just("no-such-dir")},
+    "diagnostics": {"--in": st.just("no-such-dump")},
     "study-temporal": STUDY_FLAGS,
     "study-spatial": STUDY_FLAGS,
 }
@@ -857,6 +801,30 @@ class TestHelpGolden:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"lowregnls {__version__}\n"
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+class TestReadme:
+    """The commands and the quick start that README.md shows stay true."""
+
+    COMMANDS = [line.split()[1:] for line in README.read_text().splitlines()
+                if line.startswith("    lowregnls ")]
+
+    def test_it_shows_every_subcommand(self):
+        assert {argv[0] for argv in self.COMMANDS} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+    def test_command_parses(self, argv):
+        # parsed as main parses it, without running it
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+
+    def test_quick_start_runs(self, capsys):
+        [code] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        exec(code, {})
+        norm, h1_max = map(float, capsys.readouterr().out.split())
+        assert 0.0 < norm <= h1_max
 
 
 class TestModuleEntryPoint:

@@ -8,6 +8,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -128,6 +129,28 @@ class TestStudySpecValidation:
     def test_bad_value_rejected(self, fields, match):
         base = {"axis": "spatial", "taus": (0.1,), "cutoffs": (8, 16)}
         with pytest.raises(ValueError, match=match):
+            StudySpec(**{**base, **fields})
+
+    # each real is a finite real that is no bool and no string, rejected by
+    # the spec, not later by a run that names its tau
+    @pytest.mark.parametrize("fields, match", [
+        ({"amplitude": math.nan}, "amplitude must be finite, got nan"),
+        ({"amplitude": -math.inf}, "amplitude must be finite, got -inf"),
+        ({"amplitude": "0.1"}, "amplitude must be a real number, got '0.1'"),
+        ({"alpha": math.inf}, "alpha must be finite, got inf"),
+        ({"alpha": True}, "alpha must be a real number, got True"),
+        ({"horizon": math.inf}, "horizon must be finite, got inf"),
+        ({"horizon": "1"}, "horizon must be a real number, got '1'"),
+        ({"taus": ("0.1",)}, "tau must be a real number, got '0.1'"),
+        ({"taus": (True,)}, "tau must be a real number, got True"),
+        ({"lam": True}, "lam must be -1 or +1, got True"),
+        ({"lam": np.True_}, "lam must be -1 or +1, got True"),
+    ], ids=["amplitude-nan", "amplitude-minus-inf", "amplitude-string", "alpha-inf", "alpha-bool",
+            "horizon-inf", "horizon-string", "tau-string", "tau-bool", "lam-bool",
+            "lam-numpy-bool"])
+    def test_hostile_value_rejected(self, fields, match):
+        base = {"axis": "spatial", "taus": (0.1,), "cutoffs": (8, 16)}
+        with pytest.raises(ValueError, match=re.escape(match)):
             StudySpec(**{**base, **fields})
 
     @pytest.mark.parametrize("option", [{"init_mode": "sampled"}, {"tail_cutoff": 64}],

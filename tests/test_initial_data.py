@@ -1,5 +1,8 @@
 """Initial-state families: coefficient values, symmetry, grid values."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,34 @@ class TestSobolevFamily:
             InitialDataSpec(kind="sobolev", alpha=0.0)
         with pytest.raises(ValueError):
             InitialDataSpec(kind="nope")
+
+    # a finite alpha > 0 and a finite amplitude, each a real that is no bool
+    # and no string, for every kind
+    @pytest.mark.parametrize("fields, match", [
+        ({"alpha": math.nan}, "alpha must be finite, got nan"),
+        ({"alpha": math.inf}, "alpha must be finite, got inf"),
+        ({"alpha": -1.0}, "alpha must be > 0, got -1.0"),
+        ({"kind": "plane", "alpha": 0.0}, "alpha must be > 0, got 0.0"),
+        ({"alpha": True}, "alpha must be a real number, got True"),
+        ({"alpha": "1"}, "alpha must be a real number, got '1'"),
+        ({"amplitude": math.nan}, "amplitude must be finite, got nan"),
+        ({"amplitude": math.inf}, "amplitude must be finite, got inf"),
+        ({"kind": "constant", "amplitude": -math.inf}, "amplitude must be finite, got -inf"),
+        ({"amplitude": np.True_}, "amplitude must be a real number, got np.True_"),
+        ({"kind": "plane", "amplitude": "0.1"}, "amplitude must be a real number, got '0.1'"),
+        ({"amplitude": 1j}, "amplitude must be a real number, got 1j"),
+    ], ids=["alpha-nan", "alpha-inf", "alpha-negative", "alpha-zero-plane", "alpha-bool",
+            "alpha-string", "amplitude-nan", "amplitude-inf", "amplitude-minus-inf-constant",
+            "amplitude-numpy-bool", "amplitude-string-plane", "amplitude-complex"])
+    def test_hostile_value_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            InitialDataSpec(**fields)
+
+    def test_reals_are_stored_as_floats(self):
+        spec = InitialDataSpec(alpha=2, amplitude=np.float32(0.5))
+        assert (type(spec.alpha), type(spec.amplitude)) == (float, float)
+        assert np.array_equal(coefficients(spec, 3),
+                              coefficients(InitialDataSpec(alpha=2.0, amplitude=0.5), 3))
 
 
 class TestOtherKinds:

@@ -578,6 +578,21 @@ class TestEvolve:
         assert err.step_index == 0 and math.isnan(err.last_h1)
         assert "tau = 0.5" in str(err) and "last finite H^1 was nan" in str(err)
 
+    def test_a_run_that_cannot_start_builds_no_plan(self):
+        # step 0 finds the initial H^1 norm not finite before any plan,
+        # which would carry a nan twist, is built and cached
+        integrator._plan.cache_clear()
+        u = SpectralField.from_modes(4, {0: 1e200})
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+            evolve(u, SchemeParams(-1, 0.1, 4, 2))
+        assert info.value.step_index == 0
+        info = integrator._plan.cache_info()
+        assert (info.misses, info.currsize) == (0, 0)
+        # a run that starts builds its one plan
+        evolve(SpectralField.from_modes(4, {0: 1.0}), SchemeParams(-1, 0.1, 4, 2))
+        info = integrator._plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
     def test_blow_up_error_pickles(self):
         # a study's worker process sends it to the parent
         err = BlowUpError(3, 0.25, 1.0)
@@ -879,6 +894,41 @@ class TestBoundaryChecks:
         spec = StudySpec(axis="spatial", taus=(0.1,), cutoffs=(np.int64(8), 16),
                          jobs=np.int64(2), lam=np.int64(1))
         assert spec.cutoffs == (8, 16) and spec.jobs == 2 and spec.lam == 1
+
+    # one rule per value type: a finite real (no bool, no string) for tau and
+    # horizon, a real -1 or +1 (no bool) for lam, an integer splitting order
+    @pytest.mark.parametrize("call, match", [
+        (lambda: SchemeParams(True, 0.1, 4, 1), "lam must be -1 or +1, got True"),
+        (lambda: SchemeParams(np.True_, 0.1, 4, 1), "lam must be -1 or +1, got True"),
+        (lambda: SchemeParams(False, 0.1, 4, 1), "lam must be -1 or +1, got False"),
+        (lambda: SchemeParams(-1, "0.1", 4, 1), "tau must be a real number, got '0.1'"),
+        (lambda: SchemeParams(-1, True, 4, 1), "tau must be a real number, got True"),
+        (lambda: SchemeParams(-1, None, 4, 1), "tau must be a real number, got None"),
+        (lambda: SchemeParams(-1, 0.1 + 0j, 4, 1), "tau must be a real number, got (0.1+0j)"),
+        (lambda: SchemeParams(-1, -math.inf, 4, 1),
+         "tau must be a positive finite number, got -inf"),
+        (lambda: SchemeParams(-1, np.float64(math.nan), 4, 1),
+         "tau must be a positive finite number, got nan"),
+        (lambda: SchemeParams.from_horizon(-1, 0.25, 4, "1"),
+         "horizon must be a real number, got '1'"),
+        (lambda: SchemeParams.from_horizon(-1, 0.25, 4, True),
+         "horizon must be a real number, got True"),
+        (lambda: splitting_step(ZERO, _params(), 1.0), "splitting order must be an integer, got 1.0"),
+        (lambda: splitting_step(ZERO, _params(), "2"), "splitting order must be an integer, got '2'"),
+        (lambda: splitting_step(ZERO, _params(), 3), "splitting order must be 1 or 2, got 3"),
+        (lambda: splitting_evolve(ZERO, _params(), 2.0),
+         "splitting order must be an integer, got 2.0"),
+    ], ids=["lam-true", "lam-numpy-true", "lam-false", "tau-string", "tau-bool", "tau-none",
+            "tau-complex", "tau-minus-inf", "tau-numpy-nan", "horizon-string", "horizon-bool",
+            "step-order-float", "step-order-string", "step-order-three", "evolve-order-float"])
+    def test_hostile_value_rejected(self, call, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            call()
+
+    def test_numpy_reals_pass(self):
+        params = SchemeParams(-1, np.float32(0.25), 4, 1)
+        assert type(params.tau) is float and params == SchemeParams(-1, 0.25, 4, 1)
+        assert SchemeParams.from_horizon(-1, 0.25, 4, np.float64(1.0)).steps == 4
 
     @pytest.mark.parametrize("tau", [0.0, -0.25, math.inf, math.nan])
     def test_from_horizon_rejects_bad_tau(self, tau):
