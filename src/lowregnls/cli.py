@@ -29,7 +29,7 @@ from .harness import (
     temporal_study,
     write_report_csv,
 )
-from .initial_data import KINDS, InitialDataSpec
+from .initial_data import InitialDataSpec
 from .integrator import (
     SCHEMES,
     SchemeParams,
@@ -125,9 +125,9 @@ def _parse_list(text: str, parse_one):
 
 
 def _add_common(p: _Parser, study: bool) -> None:
-    """Flags of the run subcommands: the initial-state flags for a single
-    run, --jobs for a study."""
-    p.add_argument("--alpha", type=float, default=1.0 if study else None,
+    """Flags of the run subcommands: --amplitude for a single run, --jobs for
+    a study."""
+    p.add_argument("--alpha", type=float, default=1.0,
                    help="regularity parameter of the rough initial data (default 1.0)")
     p.add_argument("--lambda", dest="lam", type=int, choices=[-1, 1], default=-1,
                    help="nonlinearity sign: -1 focusing, +1 defocusing (default -1)")
@@ -143,12 +143,8 @@ def _add_common(p: _Parser, study: bool) -> None:
                        help="worker processes; each advances one stack of runs in lockstep "
                             "(default 1)")
     else:
-        p.add_argument("--initial", choices=KINDS, default="sobolev",
-                       help="initial state family (default sobolev)")
-        p.add_argument("--amplitude", type=float, default=None,
-                       help="initial amplitude (default 0.1 for sobolev, 1.0 otherwise)")
-        p.add_argument("--mode", type=int, default=None,
-                       help="frequency of the plane-wave initial state (default 1)")
+        p.add_argument("--amplitude", type=float, default=0.1,
+                       help="amplitude of the rough initial data (default 0.1)")
 
 
 def build_parser() -> _Parser:
@@ -210,24 +206,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _initial_spec(args) -> InitialDataSpec:
-    """The initial state of solve's flags; --alpha (sobolev) and --mode (plane),
-    None when not given, would do nothing for another --initial: usage errors."""
-    kind, amplitude = args.initial, args.amplitude
-    owners = {"alpha": "sobolev", "mode": "plane"}
-    given = {name: getattr(args, name) for name in owners if getattr(args, name) is not None}
-    for name in given:
-        if owners[name] != kind:
-            raise CliError(f"--{name} sets the {owners[name]} initial state, "
-                           f"not --initial {kind}")
-    if amplitude is None:
-        amplitude = 0.1 if kind == "sobolev" else 1.0
-    spec = InitialDataSpec(kind=kind, amplitude=amplitude, **given)
-    if kind == "plane" and abs(spec.mode) > args.N:
-        raise CliError(f"--mode {spec.mode} lies outside the cutoff |k| <= {args.N}")
-    return spec
-
-
 def _check_steps(runs) -> None:
     """Reject runs (their SchemeParams) whose longest takes more than
     MAX_STEPS steps, before any of them starts."""
@@ -245,7 +223,7 @@ def _cmd_solve(args) -> int:
     if args.diag_stride > 0 and params.steps // args.diag_stride + 1 > MAX_DIAG_ROWS:
         raise CliError(f"--diag-stride {args.diag_stride} over {params.steps} steps records "
                        f"more than the maximum {MAX_DIAG_ROWS} diagnostic rows")
-    u0 = initialize(_initial_spec(args), args.N)
+    u0 = initialize(InitialDataSpec(alpha=args.alpha, amplitude=args.amplitude), args.N)
     run = (evolve if args.scheme == "lowreg"
            else functools.partial(splitting_evolve, order=SPLITTINGS[args.scheme]))
     # keep stderr to the single error: line even when a run blows up

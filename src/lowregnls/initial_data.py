@@ -6,9 +6,11 @@ The workhorse is the rough-data family
 
 whose coefficients are real, even in k, and summable for alpha > 0: the
 fixed offset 0.51 exceeds 1/2, so u0 lies in H^s exactly for
-s < alpha + 0.01, and `alpha` dials the regularity.  Plane-wave and constant
-states are kept for closed-form checks; explicit coefficients go through
-`initialize(SpectralField.from_modes(...), N)` instead.
+s < alpha + 0.01, and `alpha` dials the regularity; it is the one family the
+command line starts from.  Plane-wave and constant states are library states
+for closed-form checks, reached through `initialize(InitialDataSpec(kind=...),
+N)`; explicit coefficients go through `initialize(SpectralField.from_modes(...),
+N)` instead.
 """
 
 from __future__ import annotations

@@ -156,10 +156,15 @@ class SchemeParams:
 class ConservedQuantities:
     """Mean mass Pi_0 |u|^2 and the imaginary part of the mean momentum
     Pi_0 (u d_x conj(u)), which is purely imaginary, of the initial state;
-    both are conserved by NLS and frozen into the scheme's phase multiplier."""
+    both are conserved by NLS and frozen into the scheme's phase multiplier.
+    Each is a finite real (`spectral._real`)."""
 
     mass: float
     momentum_imag: float
+
+    def __post_init__(self):
+        for name in ("mass", "momentum_imag"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
 
 
 def conserved_quantities(f: SpectralField) -> ConservedQuantities:
@@ -422,7 +427,7 @@ class _Record:
 
     def __init__(self, initial, params, diag_stride):
         self.initial, self.params, self.stride = initial, params, diag_stride
-        self.cq = conserved_quantities(initial)
+        self.cq: ConservedQuantities | None = None
         self.final: SpectralField | None = None
         self.diagnostics: list[SnapshotDiagnostics] = []
         self.h1_max, self.last_h1 = 0.0, math.nan
@@ -442,6 +447,10 @@ class _Record:
             if j == params.steps:
                 self.final = f
             now = conserved_quantities(f)
+            if j == 0:
+                # the run's quantities: step 0's row holds the initial
+                # coefficients, and its finite H^1 bounds their sums
+                self.cq = now
             self.diagnostics.append(SnapshotDiagnostics(
                 step_index=j, l2=math.sqrt(2.0 * math.pi * now.mass),
                 h1=h1, mass_drift=abs(now.mass - self.cq.mass),

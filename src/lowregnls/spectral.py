@@ -105,12 +105,12 @@ class SpectralField:
 def _integer(value, name: str, least: int | None = None) -> int:
     """value as an int, the one rule for every integer a caller passes in
     (cutoffs, step counts, strides, jobs): integers of any type pass, numpy's
-    included, and anything else, an integral float too, raises a ValueError
-    naming the parameter, as does a value below least."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    included, and anything else, a bool or an integral float too, raises a
+    ValueError naming the parameter, as does a value below least."""
+    # Python's bool is an int; numpy's has no __index__
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value

@@ -4,7 +4,6 @@ All tests drive cli.main() in process; one subprocess test pins the
 python -m entry point and exit codes as seen by a shell.
 """
 
-import cmath
 import contextlib
 import io
 import os
@@ -71,14 +70,6 @@ class TestValueParsing:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("mode", ["8", "-8"])
-    def test_plane_wave_at_the_cutoff(self, mode, capsys):
-        rc = main(["solve", "--tau", "2^-3", "--N", "8", "--initial", "plane",
-                   "--mode", mode])
-        assert rc == 0
-        # ||e^{ikx}|| = sqrt(2 pi): the state is not the zero field
-        assert "final: l2=2.506628275e+00" in capsys.readouterr().out
-
     def test_prints_summary(self, capsys):
         rc = main(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5"])
         out = capsys.readouterr().out
@@ -123,16 +114,14 @@ class TestSolve:
         assert traj.initial.coeffs.tobytes() == u0.coeffs.tobytes()
         assert traj.final.coeffs.tobytes() == want.coeffs.tobytes()
 
-    def test_constant_state_closed_form(self, tmp_path, capsys):
-        # 1000 first-order steps of u' : u(1) = e^{-i lambda} with lambda=-1
-        dump = tmp_path / "run"
-        rc = main(["solve", "--initial", "constant", "--amplitude", "1",
-                   "--tau", "0.001", "--N", "4", "--T", "1",
-                   "--out", str(dump)])
+    def test_initial_state_is_the_rough_data_of_its_flags(self, tmp_path, capsys):
+        # --alpha and --amplitude shape the one family solve starts from
+        dump = tmp_path / "D"
+        assert main(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5", "--alpha", "0.5",
+                     "--amplitude", "0.3", "--lambda", "1", "--out", str(dump)]) == 0
         capsys.readouterr()
-        assert rc == 0
-        final = load_trajectory(dump).final
-        assert abs(final.coefficient(0) - cmath.exp(1j)) <= 2e-3
+        u0 = initialize(InitialDataSpec(alpha=0.5, amplitude=0.3), 8)
+        assert load_trajectory(dump).initial.coeffs.tobytes() == u0.coeffs.tobytes()
 
     def test_prints_its_wall_time(self, capsys):
         assert main(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5"]) == 0
@@ -400,24 +389,13 @@ class TestErrorContract:
         # every run starts from Pi_N u0, so no flag chooses another
         assert "unrecognized arguments: --" in self.check(command + flag, 2, capsys)
 
-    @pytest.mark.parametrize("mode", ["9", "-9", "99"])
-    def test_plane_mode_outside_cutoff(self, mode, capsys):
-        msg = self.check(["solve", "--tau", "2^-3", "--N", "8", "--initial", "plane",
-                          "--mode", mode], 2, capsys)
-        assert "outside the cutoff" in msg
-
-    @pytest.mark.parametrize("extra, msg", [
-        (["--mode", "3"], "--mode sets the plane initial state, not --initial sobolev"),
-        (["--initial", "constant", "--mode", "0"], "not --initial constant"),
-        (["--initial", "constant", "--alpha", "7"],
-         "--alpha sets the sobolev initial state, not --initial constant"),
-        (["--initial", "plane", "--alpha", "7"], "not --initial plane"),
-    ], ids=["mode-on-sobolev", "mode-on-constant", "alpha-on-constant", "alpha-on-plane"])
-    def test_flag_of_another_initial_state(self, extra, msg, capsys):
-        # --alpha shapes only sobolev data and --mode only a plane wave: for
-        # another --initial either would do nothing, so it is a usage error
-        argv = ["solve", "--tau", "2^-3", "--N", "8", *extra]
-        assert msg in self.check(argv, 2, capsys)
+    @pytest.mark.parametrize("flag", [["--initial", "plane"], ["--mode", "3"]],
+                             ids=["initial-plane", "mode"])
+    def test_one_initial_family(self, flag, capsys):
+        # solve starts from the rough data alone; the plane and constant
+        # states are library states, reached through initialize
+        msg = self.check(["solve", "--tau", "2^-3", "--N", "8", *flag], 2, capsys)
+        assert msg == f"error: unrecognized arguments: {' '.join(flag)}"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--tau", "2^-3", "--N", "4", "--config", "f"],
@@ -445,17 +423,16 @@ class TestErrorContract:
             _check_steps([run(MAX_STEPS + 1), run(1)])
 
     def test_blow_up_reported(self, capsys):
-        msg = self.check(["solve", "--initial", "constant", "--amplitude",
-                          "1e8", "--tau", "0.5", "--N", "4", "--T", "2"],
+        msg = self.check(["solve", "--amplitude", "1e8", "--tau", "0.5", "--N", "4", "--T", "2"],
                          1, capsys)
-        assert "blew up" in msg
+        assert "blew up" in msg and " at step 3 " in msg
 
     def test_blow_up_of_the_initial_state(self, tmp_path, capsys):
         # the initial H^1 norm already overflows: the run blows up at step 0,
         # so no dump holds a non-finite H^1
         dump = tmp_path / "D"
-        msg = self.check(["solve", "--tau", "0.1", "--N", "4", "--T", "0", "--initial",
-                          "constant", "--amplitude", "1e200", "--out", str(dump)], 1, capsys)
+        msg = self.check(["solve", "--tau", "0.1", "--N", "4", "--T", "0", "--amplitude",
+                          "1e200", "--out", str(dump)], 1, capsys)
         assert "blew up to a non-finite H^1 norm at step 0 " in msg
         assert not dump.exists()
 
@@ -569,10 +546,8 @@ RUN_FLAGS = {
 ONE_RUN_FLAGS = {
     "--tau": tokens(*TIMES),
     "--N": tokens(*CUTOFFS),
-    "--initial": tokens(["sobolev", "plane", "constant"], ["bogus"]),
     "--amplitude": tokens(["0.1", "1", "0"],
                           ["-0", "-1", "1e8", "1e308", "5e-324", "nan", "inf", "x"]),
-    "--mode": tokens(["1", "-1", "0", "5"], ["32", "33", "99999999999999999999", "x"]),
 }
 STUDY_FLAGS = {
     **RUN_FLAGS,

@@ -8,6 +8,7 @@ import pytest
 
 from lowregnls import dft
 from lowregnls.initial_data import InitialDataSpec, coefficients
+from lowregnls.integrator import initialize
 
 
 class TestSobolevFamily:
@@ -107,6 +108,11 @@ class TestOtherKinds:
         x = dft.grid(21)
         samples = dft.inverse(coefficients(spec, 10))
         assert np.allclose(samples, 2.0 * np.exp(3j * x), atol=1e-14)
+        # both edge modes of the cutoff survive initialize
+        for mode in (8, -8):
+            u0 = initialize(InitialDataSpec(kind="plane", amplitude=2.0, mode=mode), 8)
+            assert u0.coefficient(mode) == 2.0
+            assert np.count_nonzero(u0.coeffs) == 1
 
     def test_constant(self):
         spec = InitialDataSpec(kind="constant", amplitude=0.7)

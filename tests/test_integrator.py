@@ -172,6 +172,19 @@ class TestConservedQuantities:
         assert abs(mom_op.real) <= 1e-12 * abs(mom_op)
         assert type(conserved_quantities(u).momentum_imag) is float
 
+    # two finite reals, by the rule of every real a caller passes in, so no
+    # step runs on an infinite mass to an all-nan field
+    @pytest.mark.parametrize("values, match", [
+        ((math.inf, 0.0), "mass must be finite, got inf"),
+        ((math.nan, 0.0), "mass must be finite, got nan"),
+        ((True, 0.0), "mass must be a real number, got True"),
+        ((0.0, -math.inf), "momentum_imag must be finite, got -inf"),
+        ((0.0, "0"), "momentum_imag must be a real number, got '0'"),
+    ], ids=["mass-inf", "mass-nan", "mass-bool", "momentum-minus-inf", "momentum-string"])
+    def test_hostile_value_rejected(self, values, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ConservedQuantities(*values)
+
     def test_frozen_value_alpha1_n16(self):
         u = initialize(InitialDataSpec(alpha=1.0), 16)
         cq = conserved_quantities(u)
@@ -876,6 +889,28 @@ class TestBoundaryChecks:
     ])
     def test_rejected_naming_the_parameter(self, call, match):
         with pytest.raises(ValueError, match=re.escape(match)):
+            call()
+
+    # Python's bool is an int, but no count, cutoff or order is True
+    @pytest.mark.parametrize("call, name", [
+        (lambda: SpectralField(True, np.ones(3)), "cutoff"),
+        (lambda: SpectralField.from_modes(True, {}), "cutoff"),
+        (lambda: _params(cutoff=True), "cutoff"),
+        (lambda: project(ZERO, True), "cutoff"),
+        (lambda: initialize(InitialDataSpec(), True), "cutoff"),
+        (lambda: _params(steps=True), "steps"),
+        (lambda: evolve(ZERO, _params(), diag_stride=True), "diag_stride"),
+        (lambda: splitting_step(ZERO, _params(), True), "splitting order"),
+        (lambda: splitting_evolve(ZERO, _params(), True), "splitting order"),
+        (lambda: step_twisted(ZERO, _params(), CQ, True), "step index"),
+        (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2, True)), "cutoffs"),
+        (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2, 4), jobs=True), "jobs"),
+        (lambda: InitialDataSpec(kind="plane", mode=True), "mode"),
+    ], ids=["field-cutoff", "from-modes-cutoff", "params-cutoff", "project-cutoff",
+            "initialize-cutoff", "steps", "diag-stride", "step-order", "evolve-order",
+            "step-index", "study-cutoffs", "study-jobs", "plane-mode"])
+    def test_bool_is_no_integer(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             call()
 
     def test_numpy_integers_pass(self):
