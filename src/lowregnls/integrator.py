@@ -37,6 +37,7 @@ from .reference import SPLITTINGS, _splitting_scheme, _splitting_stepper
 from .spectral import (
     SpectralField,
     _centered,
+    _finite_field,
     _free_phase,
     _integer,
     _inv_ik,
@@ -169,10 +170,14 @@ class ConservedQuantities:
 
 def conserved_quantities(f: SpectralField) -> ConservedQuantities:
     """Closed forms: mass = sum_k |c_k|^2, momentum = -i sum_k k |c_k|^2."""
-    p = np.abs(f.coeffs) ** 2
-    mass = float(np.sum(p))
-    mom = -float(np.sum(f.frequencies() * p))
-    return ConservedQuantities(mass=mass, momentum_imag=mom)
+    return _quantities(np.abs(f.coeffs) ** 2)
+
+
+def _quantities(p: np.ndarray) -> ConservedQuantities:
+    """`conserved_quantities` of a field from its centered |c_k|^2, k = -N..N."""
+    n = len(p) // 2
+    return ConservedQuantities(mass=float(np.sum(p)),
+                               momentum_imag=-float(np.sum(np.arange(-n, n + 1) * p)))
 
 
 def initialize(source, cutoff: int) -> SpectralField:
@@ -333,6 +338,7 @@ def _plan_for(params: SchemeParams, cq: ConservedQuantities, m: int) -> _StepPla
 
 def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> SpectralField:
     """One application u^{n+1} = Psi(u^n) of the low-regularity map."""
+    _finite_field(f, "f")
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
     m = _pow2_grid_size(f.cutoff)
@@ -349,6 +355,7 @@ def step_twisted(
     e^{i t_{n+1} d_xx} Phi^n(e^{-i t_n d_xx} u) = Psi(u) up to rounding, so it
     serves as an independently coded cross-check of `step`.
     """
+    _finite_field(f, "f")
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
     step_index = _integer(step_index, "step index", 0)
@@ -432,9 +439,10 @@ class _Record:
         self.diagnostics: list[SnapshotDiagnostics] = []
         self.h1_max, self.last_h1 = 0.0, math.nan
 
-    def take(self, j: int, row: np.ndarray, h1: float) -> None:
-        """Record step j of the run, its state `row` in standard order and
-        its H^1 norm h1."""
+    def take(self, j: int, row: np.ndarray, h1: float, p: np.ndarray) -> None:
+        """Record step j of the run, its state `row` in standard order, its
+        H^1 norm h1 and p, the |c_k|^2 of `row` centered on the stack's
+        largest cutoff."""
         params = self.params
         if not math.isfinite(h1):
             # a non-finite coefficient, or one whose square overflows, makes
@@ -443,10 +451,11 @@ class _Record:
         self.last_h1 = h1
         self.h1_max = max(self.h1_max, h1)
         if j == params.steps or j == 0 or (self.stride > 0 and j % self.stride == 0):
-            f = SpectralField(params.cutoff, _centered(row, params.cutoff))
             if j == params.steps:
-                self.final = f
-            now = conserved_quantities(f)
+                self.final = SpectralField(params.cutoff, _centered(row, params.cutoff))
+            # the run's own window of p: the sums of `conserved_quantities`
+            top, n = len(p) // 2, params.cutoff
+            now = _quantities(p[top - n: top + n + 1])
             if j == 0:
                 # the run's quantities: step 0's row holds the initial
                 # coefficients, and its finite H^1 bounds their sums
@@ -501,8 +510,9 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
     Only H^1 norms, final states and diagnostics are centered.  The runs
     step in descending order of step count, and a run that reaches its step
     count leaves the stack by a prefix slice; the driver only steps and
-    hands each live row and its H^1 norm to the run's `_Record`, which keeps
-    its final state, diagnostics and blow-up check.  Each trajectory is that
+    hands each live row, its centered |c_k|^2 and its H^1 norm, all from one
+    pass, to the run's `_Record`, which keeps its final state, diagnostics
+    and blow-up check.  Each trajectory is that
     of the run's own `evolve` or `splitting_evolve`, bitwise when every run
     has the largest cutoff, to round-off otherwise, and a function of its
     inputs alone.  A ValueError for bad input and a BlowUpError name the run.
@@ -544,9 +554,12 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
         if j:
             c = advance(c)
         # summed in centered order, as `sobolev_norm` sums
-        norms = np.sum(w1 * np.abs(_centered(c, top)) ** 2, axis=-1)
-        for rec, row, norm in zip(ranked, c, norms):
-            rec.take(j, row, math.sqrt(2.0 * math.pi * float(norm)))
+        p = np.abs(_centered(c, top)) ** 2
+        for rec, row, norm, prow in zip(ranked, c, np.sum(w1 * p, axis=-1), p):
+            rec.take(j, row, math.sqrt(2.0 * math.pi * float(norm)), prow)
+        # freed before the next step allocates, where a live block would
+        # move the step's work block to fresh pages
+        del p, prow
         while live and ranked[live - 1].params.steps == j:
             live -= 1
         if j == 0:

@@ -9,12 +9,18 @@ splitting codes; these schemes are baselines, not the production path.
 The collocation grid stays at M = 4N+1 points, since any other length would
 change the baseline's aliasing.  But M is odd and in general not a fast FFT
 length, so both of its DFTs are computed as chirp-z (Bluestein) convolutions
-on the product grid of cutoff 2N (see `_nonlinear_flow`), in standard order.
+on the product grid of cutoff 2N (see `_nonlinear_flow`), in standard order:
+four FFT calls per flow, of one row per run.
 
 `integrator.evolve_lockstep` (and `splitting_evolve`, its one-run case)
 steps a stack of splitting runs in lockstep, as it does low-regularity runs,
 but only runs of one cutoff, since the 4N+1 collocation aliases differently
-at each N.  This module holds only the splitting mathematics.
+at each N.  Its stepper (`_splitting_stepper`) owns one workspace of grid,
+sample, angle and phase rows for the whole stack, and every flow runs in it:
+the samples turn by a real angle, through its cosine and sine, and a step
+allocates nothing but its states (and, for a stack of several runs, numpy's
+buffers for a table row broadcast over it).  This module holds only the
+splitting mathematics.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 from .spectral import (
     SpectralField,
     _centered,
+    _finite_field,
     _free_phase,
     _from_grid,
     _integer,
@@ -62,7 +69,18 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     return m, alpha, kernels[0], kernels[1], unchirp
 
 
-def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray) -> np.ndarray:
+def _flow_work(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """The workspace of `_nonlinear_flow` for `rows` runs of cutoff n, per
+    run a product-grid row g of m points, a sample row w of 4n+1 points, a
+    real angle row and a complex phase row: 0.5 MiB a run at n = 2^11."""
+    m, samples = _chirp_tables(n)[0], 4 * n + 1
+    return (np.empty((rows, m), dtype=np.complex128),
+            np.empty((rows, samples), dtype=np.complex128),
+            np.empty((rows, samples)),
+            np.empty((rows, samples), dtype=np.complex128))
+
+
+def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray, work) -> np.ndarray:
     """Exact flow of i u_t = lam |u|^2 u, by collocation, of an (R, 2N+1)
     stack of coefficients in standard order, row r for time t[r].
 
@@ -78,18 +96,35 @@ def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray) -> np.ndarray:
     kernel on |j| <= 3N, so each is an exact cyclic convolution on any grid
     of >= 6N+1 points.  The product grid of cutoff 2N, the smallest 2^a or
     25*2^b >= 6N+1, is such a grid, and a fast FFT length.
+
+    Every call runs in work, a `_flow_work` of R rows, and rotates w_n by
+    the real angle -lam t |w_n|^2 through its cosine and sine; the returned
+    stack is the only array it allocates.
     """
     n = (c.shape[-1] - 1) // 2
     m, alpha, k1, k2, unchirp = _chirp_tables(n)
-    g = _to_grid(c * alpha, n, m)
+    g, w, angle, phase = work
+    out = np.multiply(c, alpha)
+    _to_grid(out, n, m, out=g)
+    # K1 and K2 multiply in place: at N = 0, a one-point grid, they are 1
     g *= k1
-    w = _from_grid(g, 2 * n)
-    # not in place: numpy multiplies a one-element array (N = 0) in place by
-    # its scalar path, which rounds unlike the array loop of a larger stack
-    w = w * np.exp(-1j * lam * t[:, None] * np.abs(w) ** 2)
-    g = _to_grid(w, 2 * n, m, out=g)
+    _from_grid(g, 2 * n, out=w)
+    np.abs(w, out=angle)
+    angle *= angle
+    angle *= (-lam * t)[:, None]
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    # the rotated samples go straight onto the grid, not in place into w:
+    # numpy multiplies a one-element array (N = 0, one run) in place by its
+    # scalar path, which rounds unlike the array loop of a larger stack
+    s = 2 * n
+    np.multiply(w[:, : s + 1], phase[:, : s + 1], out=g[:, : s + 1])
+    np.multiply(w[:, s + 1:], phase[:, s + 1:], out=g[:, m - s:])
+    g[:, s + 1: m - s] = 0.0
+    np.fft.ifft(g, axis=-1, norm="forward", out=g)
     g *= k2
-    return _from_grid(g, n) * unchirp
+    # truncated into the dead sample rows, then out of place into out, as above
+    return np.multiply(_from_grid(g, n, out=w[:, : 2 * n + 1]), unchirp, out=out)
 
 
 def _splitting_scheme(order) -> str:
@@ -105,17 +140,28 @@ def _splitting_stepper(scheme: str, runs):
     """stepper(rows): the Lie or Strang step (scheme of SPLITTINGS) of the
     first rows of a stack of runs (SchemeParams) of one lam and one cutoff,
     run r on row r.
-    The free flow's multipliers e^{-i tau k^2}, one row per run, are built once."""
+    The free flow's multipliers e^{-i tau k^2}, one row per run, and the
+    flows' workspace (`_flow_work`: grid, sample, real angle and complex
+    phase rows, one each per run) are built once.  Every step, at any row
+    count, runs its flows in that workspace sliced to the live rows, so it
+    allocates only its (rows, 2N+1) states, none of them in the workspace,
+    and numpy's buffers for the tables broadcast over more than one row."""
     lam, n = runs[0].lam, runs[0].cutoff
     taus = np.array([params.tau for params in runs])
     phase = _free_phase(_uncentered(np.arange(-n, n + 1.0)), taus[:, None])
     times = taus if scheme == "lie" else 0.5 * taus
+    work = _flow_work(len(runs), n)
 
     def stepper(rows: int):
-        drift, t = phase[:rows], times[:rows]
+        drift, t, live = phase[:rows], times[:rows], [a[:rows] for a in work]
+        # np.multiply, not *: numpy turns `drift * temporary` of >= 256 KiB
+        # into `temporary *= drift`, and a complex product rounds differently
+        # with its operands swapped, so a large stack's rows would not match
+        # their runs alone
         if scheme == "lie":
-            return lambda c: drift * _nonlinear_flow(c, lam, t)
-        return lambda c: _nonlinear_flow(drift * _nonlinear_flow(c, lam, t), lam, t)
+            return lambda c: np.multiply(drift, _nonlinear_flow(c, lam, t, live))
+        return lambda c: _nonlinear_flow(np.multiply(drift, _nonlinear_flow(c, lam, t, live)),
+                                         lam, t, live)
 
     return stepper
 
@@ -123,6 +169,7 @@ def _splitting_stepper(scheme: str, runs):
 def splitting_step(f: SpectralField, params, order: int) -> SpectralField:
     """One Lie (order 1) or Strang (order 2) splitting step of length tau."""
     scheme = _splitting_scheme(order)
+    _finite_field(f, "f")
     if f.cutoff != params.cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
     out = _splitting_stepper(scheme, [params])(1)(_uncentered(f.coeffs)[None])

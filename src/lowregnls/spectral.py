@@ -49,6 +49,13 @@ class SpectralField:
 
     coeffs has length 2*cutoff + 1 and is indexed by k + cutoff, i.e. ascending
     frequency from -cutoff to +cutoff.
+
+    The coefficients may be any complex numbers, nan and inf included, so a
+    field can hold what a file or a caller gave.  But the scheme's maps take
+    only finite fields: `dealiased_product`, `integrator.step`,
+    `integrator.step_twisted` and `reference.splitting_step` raise one
+    ValueError naming the argument that is not, and the `evolve` drivers one
+    naming the run.
     """
 
     cutoff: int
@@ -131,6 +138,14 @@ def _real(value, name: str, positive: bool = False) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _finite_field(f: SpectralField, name: str) -> SpectralField:
+    """f, checked to hold finite coefficients, the rule of `SpectralField`
+    for the scheme's maps; a ValueError names the argument otherwise."""
+    if not np.all(np.isfinite(f.coeffs)):
+        raise ValueError(f"{name} must have finite coefficients")
+    return f
 
 
 def _align(f: SpectralField, g: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -265,11 +280,13 @@ def _to_grid(
     return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
-def _from_grid(values: np.ndarray, cutoff: int) -> np.ndarray:
+def _from_grid(
+    values: np.ndarray, cutoff: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Forward transform of (batched) grid values, in place, truncated to
-    |k| <= cutoff on 2*cutoff + 1 points."""
+    |k| <= cutoff on 2*cutoff + 1 points, into out when given."""
     return _standard(np.fft.fft(values, axis=-1, norm="forward", out=values),
-                     cutoff, 2 * cutoff + 1)
+                     cutoff, 2 * cutoff + 1, out)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -278,7 +295,7 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     The coefficients agree with the exact convolution of the inputs on
     |k| <= N; no aliasing error is committed for band-limited inputs.
     """
-    f, g = _align(f, g)
+    f, g = _align(_finite_field(f, "f"), _finite_field(g, "g"))
     m = _pow2_grid_size(f.cutoff)
     vals = _to_grid(_uncentered(np.stack([f.coeffs, g.coeffs])), f.cutoff, m)
     return SpectralField(f.cutoff, _centered(_from_grid(vals[0] * vals[1], f.cutoff), f.cutoff))

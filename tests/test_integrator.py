@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lowregnls import dft, integrator
+from lowregnls import dft, integrator, reference
 from lowregnls.harness import StudySpec
 from lowregnls.initial_data import InitialDataSpec, coefficients
 from lowregnls.integrator import (
@@ -32,7 +32,7 @@ from lowregnls.integrator import (
     step,
     step_twisted,
 )
-from lowregnls.reference import SPLITTINGS, splitting_step
+from lowregnls.reference import SPLITTINGS, _chirp_tables, _splitting_stepper, splitting_step
 from lowregnls.spectral import (
     SpectralField,
     _centered,
@@ -373,6 +373,74 @@ class TestStepMemory:
         out = stack.apply(c)
         assert [a.tobytes() for a in (c, *tables)] == before
         assert not any(np.shares_memory(out, a) for a in (c, *tables))
+
+
+def built_stepper(scheme, n, runs, monkeypatch):
+    """A Lie or Strang stepper of `runs` runs of cutoff n, warmed by one step
+    (FFT plans are cached by the first call), an (runs, 2n+1) state stack,
+    and what the stepper built: its drift table and its flows' workspace."""
+    built = {}
+    for name in ("_free_phase", "_flow_work"):
+        def spy(*args, real=getattr(reference, name), name=name):
+            built[name] = real(*args)
+            return built[name]
+        monkeypatch.setattr(reference, name, spy)
+    stepper = _splitting_stepper(scheme, [SchemeParams(-1, 2.0 ** -(4 + r), n, 1)
+                                          for r in range(runs)])
+    c = np.stack([np.fft.ifftshift(unit_field(r, n).coeffs) for r in range(runs)])
+    stepper(runs)(c)
+    return stepper, c, built["_free_phase"], built["_flow_work"]
+
+
+class TestSplittingMemory:
+    """A splitting step runs its flows in its stepper's workspace: it
+    allocates only a few (R, 2N+1) state stacks, and numpy's buffer for a
+    table row broadcast over more than one run, and writes into nothing it
+    was given."""
+
+    @pytest.mark.parametrize("scheme", SPLITTINGS)
+    @pytest.mark.parametrize("n, runs", [(1024, 1), (128, 3)])
+    def test_one_step_peaks_at_its_states(self, scheme, n, runs, monkeypatch):
+        stepper, c, _, _ = built_stepper(scheme, n, runs, monkeypatch)
+        step = stepper(runs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step(c)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # 16 bytes a point: the (R, m) grid rows of the product grid of 2N.
+        # One run reads 2.0-2.1 state stacks; three read 4.2-5.2, as numpy
+        # buffers `g *= k1` and the like, up to a grid stack, when the row
+        # multiplies a stack
+        grid = runs * _pow2_grid_size(2 * n) * 16
+        assert 3 * c.nbytes < grid
+        assert peak <= 3 * c.nbytes + (grid if runs > 1 else 0)
+
+    @pytest.mark.parametrize("scheme", SPLITTINGS)
+    @pytest.mark.parametrize("n, runs", [(16, 1), (16, 3), (0, 1)])
+    def test_step_writes_only_its_result(self, scheme, n, runs, monkeypatch):
+        stepper, c, drift, work = built_stepper(scheme, n, runs, monkeypatch)
+        given = (c, drift, *_chirp_tables(n)[1:])
+        before = [a.tobytes() for a in given]
+        out = stepper(runs)(c)
+        assert [a.tobytes() for a in given] == before
+        assert not any(np.shares_memory(out, a) for a in (*given, *work))
+
+    # N = 0 multiplies one-element arrays, and at N = 2048 four runs hold
+    # more than 256 KiB of states: numpy rounds a one-element product in
+    # place, and `a * temporary` that large with its operands swapped, unlike
+    # the out-of-place loop of another stack
+    @pytest.mark.parametrize("scheme", SPLITTINGS)
+    @pytest.mark.parametrize("n", [0, 16, 2048])
+    def test_recut_stepper_matches_solo_runs(self, scheme, n, monkeypatch):
+        stepper, c, _, _ = built_stepper(scheme, n, 4, monkeypatch)
+        for rows in (4, 3, 2, 1):
+            out = stepper(rows)(c[:rows])
+            for r in range(rows):
+                solo = _splitting_stepper(scheme, [SchemeParams(-1, 2.0 ** -(4 + r), n, 1)])
+                assert out[r].tobytes() == solo(1)(c[r: r + 1])[0].tobytes()
 
 
 class TestStepProperties:
@@ -970,6 +1038,22 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match="tau must be a positive finite number"):
             SchemeParams.from_horizon(-1, tau, 2, 1.0)
 
+    # a field may hold nan or inf (`SpectralField`), but no map of the scheme
+    # takes one: it used to return nan silently or warn from numpy
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.inf)],
+                             ids=["nan", "inf", "minus-inf", "imag-inf"])
+    @pytest.mark.parametrize("call, name", [
+        (lambda u: step(u, _params(), CQ), "f"),
+        (lambda u: step_twisted(u, _params(), CQ, 1), "f"),
+        (lambda u: splitting_step(u, _params(), 2), "f"),
+        (lambda u: dealiased_product(u, ZERO), "f"),
+        (lambda u: dealiased_product(ZERO, u), "g"),
+    ], ids=["step", "step-twisted", "splitting-step", "product-f", "product-g"])
+    def test_non_finite_field_rejected(self, call, name, bad):
+        u = SpectralField.from_modes(2, {0: 0.5, 1: bad})
+        with pytest.raises(ValueError, match=f"^{name} must have finite coefficients$"):
+            call(u)
+
     def test_twisted_cutoff_mismatch_rejected(self):
         with pytest.raises(ValueError, match="field cutoff 2 != params cutoff 3"):
             step_twisted(ZERO, _params(cutoff=3), CQ, 0)
@@ -1200,6 +1284,20 @@ class TestPaddedLockstep:
             assert_diagnostics_close(traj.diagnostics, solo.diagnostics,
                                      conserved_quantities(u), params.cutoff)
             assert abs(traj.h1_max - solo.h1_max) <= 1e-13 * solo.h1_max
+
+    @pytest.mark.parametrize("pair", [(8, 16), (21, 33)], ids=["8-in-16", "21-in-33"])
+    def test_diagnostics_sum_the_run_own_modes(self, pair):
+        # a row between the ends sums |c_k|^2 over the run's own |k| <= N, as
+        # `conserved_quantities` of its state does, bitwise; the stack of one
+        # step reaches that state bitwise, as it steps the same rows
+        fields = [unit_field(r, cutoff) for r, cutoff in enumerate(pair)]
+        two, one = (evolve_lockstep(fields, [SchemeParams(-1, 0.1, f.cutoff, steps)
+                                             for f in fields], diag_stride=1)
+                    for steps in (2, 1))
+        for a, b, u in zip(two, one, fields):
+            now, start = conserved_quantities(b.final), conserved_quantities(u)
+            assert (a.diagnostics[1].mass_drift, a.diagnostics[1].momentum_drift) == (
+                abs(now.mass - start.mass), abs(now.momentum_imag - start.momentum_imag))
 
 
 class TestLockstepBoundary:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lowregnls import dft
-from lowregnls.integrator import SchemeParams, splitting_evolve
-from lowregnls.reference import _chirp_tables, _nonlinear_flow, splitting_step
+from lowregnls.integrator import SchemeParams, conserved_quantities, splitting_evolve
+from lowregnls.reference import _chirp_tables, _flow_work, _nonlinear_flow, splitting_step
 from lowregnls.spectral import (
     SpectralField,
     free_propagator,
@@ -41,7 +41,8 @@ def unit_field(seed, cutoff):
 def flow(f, lam, t):
     """`_nonlinear_flow` of one field, as a one-row stack in standard order."""
     c = np.fft.ifftshift(f.coeffs)[None]
-    return SpectralField(f.cutoff, np.fft.fftshift(_nonlinear_flow(c, lam, np.array([t]))[0]))
+    out = _nonlinear_flow(c, lam, np.array([t]), _flow_work(1, f.cutoff))
+    return SpectralField(f.cutoff, np.fft.fftshift(out[0]))
 
 
 def assert_close(a, b):
@@ -78,6 +79,20 @@ class TestAgainstCollocation:
         assert_close(splitting_step(u, params, 2), expected)
 
 
+    # angles t|u|^2 of hundreds of turns, which cos and sin must reduce as
+    # np.exp does; a sample's relative round-off d turns into a phase error
+    # of angle * d, so the bound grows by 1e-15 per radian of the largest
+    @pytest.mark.parametrize("n", [5, 64])
+    @pytest.mark.parametrize("lam", [-1, 1])
+    def test_flow_at_large_angles(self, n, lam):
+        f, t = 20.0 * unit_field(n, n), 0.5
+        angle = t * np.max(np.abs(dft.inverse(project(f, 2 * n).coeffs)) ** 2)
+        assert angle > 100 * 2 * np.pi
+        expected = collocated_flow(f, lam, t)
+        bound = (1e-13 + 1e-15 * angle) * sobolev_norm(expected, 0.0)
+        assert l2_error(flow(f, lam, t), expected) <= bound
+
+
 class TestChirpTables:
     def test_read_only(self):
         _, *tables = _chirp_tables(8)
@@ -99,7 +114,8 @@ class TestDriftPhase:
     @example(0, 0.25, 1, 0, 1)
     def test_trajectory_matches_free_propagator_route(self, n, tau, lam, seed, order):
         # bitwise: the final state, that of a run of half the steps, and the
-        # diagnostics of every step
+        # diagnostics of every step, whose drifts are those of
+        # `conserved_quantities`
         u = unit_field(seed, n)
         params = SchemeParams(lam=lam, tau=tau, cutoff=n, steps=4)
         traj = splitting_evolve(u, params, order, diag_stride=1)
@@ -111,6 +127,9 @@ class TestDriftPhase:
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
         h1 = [sobolev_norm(f, 1.0) for f in states]
         assert [d.h1 for d in traj.diagnostics] == h1
+        cq = [conserved_quantities(f) for f in states]
+        assert [(d.mass_drift, d.momentum_drift) for d in traj.diagnostics] == [
+            (abs(q.mass - cq[0].mass), abs(q.momentum_imag - cq[0].momentum_imag)) for q in cq]
 
 
 class TestFftWork:
