@@ -348,12 +348,29 @@ def random_stack(cutoff, runs):
     return _StepPlan.stacked(plans), np.stack([standard(f, m) for f in fields])
 
 
+def with_blocks(*cases):
+    """Parametrize (n, runs, block) over the cases (n, runs), each once with
+    the module's block size (block None, whole rows) and once with blocks
+    of 64 points, at which a grid of more points takes the blocked path of
+    `apply`."""
+    ids = [f"{n}-{runs}" for n, runs in cases]
+    return pytest.mark.parametrize(
+        "n, runs, block", [(*case, None) for case in cases] + [(*case, 64) for case in cases],
+        ids=ids + [f"{i}-blocks" for i in ids])
+
+
+def set_block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(integrator, "_BLOCK_POINTS", block)
+
+
 class TestStepMemory:
     """One step allocates its eight-row work block and its result, no more,
-    and writes into nothing it was given."""
+    and writes into nothing it was given, on whole rows and by blocks."""
 
-    @pytest.mark.parametrize("n, runs", [(1024, 1), (128, 6)])
-    def test_one_apply_peaks_at_nine_rows(self, n, runs):
+    @with_blocks((1024, 1), (128, 6))
+    def test_one_apply_peaks_at_nine_rows(self, n, runs, block, monkeypatch):
+        set_block(monkeypatch, block)
         stack, c = random_stack(n, runs)
         stack.apply(c)                    # FFT plans are cached by the first call
         tracemalloc.start()
@@ -365,14 +382,92 @@ class TestStepMemory:
             tracemalloc.stop()
         assert peak <= 1.01 * 9 * c.nbytes
 
-    @pytest.mark.parametrize("n, runs", [(1024, 1), (128, 6), (0, 2)])
-    def test_apply_writes_only_its_result(self, n, runs):
+    @with_blocks((1024, 1), (128, 6), (0, 2))
+    def test_apply_writes_only_its_result(self, n, runs, block, monkeypatch):
+        set_block(monkeypatch, block)
         stack, c = random_stack(n, runs)
         tables = [stack.t1, stack.t3, stack.t4, stack.twist]
         before = [a.tobytes() for a in (c, *tables)]
         out = stack.apply(c)
         assert [a.tobytes() for a in (c, *tables)] == before
         assert not any(np.shares_memory(out, a) for a in (c, *tables))
+
+
+def window_bytes(c, top):
+    """The |k| <= top window of standard-order rows c, as bytes: the band
+    beyond it may hold +0.0 on one path where the other has -0.0."""
+    return _centered(c, top).tobytes()
+
+
+class TestBlockedStep:
+    """Rows longer than `integrator._BLOCK_POINTS` are stepped block by
+    block, and the window by itself; the result is bitwise that of whole
+    rows.  The block size is patched down so that small grids take it."""
+
+    # cutoffs of a stack's runs, at blocks of at most 64 points: a window
+    # end of 193 = 3 * 64 + 1 points in 4 blocks of 48 or 49; of 41 in one;
+    # a stack of 128 and 64 padded on the 400-point grid of 128, its window
+    # ends of 129 and 128 points in 3 and 2 blocks
+    STACKS = {"several-blocks": (192,), "one-block": (40,), "padded": (128, 64)}
+
+    def stacks(self, cutoffs, runs):
+        """The cutoffs repeated over `runs` taus: the plan stack on the grid
+        of the largest, its initial (R, m) states, the fields and runs."""
+        cutoffs = [n for _ in range(runs) for n in cutoffs]
+        m = _pow2_grid_size(max(cutoffs))
+        fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
+        params = [SchemeParams(-1, 2.0 ** -(4 + r % 3), n, 3 + r % 2)
+                  for r, n in enumerate(cutoffs)]
+        stack = _StepPlan.stacked([_plan_for(p, conserved_quantities(f), m)
+                                   for p, f in zip(params, fields)])
+        return stack, np.stack([standard(f, m) for f in fields]), fields, params
+
+    def steps(self, cutoffs, runs):
+        stack, c, _, _ = self.stacks(cutoffs, runs)
+        out = []
+        for _ in range(3):
+            c = stack.apply(c)
+            out.append(c)
+        return out
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("cutoffs", STACKS.values(), ids=STACKS.keys())
+    def test_blocks_give_the_rows_result(self, cutoffs, runs, monkeypatch):
+        top = max(cutoffs)
+        assert _pow2_grid_size(top) > 64
+        rows = self.steps(cutoffs, runs)
+        monkeypatch.setattr(integrator, "_BLOCK_POINTS", 64)
+        blocks = self.steps(cutoffs, runs)
+        for a, b in zip(rows, blocks, strict=True):
+            assert window_bytes(a, top) == window_bytes(b, top)
+            assert np.all(b[:, top + 1: b.shape[-1] - top] == 0)
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("cutoffs", STACKS.values(), ids=STACKS.keys())
+    def test_blocked_lockstep_runs_are_the_rows_runs(self, cutoffs, runs, monkeypatch):
+        _, _, fields, params = self.stacks(cutoffs, runs)
+        rows = evolve_lockstep(fields, params, diag_stride=1)
+        monkeypatch.setattr(integrator, "_BLOCK_POINTS", 64)
+        blocks = evolve_lockstep(fields, params, diag_stride=1)
+        for a, b in zip(rows, blocks, strict=True):
+            assert a.final.coeffs.tobytes() == b.final.coeffs.tobytes()
+            assert a.diagnostics == b.diagnostics and a.h1_max == b.h1_max
+
+    def test_the_module_blocks_only_rows_past_its_size(self, monkeypatch):
+        # 2^13 is the first power of two whose grid (25600 points) is cut
+        assert _pow2_grid_size(4096) <= integrator._BLOCK_POINTS < _pow2_grid_size(8192)
+        cut = []
+        real = integrator._each
+
+        def spy(spans, stage, *arrays):
+            cut.append(spans is not None)
+            return real(spans, stage, *arrays)
+
+        monkeypatch.setattr(integrator, "_each", spy)
+        for n in (4096, 8192):
+            u = unit_field(n, n)
+            step(u, SchemeParams(-1, 0.01, n, 1), conserved_quantities(u))
+        assert cut == [False] * 6 + [True] * 6       # six passes a step
 
 
 def built_stepper(scheme, n, runs, monkeypatch):
