@@ -58,8 +58,8 @@ MAX_CUTOFF = 2 ** 16
 MAX_STEPS = 2 ** 24
 
 # most diagnostic rows one solve may record (steps // --diag-stride + 1): a
-# row costs ~280 bytes held in the trajectory and ~320 bytes of manifest text
-# while the dump is written, so 2^20 rows take ~0.6 GB
+# row costs ~280 bytes held in the trajectory and ~300 bytes of
+# diagnostics.txt text while the dump is written, so 2^20 rows take ~0.6 GB
 MAX_DIAG_ROWS = 2 ** 20
 
 

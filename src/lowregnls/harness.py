@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .initial_data import InitialDataSpec
-from .integrator import SchemeParams, _scheme, _sign, evolve_lockstep, initialize
+from .integrator import MIN_TAU, SchemeParams, _scheme, _sign, evolve_lockstep, initialize
 # not called here, but perfbench/tracing.py patches both by these names
 from .integrator import evolve, splitting_evolve  # noqa: F401
 from .spectral import SpectralField, _integer, _pow2_grid_size, _real, l2_error
@@ -115,7 +115,7 @@ class StudySpec:
         if self.axis == "spatial":
             return [[((n, tau), (2 * n, tau)) for tau in self.taus] for n in self.cutoffs]
         for tau in self.taus:
-            if tau > 0.0 and tau / 2.0 == 0.0:
+            if tau / 2.0 < MIN_TAU:
                 raise ValueError(f"tau {tau!r} is too small to halve")
         return [[((n, tau), (n, tau / 2.0)) for n in self.cutoffs] for tau in self.taus]
 

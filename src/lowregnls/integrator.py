@@ -82,6 +82,12 @@ SCHEMES = ("lowreg", *SPLITTINGS)
 # relative tolerance, against max(T, 1), for a horizon T to sit on the step grid
 TIME_RTOL = 1e-12
 
+# least tau of a run: stage 1 of a step scales two rows by sqrt(0.5i/tau), so
+# their squares carry 1/(2 tau); from this tau up, one overflows only where
+# |d_x^{-1} f| > 2^384, where the unscaled cubic of stage 4 overflows too, so
+# every blow-up is the state's own and none comes of a tiny tau
+MIN_TAU = 2.0 ** -256
+
 
 class BlowUpError(RuntimeError):
     """Raised when a trajectory's H^1 norm leaves the range of floating point
@@ -123,7 +129,8 @@ def _sign(lam) -> int:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Run parameters: nonlinearity sign lam, step tau, cutoff N, step count."""
+    """Run parameters: nonlinearity sign lam, step tau >= MIN_TAU, cutoff N,
+    step count."""
 
     lam: int
     tau: float
@@ -133,6 +140,8 @@ class SchemeParams:
     def __post_init__(self):
         object.__setattr__(self, "lam", _sign(self.lam))
         object.__setattr__(self, "tau", _real(self.tau, "tau", positive=True))
+        if self.tau < MIN_TAU:
+            raise ValueError(f"tau must be >= MIN_TAU = 2^-256, got {self.tau!r}")
         object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff", 0))
         object.__setattr__(self, "steps", _integer(self.steps, "steps", 0))
 
@@ -696,36 +705,25 @@ def _stepper(scheme: str, ranked, size: int):
 
 
 def save_trajectory(traj: Trajectory, dirpath) -> None:
-    """Write a trajectory dump: manifest.txt with key=value lines for the run
-    parameters and the recorded diagnostics, plus initial.txt and final.txt,
-    each the state's 2N+1 lines "re im" in ascending k.  Each fact is written
-    once: the horizon, the row times, N, k and the conserved quantities
-    follow from the rest."""
+    """Write a trajectory dump of four files: manifest.txt, the run's lines
+    key=value of scheme, lambda, tau, N, steps and h1_max; initial.txt and
+    final.txt, each the state's 2N+1 lines "re im" in ascending k; and
+    diagnostics.txt, one line "j l2 h1 mass_drift momentum_drift" per
+    recorded step j.  Each number is its repr, which reads back bit-exactly,
+    and each fact is written once: the horizon, the row times, k and the
+    conserved quantities follow from the rest."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    params = traj.params
+    (d / "manifest.txt").write_text(
+        f"scheme={traj.scheme}\nlambda={params.lam}\ntau={params.tau!r}\nN={params.cutoff}\n"
+        f"steps={params.steps}\nh1_max={traj.h1_max!r}\n")
     for name, f in (("initial", traj.initial), ("final", traj.final)):
-        pairs = zip(f.coeffs.real.tolist(), f.coeffs.imag.tolist())  # repr round-trips
+        pairs = zip(f.coeffs.real.tolist(), f.coeffs.imag.tolist())
         (d / f"{name}.txt").write_text("".join(f"{x!r} {y!r}\n" for x, y in pairs))
-    lines = [
-        f"scheme={traj.scheme}",
-        f"lambda={traj.params.lam}",
-        f"tau={traj.params.tau!r}",
-        f"N={traj.params.cutoff}",
-        f"steps={traj.params.steps}",
-        f"h1_max={traj.h1_max!r}",
-        f"diagnostic_count={len(traj.diagnostics)}",
-    ]
-    for i, row in enumerate(traj.diagnostics):
-        lines.append(f"diagnostic_{i}={row.step_index} {row.l2!r} {row.h1!r} "
-                     f"{row.mass_drift!r} {row.momentum_drift!r}")
-    (d / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def _fields(text: str, count: int) -> list[str]:
-    fields = text.split()
-    if len(fields) != count:
-        raise ValueError(f"expected {count} fields, got {len(fields)}")
-    return fields
+    (d / "diagnostics.txt").write_text("".join(
+        f"{r.step_index} {r.l2!r} {r.h1!r} {r.mass_drift!r} {r.momentum_drift!r}\n"
+        for r in traj.diagnostics))
 
 
 def _finite(text: str) -> float:
@@ -735,19 +733,19 @@ def _finite(text: str) -> float:
     return value
 
 
-def _load_state(path: Path, cutoff: int) -> SpectralField:
-    """A state file of cutoff N: 2N+1 lines "re im" of finite floats."""
-    lines = path.read_text().splitlines()
-    if len(lines) != 2 * cutoff + 1:
-        raise ValueError(f"{path}: expected {2 * cutoff + 1} lines for the manifest's "
-                         f"N={cutoff}, got {len(lines)}")
-    coeffs = []
-    for n, line in enumerate(lines, start=1):
+def _table(path: Path, count: int, parse) -> list:
+    """parse(*fields) of each line of a dump's table file, a line of count
+    fields; a bad line is one ValueError naming the file and the line."""
+    rows = []
+    for n, line in enumerate(path.read_text().splitlines(), start=1):
+        fields = line.split()
         try:
-            coeffs.append(complex(*map(_finite, _fields(line, 2))))
+            if len(fields) != count:
+                raise ValueError(f"expected {count} fields, got {len(fields)}")
+            rows.append(parse(*fields))
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {exc}") from None
-    return SpectralField(cutoff, np.array(coeffs, dtype=np.complex128))
+    return rows
 
 
 def _manifest_dict(path: Path) -> dict[str, str]:
@@ -766,15 +764,18 @@ def _manifest_dict(path: Path) -> dict[str, str]:
 
 
 def load_trajectory(dirpath) -> Trajectory:
-    """Read back a dump written by save_trajectory, ignoring unknown keys.
+    """Read back a dump written by save_trajectory.
 
-    The initial and final states are read from `initial.txt` and `final.txt`
-    at the manifest's N.  The dump must name one run: each key is given
-    once, steps * tau is a finite time, and the row steps increase from 0 to
-    steps, so each row's time j * tau is finite too.  A missing or repeated
-    key, an entry of the wrong field count, a bad or non-finite value, and a fact that contradicts the run raise one
-    ValueError naming the manifest and the key; a bad state file, one naming
-    the file (and the line); a missing one, OSError."""
+    The manifest must name one run: each of its six keys is given once,
+    keys it does not read are ignored, and steps * tau is a finite time.  A
+    missing or repeated key, a bad or non-finite value and a time past float
+    range raise one ValueError naming the manifest and the key.  The three
+    tables are read by one rule, `_table`: a line of the wrong field count or
+    with a bad or non-finite number is one ValueError naming the file and the
+    line.  A state file must hold 2N+1 lines at the manifest's N, and the
+    rows' steps must rise strictly from 0 to the manifest's steps, so each
+    row's time j * tau is finite too; a file that does not is one ValueError
+    naming it (and the row's line).  A missing table file raises OSError."""
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
@@ -797,6 +798,7 @@ def load_trajectory(dirpath) -> Trajectory:
         unit = SchemeParams(1, 1.0, 0, 0)
         return entry(key, lambda text: getattr(replace(unit, **{name: parse(text)}), name))
 
+    scheme, h1_max = entry("scheme", _scheme), entry("h1_max")
     params = SchemeParams(param("lambda", "lam", int), param("tau", "tau", float),
                           param("N", "cutoff", int), param("steps", "steps", int))
     try:
@@ -806,30 +808,25 @@ def load_trajectory(dirpath) -> Trajectory:
     if not finite:
         raise bad("steps", f"steps * tau {params.tau!r} is not a finite time")
 
-    def diagnostic(text):
-        step, *values = _fields(text, 5)
-        return SnapshotDiagnostics(_integer(int(step), "step", 0), *map(_finite, values))
-
-    initial, final = (_load_state(d / f"{name}.txt", params.cutoff)
-                      for name in ("initial", "final"))
-    diagnostics = []
-    for i in range(entry("diagnostic_count", lambda text: _integer(int(text), "count", 0))):
-        key = f"diagnostic_{i}"
-        row = entry(key, diagnostic)
-        if diagnostics and row.step_index <= diagnostics[-1].step_index:
-            raise bad(key, f"step {row.step_index} does not come after "
-                           f"step {diagnostics[-1].step_index}")
-        diagnostics.append(row)
-    if not diagnostics or diagnostics[0].step_index != 0:
-        raise bad("diagnostic_0" if diagnostics else "diagnostic_count",
-                  "the diagnostics do not start at step 0")
-    if diagnostics[-1].step_index != params.steps:
-        raise bad("steps", f"the diagnostics end at step {diagnostics[-1].step_index}")
-    return Trajectory(
-        params=params,
-        scheme=entry("scheme", _scheme),
-        initial=initial,
-        final=final,
-        diagnostics=tuple(diagnostics),
-        h1_max=entry("h1_max"),
-    )
+    states = []
+    for name in ("initial", "final"):
+        path = d / f"{name}.txt"
+        coeffs = _table(path, 2, lambda x, y: complex(_finite(x), _finite(y)))
+        if len(coeffs) != 2 * params.cutoff + 1:
+            raise ValueError(f"{path}: expected {2 * params.cutoff + 1} lines for the "
+                             f"manifest's N={params.cutoff}, got {len(coeffs)}")
+        states.append(SpectralField(params.cutoff, coeffs))
+    path = d / "diagnostics.txt"
+    rows = _table(path, 5, lambda j, *values: SnapshotDiagnostics(
+        _integer(int(j), "step", 0), *map(_finite, values)))
+    js = [row.step_index for row in rows]
+    for n, (before, j) in enumerate(zip(js, js[1:]), start=2):
+        if j <= before:
+            raise ValueError(f"{path}: line {n}: step {j} does not come after step {before}")
+    if not js or js[0] != 0:
+        raise ValueError(f"{path}: line 1: the diagnostics do not start at step 0")
+    if js[-1] != params.steps:
+        raise ValueError(f"{path}: line {len(js)}: the diagnostics end at step {js[-1]}, "
+                         f"not at the manifest's steps={params.steps}")
+    return Trajectory(params=params, scheme=scheme, initial=states[0], final=states[1],
+                      diagnostics=tuple(rows), h1_max=h1_max)

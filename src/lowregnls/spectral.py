@@ -78,6 +78,7 @@ class SpectralField:
         cutoff = _integer(cutoff, "cutoff", 0)
         arr = np.zeros(2 * cutoff + 1, dtype=np.complex128)
         for k, v in modes.items():
+            k = _integer(k, "frequency")
             if abs(k) > cutoff:
                 raise ValueError(f"frequency {k} outside cutoff {cutoff}")
             arr[k + cutoff] = v
@@ -85,6 +86,7 @@ class SpectralField:
 
     def coefficient(self, k: int) -> complex:
         """c_k, with c_k = 0 for |k| > cutoff."""
+        k = _integer(k, "k")
         if abs(k) > self.cutoff:
             return 0.0 + 0.0j
         return complex(self.coeffs[k + self.cutoff])
@@ -111,9 +113,10 @@ class SpectralField:
 
 def _integer(value, name: str, least: int | None = None) -> int:
     """value as an int, the one rule for every integer a caller passes in
-    (cutoffs, step counts, strides, jobs): integers of any type pass, numpy's
-    included, and anything else, a bool or an integral float too, raises a
-    ValueError naming the parameter, as does a value below least."""
+    (cutoffs, step counts, strides, jobs, frequencies): integers of any type
+    pass, numpy's included, and anything else, a bool or an integral float
+    too, raises a ValueError naming the parameter, as does a value below
+    least."""
     # Python's bool is an int; numpy's has no __index__
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -125,7 +128,8 @@ def _integer(value, name: str, least: int | None = None) -> int:
 
 def _real(value, name: str, positive: bool = False) -> float:
     """value as a float, the one rule for every real a caller passes in
-    (taus, horizons, alpha, amplitudes): reals of any type pass, numpy's
+    (taus, horizons, alpha, amplitudes, the operators' times, masses and
+    Sobolev orders): reals of any type pass, numpy's
     included, and anything else, a bool or a string too, raises a ValueError
     naming the parameter, as does a value that is not finite or, where
     positive, not > 0."""
@@ -193,7 +197,8 @@ def conjugate(f: SpectralField) -> SpectralField:
 
 def free_propagator(f: SpectralField, t: float) -> SpectralField:
     """exp(i t d_xx) f: the flow of i u_t + u_xx = 0, mode k picks up e^{-i t k^2}."""
-    return SpectralField(f.cutoff, _free_phase(f.frequencies().astype(float), t) * f.coeffs)
+    phase = _free_phase(f.frequencies().astype(float), _real(t, "t"))
+    return SpectralField(f.cutoff, phase * f.coeffs)
 
 
 def twist_propagator(
@@ -207,7 +212,8 @@ def twist_propagator(
     field).  mass and momentum_imag are real, so the exponent is purely
     imaginary and the map is unitary.
     """
-    phase = _twist_phase(f.frequencies().astype(float), tau, lam, mass, momentum_imag)
+    phase = _twist_phase(f.frequencies().astype(float), _real(tau, "tau"), _real(lam, "lam"),
+                         _real(mass, "mass"), _real(momentum_imag, "momentum_imag"))
     return SpectralField(f.cutoff, phase * f.coeffs)
 
 
@@ -304,7 +310,7 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm."""
     k = f.frequencies().astype(float)
-    w = (1.0 + k * k) ** s
+    w = (1.0 + k * k) ** _real(s, "s")
     return float(np.sqrt(2.0 * np.pi * np.sum(w * np.abs(f.coeffs) ** 2)))
 
 

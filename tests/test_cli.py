@@ -14,6 +14,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,8 +86,8 @@ class TestSolve:
         out = capsys.readouterr().out
         assert rc == 0
         assert "wrote trajectory dump" in out
-        assert sorted(p.name for p in dump.iterdir()) == ["final.txt", "initial.txt",
-                                                          "manifest.txt"]
+        assert sorted(p.name for p in dump.iterdir()) == ["diagnostics.txt", "final.txt",
+                                                          "initial.txt", "manifest.txt"]
         traj = load_trajectory(dump)
         assert traj.params.horizon == 0.5
         assert traj.final.cutoff == 8
@@ -113,6 +114,24 @@ class TestSolve:
         traj = load_trajectory(dump)
         assert traj.initial.coeffs.tobytes() == u0.coeffs.tobytes()
         assert traj.final.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_dump_is_plain_tables(self, tmp_path, capsys):
+        # a dump is four files, and numpy reads each of its three tables to
+        # the numbers load_trajectory gives, bit for bit
+        dump = tmp_path / "D"
+        assert main(["solve", "--tau", "2^-4", "--N", "16", "--T", "0.5", "--scheme", "strang",
+                     "--diag-stride", "1", "--out", str(dump)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in dump.iterdir()) == ["diagnostics.txt", "final.txt",
+                                                          "initial.txt", "manifest.txt"]
+        traj = load_trajectory(dump)
+        rows = [[r.step_index, r.l2, r.h1, r.mass_drift, r.momentum_drift]
+                for r in traj.diagnostics]
+        assert len(rows) == 9
+        assert np.loadtxt(dump / "diagnostics.txt").tobytes() == np.array(rows).tobytes()
+        for name, f in (("initial", traj.initial), ("final", traj.final)):
+            pairs = np.stack([f.coeffs.real, f.coeffs.imag], axis=1)
+            assert np.loadtxt(dump / f"{name}.txt").tobytes() == pairs.tobytes()
 
     def test_initial_state_is_the_rough_data_of_its_flags(self, tmp_path, capsys):
         # --alpha and --amplitude shape the one family solve starts from
@@ -178,7 +197,7 @@ class TestDiagnostics:
         params = SchemeParams.from_horizon(-1, 2.0 ** -3, 8, 0.5)
         u0 = initialize(InitialDataSpec(kind="sobolev", alpha=1.0, amplitude=0.1), 8)
         rows = evolve(u0, params, diag_stride=1).diagnostics
-        # repr round trip through the manifest is exact
+        # repr round trip through diagnostics.txt is exact
         assert reread == "".join(
             f"{line}\n" for line in [DIAG_HEADER] + [
                 f"{r.step_index * params.tau!r},{r.l2!r},{r.h1!r},{r.mass_drift!r},"
@@ -323,8 +342,8 @@ class TestErrorContract:
         assert f"maximum {MAX_STEPS} steps" in msg
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--tau", "1e-300", "--N", "8", "--T", "1e10"],
-        ["study-temporal", "--tau-list", "1e-300,2e-300", "--N-list", "8", "--T", "1e10"],
+        ["solve", "--tau", "2^-200", "--N", "8", "--T", "1e300"],
+        ["study-temporal", "--tau-list", "2^-200,2^-199", "--N-list", "8", "--T", "1e300"],
     ], ids=["solve", "study-temporal"])
     def test_step_count_overflows(self, argv, capsys):
         # T/tau overflows to inf: SchemeParams rejects it, on every subcommand
@@ -443,9 +462,9 @@ class TestErrorContract:
         assert main(["solve", "--tau", "0.5", "--N", "2", "--T", "1", "--diag-stride", "1",
                      "--out", str(dump)]) == 0
         capsys.readouterr()
-        manifest = dump / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace("steps=2\n", f"steps={10 ** 400}\n")
-                            .replace("diagnostic_2=2 ", f"diagnostic_2={10 ** 400} "))
+        manifest, rows = dump / "manifest.txt", dump / "diagnostics.txt"
+        manifest.write_text(manifest.read_text().replace("steps=2\n", f"steps={10 ** 400}\n"))
+        rows.write_text(re.sub(r"(?m)^2 ", f"{10 ** 400} ", rows.read_text()))
         msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
         assert msg.startswith(f"error: {manifest}: bad manifest entry steps=")
         assert msg.endswith("steps * tau 0.5 is not a finite time")
@@ -460,8 +479,6 @@ class TestErrorContract:
         assert self.check(argv + ["--jobs", "2"], 1, capfd) == serial
 
     @pytest.mark.parametrize("edit, key", [
-        ("diagnostic_0=0 0.0", "diagnostic_0"),
-        ("diagnostic_count=x", "diagnostic_count"),
         ("scheme=rk4", "scheme"),
         ("", "h1_max"),
         ("lambda=0", "lambda"),
@@ -469,11 +486,10 @@ class TestErrorContract:
         ("steps=-1", "steps"),
         ("N=5", "N"),
         ("steps=9", "steps"),
-        ("diagnostic_1=8 7.0 1 2 3 4", "diagnostic_1"),
         # a key given twice names no one run: 0.0625 would time the rows of another
         ("tau=0.125\ntau=0.0625", "tau"),
-    ], ids=["short-row", "count", "scheme", "missing", "lambda-range", "N-range",
-            "steps-range", "N-of-states", "steps-of-rows", "row-with-time", "key-twice"])
+    ], ids=["scheme", "missing", "lambda-range", "N-range", "steps-range", "N-of-states",
+            "steps-of-rows", "key-twice"])
     def test_malformed_dump(self, edit, key, tmp_path, capsys):
         dump = tmp_path / "D"
         assert main(["solve", "--tau", "2^-3", "--N", "4", "--T", "1", "--out", str(dump)]) == 0
@@ -483,11 +499,26 @@ class TestErrorContract:
                  for ln in manifest.read_text().splitlines()]
         manifest.write_text("\n".join(lines) + "\n")
         msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
-        # the file at fault: the manifest, or the initial state, which holds
-        # too few lines for N=5
-        at_fault = dump / "initial.txt" if edit == "N=5" else manifest
-        assert msg.startswith(f"error: {at_fault}: ")
+        # the file at fault: the manifest, the initial state, which holds
+        # too few lines for N=5, or the rows, which end at step 8
+        at_fault = {"N=5": "initial.txt", "steps=9": "diagnostics.txt"}.get(edit, "manifest.txt")
+        assert msg.startswith(f"error: {dump / at_fault}: ")
         assert repr(key) in msg or f"{key}=" in msg
+
+    @pytest.mark.parametrize("row, match", [
+        ("0 0.0", "line 1: expected 5 fields, got 2"),
+        # a row of the older format, which also held the row's time
+        ("0 0.0 1 2 3 4", "line 1: expected 5 fields, got 6"),
+        ("1 1 2 3 4", "line 1: the diagnostics do not start at step 0"),
+    ], ids=["short-row", "row-with-time", "first-step"])
+    def test_malformed_row(self, row, match, tmp_path, capsys):
+        dump = tmp_path / "D"
+        assert main(["solve", "--tau", "2^-3", "--N", "4", "--T", "1", "--out", str(dump)]) == 0
+        capsys.readouterr()
+        rows = dump / "diagnostics.txt"
+        rows.write_text(row + "\n" + rows.read_text().split("\n", 1)[1])
+        msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
+        assert msg == f"error: {rows}: {match}"
 
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
     def test_non_finite_initial_data(self, amplitude, capsys):
@@ -613,17 +644,19 @@ def real_dump(tmp_path_factory):
     return {p.name: p.read_text() for p in dump.iterdir()}
 
 
-# a number token: not inside a key such as diagnostic_0 or h1_max
+# a number token: not inside a key such as h1_max
 NUMBER = re.compile(r"(?<![\w.+-])-?\d[\w.+-]*")
-# the manifest lines that carry an N, a step count or a row's step
-EDITABLE = re.compile(r"N=|steps=|diagnostic_\d+=")
+# the lines that carry an N, a step count or a row's step: the manifest's N=
+# and steps=, and the rows, which alone start with an integer (a state's
+# numbers are float reprs, each with a "." or an "e")
+EDITABLE = re.compile(r"N=|steps=|\d+ ")
 
 
 @st.composite
 def corrupted(draw, files):
     """(kind, files): files with one line of one file deleted, duplicated,
     truncated, one of its numbers made non-finite or overflowing, or the
-    manifest's N, step count or row step changed; or one file emptied
+    manifest's N or step count or a row's step changed; or one file emptied
     or removed (text None)."""
     kind = draw(st.sampled_from(["delete", "duplicate", "truncate", "number", "edit",
                                  "empty", "remove"]))
@@ -650,17 +683,23 @@ def corrupted(draw, files):
     return kind, {**files, name: "\n".join(lines) + "\n"}
 
 
-def rows_csv(manifest: str) -> str:
-    """The diagnostics CSV of a manifest's rows, read apart from the package:
-    a row of step j is at time j * tau."""
-    kv = {k.strip(): v.strip() for k, v in
-          (ln.split("=", 1) for ln in manifest.splitlines() if "=" in ln)}
-    tau = float(kv["tau"])
+def rows_csv(files: dict) -> str:
+    """The diagnostics CSV of a dump's rows, read apart from the package
+    from the texts of its files by name: a row of step j is at time j * tau."""
+    [tau] = re.findall(r"(?m)^tau=(.*)$", files["manifest.txt"])
     lines = [DIAG_HEADER]
-    for i in range(int(kv["diagnostic_count"])):
-        j, *values = kv[f"diagnostic_{i}"].split()
-        lines.append(",".join([repr(int(j) * tau), *(repr(float(v)) for v in values)]))
+    for row in files["diagnostics.txt"].splitlines():
+        j, *values = row.split()
+        lines.append(",".join([repr(int(j) * float(tau)), *(repr(float(v)) for v in values)]))
     return "\n".join(lines) + "\n"
+
+
+def numbered_rows(files: dict) -> str:
+    """The rows of a dump as the older format held them in its manifest: a
+    row count, then one numbered key per row."""
+    rows = files["diagnostics.txt"].splitlines()
+    return f"diagnostic_count={len(rows)}\n" + "".join(
+        f"diagnostic_{i}={row}\n" for i, row in enumerate(rows))
 
 
 class TestDiagnosticsOnCorruptDumps:
@@ -672,7 +711,7 @@ class TestDiagnosticsOnCorruptDumps:
             (tmp_path / name).write_text(text)
         assert main(["diagnostics", "--in", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert out == rows_csv(real_dump["manifest.txt"])
+        assert out == rows_csv(real_dump)
         assert len(out.splitlines()) == 1 + 5
 
     @given(data=st.data())
@@ -692,7 +731,7 @@ class TestDiagnosticsOnCorruptDumps:
             # error; and every line is there once, so a repeated one is too
             assert kind not in ("number", "duplicate")
             assert err.getvalue() == ""
-            assert out.getvalue() == rows_csv(files["manifest.txt"])
+            assert out.getvalue() == rows_csv(files)
         else:
             assert rc == 1 and out.getvalue() == ""
             lines = err.getvalue().splitlines()
@@ -702,7 +741,7 @@ class TestDiagnosticsOnCorruptDumps:
     def test_state_no_run_wrote_loads_silently(self, real_dump, tmp_path, capsys):
         # the squares of the initial state overflow here, which no run's can
         # (its H^1 norm would blow up at step 0); the loader computes nothing
-        # of the states, the rows come from the manifest, and nothing
+        # of the states, the rows come from diagnostics.txt, and nothing
         # reaches stderr
         for name, text in real_dump.items():
             (tmp_path / name).write_text(text)
@@ -713,17 +752,15 @@ class TestDiagnosticsOnCorruptDumps:
             assert main(["diagnostics", "--in", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out == rows_csv(real_dump["manifest.txt"])
+        assert captured.out == rows_csv(real_dump)
 
     def test_numbered_snapshot_dump_exits_1(self, real_dump, tmp_path, capsys):
         # a dump of states in numbered snapshot files, each named with its
         # time in the manifest, lacks initial.txt
         files = {"snapshot_0000.txt": real_dump["initial.txt"],
                  "snapshot_0001.txt": real_dump["final.txt"],
-                 "manifest.txt": real_dump["manifest.txt"].replace(
-                     "\ndiagnostic_count=",
-                     "\nsnapshot_count=2\nsnapshot_0_time=0.0\nsnapshot_1_time=0.5"
-                     "\ndiagnostic_count=")}
+                 "manifest.txt": real_dump["manifest.txt"] + numbered_rows(real_dump)
+                 + "snapshot_count=2\nsnapshot_0_time=0.0\nsnapshot_1_time=0.5\n"}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         assert main(["diagnostics", "--in", str(tmp_path)]) == 1
@@ -732,11 +769,24 @@ class TestDiagnosticsOnCorruptDumps:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and "initial.txt" in line
 
+    def test_numbered_row_dump_exits_1(self, real_dump, tmp_path, capsys):
+        # a dump of the older format, its rows numbered in the manifest under
+        # a row count, lacks diagnostics.txt
+        files = {**real_dump, "manifest.txt": real_dump["manifest.txt"] + numbered_rows(real_dump)}
+        del files["diagnostics.txt"]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(["diagnostics", "--in", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "diagnostics.txt" in line
+
     @pytest.mark.parametrize("name, edit", [
         ("final.txt", lambda text: "nan" + text[text.index(" "):]),
         ("manifest.txt", lambda text: re.sub(r"(?m)^h1_max=.*$", "h1_max=nan", text)),
         ("manifest.txt", lambda text: re.sub(r"(?m)^tau=.*$", "tau=inf", text)),
-        ("manifest.txt", lambda text: re.sub(r"(?m)^(diagnostic_2=\S+) \S+", r"\1 nan", text)),
+        ("diagnostics.txt", lambda text: re.sub(r"(?m)^(2) \S+", r"\1 nan", text)),
         ("final.txt", lambda text: text.split("\n", 1)[1]),
         ("final.txt", lambda text: text + text.split("\n", 1)[0] + "\n"),
         ("final.txt", lambda text: text.replace("\n", " 0.0\n", 1)),

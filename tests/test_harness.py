@@ -29,7 +29,14 @@ from lowregnls.harness import (
     write_report_csv,
 )
 from lowregnls.initial_data import InitialDataSpec
-from lowregnls.integrator import BlowUpError, SchemeParams, evolve, evolve_lockstep, initialize
+from lowregnls.integrator import (
+    MIN_TAU,
+    BlowUpError,
+    SchemeParams,
+    evolve,
+    evolve_lockstep,
+    initialize,
+)
 from lowregnls.spectral import _pow2_grid_size, l2_error, project
 
 
@@ -307,10 +314,11 @@ class TestRunGrid:
         assert spec.runs() == {(n, tau): SchemeParams(-1, tau, n, 8) for n in (8, 16, 32)}
 
     def test_halved_tau_underflows(self):
-        # only a temporal study halves tau; the message names the tau
-        spec = dict(taus=(5e-324, 0.5), cutoffs=(8, 16), horizon=0.0)
+        # only a temporal study halves tau, here to below MIN_TAU; the
+        # message names the tau
+        spec = dict(taus=(MIN_TAU, 0.5), cutoffs=(8, 16), horizon=0.0)
         StudySpec(axis="spatial", **spec)
-        with pytest.raises(ValueError, match="^tau 5e-324 is too small to halve$"):
+        with pytest.raises(ValueError, match=f"^tau {MIN_TAU!r} is too small to halve$"):
             StudySpec(axis="temporal", **spec)
 
     @pytest.mark.parametrize("spec", [

@@ -5,6 +5,7 @@ import pickle
 import re
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from lowregnls import dft, integrator, reference
 from lowregnls.harness import StudySpec
 from lowregnls.initial_data import InitialDataSpec, coefficients
 from lowregnls.integrator import (
+    MIN_TAU,
     SCHEMES,
     BlowUpError,
     ConservedQuantities,
@@ -123,7 +125,17 @@ class TestSchemeParams:
                 SchemeParams.from_horizon(-1, 0.25, 16, horizon)
         assert SchemeParams.from_horizon(-1, 0.25, 16, -0.0).steps == 0
         with pytest.raises(ValueError, match="overflows"):
-            SchemeParams.from_horizon(-1, 1e-300, 16, 1e10)
+            SchemeParams.from_horizon(-1, 2.0 ** -200, 16, 1e300)
+
+    @pytest.mark.parametrize("cutoff", [8, 64])
+    def test_step_at_the_least_tau_keeps_its_input(self, cutoff):
+        # stage 1's rows scaled by sqrt(0.5i/tau) square to finite numbers at
+        # MIN_TAU, and so short a step leaves the state as it was
+        u = initialize(InitialDataSpec(amplitude=1.0), cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = step(u, SchemeParams(-1, MIN_TAU, cutoff, 1), conserved_quantities(u))
+        assert np.max(np.abs(v.coeffs - u.coeffs)) <= 1e-15 * np.max(np.abs(u.coeffs))
 
     @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
     def test_non_finite_horizon_rejected(self, horizon):
@@ -804,25 +816,24 @@ class TestTrajectoryDump:
         traj = evolve(u, params, diag_stride=2)
         out = tmp_path / "run"
         save_trajectory(traj, out)
-        assert sorted(p.name for p in out.iterdir()) == ["final.txt", "initial.txt",
-                                                         "manifest.txt"]
+        assert sorted(p.name for p in out.iterdir()) == ["diagnostics.txt", "final.txt",
+                                                         "initial.txt", "manifest.txt"]
         assert_same_trajectory(load_trajectory(out), traj)
 
     def test_manifest_keys(self, tmp_path):
-        # each fact once: no horizon, state time, file name, wall time or
-        # conserved quantity (those of the initial state)
+        # each fact once: no horizon, state time, file name, wall time,
+        # conserved quantity (those of the initial state) or row count
         u = SpectralField.from_modes(2, {0: 1.0})
         params = SchemeParams(lam=1, tau=0.5, cutoff=2, steps=2)
         traj = evolve(u, params)
         save_trajectory(traj, tmp_path / "d")
         text = (tmp_path / "d" / "manifest.txt").read_text()
-        assert [ln.split("=", 1)[0] for ln in text.splitlines()] == [
-            "scheme", "lambda", "tau", "N", "steps", "h1_max",
-            "diagnostic_count", "diagnostic_0", "diagnostic_1"]
+        assert text == f"scheme=lowreg\nlambda=1\ntau=0.5\nN=2\nsteps=2\nh1_max={traj.h1_max!r}\n"
         # a row is "j l2 h1 mass_drift momentum_drift"; its time is j * tau
-        row = traj.diagnostics[-1]
-        assert text.splitlines()[-1] == (f"diagnostic_1=2 {row.l2!r} {row.h1!r} "
-                                         f"{row.mass_drift!r} {row.momentum_drift!r}")
+        assert (tmp_path / "d" / "diagnostics.txt").read_text() == "".join(
+            f"{row.step_index} {row.l2!r} {row.h1!r} {row.mass_drift!r} {row.momentum_drift!r}\n"
+            for row in traj.diagnostics)
+        assert [row.step_index for row in traj.diagnostics] == [0, 2]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValueError):
@@ -835,16 +846,19 @@ class TestTrajectoryDump:
         return traj, tmp_path / "d" / "manifest.txt"
 
     def test_unknown_keys_ignored(self, tmp_path):
-        # a horizon, a state's time, a file name, a wall time and the
-        # conserved quantities are not in the format: the loader ignores
-        # them and opens no path they name
+        # a horizon, a state's time, a file name, a wall time, the conserved
+        # quantities and the numbered rows of older dumps are not in the
+        # format: the loader ignores them, opens no path they name, and takes
+        # its rows from diagnostics.txt alone, so a row count or a numbered
+        # row adds or hides none
         traj, manifest = self.dump(tmp_path)
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         (elsewhere / "final.txt").write_text("0.0 0.0\n" * 5)
         manifest.write_text(manifest.read_text() + "T=9\nwall_ms=12.5\nsnapshot_count=2\n"
                             "snapshot_1_time=1.0\nfinal_file=../elsewhere/final.txt\n"
-                            "mass=5.0\nmomentum_imag=-7.0\n")
+                            "mass=5.0\nmomentum_imag=-7.0\ndiagnostic_count=2\n"
+                            "diagnostic_0=0 1 2 3 4\ndiagnostic_2=7 1 2 3 4\n")
         assert_same_trajectory(load_trajectory(manifest.parent), traj)
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
@@ -855,23 +869,9 @@ class TestTrajectoryDump:
     @pytest.mark.parametrize("line, key, match", [
         (None, "h1_max", "missing manifest key 'h1_max'"),
         (None, "scheme", "missing manifest key 'scheme'"),
-        ("diagnostic_1=1 0.5", "diagnostic_1", "bad manifest entry diagnostic_1='1 0.5': "
-         "expected 5 fields, got 2"),
-        # a row of the older format, which also held the row's time
-        ("diagnostic_0=0 0.0 1 2 3 4", "diagnostic_0", "expected 5 fields, got 6"),
-        ("diagnostic_2=2 7.0 1 2 3 4", "diagnostic_2", "expected 5 fields, got 6"),
-        ("diagnostic_0=0.5 1 2 3 4", "diagnostic_0", "invalid literal for int"),
-        ("diagnostic_0=-1 1 2 3 4", "diagnostic_0", "step must be >= 0, got -1"),
-        # a row step past float range is read as an int, and fails on row order
-        (f"diagnostic_1={10 ** 400} 1 2 3 4", "diagnostic_1",
-         f"bad manifest entry diagnostic_2='2 .*': step 2 does not come after step {10 ** 400}$"),
-        ("diagnostic_1=0 1 2 3 4", "diagnostic_1", "step 0 does not come after step 0"),
-        ("diagnostic_count=0", "diagnostic_count",
-         "diagnostic_count='0': the diagnostics do not start at step 0"),
-        ("steps=7", "steps", "bad manifest entry steps='7': the diagnostics end at step 2"),
-        ("N=5", "N", "initial.txt: expected 11 lines for the manifest's N=5, got 5$"),
-        ("diagnostic_count=x", "diagnostic_count", "bad manifest entry diagnostic_count='x'"),
-        ("diagnostic_count=-1", "diagnostic_count", "count must be >= 0, got -1"),
+        ("steps=7", "steps", "line 3: the diagnostics end at step 2, not at the manifest's "
+         "steps=7$"),
+        ("N=5", "N", "expected 11 lines for the manifest's N=5, got 5$"),
         ("tau=fast", "tau", "bad manifest entry tau='fast'"),
         ("tau=0", "tau", "bad manifest entry tau='0': tau must be a positive finite number"),
         ("lambda=0", "lambda", r"bad manifest entry lambda='0': lam must be -1 or \+1, got 0"),
@@ -880,30 +880,53 @@ class TestTrajectoryDump:
         ("h1_max=1 2", "h1_max", "bad manifest entry h1_max='1 2'"),
         ("h1_max=nan", "h1_max", "bad manifest entry h1_max='nan': 'nan' is not a finite number"),
         ("tau=0.0625", None, "manifest key 'tau' is given twice$"),
-        ("diagnostic_1=1 1 2 3 4", None, "manifest key 'diagnostic_1' is given twice$"),
-        ("diagnostic_2=2 nan 1 2 3", "diagnostic_2", "diagnostic_2='2 nan 1 2 3': 'nan' is not"),
-        ("diagnostic_1=1 1 inf 2 3", "diagnostic_1", "diagnostic_1='1 1 inf 2 3': 'inf' is not"),
-        ("diagnostic_0=0 1 2 1e400 3", "diagnostic_0", "'1e400' is not a finite number"),
-        ("diagnostic_2=2 1 2 3 -inf", "diagnostic_2", "'-inf' is not a finite number"),
         ("scheme=rk4", "scheme", "bad manifest entry scheme='rk4': scheme must be one of"),
         ("just words", None, "malformed manifest line 'just words'"),
-    ], ids=["missing", "no-scheme", "short-row", "long-row", "row-with-time",
-            "float-step", "negative-step", "huge-step", "row-order", "no-rows", "steps-of-rows",
-            "N-of-states", "count", "negative-count", "tau", "tau-range", "lambda-range",
-            "N-range", "steps-range", "two-fields", "h1_max-nan", "tau-twice", "row-twice", "row-l2-nan", "row-h1-inf",
-            "row-mass-drift-huge", "row-momentum-drift-inf", "scheme", "no-equals"])
+    ], ids=["missing", "no-scheme", "steps-of-rows", "N-of-states", "tau", "tau-range",
+            "lambda-range", "N-range", "steps-range", "two-fields", "h1_max-nan", "tau-twice",
+            "scheme", "no-equals"])
     def test_bad_manifest_named(self, tmp_path, line, key, match):
         # one ValueError that names the manifest (and the key), or, where the
-        # manifest's N does not fit the states, the first state file:
-        # the CLI prints it as its one error: line
+        # manifest's N does not fit the states, the first state file, and
+        # where its steps do not end the rows, diagnostics.txt: the CLI
+        # prints it as its one error: line
         _, manifest = self.dump(tmp_path)
         lines = [ln for ln in manifest.read_text().splitlines()
                  if key is None or not ln.startswith(key + "=")]
         manifest.write_text("\n".join(lines + ([line] if line else [])) + "\n")
         with pytest.raises(ValueError, match=match) as info:
             load_trajectory(manifest.parent)
-        at_fault = manifest.with_name("initial.txt") if line == "N=5" else manifest
-        assert str(info.value).startswith(f"{at_fault}: ")
+        at_fault = {"N=5": "initial.txt", "steps=7": "diagnostics.txt"}.get(line, "manifest.txt")
+        assert str(info.value).startswith(f"{manifest.with_name(at_fault)}: ")
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda rows: [rows[0], "1 0.5", rows[2]], "line 2: expected 5 fields, got 2"),
+        # a row of the older format, which also held the row's time
+        (lambda rows: ["0 0.0 1 2 3 4", *rows[1:]], "line 1: expected 5 fields, got 6"),
+        (lambda rows: [*rows[:2], "2 7.0 1 2 3 4"], "line 3: expected 5 fields, got 6"),
+        (lambda rows: ["0.5 1 2 3 4", *rows[1:]], "line 1: invalid literal for int.*: '0.5'"),
+        (lambda rows: ["-1 1 2 3 4", *rows[1:]], "line 1: step must be >= 0, got -1"),
+        # a row step past float range is read as an int, and fails on row order
+        (lambda rows: [rows[0], f"{10 ** 400} 1 2 3 4", rows[2]],
+         f"line 3: step 2 does not come after step {10 ** 400}"),
+        (lambda rows: [rows[0], "0 1 2 3 4", rows[2]],
+         "line 2: step 0 does not come after step 0"),
+        (lambda rows: [rows[0], rows[1], *rows[1:]], "line 3: step 1 does not come after step 1"),
+        (lambda rows: [], "line 1: the diagnostics do not start at step 0"),
+        (lambda rows: [*rows[:2], "2 nan 1 2 3"], "line 3: 'nan' is not a finite number"),
+        (lambda rows: [rows[0], "1 1 inf 2 3", rows[2]], "line 2: 'inf' is not a finite number"),
+        (lambda rows: ["0 1 2 1e400 3", *rows[1:]], "line 1: '1e400' is not a finite number"),
+        (lambda rows: [*rows[:2], "2 1 2 3 -inf"], "line 3: '-inf' is not a finite number"),
+    ], ids=["short-row", "long-row", "row-with-time", "float-step", "negative-step", "huge-step",
+            "row-order", "row-twice", "no-rows", "row-l2-nan", "row-h1-inf",
+            "row-mass-drift-huge", "row-momentum-drift-inf"])
+    def test_bad_row_named(self, tmp_path, edit, match):
+        # one ValueError that names diagnostics.txt and the line at fault
+        _, manifest = self.dump(tmp_path)
+        path = manifest.with_name("diagnostics.txt")
+        path.write_text("".join(f"{ln}\n" for ln in edit(path.read_text().splitlines())))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}$"):
+            load_trajectory(manifest.parent)
 
     @pytest.mark.parametrize("tau, steps", [(None, 10 ** 400), ("4.0", 10 ** 308)],
                              ids=["steps-past-float-range", "product-overflows"])
@@ -912,24 +935,26 @@ class TestTrajectoryDump:
         # float: the one error names steps
         _, manifest = self.dump(tmp_path)
         text = manifest.read_text().replace("steps=2\n", f"steps={steps}\n")
-        text = text.replace("diagnostic_2=2 ", f"diagnostic_2={steps} ")
         if tau is not None:
             text = text.replace("tau=0.5\n", f"tau={tau}\n")
         manifest.write_text(text)
+        rows = manifest.with_name("diagnostics.txt")
+        rows.write_text(re.sub(r"(?m)^2 ", f"{steps} ", rows.read_text()))
         with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: bad manifest "
                            f"entry steps='{steps}': steps \\* tau .* is not a finite time$"):
             load_trajectory(manifest.parent)
 
     @pytest.mark.parametrize("rows, match", [
-        (slice(1, None), "diagnostic_0='1 .*': the diagnostics do not start at step 0"),
-        (slice(None, -1), "steps='2': the diagnostics end at step 1"),
+        (slice(1, None), "line 1: the diagnostics do not start at step 0"),
+        (slice(None, -1), "line 2: the diagnostics end at step 1, not at the manifest's steps=2"),
     ], ids=["first-row", "last-row"])
     def test_rows_of_one_run(self, tmp_path, rows, match):
         # every run records its steps 0 and steps, so a dump without either
         # names no run
         traj, manifest = self.dump(tmp_path)
         save_trajectory(replace(traj, diagnostics=traj.diagnostics[rows]), manifest.parent)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: .*{match}"):
+        path = manifest.with_name("diagnostics.txt")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}$"):
             load_trajectory(manifest.parent)
 
     def with_states(self, traj, coeffs):
@@ -965,7 +990,7 @@ class TestTrajectoryDump:
         ("0.0 0.0\n" * 6, "expected 5 lines for the manifest's N=2, got 6$"),
         # the older format: a header "N 2", then lines "k re im"
         ("N 2\n" + "".join(f"{k} 0.0 0.0\n" for k in range(-2, 3)),
-         "expected 5 lines for the manifest's N=2, got 6$"),
+         "line 1: could not convert string to float: 'N'$"),
         ("0.0 0.0\n0.0\n0.0 0.0\n0.0 0.0\n0.0 0.0\n", "line 2: expected 2 fields, got 1$"),
         ("0.0 0.0\n" * 2 + "0 0.0 0.0\n" + "0.0 0.0\n" * 2, "line 3: expected 2 fields, got 3$"),
         ("0.0 0.0\n" * 4 + "0.0 x\n", "line 5: could not convert string to float: 'x'$"),
@@ -1107,6 +1132,11 @@ class TestBoundaryChecks:
          "tau must be a positive finite number, got -inf"),
         (lambda: SchemeParams(-1, np.float64(math.nan), 4, 1),
          "tau must be a positive finite number, got nan"),
+        # below MIN_TAU a step's scaled squares overflow into a false blow-up
+        (lambda: SchemeParams(-1, 2.0 ** -257, 4, 1),
+         f"tau must be >= MIN_TAU = 2^-256, got {2.0 ** -257!r}"),
+        (lambda: SchemeParams(-1, 1e-300, 4, 1), "tau must be >= MIN_TAU = 2^-256, got 1e-300"),
+        (lambda: SchemeParams(-1, 5e-324, 4, 1), "tau must be >= MIN_TAU = 2^-256, got 5e-324"),
         (lambda: SchemeParams.from_horizon(-1, 0.25, 4, "1"),
          "horizon must be a real number, got '1'"),
         (lambda: SchemeParams.from_horizon(-1, 0.25, 4, True),
@@ -1117,7 +1147,8 @@ class TestBoundaryChecks:
         (lambda: splitting_evolve(ZERO, _params(), 2.0),
          "splitting order must be an integer, got 2.0"),
     ], ids=["lam-true", "lam-numpy-true", "lam-false", "tau-string", "tau-bool", "tau-none",
-            "tau-complex", "tau-minus-inf", "tau-numpy-nan", "horizon-string", "horizon-bool",
+            "tau-complex", "tau-minus-inf", "tau-numpy-nan", "tau-below-floor", "tau-1e-300",
+            "tau-subnormal", "horizon-string", "horizon-bool",
             "step-order-float", "step-order-string", "step-order-three", "evolve-order-float"])
     def test_hostile_value_rejected(self, call, match):
         with pytest.raises(ValueError, match=re.escape(match)):

@@ -1,6 +1,7 @@
 """Field operator checks: algebra, unitarity, dealiasing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,46 @@ class TestFieldBasics:
         f = SpectralField.from_modes(1, {})
         with pytest.raises(TypeError):
             f * f
+
+
+F = SpectralField.from_modes(2, {0: 1.0, 1: 0.5j})
+
+
+class TestOperatorBoundary:
+    """The public operators read frequencies by the integer rule and times,
+    phases' parameters and Sobolev orders by the real rule: a bad value is
+    one ValueError naming the parameter, never a silent nan, a warning, an
+    IndexError or a bool taken for a mode."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: SpectralField.from_modes(2, {True: 1.0}),
+         "frequency must be an integer, got True"),
+        (lambda: SpectralField.from_modes(2, {1.5: 1.0}), "frequency must be an integer, got 1.5"),
+        (lambda: F.coefficient(0.5), "k must be an integer, got 0.5"),
+        (lambda: F.coefficient(True), "k must be an integer, got True"),
+        (lambda: free_propagator(F, math.inf), "t must be finite, got inf"),
+        (lambda: free_propagator(F, math.nan), "t must be finite, got nan"),
+        (lambda: free_propagator(F, "0.1"), "t must be a real number, got '0.1'"),
+        (lambda: twist_propagator(F, math.nan, -1, 0.0, 0.0), "tau must be finite, got nan"),
+        (lambda: twist_propagator(F, 0.1, math.inf, 0.0, 0.0), "lam must be finite, got inf"),
+        (lambda: twist_propagator(F, 0.1, -1, math.nan, 0.0), "mass must be finite, got nan"),
+        (lambda: twist_propagator(F, 0.1, -1, 0.0, math.nan),
+         "momentum_imag must be finite, got nan"),
+        (lambda: sobolev_norm(F, math.nan), "s must be finite, got nan"),
+        (lambda: sobolev_norm(F, True), "s must be a real number, got True"),
+    ], ids=["from-modes-bool", "from-modes-float", "coefficient-float", "coefficient-bool",
+            "free-t-inf", "free-t-nan", "free-t-string", "twist-tau-nan", "twist-lam-inf",
+            "twist-mass-nan", "twist-momentum-nan", "sobolev-s-nan", "sobolev-s-bool"])
+    def test_rejected_naming_the_parameter(self, call, match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            call()
+
+    def test_numpy_values_pass(self):
+        assert F.coefficient(np.int64(1)) == 0.5j
+        assert SpectralField.from_modes(2, {np.int32(-1): 2.0}).coefficient(-1) == 2.0
+        assert np.array_equal(free_propagator(F, np.float64(0.1)).coeffs,
+                              free_propagator(F, 0.1).coeffs)
+        assert sobolev_norm(F, np.float32(1.0)) == sobolev_norm(F, 1)
 
 
 class TestProjection:
