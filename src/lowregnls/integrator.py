@@ -462,9 +462,7 @@ def _plan_for(params: SchemeParams, cq: ConservedQuantities, m: int) -> _StepPla
 
 def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> SpectralField:
     """One application u^{n+1} = Psi(u^n) of the low-regularity map."""
-    _finite_field(f, "f")
-    if f.cutoff != params.cutoff:
-        raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
+    _finite_field(f, "f", params.cutoff)
     m = _pow2_grid_size(f.cutoff)
     c = _standard(_uncentered(f.coeffs), f.cutoff, m)
     return SpectralField(f.cutoff, _centered(_plan_for(params, cq, m).apply(c[None])[0], f.cutoff))
@@ -479,9 +477,7 @@ def step_twisted(
     e^{i t_{n+1} d_xx} Phi^n(e^{-i t_n d_xx} u) = Psi(u) up to rounding, so it
     serves as an independently coded cross-check of `step`.
     """
-    _finite_field(f, "f")
-    if f.cutoff != params.cutoff:
-        raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
+    _finite_field(f, "f", params.cutoff)
     step_index = _integer(step_index, "step index", 0)
     lam, tau = params.lam, params.tau
     tn = step_index * tau
@@ -607,7 +603,9 @@ def evolve(initial: SpectralField, params: SchemeParams, diag_stride: int = 0) -
     the initial field's conserved quantities.  Raises ValueError if the
     initial coefficients are not finite, and BlowUpError, naming the step,
     the tau and the last finite H^1, if the state's H^1 norm leaves floating
-    point range at any step, step 0 (the initial state) included.
+    point range at any step, step 0 (the initial state) included; the
+    overflow or nan behind it emits no RuntimeWarning (see
+    `evolve_lockstep`).
     """
     [traj] = evolve_lockstep([initial], [params], diag_stride)
     return traj
@@ -640,6 +638,12 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
     of the run's own `evolve` or `splitting_evolve`, bitwise when every run
     has the largest cutoff, to round-off otherwise, and a function of its
     inputs alone.  A ValueError for bad input and a BlowUpError name the run.
+
+    The driver owns the floating-point state of its steps: it steps, step
+    0's H^1 pass included, under np.errstate(over="ignore",
+    invalid="ignore"), since an overflow or nan in a step reaches a
+    non-finite H^1 at that step, which is the BlowUpError.  So a blow-up
+    warns of nothing, in any process, whatever the caller's state.
     """
     _scheme(scheme)
     diag_stride = _integer(diag_stride, "diag_stride", 0)
@@ -658,12 +662,10 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
         if scheme != "lowreg" and params.cutoff != runs[0].cutoff:
             raise ValueError(f"run {r} has cutoff {params.cutoff}, but splitting runs "
                              f"stepped together must share cutoff {runs[0].cutoff}")
-        if field.cutoff != params.cutoff:
-            raise ValueError(f"run {r} (tau = {params.tau!r}): field cutoff "
-                             f"{field.cutoff} != params cutoff {params.cutoff}")
-        if not np.all(np.isfinite(field.coeffs)):
-            raise ValueError(f"run {r} (tau = {params.tau!r}): initial coefficients "
-                             "must be finite")
+        try:
+            _finite_field(field, "initial field", params.cutoff)
+        except ValueError as exc:
+            raise ValueError(f"run {r} (tau = {params.tau!r}): {exc}") from None
     records = [_Record(field, params, diag_stride) for field, params in zip(initials, runs)]
     # longest run first, so that runs leave the stack by a prefix slice
     ranked = sorted(records, key=lambda rec: -rec.params.steps)
@@ -674,24 +676,26 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
     live = len(ranked)
     c = np.stack([_standard(_uncentered(rec.initial.coeffs), rec.initial.cutoff, size)
                   for rec in ranked])
-    for j in range(ranked[0].params.steps + 1):
-        if j:
-            c = advance(c)
-        # summed in centered order, as `sobolev_norm` sums
-        p = np.abs(_centered(c, top)) ** 2
-        for rec, row, norm, prow in zip(ranked, c, np.sum(w1 * p, axis=-1), p):
-            rec.take(j, row, math.sqrt(2.0 * math.pi * float(norm)), prow)
-        # freed before the next step allocates, where a live block would
-        # move the step's work block to fresh pages
-        del p, prow
-        while live and ranked[live - 1].params.steps == j:
-            live -= 1
-        if j == 0:
-            # built once step 0 has passed, so a run that cannot start builds no plan
-            stepper = _stepper(scheme, ranked, size)
-        if j == 0 or 0 < live < len(c):
-            c = c[:live]
-            advance = stepper(live)
+    # the H^1 check of `_Record.take` is the detector of an overflow or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(ranked[0].params.steps + 1):
+            if j:
+                c = advance(c)
+            # summed in centered order, as `sobolev_norm` sums
+            p = np.abs(_centered(c, top)) ** 2
+            for rec, row, norm, prow in zip(ranked, c, np.sum(w1 * p, axis=-1), p):
+                rec.take(j, row, math.sqrt(2.0 * math.pi * float(norm)), prow)
+            # freed before the next step allocates, where a live block would
+            # move the step's work block to fresh pages
+            del p, prow
+            while live and ranked[live - 1].params.steps == j:
+                live -= 1
+            if j == 0:
+                # built once step 0 has passed, so a run that cannot start builds no plan
+                stepper = _stepper(scheme, ranked, size)
+            if j == 0 or 0 < live < len(c):
+                c = c[:live]
+                advance = stepper(live)
     return [rec.trajectory(scheme) for rec in records]
 
 
@@ -709,21 +713,22 @@ def save_trajectory(traj: Trajectory, dirpath) -> None:
     key=value of scheme, lambda, tau, N, steps and h1_max; initial.txt and
     final.txt, each the state's 2N+1 lines "re im" in ascending k; and
     diagnostics.txt, one line "j l2 h1 mass_drift momentum_drift" per
-    recorded step j.  Each number is its repr, which reads back bit-exactly,
-    and each fact is written once: the horizon, the row times, k and the
-    conserved quantities follow from the rest."""
+    recorded step j.  Each real is the repr of its Python float, a numpy
+    float's too, which reads back bit-exactly, and each fact is written
+    once: the horizon, the row times, k and the conserved quantities follow
+    from the rest."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     params = traj.params
     (d / "manifest.txt").write_text(
         f"scheme={traj.scheme}\nlambda={params.lam}\ntau={params.tau!r}\nN={params.cutoff}\n"
-        f"steps={params.steps}\nh1_max={traj.h1_max!r}\n")
+        f"steps={params.steps}\nh1_max={float(traj.h1_max)!r}\n")
     for name, f in (("initial", traj.initial), ("final", traj.final)):
         pairs = zip(f.coeffs.real.tolist(), f.coeffs.imag.tolist())
         (d / f"{name}.txt").write_text("".join(f"{x!r} {y!r}\n" for x, y in pairs))
     (d / "diagnostics.txt").write_text("".join(
-        f"{r.step_index} {r.l2!r} {r.h1!r} {r.mass_drift!r} {r.momentum_drift!r}\n"
-        for r in traj.diagnostics))
+        f"{r.step_index} {float(r.l2)!r} {float(r.h1)!r} {float(r.mass_drift)!r} "
+        f"{float(r.momentum_drift)!r}\n" for r in traj.diagnostics))
 
 
 def _finite(text: str) -> float:

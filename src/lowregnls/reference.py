@@ -169,9 +169,7 @@ def _splitting_stepper(scheme: str, runs):
 def splitting_step(f: SpectralField, params, order: int) -> SpectralField:
     """One Lie (order 1) or Strang (order 2) splitting step of length tau."""
     scheme = _splitting_scheme(order)
-    _finite_field(f, "f")
-    if f.cutoff != params.cutoff:
-        raise ValueError(f"field cutoff {f.cutoff} != params cutoff {params.cutoff}")
+    _finite_field(f, "f", params.cutoff)
     out = _splitting_stepper(scheme, [params])(1)(_uncentered(f.coeffs)[None])
     return SpectralField(f.cutoff, _centered(out[0], f.cutoff))
 

@@ -144,11 +144,15 @@ def _real(value, name: str, positive: bool = False) -> float:
     return value
 
 
-def _finite_field(f: SpectralField, name: str) -> SpectralField:
-    """f, checked to hold finite coefficients, the rule of `SpectralField`
-    for the scheme's maps; a ValueError names the argument otherwise."""
+def _finite_field(f: SpectralField, name: str, cutoff: int | None = None) -> SpectralField:
+    """f, checked to hold finite coefficients, and, where cutoff is given,
+    to have the cutoff of the run it enters: the rule of `SpectralField` for
+    the scheme's maps and drivers; a ValueError names the argument
+    otherwise."""
     if not np.all(np.isfinite(f.coeffs)):
         raise ValueError(f"{name} must have finite coefficients")
+    if cutoff is not None and f.cutoff != cutoff:
+        raise ValueError(f"field cutoff {f.cutoff} != params cutoff {cutoff}")
     return f
 
 

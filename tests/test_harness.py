@@ -9,6 +9,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import lowregnls
 from lowregnls import harness
 from lowregnls.harness import (
     CSV_HEADER,
@@ -468,11 +471,11 @@ class TestStacks:
     def test_blow_up_names_the_run(self):
         spec = small_temporal_spec(taus=(0.5, 0.25), cutoffs=(8,), amplitude=1e6,
                                    horizon=2.0)
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        with pytest.raises(BlowUpError) as info:
             temporal_study(spec)
         u0 = initialize(spec.initial_data(), 8)
         params = SchemeParams.from_horizon(spec.lam, info.value.tau, 8, spec.horizon)
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as solo:
+        with pytest.raises(BlowUpError) as solo:
             evolve(u0, params)
         assert str(info.value) == str(solo.value)
 
@@ -504,10 +507,45 @@ class TestWorkerProcesses:
         assert len(study_plan(spec)) == 2
         messages = []
         for kw in ({"jobs": 1}, {"jobs": 2}, {"cutoffs": (64,)}):
-            with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+            with pytest.raises(BlowUpError) as info:
                 temporal_study(dataclasses.replace(spec, **kw))
             messages.append(str(info.value))
         assert messages[0] == messages[1] == messages[2]
+        assert multiprocessing.active_children() == []
+
+    # a study whose every stack blows up at amplitude 1, as the paper's rough
+    # data do for tau = 2^-4..2^-7, run with no np.errstate around it
+    BLOW_UP_STUDY = """
+import multiprocessing, sys
+from lowregnls.harness import StudySpec, temporal_study
+from lowregnls.integrator import BlowUpError
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    spec = StudySpec(axis="temporal", taus=(2.0 ** -5, 2.0 ** -6), cutoffs=(16, 128),
+                     alpha=1.0, amplitude=1.0, horizon=1.0, jobs=2)
+    try:
+        temporal_study(spec)
+    except BlowUpError as exc:
+        print(exc)
+"""
+
+    def test_blow_up_warns_under_no_start_method(self):
+        # each start method in its own interpreter, so that this process keeps
+        # its own; the workers of forkserver and spawn inherit no caller's
+        # floating-point state, so the driver must own it
+        path = [str(Path(lowregnls.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        methods = ("fork", "forkserver", "spawn")
+        messages, warned = {}, {}
+        for method in methods:
+            done = subprocess.run([sys.executable, "-c", self.BLOW_UP_STUDY, method],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            messages[method] = done.stdout
+            warned[method] = done.stderr.count("RuntimeWarning")
+        assert warned == dict.fromkeys(methods, 0)
+        assert messages["fork"].startswith("solution blew up to a non-finite H^1 norm")
+        assert messages["forkserver"] == messages["spawn"] == messages["fork"]
         assert multiprocessing.active_children() == []
 
     def test_pool_is_bounded_by_the_machine(self, monkeypatch):

@@ -757,7 +757,7 @@ class TestEvolve:
         c = 1e200
         u = SpectralField.from_modes(2, {0: c})
         params = SchemeParams(lam=-1, tau=0.5, cutoff=2, steps=10)
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        with pytest.raises(BlowUpError) as info:
             evolve(u, params)
         err = info.value
         assert err.tau == 0.5 and err.time == err.step_index * 0.5
@@ -771,7 +771,7 @@ class TestEvolve:
         # which would carry a nan twist, is built and cached
         integrator._plan.cache_clear()
         u = SpectralField.from_modes(4, {0: 1e200})
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        with pytest.raises(BlowUpError) as info:
             evolve(u, SchemeParams(-1, 0.1, 4, 2))
         assert info.value.step_index == 0
         info = integrator._plan.cache_info()
@@ -796,7 +796,7 @@ class TestEvolve:
         c = 1e100
         u = SpectralField.from_modes(2, {0: c})
         params = SchemeParams(lam=-1, tau=1.0, cutoff=2, steps=10)
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        with pytest.raises(BlowUpError) as info:
             evolve(u, params)
         assert info.value.step_index >= 1
         assert "step" in str(info.value)
@@ -819,6 +819,22 @@ class TestTrajectoryDump:
         assert sorted(p.name for p in out.iterdir()) == ["diagnostics.txt", "final.txt",
                                                          "initial.txt", "manifest.txt"]
         assert_same_trajectory(load_trajectory(out), traj)
+
+    def test_numpy_floats_write_the_same_dump(self, tmp_path):
+        # a trajectory a caller builds from numpy floats writes the bytes of
+        # its Python-float twin, which read back bit-exactly
+        traj = evolve(initialize(InitialDataSpec(alpha=1.0), 8),
+                      SchemeParams(lam=-1, tau=0.125, cutoff=8, steps=8), diag_stride=2)
+        twin = replace(traj, h1_max=np.float64(traj.h1_max), diagnostics=tuple(
+            replace(row, **{name: np.float64(getattr(row, name))
+                            for name in ("l2", "h1", "mass_drift", "momentum_drift")})
+            for row in traj.diagnostics))
+        assert "np.float64" in repr(twin.h1_max) and "np.float64" in repr(twin.diagnostics)
+        save_trajectory(traj, tmp_path / "a")
+        save_trajectory(twin, tmp_path / "b")
+        for name in ("manifest.txt", "initial.txt", "final.txt", "diagnostics.txt"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        assert_same_trajectory(load_trajectory(tmp_path / "b"), traj)
 
     def test_manifest_keys(self, tmp_path):
         # each fact once: no horizon, state time, file name, wall time,
@@ -1316,19 +1332,76 @@ class TestLockstep:
         runs = [SchemeParams.from_horizon(-1, tau, 2, 4.0)
                 for tau in (1.0, 0.25, 2.0 ** -4, 2.0 ** -6)]
         solo = {}
-        with np.errstate(all="ignore"):
-            for params in runs:
-                with pytest.raises(BlowUpError) as info:
-                    solo_run(scheme, u, params)
-                solo[params.tau] = info.value
+        for params in runs:
             with pytest.raises(BlowUpError) as info:
-                evolve_lockstep([u] * len(runs), runs, scheme=scheme)
+                solo_run(scheme, u, params)
+            solo[params.tau] = info.value
+        with pytest.raises(BlowUpError) as info:
+            evolve_lockstep([u] * len(runs), runs, scheme=scheme)
         err = info.value
         want = solo[err.tau]
         assert (err.step_index, err.time, err.tau) == (want.step_index, want.time, want.tau)
         assert repr(err.last_h1) == repr(want.last_h1)
         assert err.step_index == min(e.step_index for e in solo.values())
         assert str(err) == str(want)
+
+
+@st.composite
+def near_overflow_runs(draw):
+    """(scheme, initial field, SchemeParams): a few modes of amplitude
+    1e50..1e200 at a cutoff of 1..8, whose squares, products or H^1 norm
+    leave floating point range within 0..6 steps, or stay just inside it."""
+    cutoff = draw(st.integers(1, 8))
+    modes = draw(st.dictionaries(
+        st.integers(-cutoff, cutoff),
+        st.builds(lambda e, phase: 10.0 ** e * np.exp(1j * phase),
+                  st.floats(50.0, 200.0), st.floats(0.0, 2 * math.pi)),
+        min_size=1, max_size=3))
+    params = SchemeParams(draw(LAMS), draw(st.sampled_from([1.0, 0.25, 2.0 ** -4, 2.0 ** -7])),
+                          cutoff, draw(st.integers(1, 6)))
+    return draw(st.sampled_from(SCHEMES)), SpectralField.from_modes(cutoff, modes), params
+
+
+def first_non_finite_h1(scheme, u, params):
+    """The first step j whose state has a non-finite H^1 norm, or None, by
+    the one-step maps outside any driver, which owns no floating-point state
+    for them."""
+    f = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(params.steps + 1):
+            if j:
+                f = (step(f, params, cq) if scheme == "lowreg"
+                     else splitting_step(f, params, SPLITTINGS[scheme]))
+            if not math.isfinite(sobolev_norm(f, 1)):
+                return j
+            if j == 0:
+                cq = conserved_quantities(u)
+    return None
+
+
+class TestBlowUpDetector:
+    """The per-step H^1 check is the detector of every overflow or nan in a
+    step: a run near the overflow edge warns of nothing, and either ends
+    finite or raises BlowUpError at the first step whose H^1 is not finite."""
+
+    @given(near_overflow_runs())
+    @example(("lowreg", SpectralField.from_modes(2, {0: 1e100}), SchemeParams(-1, 1.0, 2, 6)))
+    def test_h1_check_is_the_detector(self, run):
+        scheme, u, params = run
+        want = first_non_finite_h1(scheme, u, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                [traj] = evolve_lockstep([u], [params], diag_stride=1, scheme=scheme)
+            except BlowUpError as exc:
+                assert exc.step_index == want
+                return
+        assert want is None
+        assert np.all(np.isfinite(traj.final.coeffs))
+        assert math.isfinite(traj.h1_max)
+        assert len(traj.diagnostics) == params.steps + 1
+        for row in traj.diagnostics:
+            assert all(map(math.isfinite, (row.l2, row.h1, row.mass_drift, row.momentum_drift)))
 
 
 @st.composite
@@ -1448,7 +1521,8 @@ class TestLockstepBoundary:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_initial_must_be_finite(self, bad):
         u = SpectralField.from_modes(16, {1: 0.5, -2: bad})
-        with pytest.raises(ValueError, match=r"run 1 \(tau = 0.2\): initial coefficients must be finite"):
+        with pytest.raises(ValueError, match=r"run 1 \(tau = 0.2\): initial field must have "
+                                             r"finite coefficients$"):
             evolve_lockstep([self.u8, u], [self.p8, self.p16])
 
     def test_runs_must_share_lam(self):
