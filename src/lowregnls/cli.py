@@ -46,8 +46,9 @@ __all__ = ["main", "build_parser"]
 DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 
 # largest cutoff accepted on the command line: a step at N = 2^16 works on
-# 8 grid rows, its result and 12 table rows of 204800 points (66 MiB); a
-# spatial study also runs 2N, and stacks its runs (a cutoff's half
+# 7 grid rows and its result of 204800 points and 12 table rows of the
+# 131073 of its window (49 MiB, 56 MiB at its traced peak with the plan's
+# build); a spatial study also runs 2N, and stacks its runs (a cutoff's half
 # zero-padded among them where that removes stacks) only at grids of <= 2048
 # points (harness.STACK_POINTS), at any --jobs; each of the up to --jobs
 # worker processes holds one stack at a time.

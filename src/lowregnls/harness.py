@@ -52,8 +52,8 @@ AXIS_NAMES = {
 AXES = tuple(AXIS_NAMES)
 
 # most grid points R * m in a row of a stack of R runs on the m-point grid
-# of its largest cutoff (a cutoff's half counted at that m): the 8-row work
-# block of a worker stays within 0.5 MiB, stacks of two or more runs form only
+# of its largest cutoff (a cutoff's half counted at that m): the 7-row work
+# block of a worker stays within 448 KiB, stacks of two or more runs form only
 # at m <= 2048 (N <= 682), and it alone, never the number of jobs, sizes them;
 # a splitting stack takes the same count, though its flow runs on the grid
 # of cutoff 2N

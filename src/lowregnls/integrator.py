@@ -13,8 +13,9 @@ to a logarithmic factor, without any CFL-type step restriction.
 same Fourier multiplier are summed on the grid and transformed once.  The
 elementwise passes between the calls take whole rows of up to
 _BLOCK_POINTS = 2^14 points, and longer rows in blocks of that many, the
-passes in coefficient space only on the window |k| <= N; the result is
-bitwise the same (see `_StepPlan`).
+passes in coefficient space only on the window |k| <= N, which alone then
+holds the multiplier tables; the result is bitwise the same (see
+`_StepPlan`).
 `evolve_lockstep` is the one driver of every scheme: it advances runs of
 several taus together as one stack of states through the same calls, by
 the low-regularity step (runs of several cutoffs on the product grid of
@@ -205,9 +206,10 @@ def initialize(source, cutoff: int) -> SpectralField:
 
 
 # Row length, in points, up to which a step makes each elementwise pass on
-# whole rows, and the most points of one run that a pass takes at a time on
-# longer rows: eight work rows of a block take 2 MiB, a core's L2 cache on
-# the machine it was measured on (see `_StepPlan`)
+# whole rows with its tables on the whole row, and the most points of one
+# run that a pass takes at a time on longer rows, whose tables lie on the
+# window |k| <= N: seven work rows of a block take 1.75 MiB, within a core's
+# 2 MiB L2 cache on the machine it was measured on (see `_StepPlan`)
 _BLOCK_POINTS = 2 ** 14
 
 
@@ -218,13 +220,14 @@ class _StepPlan:
     largest cutoff of its runs.
 
     Immutable after construction, so a stack's runs and steps share it;
-    `apply` allocates its own work block of eight (R, m) rows and its result,
+    `apply` allocates its own work block of seven (R, m) rows and its result,
     nothing else of that size.  One application costs 17 FFT rows per run
     (stages of 5 + 4 + 4 + 4), in four batched calls, of length m, each in
     place in the block.  The FFT, Pi_N and the diagonal multipliers are
     linear, so products that end under the same multiplier are summed on the
     grid and transformed as one row.  A step at N = 2^14 thus holds 12 table
-    rows, 8 work rows and its result on 51200 points: about 16 MiB.
+    rows on the 32769 points of the window, and 7 work rows and its result
+    on the 51200 of the grid: about 12.3 MiB.
 
     The elementwise passes between the FFTs live in the stage helpers below
     (`_products`, `_squares`, `_multipliers` with `_zero_mode`, `_cubics`,
@@ -237,22 +240,27 @@ class _StepPlan:
     alone, at both ends of the row.
     Between them every table is zero, so those work rows (0-4 before the
     stage-1 FFT, 3-6 before the stage-3 one) and the result are zeroed there
-    once instead.  Both paths make the same operations on each point in the
-    same order, so a step's result is bitwise the same on either (the band
-    may hold +0.0 where a product with a zero gave -0.0).  The FFT calls,
-    their rows and the allocations are the same on both.  On 2 Xeon cores
+    once instead, and the tables hold the window alone: `_plan_for` lays
+    them on its 2 top + 1 points whenever m > _BLOCK_POINTS, the test by
+    which `apply` goes by blocks, and `_each` reads a table's negative
+    frequencies as far from its end as they are from the end of a row.
+    Both paths make the same operations on each point in the same order,
+    so a step's result is bitwise the same on either (the band may hold
+    +0.0 where a product with a zero gave -0.0).  The FFT calls, their rows
+    and the allocations of `apply` are the same on both.  On 2 Xeon cores
     with 2 MiB of L2 each, blocks took about 3%, 5-6% and 8% off `apply`
     at N = 2^13, 2^14 and 2^16; at N = 2^12 they gained nothing, so its
     12800-point rows stay whole.
 
-    Tables and states are in standard order on m points, with a run axis:
-    t1, t3 and t4 have shape (rows, R, m), twist (R, m), and `apply` advances
-    an (R, m) stack of states, run r on row r, by broadcasting, so a stack
-    pays its numpy calls once per step for all R runs.  Run r's tables are
-    zero beyond its cutoff N_r, so each multiplication truncates to Pi_{N_r}
-    (t1[0] is its mask), and runs of several cutoffs share the grid of the
-    largest, exact for each (3N+1 >= 3N_r+1), each row bitwise equal to its
-    plan applied alone on that grid.
+    Tables and states are in standard order, with a run axis: t1, t3 and t4
+    have shape (rows, R, p), twist (R, p), on p = m points or the window's
+    p = 2 top + 1, and `apply` advances an (R, m) stack of states, run r on
+    row r, by broadcasting, so a stack pays its numpy calls once per step
+    for all R runs.  Run r's tables are zero beyond its cutoff N_r, so each
+    multiplication truncates to Pi_{N_r} (t1[0] is its mask), and runs of
+    several cutoffs share the grid of the largest, exact for each
+    (3N+1 >= 3N_r+1), each row bitwise equal to its plan applied alone on
+    that grid.
     A study advances its runs this way, in stacks that its runs alone
     decide, never its jobs, with at most harness.STACK_POINTS grid points in
     a row: a stack's work block is never larger than one run's at m > 2048.
@@ -280,13 +288,13 @@ class _StepPlan:
                          self.twist[:runs], self.top)
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        # eight grid rows, each reused once its value is dead, and the result,
+        # seven grid rows, each reused once its value is dead, and the result,
         # taken after the last FFT and the t4 products so it never sits beside
         # pocketfft's scratch or numpy's buffers, are all the step allocates
         # of R * m points (a row holds any operand numpy would copy into a
         # buffer).  Freed as one, the block stays in glibc's heap for the next
         # step (it keeps freed blocks up to 32 MiB)
-        work = np.empty((8, *c.shape), dtype=np.complex128)
+        work = np.empty((7, *c.shape), dtype=np.complex128)
         m = c.shape[-1]
         # whole rows, or blocks of the grid and of the window |k| <= top,
         # with the band between the window's ends zeroed instead
@@ -294,7 +302,7 @@ class _StepPlan:
         lead = c                                  # each run's c_0 in column 0
         if m > _BLOCK_POINTS:
             n = self.top
-            grid, window, band = ((0, m),), ((0, n + 1), (m - n, m)), slice(n + 1, m - n)
+            grid, window, band = ((0, m),), ((0, n + 1), (-n, 0)), slice(n + 1, m - n)
             lead = np.broadcast_to(c[:, :1], c.shape)
 
         _each(window, _products, self.t1, c, work)
@@ -323,10 +331,13 @@ def _each(spans, stage, *arrays) -> None:
     the arrays, each one run r of their run axis (the second last) and a
     range of their last, in one (start, stop) span of `spans`: the fewest
     blocks of at most _BLOCK_POINTS points, their widths differing by at
-    most one, made one at a time.  One run's block is a contiguous row to
-    numpy, whose loops over a block of several short rows run several times
-    slower.  A span of two or more points leaves no block of one, where
-    numpy would sum `_combine`'s four rows in another order."""
+    most one, made one at a time.  A span of negative start counts from the
+    end of each array, as a slice does, stop 0 being the end, so that a
+    table on the window and a grid row give the same frequencies.  One run's
+    block is a contiguous row to numpy, whose loops over a block of several
+    short rows run several times slower.  A span of two or more points
+    leaves no block of one, where numpy would sum `_combine`'s four rows in
+    another order."""
     if spans is None:
         stage(*arrays)
         return
@@ -335,7 +346,8 @@ def _each(spans, stage, *arrays) -> None:
         for lo, hi in spans:
             count = -(-(hi - lo) // _BLOCK_POINTS)
             for i in range(count):
-                cols = slice(lo + (hi - lo) * i // count, lo + (hi - lo) * (i + 1) // count)
+                stop = lo + (hi - lo) * (i + 1) // count
+                cols = slice(lo + (hi - lo) * i // count, stop or None)
                 stage(*[x[..., rows, cols] for x in arrays])
 
 
@@ -371,7 +383,8 @@ def _multipliers(t1, t3, c, lead, work) -> None:
     products: in row 3 w = W / (-i tau) with W = -1/2 (e^{-i tau d_xx} h1 -
     h2) - i tau Pi_N (f - c_0)^2, all that multiplies d_x conj(f) under
     d_x^{-1} e^{i tau d_xx}, but for the c_0^2 that `_zero_mode` adds;
-    e^{i tau d_xx} g in the h2 row; -d_x^{-1} z; g.  Row 7 is scratch.
+    e^{i tau d_xx} g in the h2 row; -d_x^{-1} z; g.  The h2 row, dead once
+    added to w, is scratch until it takes e^{i tau d_xx} g.
     Column 0 of `lead` holds each run's c_0: it is c itself on whole rows,
     and a block of c_0 spread over the row otherwise."""
     x = work[3:7]
@@ -380,9 +393,8 @@ def _multipliers(t1, t3, c, lead, work) -> None:
     x[1::2] *= t1[0]
     w += gp
     w += g
-    t = work[7]
-    t[...] = (2.0 * lead[..., 0])[..., None]
-    w -= np.multiply(t, c, out=t)
+    gp[...] = (2.0 * lead[..., 0])[..., None]
+    w -= np.multiply(gp, c, out=gp)
     np.multiply(g, t1[1], out=gp)
 
 
@@ -430,7 +442,8 @@ def _combine(twist, c, work, out) -> None:
 
 
 @lru_cache(maxsize=32)
-def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, m: int) -> _StepPlan:
+def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, p: int) -> _StepPlan:
+    """The plan of one run, its tables in standard order on p points."""
     k = _uncentered(np.arange(-cutoff, cutoff + 1.0))
     inv_ik = _inv_ik(k)                       # d_x^{-1}, zero at k = 0
     ep = _free_phase(k, tau)                  # e^{i tau d_xx}
@@ -452,12 +465,16 @@ def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, m: in
     # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
     # phase on the zero mode
     twist[0] = 1.0
-    t1, t3, t4 = (_standard(t, cutoff, m)[:, None] for t in (t1, t3, t4))
-    return _StepPlan(t1, t3, t4, _standard(twist, cutoff, m)[None], cutoff)
+    t1, t3, t4 = (_standard(t, cutoff, p)[:, None] for t in (t1, t3, t4))
+    return _StepPlan(t1, t3, t4, _standard(twist, cutoff, p)[None], cutoff)
 
 
-def _plan_for(params: SchemeParams, cq: ConservedQuantities, m: int) -> _StepPlan:
-    return _plan(params.lam, params.tau, params.cutoff, cq.mass, cq.momentum_imag, m)
+def _plan_for(params: SchemeParams, cq: ConservedQuantities, top: int, m: int) -> _StepPlan:
+    """The plan of a run in a stack of largest cutoff top on m points: its
+    tables on the whole row, or on the window |k| <= top where `apply`
+    takes the row by blocks and reads its tables there alone."""
+    p = 2 * top + 1 if m > _BLOCK_POINTS else m
+    return _plan(params.lam, params.tau, params.cutoff, cq.mass, cq.momentum_imag, p)
 
 
 def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> SpectralField:
@@ -465,7 +482,8 @@ def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> Spe
     _finite_field(f, "f", params.cutoff)
     m = _pow2_grid_size(f.cutoff)
     c = _standard(_uncentered(f.coeffs), f.cutoff, m)
-    return SpectralField(f.cutoff, _centered(_plan_for(params, cq, m).apply(c[None])[0], f.cutoff))
+    plan = _plan_for(params, cq, f.cutoff, m)
+    return SpectralField(f.cutoff, _centered(plan.apply(c[None])[0], f.cutoff))
 
 
 def step_twisted(
@@ -690,10 +708,14 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
             del p, prow
             while live and ranked[live - 1].params.steps == j:
                 live -= 1
+            if not live:
+                break
             if j == 0:
-                # built once step 0 has passed, so a run that cannot start builds no plan
-                stepper = _stepper(scheme, ranked, size)
-            if j == 0 or 0 < live < len(c):
+                # built once step 0 has passed, for the runs with a step to
+                # take, so a run that cannot start or has no step builds no
+                # plan or workspace
+                stepper = _stepper(scheme, ranked[:live], size)
+            if j == 0 or live < len(c):
                 c = c[:live]
                 advance = stepper(live)
     return [rec.trajectory(scheme) for rec in records]
@@ -704,7 +726,8 @@ def _stepper(scheme: str, ranked, size: int):
     rows of the stack of the records `ranked`, on `size` points."""
     if scheme != "lowreg":
         return _splitting_stepper(scheme, [rec.params for rec in ranked])
-    stack = _StepPlan.stacked([_plan_for(rec.params, rec.cq, size) for rec in ranked])
+    top = max(rec.params.cutoff for rec in ranked)
+    stack = _StepPlan.stacked([_plan_for(rec.params, rec.cq, top, size) for rec in ranked])
     return lambda rows: stack.head(rows).apply
 
 

@@ -127,16 +127,6 @@ class TestSchemeParams:
         with pytest.raises(ValueError, match="overflows"):
             SchemeParams.from_horizon(-1, 2.0 ** -200, 16, 1e300)
 
-    @pytest.mark.parametrize("cutoff", [8, 64])
-    def test_step_at_the_least_tau_keeps_its_input(self, cutoff):
-        # stage 1's rows scaled by sqrt(0.5i/tau) square to finite numbers at
-        # MIN_TAU, and so short a step leaves the state as it was
-        u = initialize(InitialDataSpec(amplitude=1.0), cutoff)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v = step(u, SchemeParams(-1, MIN_TAU, cutoff, 1), conserved_quantities(u))
-        assert np.max(np.abs(v.coeffs - u.coeffs)) <= 1e-15 * np.max(np.abs(u.coeffs))
-
     @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
     def test_non_finite_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match=f"^horizon must be finite, got {horizon!r}$"):
@@ -355,7 +345,8 @@ def random_stack(cutoff, runs):
     grid, and an (runs, m) state stack for it."""
     m = _pow2_grid_size(cutoff)
     fields = [unit_field(r, cutoff) for r in range(runs)]
-    plans = [_plan_for(SchemeParams(-1, 2.0 ** -(4 + r), cutoff, 1), conserved_quantities(f), m)
+    plans = [_plan_for(SchemeParams(-1, 2.0 ** -(4 + r), cutoff, 1), conserved_quantities(f),
+                       cutoff, m)
              for r, f in enumerate(fields)]
     return _StepPlan.stacked(plans), np.stack([standard(f, m) for f in fields])
 
@@ -377,11 +368,13 @@ def set_block(monkeypatch, block):
 
 
 class TestStepMemory:
-    """One step allocates its eight-row work block and its result, no more,
-    and writes into nothing it was given, on whole rows and by blocks."""
+    """One step allocates its seven-row work block and its result, no more,
+    and writes into nothing it was given, on whole rows and by blocks; its
+    plan holds its twelve table rows on the points that `apply` reads."""
 
-    @with_blocks((1024, 1), (128, 6))
-    def test_one_apply_peaks_at_nine_rows(self, n, runs, block, monkeypatch):
+    # N = 2^13 goes by blocks at the module's block size too
+    @with_blocks((1024, 1), (128, 6), (8192, 1))
+    def test_one_apply_peaks_at_eight_rows(self, n, runs, block, monkeypatch):
         set_block(monkeypatch, block)
         stack, c = random_stack(n, runs)
         stack.apply(c)                    # FFT plans are cached by the first call
@@ -392,7 +385,34 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.01 * 9 * c.nbytes
+        # seven work rows and the result; the rest, views, the c_0 column
+        # and `_zero_mode`'s list, measured 1.5-2.5 KB
+        assert peak <= 8 * c.nbytes + 4096
+
+    # whole rows of N = 2^12 (12800 points) read their tables on the row,
+    # blocks of N = 2^13 (25600 points) on the window |k| <= N alone, a
+    # padded run's too
+    @pytest.mark.parametrize("cutoffs, points", [((4096,), 12800), ((8192,), 2 * 8192 + 1),
+                                                 ((8192, 5000), 2 * 8192 + 1)])
+    def test_plans_hold_twelve_rows_where_apply_reads(self, cutoffs, points, monkeypatch):
+        plans = []
+
+        def spy(*args, real=integrator._plan):
+            plans.append(real(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(integrator, "_plan", spy)
+        fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
+        runs = [SchemeParams(-1, 0.01, n, 1) for n in cutoffs]
+        evolve_lockstep(fields, runs)
+        if len(cutoffs) == 1:                 # `step` lays them by the same rule
+            step(fields[0], runs[0], conserved_quantities(fields[0]))
+        assert len(plans) == len(cutoffs) + (len(cutoffs) == 1)
+        for plan in plans:
+            tables = (plan.t1, plan.t3, plan.t4, plan.twist)
+            assert sum(t.nbytes for t in tables) == 12 * points * 16
+            n = plan.top
+            assert not any(t[..., n + 1: points - n].any() for t in tables)
 
     @with_blocks((1024, 1), (128, 6), (0, 2))
     def test_apply_writes_only_its_result(self, n, runs, block, monkeypatch):
@@ -430,26 +450,30 @@ class TestBlockedStep:
         fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
         params = [SchemeParams(-1, 2.0 ** -(4 + r % 3), n, 3 + r % 2)
                   for r, n in enumerate(cutoffs)]
-        stack = _StepPlan.stacked([_plan_for(p, conserved_quantities(f), m)
+        stack = _StepPlan.stacked([_plan_for(p, conserved_quantities(f), max(cutoffs), m)
                                    for p, f in zip(params, fields)])
         return stack, np.stack([standard(f, m) for f in fields]), fields, params
 
     def steps(self, cutoffs, runs):
+        """Three steps of the stack, and the points of its tables."""
         stack, c, _, _ = self.stacks(cutoffs, runs)
         out = []
         for _ in range(3):
             c = stack.apply(c)
             out.append(c)
-        return out
+        return out, stack.t1.shape[-1]
 
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("cutoffs", STACKS.values(), ids=STACKS.keys())
     def test_blocks_give_the_rows_result(self, cutoffs, runs, monkeypatch):
         top = max(cutoffs)
         assert _pow2_grid_size(top) > 64
-        rows = self.steps(cutoffs, runs)
+        rows, points = self.steps(cutoffs, runs)
+        assert points == _pow2_grid_size(top)
         monkeypatch.setattr(integrator, "_BLOCK_POINTS", 64)
-        blocks = self.steps(cutoffs, runs)
+        # the plans the production rule lays on the window
+        blocks, points = self.steps(cutoffs, runs)
+        assert points == 2 * top + 1
         for a, b in zip(rows, blocks, strict=True):
             assert window_bytes(a, top) == window_bytes(b, top)
             assert np.all(b[:, top + 1: b.shape[-1] - top] == 0)
@@ -458,6 +482,20 @@ class TestBlockedStep:
     @pytest.mark.parametrize("cutoffs", STACKS.values(), ids=STACKS.keys())
     def test_blocked_lockstep_runs_are_the_rows_runs(self, cutoffs, runs, monkeypatch):
         _, _, fields, params = self.stacks(cutoffs, runs)
+        rows = evolve_lockstep(fields, params, diag_stride=1)
+        monkeypatch.setattr(integrator, "_BLOCK_POINTS", 64)
+        blocks = evolve_lockstep(fields, params, diag_stride=1)
+        for a, b in zip(rows, blocks, strict=True):
+            assert a.final.coeffs.tobytes() == b.final.coeffs.tobytes()
+            assert a.diagnostics == b.diagnostics and a.h1_max == b.h1_max
+
+    def test_a_stack_under_its_grid_top_blocks_as_its_rows(self, monkeypatch):
+        # the one run of the grid's cutoff, 128, has no step, so the stack
+        # steps the window |k| <= 100 of its runs, tables and all, on the
+        # 400-point grid of 128
+        cutoffs, steps = (128, 100, 64), (0, 3, 2)
+        fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
+        params = [SchemeParams(-1, 2.0 ** -5, n, j) for n, j in zip(cutoffs, steps)]
         rows = evolve_lockstep(fields, params, diag_stride=1)
         monkeypatch.setattr(integrator, "_BLOCK_POINTS", 64)
         blocks = evolve_lockstep(fields, params, diag_stride=1)
@@ -552,6 +590,23 @@ class TestSplittingMemory:
 
 class TestStepProperties:
     """Exact structure of the one-step map, over random N, tau and lambda."""
+
+    @given(st.integers(1, 64), st.floats(200.0, 256.0).map(lambda e: 2.0 ** -e),
+           st.floats(0.0, 1.0), LAMS, st.one_of(st.none(), SEEDS))
+    @example(8, MIN_TAU, 1.0, -1, None)
+    @example(64, MIN_TAU, 1.0, -1, None)
+    def test_a_step_of_tiny_tau_keeps_its_input(self, n, tau, amplitude, lam, seed):
+        # stage 1's rows scaled by sqrt(0.5i/tau) square to finite numbers
+        # down to MIN_TAU, and so short a step leaves the state as it was:
+        # the rough data (seed None) or a random field, at the amplitude
+        if seed is None:
+            u = initialize(InitialDataSpec(amplitude=amplitude), n)
+        else:
+            u = amplitude * unit_field(seed, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = step(u, SchemeParams(lam, tau, n, 1), conserved_quantities(u))
+        assert np.max(np.abs(v.coeffs - u.coeffs)) <= 1e-15 * np.max(np.abs(u.coeffs))
 
     @given(CUTOFFS, TAUS, LAMS, SEEDS, st.floats(0.0, 2 * math.pi))
     @tight_grids(1.0)
@@ -738,6 +793,40 @@ class TestEvolve:
         assert traj.initial is u
         assert traj.final.coeffs.tobytes() == u.coeffs.tobytes()
         assert [d.step_index for d in traj.diagnostics] == [0]
+
+    @pytest.mark.parametrize("steps", [(0, 0), (0, 3)])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_runs_of_no_steps_build_no_plan_or_workspace(self, scheme, steps, monkeypatch):
+        # a run with no step to take builds no plan of the low-regularity
+        # step and no row of the splitting flows' workspace, nor does a
+        # stack of such runs build a stepper at all
+        built = []
+
+        def spy(*args, real=reference._flow_work):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(reference, "_flow_work", spy)
+        integrator._plan.cache_clear()
+        fields = [unit_field(r, 8) for r in range(2)]
+        runs = [SchemeParams(-1, 2.0 ** -(4 + r), 8, n) for r, n in enumerate(steps)]
+        trajs = evolve_lockstep(fields, runs, diag_stride=1, scheme=scheme)
+        stepping = sum(n > 0 for n in steps)
+        info = integrator._plan.cache_info()
+        if scheme == "lowreg":
+            assert (info.misses, info.currsize, built) == (stepping, stepping, [])
+        else:
+            assert (info.misses, built) == (0, [(1, 8)] if stepping else [])
+        for u, params, traj in zip(fields, runs, trajs, strict=True):
+            if params.steps:
+                alone = solo_run(scheme, u, params, diag_stride=1)
+                assert traj.final.coeffs.tobytes() == alone.final.coeffs.tobytes()
+                assert traj.diagnostics == alone.diagnostics
+                continue
+            assert traj.final.coeffs.tobytes() == u.coeffs.tobytes()
+            [row] = traj.diagnostics
+            assert row.step_index == 0 and traj.h1_max == row.h1 == sobolev_norm(u, 1.0)
+            assert row.mass_drift == row.momentum_drift == 0.0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_negative_diag_stride_rejected(self, scheme):
@@ -1246,9 +1335,10 @@ class TestLockstep:
     @example([(33, 0.1), (12, 2.0 ** -4), (0, 0.2), (33, 2.0 ** -7)], -1, 5)
     def test_stacked_apply_matches_rows(self, runs, lam, seed):
         # runs of any cutoffs, on the grid of the largest
-        m = _pow2_grid_size(max(n for n, _ in runs))
+        top = max(n for n, _ in runs)
+        m = _pow2_grid_size(top)
         fields = [unit_field(seed + r, n) for r, (n, _) in enumerate(runs)]
-        plans = [_plan_for(SchemeParams(lam, tau, f.cutoff, 1), conserved_quantities(f), m)
+        plans = [_plan_for(SchemeParams(lam, tau, f.cutoff, 1), conserved_quantities(f), top, m)
                  for f, (_, tau) in zip(fields, runs)]
         stack = _StepPlan.stacked(plans)
         c = np.stack([standard(f, m) for f in fields])
@@ -1379,6 +1469,19 @@ def first_non_finite_h1(scheme, u, params):
     return None
 
 
+class TestTauLimit:
+    """The explicit map has a tau limit set by the size of the data, not by
+    N: the rough data at amplitude 1 (alpha = 1, lam = -1) blow up at
+    tau = 2^-5 at step 16 for every N, N = 2^13 on blocks included."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096, 8192])
+    def test_blow_up_step_does_not_depend_on_n(self, n):
+        u = initialize(InitialDataSpec(alpha=1.0, amplitude=1.0), n)
+        with pytest.raises(BlowUpError) as info:
+            evolve(u, SchemeParams.from_horizon(-1, 2.0 ** -5, n, 1.0))
+        assert info.value.step_index == 16
+
+
 class TestBlowUpDetector:
     """The per-step H^1 check is the detector of every overflow or nan in a
     step: a run near the overflow edge warns of nothing, and either ends
@@ -1450,7 +1553,7 @@ class TestPaddedLockstep:
         fields = [unit_field(seed + r, cutoff) for r, cutoff in enumerate((n, top) * len(taus))]
         runs = [SchemeParams(lam, tau, f.cutoff, 1) for tau, f in zip(np.repeat(taus, 2), fields)]
         cqs = [conserved_quantities(f) for f in fields]
-        stack = _StepPlan.stacked([_plan_for(p, q, m) for p, q in zip(runs, cqs)])
+        stack = _StepPlan.stacked([_plan_for(p, q, top, m) for p, q in zip(runs, cqs)])
         c = np.stack([standard(f, m) for f in fields])
         own = fields
         for _ in range(3):
