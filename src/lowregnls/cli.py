@@ -48,7 +48,9 @@ DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 # largest cutoff accepted on the command line: a step at N = 2^16 works on
 # 7 grid rows and its result of 204800 points and 12 table rows of the
 # 131073 of its window (49 MiB, 56 MiB at its traced peak with the plan's
-# build); a spatial study also runs 2N, and stacks its runs (a cutoff's half
+# build), and a splitting step runs its flows in a 20 MiB workspace (two
+# grid rows of 204800 points, two sample rows of 262145 and an angle and a
+# phase row); a spatial study also runs 2N, and stacks its runs (a cutoff's half
 # zero-padded among them where that removes stacks) only at grids of <= 2048
 # points (harness.STACK_POINTS), at any --jobs; each of the up to --jobs
 # worker processes holds one stack at a time.

@@ -56,7 +56,9 @@ AXES = tuple(AXIS_NAMES)
 # block of a worker stays within 448 KiB, stacks of two or more runs form only
 # at m <= 2048 (N <= 682), and it alone, never the number of jobs, sizes them;
 # a splitting stack takes the same count, though its flow runs on the grid
-# of cutoff 2N
+# of cutoff 2N, and where that count is one run (N >= 683) its flow pairs
+# the grid's even and odd points as two rows (`reference._pairs`, at half
+# this count), in a workspace of 20 MiB at N = 2^16
 STACK_POINTS = 4096
 
 

@@ -564,7 +564,7 @@ class TestSplittingMemory:
         assert peak <= 3 * c.nbytes + (grid if runs > 1 else 0)
 
     @pytest.mark.parametrize("scheme", SPLITTINGS)
-    @pytest.mark.parametrize("n, runs", [(16, 1), (16, 3), (0, 1)])
+    @pytest.mark.parametrize("n, runs", [(16, 1), (16, 3), (0, 1), (683, 1)])
     def test_step_writes_only_its_result(self, scheme, n, runs, monkeypatch):
         stepper, c, drift, work = built_stepper(scheme, n, runs, monkeypatch)
         given = (c, drift, *_chirp_tables(n)[1:])
@@ -576,9 +576,10 @@ class TestSplittingMemory:
     # N = 0 multiplies one-element arrays, and at N = 2048 four runs hold
     # more than 256 KiB of states: numpy rounds a one-element product in
     # place, and `a * temporary` that large with its operands swapped, unlike
-    # the out-of-place loop of another stack
+    # the out-of-place loop of another stack.  From N = 683 on the flows
+    # pair, by N alone, so a stack pairs as its runs alone do
     @pytest.mark.parametrize("scheme", SPLITTINGS)
-    @pytest.mark.parametrize("n", [0, 16, 2048])
+    @pytest.mark.parametrize("n", [0, 16, 683, 2048])
     def test_recut_stepper_matches_solo_runs(self, scheme, n, monkeypatch):
         stepper, c, _, _ = built_stepper(scheme, n, 4, monkeypatch)
         for rows in (4, 3, 2, 1):
@@ -1480,6 +1481,28 @@ class TestTauLimit:
         with pytest.raises(BlowUpError) as info:
             evolve(u, SchemeParams.from_horizon(-1, 2.0 ** -5, n, 1.0))
         assert info.value.step_index == 16
+
+
+class TestUniformInN:
+    """The paper's claim where it separates the schemes: on the rough data
+    at amplitude 1 (alpha = 1, lam = -1, N = 2048, T = 0.5, tau = 2^-8),
+    the low-regularity H^1 maximum is already that of a finer tau, while
+    the splittings', at this N, is far above it.  The splittings' flows
+    run paired here."""
+
+    # the low-regularity H^1 maximum at tau = 2^-10, its tau/4 run, which
+    # read 10.544982989881015 (numpy 2.4.6); tau = 2^-8 reads 10.570, Lie
+    # 30.63 and Strang 28.50
+    FINE_H1_MAX = 10.545
+
+    def test_h1_maximum(self):
+        n = 2048
+        u = initialize(InitialDataSpec(alpha=1.0, amplitude=1.0), n)
+        params = SchemeParams.from_horizon(-1, 2.0 ** -8, n, 0.5)
+        lowreg = evolve(u, params).h1_max
+        assert abs(lowreg - self.FINE_H1_MAX) <= 0.01 * self.FINE_H1_MAX
+        for order in (1, 2):
+            assert splitting_evolve(u, params, order).h1_max >= 2 * lowreg
 
 
 class TestBlowUpDetector:

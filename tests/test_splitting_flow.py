@@ -1,6 +1,7 @@
 """The splitting's nonlinear flow: the chirp-z route against the direct
-collocation on 4N+1 points, the stack's free-flow phase against
-`free_propagator`, and the FFT work of a splitting step."""
+collocation on 4N+1 points, on one grid row or on two paired ones, the
+stack's free-flow phase against `free_propagator`, and the FFT work of a
+splitting step."""
 
 from dataclasses import replace
 
@@ -8,18 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from lowregnls import dft
+from lowregnls import dft, harness
 from lowregnls.integrator import SchemeParams, conserved_quantities, splitting_evolve
-from lowregnls.reference import _chirp_tables, _flow_work, _nonlinear_flow, splitting_step
+from lowregnls.reference import _chirp_tables, _flow_work, _nonlinear_flow, _pairs, splitting_step
 from lowregnls.spectral import (
     SpectralField,
+    _pow2_grid_size,
     free_propagator,
     l2_error,
     project,
     sobolev_norm,
 )
 
-PINNED = (0, 1, 2, 5, 64, 2048)
+# 682 is the largest cutoff whose flow runs one grid row, 683 the least
+# that pairs two
+PINNED = (0, 1, 2, 5, 64, 682, 683, 2048)
 
 
 def collocated_flow(f, lam, t):
@@ -133,13 +137,15 @@ class TestDriftPhase:
 
 
 class TestFftWork:
-    @pytest.mark.parametrize("n", [8, 16])
+    # four calls per flow, of the step's one-run stack, on the product grid
+    # of cutoff 2N (the smallest 2^k or 25*2^k >= 6N+1): one row of all its
+    # points, or, where the flow pairs (N >= 683), its even and odd points
+    # as two rows of half length; and no dft call
+    @pytest.mark.parametrize("n, shape", [(8, (1, 1, 50)), (16, (1, 1, 100)),
+                                          (683, (1, 2, 3200))])
     @pytest.mark.parametrize("order,calls", [(1, 4), (2, 8)])
-    def test_one_row_per_call_on_the_product_grid(self, n, order, calls, monkeypatch):
-        # four calls per flow, each of one row, the step's one-run stack, on
-        # the product grid of cutoff 2N (the smallest 2^k or 25*2^k >= 6N+1),
-        # and no dft call
-        m = {8: 50, 16: 100}[n]
+    def test_calls_on_the_product_grid(self, n, shape, order, calls, monkeypatch):
+        assert shape[1] * shape[2] == _pow2_grid_size(2 * n)
         _chirp_tables(n)  # built once per cutoff, not per step
         shapes = []
 
@@ -158,4 +164,31 @@ class TestFftWork:
             monkeypatch.setattr(dft, name, forbidden)
         u = unit_field(n, n)
         splitting_step(u, SchemeParams(lam=-1, tau=0.01, cutoff=n, steps=1), order)
-        assert shapes == [(1, m)] * calls
+        assert shapes == [shape] * calls
+
+
+class TestPairing:
+    def test_a_flow_pairs_where_its_cutoff_stacks_alone(self):
+        # pairing pays for one run and costs for a stack of several, so a
+        # cutoff's flow pairs exactly where `harness` steps each of its runs
+        # in a stack of its own; a change to harness.STACK_POINTS or to the
+        # pairing rule alone fails here
+        for n in range(1, 4097):
+            keys = [(n, 2.0 ** -4), (n, 2.0 ** -5)]
+            params = {key: SchemeParams(-1, key[1], n, 1) for key in keys}
+            alone = all(len(stack) == 1 for stack in harness._stacks("strang", params))
+            assert (_pairs(n) == 2) == alone, n
+
+
+class TestNormBias:
+    # at t = 0 the flow is the identity up to round-off, which leans to one
+    # side (mean Re<c, out - c> of +2e-16 to +4e-16 over unit fields); that
+    # bias adds up over the steps of a run, so it must stay at round-off,
+    # paired or not
+    @pytest.mark.parametrize("n", [64, 683, 2048])
+    def test_identity_flow_keeps_the_norm(self, n):
+        work = _flow_work(1, n)
+        for seed in range(20):
+            c = np.fft.ifftshift(unit_field(seed, n).coeffs)[None]
+            out = _nonlinear_flow(c, -1, np.array([0.0]), work)
+            assert abs(np.vdot(c, out - c).real) <= 1e-15
