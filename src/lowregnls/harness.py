@@ -158,14 +158,16 @@ def fit_rate(values, errors) -> float:
     For errors ~ C tau^p over a tau grid this returns p; for errors ~ C N^-s
     over a cutoff grid it returns -s.  A non-positive error (e.g. identical
     runs) or fewer than two distinct values make the rate undefined, and nan
-    is returned as the flag.
+    is returned as the flag, as it is for a non-finite error.  Each value
+    must be a positive finite real (`spectral._real`); any other is one
+    ValueError naming `values`, before it reaches the fit.
     """
     values = np.asarray(values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if values.shape != errors.shape or values.size < 2:
         raise ValueError("need at least two (value, error) pairs of equal length")
-    if np.any(values <= 0):
-        raise ValueError("values must be positive to fit a log-log rate")
+    for value in values.flat:
+        _real(value, "values", positive=True)
     if np.any(errors <= 0) or np.unique(values).size < 2:
         return math.nan
     return float(np.polyfit(np.log2(values), np.log2(errors), 1)[0])

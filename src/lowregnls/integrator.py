@@ -10,12 +10,10 @@ to a logarithmic factor, without any CFL-type step restriction.
 `step` is the production path: all ten terms of the map are evaluated with
 17 FFTs (5 + 4 + 4 + 4), in four batched calls, on a product grid of
 >= 3N+1 points, the smallest 2^k or 25*2^k; products that end under the
-same Fourier multiplier are summed on the grid and transformed once.  The
-elementwise passes between the calls take whole rows of up to
-_BLOCK_POINTS = 2^14 points, and longer rows in blocks of that many, the
-passes in coefficient space only on the window |k| <= N, which alone then
-holds the multiplier tables; the result is bitwise the same (see
-`_StepPlan`).
+same Fourier multiplier are summed on the grid and transformed once.  On
+rows of more than _WINDOW_TABLES_PAST = 2^14 points the multiplier tables
+hold the window |k| <= N alone, and the passes in coefficient space visit
+only it; the result is bitwise the same (see `_StepPlan`).
 `evolve_lockstep` is the one driver of every scheme: it advances runs of
 several taus together as one stack of states through the same calls, by
 the low-regularity step (runs of several cutoffs on the product grid of
@@ -205,12 +203,13 @@ def initialize(source, cutoff: int) -> SpectralField:
     raise TypeError(f"cannot initialize from {type(source).__name__}")
 
 
-# Row length, in points, up to which a step makes each elementwise pass on
-# whole rows with its tables on the whole row, and the most points of one
-# run that a pass takes at a time on longer rows, whose tables lie on the
-# window |k| <= N: seven work rows of a block take 1.75 MiB, within a core's
-# 2 MiB L2 cache on the machine it was measured on (see `_StepPlan`)
-_BLOCK_POINTS = 2 ** 14
+# Row length, in points, past which a step's tables lie on the window
+# |k| <= N alone and its coefficient passes visit only that window, run by
+# run: at N = 2^14 that keeps 12 table rows of 32769 points, not 51200,
+# 3.4 MiB less.  Up to it, tables on the whole row let each pass be
+# one numpy call for a whole stack, which the call-bound small grids need:
+# tables on the window at every size made a spatial study 1.5-2.4x slower
+_WINDOW_TABLES_PAST = 2 ** 14
 
 
 class _StepPlan:
@@ -232,25 +231,21 @@ class _StepPlan:
     The elementwise passes between the FFTs live in the stage helpers below
     (`_products`, `_squares`, `_multipliers` with `_zero_mode`, `_cubics`,
     `_truncate`, `_combine`), and `apply` makes each once, on whole rows,
-    while m <= _BLOCK_POINTS = 2^14, the grid of any N <= 5461.  On longer
-    rows the work block outgrows the L2 cache, and each pass goes block by
-    block, a block being at most 2^14 points of one run: the grid passes
-    (stages 2 and 4) over the whole row, the coefficient passes (stages 1
-    and 3, the t4 products and the combine) over the window |k| <= top
-    alone, at both ends of the row.
-    Between them every table is zero, so those work rows (0-4 before the
-    stage-1 FFT, 3-6 before the stage-3 one) and the result are zeroed there
-    once instead, and the tables hold the window alone: `_plan_for` lays
-    them on its 2 top + 1 points whenever m > _BLOCK_POINTS, the test by
-    which `apply` goes by blocks, and `_each` reads a table's negative
-    frequencies as far from its end as they are from the end of a row.
-    Both paths make the same operations on each point in the same order,
-    so a step's result is bitwise the same on either (the band may hold
-    +0.0 where a product with a zero gave -0.0).  The FFT calls, their rows
-    and the allocations of `apply` are the same on both.  On 2 Xeon cores
-    with 2 MiB of L2 each, blocks took about 3%, 5-6% and 8% off `apply`
-    at N = 2^13, 2^14 and 2^16; at N = 2^12 they gained nothing, so its
-    12800-point rows stay whole.
+    while m <= _WINDOW_TABLES_PAST = 2^14, the grid of any N <= 5461.  On
+    longer rows the grid passes (stages 2 and 4) take whole rows too, and
+    the coefficient passes (stages 1 and 3, the t4 products and the
+    combine) take the window |k| <= top alone, one run and one end of the
+    row at a time.  Between the window's ends every table is zero, so those
+    work rows (0-4 before the stage-1 FFT, 3-6 before the stage-3 one) and
+    the result are zeroed there once instead, and the tables hold the
+    window alone: `_plan_for` lays them on its 2 top + 1 points whenever
+    m > _WINDOW_TABLES_PAST, the test by which `apply` takes the window,
+    and `_each` reads a table's negative frequencies as far from its end as
+    they are from the end of a row.  Both paths make the same operations
+    on each point in the same order, so a step's result is bitwise the
+    same on either (the band may hold +0.0 where a product with a zero gave
+    -0.0; for top = 1 see `_each`).  The FFT calls, their rows and the
+    allocations of `apply` are the same on both.
 
     Tables and states are in standard order, with a run axis: t1, t3 and t4
     have shape (rows, R, p), twist (R, p), on p = m points or the window's
@@ -296,27 +291,27 @@ class _StepPlan:
         # step (it keeps freed blocks up to 32 MiB)
         work = np.empty((7, *c.shape), dtype=np.complex128)
         m = c.shape[-1]
-        # whole rows, or blocks of the grid and of the window |k| <= top,
-        # with the band between the window's ends zeroed instead
-        grid = window = band = None
+        # whole rows, or the window |k| <= top, with the band between its
+        # ends zeroed instead
+        window = band = None
         lead = c                                  # each run's c_0 in column 0
-        if m > _BLOCK_POINTS:
+        if m > _WINDOW_TABLES_PAST:
             n = self.top
-            grid, window, band = ((0, m),), ((0, n + 1), (-n, 0)), slice(n + 1, m - n)
+            window, band = ((0, n + 1), (-n, 0)), slice(n + 1, m - n)
             lead = np.broadcast_to(c[:, :1], c.shape)
 
         _each(window, _products, self.t1, c, work)
         if band is not None:
             work[:5, :, band] = 0.0
         np.fft.ifft(work[:5], axis=-1, norm="forward", out=work[:5])
-        _each(grid, _squares, work)
+        _squares(work)
         np.fft.fft(work[3:7], axis=-1, norm="forward", out=work[3:7])
         _each(window, _multipliers, self.t1, self.t3, c, lead, work)
         _zero_mode(work[3], c[:, 0])
         if band is not None:
             work[3:7, :, band] = 0.0
         np.fft.ifft(work[3:7], axis=-1, norm="forward", out=work[3:7])
-        _each(grid, _cubics, work)
+        _cubics(work)
         np.fft.fft(work[2:6], axis=-1, norm="forward", out=work[2:6])
         _each(window, _truncate, self.t4, work)
         out = np.empty(c.shape, dtype=np.complex128)
@@ -327,28 +322,24 @@ class _StepPlan:
 
 
 def _each(spans, stage, *arrays) -> None:
-    """stage(*arrays) on whole rows when spans is None.  Else on blocks of
-    the arrays, each one run r of their run axis (the second last) and a
-    range of their last, in one (start, stop) span of `spans`: the fewest
-    blocks of at most _BLOCK_POINTS points, their widths differing by at
-    most one, made one at a time.  A span of negative start counts from the
-    end of each array, as a slice does, stop 0 being the end, so that a
-    table on the window and a grid row give the same frequencies.  One run's
-    block is a contiguous row to numpy, whose loops over a block of several
-    short rows run several times slower.  A span of two or more points
-    leaves no block of one, where numpy would sum `_combine`'s four rows in
-    another order."""
+    """stage(*arrays) on whole rows when spans is None.  Else once for each
+    run r of their run axis (the second last) and each (start, stop) span
+    of `spans` that holds a point, on that run over that range of their
+    last axis.  A span of negative start counts from the end of each array,
+    as a slice does, stop 0 being the end, so that a table on the window
+    and a grid row give the same frequencies.  One run's span of a row is
+    contiguous to numpy, which allocates no buffer for it, where a call
+    over several runs' spans made it buffer.  At top = 1 the span of k = -1
+    is one point, over which numpy sums `_combine`'s four rows in another
+    order, so that column of the result may differ at round-off."""
     if spans is None:
         stage(*arrays)
         return
     for r in range(arrays[0].shape[-2]):
         rows = slice(r, r + 1)
         for lo, hi in spans:
-            count = -(-(hi - lo) // _BLOCK_POINTS)
-            for i in range(count):
-                stop = lo + (hi - lo) * (i + 1) // count
-                cols = slice(lo + (hi - lo) * i // count, stop or None)
-                stage(*[x[..., rows, cols] for x in arrays])
+            if lo < hi:                       # a span of no points is no call
+                stage(*[x[..., rows, slice(lo, hi or None)] for x in arrays])
 
 
 # The stages of `_StepPlan.apply`, each on the same columns of its tables,
@@ -386,7 +377,7 @@ def _multipliers(t1, t3, c, lead, work) -> None:
     e^{i tau d_xx} g in the h2 row; -d_x^{-1} z; g.  The h2 row, dead once
     added to w, is scratch until it takes e^{i tau d_xx} g.
     Column 0 of `lead` holds each run's c_0: it is c itself on whole rows,
-    and a block of c_0 spread over the row otherwise."""
+    and c_0 spread over the row on the window."""
     x = work[3:7]
     w, gp, _, g = x
     x[0::2] *= t3
@@ -427,11 +418,11 @@ def _cubics(work) -> None:
 
 
 def _truncate(t4, work) -> None:
-    """The cubic rows 2-5 under their multipliers t4, each truncated to S_N.
-    A pass of its own, made before the result is taken: on a block of a few
-    points numpy buffers this four-row product."""
-    y = work[2:6]
-    y *= t4
+    """The cubic rows 2-5 under their multipliers t4, each truncated to S_N,
+    one row at a time: over a span of the window numpy buffers a four-row
+    product, in a buffer larger than a row."""
+    for t, row in zip(t4, work[2:6]):
+        row *= t
 
 
 def _combine(twist, c, work, out) -> None:
@@ -472,8 +463,8 @@ def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, p: in
 def _plan_for(params: SchemeParams, cq: ConservedQuantities, top: int, m: int) -> _StepPlan:
     """The plan of a run in a stack of largest cutoff top on m points: its
     tables on the whole row, or on the window |k| <= top where `apply`
-    takes the row by blocks and reads its tables there alone."""
-    p = 2 * top + 1 if m > _BLOCK_POINTS else m
+    reads them there alone."""
+    p = 2 * top + 1 if m > _WINDOW_TABLES_PAST else m
     return _plan(params.lam, params.tau, params.cutoff, cq.mass, cq.momentum_imag, p)
 
 

@@ -69,9 +69,24 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([-1.0, 2.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_raise_one_error_and_print_nothing(self, bad, capfd):
+        # np.polyfit of a non-finite value warns, prints six LAPACK lines to
+        # stderr and raises LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^values must be a positive finite"):
+                fit_rate([1.0, bad, 4.0], [1.0, 0.5, 0.25])
+        assert capfd.readouterr() == ("", "")
+
     def test_nonpositive_error_flags_nan(self):
         assert math.isnan(fit_rate([1.0, 2.0], [1.0, 0.0]))
         assert math.isnan(fit_rate([1.0, 2.0], [1.0, -1.0]))
+        # as does a non-finite error, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(fit_rate([1.0, 2.0, 4.0], [1.0, math.nan, 0.25]))
+            assert math.isnan(fit_rate([1.0, 2.0, 4.0], [1.0, math.inf, 0.25]))
 
     def test_repeated_values_flag_nan_without_warning(self):
         # one distinct abscissa leaves the slope undefined; polyfit would

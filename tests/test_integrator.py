@@ -353,9 +353,9 @@ def random_stack(cutoff, runs):
 
 def with_blocks(*cases):
     """Parametrize (n, runs, block) over the cases (n, runs), each once with
-    the module's block size (block None, whole rows) and once with blocks
-    of 64 points, at which a grid of more points takes the blocked path of
-    `apply`."""
+    the module's threshold (block None, whole rows) and once with the
+    threshold patched to 64 points (ids ending -blocks), past which a grid
+    takes the window path of `apply`."""
     ids = [f"{n}-{runs}" for n, runs in cases]
     return pytest.mark.parametrize(
         "n, runs, block", [(*case, None) for case in cases] + [(*case, 64) for case in cases],
@@ -364,15 +364,15 @@ def with_blocks(*cases):
 
 def set_block(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(integrator, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(integrator, "_WINDOW_TABLES_PAST", block)
 
 
 class TestStepMemory:
     """One step allocates its seven-row work block and its result, no more,
-    and writes into nothing it was given, on whole rows and by blocks; its
-    plan holds its twelve table rows on the points that `apply` reads."""
+    and writes into nothing it was given, on whole rows and on the window;
+    its plan holds its twelve table rows on the points that `apply` reads."""
 
-    # N = 2^13 goes by blocks at the module's block size too
+    # N = 2^13 takes the window at the module's threshold too
     @with_blocks((1024, 1), (128, 6), (8192, 1))
     def test_one_apply_peaks_at_eight_rows(self, n, runs, block, monkeypatch):
         set_block(monkeypatch, block)
@@ -390,7 +390,7 @@ class TestStepMemory:
         assert peak <= 8 * c.nbytes + 4096
 
     # whole rows of N = 2^12 (12800 points) read their tables on the row,
-    # blocks of N = 2^13 (25600 points) on the window |k| <= N alone, a
+    # rows of N = 2^13 (25600 points) on the window |k| <= N alone, a
     # padded run's too
     @pytest.mark.parametrize("cutoffs, points", [((4096,), 12800), ((8192,), 2 * 8192 + 1),
                                                  ((8192, 5000), 2 * 8192 + 1)])
@@ -432,62 +432,79 @@ def window_bytes(c, top):
 
 
 class TestBlockedStep:
-    """Rows longer than `integrator._BLOCK_POINTS` are stepped block by
-    block, and the window by itself; the result is bitwise that of whole
-    rows.  The block size is patched down so that small grids take it."""
+    """Rows longer than `integrator._WINDOW_TABLES_PAST` points step their
+    coefficient passes on the window |k| <= top alone, with the tables laid
+    there; the result is bitwise that of whole rows.  The threshold is
+    patched down to 64 so that small grids take the window."""
 
-    # cutoffs of a stack's runs, at blocks of at most 64 points: a window
-    # end of 193 = 3 * 64 + 1 points in 4 blocks of 48 or 49; of 41 in one;
-    # a stack of 128 and 64 padded on the 400-point grid of 128, its window
-    # ends of 129 and 128 points in 3 and 2 blocks
+    # cutoffs of a stack's runs: a window of 193 and 192 points at its two
+    # ends; of 41 and 40; a stack of 128 and 64 padded on the 400-point grid
+    # of 128, the tables of 64 zero beyond it
     STACKS = {"several-blocks": (192,), "one-block": (40,), "padded": (128, 64)}
 
-    def stacks(self, cutoffs, runs):
-        """The cutoffs repeated over `runs` taus: the plan stack on the grid
-        of the largest, its initial (R, m) states, the fields and runs."""
+    def stack_runs(self, cutoffs, runs):
+        """The cutoffs repeated over `runs` taus: their fields and runs."""
         cutoffs = [n for _ in range(runs) for n in cutoffs]
-        m = _pow2_grid_size(max(cutoffs))
         fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
         params = [SchemeParams(-1, 2.0 ** -(4 + r % 3), n, 3 + r % 2)
                   for r, n in enumerate(cutoffs)]
-        stack = _StepPlan.stacked([_plan_for(p, conserved_quantities(f), max(cutoffs), m)
-                                   for p, f in zip(params, fields)])
-        return stack, np.stack([standard(f, m) for f in fields]), fields, params
+        return fields, params
 
-    def steps(self, cutoffs, runs):
-        """Three steps of the stack, and the points of its tables."""
-        stack, c, _, _ = self.stacks(cutoffs, runs)
+    def steps(self, fields, params):
+        """Three steps of the runs' plan stack on the grid of the largest
+        cutoff, and the points of its tables."""
+        top = max(p.cutoff for p in params)
+        m = _pow2_grid_size(top)
+        stack = _StepPlan.stacked([_plan_for(p, conserved_quantities(f), top, m)
+                                   for p, f in zip(params, fields)])
+        c = np.stack([standard(f, m) for f in fields])
         out = []
         for _ in range(3):
             c = stack.apply(c)
             out.append(c)
         return out, stack.t1.shape[-1]
 
+    def assert_window_gives_rows(self, fields, params, monkeypatch):
+        top = max(p.cutoff for p in params)
+        assert _pow2_grid_size(top) > 64
+        rows, points = self.steps(fields, params)
+        assert points == _pow2_grid_size(top)
+        monkeypatch.setattr(integrator, "_WINDOW_TABLES_PAST", 64)
+        # the plans the production rule lays on the window
+        window, points = self.steps(fields, params)
+        assert points == 2 * top + 1
+        for a, b in zip(rows, window, strict=True):
+            assert window_bytes(a, top) == window_bytes(b, top)
+            assert np.all(b[:, top + 1: b.shape[-1] - top] == 0)
+
+    def assert_lockstep_window_gives_rows(self, fields, params, monkeypatch):
+        rows = evolve_lockstep(fields, params, diag_stride=1)
+        monkeypatch.setattr(integrator, "_WINDOW_TABLES_PAST", 64)
+        window = evolve_lockstep(fields, params, diag_stride=1)
+        for a, b in zip(rows, window, strict=True):
+            assert a.final.coeffs.tobytes() == b.final.coeffs.tobytes()
+            assert a.diagnostics == b.diagnostics and a.h1_max == b.h1_max
+
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("cutoffs", STACKS.values(), ids=STACKS.keys())
     def test_blocks_give_the_rows_result(self, cutoffs, runs, monkeypatch):
-        top = max(cutoffs)
-        assert _pow2_grid_size(top) > 64
-        rows, points = self.steps(cutoffs, runs)
-        assert points == _pow2_grid_size(top)
-        monkeypatch.setattr(integrator, "_BLOCK_POINTS", 64)
-        # the plans the production rule lays on the window
-        blocks, points = self.steps(cutoffs, runs)
-        assert points == 2 * top + 1
-        for a, b in zip(rows, blocks, strict=True):
-            assert window_bytes(a, top) == window_bytes(b, top)
-            assert np.all(b[:, top + 1: b.shape[-1] - top] == 0)
+        self.assert_window_gives_rows(*self.stack_runs(cutoffs, runs), monkeypatch)
+
+    # stacks the fixed ones miss: 1-4 runs, each of its own cutoff, so that
+    # most stacks pad runs on the grid of their largest, and tau
+    @given(st.lists(st.tuples(st.integers(22, 200), st.floats(-8.0, -3.0)),
+                    min_size=1, max_size=4), LAMS, SEEDS)
+    def test_random_stacks_give_the_rows_result(self, runs, lam, seed):
+        fields = [unit_field(seed + r, n) for r, (n, _) in enumerate(runs)]
+        params = [SchemeParams(lam, 2.0 ** e, n, 3) for n, e in runs]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_window_gives_rows(fields, params, monkeypatch)
 
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("cutoffs", STACKS.values(), ids=STACKS.keys())
     def test_blocked_lockstep_runs_are_the_rows_runs(self, cutoffs, runs, monkeypatch):
-        _, _, fields, params = self.stacks(cutoffs, runs)
-        rows = evolve_lockstep(fields, params, diag_stride=1)
-        monkeypatch.setattr(integrator, "_BLOCK_POINTS", 64)
-        blocks = evolve_lockstep(fields, params, diag_stride=1)
-        for a, b in zip(rows, blocks, strict=True):
-            assert a.final.coeffs.tobytes() == b.final.coeffs.tobytes()
-            assert a.diagnostics == b.diagnostics and a.h1_max == b.h1_max
+        fields, params = self.stack_runs(cutoffs, runs)
+        self.assert_lockstep_window_gives_rows(fields, params, monkeypatch)
 
     def test_a_stack_under_its_grid_top_blocks_as_its_rows(self, monkeypatch):
         # the one run of the grid's cutoff, 128, has no step, so the stack
@@ -496,28 +513,35 @@ class TestBlockedStep:
         cutoffs, steps = (128, 100, 64), (0, 3, 2)
         fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
         params = [SchemeParams(-1, 2.0 ** -5, n, j) for n, j in zip(cutoffs, steps)]
-        rows = evolve_lockstep(fields, params, diag_stride=1)
-        monkeypatch.setattr(integrator, "_BLOCK_POINTS", 64)
-        blocks = evolve_lockstep(fields, params, diag_stride=1)
-        for a, b in zip(rows, blocks, strict=True):
-            assert a.final.coeffs.tobytes() == b.final.coeffs.tobytes()
-            assert a.diagnostics == b.diagnostics and a.h1_max == b.h1_max
+        self.assert_lockstep_window_gives_rows(fields, params, monkeypatch)
 
-    def test_the_module_blocks_only_rows_past_its_size(self, monkeypatch):
-        # 2^13 is the first power of two whose grid (25600 points) is cut
-        assert _pow2_grid_size(4096) <= integrator._BLOCK_POINTS < _pow2_grid_size(8192)
-        cut = []
+    def test_a_stack_of_top_zero_makes_no_empty_span(self, monkeypatch):
+        # the window's k < 0 end holds no point at top 0; a call on it would
+        # take the whole row, as slice(0, None) does
+        cutoffs, steps = (128, 0), (0, 3)
+        fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
+        params = [SchemeParams(-1, 2.0 ** -5, n, j) for n, j in zip(cutoffs, steps)]
+        self.assert_lockstep_window_gives_rows(fields, params, monkeypatch)
+
+    def test_only_the_window_passes_take_spans_past_the_threshold(self, monkeypatch):
+        # 2^13 is the first power of two whose grid (25600 points) is past it
+        assert (_pow2_grid_size(4096) <= integrator._WINDOW_TABLES_PAST
+                < _pow2_grid_size(8192))
+        calls = []
         real = integrator._each
 
         def spy(spans, stage, *arrays):
-            cut.append(spans is not None)
+            calls.append((stage.__name__, spans is not None))
             return real(spans, stage, *arrays)
 
         monkeypatch.setattr(integrator, "_each", spy)
+        passes = ["_products", "_multipliers", "_truncate", "_combine"]
         for n in (4096, 8192):
             u = unit_field(n, n)
+            calls.clear()
             step(u, SchemeParams(-1, 0.01, n, 1), conserved_quantities(u))
-        assert cut == [False] * 6 + [True] * 6       # six passes a step
+            # the grid passes of stages 2 and 4 take whole rows on both
+            assert calls == [(name, n == 8192) for name in passes]
 
 
 def built_stepper(scheme, n, runs, monkeypatch):
@@ -1473,7 +1497,7 @@ def first_non_finite_h1(scheme, u, params):
 class TestTauLimit:
     """The explicit map has a tau limit set by the size of the data, not by
     N: the rough data at amplitude 1 (alpha = 1, lam = -1) blow up at
-    tau = 2^-5 at step 16 for every N, N = 2^13 on blocks included."""
+    tau = 2^-5 at step 16 for every N, N = 2^13 on the window included."""
 
     @pytest.mark.parametrize("n", [64, 256, 1024, 4096, 8192])
     def test_blow_up_step_does_not_depend_on_n(self, n):
