@@ -75,16 +75,22 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def parse_time(text: str) -> float:
-    """A positive time value: a float literal or the shorthand 2^k / 2^-k."""
+def parse_horizon(text: str) -> float:
+    """A time value: a float literal or the shorthand 2^k / 2^-k.  --T takes
+    any such value, which the run then checks."""
     text = text.strip()
     m = re.fullmatch(r"2\^([+-]?\d+)", text)
     try:
-        value = 2.0 ** int(m.group(1)) if m else float(text)
+        return 2.0 ** int(m.group(1)) if m else float(text)
     except (ValueError, OverflowError) as exc:
         raise CliError(f"cannot parse time value {text!r}") from exc
+
+
+def parse_time(text: str) -> float:
+    """A positive time value: a step, by the rule of `parse_horizon`."""
+    value = parse_horizon(text)
     if not (math.isfinite(value) and value > 0):
-        raise CliError(f"time value must be positive and finite, got {text!r}")
+        raise CliError(f"time value must be positive and finite, got {text.strip()!r}")
     return value
 
 
@@ -134,7 +140,7 @@ def _add_common(p: _Parser, study: bool) -> None:
                    help="regularity parameter of the rough initial data (default 1.0)")
     p.add_argument("--lambda", dest="lam", type=int, choices=[-1, 1], default=-1,
                    help="nonlinearity sign: -1 focusing, +1 defocusing (default -1)")
-    p.add_argument("--T", type=float, default=1.0,
+    p.add_argument("--T", type=parse_horizon, default=1.0,
                    help="final time; must be an integer multiple of tau (default 1.0)")
     p.add_argument("--scheme", choices=SCHEMES, default="lowreg",
                    help="time stepper: low-regularity integrator or a splitting "

@@ -215,8 +215,7 @@ _WINDOW_TABLES_PAST = 2 ** 14
 class _StepPlan:
     """Multiplier tables of the step for one (lam, tau, cutoff, mass,
     momentum) on an m-point product grid, built by `_plan`, or for a stack
-    of R runs of one lam on one grid, built by `stacked`; `top` is the
-    largest cutoff of its runs.
+    of R runs of one lam on one grid, built by `stacked`.
 
     Immutable after construction, so a stack's runs and steps share it;
     `apply` allocates its own work block of seven (R, m) rows and its result,
@@ -230,25 +229,23 @@ class _StepPlan:
 
     The elementwise passes between the FFTs live in the stage helpers below
     (`_products`, `_squares`, `_multipliers` with `_zero_mode`, `_cubics`,
-    `_truncate`, `_combine`), and `apply` makes each once, on whole rows,
-    while m <= _WINDOW_TABLES_PAST = 2^14, the grid of any N <= 5461.  On
-    longer rows the grid passes (stages 2 and 4) take whole rows too, and
-    the coefficient passes (stages 1 and 3, the t4 products and the
-    combine) take the window |k| <= top alone, one run and one end of the
-    row at a time.  Between the window's ends every table is zero, so those
-    work rows (0-4 before the stage-1 FFT, 3-6 before the stage-3 one) and
-    the result are zeroed there once instead, and the tables hold the
-    window alone: `_plan_for` lays them on its 2 top + 1 points whenever
-    m > _WINDOW_TABLES_PAST, the test by which `apply` takes the window,
-    and `_each` reads a table's negative frequencies as far from its end as
-    they are from the end of a row.  Both paths make the same operations
-    on each point in the same order, so a step's result is bitwise the
-    same on either (the band may hold +0.0 where a product with a zero gave
-    -0.0; for top = 1 see `_each`).  The FFT calls, their rows and the
-    allocations of `apply` are the same on both.
+    `_truncate`, `_combine`).  On tables of p = m points `apply` makes each
+    once, on whole rows.  On tables of the window |k| <= top alone, which
+    `_plan_for` lays for a top > 1 past _WINDOW_TABLES_PAST = 2^14 points
+    (the grid of any N >= 5462), the grid passes (stages 2 and 4) still take
+    whole rows, and the coefficient passes (stages 1 and 3, the t4 products
+    and the combine) take the window, one run and one end of the row at a
+    time.  Between the window's ends every table is zero, so those work rows
+    (0-4 before the stage-1 FFT, 3-6 before the stage-3 one) and the result
+    are zeroed there once instead.  Both paths make the same operations on
+    each point in the same order, so a step's result is bitwise the same on
+    either (the band may hold +0.0 where a product with a zero gave -0.0).
+    The FFT calls, their rows and the allocations of `apply` are the same
+    on both.
 
-    Tables and states are in standard order, with a run axis: t1, t3 and t4
-    have shape (rows, R, p), twist (R, p), on p = m points or the window's
+    Tables and states are in standard order, with a run axis: the plan is
+    one block of shape (12, R, p), whose rows are the views t1 (0-4), t3
+    (5-6), t4 (7-10) and twist (11), on p = m points or the window's
     p = 2 top + 1, and `apply` advances an (R, m) stack of states, run r on
     row r, by broadcasting, so a stack pays its numpy calls once per step
     for all R runs.  Run r's tables are zero beyond its cutoff N_r, so each
@@ -261,11 +258,10 @@ class _StepPlan:
     a row: a stack's work block is never larger than one run's at m > 2048.
     """
 
-    def __init__(self, t1, t3, t4, twist, top: int):
-        self.t1, self.t3, self.t4, self.twist = t1, t3, t4, twist
-        self.top = top
-        for arr in (t1, t3, t4, twist):
-            arr.flags.writeable = False
+    def __init__(self, tables):
+        tables.flags.writeable = False
+        self.tables = tables
+        self.t1, self.t3, self.t4, self.twist = tables[:5], tables[5:7], tables[7:11], tables[11]
 
     @classmethod
     def stacked(cls, plans) -> "_StepPlan":
@@ -273,14 +269,11 @@ class _StepPlan:
         own stack."""
         if len(plans) == 1:
             return plans[0]
-        return cls(*(np.concatenate([getattr(p, name) for p in plans], axis=axis)
-                     for name, axis in (("t1", 1), ("t3", 1), ("t4", 1), ("twist", 0))),
-                   max(p.top for p in plans))
+        return cls(np.concatenate([p.tables for p in plans], axis=1))
 
     def head(self, runs: int) -> "_StepPlan":
         """The stack of this stack's first `runs` runs, as views."""
-        return _StepPlan(self.t1[:, :runs], self.t3[:, :runs], self.t4[:, :runs],
-                         self.twist[:runs], self.top)
+        return _StepPlan(self.tables[:, :runs])
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         # seven grid rows, each reused once its value is dead, and the result,
@@ -290,15 +283,12 @@ class _StepPlan:
         # buffer).  Freed as one, the block stays in glibc's heap for the next
         # step (it keeps freed blocks up to 32 MiB)
         work = np.empty((7, *c.shape), dtype=np.complex128)
-        m = c.shape[-1]
-        # whole rows, or the window |k| <= top, with the band between its
-        # ends zeroed instead
+        m, p = c.shape[-1], self.tables.shape[-1]
+        # whole rows, or the window |k| <= n of tables on p = 2n + 1 points
         window = band = None
-        lead = c                                  # each run's c_0 in column 0
-        if m > _WINDOW_TABLES_PAST:
-            n = self.top
+        if p < m:
+            n = p // 2
             window, band = ((0, n + 1), (-n, 0)), slice(n + 1, m - n)
-            lead = np.broadcast_to(c[:, :1], c.shape)
 
         _each(window, _products, self.t1, c, work)
         if band is not None:
@@ -306,14 +296,17 @@ class _StepPlan:
         np.fft.ifft(work[:5], axis=-1, norm="forward", out=work[:5])
         _squares(work)
         np.fft.fft(work[3:7], axis=-1, norm="forward", out=work[3:7])
-        _each(window, _multipliers, self.t1, self.t3, c, lead, work)
+        _each(window, _multipliers, self.t1, self.t3, c, c[:, :1], work)
         _zero_mode(work[3], c[:, 0])
         if band is not None:
             work[3:7, :, band] = 0.0
         np.fft.ifft(work[3:7], axis=-1, norm="forward", out=work[3:7])
         _cubics(work)
         np.fft.fft(work[2:6], axis=-1, norm="forward", out=work[2:6])
-        _each(window, _truncate, self.t4, work)
+        if window is None:
+            work[2:6] *= self.t4
+        else:
+            _each(window, _truncate, self.t4, work)
         out = np.empty(c.shape, dtype=np.complex128)
         _each(window, _combine, self.twist, c, work, out)
         if band is not None:
@@ -324,22 +317,20 @@ class _StepPlan:
 def _each(spans, stage, *arrays) -> None:
     """stage(*arrays) on whole rows when spans is None.  Else once for each
     run r of their run axis (the second last) and each (start, stop) span
-    of `spans` that holds a point, on that run over that range of their
-    last axis.  A span of negative start counts from the end of each array,
-    as a slice does, stop 0 being the end, so that a table on the window
-    and a grid row give the same frequencies.  One run's span of a row is
-    contiguous to numpy, which allocates no buffer for it, where a call
-    over several runs' spans made it buffer.  At top = 1 the span of k = -1
-    is one point, over which numpy sums `_combine`'s four rows in another
-    order, so that column of the result may differ at round-off."""
+    of `spans`, on that run over that range of their last axis.  A span of
+    negative start counts from the end of each array, as a slice does, stop
+    0 being the end, so that a table on the window and a grid row give the
+    same frequencies, and an array of one column gives that column to every
+    span.  One run's span of a row is contiguous to numpy, which allocates
+    no buffer for it, where a call over several runs' spans made it buffer.
+    A span holds two points or more (see `_plan_for`)."""
     if spans is None:
         stage(*arrays)
         return
     for r in range(arrays[0].shape[-2]):
         rows = slice(r, r + 1)
         for lo, hi in spans:
-            if lo < hi:                       # a span of no points is no call
-                stage(*[x[..., rows, slice(lo, hi or None)] for x in arrays])
+            stage(*[x[..., rows, slice(lo, hi or None)] for x in arrays])
 
 
 # The stages of `_StepPlan.apply`, each on the same columns of its tables,
@@ -368,23 +359,22 @@ def _squares(work) -> None:
     np.multiply(fs[0], fs[0], out=work[6])
 
 
-def _multipliers(t1, t3, c, lead, work) -> None:
+def _multipliers(t1, t3, c, c0, work) -> None:
     """Stage 3, in place: truncation to S_N, h1 and z under their
     multipliers, h2 and g under the mask.  Leaves the factors of the cubic
     products: in row 3 w = W / (-i tau) with W = -1/2 (e^{-i tau d_xx} h1 -
     h2) - i tau Pi_N (f - c_0)^2, all that multiplies d_x conj(f) under
     d_x^{-1} e^{i tau d_xx}, but for the c_0^2 that `_zero_mode` adds;
     e^{i tau d_xx} g in the h2 row; -d_x^{-1} z; g.  The h2 row, dead once
-    added to w, is scratch until it takes e^{i tau d_xx} g.
-    Column 0 of `lead` holds each run's c_0: it is c itself on whole rows,
-    and c_0 spread over the row on the window."""
+    added to w, is scratch until it takes e^{i tau d_xx} g.  c0 is the
+    column of each run's c_0."""
     x = work[3:7]
     w, gp, _, g = x
     x[0::2] *= t3
     x[1::2] *= t1[0]
     w += gp
     w += g
-    gp[...] = (2.0 * lead[..., 0])[..., None]
+    gp[...] = 2.0 * c0
     w -= np.multiply(gp, c, out=gp)
     np.multiply(g, t1[1], out=gp)
 
@@ -419,8 +409,8 @@ def _cubics(work) -> None:
 
 def _truncate(t4, work) -> None:
     """The cubic rows 2-5 under their multipliers t4, each truncated to S_N,
-    one row at a time: over a span of the window numpy buffers a four-row
-    product, in a buffer larger than a row."""
+    on a span of the window row by row: there numpy buffered a four-row
+    product in more than a row, which `apply` makes as one on whole rows."""
     for t, row in zip(t4, work[2:6]):
         row *= t
 
@@ -442,29 +432,30 @@ def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, p: in
     # c_0: the d_x row becomes -i tau d_x conj(f) once conjugated, and
     # the squares of the d_x^{-1} rows come out divided by -2i tau
     s = np.sqrt(0.5j / tau)                   # s^2 = 1 / (-2i tau)
-    t1 = np.stack([np.ones_like(ep), ep, -tau * k, s * inv_ik * ep, s * inv_ik])
-    t3 = np.stack([-np.conj(ep), -inv_ik])
     inv_ik2 = inv_ik * inv_ik
-    t4 = np.stack([
-        -lam * inv_ik, lam * ep * inv_ik,
+    tables = np.stack([
+        np.ones_like(ep), ep, -tau * k, s * inv_ik * ep, s * inv_ik,    # t1
+        -np.conj(ep), -inv_ik,                                           # t3
+        -lam * inv_ik, lam * ep * inv_ik,                                # t4
         -0.5 * lam * inv_ik2, 0.5 * lam * ep * inv_ik2,
+        _twist_phase(k, tau, lam, mass, mom_imag),                       # twist
     ])
     # Pi_0(conj(f) Pi_N f^2) = Pi_0(|f|^2 f), so the k = 0 entry of the
-    # last row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
-    t4[3, 0] = -1j * lam * tau
-    twist = _twist_phase(k, tau, lam, mass, mom_imag)
+    # last t4 row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
+    tables[10, 0] = -1j * lam * tau
     # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
     # phase on the zero mode
-    twist[0] = 1.0
-    t1, t3, t4 = (_standard(t, cutoff, p)[:, None] for t in (t1, t3, t4))
-    return _StepPlan(t1, t3, t4, _standard(twist, cutoff, p)[None], cutoff)
+    tables[11, 0] = 1.0
+    return _StepPlan(_standard(tables, cutoff, p)[:, None])
 
 
 def _plan_for(params: SchemeParams, cq: ConservedQuantities, top: int, m: int) -> _StepPlan:
     """The plan of a run in a stack of largest cutoff top on m points: its
-    tables on the whole row, or on the window |k| <= top where `apply`
-    reads them there alone."""
-    p = 2 * top + 1 if m > _WINDOW_TABLES_PAST else m
+    tables on the window |k| <= top past _WINDOW_TABLES_PAST points, else on
+    the whole row.  A top of 0 or 1 takes whole rows at any m: over a window
+    end of one point numpy rounds an in-place product and sums `_combine`'s
+    rows otherwise than along a row."""
+    p = 2 * top + 1 if m > _WINDOW_TABLES_PAST and top > 1 else m
     return _plan(params.lam, params.tau, params.cutoff, cq.mass, cq.momentum_imag, p)
 
 
@@ -752,11 +743,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _lines(path: Path) -> list[str]:
+    try:
+        return path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _table(path: Path, count: int, parse) -> list:
     """parse(*fields) of each line of a dump's table file, a line of count
     fields; a bad line is one ValueError naming the file and the line."""
     rows = []
-    for n, line in enumerate(path.read_text().splitlines(), start=1):
+    for n, line in enumerate(_lines(path), start=1):
         fields = line.split()
         try:
             if len(fields) != count:
@@ -769,7 +767,7 @@ def _table(path: Path, count: int, parse) -> list:
 
 def _manifest_dict(path: Path) -> dict[str, str]:
     out = {}
-    for ln in path.read_text().splitlines():
+    for ln in _lines(path):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -791,10 +789,11 @@ def load_trajectory(dirpath) -> Trajectory:
     range raise one ValueError naming the manifest and the key.  The three
     tables are read by one rule, `_table`: a line of the wrong field count or
     with a bad or non-finite number is one ValueError naming the file and the
-    line.  A state file must hold 2N+1 lines at the manifest's N, and the
-    rows' steps must rise strictly from 0 to the manifest's steps, so each
-    row's time j * tau is finite too; a file that does not is one ValueError
-    naming it (and the row's line).  A missing table file raises OSError."""
+    line, and a file that is not UTF-8 text is one ValueError naming it.  A
+    state file must hold 2N+1 lines at the manifest's N, and the rows' steps
+    must rise strictly from 0 to the manifest's steps, so each row's time
+    j * tau is finite too; a file that does not is one ValueError naming it
+    (and the row's line).  A missing table file raises OSError."""
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():

@@ -236,33 +236,37 @@ def test_criterion_09_h1_stays_bounded(capsys):
             f"max H^1 {traj.h1_max:.6f} vs bound {bound:.6f}")
 
 
-def _step_ms(cutoff, reps):
-    params = SchemeParams(lam=-1, tau=2.0 ** -8, cutoff=cutoff, steps=1)
-    u = initialize(InitialDataSpec(kind="sobolev", alpha=1.0), cutoff)
-    cq = conserved_quantities(u)
-    f = step(u, params, cq)  # warm up: plan construction and caches
-    f = step(f, params, cq)
-    times = []
+def _step_ms(reps):
+    """The least time in ms of one step at each cutoff of `reps`, once every
+    cutoff is warm, its reps[cutoff] steps taken round-robin across the
+    cutoffs, so that a slow spell of the host falls on all of them."""
+    runs = {}
+    for cutoff in reps:
+        params = SchemeParams(lam=-1, tau=2.0 ** -8, cutoff=cutoff, steps=1)
+        u = initialize(InitialDataSpec(kind="sobolev", alpha=1.0), cutoff)
+        cq = conserved_quantities(u)
+        # warm up: plan construction and caches
+        runs[cutoff] = [step(step(u, params, cq), params, cq), params, cq]
+    times = {cutoff: [] for cutoff in reps}
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            f = step(f, params, cq)
-            times.append((time.perf_counter() - t0) * 1e3)
+        for i in range(max(reps.values())):
+            for cutoff, run in runs.items():
+                if i < reps[cutoff]:
+                    t0 = time.perf_counter()
+                    run[0] = step(*run)
+                    times[cutoff].append((time.perf_counter() - t0) * 1e3)
     finally:
         if enabled:
             gc.enable()
     # the minimum estimates the inherent cost; larger samples carry scheduler
     # and allocator noise, which is what the scaling bound must ignore
-    return min(times)
+    return {cutoff: min(ts) for cutoff, ts in times.items()}
 
 
 def test_criterion_10_step_cost_scaling(capsys):
-    t10 = _step_ms(2 ** 10, reps=11)
-    t12 = _step_ms(2 ** 12, reps=9)
-    t13 = _step_ms(2 ** 13, reps=9)
-    t14 = _step_ms(2 ** 14, reps=9)
+    t10, t12, t13, t14 = _step_ms({2 ** 10: 11, 2 ** 12: 9, 2 ** 13: 9, 2 ** 14: 9}).values()
     r1, r2 = t13 / t12, t14 / t13
     ok = t10 <= 5.0 and r1 <= 3.0 and r2 <= 3.0
     _report(capsys, 10, "per-step cost and scaling", ok,

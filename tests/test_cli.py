@@ -6,6 +6,7 @@ python -m entry point and exit codes as seen by a shell.
 
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -30,6 +31,7 @@ from lowregnls.cli import (
     _check_steps,
     main,
     parse_cutoff,
+    parse_horizon,
     parse_time,
 )
 from lowregnls.harness import CSV_HEADER
@@ -59,6 +61,19 @@ class TestValueParsing:
         with pytest.raises(CliError):
             parse_time(bad)
 
+    def test_horizon_takes_any_time_literal(self):
+        # the time value of --T: the rule of parse_time, left to the run to
+        # check, so that 0 and the values the run rejects still parse
+        assert parse_horizon(" 2^-1 ") == 0.5
+        assert parse_horizon("0") == 0.0
+        assert parse_horizon("-1") == -1.0
+        assert math.isnan(parse_horizon("nan"))
+
+    @pytest.mark.parametrize("bad", ["abc", "2^", "2^99999", ""])
+    def test_horizon_rejects(self, bad):
+        with pytest.raises(CliError, match="cannot parse time value"):
+            parse_horizon(bad)
+
     def test_cutoff_shorthand(self):
         assert parse_cutoff("2^5") == 32
         assert parse_cutoff("17") == 17
@@ -78,6 +93,12 @@ class TestSolve:
         assert "scheme=lowreg" in out
         assert "final: l2=" in out
         assert "h1_max=" in out
+
+    @pytest.mark.parametrize("horizon, run", [("2^-1", "T=0.5 steps=4"), ("0", "T=0.0 steps=0")])
+    def test_horizon_shorthand(self, horizon, run, capsys):
+        # --T takes the 2^k shorthand of --tau, and 0 runs no step
+        assert main(["solve", "--tau", "2^-3", "--N", "8", "--T", horizon]) == 0
+        assert f"tau=0.125 {run}\n" in capsys.readouterr().out
 
     def test_writes_dump(self, tmp_path, capsys):
         dump = tmp_path / "run"
@@ -254,6 +275,13 @@ class TestStudies:
         [line] = [ln for ln in out.splitlines() if "wall_ms" in ln]
         assert float(line.removeprefix("wall_ms=")) >= 0.0
         assert "wall_ms" not in (tmp_path / "study_temporal.csv").read_text()
+
+    def test_horizon_shorthand(self, capsys):
+        args = ["study-temporal", "--tau-list", "2^-4,2^-5", "--N-list", "8"]
+        assert main(args + ["--T", "2^-1"]) == 0
+        shorthand = capsys.readouterr().out
+        assert main(args + ["--T", "0.5"]) == 0
+        assert shorthand == capsys.readouterr().out
 
     def test_jobs_flag_is_deterministic(self, capsys):
         args = ["study-temporal", "--tau-list", "2^-4,2^-5",
@@ -454,6 +482,16 @@ class TestErrorContract:
                           "1e200", "--out", str(dump)], 1, capsys)
         assert "blew up to a non-finite H^1 norm at step 0 " in msg
         assert not dump.exists()
+
+    @pytest.mark.parametrize("name", ["final.txt", "manifest.txt"])
+    def test_dump_file_not_utf8(self, name, tmp_path, capsys):
+        dump = tmp_path / "D"
+        assert main(["solve", "--tau", "2^-3", "--N", "4", "--T", "1", "--out", str(dump)]) == 0
+        capsys.readouterr()
+        path = dump / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
+        assert msg.startswith(f"error: {path}: ")
 
     def test_dump_whose_horizon_overflows(self, tmp_path, capsys):
         # a dump edited to a step count past float range, its last row at that

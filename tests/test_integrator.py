@@ -397,9 +397,9 @@ class TestStepMemory:
     def test_plans_hold_twelve_rows_where_apply_reads(self, cutoffs, points, monkeypatch):
         plans = []
 
-        def spy(*args, real=integrator._plan):
-            plans.append(real(*args))
-            return plans[-1]
+        def spy(lam, tau, cutoff, *args, real=integrator._plan):
+            plans.append((cutoff, real(lam, tau, cutoff, *args)))
+            return plans[-1][1]
 
         monkeypatch.setattr(integrator, "_plan", spy)
         fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
@@ -408,21 +408,18 @@ class TestStepMemory:
         if len(cutoffs) == 1:                 # `step` lays them by the same rule
             step(fields[0], runs[0], conserved_quantities(fields[0]))
         assert len(plans) == len(cutoffs) + (len(cutoffs) == 1)
-        for plan in plans:
-            tables = (plan.t1, plan.t3, plan.t4, plan.twist)
-            assert sum(t.nbytes for t in tables) == 12 * points * 16
-            n = plan.top
-            assert not any(t[..., n + 1: points - n].any() for t in tables)
+        for n, plan in plans:
+            assert plan.tables.shape == (12, 1, points)
+            assert not plan.tables[..., n + 1: points - n].any()
 
     @with_blocks((1024, 1), (128, 6), (0, 2))
     def test_apply_writes_only_its_result(self, n, runs, block, monkeypatch):
         set_block(monkeypatch, block)
         stack, c = random_stack(n, runs)
-        tables = [stack.t1, stack.t3, stack.t4, stack.twist]
-        before = [a.tobytes() for a in (c, *tables)]
+        before = [a.tobytes() for a in (c, stack.tables)]
         out = stack.apply(c)
-        assert [a.tobytes() for a in (c, *tables)] == before
-        assert not any(np.shares_memory(out, a) for a in (c, *tables))
+        assert [a.tobytes() for a in (c, stack.tables)] == before
+        assert not any(np.shares_memory(out, a) for a in (c, stack.tables))
 
 
 def window_bytes(c, top):
@@ -433,9 +430,10 @@ def window_bytes(c, top):
 
 class TestBlockedStep:
     """Rows longer than `integrator._WINDOW_TABLES_PAST` points step their
-    coefficient passes on the window |k| <= top alone, with the tables laid
-    there; the result is bitwise that of whole rows.  The threshold is
-    patched down to 64 so that small grids take the window."""
+    coefficient passes on the window |k| <= top alone for a top > 1, with
+    the tables laid there; the result is bitwise that of whole rows at every
+    top.  The threshold is patched down to 64 so that small grids take the
+    window."""
 
     # cutoffs of a stack's runs: a window of 193 and 192 points at its two
     # ends; of 41 and 40; a stack of 128 and 64 padded on the 400-point grid
@@ -462,7 +460,7 @@ class TestBlockedStep:
         for _ in range(3):
             c = stack.apply(c)
             out.append(c)
-        return out, stack.t1.shape[-1]
+        return out, stack.tables.shape[-1]
 
     def assert_window_gives_rows(self, fields, params, monkeypatch):
         top = max(p.cutoff for p in params)
@@ -491,14 +489,21 @@ class TestBlockedStep:
         self.assert_window_gives_rows(*self.stack_runs(cutoffs, runs), monkeypatch)
 
     # stacks the fixed ones miss: 1-4 runs, each of its own cutoff, so that
-    # most stacks pad runs on the grid of their largest, and tau
-    @given(st.lists(st.tuples(st.integers(22, 200), st.floats(-8.0, -3.0)),
-                    min_size=1, max_size=4), LAMS, SEEDS)
-    def test_random_stacks_give_the_rows_result(self, runs, lam, seed):
-        fields = [unit_field(seed + r, n) for r, (n, _) in enumerate(runs)]
-        params = [SchemeParams(lam, 2.0 ** e, n, 3) for n, e in runs]
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            self.assert_window_gives_rows(fields, params, monkeypatch)
+    # most stacks pad runs on the grid of their largest, and tau, beside up
+    # to two runs of cutoff 0-6; as the large runs may take no step, the
+    # lockstep may step a stack of any of those tops
+    @given(st.lists(st.tuples(st.integers(22, 200), st.floats(-8.0, -3.0), st.integers(0, 3)),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 6), st.floats(-8.0, -3.0), st.integers(1, 3)),
+                    max_size=2),
+           LAMS, SEEDS)
+    def test_random_stacks_give_the_rows_result(self, large, small, lam, seed):
+        runs = large + small
+        fields = [unit_field(seed + r, n) for r, (n, _, _) in enumerate(runs)]
+        params = [SchemeParams(lam, 2.0 ** e, n, j) for n, e, j in runs]
+        for check in (self.assert_window_gives_rows, self.assert_lockstep_window_gives_rows):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                check(fields, params, monkeypatch)
 
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("cutoffs", STACKS.values(), ids=STACKS.keys())
@@ -515,13 +520,23 @@ class TestBlockedStep:
         params = [SchemeParams(-1, 2.0 ** -5, n, j) for n, j in zip(cutoffs, steps)]
         self.assert_lockstep_window_gives_rows(fields, params, monkeypatch)
 
-    def test_a_stack_of_top_zero_makes_no_empty_span(self, monkeypatch):
-        # the window's k < 0 end holds no point at top 0; a call on it would
-        # take the whole row, as slice(0, None) does
-        cutoffs, steps = (128, 0), (0, 3)
-        fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
-        params = [SchemeParams(-1, 2.0 ** -5, n, j) for n, j in zip(cutoffs, steps)]
+    @pytest.mark.parametrize("top", range(7))
+    def test_every_live_top_steps_as_its_rows(self, top, monkeypatch):
+        # the run of the grid's cutoff, 128, has no step, so the stack steps
+        # the other run alone on the 400-point grid of 128: on the window
+        # |k| <= top for top > 1, on whole rows below, where the window's
+        # k < 0 end would hold one point or none
+        points = []
+
+        def spy(*args, real=integrator._plan):
+            points.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(integrator, "_plan", spy)
+        fields = [unit_field(0, 128), unit_field(1, top)]
+        params = [SchemeParams(-1, 2.0 ** -5, 128, 0), SchemeParams(-1, 2.0 ** -5, top, 8)]
         self.assert_lockstep_window_gives_rows(fields, params, monkeypatch)
+        assert points == [400, 2 * top + 1 if top > 1 else 400]
 
     def test_only_the_window_passes_take_spans_past_the_threshold(self, monkeypatch):
         # 2^13 is the first power of two whose grid (25600 points) is past it
@@ -535,12 +550,15 @@ class TestBlockedStep:
             return real(spans, stage, *arrays)
 
         monkeypatch.setattr(integrator, "_each", spy)
-        passes = ["_products", "_multipliers", "_truncate", "_combine"]
         for n in (4096, 8192):
             u = unit_field(n, n)
             calls.clear()
             step(u, SchemeParams(-1, 0.01, n, 1), conserved_quantities(u))
-            # the grid passes of stages 2 and 4 take whole rows on both
+            # the grid passes of stages 2 and 4 take whole rows on both, and
+            # whole rows make their t4 products as one
+            passes = ["_products", "_multipliers", "_truncate", "_combine"]
+            if n == 4096:
+                passes.remove("_truncate")
             assert calls == [(name, n == 8192) for name in passes]
 
 
