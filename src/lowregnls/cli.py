@@ -71,6 +71,14 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a flag's value that starts with "-" is a negative number in any
+        # notation (-1, -1.5, -.5, -1e-3, -inf, -nan), where argparse's own
+        # pattern takes only -1 and -.5 and reads -1e-3 as an option
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         raise CliError(message)
 

@@ -13,7 +13,7 @@ to a logarithmic factor, without any CFL-type step restriction.
 same Fourier multiplier are summed on the grid and transformed once.  On
 rows of more than _WINDOW_TABLES_PAST = 2^14 points the multiplier tables
 hold the window |k| <= N alone, and the passes in coefficient space visit
-only it; the result is bitwise the same (see `_StepPlan`).
+only it; the result is bitwise the same (see `_apply`).
 `evolve_lockstep` is the one driver of every scheme: it advances runs of
 several taus together as one stack of states through the same calls, by
 the low-regularity step (runs of several cutoffs on the product grid of
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -212,13 +212,12 @@ def initialize(source, cutoff: int) -> SpectralField:
 _WINDOW_TABLES_PAST = 2 ** 14
 
 
-class _StepPlan:
-    """Multiplier tables of the step for one (lam, tau, cutoff, mass,
-    momentum) on an m-point product grid, built by `_plan`, or for a stack
-    of R runs of one lam on one grid, built by `stacked`.
+def _apply(tables: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """One step of an (R, m) stack of states c, run r on row r, by the
+    read-only (12, R, p) table block of a stack of R runs of one lam on one
+    grid, built by `_plan`.
 
-    Immutable after construction, so a stack's runs and steps share it;
-    `apply` allocates its own work block of seven (R, m) rows and its result,
+    Allocates its own work block of seven (R, m) rows and its result,
     nothing else of that size.  One application costs 17 FFT rows per run
     (stages of 5 + 4 + 4 + 4), in four batched calls, of length m, each in
     place in the block.  The FFT, Pi_N and the diagonal multipliers are
@@ -229,10 +228,10 @@ class _StepPlan:
 
     The elementwise passes between the FFTs live in the stage helpers below
     (`_products`, `_squares`, `_multipliers` with `_zero_mode`, `_cubics`,
-    `_truncate`, `_combine`).  On tables of p = m points `apply` makes each
+    `_truncate`, `_combine`).  On tables of p = m points `_apply` makes each
     once, on whole rows.  On tables of the window |k| <= top alone, which
-    `_plan_for` lays for a top > 1 past _WINDOW_TABLES_PAST = 2^14 points
-    (the grid of any N >= 5462), the grid passes (stages 2 and 4) still take
+    `_plan` lays for a top > 1 past _WINDOW_TABLES_PAST = 2^14 points (the
+    grid of any N >= 5462), the grid passes (stages 2 and 4) still take
     whole rows, and the coefficient passes (stages 1 and 3, the t4 products
     and the combine) take the window, one run and one end of the row at a
     time.  Between the window's ends every table is zero, so those work rows
@@ -240,78 +239,57 @@ class _StepPlan:
     are zeroed there once instead.  Both paths make the same operations on
     each point in the same order, so a step's result is bitwise the same on
     either (the band may hold +0.0 where a product with a zero gave -0.0).
-    The FFT calls, their rows and the allocations of `apply` are the same
-    on both.
+    The FFT calls, their rows and the allocations are the same on both.
 
-    Tables and states are in standard order, with a run axis: the plan is
-    one block of shape (12, R, p), whose rows are the views t1 (0-4), t3
-    (5-6), t4 (7-10) and twist (11), on p = m points or the window's
-    p = 2 top + 1, and `apply` advances an (R, m) stack of states, run r on
-    row r, by broadcasting, so a stack pays its numpy calls once per step
-    for all R runs.  Run r's tables are zero beyond its cutoff N_r, so each
+    Tables and states are in standard order, with a run axis: the block's
+    rows are t1 (0-4), t3 (5-6), t4 (7-10) and twist (11), and broadcasting
+    over the run axis lets a stack pay its numpy calls once per step for all
+    R runs.  Run r's tables are zero beyond its cutoff N_r, so each
     multiplication truncates to Pi_{N_r} (t1[0] is its mask), and runs of
     several cutoffs share the grid of the largest, exact for each
-    (3N+1 >= 3N_r+1), each row bitwise equal to its plan applied alone on
-    that grid.
+    (3N+1 >= 3N_r+1), each row bitwise equal to its run's own one-run block
+    applied alone on that grid.
     A study advances its runs this way, in stacks that its runs alone
     decide, never its jobs, with at most harness.STACK_POINTS grid points in
     a row: a stack's work block is never larger than one run's at m > 2048.
     """
+    # seven grid rows, each reused once its value is dead, and the result,
+    # taken after the last FFT and the t4 products so it never sits beside
+    # pocketfft's scratch or numpy's buffers, are all the step allocates
+    # of R * m points (a row holds any operand numpy would copy into a
+    # buffer).  Freed as one, the block stays in glibc's heap for the next
+    # step (it keeps freed blocks up to 32 MiB)
+    work = np.empty((7, *c.shape), dtype=np.complex128)
+    t1, t3, t4, twist = tables[:5], tables[5:7], tables[7:11], tables[11]
+    m, p = c.shape[-1], tables.shape[-1]
+    # whole rows, or the window |k| <= n of tables on p = 2n + 1 points
+    window = band = None
+    if p < m:
+        n = p // 2
+        window, band = ((0, n + 1), (-n, 0)), slice(n + 1, m - n)
 
-    def __init__(self, tables):
-        tables.flags.writeable = False
-        self.tables = tables
-        self.t1, self.t3, self.t4, self.twist = tables[:5], tables[5:7], tables[7:11], tables[11]
-
-    @classmethod
-    def stacked(cls, plans) -> "_StepPlan":
-        """The stack of one-tau plans of one lam on one grid; one plan is its
-        own stack."""
-        if len(plans) == 1:
-            return plans[0]
-        return cls(np.concatenate([p.tables for p in plans], axis=1))
-
-    def head(self, runs: int) -> "_StepPlan":
-        """The stack of this stack's first `runs` runs, as views."""
-        return _StepPlan(self.tables[:, :runs])
-
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        # seven grid rows, each reused once its value is dead, and the result,
-        # taken after the last FFT and the t4 products so it never sits beside
-        # pocketfft's scratch or numpy's buffers, are all the step allocates
-        # of R * m points (a row holds any operand numpy would copy into a
-        # buffer).  Freed as one, the block stays in glibc's heap for the next
-        # step (it keeps freed blocks up to 32 MiB)
-        work = np.empty((7, *c.shape), dtype=np.complex128)
-        m, p = c.shape[-1], self.tables.shape[-1]
-        # whole rows, or the window |k| <= n of tables on p = 2n + 1 points
-        window = band = None
-        if p < m:
-            n = p // 2
-            window, band = ((0, n + 1), (-n, 0)), slice(n + 1, m - n)
-
-        _each(window, _products, self.t1, c, work)
-        if band is not None:
-            work[:5, :, band] = 0.0
-        np.fft.ifft(work[:5], axis=-1, norm="forward", out=work[:5])
-        _squares(work)
-        np.fft.fft(work[3:7], axis=-1, norm="forward", out=work[3:7])
-        _each(window, _multipliers, self.t1, self.t3, c, c[:, :1], work)
-        _zero_mode(work[3], c[:, 0])
-        if band is not None:
-            work[3:7, :, band] = 0.0
-        np.fft.ifft(work[3:7], axis=-1, norm="forward", out=work[3:7])
-        _cubics(work)
-        np.fft.fft(work[2:6], axis=-1, norm="forward", out=work[2:6])
-        if window is None:
-            work[2:6] *= self.t4
-        else:
-            _each(window, _truncate, self.t4, work)
-        out = np.empty(c.shape, dtype=np.complex128)
-        _each(window, _combine, self.twist, c, work, out)
-        if band is not None:
-            out[:, band] = 0.0
-        return out
+    _each(window, _products, t1, c, work)
+    if band is not None:
+        work[:5, :, band] = 0.0
+    np.fft.ifft(work[:5], axis=-1, norm="forward", out=work[:5])
+    _squares(work)
+    np.fft.fft(work[3:7], axis=-1, norm="forward", out=work[3:7])
+    _each(window, _multipliers, t1, t3, c, c[:, :1], work)
+    _zero_mode(work[3], c[:, 0])
+    if band is not None:
+        work[3:7, :, band] = 0.0
+    np.fft.ifft(work[3:7], axis=-1, norm="forward", out=work[3:7])
+    _cubics(work)
+    np.fft.fft(work[2:6], axis=-1, norm="forward", out=work[2:6])
+    if window is None:
+        work[2:6] *= t4
+    else:
+        _each(window, _truncate, t4, work)
+    out = np.empty(c.shape, dtype=np.complex128)
+    _each(window, _combine, twist, c, work, out)
+    if band is not None:
+        out[:, band] = 0.0
+    return out
 
 
 def _each(spans, stage, *arrays) -> None:
@@ -323,7 +301,7 @@ def _each(spans, stage, *arrays) -> None:
     same frequencies, and an array of one column gives that column to every
     span.  One run's span of a row is contiguous to numpy, which allocates
     no buffer for it, where a call over several runs' spans made it buffer.
-    A span holds two points or more (see `_plan_for`)."""
+    A span holds two points or more (see `_plan`)."""
     if spans is None:
         stage(*arrays)
         return
@@ -333,7 +311,7 @@ def _each(spans, stage, *arrays) -> None:
             stage(*[x[..., rows, slice(lo, hi or None)] for x in arrays])
 
 
-# The stages of `_StepPlan.apply`, each on the same columns of its tables,
+# The stages of `_apply`, each on the same columns of its tables,
 # states c and work rows; the FFTs between them run on whole rows.
 
 def _products(t1, c, work) -> None:
@@ -410,7 +388,7 @@ def _cubics(work) -> None:
 def _truncate(t4, work) -> None:
     """The cubic rows 2-5 under their multipliers t4, each truncated to S_N,
     on a span of the window row by row: there numpy buffered a four-row
-    product in more than a row, which `apply` makes as one on whole rows."""
+    product in more than a row, which `_apply` makes as one on whole rows."""
     for t, row in zip(t4, work[2:6]):
         row *= t
 
@@ -423,40 +401,45 @@ def _combine(twist, c, work, out) -> None:
 
 
 @lru_cache(maxsize=32)
-def _plan(lam: int, tau: float, cutoff: int, mass: float, mom_imag: float, p: int) -> _StepPlan:
-    """The plan of one run, its tables in standard order on p points."""
-    k = _uncentered(np.arange(-cutoff, cutoff + 1.0))
-    inv_ik = _inv_ik(k)                       # d_x^{-1}, zero at k = 0
-    ep = _free_phase(k, tau)                  # e^{i tau d_xx}
-    # stage 1 scales two grid rows so that stage 3 needs no scalar but
-    # c_0: the d_x row becomes -i tau d_x conj(f) once conjugated, and
-    # the squares of the d_x^{-1} rows come out divided by -2i tau
-    s = np.sqrt(0.5j / tau)                   # s^2 = 1 / (-2i tau)
-    inv_ik2 = inv_ik * inv_ik
-    tables = np.stack([
-        np.ones_like(ep), ep, -tau * k, s * inv_ik * ep, s * inv_ik,    # t1
-        -np.conj(ep), -inv_ik,                                           # t3
-        -lam * inv_ik, lam * ep * inv_ik,                                # t4
-        -0.5 * lam * inv_ik2, 0.5 * lam * ep * inv_ik2,
-        _twist_phase(k, tau, lam, mass, mom_imag),                       # twist
-    ])
-    # Pi_0(conj(f) Pi_N f^2) = Pi_0(|f|^2 f), so the k = 0 entry of the
-    # last t4 row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
-    tables[10, 0] = -1j * lam * tau
-    # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
-    # phase on the zero mode
-    tables[11, 0] = 1.0
-    return _StepPlan(_standard(tables, cutoff, p)[:, None])
-
-
-def _plan_for(params: SchemeParams, cq: ConservedQuantities, top: int, m: int) -> _StepPlan:
-    """The plan of a run in a stack of largest cutoff top on m points: its
-    tables on the window |k| <= top past _WINDOW_TABLES_PAST points, else on
-    the whole row.  A top of 0 or 1 takes whole rows at any m: over a window
-    end of one point numpy rounds an in-place product and sums `_combine`'s
-    rows otherwise than along a row."""
+def _plan(lam: int, runs: tuple, top: int, m: int) -> np.ndarray:
+    """The read-only (12, R, p) table block of a stack of R runs of one lam
+    and largest cutoff top on m points, row r from runs[r] = (tau, cutoff,
+    mass, momentum_imag), in standard order: on the window |k| <= top,
+    p = 2 top + 1, past _WINDOW_TABLES_PAST points, else on the whole row,
+    p = m.  A top of 0 or 1 takes whole rows at any m: over a window end of
+    one point numpy rounds an in-place product and sums `_combine`'s rows
+    otherwise than along a row.  Cached by stack; `step`'s run is a stack
+    of one, so a loop of steps builds its block once."""
     p = 2 * top + 1 if m > _WINDOW_TABLES_PAST and top > 1 else m
-    return _plan(params.lam, params.tau, params.cutoff, cq.mass, cq.momentum_imag, p)
+    tables = np.empty((12, len(runs), p), dtype=np.complex128)
+    for r, (tau, cutoff, mass, mom_imag) in enumerate(runs):
+        k = _uncentered(np.arange(-cutoff, cutoff + 1.0))
+        inv_ik = _inv_ik(k)                   # d_x^{-1}, zero at k = 0
+        ep = _free_phase(k, tau)              # e^{i tau d_xx}
+        # stage 1 scales two grid rows so that stage 3 needs no scalar but
+        # c_0: the d_x row becomes -i tau d_x conj(f) once conjugated, and
+        # the squares of the d_x^{-1} rows come out divided by -2i tau
+        s = np.sqrt(0.5j / tau)               # s^2 = 1 / (-2i tau)
+        inv_ik2 = inv_ik * inv_ik
+        rows = [
+            np.ones_like(ep), ep, -tau * k, s * inv_ik * ep, s * inv_ik,    # t1
+            -np.conj(ep), -inv_ik,                                           # t3
+            -lam * inv_ik, lam * ep * inv_ik,                                # t4
+            -0.5 * lam * inv_ik2, 0.5 * lam * ep * inv_ik2,
+            _twist_phase(k, tau, lam, mass, mom_imag),                       # twist
+        ]
+        # Pi_0(conj(f) Pi_N f^2) = Pi_0(|f|^2 f), so the k = 0 entry of the
+        # last t4 row yields the scheme's mean term -i lam tau Pi_0(|f|^2 f)
+        rows[10][0] = -1j * lam * tau
+        # the mean correction (1 - e^{-2i lam tau mass}) c_0 undoes the mass
+        # phase on the zero mode
+        rows[11][0] = 1.0
+        # laid out row by row, as a stacked copy would hold 12 more rows
+        for table, row in zip(tables[:, r], rows):
+            _standard(row, cutoff, p, out=table)
+    # immutable, so that a stack's runs and steps and `step`'s calls share it
+    tables.flags.writeable = False
+    return tables
 
 
 def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> SpectralField:
@@ -464,8 +447,9 @@ def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> Spe
     _finite_field(f, "f", params.cutoff)
     m = _pow2_grid_size(f.cutoff)
     c = _standard(_uncentered(f.coeffs), f.cutoff, m)
-    plan = _plan_for(params, cq, f.cutoff, m)
-    return SpectralField(f.cutoff, _centered(plan.apply(c[None])[0], f.cutoff))
+    run = (params.tau, params.cutoff, cq.mass, cq.momentum_imag)
+    tables = _plan(params.lam, (run,), f.cutoff, m)
+    return SpectralField(f.cutoff, _centered(_apply(tables, c[None])[0], f.cutoff))
 
 
 def step_twisted(
@@ -627,7 +611,7 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
     initials holds one field per run, each at its run's cutoff, whose
     conserved quantities are the run's.  Row r of the (R, m) state stack is
     run r in standard order, for every scheme: on the product grid of the
-    largest cutoff N for the low-regularity step (see `_StepPlan`), on 2N+1
+    largest cutoff N for the low-regularity step (see `_apply`), on 2N+1
     points for splitting runs, which share one cutoff (see `reference`).
     Only H^1 norms, final states and diagnostics are centered.  The runs
     step in descending order of step count, and a run that reaches its step
@@ -709,8 +693,10 @@ def _stepper(scheme: str, ranked, size: int):
     if scheme != "lowreg":
         return _splitting_stepper(scheme, [rec.params for rec in ranked])
     top = max(rec.params.cutoff for rec in ranked)
-    stack = _StepPlan.stacked([_plan_for(rec.params, rec.cq, top, size) for rec in ranked])
-    return lambda rows: stack.head(rows).apply
+    runs = tuple((rec.params.tau, rec.params.cutoff, rec.cq.mass, rec.cq.momentum_imag)
+                 for rec in ranked)
+    tables = _plan(ranked[0].params.lam, runs, top, size)
+    return lambda rows: partial(_apply, tables[:, :rows])
 
 
 def save_trajectory(traj: Trajectory, dirpath) -> None:

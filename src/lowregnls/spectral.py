@@ -136,7 +136,11 @@ def _real(value, name: str, positive: bool = False) -> float:
     # numpy's bool is no numbers.Real; Python's is an int
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:                     # an int or a Fraction past float range
+        raise ValueError(f"{name} must be finite, got {type(value).__name__} "
+                         "past the float range") from None
     if positive and not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     if not math.isfinite(value):
@@ -222,7 +226,7 @@ def twist_propagator(
 
 
 # The multipliers of the scheme, on float frequencies k; the public operators
-# above and integrator._StepPlan both build from these.
+# above and integrator._plan both build from these.
 
 def _inv_ik(k: np.ndarray) -> np.ndarray:
     """Multiplier of d_x^{-1}: 1/(ik) = -i/k for k != 0, zero at k = 0."""

@@ -100,6 +100,16 @@ class TestSolve:
         assert main(["solve", "--tau", "2^-3", "--N", "8", "--T", horizon]) == 0
         assert f"tau=0.125 {run}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("amplitude", ["-1e-3", "-1E+0", "-.5e-2"])
+    def test_negative_value_in_any_notation(self, amplitude, capsys):
+        # a value that starts with "-" is a number, not an option: the run
+        # is the one of the joined form, which argparse never takes apart
+        outs = []
+        for flag in (["--amplitude", amplitude], [f"--amplitude={amplitude}"]):
+            assert main(["solve", "--tau", "2^-3", "--N", "8", "--T", "1", *flag]) == 0
+            outs.append(capsys.readouterr().out.split(" wall_ms=")[0])
+        assert outs[0] == outs[1] and "steps=8" in outs[0]
+
     def test_writes_dump(self, tmp_path, capsys):
         dump = tmp_path / "run"
         rc = main(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5",
@@ -359,6 +369,23 @@ class TestErrorContract:
         msg = self.check(command + ["--T", "-1"], 1, capsys)
         assert "horizon must be >= 0" in msg
 
+    # a negative value in any notation reaches the run's own check, where
+    # argparse's pattern read -1e-3 or -inf as an option ("expected one
+    # argument", exit 2)
+    @pytest.mark.parametrize("command", [
+        ["solve", "--tau", "2^-3", "--N", "8"],
+        ["study-temporal", "--tau-list", "2^-3,2^-4", "--N-list", "8"],
+    ], ids=["solve", "study-temporal"])
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--T", "-1e-3", "horizon must be >= 0, got -0.001"),
+        ("--T", "-2.5E+1", "horizon must be >= 0, got -25.0"),
+        ("--alpha", "-1e-3", "alpha must be > 0, got -0.001"),
+        ("--alpha", "-inf", "alpha must be finite, got -inf"),
+        ("--alpha", "-NaN", "alpha must be finite, got nan"),
+    ], ids=["T-exponent", "T-signed-exponent", "alpha-exponent", "alpha-inf", "alpha-nan"])
+    def test_negative_value_reaches_the_run(self, command, flag, value, match, capsys):
+        assert self.check(command + [flag, value], 1, capsys) == f"error: {match}"
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--tau", "2^-3", "--N", "8", "--T", "1e300"],
         # 2^24 steps at tau, but the tau/2 runs take 2^25
@@ -609,14 +636,15 @@ RUN_FLAGS = {
                       ["-0", "-1", "5e-324", "1e308", "nan", "inf", "x"]),
     "--lambda": tokens(["-1", "1"], ["0", "x"]),
     "--T": tokens(["0", "0.25", "0.5", "0.3"],
-                  ["-0", "5e-324", "1e308", "-1", "nan", "inf", "x"]),
+                  ["-0", "5e-324", "1e308", "-1", "-1e-3", "nan", "inf", "x"]),
     "--scheme": tokens(["lowreg", "lie", "strang"], ["bogus"]),
 }
 ONE_RUN_FLAGS = {
     "--tau": tokens(*TIMES),
     "--N": tokens(*CUTOFFS),
     "--amplitude": tokens(["0.1", "1", "0"],
-                          ["-0", "-1", "1e8", "1e308", "5e-324", "nan", "inf", "x"]),
+                          ["-0", "-1", "-1e-3", "-inf", "1e8", "1e308", "5e-324", "nan", "inf",
+                           "x"]),
 }
 STUDY_FLAGS = {
     **RUN_FLAGS,

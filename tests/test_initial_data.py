@@ -1,5 +1,6 @@
 """Initial-state families: coefficient values, symmetry, grid values."""
 
+import dataclasses
 import math
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from lowregnls import dft
 from lowregnls.initial_data import InitialDataSpec, coefficients
 from lowregnls.integrator import initialize
+from lowregnls.spectral import SpectralField
 
 
 class TestSobolevFamily:
@@ -67,27 +69,31 @@ class TestSobolevFamily:
     def test_validation(self):
         with pytest.raises(ValueError):
             InitialDataSpec(kind="sobolev", alpha=0.0)
-        with pytest.raises(ValueError):
-            InitialDataSpec(kind="nope")
+        # the rough family is the only kind
+        for kind in ("nope", "plane", "constant"):
+            with pytest.raises(ValueError, match=f"unknown initial-data kind '{kind}'"):
+                InitialDataSpec(kind=kind)
+        assert [f.name for f in dataclasses.fields(InitialDataSpec)] == [
+            "kind", "alpha", "amplitude"]
 
     # a finite alpha > 0 and a finite amplitude, each a real that is no bool
-    # and no string, for every kind
+    # and no string
     @pytest.mark.parametrize("fields, match", [
         ({"alpha": math.nan}, "alpha must be finite, got nan"),
         ({"alpha": math.inf}, "alpha must be finite, got inf"),
         ({"alpha": -1.0}, "alpha must be > 0, got -1.0"),
-        ({"kind": "plane", "alpha": 0.0}, "alpha must be > 0, got 0.0"),
+        ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
         ({"alpha": True}, "alpha must be a real number, got True"),
         ({"alpha": "1"}, "alpha must be a real number, got '1'"),
         ({"amplitude": math.nan}, "amplitude must be finite, got nan"),
         ({"amplitude": math.inf}, "amplitude must be finite, got inf"),
-        ({"kind": "constant", "amplitude": -math.inf}, "amplitude must be finite, got -inf"),
+        ({"amplitude": -math.inf}, "amplitude must be finite, got -inf"),
         ({"amplitude": np.True_}, "amplitude must be a real number, got np.True_"),
-        ({"kind": "plane", "amplitude": "0.1"}, "amplitude must be a real number, got '0.1'"),
+        ({"amplitude": "0.1"}, "amplitude must be a real number, got '0.1'"),
         ({"amplitude": 1j}, "amplitude must be a real number, got 1j"),
-    ], ids=["alpha-nan", "alpha-inf", "alpha-negative", "alpha-zero-plane", "alpha-bool",
-            "alpha-string", "amplitude-nan", "amplitude-inf", "amplitude-minus-inf-constant",
-            "amplitude-numpy-bool", "amplitude-string-plane", "amplitude-complex"])
+    ], ids=["alpha-nan", "alpha-inf", "alpha-negative", "alpha-zero", "alpha-bool",
+            "alpha-string", "amplitude-nan", "amplitude-inf", "amplitude-minus-inf",
+            "amplitude-numpy-bool", "amplitude-string", "amplitude-complex"])
     def test_hostile_value_rejected(self, fields, match):
         with pytest.raises(ValueError, match=re.escape(match)):
             InitialDataSpec(**fields)
@@ -100,23 +106,24 @@ class TestSobolevFamily:
 
 
 class TestOtherKinds:
+    """The plane waves and constants of the closed-form checks are fields
+    given by their modes, which `initialize` takes as they are."""
+
     def test_plane_wave(self):
-        spec = InitialDataSpec(kind="plane", amplitude=2.0, mode=3)
-        c = coefficients(spec, 3)
+        c = SpectralField.from_modes(3, {3: 2.0}).coeffs
         assert c[6] == 2.0
         assert c[0] == 0.0
         x = dft.grid(21)
-        samples = dft.inverse(coefficients(spec, 10))
+        samples = dft.inverse(SpectralField.from_modes(10, {3: 2.0}).coeffs)
         assert np.allclose(samples, 2.0 * np.exp(3j * x), atol=1e-14)
         # both edge modes of the cutoff survive initialize
         for mode in (8, -8):
-            u0 = initialize(InitialDataSpec(kind="plane", amplitude=2.0, mode=mode), 8)
+            u0 = initialize(SpectralField.from_modes(8, {mode: 2.0}), 8)
             assert u0.coefficient(mode) == 2.0
             assert np.count_nonzero(u0.coeffs) == 1
 
     def test_constant(self):
-        spec = InitialDataSpec(kind="constant", amplitude=0.7)
-        assert np.array_equal(coefficients(spec, 1), [0.0, 0.7, 0.0])
-        samples = dft.inverse(coefficients(spec, 4))
+        assert np.array_equal(SpectralField.from_modes(1, {0: 0.7}).coeffs, [0.0, 0.7, 0.0])
+        samples = dft.inverse(SpectralField.from_modes(4, {0: 0.7}).coeffs)
         assert np.allclose(samples, 0.7, atol=1e-15)
 

@@ -7,6 +7,8 @@ import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,8 +25,7 @@ from lowregnls.integrator import (
     ConservedQuantities,
     SchemeParams,
     conserved_quantities,
-    _plan_for,
-    _StepPlan,
+    _apply,
     evolve,
     evolve_lockstep,
     initialize,
@@ -216,15 +217,19 @@ class TestInitialize:
         v = initialize(f, 20)
         assert v.cutoff == 20 and np.array_equal(project(v, 12).coeffs, f.coeffs)
 
-    @pytest.mark.parametrize("spec", [InitialDataSpec(alpha=0.5), InitialDataSpec(kind="plane", mode=-5),
-                                      InitialDataSpec(kind="constant", amplitude=0.3)],
+    # the rough family, and a plane wave and a constant given by their modes
+    @pytest.mark.parametrize("source", [InitialDataSpec(alpha=0.5),
+                                        SpectralField.from_modes(84, {-5: 0.1}),
+                                        SpectralField.from_modes(84, {0: 0.3})],
                              ids=["sobolev", "plane", "constant"])
-    def test_start_is_nested_projection(self, spec):
+    def test_start_is_nested_projection(self, source):
         # u^0 = Pi_N u0 exactly, so a finer start projects onto a coarser one
         for n in (3, 8, 21):
-            u = initialize(spec, n)
-            assert np.array_equal(u.coeffs, coefficients(spec, n))
-            assert np.array_equal(project(initialize(spec, 4 * n), n).coeffs, u.coeffs)
+            u = initialize(source, n)
+            want = (coefficients(source, n) if isinstance(source, InitialDataSpec)
+                    else source.coeffs[84 - n: 85 + n])
+            assert np.array_equal(u.coeffs, want)
+            assert np.array_equal(project(initialize(source, 4 * n), n).coeffs, u.coeffs)
 
     def test_bad_inputs(self):
         with pytest.raises(TypeError, match="cannot initialize from float"):
@@ -340,22 +345,28 @@ def assert_close(a, b):
     assert l2_error(a, b) <= 1e-12 * sobolev_norm(b, 0.0)
 
 
+def stack_tables(runs, cqs, top, m):
+    """`integrator._plan`'s table block of a stack of runs of one lam, of
+    conserved quantities cqs and largest cutoff top, on m points."""
+    return integrator._plan(runs[0].lam, tuple((p.tau, p.cutoff, q.mass, q.momentum_imag)
+                                               for p, q in zip(runs, cqs)), top, m)
+
+
 def random_stack(cutoff, runs):
-    """A stack of `runs` low-regularity plans of one cutoff on its product
-    grid, and an (runs, m) state stack for it."""
+    """The table block of a stack of `runs` low-regularity runs of one cutoff
+    on its product grid, and an (runs, m) state stack for it."""
     m = _pow2_grid_size(cutoff)
     fields = [unit_field(r, cutoff) for r in range(runs)]
-    plans = [_plan_for(SchemeParams(-1, 2.0 ** -(4 + r), cutoff, 1), conserved_quantities(f),
-                       cutoff, m)
-             for r, f in enumerate(fields)]
-    return _StepPlan.stacked(plans), np.stack([standard(f, m) for f in fields])
+    params = [SchemeParams(-1, 2.0 ** -(4 + r), cutoff, 1) for r in range(runs)]
+    tables = stack_tables(params, map(conserved_quantities, fields), cutoff, m)
+    return tables, np.stack([standard(f, m) for f in fields])
 
 
 def with_blocks(*cases):
     """Parametrize (n, runs, block) over the cases (n, runs), each once with
     the module's threshold (block None, whole rows) and once with the
     threshold patched to 64 points (ids ending -blocks), past which a grid
-    takes the window path of `apply`."""
+    takes the window path of `_apply`."""
     ids = [f"{n}-{runs}" for n, runs in cases]
     return pytest.mark.parametrize(
         "n, runs, block", [(*case, None) for case in cases] + [(*case, 64) for case in cases],
@@ -363,25 +374,29 @@ def with_blocks(*cases):
 
 
 def set_block(monkeypatch, block):
+    """Patch the window threshold to `block` points, unless block is None,
+    and `_plan` to a cache of its own while the patch holds, as the cache's
+    keys leave the threshold out."""
     if block is not None:
         monkeypatch.setattr(integrator, "_WINDOW_TABLES_PAST", block)
+        monkeypatch.setattr(integrator, "_plan", lru_cache(maxsize=32)(integrator._plan.__wrapped__))
 
 
 class TestStepMemory:
     """One step allocates its seven-row work block and its result, no more,
     and writes into nothing it was given, on whole rows and on the window;
-    its plan holds its twelve table rows on the points that `apply` reads."""
+    its stack block holds twelve table rows on the points that `_apply` reads."""
 
     # N = 2^13 takes the window at the module's threshold too
     @with_blocks((1024, 1), (128, 6), (8192, 1))
     def test_one_apply_peaks_at_eight_rows(self, n, runs, block, monkeypatch):
         set_block(monkeypatch, block)
-        stack, c = random_stack(n, runs)
-        stack.apply(c)                    # FFT plans are cached by the first call
+        tables, c = random_stack(n, runs)
+        _apply(tables, c)                 # FFT plans are cached by the first call
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            stack.apply(c)
+            _apply(tables, c)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -395,31 +410,34 @@ class TestStepMemory:
     @pytest.mark.parametrize("cutoffs, points", [((4096,), 12800), ((8192,), 2 * 8192 + 1),
                                                  ((8192, 5000), 2 * 8192 + 1)])
     def test_plans_hold_twelve_rows_where_apply_reads(self, cutoffs, points, monkeypatch):
-        plans = []
+        blocks = []
 
-        def spy(lam, tau, cutoff, *args, real=integrator._plan):
-            plans.append((cutoff, real(lam, tau, cutoff, *args)))
-            return plans[-1][1]
+        def spy(*args, real=integrator._plan):
+            blocks.append(real(*args))
+            return blocks[-1]
 
         monkeypatch.setattr(integrator, "_plan", spy)
         fields = [unit_field(r, n) for r, n in enumerate(cutoffs)]
         runs = [SchemeParams(-1, 0.01, n, 1) for n in cutoffs]
         evolve_lockstep(fields, runs)
-        if len(cutoffs) == 1:                 # `step` lays them by the same rule
+        if len(cutoffs) == 1:
+            # `step` asks for the same one-run stack, and the cache gives it
             step(fields[0], runs[0], conserved_quantities(fields[0]))
-        assert len(plans) == len(cutoffs) + (len(cutoffs) == 1)
-        for n, plan in plans:
-            assert plan.tables.shape == (12, 1, points)
-            assert not plan.tables[..., n + 1: points - n].any()
+            assert blocks[1] is blocks[0]
+        # the stack's one block, each run's tables zero beyond its cutoff
+        tables = blocks[0]
+        assert tables.shape == (12, len(cutoffs), points)
+        for r, n in enumerate(cutoffs):
+            assert not tables[:, r, n + 1: points - n].any()
 
     @with_blocks((1024, 1), (128, 6), (0, 2))
     def test_apply_writes_only_its_result(self, n, runs, block, monkeypatch):
         set_block(monkeypatch, block)
-        stack, c = random_stack(n, runs)
-        before = [a.tobytes() for a in (c, stack.tables)]
-        out = stack.apply(c)
-        assert [a.tobytes() for a in (c, stack.tables)] == before
-        assert not any(np.shares_memory(out, a) for a in (c, stack.tables))
+        tables, c = random_stack(n, runs)
+        before = [a.tobytes() for a in (c, tables)]
+        out = _apply(tables, c)
+        assert [a.tobytes() for a in (c, tables)] == before
+        assert not any(np.shares_memory(out, a) for a in (c, tables))
 
 
 def window_bytes(c, top):
@@ -453,21 +471,20 @@ class TestBlockedStep:
         cutoff, and the points of its tables."""
         top = max(p.cutoff for p in params)
         m = _pow2_grid_size(top)
-        stack = _StepPlan.stacked([_plan_for(p, conserved_quantities(f), top, m)
-                                   for p, f in zip(params, fields)])
+        tables = stack_tables(params, map(conserved_quantities, fields), top, m)
         c = np.stack([standard(f, m) for f in fields])
         out = []
         for _ in range(3):
-            c = stack.apply(c)
+            c = _apply(tables, c)
             out.append(c)
-        return out, stack.tables.shape[-1]
+        return out, tables.shape[-1]
 
     def assert_window_gives_rows(self, fields, params, monkeypatch):
         top = max(p.cutoff for p in params)
         assert _pow2_grid_size(top) > 64
         rows, points = self.steps(fields, params)
         assert points == _pow2_grid_size(top)
-        monkeypatch.setattr(integrator, "_WINDOW_TABLES_PAST", 64)
+        set_block(monkeypatch, 64)
         # the plans the production rule lays on the window
         window, points = self.steps(fields, params)
         assert points == 2 * top + 1
@@ -477,7 +494,7 @@ class TestBlockedStep:
 
     def assert_lockstep_window_gives_rows(self, fields, params, monkeypatch):
         rows = evolve_lockstep(fields, params, diag_stride=1)
-        monkeypatch.setattr(integrator, "_WINDOW_TABLES_PAST", 64)
+        set_block(monkeypatch, 64)
         window = evolve_lockstep(fields, params, diag_stride=1)
         for a, b in zip(rows, window, strict=True):
             assert a.final.coeffs.tobytes() == b.final.coeffs.tobytes()
@@ -528,15 +545,15 @@ class TestBlockedStep:
         # k < 0 end would hold one point or none
         points = []
 
-        def spy(*args, real=integrator._plan):
-            points.append(args[-1])
-            return real(*args)
+        def spy(tables, c, real=integrator._apply):
+            points.append(tables.shape[-1])
+            return real(tables, c)
 
-        monkeypatch.setattr(integrator, "_plan", spy)
+        monkeypatch.setattr(integrator, "_apply", spy)
         fields = [unit_field(0, 128), unit_field(1, top)]
         params = [SchemeParams(-1, 2.0 ** -5, 128, 0), SchemeParams(-1, 2.0 ** -5, top, 8)]
         self.assert_lockstep_window_gives_rows(fields, params, monkeypatch)
-        assert points == [400, 2 * top + 1 if top > 1 else 400]
+        assert points == [400] * 8 + [2 * top + 1 if top > 1 else 400] * 8
 
     def test_only_the_window_passes_take_spans_past_the_threshold(self, monkeypatch):
         # 2^13 is the first power of two whose grid (25600 points) is past it
@@ -771,7 +788,7 @@ class TestClosedForms:
         errs = []
         for tau in (2.0 ** -6, 2.0 ** -7):
             params = SchemeParams.from_horizon(lam, tau, 8, horizon)
-            u = initialize(InitialDataSpec(kind="plane", amplitude=a, mode=1), 8)
+            u = initialize(SpectralField.from_modes(8, {1: a}), 8)
             traj = evolve(u, params)
             exact = SpectralField.from_modes(
                 8, {1: a * np.exp(-1j * (1 + lam * a * a) * horizon)}
@@ -805,7 +822,7 @@ class TestEvolve:
         # unit plane wave, focusing: no closed form survives the full map, so
         # compare each run against the next halving; the aggregate ratio over
         # tau = 2^-4 .. 2^-8 reads off first order
-        u = initialize(InitialDataSpec(kind="plane", amplitude=1.0, mode=1), 256)
+        u = initialize(SpectralField.from_modes(256, {1: 1.0}), 256)
         finals = {}
         for j in range(4, 9):
             params = SchemeParams.from_horizon(-1, 2.0 ** -j, 256, 1.0)
@@ -1211,7 +1228,6 @@ class TestBoundaryChecks:
         (lambda: coefficients(InitialDataSpec(), -1), "cutoff must be >= 0, got -1"),
         (lambda: initialize(InitialDataSpec(), 3.0), "cutoff must be an integer, got 3.0"),
         (lambda: initialize(InitialDataSpec(), -1), "cutoff must be >= 0, got -1"),
-        (lambda: InitialDataSpec(kind="plane", mode=1.5), "mode must be an integer, got 1.5"),
         (lambda: evolve(ZERO, _params(), diag_stride=1.5),
          "diag_stride must be an integer, got 1.5"),
         (lambda: step_twisted(ZERO, _params(), CQ, 0.5), "step index must be an integer, got 0.5"),
@@ -1241,10 +1257,9 @@ class TestBoundaryChecks:
         (lambda: step_twisted(ZERO, _params(), CQ, True), "step index"),
         (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2, True)), "cutoffs"),
         (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2, 4), jobs=True), "jobs"),
-        (lambda: InitialDataSpec(kind="plane", mode=True), "mode"),
     ], ids=["field-cutoff", "from-modes-cutoff", "params-cutoff", "project-cutoff",
             "initialize-cutoff", "steps", "diag-stride", "step-order", "evolve-order",
-            "step-index", "study-cutoffs", "study-jobs", "plane-mode"])
+            "step-index", "study-cutoffs", "study-jobs"])
     def test_bool_is_no_integer(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             call()
@@ -1301,6 +1316,30 @@ class TestBoundaryChecks:
     def test_hostile_value_rejected(self, call, match):
         with pytest.raises(ValueError, match=re.escape(match)):
             call()
+
+    # a real past the float range, an int or a Fraction, is a value that is
+    # not finite, at every caller of `spectral._real`, where float() raised
+    # a bare OverflowError
+    @pytest.mark.parametrize("call, name", [
+        (lambda big: SchemeParams(-1, big, 4, 1), "tau"),
+        (lambda big: SchemeParams.from_horizon(-1, 0.25, 4, big), "horizon"),
+        (lambda big: ConservedQuantities(big, 0.0), "mass"),
+        (lambda big: ConservedQuantities(0.0, -big), "momentum_imag"),
+        (lambda big: InitialDataSpec(alpha=big), "alpha"),
+        (lambda big: InitialDataSpec(amplitude=-big), "amplitude"),
+        (lambda big: StudySpec(axis="spatial", taus=(big,), cutoffs=(2, 4)), "tau"),
+        (lambda big: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2, 4), horizon=big),
+         "horizon"),
+        (lambda big: free_propagator(ZERO, big), "t"),
+        (lambda big: twist_propagator(ZERO, 0.1, -1, big, 0.0), "mass"),
+        (lambda big: sobolev_norm(ZERO, big), "s"),
+    ], ids=["tau", "horizon", "mass", "momentum", "alpha", "amplitude", "study-tau",
+            "study-horizon", "free-t", "twist-mass", "sobolev-s"])
+    @pytest.mark.parametrize("big", [10 ** 400, Fraction(10 ** 400, 3)], ids=["int", "fraction"])
+    def test_real_past_float_range_names_the_parameter(self, call, name, big):
+        match = f"^{name} must be finite, got {type(big).__name__} past the float range$"
+        with pytest.raises(ValueError, match=match):
+            call(big)
 
     def test_numpy_reals_pass(self):
         params = SchemeParams(-1, np.float32(0.25), 4, 1)
@@ -1381,15 +1420,17 @@ class TestLockstep:
         top = max(n for n, _ in runs)
         m = _pow2_grid_size(top)
         fields = [unit_field(seed + r, n) for r, (n, _) in enumerate(runs)]
-        plans = [_plan_for(SchemeParams(lam, tau, f.cutoff, 1), conserved_quantities(f), top, m)
-                 for f, (_, tau) in zip(fields, runs)]
-        stack = _StepPlan.stacked(plans)
+        params = [SchemeParams(lam, tau, f.cutoff, 1) for f, (_, tau) in zip(fields, runs)]
+        cqs = [conserved_quantities(f) for f in fields]
+        tables = stack_tables(params, cqs, top, m)
         c = np.stack([standard(f, m) for f in fields])
         for rows in range(1, len(runs) + 1):
-            out = stack.head(rows).apply(c[:rows])
+            out = _apply(tables[:, :rows], c[:rows])
             assert out.shape == (rows, m)
             for r in range(rows):
-                assert out[r].tobytes() == plans[r].apply(c[r: r + 1])[0].tobytes()
+                # each row is that of the run's own one-run block
+                own = stack_tables(params[r: r + 1], cqs[r: r + 1], top, m)
+                assert out[r].tobytes() == _apply(own, c[r: r + 1])[0].tobytes()
 
     @given(CUTOFFS, st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
            LAMS, SEEDS, st.integers(0, 3), st.sampled_from(SCHEMES))
@@ -1618,11 +1659,11 @@ class TestPaddedLockstep:
         fields = [unit_field(seed + r, cutoff) for r, cutoff in enumerate((n, top) * len(taus))]
         runs = [SchemeParams(lam, tau, f.cutoff, 1) for tau, f in zip(np.repeat(taus, 2), fields)]
         cqs = [conserved_quantities(f) for f in fields]
-        stack = _StepPlan.stacked([_plan_for(p, q, top, m) for p, q in zip(runs, cqs)])
+        tables = stack_tables(runs, cqs, top, m)
         c = np.stack([standard(f, m) for f in fields])
         own = fields
         for _ in range(3):
-            c = stack.apply(c)
+            c = _apply(tables, c)
             own = [step(f, p, q) for f, p, q in zip(own, runs, cqs)]
             for row, want in zip(c, own):
                 # standard order: |k| <= N_r at both ends, zeros between

@@ -118,7 +118,7 @@ class TestCrossValidation:
         # moderate-amplitude single mode over a unit horizon at a fine step:
         # entirely different discretizations of the nonlinearity must land on
         # the same state to well inside the O(tau) budget
-        u0 = initialize(InitialDataSpec(kind="plane", amplitude=0.5, mode=1), 256)
+        u0 = initialize(SpectralField.from_modes(256, {1: 0.5}), 256)
         params = SchemeParams.from_horizon(-1, 2.0 ** -10, 256, 1.0)
         low = evolve(u0, params).final
         strang = splitting_evolve(u0, params, 2).final
