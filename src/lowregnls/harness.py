@@ -20,6 +20,7 @@ alone; timing it is left to the caller.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -160,15 +161,20 @@ def fit_rate(values, errors) -> float:
     runs) or fewer than two distinct values make the rate undefined, and nan
     is returned as the flag, as it is for a non-finite error.  Each value
     must be a positive finite real (`spectral._real`); any other is one
-    ValueError naming `values`, before it reaches the fit.
+    ValueError naming `values`, before it reaches the fit.  Each error must
+    be a real number, and one past the float range is a non-finite error.
     """
-    values = np.asarray(values, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if values.shape != errors.shape or values.size < 2:
+    values = [_real(value, "values", positive=True) for value in values]
+    errors = list(errors)
+    if len(values) != len(errors) or len(values) < 2:
         raise ValueError("need at least two (value, error) pairs of equal length")
-    for value in values.flat:
-        _real(value, "values", positive=True)
-    if np.any(errors <= 0) or np.unique(values).size < 2:
+    if any(isinstance(e, bool) or not isinstance(e, numbers.Real) for e in errors):
+        raise ValueError(f"errors must be real numbers, got {errors!r}")
+    try:
+        errors = [_real(e, "errors", positive=True) for e in errors]
+    except ValueError:                  # non-positive or non-finite, 10**400 too
+        return math.nan
+    if len(set(values)) < 2:
         return math.nan
     return float(np.polyfit(np.log2(values), np.log2(errors), 1)[0])
 

@@ -28,8 +28,10 @@ cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -699,9 +701,12 @@ def _stepper(scheme: str, ranked, size: int):
     return lambda rows: partial(_apply, tables[:, :rows])
 
 
+_MANIFEST_KEYS = ("scheme", "lambda", "tau", "N", "steps", "h1_max")
+
+
 def save_trajectory(traj: Trajectory, dirpath) -> None:
-    """Write a trajectory dump of four files: manifest.txt, the run's lines
-    key=value of scheme, lambda, tau, N, steps and h1_max; initial.txt and
+    """Write a trajectory dump of four files: manifest.txt, one line
+    key=value per key of _MANIFEST_KEYS, in its order; initial.txt and
     final.txt, each the state's 2N+1 lines "re im" in ascending k; and
     diagnostics.txt, one line "j l2 h1 mass_drift momentum_drift" per
     recorded step j.  Each real is the repr of its Python float, a numpy
@@ -711,9 +716,10 @@ def save_trajectory(traj: Trajectory, dirpath) -> None:
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     params = traj.params
+    values = (traj.scheme, params.lam, repr(params.tau), params.cutoff, params.steps,
+              repr(float(traj.h1_max)))
     (d / "manifest.txt").write_text(
-        f"scheme={traj.scheme}\nlambda={params.lam}\ntau={params.tau!r}\nN={params.cutoff}\n"
-        f"steps={params.steps}\nh1_max={float(traj.h1_max)!r}\n")
+        "".join(f"{key}={value}\n" for key, value in zip(_MANIFEST_KEYS, values)))
     for name, f in (("initial", traj.initial), ("final", traj.final)):
         pairs = zip(f.coeffs.real.tolist(), f.coeffs.imag.tolist())
         (d / f"{name}.txt").write_text("".join(f"{x!r} {y!r}\n" for x, y in pairs))
@@ -751,27 +757,13 @@ def _table(path: Path, count: int, parse) -> list:
     return rows
 
 
-def _manifest_dict(path: Path) -> dict[str, str]:
-    out = {}
-    for ln in _lines(path):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if "=" not in ln:
-            raise ValueError(f"{path}: malformed manifest line {ln!r}")
-        key, val = (s.strip() for s in ln.split("=", 1))
-        if key in out:
-            raise ValueError(f"{path}: manifest key {key!r} is given twice")
-        out[key] = val
-    return out
-
-
 def load_trajectory(dirpath) -> Trajectory:
     """Read back a dump written by save_trajectory.
 
-    The manifest must name one run: each of its six keys is given once,
-    keys it does not read are ignored, and steps * tau is a finite time.  A
-    missing or repeated key, a bad or non-finite value and a time past float
+    The manifest holds exactly the lines save_trajectory writes, key=value
+    by _MANIFEST_KEYS in its order: the first line that departs is one
+    ValueError naming the manifest, the line and the key expected there.  A
+    bad or non-finite value, one out of range and a time past float
     range raise one ValueError naming the manifest and the key.  The three
     tables are read by one rule, `_table`: a line of the wrong field count or
     with a bad or non-finite number is one ValueError naming the file and the
@@ -784,14 +776,18 @@ def load_trajectory(dirpath) -> Trajectory:
     manifest = d / "manifest.txt"
     if not manifest.is_file():
         raise ValueError(f"{d}: no manifest.txt found")
-    kv = _manifest_dict(manifest)
+    lines = _lines(manifest)
+    for n, (key, line) in enumerate(zip_longest(_MANIFEST_KEYS, lines), start=1):
+        if key is None or line is None or not line.startswith(f"{key}="):
+            want = "the end of the file" if key is None else f"key {key!r}"
+            got = "the end of the file" if line is None else repr(line)
+            raise ValueError(f"{manifest}: line {n}: expected {want}, got {got}")
+    kv = dict(line.split("=", 1) for line in lines)
 
     def bad(key, why) -> ValueError:
         return ValueError(f"{manifest}: bad manifest entry {key}={kv[key]!r}: {why}")
 
     def entry(key, parse=_finite):
-        if key not in kv:
-            raise ValueError(f"{manifest}: missing manifest key {key!r}")
         try:
             return parse(kv[key])
         except (ValueError, OverflowError) as exc:
@@ -805,11 +801,8 @@ def load_trajectory(dirpath) -> Trajectory:
     scheme, h1_max = entry("scheme", _scheme), entry("h1_max")
     params = SchemeParams(param("lambda", "lam", int), param("tau", "tau", float),
                           param("N", "cutoff", int), param("steps", "steps", int))
-    try:
-        finite = math.isfinite(params.horizon)
-    except OverflowError:                     # steps past the range of floats
-        finite = False
-    if not finite:
+    # a steps past float range would make the horizon raise OverflowError
+    if not (params.steps <= sys.float_info.max and math.isfinite(params.horizon)):
         raise bad("steps", f"steps * tau {params.tau!r} is not a finite time")
 
     states = []

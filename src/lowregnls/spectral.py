@@ -204,8 +204,12 @@ def conjugate(f: SpectralField) -> SpectralField:
 
 
 def free_propagator(f: SpectralField, t: float) -> SpectralField:
-    """exp(i t d_xx) f: the flow of i u_t + u_xx = 0, mode k picks up e^{-i t k^2}."""
-    phase = _free_phase(f.frequencies().astype(float), _real(t, "t"))
+    """exp(i t d_xx) f: the flow of i u_t + u_xx = 0, mode k picks up e^{-i t k^2}.
+    A t whose phase t N^2 passes float range is one ValueError naming t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _free_phase(f.frequencies().astype(float), _real(t, "t"))
+    if not np.isfinite(phase).all():
+        raise ValueError(f"t * N^2 must be finite, got t={t!r} at N={f.cutoff}")
     return SpectralField(f.cutoff, phase * f.coeffs)
 
 
@@ -218,10 +222,15 @@ def twist_propagator(
     for k != 0 and by exp(-2i lam tau mass) for k = 0, where momentum =
     i momentum_imag is purely imaginary (it is Pi_0(u d_x conj(u)) of some
     field).  mass and momentum_imag are real, so the exponent is purely
-    imaginary and the map is unitary.
+    imaginary and the map is unitary.  A phase past float range is one
+    ValueError naming the four.
     """
-    phase = _twist_phase(f.frequencies().astype(float), _real(tau, "tau"), _real(lam, "lam"),
-                         _real(mass, "mass"), _real(momentum_imag, "momentum_imag"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _twist_phase(f.frequencies().astype(float), _real(tau, "tau"), _real(lam, "lam"),
+                             _real(mass, "mass"), _real(momentum_imag, "momentum_imag"))
+    if not np.isfinite(phase).all():
+        raise ValueError(f"the phase must be finite, got tau={tau!r}, lam={lam!r}, "
+                         f"mass={mass!r}, momentum_imag={momentum_imag!r} at N={f.cutoff}")
     return SpectralField(f.cutoff, phase * f.coeffs)
 
 
@@ -316,9 +325,13 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm."""
+    """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm.
+    An s whose weight (1 + N^2)^s passes float range is one ValueError naming s."""
     k = f.frequencies().astype(float)
-    w = (1.0 + k * k) ** _real(s, "s")
+    with np.errstate(over="ignore"):
+        w = (1.0 + k * k) ** _real(s, "s")
+    if not np.isfinite(w).all():
+        raise ValueError(f"(1 + N^2)^s must be finite, got s={s!r} at N={f.cutoff}")
     return float(np.sqrt(2.0 * np.pi * np.sum(w * np.abs(f.coeffs) ** 2)))
 
 

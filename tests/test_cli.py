@@ -822,7 +822,7 @@ class TestDiagnosticsOnCorruptDumps:
 
     def test_numbered_snapshot_dump_exits_1(self, real_dump, tmp_path, capsys):
         # a dump of states in numbered snapshot files, each named with its
-        # time in the manifest, lacks initial.txt
+        # time in the manifest: its seventh manifest line is the error
         files = {"snapshot_0000.txt": real_dump["initial.txt"],
                  "snapshot_0001.txt": real_dump["final.txt"],
                  "manifest.txt": real_dump["manifest.txt"] + numbered_rows(real_dump)
@@ -833,11 +833,12 @@ class TestDiagnosticsOnCorruptDumps:
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith("error: ") and "initial.txt" in line
+        assert line == f"error: {tmp_path / 'manifest.txt'}: line 7: expected the end of " \
+            "the file, got 'diagnostic_count=5'"
 
     def test_numbered_row_dump_exits_1(self, real_dump, tmp_path, capsys):
         # a dump of the older format, its rows numbered in the manifest under
-        # a row count, lacks diagnostics.txt
+        # a row count: its seventh manifest line is the error
         files = {**real_dump, "manifest.txt": real_dump["manifest.txt"] + numbered_rows(real_dump)}
         del files["diagnostics.txt"]
         for name, text in files.items():
@@ -846,7 +847,8 @@ class TestDiagnosticsOnCorruptDumps:
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith("error: ") and "diagnostics.txt" in line
+        assert line == f"error: {tmp_path / 'manifest.txt'}: line 7: expected the end of " \
+            "the file, got 'diagnostic_count=5'"
 
     @pytest.mark.parametrize("name, edit", [
         ("final.txt", lambda text: "nan" + text[text.index(" "):]),

@@ -79,6 +79,16 @@ class TestFitRate:
                 fit_rate([1.0, bad, 4.0], [1.0, 0.5, 0.25])
         assert capfd.readouterr() == ("", "")
 
+    def test_past_float_range(self):
+        # a value past the float range is one ValueError naming values, and
+        # an error past it is a non-finite error: the nan flag
+        with pytest.raises(ValueError, match="^values must be finite, got int past the float "
+                           "range$"):
+            fit_rate([10 ** 400, 1.0], [1.0, 2.0])
+        assert math.isnan(fit_rate([1.0, 2.0], [10 ** 400, 1.0]))
+        with pytest.raises(ValueError, match="^errors must be real numbers, got "):
+            fit_rate([1.0, 2.0], ["0.5", 1.0])
+
     def test_nonpositive_error_flags_nan(self):
         assert math.isnan(fit_rate([1.0, 2.0], [1.0, 0.0]))
         assert math.isnan(fit_rate([1.0, 2.0], [1.0, -1.0]))

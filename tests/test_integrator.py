@@ -1010,13 +1010,12 @@ class TestTrajectoryDump:
         save_trajectory(traj, tmp_path / "d")
         return traj, tmp_path / "d" / "manifest.txt"
 
-    def test_unknown_keys_ignored(self, tmp_path):
+    def test_older_keys_rejected_unopened(self, tmp_path, monkeypatch):
         # a horizon, a state's time, a file name, a wall time, the conserved
         # quantities and the numbered rows of older dumps are not in the
-        # format: the loader ignores them, opens no path they name, and takes
-        # its rows from diagnostics.txt alone, so a row count or a numbered
-        # row adds or hides none
-        traj, manifest = self.dump(tmp_path)
+        # format: the first is one error at line 7, and the loader opens no
+        # path they name, nor any table
+        _, manifest = self.dump(tmp_path)
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         (elsewhere / "final.txt").write_text("0.0 0.0\n" * 5)
@@ -1024,45 +1023,71 @@ class TestTrajectoryDump:
                             "snapshot_1_time=1.0\nfinal_file=../elsewhere/final.txt\n"
                             "mass=5.0\nmomentum_imag=-7.0\ndiagnostic_count=2\n"
                             "diagnostic_0=0 1 2 3 4\ndiagnostic_2=7 1 2 3 4\n")
-        assert_same_trajectory(load_trajectory(manifest.parent), traj)
-
-    def test_blank_and_comment_lines_skipped(self, tmp_path):
-        traj, manifest = self.dump(tmp_path)
-        manifest.write_text("# a note\n\n" + manifest.read_text().replace("\n", "\n\n"))
-        assert load_trajectory(manifest.parent).diagnostics == traj.diagnostics
-
-    @pytest.mark.parametrize("line, key, match", [
-        (None, "h1_max", "missing manifest key 'h1_max'"),
-        (None, "scheme", "missing manifest key 'scheme'"),
-        ("steps=7", "steps", "line 3: the diagnostics end at step 2, not at the manifest's "
-         "steps=7$"),
-        ("N=5", "N", "expected 11 lines for the manifest's N=5, got 5$"),
-        ("tau=fast", "tau", "bad manifest entry tau='fast'"),
-        ("tau=0", "tau", "bad manifest entry tau='0': tau must be a positive finite number"),
-        ("lambda=0", "lambda", r"bad manifest entry lambda='0': lam must be -1 or \+1, got 0"),
-        ("N=-1", "N", "bad manifest entry N='-1': cutoff must be >= 0, got -1"),
-        ("steps=-1", "steps", "bad manifest entry steps='-1': steps must be >= 0, got -1"),
-        ("h1_max=1 2", "h1_max", "bad manifest entry h1_max='1 2'"),
-        ("h1_max=nan", "h1_max", "bad manifest entry h1_max='nan': 'nan' is not a finite number"),
-        ("tau=0.0625", None, "manifest key 'tau' is given twice$"),
-        ("scheme=rk4", "scheme", "bad manifest entry scheme='rk4': scheme must be one of"),
-        ("just words", None, "malformed manifest line 'just words'"),
-    ], ids=["missing", "no-scheme", "steps-of-rows", "N-of-states", "tau", "tau-range",
-            "lambda-range", "N-range", "steps-range", "two-fields", "h1_max-nan", "tau-twice",
-            "scheme", "no-equals"])
-    def test_bad_manifest_named(self, tmp_path, line, key, match):
-        # one ValueError that names the manifest (and the key), or, where the
-        # manifest's N does not fit the states, the first state file, and
-        # where its steps do not end the rows, diagnostics.txt: the CLI
-        # prints it as its one error: line
-        _, manifest = self.dump(tmp_path)
-        lines = [ln for ln in manifest.read_text().splitlines()
-                 if key is None or not ln.startswith(key + "=")]
-        manifest.write_text("\n".join(lines + ([line] if line else [])) + "\n")
-        with pytest.raises(ValueError, match=match) as info:
+        read = []
+        lines = integrator._lines
+        monkeypatch.setattr(integrator, "_lines", lambda path: read.append(path) or lines(path))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: line 7: expected "
+                           "the end of the file, got 'T=9'$"):
             load_trajectory(manifest.parent)
-        at_fault = {"N=5": "initial.txt", "steps=7": "diagnostics.txt"}.get(line, "manifest.txt")
-        assert str(info.value).startswith(f"{manifest.with_name(at_fault)}: ")
+        assert read == [manifest]
+
+    # the manifest's lines are scheme, lambda, tau, N, steps, h1_max
+    @pytest.mark.parametrize("edit, name, match", [
+        (lambda ls: ls[:5], "manifest.txt",
+         "line 6: expected key 'h1_max', got the end of the file$"),
+        (lambda ls: ls[1:], "manifest.txt", "line 1: expected key 'scheme', got 'lambda=1'$"),
+        (lambda ls: [], "manifest.txt",
+         "line 1: expected key 'scheme', got the end of the file$"),
+        (lambda ls: [*ls[:4], "steps=7", ls[5]], "diagnostics.txt",
+         "line 3: the diagnostics end at step 2, not at the manifest's steps=7$"),
+        (lambda ls: [*ls[:3], "N=5", *ls[4:]], "initial.txt",
+         "expected 11 lines for the manifest's N=5, got 5$"),
+        (lambda ls: [*ls[:2], "tau=fast", *ls[3:]], "manifest.txt",
+         "bad manifest entry tau='fast'"),
+        (lambda ls: [*ls[:2], "tau=0", *ls[3:]], "manifest.txt",
+         "bad manifest entry tau='0': tau must be a positive finite number"),
+        (lambda ls: [ls[0], "lambda=0", *ls[2:]], "manifest.txt",
+         r"bad manifest entry lambda='0': lam must be -1 or \+1, got 0$"),
+        (lambda ls: [*ls[:3], "N=-1", *ls[4:]], "manifest.txt",
+         "bad manifest entry N='-1': cutoff must be >= 0, got -1$"),
+        (lambda ls: [*ls[:4], "steps=-1", ls[5]], "manifest.txt",
+         "bad manifest entry steps='-1': steps must be >= 0, got -1$"),
+        (lambda ls: [*ls[:5], "h1_max=1 2"], "manifest.txt", "bad manifest entry h1_max='1 2'"),
+        (lambda ls: [*ls[:5], "h1_max=nan"], "manifest.txt",
+         "bad manifest entry h1_max='nan': 'nan' is not a finite number$"),
+        (lambda ls: ["scheme=rk4", *ls[1:]], "manifest.txt",
+         "bad manifest entry scheme='rk4': scheme must be one of"),
+        (lambda ls: [*ls[:3], "tau=0.0625", *ls[3:]], "manifest.txt",
+         "line 4: expected key 'N', got 'tau=0.0625'$"),
+        (lambda ls: [*ls[:4], "T=9", *ls[4:]], "manifest.txt",
+         "line 5: expected key 'steps', got 'T=9'$"),
+        (lambda ls: [*ls, "T=9"], "manifest.txt",
+         "line 7: expected the end of the file, got 'T=9'$"),
+        (lambda ls: [*ls[:2], ls[3], ls[2], *ls[4:]], "manifest.txt",
+         "line 3: expected key 'tau', got 'N=2'$"),
+        (lambda ls: [*ls[:2], "", *ls[2:]], "manifest.txt",
+         "line 3: expected key 'tau', got ''$"),
+        (lambda ls: ["# a note", *ls], "manifest.txt",
+         "line 1: expected key 'scheme', got '# a note'$"),
+        (lambda ls: [ls[0], "lambda 1", *ls[2:]], "manifest.txt",
+         "line 2: expected key 'lambda', got 'lambda 1'$"),
+        (lambda ls: [*ls[:2], "tau = 0.5", *ls[3:]], "manifest.txt",
+         "line 3: expected key 'tau', got 'tau = 0.5'$"),
+    ], ids=["missing", "no-scheme", "empty", "steps-of-rows", "N-of-states", "tau", "tau-range",
+            "lambda-range", "N-range", "steps-range", "two-fields", "h1_max-nan", "scheme",
+            "tau-twice", "extra", "seventh-line", "reordered", "blank", "comment", "no-equals",
+            "spaced"])
+    def test_bad_manifest_named(self, tmp_path, edit, name, match):
+        # one ValueError that names the manifest and the line that departs
+        # from the six lines save_trajectory writes, or the key of a bad
+        # value; where the manifest's N does not fit the states, the first
+        # state file, and where its steps do not end the rows,
+        # diagnostics.txt: the CLI prints it as its one error: line
+        _, manifest = self.dump(tmp_path)
+        manifest.write_text("".join(f"{ln}\n" for ln in edit(manifest.read_text().splitlines())))
+        path = manifest.with_name(name)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}"):
+            load_trajectory(manifest.parent)
 
     @pytest.mark.parametrize("edit, match", [
         (lambda rows: [rows[0], "1 0.5", rows[2]], "line 2: expected 5 fields, got 2"),

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lowregnls.cli import MAX_CUTOFF
+from lowregnls.harness import fit_rate
 from lowregnls.spectral import (
     SpectralField,
     _centered,
@@ -106,12 +108,26 @@ class TestOperatorBoundary:
          "momentum_imag must be finite, got nan"),
         (lambda: sobolev_norm(F, math.nan), "s must be finite, got nan"),
         (lambda: sobolev_norm(F, True), "s must be a real number, got True"),
+        # finite, but the multiplier they make passes float range
+        (lambda: free_propagator(F, 1e308), "t * N^2 must be finite, got t=1e+308 at N=2"),
+        (lambda: twist_propagator(F, 0.1, 1e308, 1.0, 0.0), "the phase must be finite, got "
+         "tau=0.1, lam=1e+308, mass=1.0, momentum_imag=0.0 at N=2"),
+        (lambda: twist_propagator(F, 1e308, 1.0, 1.0, 0.0), "the phase must be finite, got "
+         "tau=1e+308, lam=1.0, mass=1.0, momentum_imag=0.0 at N=2"),
+        (lambda: sobolev_norm(F, 1e308), "(1 + N^2)^s must be finite, got s=1e+308 at N=2"),
     ], ids=["from-modes-bool", "from-modes-float", "coefficient-float", "coefficient-bool",
             "free-t-inf", "free-t-nan", "free-t-string", "twist-tau-nan", "twist-lam-inf",
-            "twist-mass-nan", "twist-momentum-nan", "sobolev-s-nan", "sobolev-s-bool"])
+            "twist-mass-nan", "twist-momentum-nan", "sobolev-s-nan", "sobolev-s-bool",
+            "free-t-overflows", "twist-lam-overflows", "twist-tau-overflows",
+            "sobolev-s-overflows"])
     def test_rejected_naming_the_parameter(self, call, match):
+        # no RuntimeWarning either: the suite makes one an error
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             call()
+
+    def test_phase_of_a_large_time_is_unitary(self):
+        # t N^2 = 4e300 is a finite float, so its phases are of modulus one
+        assert np.array_equal(np.abs(free_propagator(F, 1e300).coeffs), np.abs(F.coeffs))
 
     def test_numpy_values_pass(self):
         assert F.coefficient(np.int64(1)) == 0.5j
@@ -119,6 +135,51 @@ class TestOperatorBoundary:
         assert np.array_equal(free_propagator(F, np.float64(0.1)).coeffs,
                               free_propagator(F, 0.1).coeffs)
         assert sobolev_norm(F, np.float32(1.0)) == sobolev_norm(F, 1)
+
+
+FIELD = SpectralField.from_modes(4, {1: 1.0, 3: 0.5})
+
+# each public call with one scalar argument left free, by that argument's name
+SCALAR_CALLS = {
+    "t": lambda x: free_propagator(FIELD, x),
+    "tau": lambda x: twist_propagator(FIELD, x, 1.0, 1.0, 0.5),
+    "lam": lambda x: twist_propagator(FIELD, 0.1, x, 1.0, 0.5),
+    "mass": lambda x: twist_propagator(FIELD, 0.1, 1.0, x, 0.5),
+    "momentum_imag": lambda x: twist_propagator(FIELD, 0.1, 1.0, 1.0, x),
+    "s": lambda x: sobolev_norm(FIELD, x),
+    "values": lambda x: fit_rate([1.0, x, 4.0], [1.0, 0.5, 0.25]),
+    "errors": lambda x: fit_rate([1.0, 2.0, 4.0], [1.0, x, 0.25]),
+}
+HOSTILE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, "0.5", 1e308, -1e308, 10 ** 400,
+                     -10 ** 400]),
+    st.floats(max_value=0.0, exclude_max=True))
+
+
+class TestScalarContract:
+    """One hostile value for one scalar argument of a public call: the call
+    returns a finite result (nan is fit_rate's flag) or raises one
+    ValueError or TypeError that names the argument, and warns of nothing.
+    A phase too large for a float names all four of twist_propagator's
+    arguments, since it is their product that overflows."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+    @given(value=HOSTILE)
+    @example(value=1e308)
+    @example(value=10 ** 400)
+    def test_finite_or_named(self, name, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = SCALAR_CALLS[name](value)
+            except (ValueError, TypeError) as exc:
+                assert re.search(rf"\b{name}\b", str(exc)), str(exc)
+                return
+        if isinstance(out, SpectralField):
+            assert np.isfinite(out.coeffs).all()
+        else:
+            # the values stay distinct, so only an error can raise the flag
+            assert math.isfinite(out) or (name == "errors" and math.isnan(out))
 
 
 class TestProjection:
