@@ -51,9 +51,9 @@ DIAG_HEADER = "t,l2,h1,mass_drift,momentum_drift"
 # build), and a splitting step runs its flows in a 20 MiB workspace (two
 # grid rows of 204800 points, two sample rows of 262145 and an angle and a
 # phase row); a spatial study also runs 2N, and stacks its runs (a cutoff's half
-# zero-padded among them where that removes stacks) only at grids of <= 2048
-# points (harness.STACK_POINTS), at any --jobs; each of the up to --jobs
-# worker processes holds one stack at a time.
+# zero-padded among them where that removes stacks) only at grids of at most
+# spectral.STACK_POINTS // 2 points (`spectral._stack_runs`), at any --jobs;
+# each of the up to --jobs worker processes holds one stack at a time.
 MAX_CUTOFF = 2 ** 16
 
 # largest step count of one run accepted on the command line: it bounds --T

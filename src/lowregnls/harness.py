@@ -8,12 +8,12 @@ field).  Errors are the plain coefficient l2 norm sqrt(sum_k |delta_k|^2).
 Cells name their runs by (N, tau) key, so a run that two cells share is
 computed once.  The runs of every scheme advance in lockstep, in stacks
 that pay each step's numpy calls once for all their runs
-(`evolve_lockstep`), with at most STACK_POINTS grid points in a row of a
-stack.  Where that removes a stack, the low-regularity runs of a cutoff's
-half join those of the cutoff, zero-padded on its grid; splitting layouts
-never join, so a splitting stack holds one cutoff.  The stacks follow from
-the keys alone, never from the number of jobs, which only sets how many
-run at once, in worker processes.  A study's numbers follow from its spec
+(`evolve_lockstep`), each of at most `spectral._stack_runs` runs.  Where
+that removes a stack, the low-regularity runs of a cutoff's half join
+those of the cutoff, zero-padded on its grid; splitting layouts never
+join, so a splitting stack holds one cutoff.  The stacks follow from the
+keys alone, never from the number of jobs, which only sets how many run
+at once, in worker processes.  A study's numbers follow from its spec
 alone; timing it is left to the caller.
 """
 
@@ -30,7 +30,7 @@ from .initial_data import InitialDataSpec
 from .integrator import MIN_TAU, SchemeParams, _scheme, _sign, evolve_lockstep, initialize
 # not called here, but perfbench/tracing.py patches both by these names
 from .integrator import evolve, splitting_evolve  # noqa: F401
-from .spectral import SpectralField, _integer, _pow2_grid_size, _real, l2_error
+from .spectral import SpectralField, _integer, _pow2_grid_size, _real, _stack_runs, l2_error
 
 __all__ = [
     "CSV_HEADER",
@@ -51,16 +51,6 @@ AXIS_NAMES = {
     "spatial": (("cutoffs", "N"), ("taus", "tau")),
 }
 AXES = tuple(AXIS_NAMES)
-
-# most grid points R * m in a row of a stack of R runs on the m-point grid
-# of its largest cutoff (a cutoff's half counted at that m): the 7-row work
-# block of a worker stays within 448 KiB, stacks of two or more runs form only
-# at m <= 2048 (N <= 682), and it alone, never the number of jobs, sizes them;
-# a splitting stack takes the same count, though its flow runs on the grid
-# of cutoff 2N, and where that count is one run (N >= 683) its flow pairs
-# the grid's even and odd points as two rows (`reference._pairs`, at half
-# this count), in a workspace of 20 MiB at N = 2^16
-STACK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -183,32 +173,29 @@ def _stacks(scheme: str, params: dict) -> list[list[tuple[int, float]]]:
     """The stacks of the runs params maps to their SchemeParams, by key.
 
     The runs are laid out by cutoff, from the largest down.  A stack holds
-    at most max(1, STACK_POINTS // m) runs, m the product grid size of its
-    layout's cutoff L.  A low-regularity layout takes in the runs of a
-    smaller cutoff N when 2N >= L and that adds no stack; otherwise N opens
-    a layout of its own.  A splitting layout never takes in a smaller
-    cutoff, since the 4N+1 collocation aliases differently at each N.  Each
-    layout is cut, by step count, into consecutive stacks of that many
-    runs.  The stacks depend on the keys alone, and come costliest first
-    (steps x m), the order in which they start.
+    at most `spectral._stack_runs(L)` runs, L its layout's cutoff.  A
+    low-regularity layout takes in the runs of a smaller cutoff N when
+    2N >= L and that adds no stack; otherwise N opens a layout of its own.
+    A splitting layout never takes in a smaller cutoff, since the 4N+1
+    collocation aliases differently at each N.  Each layout is cut, by step
+    count, into consecutive stacks of that many runs.  The stacks depend on
+    the keys alone, and come costliest first (steps x grid points), the
+    order in which they start.
     """
-    def per_stack(top: int) -> int:
-        return max(1, STACK_POINTS // _pow2_grid_size(top))
-
     layouts: list[tuple[int, list]] = []
     for n in sorted({n for n, _ in params}, reverse=True):
         runs = [key for key in params if key[0] == n]
         top, joined = layouts[-1] if layouts else (n, [])
         # N's runs join when they fit in the room the layout's last stack leaves
         if (scheme == "lowreg" and joined and 2 * n >= top
-                and len(runs) <= -len(joined) % per_stack(top)):
+                and len(runs) <= -len(joined) % _stack_runs(top)):
             joined += runs
         else:
             layouts.append((n, runs))
     stacks = []
     for top, runs in layouts:
         runs.sort(key=lambda key: -params[key].steps)
-        size = per_stack(top)
+        size = _stack_runs(top)
         stacks += [runs[i: i + size] for i in range(0, len(runs), size)]
     stacks.sort(key=lambda stack: -sum(params[key].steps for key in stack)
                 * _pow2_grid_size(max(n for n, _ in stack)))

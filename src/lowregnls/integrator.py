@@ -48,6 +48,7 @@ from .spectral import (
     _inv_ik,
     _pow2_grid_size,
     _real,
+    _sobolev,
     _standard,
     _twist_phase,
     _uncentered,
@@ -252,8 +253,8 @@ def _apply(tables: np.ndarray, c: np.ndarray) -> np.ndarray:
     (3N+1 >= 3N_r+1), each row bitwise equal to its run's own one-run block
     applied alone on that grid.
     A study advances its runs this way, in stacks that its runs alone
-    decide, never its jobs, with at most harness.STACK_POINTS grid points in
-    a row: a stack's work block is never larger than one run's at m > 2048.
+    decide, never its jobs (`spectral._stack_runs`): a stack's work block is
+    never larger than one run's at m > spectral.STACK_POINTS // 2.
     """
     # seven grid rows, each reused once its value is dead, and the result,
     # taken after the last FFT and the t4 products so it never sits beside
@@ -657,8 +658,7 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
     ranked = sorted(records, key=lambda rec: -rec.params.steps)
     top = max(params.cutoff for params in runs)
     size = _pow2_grid_size(top) if scheme == "lowreg" else 2 * top + 1
-    k = np.arange(-top, top + 1, dtype=float)
-    w1 = 1.0 + k * k
+    h1_norms = _sobolev(top, 1.0)
     live = len(ranked)
     c = np.stack([_standard(_uncentered(rec.initial.coeffs), rec.initial.cutoff, size)
                   for rec in ranked])
@@ -667,10 +667,9 @@ def evolve_lockstep(initials, runs, diag_stride: int = 0,
         for j in range(ranked[0].params.steps + 1):
             if j:
                 c = advance(c)
-            # summed in centered order, as `sobolev_norm` sums
             p = np.abs(_centered(c, top)) ** 2
-            for rec, row, norm, prow in zip(ranked, c, np.sum(w1 * p, axis=-1), p):
-                rec.take(j, row, math.sqrt(2.0 * math.pi * float(norm)), prow)
+            for rec, row, h1, prow in zip(ranked, c, h1_norms(p), p):
+                rec.take(j, row, h1, prow)
             # freed before the next step allocates, where a live block would
             # move the step's work block to fresh pages
             del p, prow

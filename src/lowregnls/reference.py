@@ -10,9 +10,9 @@ The collocation grid stays at M = 4N+1 points, since any other length would
 change the baseline's aliasing.  But M is odd and in general not a fast FFT
 length, so both of its DFTs are computed as chirp-z (Bluestein) convolutions
 on the product grid of cutoff 2N (see `_nonlinear_flow`), in standard order:
-four FFT calls per flow, of one row per run, or from N = 683 on, where a
-run steps alone in any study, of two rows per run, the grid's even and odd
-points, which pocketfft transforms together in SIMD (`_pairs`).
+four FFT calls per flow, of one row per run, or, where a study stacks its
+cutoff's runs alone (`spectral._stack_runs`), of two rows per run, the
+grid's even and odd points, which pocketfft transforms together in SIMD.
 
 `integrator.evolve_lockstep` (and `splitting_evolve`, its one-run case)
 steps a stack of splitting runs in lockstep, as it does low-regularity runs,
@@ -39,6 +39,7 @@ from .spectral import (
     _from_grid,
     _integer,
     _pow2_grid_size,
+    _stack_runs,
     _to_grid,
     _uncentered,
 )
@@ -49,29 +50,19 @@ __all__ = ["splitting_step"]
 SPLITTINGS = {"lie": 1, "strang": 2}
 
 
-# a flow pairs (see `_nonlinear_flow`) where the grid of cutoff N, half its
-# chirp-z grid, has more than this many points (N >= 683).  pocketfft
-# vectorizes across the rows of a call, not within a row: a (2, 6400) call
-# costs 0.67x a (1, 12800) one, and one run's paired flow takes 0.82-0.90x
-# the time of its one-row flow at N = 683..8192 (0.84-0.93x at 256..512).
-# But below this size `harness` stacks two or more runs of a cutoff
-# (STACK_POINTS // 2), whose calls already hold several rows, and pairing
-# them took 1.07-1.15x (2 and 4 runs at N = 128 and 256).  So the rule reads
-# N alone, and a stack's rows compute the bits of the same runs stepped alone
-_PAIRED_POINTS = 2048
-
-
-def _pairs(n: int) -> int:
-    """Grid rows P per run of the cutoff-n flow: 2 where it pairs, else 1."""
-    return 2 if _pow2_grid_size(n) > _PAIRED_POINTS else 1
-
-
 @lru_cache(maxsize=8)
 def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                                    np.ndarray]:
     """(m, alpha, K1, K2, unchirp, twiddle) of the cutoff-n flow, whose
-    chirp-z grid of L = _pow2_grid_size(2n) points runs as P = _pairs(n) rows
-    of m = L/P points: read-only, so every stack of cutoff n shares them.
+    chirp-z grid of L = _pow2_grid_size(2n) points runs as P rows of m = L/P
+    points: read-only, so every stack of cutoff n shares them.
+
+    P = 2 (see `_nonlinear_flow`) exactly where a study stacks the runs of
+    cutoff n one to a stack (`spectral._stack_runs`): pocketfft vectorizes
+    across a call's rows, so one run's paired flow took 0.82-0.90x its
+    one-row flow at N = 683..8192, but pairing a stack of 2 or 4 runs, whose
+    calls already hold several rows, took 1.07-1.15x.  So P reads n alone,
+    and a stack's rows compute the bits of the same runs stepped alone.
 
     alpha_k = e^{i pi k^2/M} on |k| <= n and beta_j = e^{-i pi j^2/M} on
     |j| <= 3n, with M = 4n+1; K1 and K2 are beta and conj(beta) on the L-point
@@ -84,7 +75,8 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     standard order; exponents are reduced mod 2M or L in integers before
     scaling.
     """
-    big_m, big_l, pairs = 4 * n + 1, _pow2_grid_size(2 * n), _pairs(n)
+    big_m, big_l = 4 * n + 1, _pow2_grid_size(2 * n)
+    pairs = 2 if _stack_runs(n) == 1 else 1
     m = big_l // pairs
     k = _uncentered(np.arange(-n, n + 1))
     j = _uncentered(np.arange(-3 * n, 3 * n + 1))
@@ -115,9 +107,9 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
 
 def _flow_work(rows: int, n: int) -> tuple[np.ndarray, ...]:
     """The workspace of `_nonlinear_flow` for `rows` runs of cutoff n, per
-    run P = _pairs(n) grid rows of m points (one chirp-z grid), P sample
-    rows of 4n+1 points, a real angle row and a complex phase row: 0.63 MiB
-    a run at n = 2^11 (P = 2), 20 MiB at 2^16."""
+    run P grid rows of m points (one chirp-z grid, see `_chirp_tables`), P
+    sample rows of 4n+1 points, a real angle row and a complex phase row:
+    0.63 MiB a run at n = 2^11 (P = 2), 20 MiB at 2^16."""
     m, alpha = _chirp_tables(n)[:2]
     pairs, samples = alpha.shape[0], 4 * n + 1
     return (np.empty((rows, pairs, m), dtype=np.complex128),
@@ -143,7 +135,7 @@ def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray, work) -> np.ndarray:
     of >= 6N+1 points.  The product grid of cutoff 2N, the smallest 2^a or
     25*2^b >= 6N+1, is such a grid, of L points, and a fast FFT length.
 
-    Where the flow pairs (P = 2, see `_pairs`), each FFT call takes the even
+    Where the flow pairs (P = 2), each FFT call takes the even
     and odd points of that grid as two rows of m = L/2 points (L = 2m for
     N >= 5), one radix-2 stage done in coefficient space.  With
     omega = e^{2 pi i/L}, the rows a_k and a_k omega^k (|k| <= N < m/2, so

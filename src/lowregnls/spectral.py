@@ -268,6 +268,18 @@ def _pow2_grid_size(cutoff: int) -> int:
     return min(1 << (need - 1).bit_length(), 25 << ((need - 1) // 25).bit_length())
 
 
+# most grid points R * m in a row of a stack of R runs on the m-point grid
+# of its largest cutoff: a worker's 7-row work block stays within 448 KiB,
+# and stacks of two or more runs form only at m <= STACK_POINTS // 2
+STACK_POINTS = 4096
+
+
+def _stack_runs(cutoff: int) -> int:
+    """Most runs a study stacks on the grid of top cutoff `cutoff`; a
+    splitting flow of that cutoff pairs its grid rows where this is 1."""
+    return max(1, STACK_POINTS // _pow2_grid_size(cutoff))
+
+
 def _standard(
     x: np.ndarray, cutoff: int, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -324,15 +336,24 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(f.cutoff, _centered(_from_grid(vals[0] * vals[1], f.cutoff), f.cutoff))
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm.
+def _sobolev(cutoff: int, s: float):
+    """norms(p), the H^s norms sqrt(2 pi sum_k (1 + k^2)^s p_k) of the rows
+    of p, centered |c_k|^2 of cutoff `cutoff`, its weight built once: the one
+    rule of `sobolev_norm` and of `integrator.evolve_lockstep`'s H^1 pass.
     An s whose weight (1 + N^2)^s passes float range is one ValueError naming s."""
-    k = f.frequencies().astype(float)
+    k = np.arange(-cutoff, cutoff + 1, dtype=float)
     with np.errstate(over="ignore"):
         w = (1.0 + k * k) ** _real(s, "s")
     if not np.isfinite(w).all():
-        raise ValueError(f"(1 + N^2)^s must be finite, got s={s!r} at N={f.cutoff}")
-    return float(np.sqrt(2.0 * np.pi * np.sum(w * np.abs(f.coeffs) ** 2)))
+        raise ValueError(f"(1 + N^2)^s must be finite, got s={s!r} at N={cutoff}")
+    return lambda p: [math.sqrt(2.0 * math.pi * float(total))
+                      for total in np.sum(w * p, axis=-1)]
+
+
+def sobolev_norm(f: SpectralField, s: float) -> float:
+    """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm.
+    An s whose weight (1 + N^2)^s passes float range is one ValueError naming s."""
+    return _sobolev(f.cutoff, s)(np.abs(f.coeffs[None]) ** 2)[0]
 
 
 def l2_error(f: SpectralField, g: SpectralField) -> float:

@@ -23,7 +23,6 @@ import lowregnls
 from lowregnls import harness
 from lowregnls.harness import (
     CSV_HEADER,
-    STACK_POINTS,
     ConvergenceReport,
     StudySpec,
     fit_rate,
@@ -40,7 +39,7 @@ from lowregnls.integrator import (
     evolve_lockstep,
     initialize,
 )
-from lowregnls.spectral import _pow2_grid_size, l2_error, project
+from lowregnls.spectral import STACK_POINTS, _pow2_grid_size, l2_error, project
 
 
 class TestFitRate:
