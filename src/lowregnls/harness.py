@@ -125,17 +125,21 @@ class StudySpec:
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Error table of the study spec, and each column's rate fitted from it:
-    p for errors ~ tau^p in a temporal study, s for errors ~ N^-s in a spatial one."""
+    p for errors ~ tau^p in a temporal study, s for errors ~ N^-s in a spatial one.
+    Each error must be a finite real (`spectral._real`), zero included, in a
+    table of the spec's shape; else one ValueError names `errors`."""
 
     spec: StudySpec
     errors: np.ndarray
     rates: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        arr = np.array(self.errors, dtype=float)
+        # objects, so that `_real` sees each entry before any float conversion
+        entries = np.array(self.errors, dtype=object)
         shape = (len(self.spec.rows), len(self.spec.cols))
-        if arr.shape != shape:
-            raise ValueError(f"errors has shape {arr.shape}, expected {shape}")
+        if entries.shape != shape:
+            raise ValueError(f"errors has shape {entries.shape}, expected {shape}")
+        arr = np.array([_real(e, "errors") for e in entries.flat], dtype=float).reshape(shape)
         arr.flags.writeable = False
         object.__setattr__(self, "errors", arr)
         sign = 1.0 if self.spec.axis == "temporal" else -1.0

@@ -352,8 +352,14 @@ def _sobolev(cutoff: int, s: float):
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm.
-    An s whose weight (1 + N^2)^s passes float range is one ValueError naming s."""
-    return _sobolev(f.cutoff, s)(np.abs(f.coeffs[None]) ** 2)[0]
+    An s whose weight (1 + N^2)^s passes float range is one ValueError naming
+    s, and a norm that is not finite one naming f and s."""
+    # a weight that underflows to 0 times a square that overflows is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        [norm] = _sobolev(f.cutoff, s)(np.abs(f.coeffs[None]) ** 2)
+    if not math.isfinite(norm):
+        raise ValueError(f"the H^s norm of f must be finite, got {norm} at s={s!r}")
+    return norm
 
 
 def l2_error(f: SpectralField, g: SpectralField) -> float:

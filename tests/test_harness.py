@@ -20,7 +20,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import lowregnls
-from lowregnls import harness
+from lowregnls import harness, integrator, reference, spectral
 from lowregnls.harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -504,6 +504,49 @@ class TestStacks:
         assert str(info.value) == str(solo.value)
 
 
+def study_at(points, spec):
+    """The error table and stack sizes of spec with spectral.STACK_POINTS set
+    to points; the table caches are cleared before and after, so that no
+    table built under one layout serves another."""
+    def clear():
+        reference._chirp_tables.cache_clear()
+        integrator._plan.cache_clear()
+
+    study = temporal_study if spec.axis == "temporal" else spatial_study
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "STACK_POINTS", points)
+        clear()
+        try:
+            return study(spec).errors, [len(stack) for stack in study_plan(spec)]
+        finally:
+            clear()
+
+
+class TestStackLayoutIsASetting:
+    # at 64 every stack here holds one run and the Strang flow of 16 pairs;
+    # at 2^20 a cutoff's runs share one stack, 512 joins the layout of 1024
+    # and the Strang flow of 683 runs one row.  Below 32 the rule would pair
+    # the flows of N <= 4, whose chirp-z grids have an odd L (1 or 25)
+    @pytest.mark.parametrize("points", [64, 2 ** 20])
+    @pytest.mark.parametrize("spec, bitwise", [
+        (StudySpec(axis="spatial", taus=(2.0 ** -4, 2.0 ** -5), cutoffs=(16, 512),
+                   horizon=0.25), False),
+        (StudySpec(axis="temporal", taus=(2.0 ** -4, 2.0 ** -5), cutoffs=(16, 683),
+                   horizon=0.25, scheme="strang"), False),
+        # 2 * 16 < 512, so each stack holds one cutoff
+        (StudySpec(axis="temporal", taus=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
+                   cutoffs=(16, 512), horizon=0.25), True),
+    ], ids=["lowreg-spatial", "strang-temporal", "lowreg-one-cutoff"])
+    def test_a_study_moves_at_most_at_round_off(self, points, spec, bitwise):
+        base, base_stacks = study_at(STACK_POINTS, spec)
+        errors, stacks = study_at(points, spec)
+        assert stacks != base_stacks
+        if bitwise:
+            assert errors.tobytes() == base.tobytes()
+        else:
+            np.testing.assert_allclose(errors, base, rtol=1e-10, atol=0)
+
+
 # studies of two stacks or more, so that jobs > 1 starts a pool
 POOLED_SPECS = {
     "lowreg-temporal": small_temporal_spec(cutoffs=(8, 64)),
@@ -660,6 +703,17 @@ class TestReportValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ConvergenceReport(spec=small_temporal_spec(), errors=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("errors, match", [
+        ([[10 ** 400], [1.0]], "errors must be finite, got int past the float range"),
+        ([["x"], [1.0]], "errors must be a real number, got 'x'"),
+    ], ids=["past-float-range", "string"])
+    def test_entries_checked_before_conversion(self, errors, match):
+        spec = small_temporal_spec(cutoffs=(8,))
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            ConvergenceReport(spec, errors)
+        # identical runs give a zero error, which stays legal
+        assert ConvergenceReport(spec, [[0.0], [1.0]]).errors.tolist() == [[0.0], [1.0]]
 
     @pytest.mark.parametrize("spec, sign", [
         (small_temporal_spec(taus=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6)), 1.0),

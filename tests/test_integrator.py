@@ -1571,7 +1571,9 @@ def first_non_finite_h1(scheme, u, params):
             if j:
                 f = (step(f, params, cq) if scheme == "lowreg"
                      else splitting_step(f, params, SPLITTINGS[scheme]))
-            if not math.isfinite(sobolev_norm(f, 1)):
+            try:
+                sobolev_norm(f, 1)
+            except ValueError:              # its H^1 norm is not finite
                 return j
             if j == 0:
                 cq = conserved_quantities(u)

@@ -115,11 +115,16 @@ class TestOperatorBoundary:
         (lambda: twist_propagator(F, 1e308, 1.0, 1.0, 0.0), "the phase must be finite, got "
          "tau=1e+308, lam=1.0, mass=1.0, momentum_imag=0.0 at N=2"),
         (lambda: sobolev_norm(F, 1e308), "(1 + N^2)^s must be finite, got s=1e+308 at N=2"),
+        # finite, but the norm they make passes float range
+        (lambda: sobolev_norm(SpectralField.from_modes(4, {1: 1e200}), 1),
+         "the H^s norm of f must be finite, got inf at s=1"),
+        (lambda: sobolev_norm(SpectralField.from_modes(4, {4: 1.0}), 250.2),
+         "the H^s norm of f must be finite, got inf at s=250.2"),
     ], ids=["from-modes-bool", "from-modes-float", "coefficient-float", "coefficient-bool",
             "free-t-inf", "free-t-nan", "free-t-string", "twist-tau-nan", "twist-lam-inf",
             "twist-mass-nan", "twist-momentum-nan", "sobolev-s-nan", "sobolev-s-bool",
             "free-t-overflows", "twist-lam-overflows", "twist-tau-overflows",
-            "sobolev-s-overflows"])
+            "sobolev-s-overflows", "sobolev-square-overflows", "sobolev-sum-overflows"])
     def test_rejected_naming_the_parameter(self, call, match):
         # no RuntimeWarning either: the suite makes one an error
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
