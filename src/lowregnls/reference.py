@@ -11,8 +11,8 @@ change the baseline's aliasing.  But M is odd and in general not a fast FFT
 length, so both of its DFTs are computed as chirp-z (Bluestein) convolutions
 on the product grid of cutoff 2N (see `_nonlinear_flow`), in standard order:
 four FFT calls per flow, of one row per run, or, where a study stacks its
-cutoff's runs alone (`spectral._stack_runs`), of two rows per run, the
-grid's even and odd points, which pocketfft transforms together in SIMD.
+cutoff's runs alone (`spectral._stack_runs`) on a grid of even length, of
+two rows per run, the grid's even and odd points, which pocketfft transforms together in SIMD.
 
 `integrator.evolve_lockstep` (and `splitting_evolve`, its one-run case)
 steps a stack of splitting runs in lockstep, as it does low-regularity runs,
@@ -58,7 +58,9 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     points: read-only, so every stack of cutoff n shares them.
 
     P = 2 (see `_nonlinear_flow`) exactly where a study stacks the runs of
-    cutoff n one to a stack (`spectral._stack_runs`): pocketfft vectorizes
+    cutoff n one to a stack (`spectral._stack_runs`) and L is even, as it is
+    at every n but 0, 3 and 4 (L = 1, 25, 25), which no stack of
+    `spectral.STACK_POINTS` >= 32 holds alone: pocketfft vectorizes
     across a call's rows, so one run's paired flow took 0.82-0.90x its
     one-row flow at N = 683..8192, but pairing a stack of 2 or 4 runs, whose
     calls already hold several rows, took 1.07-1.15x.  So P reads n alone,
@@ -76,7 +78,7 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     scaling.
     """
     big_m, big_l = 4 * n + 1, _pow2_grid_size(2 * n)
-    pairs = 2 if _stack_runs(n) == 1 else 1
+    pairs = 2 if _stack_runs(n) == 1 and big_l % 2 == 0 else 1
     m = big_l // pairs
     k = _uncentered(np.arange(-n, n + 1))
     j = _uncentered(np.arange(-3 * n, 3 * n + 1))

@@ -350,19 +350,29 @@ def _sobolev(cutoff: int, s: float):
                       for total in np.sum(w * p, axis=-1)]
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm.
-    An s whose weight (1 + N^2)^s passes float range is one ValueError naming
-    s, and a norm that is not finite one naming f and s."""
+def _finite_norm(f: SpectralField, s: float, what: str) -> float:
+    """The H^s norm of f by `_sobolev`, summed with no warning; one
+    ValueError "{what} must be finite" where it is not finite."""
     # a weight that underflows to 0 times a square that overflows is nan
     with np.errstate(over="ignore", invalid="ignore"):
         [norm] = _sobolev(f.cutoff, s)(np.abs(f.coeffs[None]) ** 2)
     if not math.isfinite(norm):
-        raise ValueError(f"the H^s norm of f must be finite, got {norm} at s={s!r}")
+        raise ValueError(f"{what} must be finite, got {norm}")
     return norm
 
 
+def sobolev_norm(f: SpectralField, s: float) -> float:
+    """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm.
+    An s whose weight (1 + N^2)^s passes float range is one ValueError naming
+    s, and a norm that is not finite one naming f and s."""
+    return _finite_norm(f, s, f"the H^s norm of f at s={s!r}")
+
+
 def l2_error(f: SpectralField, g: SpectralField) -> float:
-    """L^2 distance ||f - g||; mismatched cutoffs are aligned by zero extension."""
-    return sobolev_norm(f - g, 0.0)
+    """L^2 distance ||f - g||; mismatched cutoffs are aligned by zero extension.
+    A distance that is not finite is one ValueError naming f and g."""
+    # a difference past float range is inf, and so is its norm
+    with np.errstate(over="ignore"):
+        d = f - g
+    return _finite_norm(d, 0.0, "the L^2 distance of f and g")
 

@@ -523,11 +523,10 @@ def study_at(points, spec):
 
 
 class TestStackLayoutIsASetting:
-    # at 64 every stack here holds one run and the Strang flow of 16 pairs;
-    # at 2^20 a cutoff's runs share one stack, 512 joins the layout of 1024
-    # and the Strang flow of 683 runs one row.  Below 32 the rule would pair
-    # the flows of N <= 4, whose chirp-z grids have an odd L (1 or 25)
-    @pytest.mark.parametrize("points", [64, 2 ** 20])
+    # at 1 and 64 every stack here holds one run and the Strang flow of 16
+    # pairs; at 2^20 a cutoff's runs share one stack, 512 joins the layout
+    # of 1024 and the Strang flow of 683 runs one row
+    @pytest.mark.parametrize("points", [1, 64, 2 ** 20])
     @pytest.mark.parametrize("spec, bitwise", [
         (StudySpec(axis="spatial", taus=(2.0 ** -4, 2.0 ** -5), cutoffs=(16, 512),
                    horizon=0.25), False),

@@ -117,14 +117,21 @@ class TestOperatorBoundary:
         (lambda: sobolev_norm(F, 1e308), "(1 + N^2)^s must be finite, got s=1e+308 at N=2"),
         # finite, but the norm they make passes float range
         (lambda: sobolev_norm(SpectralField.from_modes(4, {1: 1e200}), 1),
-         "the H^s norm of f must be finite, got inf at s=1"),
+         "the H^s norm of f at s=1 must be finite, got inf"),
         (lambda: sobolev_norm(SpectralField.from_modes(4, {4: 1.0}), 250.2),
-         "the H^s norm of f must be finite, got inf at s=250.2"),
+         "the H^s norm of f at s=250.2 must be finite, got inf"),
+        (lambda: l2_error(SpectralField.from_modes(2, {1: 1e200}),
+                          SpectralField.from_modes(2, {1: -1e200})),
+         "the L^2 distance of f and g must be finite, got inf"),
+        (lambda: l2_error(SpectralField.from_modes(2, {1: 1.7e308}),
+                          SpectralField.from_modes(2, {1: -1.7e308})),
+         "the L^2 distance of f and g must be finite, got inf"),
     ], ids=["from-modes-bool", "from-modes-float", "coefficient-float", "coefficient-bool",
             "free-t-inf", "free-t-nan", "free-t-string", "twist-tau-nan", "twist-lam-inf",
             "twist-mass-nan", "twist-momentum-nan", "sobolev-s-nan", "sobolev-s-bool",
             "free-t-overflows", "twist-lam-overflows", "twist-tau-overflows",
-            "sobolev-s-overflows", "sobolev-square-overflows", "sobolev-sum-overflows"])
+            "sobolev-s-overflows", "sobolev-square-overflows", "sobolev-sum-overflows",
+            "l2-error-square-overflows", "l2-error-difference-overflows"])
     def test_rejected_naming_the_parameter(self, call, match):
         # no RuntimeWarning either: the suite makes one an error
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):

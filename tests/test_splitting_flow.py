@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from lowregnls import dft, harness
+from lowregnls import dft, harness, spectral
 from lowregnls.integrator import SchemeParams, conserved_quantities, splitting_evolve
 from lowregnls.reference import _chirp_tables, _flow_work, _nonlinear_flow, splitting_step
 from lowregnls.spectral import (
@@ -172,16 +172,30 @@ class TestPairing:
         # pairing pays for one run and costs for a stack of several, so a
         # cutoff's flow pairs exactly where `harness` steps each of its runs
         # in a stack of its own.  P is the row count of the flow's tables,
-        # read at both ends of each product grid size, on which both sides
-        # depend (building the tables of every n takes 14 s)
-        grid = _pow2_grid_size
+        # built at the first n of each product grid size, which both sides
+        # read (building the tables of every n takes 14 s)
+        rows = {}
         for n in range(1, 4097):
-            if grid(n - 1) == grid(n) == grid(n + 1):
-                continue
             keys = [(n, 2.0 ** -4), (n, 2.0 ** -5)]
             params = {key: SchemeParams(-1, key[1], n, 1) for key in keys}
             alone = all(len(stack) == 1 for stack in harness._stacks("strang", params))
-            assert (len(_chirp_tables(n)[1]) == 2) == alone, n
+            if _pow2_grid_size(n) not in rows:
+                rows[_pow2_grid_size(n)] = len(_chirp_tables(n)[1])
+            assert (rows[_pow2_grid_size(n)] == 2) == alone, n
+
+    def test_one_run_per_stack_pairs_only_even_grids(self, monkeypatch):
+        # at STACK_POINTS = 1 every cutoff stacks alone, but the grids of
+        # 0, 3 and 4 (L = 1, 25, 25) have no even and odd halves, so those
+        # flows run one row; every flow still computes the collocation
+        monkeypatch.setattr(spectral, "STACK_POINTS", 1)
+        _chirp_tables.cache_clear()
+        try:
+            assert [len(_chirp_tables(n)[1]) for n in range(8)] == [1, 2, 2, 1, 1, 2, 2, 2]
+            for n in range(8):
+                f = unit_field(n, n)
+                assert_close(flow(f, -1, 0.25), collocated_flow(f, -1, 0.25))
+        finally:
+            _chirp_tables.cache_clear()
 
 
 class TestNormBias:
