@@ -11,9 +11,9 @@ to a logarithmic factor, without any CFL-type step restriction.
 17 FFTs (5 + 4 + 4 + 4), in four batched calls, on a product grid of
 >= 3N+1 points, the smallest 2^k or 25*2^k; products that end under the
 same Fourier multiplier are summed on the grid and transformed once.  On
-rows of more than _WINDOW_TABLES_PAST = 2^14 points the multiplier tables
-hold the window |k| <= N alone, and the passes in coefficient space visit
-only it; the result is bitwise the same (see `_apply`).
+rows of more than `spectral.STACK_POINTS` = 4096 points the multiplier
+tables hold the window |k| <= N alone, and the passes in coefficient space
+visit only it; the result is bitwise the same (see `_apply`).
 `evolve_lockstep` is the one driver of every scheme: it advances runs of
 several taus together as one stack of states through the same calls, by
 the low-regularity step (runs of several cutoffs on the product grid of
@@ -36,12 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import initial_data
+from . import initial_data, spectral
 from .initial_data import InitialDataSpec
 from .reference import SPLITTINGS, _splitting_scheme, _splitting_stepper
 from .spectral import (
     SpectralField,
     _centered,
+    _field,
     _finite_field,
     _free_phase,
     _integer,
@@ -184,8 +185,16 @@ class ConservedQuantities:
 
 
 def conserved_quantities(f: SpectralField) -> ConservedQuantities:
-    """Closed forms: mass = sum_k |c_k|^2, momentum = -i sum_k k |c_k|^2."""
-    return _quantities(np.abs(f.coeffs) ** 2)
+    """Closed forms: mass = sum_k |c_k|^2, momentum = -i sum_k k |c_k|^2.
+    A sum past float range, or of a coefficient that is not finite, is one
+    ValueError naming f, with no warning."""
+    f = _field(f, "f")
+    # a modulus, square or sum past float range is inf, and infs that cancel nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _quantities(np.abs(f.coeffs) ** 2)
+        except ValueError as exc:
+            raise ValueError(f"f's {exc}") from None
 
 
 def _quantities(p: np.ndarray) -> ConservedQuantities:
@@ -206,15 +215,6 @@ def initialize(source, cutoff: int) -> SpectralField:
     raise TypeError(f"cannot initialize from {type(source).__name__}")
 
 
-# Row length, in points, past which a step's tables lie on the window
-# |k| <= N alone and its coefficient passes visit only that window, run by
-# run: at N = 2^14 that keeps 12 table rows of 32769 points, not 51200,
-# 3.4 MiB less.  Up to it, tables on the whole row let each pass be
-# one numpy call for a whole stack, which the call-bound small grids need:
-# tables on the window at every size made a spatial study 1.5-2.4x slower
-_WINDOW_TABLES_PAST = 2 ** 14
-
-
 def _apply(tables: np.ndarray, c: np.ndarray) -> np.ndarray:
     """One step of an (R, m) stack of states c, run r on row r, by the
     read-only (12, R, p) table block of a stack of R runs of one lam on one
@@ -233,8 +233,8 @@ def _apply(tables: np.ndarray, c: np.ndarray) -> np.ndarray:
     (`_products`, `_squares`, `_multipliers` with `_zero_mode`, `_cubics`,
     `_truncate`, `_combine`).  On tables of p = m points `_apply` makes each
     once, on whole rows.  On tables of the window |k| <= top alone, which
-    `_plan` lays for a top > 1 past _WINDOW_TABLES_PAST = 2^14 points (the
-    grid of any N >= 5462), the grid passes (stages 2 and 4) still take
+    `_plan` lays for a top > 1 past spectral.STACK_POINTS = 4096 points (the
+    grid of any N >= 1366), the grid passes (stages 2 and 4) still take
     whole rows, and the coefficient passes (stages 1 and 3, the t4 products
     and the combine) take the window, one run and one end of the row at a
     time.  Between the window's ends every table is zero, so those work rows
@@ -404,21 +404,23 @@ def _combine(twist, c, work, out) -> None:
 
 
 @lru_cache(maxsize=32)
-def _plan(lam: int, runs: tuple, top: int, m: int) -> np.ndarray:
+def _plan(lam: int, runs: tuple, m: int) -> np.ndarray:
     """The read-only (12, R, p) table block of a stack of R runs of one lam
-    and largest cutoff top on m points, row r from runs[r] = (tau, cutoff,
-    mass, momentum_imag), in standard order: on the window |k| <= top,
-    p = 2 top + 1, past _WINDOW_TABLES_PAST points, else on the whole row,
+    on m points, row r from runs[r] = (tau, cutoff, mass, momentum_imag), in
+    standard order: on the window |k| <= top of the runs' largest cutoff,
+    p = 2 top + 1, past spectral.STACK_POINTS points, else on the whole row,
     p = m.  A top of 0 or 1 takes whole rows at any m: over a window end of
     one point numpy rounds an in-place product and sums `_combine`'s rows
-    otherwise than along a row.  Cached by stack; `step`'s run is a stack
-    of one, so a loop of steps builds its block once."""
-    p = 2 * top + 1 if m > _WINDOW_TABLES_PAST and top > 1 else m
+    otherwise than along a row.  Cached by stack, by a key without
+    STACK_POINTS; `step`'s run is a stack of one, so a loop of steps builds
+    its block once.  A phase past float range is one ValueError."""
+    top = max(cutoff for _, cutoff, _, _ in runs)
+    p = 2 * top + 1 if m > spectral.STACK_POINTS and top > 1 else m
     tables = np.empty((12, len(runs), p), dtype=np.complex128)
     for r, (tau, cutoff, mass, mom_imag) in enumerate(runs):
         k = _uncentered(np.arange(-cutoff, cutoff + 1.0))
         inv_ik = _inv_ik(k)                   # d_x^{-1}, zero at k = 0
-        ep = _free_phase(k, tau)              # e^{i tau d_xx}
+        ep = _free_phase(k, tau, "tau")       # e^{i tau d_xx}
         # stage 1 scales two grid rows so that stage 3 needs no scalar but
         # c_0: the d_x row becomes -i tau d_x conj(f) once conjugated, and
         # the squares of the d_x^{-1} rows come out divided by -2i tau
@@ -451,7 +453,7 @@ def step(f: SpectralField, params: SchemeParams, cq: ConservedQuantities) -> Spe
     m = _pow2_grid_size(f.cutoff)
     c = _standard(_uncentered(f.coeffs), f.cutoff, m)
     run = (params.tau, params.cutoff, cq.mass, cq.momentum_imag)
-    tables = _plan(params.lam, (run,), f.cutoff, m)
+    tables = _plan(params.lam, (run,), m)
     return SpectralField(f.cutoff, _centered(_apply(tables, c[None])[0], f.cutoff))
 
 
@@ -537,10 +539,11 @@ class Trajectory:
 class _Record:
     """What one run of `evolve_lockstep` records: its start and its conserved
     quantities, its final state, its diagnostics, running H^1 maximum and
-    blow-up check."""
+    blow-up check.  A diagnostic's L^2 is `sobolev_norm`'s at s = 0."""
 
     def __init__(self, initial, params, diag_stride):
         self.initial, self.params, self.stride = initial, params, diag_stride
+        self.l2_norms = _sobolev(params.cutoff, 0.0)
         self.cq: ConservedQuantities | None = None
         self.final: SpectralField | None = None
         self.diagnostics: list[SnapshotDiagnostics] = []
@@ -562,13 +565,14 @@ class _Record:
                 self.final = SpectralField(params.cutoff, _centered(row, params.cutoff))
             # the run's own window of p: the sums of `conserved_quantities`
             top, n = len(p) // 2, params.cutoff
-            now = _quantities(p[top - n: top + n + 1])
+            own = p[top - n: top + n + 1]
+            now = _quantities(own)
             if j == 0:
                 # the run's quantities: step 0's row holds the initial
                 # coefficients, and its finite H^1 bounds their sums
                 self.cq = now
             self.diagnostics.append(SnapshotDiagnostics(
-                step_index=j, l2=math.sqrt(2.0 * math.pi * now.mass),
+                step_index=j, l2=self.l2_norms(own[None])[0],
                 h1=h1, mass_drift=abs(now.mass - self.cq.mass),
                 momentum_drift=abs(now.momentum_imag - self.cq.momentum_imag),
             ))
@@ -588,10 +592,11 @@ def evolve(initial: SpectralField, params: SchemeParams, diag_stride: int = 0) -
     and L, and at every diag_stride-th step when diag_stride > 0.  The
     running H^1 maximum over every step is always tracked; drifts are from
     the initial field's conserved quantities.  Raises ValueError if the
-    initial coefficients are not finite, and BlowUpError, naming the step,
-    the tau and the last finite H^1, if the state's H^1 norm leaves floating
-    point range at any step, step 0 (the initial state) included; the
-    overflow or nan behind it emits no RuntimeWarning (see
+    initial coefficients are not finite or a phase of the step passes float
+    range (naming tau or the twist's arguments), and BlowUpError, naming the
+    step, the tau and the last finite H^1, if the state's H^1 norm leaves
+    floating point range at any step, step 0 (the initial state) included;
+    the overflow or nan behind it emits no RuntimeWarning (see
     `evolve_lockstep`).
     """
     [traj] = evolve_lockstep([initial], [params], diag_stride)
@@ -693,10 +698,9 @@ def _stepper(scheme: str, ranked, size: int):
     rows of the stack of the records `ranked`, on `size` points."""
     if scheme != "lowreg":
         return _splitting_stepper(scheme, [rec.params for rec in ranked])
-    top = max(rec.params.cutoff for rec in ranked)
     runs = tuple((rec.params.tau, rec.params.cutoff, rec.cq.mass, rec.cq.momentum_imag)
                  for rec in ranked)
-    tables = _plan(ranked[0].params.lam, runs, top, size)
+    tables = _plan(ranked[0].params.lam, runs, size)
     return lambda rows: partial(_apply, tables[:, :rows])
 
 

@@ -218,7 +218,9 @@ def _splitting_stepper(scheme: str, runs):
     and numpy's buffers for the tables broadcast over more than one row."""
     lam, n = runs[0].lam, runs[0].cutoff
     taus = np.array([params.tau for params in runs])
-    phase = _free_phase(_uncentered(np.arange(-n, n + 1.0)), taus[:, None])
+    k = _uncentered(np.arange(-n, n + 1.0))
+    # a row per run, so that a phase past float range names its run's tau
+    phase = np.stack([_free_phase(k, params.tau, "tau") for params in runs])
     times = taus if scheme == "lie" else 0.5 * taus
     work = _flow_work(len(runs), n)
 

@@ -55,7 +55,9 @@ class SpectralField:
     only finite fields: `dealiased_product`, `integrator.step`,
     `integrator.step_twisted` and `reference.splitting_step` raise one
     ValueError naming the argument that is not, and the `evolve` drivers one
-    naming the run.
+    naming the run.  Those maps, `sobolev_norm` and `l2_error` raise one
+    naming an argument that is no field at all, and a product with a scalar
+    one naming a scalar that is no finite number.
     """
 
     cutoff: int
@@ -106,7 +108,11 @@ class SpectralField:
     def __mul__(self, scalar) -> "SpectralField":
         if isinstance(scalar, SpectralField):
             raise TypeError("use dealiased_product for field*field products")
-        return SpectralField(self.cutoff, self.coeffs * complex(scalar))
+        # a number of any type, its parts finite reals by `_real`'s rule
+        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Complex):
+            raise ValueError(f"scalar must be a number, got {scalar!r}")
+        z = complex(_real(scalar.real, "scalar"), _real(scalar.imag, "scalar"))
+        return SpectralField(self.cutoff, self.coeffs * z)
 
     __rmul__ = __mul__
 
@@ -148,12 +154,20 @@ def _real(value, name: str, positive: bool = False) -> float:
     return value
 
 
-def _finite_field(f: SpectralField, name: str, cutoff: int | None = None) -> SpectralField:
-    """f, checked to hold finite coefficients, and, where cutoff is given,
-    to have the cutoff of the run it enters: the rule of `SpectralField` for
-    the scheme's maps and drivers; a ValueError names the argument
+def _field(f, name: str) -> SpectralField:
+    """f, checked to be a SpectralField; a ValueError names the argument
     otherwise."""
-    if not np.all(np.isfinite(f.coeffs)):
+    if not isinstance(f, SpectralField):
+        raise ValueError(f"{name} must be a SpectralField, got {type(f).__name__}")
+    return f
+
+
+def _finite_field(f: SpectralField, name: str, cutoff: int | None = None) -> SpectralField:
+    """f, checked to be a field of finite coefficients, and, where cutoff is
+    given, to have the cutoff of the run it enters: the rule of
+    `SpectralField` for the scheme's maps and drivers; a ValueError names the
+    argument otherwise."""
+    if not np.all(np.isfinite(_field(f, name).coeffs)):
         raise ValueError(f"{name} must have finite coefficients")
     if cutoff is not None and f.cutoff != cutoff:
         raise ValueError(f"field cutoff {f.cutoff} != params cutoff {cutoff}")
@@ -206,10 +220,7 @@ def conjugate(f: SpectralField) -> SpectralField:
 def free_propagator(f: SpectralField, t: float) -> SpectralField:
     """exp(i t d_xx) f: the flow of i u_t + u_xx = 0, mode k picks up e^{-i t k^2}.
     A t whose phase t N^2 passes float range is one ValueError naming t."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = _free_phase(f.frequencies().astype(float), _real(t, "t"))
-    if not np.isfinite(phase).all():
-        raise ValueError(f"t * N^2 must be finite, got t={t!r} at N={f.cutoff}")
+    phase = _free_phase(f.frequencies().astype(float), _real(t, "t"), "t")
     return SpectralField(f.cutoff, phase * f.coeffs)
 
 
@@ -225,35 +236,42 @@ def twist_propagator(
     imaginary and the map is unitary.  A phase past float range is one
     ValueError naming the four.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = _twist_phase(f.frequencies().astype(float), _real(tau, "tau"), _real(lam, "lam"),
-                             _real(mass, "mass"), _real(momentum_imag, "momentum_imag"))
-    if not np.isfinite(phase).all():
-        raise ValueError(f"the phase must be finite, got tau={tau!r}, lam={lam!r}, "
-                         f"mass={mass!r}, momentum_imag={momentum_imag!r} at N={f.cutoff}")
+    phase = _twist_phase(f.frequencies().astype(float), _real(tau, "tau"), _real(lam, "lam"),
+                         _real(mass, "mass"), _real(momentum_imag, "momentum_imag"))
     return SpectralField(f.cutoff, phase * f.coeffs)
 
 
-# The multipliers of the scheme, on float frequencies k; the public operators
-# above and integrator._plan both build from these.
+# The multipliers of the scheme, on float frequencies k of a cutoff N; the
+# public operators above, integrator._plan and reference._splitting_stepper
+# all build from these.  Each computes quietly and raises one ValueError
+# naming its arguments where the multiplier passes float range.
 
 def _inv_ik(k: np.ndarray) -> np.ndarray:
     """Multiplier of d_x^{-1}: 1/(ik) = -i/k for k != 0, zero at k = 0."""
     return -1j * np.divide(1.0, k, out=np.zeros_like(k), where=k != 0)
 
 
-def _free_phase(k: np.ndarray, t: float) -> np.ndarray:
-    """Multiplier of exp(i t d_xx): e^{-i t k^2}."""
-    return np.exp(-1j * t * k * k)
+def _free_phase(k: np.ndarray, t: float, name: str) -> np.ndarray:
+    """Multiplier of exp(i t d_xx): e^{-i t k^2}; the error names t as `name`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(-1j * t * k * k)
+    if not np.isfinite(phase).all():
+        raise ValueError(f"{name} * N^2 must be finite, got {name}={t!r} at N={len(k) // 2}")
+    return phase
 
 
 def _twist_phase(
     k: np.ndarray, tau: float, lam: float, mass: float, mom_imag: float
 ) -> np.ndarray:
     """exp(i tau (-2 lam mass - k^2 - 2 lam momentum/(ik))), momentum = i mom_imag."""
-    # -2 lam momentum/(ik) = -2 lam mom_imag/k, a real phase contribution
-    q_over_k = (1j * mom_imag * _inv_ik(k)).real
-    return np.exp(1j * tau * (-2.0 * lam * mass - k * k - 2.0 * lam * q_over_k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # -2 lam momentum/(ik) = -2 lam mom_imag/k, a real phase contribution
+        q_over_k = (1j * mom_imag * _inv_ik(k)).real
+        phase = np.exp(1j * tau * (-2.0 * lam * mass - k * k - 2.0 * lam * q_over_k))
+    if not np.isfinite(phase).all():
+        raise ValueError(f"the phase must be finite, got tau={tau!r}, lam={lam!r}, "
+                         f"mass={mass!r}, momentum_imag={mom_imag!r} at N={len(k) // 2}")
+    return phase
 
 
 def _pow2_grid_size(cutoff: int) -> int:
@@ -268,9 +286,13 @@ def _pow2_grid_size(cutoff: int) -> int:
     return min(1 << (need - 1).bit_length(), 25 << ((need - 1) // 25).bit_length())
 
 
-# most grid points R * m in a row of a stack of R runs on the m-point grid
-# of its largest cutoff: a worker's 7-row work block stays within 448 KiB,
-# and stacks of two or more runs form only at m <= STACK_POINTS // 2
+# Row length, in points, that the step layouts read when called, so that
+# one patch moves the three things it decides: a stack of R runs on the
+# m-point grid of its largest cutoff holds R * m <= STACK_POINTS points a
+# row (`_stack_runs`, a 7-row work block within 448 KiB), a splitting flow
+# pairs where its cutoff stacks alone, and a low-regularity step's tables
+# lie on the window |k| <= N past it (`integrator._plan`: there a one-run
+# step took 0.94-0.98x its whole-row time, up to it 1.02-1.06x)
 STACK_POINTS = 4096
 
 
@@ -341,9 +363,11 @@ def _sobolev(cutoff: int, s: float):
     of p, centered |c_k|^2 of cutoff `cutoff`, its weight built once: the one
     rule of `sobolev_norm` and of `integrator.evolve_lockstep`'s H^1 pass.
     An s whose weight (1 + N^2)^s passes float range is one ValueError naming s."""
-    k = np.arange(-cutoff, cutoff + 1, dtype=float)
+    k, order = np.arange(-cutoff, cutoff + 1, dtype=float), _real(s, "s")
     with np.errstate(over="ignore"):
-        w = (1.0 + k * k) ** _real(s, "s")
+        # every weight of the L^2 norm is 1, held as one scalar, so that each
+        # run's recorded l2 keeps no row of ones
+        w = (1.0 + k * k) ** order if order else 1.0
     if not np.isfinite(w).all():
         raise ValueError(f"(1 + N^2)^s must be finite, got s={s!r} at N={cutoff}")
     return lambda p: [math.sqrt(2.0 * math.pi * float(total))
@@ -365,7 +389,7 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm sqrt(2 pi sum_k (1 + k^2)^s |c_k|^2); s = 0 is the L^2 norm.
     An s whose weight (1 + N^2)^s passes float range is one ValueError naming
     s, and a norm that is not finite one naming f and s."""
-    return _finite_norm(f, s, f"the H^s norm of f at s={s!r}")
+    return _finite_norm(_field(f, "f"), s, f"the H^s norm of f at s={s!r}")
 
 
 def l2_error(f: SpectralField, g: SpectralField) -> float:
@@ -373,6 +397,6 @@ def l2_error(f: SpectralField, g: SpectralField) -> float:
     A distance that is not finite is one ValueError naming f and g."""
     # a difference past float range is inf, and so is its norm
     with np.errstate(over="ignore"):
-        d = f - g
+        d = _field(f, "f") - _field(g, "g")
     return _finite_norm(d, 0.0, "the L^2 distance of f and g")
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lowregnls import dft, integrator, reference
+from lowregnls import dft, integrator, reference, spectral
 from lowregnls.harness import StudySpec
 from lowregnls.initial_data import InitialDataSpec, coefficients
 from lowregnls.integrator import (
@@ -345,11 +345,11 @@ def assert_close(a, b):
     assert l2_error(a, b) <= 1e-12 * sobolev_norm(b, 0.0)
 
 
-def stack_tables(runs, cqs, top, m):
+def stack_tables(runs, cqs, m):
     """`integrator._plan`'s table block of a stack of runs of one lam, of
-    conserved quantities cqs and largest cutoff top, on m points."""
+    conserved quantities cqs, on m points."""
     return integrator._plan(runs[0].lam, tuple((p.tau, p.cutoff, q.mass, q.momentum_imag)
-                                               for p, q in zip(runs, cqs)), top, m)
+                                               for p, q in zip(runs, cqs)), m)
 
 
 def random_stack(cutoff, runs):
@@ -358,15 +358,15 @@ def random_stack(cutoff, runs):
     m = _pow2_grid_size(cutoff)
     fields = [unit_field(r, cutoff) for r in range(runs)]
     params = [SchemeParams(-1, 2.0 ** -(4 + r), cutoff, 1) for r in range(runs)]
-    tables = stack_tables(params, map(conserved_quantities, fields), cutoff, m)
+    tables = stack_tables(params, map(conserved_quantities, fields), m)
     return tables, np.stack([standard(f, m) for f in fields])
 
 
 def with_blocks(*cases):
     """Parametrize (n, runs, block) over the cases (n, runs), each once with
-    the module's threshold (block None, whole rows) and once with the
-    threshold patched to 64 points (ids ending -blocks), past which a grid
-    takes the window path of `_apply`."""
+    the module's threshold (block None) and once with the threshold patched
+    to 64 points (ids ending -blocks), past which a grid takes the window
+    path of `_apply`."""
     ids = [f"{n}-{runs}" for n, runs in cases]
     return pytest.mark.parametrize(
         "n, runs, block", [(*case, None) for case in cases] + [(*case, 64) for case in cases],
@@ -374,11 +374,11 @@ def with_blocks(*cases):
 
 
 def set_block(monkeypatch, block):
-    """Patch the window threshold to `block` points, unless block is None,
-    and `_plan` to a cache of its own while the patch holds, as the cache's
-    keys leave the threshold out."""
+    """Patch the window threshold, `spectral.STACK_POINTS`, to `block`
+    points, unless block is None, and `_plan` to a cache of its own while the
+    patch holds, as the cache's keys leave the threshold out."""
     if block is not None:
-        monkeypatch.setattr(integrator, "_WINDOW_TABLES_PAST", block)
+        monkeypatch.setattr(spectral, "STACK_POINTS", block)
         monkeypatch.setattr(integrator, "_plan", lru_cache(maxsize=32)(integrator._plan.__wrapped__))
 
 
@@ -404,10 +404,10 @@ class TestStepMemory:
         # and `_zero_mode`'s list, measured 1.5-2.5 KB
         assert peak <= 8 * c.nbytes + 4096
 
-    # whole rows of N = 2^12 (12800 points) read their tables on the row,
+    # whole rows of N = 1365 (4096 points) read their tables on the row,
     # rows of N = 2^13 (25600 points) on the window |k| <= N alone, a
     # padded run's too
-    @pytest.mark.parametrize("cutoffs, points", [((4096,), 12800), ((8192,), 2 * 8192 + 1),
+    @pytest.mark.parametrize("cutoffs, points", [((1365,), 4096), ((8192,), 2 * 8192 + 1),
                                                  ((8192, 5000), 2 * 8192 + 1)])
     def test_plans_hold_twelve_rows_where_apply_reads(self, cutoffs, points, monkeypatch):
         blocks = []
@@ -447,7 +447,7 @@ def window_bytes(c, top):
 
 
 class TestBlockedStep:
-    """Rows longer than `integrator._WINDOW_TABLES_PAST` points step their
+    """Rows longer than `spectral.STACK_POINTS` points step their
     coefficient passes on the window |k| <= top alone for a top > 1, with
     the tables laid there; the result is bitwise that of whole rows at every
     top.  The threshold is patched down to 64 so that small grids take the
@@ -471,7 +471,7 @@ class TestBlockedStep:
         cutoff, and the points of its tables."""
         top = max(p.cutoff for p in params)
         m = _pow2_grid_size(top)
-        tables = stack_tables(params, map(conserved_quantities, fields), top, m)
+        tables = stack_tables(params, map(conserved_quantities, fields), m)
         c = np.stack([standard(f, m) for f in fields])
         out = []
         for _ in range(3):
@@ -556,9 +556,8 @@ class TestBlockedStep:
         assert points == [400] * 8 + [2 * top + 1 if top > 1 else 400] * 8
 
     def test_only_the_window_passes_take_spans_past_the_threshold(self, monkeypatch):
-        # 2^13 is the first power of two whose grid (25600 points) is past it
-        assert (_pow2_grid_size(4096) <= integrator._WINDOW_TABLES_PAST
-                < _pow2_grid_size(8192))
+        # 1366 is the first cutoff whose grid (6400 points) is past it
+        assert _pow2_grid_size(1365) <= spectral.STACK_POINTS < _pow2_grid_size(1366)
         calls = []
         real = integrator._each
 
@@ -567,16 +566,16 @@ class TestBlockedStep:
             return real(spans, stage, *arrays)
 
         monkeypatch.setattr(integrator, "_each", spy)
-        for n in (4096, 8192):
+        for n in (1365, 1366):
             u = unit_field(n, n)
             calls.clear()
             step(u, SchemeParams(-1, 0.01, n, 1), conserved_quantities(u))
             # the grid passes of stages 2 and 4 take whole rows on both, and
             # whole rows make their t4 products as one
             passes = ["_products", "_multipliers", "_truncate", "_combine"]
-            if n == 4096:
+            if n == 1365:
                 passes.remove("_truncate")
-            assert calls == [(name, n == 8192) for name in passes]
+            assert calls == [(name, n == 1366) for name in passes]
 
 
 def built_stepper(scheme, n, runs, monkeypatch):
@@ -807,6 +806,19 @@ class TestEvolve:
         assert steps_seen == [0, 8, 16, 24, 32]
         assert all(0 < d.l2 <= d.h1 for d in traj.diagnostics)
         assert traj.h1_max >= max(d.h1 for d in traj.diagnostics) - 1e-15
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 683, 2048])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_recorded_l2_is_the_sobolev_norm(self, scheme, n):
+        # the L^2 of each diagnostic row is `sobolev_norm` at s = 0 of the
+        # state at its step, which a run of that many steps ends in, bitwise
+        u = unit_field(n, n)
+        params = SchemeParams(-1, 2.0 ** -6, n, 3)
+        traj = solo_run(scheme, u, params, diag_stride=1)
+        assert [row.step_index for row in traj.diagnostics] == [0, 1, 2, 3]
+        for row in traj.diagnostics:
+            state = solo_run(scheme, u, replace(params, steps=row.step_index)).final
+            assert row.l2.hex() == sobolev_norm(state, 0.0).hex()
 
     def test_norm_drift_small(self):
         # the twist multiplier and all ten terms keep the mass drift at the
@@ -1447,14 +1459,14 @@ class TestLockstep:
         fields = [unit_field(seed + r, n) for r, (n, _) in enumerate(runs)]
         params = [SchemeParams(lam, tau, f.cutoff, 1) for f, (_, tau) in zip(fields, runs)]
         cqs = [conserved_quantities(f) for f in fields]
-        tables = stack_tables(params, cqs, top, m)
+        tables = stack_tables(params, cqs, m)
         c = np.stack([standard(f, m) for f in fields])
         for rows in range(1, len(runs) + 1):
             out = _apply(tables[:, :rows], c[:rows])
             assert out.shape == (rows, m)
             for r in range(rows):
                 # each row is that of the run's own one-run block
-                own = stack_tables(params[r: r + 1], cqs[r: r + 1], top, m)
+                own = stack_tables(params[r: r + 1], cqs[r: r + 1], m)
                 assert out[r].tobytes() == _apply(own, c[r: r + 1])[0].tobytes()
 
     @given(CUTOFFS, st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
@@ -1686,7 +1698,7 @@ class TestPaddedLockstep:
         fields = [unit_field(seed + r, cutoff) for r, cutoff in enumerate((n, top) * len(taus))]
         runs = [SchemeParams(lam, tau, f.cutoff, 1) for tau, f in zip(np.repeat(taus, 2), fields)]
         cqs = [conserved_quantities(f) for f in fields]
-        tables = stack_tables(runs, cqs, top, m)
+        tables = stack_tables(runs, cqs, m)
         c = np.stack([standard(f, m) for f in fields])
         own = fields
         for _ in range(3):

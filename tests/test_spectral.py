@@ -11,6 +11,14 @@ from hypothesis import strategies as st
 
 from lowregnls.cli import MAX_CUTOFF
 from lowregnls.harness import fit_rate
+from lowregnls.integrator import (
+    ConservedQuantities,
+    SchemeParams,
+    conserved_quantities,
+    evolve,
+    step,
+)
+from lowregnls.reference import splitting_step
 from lowregnls.spectral import (
     SpectralField,
     _centered,
@@ -126,12 +134,33 @@ class TestOperatorBoundary:
         (lambda: l2_error(SpectralField.from_modes(2, {1: 1.7e308}),
                           SpectralField.from_modes(2, {1: -1.7e308})),
          "the L^2 distance of f and g must be finite, got inf"),
+        # a field, but its sums pass float range
+        (lambda: conserved_quantities(SpectralField.from_modes(2, {1: 1e200})),
+         "f's mass must be finite, got inf"),
+        (lambda: conserved_quantities(SpectralField.from_modes(2, {-1: 1e200, 1: 1e200})),
+         "f's mass must be finite, got inf"),
+        (lambda: conserved_quantities(SpectralField.from_modes(2, {1: 1.7e308 + 1.7e308j})),
+         "f's mass must be finite, got inf"),
+        # no field at all, or no number
+        (lambda: conserved_quantities(3), "f must be a SpectralField, got int"),
+        (lambda: dealiased_product(F, 3), "g must be a SpectralField, got int"),
+        (lambda: l2_error(F, 3), "g must be a SpectralField, got int"),
+        (lambda: l2_error(3, F), "f must be a SpectralField, got int"),
+        (lambda: sobolev_norm(3, 1.0), "f must be a SpectralField, got int"),
+        (lambda: F * "2", "scalar must be a number, got '2'"),
+        (lambda: "2" * F, "scalar must be a number, got '2'"),
+        (lambda: F * 10 ** 400, "scalar must be finite, got int past the float range"),
+        (lambda: F * complex(0.0, math.nan), "scalar must be finite, got nan"),
     ], ids=["from-modes-bool", "from-modes-float", "coefficient-float", "coefficient-bool",
             "free-t-inf", "free-t-nan", "free-t-string", "twist-tau-nan", "twist-lam-inf",
             "twist-mass-nan", "twist-momentum-nan", "sobolev-s-nan", "sobolev-s-bool",
             "free-t-overflows", "twist-lam-overflows", "twist-tau-overflows",
             "sobolev-s-overflows", "sobolev-square-overflows", "sobolev-sum-overflows",
-            "l2-error-square-overflows", "l2-error-difference-overflows"])
+            "l2-error-square-overflows", "l2-error-difference-overflows",
+            "quantities-square-overflows", "quantities-sums-overflow",
+            "quantities-modulus-overflows", "quantities-f-int", "product-g-int",
+            "l2-error-g-int", "l2-error-f-int", "sobolev-f-int", "scalar-string",
+            "scalar-string-left", "scalar-overflows", "scalar-nan"])
     def test_rejected_naming_the_parameter(self, call, match):
         # no RuntimeWarning either: the suite makes one an error
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
@@ -150,17 +179,33 @@ class TestOperatorBoundary:
 
 
 FIELD = SpectralField.from_modes(4, {1: 1.0, 3: 0.5})
+RUN = SchemeParams(-1, 0.1, 4, 1)
 
-# each public call with one scalar argument left free, by that argument's name
+# each public call with one scalar argument left free, by that argument's
+# name, which the calls that take it share; the scheme's maps and drivers
+# take tau through SchemeParams, mass and momentum through
+# ConservedQuantities
 SCALAR_CALLS = {
-    "t": lambda x: free_propagator(FIELD, x),
-    "tau": lambda x: twist_propagator(FIELD, x, 1.0, 1.0, 0.5),
-    "lam": lambda x: twist_propagator(FIELD, 0.1, x, 1.0, 0.5),
-    "mass": lambda x: twist_propagator(FIELD, 0.1, 1.0, x, 0.5),
-    "momentum_imag": lambda x: twist_propagator(FIELD, 0.1, 1.0, 1.0, x),
-    "s": lambda x: sobolev_norm(FIELD, x),
-    "values": lambda x: fit_rate([1.0, x, 4.0], [1.0, 0.5, 0.25]),
-    "errors": lambda x: fit_rate([1.0, 2.0, 4.0], [1.0, x, 0.25]),
+    "t": {"free_propagator": lambda x: free_propagator(FIELD, x)},
+    "tau": {
+        "twist_propagator": lambda x: twist_propagator(FIELD, x, 1.0, 1.0, 0.5),
+        "step": lambda x: step(FIELD, SchemeParams(-1, x, 4, 1), ConservedQuantities(1.0, 0.5)),
+        "splitting_step": lambda x: splitting_step(FIELD, SchemeParams(-1, x, 4, 1), 2),
+        "evolve": lambda x: evolve(FIELD, SchemeParams(-1, x, 4, 1)).final,
+    },
+    "lam": {"twist_propagator": lambda x: twist_propagator(FIELD, 0.1, x, 1.0, 0.5)},
+    "mass": {
+        "twist_propagator": lambda x: twist_propagator(FIELD, 0.1, 1.0, x, 0.5),
+        "step": lambda x: step(FIELD, RUN, ConservedQuantities(x, 0.5)),
+    },
+    "momentum_imag": {
+        "twist_propagator": lambda x: twist_propagator(FIELD, 0.1, 1.0, 1.0, x),
+        "step": lambda x: step(FIELD, RUN, ConservedQuantities(1.0, x)),
+    },
+    "s": {"sobolev_norm": lambda x: sobolev_norm(FIELD, x)},
+    "scalar": {"field times scalar": lambda x: FIELD * x},
+    "values": {"fit_rate": lambda x: fit_rate([1.0, x, 4.0], [1.0, 0.5, 0.25])},
+    "errors": {"fit_rate": lambda x: fit_rate([1.0, 2.0, 4.0], [1.0, x, 0.25])},
 }
 HOSTILE = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, True, "0.5", 1e308, -1e308, 10 ** 400,
@@ -172,26 +217,27 @@ class TestScalarContract:
     """One hostile value for one scalar argument of a public call: the call
     returns a finite result (nan is fit_rate's flag) or raises one
     ValueError or TypeError that names the argument, and warns of nothing.
-    A phase too large for a float names all four of twist_propagator's
-    arguments, since it is their product that overflows."""
+    A phase too large for a float names all four of the twist's arguments,
+    since it is their product that overflows."""
 
     @pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
     @given(value=HOSTILE)
     @example(value=1e308)
     @example(value=10 ** 400)
     def test_finite_or_named(self, name, value):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                out = SCALAR_CALLS[name](value)
-            except (ValueError, TypeError) as exc:
-                assert re.search(rf"\b{name}\b", str(exc)), str(exc)
-                return
-        if isinstance(out, SpectralField):
-            assert np.isfinite(out.coeffs).all()
-        else:
-            # the values stay distinct, so only an error can raise the flag
-            assert math.isfinite(out) or (name == "errors" and math.isnan(out))
+        for call, run in SCALAR_CALLS[name].items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out = run(value)
+                except (ValueError, TypeError) as exc:
+                    assert re.search(rf"\b{name}\b", str(exc)), (call, str(exc))
+                    continue
+            if isinstance(out, SpectralField):
+                assert np.isfinite(out.coeffs).all(), call
+            else:
+                # the values stay distinct, so only an error can raise the flag
+                assert math.isfinite(out) or (name == "errors" and math.isnan(out))
 
 
 class TestProjection:
