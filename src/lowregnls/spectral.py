@@ -51,13 +51,16 @@ class SpectralField:
     frequency from -cutoff to +cutoff.
 
     The coefficients may be any complex numbers, nan and inf included, so a
-    field can hold what a file or a caller gave.  But the scheme's maps take
-    only finite fields: `dealiased_product`, `integrator.step`,
-    `integrator.step_twisted` and `reference.splitting_step` raise one
-    ValueError naming the argument that is not, and the `evolve` drivers one
-    naming the run.  Those maps, `sobolev_norm` and `l2_error` raise one
-    naming an argument that is no field at all, and a product with a scalar
-    one naming a scalar that is no finite number.
+    field can hold what a file or a caller gave, and `+`, `-` and a product
+    with a scalar that pass float range give inf quietly, with no warning.
+    But the scheme's maps take only finite fields: `dealiased_product`,
+    `integrator.step`, `integrator.step_twisted` and
+    `reference.splitting_step` raise one ValueError naming the argument that
+    is not, and the `evolve` drivers one naming the run.  Those maps,
+    `project`, `free_propagator`, `sobolev_norm` and `l2_error` raise one
+    naming an argument that is no field at all, `+` and `-` one naming
+    `other`, and a product with a scalar one naming a scalar that is no
+    finite number.
     """
 
     cutoff: int
@@ -96,14 +99,17 @@ class SpectralField:
     def frequencies(self) -> np.ndarray:
         return np.arange(-self.cutoff, self.cutoff + 1)
 
-    # arithmetic aligns mismatched cutoffs by zero extension
+    # arithmetic aligns mismatched cutoffs by zero extension, and a result
+    # past float range is inf, which the scheme's maps refuse
     def __add__(self, other: "SpectralField") -> "SpectralField":
         a, b = _align(self, other)
-        return SpectralField(a.cutoff, a.coeffs + b.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SpectralField(a.cutoff, a.coeffs + b.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         a, b = _align(self, other)
-        return SpectralField(a.cutoff, a.coeffs - b.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SpectralField(a.cutoff, a.coeffs - b.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
         if isinstance(scalar, SpectralField):
@@ -112,7 +118,8 @@ class SpectralField:
         if isinstance(scalar, bool) or not isinstance(scalar, numbers.Complex):
             raise ValueError(f"scalar must be a number, got {scalar!r}")
         z = complex(_real(scalar.real, "scalar"), _real(scalar.imag, "scalar"))
-        return SpectralField(self.cutoff, self.coeffs * z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SpectralField(self.cutoff, self.coeffs * z)
 
     __rmul__ = __mul__
 
@@ -175,7 +182,9 @@ def _finite_field(f: SpectralField, name: str, cutoff: int | None = None) -> Spe
 
 
 def _align(f: SpectralField, g: SpectralField) -> tuple[SpectralField, SpectralField]:
-    n = max(f.cutoff, g.cutoff)
+    """f and g at their common cutoff; g, the right operand of `+` and `-`,
+    is checked to be a field, named `other`."""
+    n = max(f.cutoff, _field(g, "other").cutoff)
     return project(f, n), project(g, n)
 
 
@@ -183,7 +192,7 @@ def project(f: SpectralField, cutoff: int) -> SpectralField:
     """Change of cutoff: modes with |k| <= min(cutoff, f.cutoff) are copied,
     everything else in the target window is zero.  Truncation for smaller
     cutoffs, zero extension for larger ones."""
-    cutoff = _integer(cutoff, "cutoff", 0)
+    f, cutoff = _field(f, "f"), _integer(cutoff, "cutoff", 0)
     if cutoff == f.cutoff:
         return f
     out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
@@ -220,7 +229,7 @@ def conjugate(f: SpectralField) -> SpectralField:
 def free_propagator(f: SpectralField, t: float) -> SpectralField:
     """exp(i t d_xx) f: the flow of i u_t + u_xx = 0, mode k picks up e^{-i t k^2}.
     A t whose phase t N^2 passes float range is one ValueError naming t."""
-    phase = _free_phase(f.frequencies().astype(float), _real(t, "t"), "t")
+    phase = _free_phase(_field(f, "f").frequencies().astype(float), _real(t, "t"), "t")
     return SpectralField(f.cutoff, phase * f.coeffs)
 
 
@@ -396,7 +405,5 @@ def l2_error(f: SpectralField, g: SpectralField) -> float:
     """L^2 distance ||f - g||; mismatched cutoffs are aligned by zero extension.
     A distance that is not finite is one ValueError naming f and g."""
     # a difference past float range is inf, and so is its norm
-    with np.errstate(over="ignore"):
-        d = _field(f, "f") - _field(g, "g")
-    return _finite_norm(d, 0.0, "the L^2 distance of f and g")
+    return _finite_norm(_field(f, "f") - _field(g, "g"), 0.0, "the L^2 distance of f and g")
 

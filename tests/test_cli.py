@@ -1,7 +1,9 @@
 """End-to-end tests of the command line front end.
 
-All tests drive cli.main() in process; one subprocess test pins the
-python -m entry point and exit codes as seen by a shell.
+All tests drive cli.main() in process but those of TestModuleEntryPoint,
+which run python -m lowregnls in a fresh interpreter: its exit codes, and
+the one stderr line of a solve and of a pooled study that blow up, as a
+shell sees them.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lowregnls
-from lowregnls import __version__, cli, harness
+from lowregnls import __version__, cli, harness, integrator, reference
 from lowregnls.cli import (
     DIAG_HEADER,
     MAX_CUTOFF,
@@ -179,18 +181,34 @@ class TestSolve:
         assert line.startswith("h1_max=")
         assert float(line.rsplit("wall_ms=", 1)[1]) >= 0.0
 
-    @pytest.mark.parametrize("scheme", ["lowreg", "strang"])
-    def test_dump_is_reproducible(self, scheme, tmp_path, capsys):
-        # a run is a function of its inputs, so two dumps are byte-identical
-        dumps = [tmp_path / "a", tmp_path / "b"]
+    @pytest.mark.parametrize("scheme, cutoff, tau, stride", [
+        ("lowreg", "8", "2^-4", "2"),
+        ("strang", "8", "2^-4", "2"),
+        *((scheme, "64", "2^-6", "4") for scheme in SCHEMES),
+        # 25600- and 51200-point rows, whose tables lie on the window
+        ("lowreg", "2^13", "2^-6", "4"),
+        ("lowreg", "2^14", "2^-6", "4"),
+        # flows that pair their grid rows
+        ("lie", "2^10", "2^-6", "4"),
+        ("strang", "2^10", "2^-6", "4"),
+    ])
+    def test_dump_is_reproducible(self, scheme, cutoff, tau, stride, tmp_path, capsys):
+        # a run is a function of its inputs, so two dumps, each from tables
+        # built afresh, are byte-identical, and so are their re-read diagnostics
+        dumps, reread = [tmp_path / "a", tmp_path / "b"], []
         for dump in dumps:
-            assert main(["solve", "--tau", "2^-4", "--N", "8", "--T", "0.5", "--scheme", scheme,
-                         "--diag-stride", "2", "--out", str(dump)]) == 0
-        capsys.readouterr()
+            integrator._plan.cache_clear()
+            reference._chirp_tables.cache_clear()
+            assert main(["solve", "--tau", tau, "--N", cutoff, "--T", "0.5", "--scheme", scheme,
+                         "--diag-stride", stride, "--out", str(dump)]) == 0
+            capsys.readouterr()
+            assert main(["diagnostics", "--in", str(dump)]) == 0
+            reread.append(capsys.readouterr().out)
         files = [sorted(p.name for p in dump.iterdir()) for dump in dumps]
         assert files[0] == files[1] and "manifest.txt" in files[0]
         for name in files[0]:
             assert (dumps[0] / name).read_bytes() == (dumps[1] / name).read_bytes()
+        assert reread[0] == reread[1]
 
     def test_splitting_scheme_selected(self, capsys):
         rc = main(["solve", "--tau", "2^-4", "--N", "8", "--T", "0.5",
@@ -293,14 +311,33 @@ class TestStudies:
         assert main(args + ["--T", "0.5"]) == 0
         assert shorthand == capsys.readouterr().out
 
-    def test_jobs_flag_is_deterministic(self, capsys):
-        args = ["study-temporal", "--tau-list", "2^-4,2^-5",
-                "--N-list", "8", "--T", "0.25"]
-        assert main(args + ["--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--jobs", "3"]) == 0
-        pooled = capsys.readouterr().out
-        assert pooled == serial
+    @pytest.mark.parametrize("axis, cutoffs, horizon, scheme, jobs", [
+        ("temporal", "8", "0.25", "lowreg", "3"),
+        # multi-tau stacks, whose splitting rows share the flows' workspace
+        # as they leave the stack
+        *(("temporal", "16,32", "0.5", scheme, "2") for scheme in SCHEMES),
+        # padded stacks (128 on the grid of 256) and the multi-cutoff lockstep
+        *(("spatial", "128,256,512", "0.25", scheme, "2") for scheme in ("lowreg", "strang")),
+        # both sides of spectral.STACK_POINTS: whole 4096-point rows at 1365,
+        # and 6400-point rows at 1366, whose tables lie on the window
+        ("temporal", "1365,1366", "0.125", "lowreg", "2"),
+        # one-run stacks of paired flows at 2^10, and both sides of the
+        # pairing boundary: 682 two runs to a stack with one-row flows, 683
+        # one run to a stack with paired flows
+        *(("temporal", cutoffs, "0.25", "strang", "2") for cutoffs in ("1024", "682,683")),
+    ])
+    def test_jobs_flag_is_deterministic(self, axis, cutoffs, horizon, scheme, jobs, capsys):
+        # each run builds its tables afresh, as a new process would: a pool
+        # forks, and its workers would inherit the tables of the serial run
+        args = [f"study-{axis}", "--tau-list", "2^-4,2^-5", "--N-list", cutoffs,
+                "--T", horizon, "--scheme", scheme]
+        outs = []
+        for n_jobs in ("1", jobs):
+            integrator._plan.cache_clear()
+            reference._chirp_tables.cache_clear()
+            assert main(args + ["--jobs", n_jobs]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
 
     def test_jobs_flag_is_deterministic_for_a_spatial_study(self, capsys):
         # 64 rides zero-padded with 128 at any jobs; 256 stacks alone
@@ -311,6 +348,11 @@ class TestStudies:
             assert main(args + ["--jobs", jobs]) == 0
             outs.append([ln.rsplit(",", 1)[0] for ln in capsys.readouterr().out.splitlines()])
         assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def set_line(key, line):
+    """The manifest edit that puts line in place of the line of key."""
+    return lambda lines: [line if ln.startswith(key + "=") else ln for ln in lines]
 
 
 class TestErrorContract:
@@ -543,30 +585,28 @@ class TestErrorContract:
         assert "blew up" in serial
         assert self.check(argv + ["--jobs", "2"], 1, capfd) == serial
 
-    @pytest.mark.parametrize("edit, key", [
-        ("scheme=rk4", "scheme"),
-        ("", "h1_max"),
-        ("lambda=0", "lambda"),
-        ("N=-1", "N"),
-        ("steps=-1", "steps"),
-        ("N=5", "N"),
-        ("steps=9", "steps"),
+    @pytest.mark.parametrize("edit, key, at_fault", [
+        (set_line("scheme", "scheme=rk4"), "scheme", "manifest.txt"),
+        (set_line("h1_max", ""), "h1_max", "manifest.txt"),
+        (set_line("lambda", "lambda=0"), "lambda", "manifest.txt"),
+        (set_line("N", "N=-1"), "N", "manifest.txt"),
+        (set_line("steps", "steps=-1"), "steps", "manifest.txt"),
+        # the initial state holds too few lines for N=5, and the rows end at step 8
+        (set_line("N", "N=5"), "N", "initial.txt"),
+        (set_line("steps", "steps=9"), "steps", "diagnostics.txt"),
         # a key given twice names no one run: 0.0625 would time the rows of another
-        ("tau=0.125\ntau=0.0625", "tau"),
+        (set_line("tau", "tau=0.125\ntau=0.0625"), "tau", "manifest.txt"),
+        (lambda lines: lines + ["T=9"], "T", "manifest.txt"),
+        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], "tau", "manifest.txt"),
     ], ids=["scheme", "missing", "lambda-range", "N-range", "steps-range", "N-of-states",
-            "steps-of-rows", "key-twice"])
-    def test_malformed_dump(self, edit, key, tmp_path, capsys):
+            "steps-of-rows", "key-twice", "seventh-line", "lines-3-and-4-swapped"])
+    def test_malformed_dump(self, edit, key, at_fault, tmp_path, capsys):
         dump = tmp_path / "D"
         assert main(["solve", "--tau", "2^-3", "--N", "4", "--T", "1", "--out", str(dump)]) == 0
         capsys.readouterr()
         manifest = dump / "manifest.txt"
-        lines = [edit if ln.startswith(key + "=") else ln
-                 for ln in manifest.read_text().splitlines()]
-        manifest.write_text("\n".join(lines) + "\n")
+        manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
         msg = self.check(["diagnostics", "--in", str(dump)], 1, capsys)
-        # the file at fault: the manifest, the initial state, which holds
-        # too few lines for N=5, or the rows, which end at step 8
-        at_fault = {"N=5": "initial.txt", "steps=9": "diagnostics.txt"}.get(edit, "manifest.txt")
         assert msg.startswith(f"error: {dump / at_fault}: ")
         assert repr(key) in msg or f"{key}=" in msg
 
@@ -921,22 +961,35 @@ class TestReadme:
 
 
 class TestModuleEntryPoint:
-    def test_exit_codes(self):
+    """The python -m entry point as a shell sees it, in a fresh interpreter,
+    whose default warning filters print a warning that pytest's would not."""
+
+    def run(self, argv):
         # the child imports the package the tests import, installed or not
         path = [str(Path(lowregnls.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        ok = subprocess.run(
-            [sys.executable, "-m", "lowregnls", "solve", "--tau", "2^-3", "--N", "8",
-             "--T", "0.5"],
-            capture_output=True, text=True, env=env,
-        )
+        return subprocess.run([sys.executable, "-m", "lowregnls", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_exit_codes(self):
+        ok = self.run(["solve", "--tau", "2^-3", "--N", "8", "--T", "0.5"])
         assert ok.returncode == 0 and ok.stderr == ""
         assert "final: l2=" in ok.stdout
 
-        bad = subprocess.run(
-            [sys.executable, "-m", "lowregnls", "solve", "--tau", "abc",
-             "--N", "8"],
-            capture_output=True, text=True, env=env,
-        )
+        bad = self.run(["solve", "--tau", "abc", "--N", "8"])
         assert bad.returncode == 2
         assert bad.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--amplitude", "1", "--tau", "2^-5", "--N", "64", "--T", "1"],
+        # two stacks, so two worker processes
+        ["study-temporal", "--tau-list", "2^20,2^19", "--T", "1048576", "--N-list", "8,64",
+         "--jobs", "2"],
+    ], ids=["solve", "pooled-study"])
+    def test_blow_up_prints_one_line(self, argv):
+        # past the scheme's tau limit a run blows up: no RuntimeWarning from
+        # the run or from a worker process, only the error line
+        done = self.run(argv)
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: solution blew up")

@@ -90,6 +90,16 @@ class TestFieldBasics:
         with pytest.raises(TypeError):
             f * f
 
+    def test_arithmetic_past_float_range_is_quiet_inf(self):
+        # a field may hold inf, which the scheme's maps refuse, so a sum or a
+        # product with a scalar that passes float range is inf, with no warning
+        ten, big = (SpectralField.from_modes(4, {1: x}) for x in (10.0, 1.7e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = [ten * 1e308, 1e308 * ten, big + big, big - (-1.0 * big)]
+        for out in outs:
+            assert np.array_equal(out.coeffs, SpectralField.from_modes(4, {1: math.inf}).coeffs)
+
 
 F = SpectralField.from_modes(2, {0: 1.0, 1: 0.5j})
 
@@ -147,6 +157,10 @@ class TestOperatorBoundary:
         (lambda: l2_error(F, 3), "g must be a SpectralField, got int"),
         (lambda: l2_error(3, F), "f must be a SpectralField, got int"),
         (lambda: sobolev_norm(3, 1.0), "f must be a SpectralField, got int"),
+        (lambda: project(3, 2), "f must be a SpectralField, got int"),
+        (lambda: free_propagator(3, 0.1), "f must be a SpectralField, got int"),
+        (lambda: F + 3, "other must be a SpectralField, got int"),
+        (lambda: F - 3, "other must be a SpectralField, got int"),
         (lambda: F * "2", "scalar must be a number, got '2'"),
         (lambda: "2" * F, "scalar must be a number, got '2'"),
         (lambda: F * 10 ** 400, "scalar must be finite, got int past the float range"),
@@ -159,7 +173,8 @@ class TestOperatorBoundary:
             "l2-error-square-overflows", "l2-error-difference-overflows",
             "quantities-square-overflows", "quantities-sums-overflow",
             "quantities-modulus-overflows", "quantities-f-int", "product-g-int",
-            "l2-error-g-int", "l2-error-f-int", "sobolev-f-int", "scalar-string",
+            "l2-error-g-int", "l2-error-f-int", "sobolev-f-int", "project-f-int",
+            "free-f-int", "add-other-int", "sub-other-int", "scalar-string",
             "scalar-string-left", "scalar-overflows", "scalar-nan"])
     def test_rejected_naming_the_parameter(self, call, match):
         # no RuntimeWarning either: the suite makes one an error
