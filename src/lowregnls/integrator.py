@@ -469,6 +469,8 @@ def step_twisted(
     _finite_field(f, "f", params.cutoff)
     step_index = _integer(step_index, "step index", 0)
     lam, tau = params.lam, params.tau
+    # the step's phase first, so that a tau past float range is named as in `step`
+    _free_phase(f.frequencies().astype(float), tau, "tau")
     tn = step_index * tau
     tnp = tn + tau
     mass, momentum_imag = cq.mass, cq.momentum_imag

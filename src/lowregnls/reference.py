@@ -18,7 +18,7 @@ two rows per run, the grid's even and odd points, which pocketfft transforms tog
 steps a stack of splitting runs in lockstep, as it does low-regularity runs,
 but only runs of one cutoff, since the 4N+1 collocation aliases differently
 at each N.  Its stepper (`_splitting_stepper`) owns one workspace of grid,
-sample, angle and phase rows for the whole stack, and every flow runs in it:
+sample and angle rows for the whole stack, and every flow runs in it:
 the samples turn by a real angle, through its cosine and sine, and a step
 allocates nothing but its states (and, for a stack of several runs, numpy's
 buffers for a table row broadcast over it).  This module holds only the
@@ -40,6 +40,7 @@ from .spectral import (
     _integer,
     _pow2_grid_size,
     _stack_runs,
+    _standard,
     _to_grid,
     _uncentered,
 )
@@ -88,8 +89,8 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
     unchirp = alpha.conj() / big_m
 
     def twisted(row, e):
-        """row times omega^e, or row itself where every e is 0."""
-        return row * np.exp(2j * np.pi / big_l * (e % big_l)) if e.any() else row
+        """row times omega^e."""
+        return row * np.exp(2j * np.pi / big_l * (e % big_l))
 
     def split(grid):
         """Row r of grid's points P p + r, divided by P; contiguous, since
@@ -108,16 +109,19 @@ def _chirp_tables(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def _flow_work(rows: int, n: int) -> tuple[np.ndarray, ...]:
-    """The workspace of `_nonlinear_flow` for `rows` runs of cutoff n, per
-    run P grid rows of m points (one chirp-z grid, see `_chirp_tables`), P
-    sample rows of 4n+1 points, a real angle row and a complex phase row:
-    0.63 MiB a run at n = 2^11 (P = 2), 20 MiB at 2^16."""
+    """The workspace of `_nonlinear_flow` for `rows` runs of cutoff n: per
+    run P grid rows of m points (one chirp-z grid, see `_chirp_tables`),
+    P + 1 sample rows of 4n+1 points, given as the fold's rows 0..P-1 and
+    the first transform's rows 1..P, a real angle row, and a complex phase
+    row laid in the grid rows; 0.63 MiB a run at n = 2^11 (P = 2), 20 MiB
+    at 2^16.  Each sample row is one block over the runs, so that numpy
+    loops over a stack's row as over one run's."""
     m, alpha = _chirp_tables(n)[:2]
-    pairs, samples = alpha.shape[0], 4 * n + 1
-    return (np.empty((rows, pairs, m), dtype=np.complex128),
-            np.empty((rows, pairs, samples), dtype=np.complex128),
-            np.empty((rows, samples)),
-            np.empty((rows, samples), dtype=np.complex128))
+    grid = np.empty((rows, len(alpha), m), dtype=np.complex128)
+    block = np.empty((len(alpha) + 1, rows, 4 * n + 1), dtype=np.complex128)
+    samples = block.transpose(1, 0, 2)
+    return (grid, samples[:, :-1], samples[:, 1:], np.empty(block.shape[1:]),
+            grid.reshape(-1)[: block[0].size].reshape(block.shape[1:]))
 
 
 def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray, work) -> np.ndarray:
@@ -137,63 +141,56 @@ def _nonlinear_flow(c: np.ndarray, lam: int, t: np.ndarray, work) -> np.ndarray:
     of >= 6N+1 points.  The product grid of cutoff 2N, the smallest 2^a or
     25*2^b >= 6N+1, is such a grid, of L points, and a fast FFT length.
 
-    Where the flow pairs (P = 2), each FFT call takes the even
-    and odd points of that grid as two rows of m = L/2 points (L = 2m for
-    N >= 5), one radix-2 stage done in coefficient space.  With
-    omega = e^{2 pi i/L}, the rows a_k and a_k omega^k (|k| <= N < m/2, so
-    their ends never meet) give w_n = W0[n] + omega^{-n} W1[n] (indices mod
-    m), and the flow rotates z_n = omega^n W0[n] + W1[n] = omega^n w_n, of the
-    same modulus, into x_n = omega^n v_n.  The rows x_n and omega^n x_n,
-    folded onto m points at n mod m (their ends add where m < 4N+1),
-    transform to the odd and even grid points of v, and the tables undo
-    every twiddle (see `_chirp_tables`).
+    Each FFT call takes that grid as the P rows of the tables (P = 1 or 2,
+    see `_chirp_tables`), row r its points P p + r of m = L/P, one radix-P
+    stage done in coefficient space.  With omega = e^{2 pi i/L}, the rows
+    a_k omega^{rk} (|k| <= N < m/2, so their ends never meet) give
+    w_n = sum_r omega^{-rn} W_r[n] (indices mod m).  The flow sums
+    z_n = omega^{(P-1)n} w_n, of the same modulus, by Horner over the P - 1
+    twiddle rows and rotates it into x_n = omega^{(P-1)n} v_n.  The P rows
+    omega^{rn} x_n, folded onto m points at n mod m (their ends add where
+    m < 4N+1, never at P = 1), transform to the grid points of v, and the
+    tables undo every twiddle.
 
-    Every call runs in work, a `_flow_work` of R rows, and rotates the
-    samples by the real angle -lam t |z_n|^2 through its cosine and sine; the
-    returned stack is the only array it allocates.
+    Every call runs in work, a `_flow_work` of R rows, and turns the
+    samples by the real angle -lam t |z_n|^2 through its cosine and sine;
+    the returned stack is the only array it allocates.
     """
     n = (c.shape[-1] - 1) // 2
     m, alpha, k1, k2, unchirp, twiddle = _chirp_tables(n)
-    g, w, angle, phase = work
-    paired, s = len(twiddle) > 0, 2 * n
-    _to_grid(np.multiply(c[:, None], alpha, out=w[..., : 2 * n + 1]), n, m, out=g)
+    g, x, samples, angle, phase = work
+    pairs, s = len(alpha), 2 * n
+    _to_grid(np.multiply(c[:, None], alpha, out=samples[..., : 2 * n + 1]), n, m, out=g)
     # K1 and K2 multiply in place: at N = 0, a one-point grid, they are 1
     g *= k1
-    z = _from_grid(g, s, out=w)[:, 0]
-    if paired:
-        z *= twiddle[0]
-        z += w[:, 1]
+    _from_grid(g, s, out=samples)
+    for r in range(pairs - 1):
+        samples[:, r] *= twiddle[r]
+        samples[:, r + 1] += samples[:, r]
+    z = samples[:, -1]
     np.abs(z, out=angle)
     angle *= angle
     angle *= (-lam * t)[:, None]
+    # into the grid rows, which the fold below is the next to write
     np.cos(angle, out=phase.real)
     np.sin(angle, out=phase.imag)
-    if paired:
-        # in place, as a paired row is never one element
-        z *= phase
-        np.multiply(z, twiddle[0], out=w[:, 1])
-        # sample n < 0 lands on point n + m, where sample n + m <= 2N lies
-        # when m < 4N+1: there the o such pairs add
-        o = max(0, 2 * s + 1 - m)
-        g[..., : s + 1] = w[..., : s + 1]
-        g[..., m - s + o:] = w[..., s + 1 + o:]
-        g[..., m - s: m - s + o] += w[..., s + 1: s + 1 + o]
-    else:
-        # the rotated samples go straight onto the grid, not in place into
-        # w: numpy multiplies a one-element array (N = 0, one run) in place
-        # by its scalar path, which rounds unlike the array loop of a larger
-        # stack
-        np.multiply(z[:, : s + 1], phase[:, : s + 1], out=g[:, 0, : s + 1])
-        np.multiply(z[:, s + 1:], phase[:, s + 1:], out=g[:, 0, m - s:])
-    g[..., s + 1: m - s] = 0.0
+    # out of place: numpy multiplies one element (N = 0, one run) in place
+    # by its scalar path, which rounds unlike the array loop of a stack
+    np.multiply(z, phase, out=x[:, 0])
+    for r in range(pairs - 1):
+        np.multiply(x[:, r], twiddle[r], out=x[:, r + 1])
+    # sample n < 0 lands on point n + m, where sample n + m <= 2N also lies
+    # when m < 4N+1: `_standard` lays out the former, and the latter adds
+    _standard(x, s, m, out=g)
+    g[..., m - s: s + 1] += x[..., m - s: s + 1]
     np.fft.ifft(g, axis=-1, norm="forward", out=g)
     g *= k2
     # truncated into the dead sample rows, then out of place, as above
-    f = _from_grid(g, n, out=w[..., : 2 * n + 1])
-    if paired:
-        f *= unchirp
-        return np.add(f[:, 0], f[:, 1])
-    return np.multiply(f[:, 0], unchirp[0])
+    f = _from_grid(g, n, out=samples[..., : 2 * n + 1])
+    out = np.multiply(f[:, 0], unchirp[0])
+    for r in range(1, pairs):
+        out += np.multiply(f[:, r], unchirp[r], out=f[:, r])
+    return out
 
 
 def _splitting_scheme(order) -> str:
@@ -210,9 +207,8 @@ def _splitting_stepper(scheme: str, runs):
     first rows of a stack of runs (SchemeParams) of one lam and one cutoff,
     run r on row r.
     The free flow's multipliers e^{-i tau k^2}, one row per run, and the
-    flows' workspace (`_flow_work`: per run one or, where the flow pairs,
-    two grid and sample rows, a real angle and a complex phase row) are
-    built once.  Every step, at any row
+    flows' workspace (`_flow_work`: per run P grid rows, P + 1 sample rows
+    and a real angle row) are built once.  Every step, at any row
     count, runs its flows in that workspace sliced to the live rows, so it
     allocates only its (rows, 2N+1) states, none of them in the workspace,
     and numpy's buffers for the tables broadcast over more than one row."""

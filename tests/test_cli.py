@@ -312,10 +312,13 @@ class TestStudies:
         assert shorthand == capsys.readouterr().out
 
     @pytest.mark.parametrize("axis, cutoffs, horizon, scheme, jobs", [
-        ("temporal", "8", "0.25", "lowreg", "3"),
+        # three low-regularity layouts, more stacks than a 2-core pool has workers
+        ("temporal", "8,32,128", "0.25", "lowreg", "3"),
         # multi-tau stacks, whose splitting rows share the flows' workspace
-        # as they leave the stack
-        *(("temporal", "16,32", "0.5", scheme, "2") for scheme in SCHEMES),
+        # as they leave the stack; the low-regularity runs of 16 ride alone,
+        # as 2 * 16 < 64
+        ("temporal", "16,64", "0.5", "lowreg", "2"),
+        *(("temporal", "16,32", "0.5", scheme, "2") for scheme in SPLITTINGS),
         # padded stacks (128 on the grid of 256) and the multi-cutoff lockstep
         *(("spatial", "128,256,512", "0.25", scheme, "2") for scheme in ("lowreg", "strang")),
         # both sides of spectral.STACK_POINTS: whole 4096-point rows at 1365,
@@ -331,6 +334,11 @@ class TestStudies:
         # forks, and its workers would inherit the tables of the serial run
         args = [f"study-{axis}", "--tau-list", "2^-4,2^-5", "--N-list", cutoffs,
                 "--T", horizon, "--scheme", scheme]
+        # more than one stack, so that --jobs starts a pool of workers
+        spec = harness.StudySpec(axis=axis, taus=(2.0 ** -4, 2.0 ** -5),
+                                 cutoffs=tuple(map(int, cutoffs.split(","))),
+                                 horizon=float(horizon), scheme=scheme)
+        assert len(harness._stacks(scheme, spec.runs())) >= 2
         outs = []
         for n_jobs in ("1", jobs):
             integrator._plan.cache_clear()

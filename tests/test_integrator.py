@@ -622,7 +622,7 @@ class TestSplittingMemory:
         assert peak <= 3 * c.nbytes + (grid if runs > 1 else 0)
 
     @pytest.mark.parametrize("scheme", SPLITTINGS)
-    @pytest.mark.parametrize("n, runs", [(16, 1), (16, 3), (0, 1), (683, 1)])
+    @pytest.mark.parametrize("n, runs", [(16, 1), (16, 3), (0, 1), (3, 1), (683, 1)])
     def test_step_writes_only_its_result(self, scheme, n, runs, monkeypatch):
         stepper, c, drift, work = built_stepper(scheme, n, runs, monkeypatch)
         given = (c, drift, *_chirp_tables(n)[1:])
@@ -634,10 +634,11 @@ class TestSplittingMemory:
     # N = 0 multiplies one-element arrays, and at N = 2048 four runs hold
     # more than 256 KiB of states: numpy rounds a one-element product in
     # place, and `a * temporary` that large with its operands swapped, unlike
-    # the out-of-place loop of another stack.  From N = 683 on the flows
-    # pair, by N alone, so a stack pairs as its runs alone do
+    # the out-of-place loop of another stack.  N = 3 runs one row of an odd
+    # 25-point grid.  From N = 683 on the flows pair, by N alone, so a stack
+    # pairs as its runs alone do
     @pytest.mark.parametrize("scheme", SPLITTINGS)
-    @pytest.mark.parametrize("n", [0, 16, 683, 2048])
+    @pytest.mark.parametrize("n", [0, 3, 16, 683, 2048])
     def test_recut_stepper_matches_solo_runs(self, scheme, n, monkeypatch):
         stepper, c, _, _ = built_stepper(scheme, n, 4, monkeypatch)
         for rows in (4, 3, 2, 1):
@@ -1269,6 +1270,11 @@ class TestBoundaryChecks:
          "diag_stride must be an integer, got 1.5"),
         (lambda: step_twisted(ZERO, _params(), CQ, 0.5), "step index must be an integer, got 0.5"),
         (lambda: step_twisted(ZERO, _params(), CQ, -1), "step index must be >= 0, got -1"),
+        # the step's phase names tau, in the twisted step as in `step`
+        (lambda: step(ZERO, _params(tau=1e308), CQ),
+         "tau * N^2 must be finite, got tau=1e+308 at N=2"),
+        (lambda: step_twisted(ZERO, _params(tau=1e308), CQ, 0),
+         "tau * N^2 must be finite, got tau=1e+308 at N=2"),
         (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2.5, 4)),
          "cutoffs must be an integer, got 2.5"),
         (lambda: StudySpec(axis="spatial", taus=(0.1,), cutoffs=(2, 4), jobs=1.9),
